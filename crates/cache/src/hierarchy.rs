@@ -87,7 +87,7 @@ impl HierarchyConfig {
 /// let second = h.load(Addr::new(0x40), mem);
 /// assert_eq!(second.level, HitLevel::L1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheHierarchy {
     config: HierarchyConfig,
     l1: SetAssocCache,
@@ -131,6 +131,52 @@ impl CacheHierarchy {
             level: HitLevel::Memory,
             latency: memory_latency,
         }
+    }
+
+    /// Perform `count` loads at `first`, `first + stride`, `first +
+    /// 2 * stride`, …: exactly the state and counters that many [`load`]
+    /// calls leave, with the outcomes discarded.
+    ///
+    /// On a cold hierarchy (no access since construction or [`flush`], no
+    /// resident line) the end state is built directly, in time bounded by
+    /// the cache capacity rather than `count`. A monotone sweep visits each
+    /// line in one contiguous run, so each line's first load misses both
+    /// levels, every other load hits L1, and every set ends up holding the
+    /// newest `ways` distinct lines that map to it, oldest in LRU position,
+    /// all clean. A warm hierarchy, where dirty lines and earlier residents
+    /// break that closed form, falls back to the [`load`] loop; so does a
+    /// sweep that runs past the top of the address space or an L1 line
+    /// longer than an L2 line.
+    ///
+    /// [`load`]: Self::load
+    /// [`flush`]: Self::flush
+    pub fn load_sweep(&mut self, first: Addr, stride: u64, count: u64) {
+        let sweep = Sweep {
+            first: first.get(),
+            stride,
+            count,
+        };
+        let (g1, g2) = (self.config.l1, self.config.l2);
+        let cold = self.memory_loads == 0 && self.l1.is_cold() && self.l2.is_cold();
+        let last = match sweep.last() {
+            Some(last) if cold && g1.line_bytes() <= g2.line_bytes() => last,
+            _ => {
+                let mut a = first;
+                for _ in 0..count {
+                    self.load(a, SimDuration::ZERO);
+                    a = a.offset(stride);
+                }
+                return;
+            }
+        };
+        let d1 = sweep.distinct_lines(g1.line_bytes(), last);
+        let d2 = sweep.distinct_lines(g2.line_bytes(), last);
+        // L2 sees each L1 line's first load; with L1 lines nested in L2
+        // lines, that is every L2 line's first load and d1 - d2 repeats.
+        self.l1
+            .fill_cold(sweep.lines_newest_first(g1), count - d1, d1);
+        self.l2.fill_cold(sweep.lines_newest_first(g2), d1 - d2, d2);
+        self.memory_loads = d2;
     }
 
     /// Perform a store (write-allocate, write-back): like [`load`] but the
@@ -192,10 +238,82 @@ impl CacheHierarchy {
         self.memory_loads
     }
 
+    /// The L1 data cache, for its hit/miss counters and residency.
+    pub fn l1(&self) -> &SetAssocCache {
+        &self.l1
+    }
+
+    /// The L2 cache, for its hit/miss counters and residency.
+    pub fn l2(&self) -> &SetAssocCache {
+        &self.l2
+    }
+
     /// The L2 miss ratio observed so far.
     pub fn l2_miss_ratio(&self) -> f64 {
         self.l2.miss_ratio()
     }
+}
+
+/// The loads `first + i * stride` for `i < count`.
+#[derive(Debug, Clone, Copy)]
+struct Sweep {
+    first: u64,
+    stride: u64,
+    count: u64,
+}
+
+impl Sweep {
+    /// The last address, if the sweep is non-empty and does not wrap.
+    fn last(self) -> Option<u64> {
+        self.count
+            .checked_sub(1)?
+            .checked_mul(self.stride)?
+            .checked_add(self.first)
+    }
+
+    /// How many distinct `line_bytes` lines the sweep touches. A stride
+    /// shorter than a line skips none between the first and `last`.
+    fn distinct_lines(self, line_bytes: u64, last: u64) -> u64 {
+        if self.stride >= line_bytes {
+            self.count
+        } else {
+            last / line_bytes - self.first / line_bytes + 1
+        }
+    }
+
+    /// The distinct lines of `geometry` the sweep touches, newest first,
+    /// ending once the newest ones already fill every set they can reach.
+    ///
+    /// Addresses modulo the set span `sets * line_bytes` repeat with
+    /// period `p = span / gcd(stride, span)` loads, and the `ways` newest
+    /// periods give every reachable set `ways` distinct lines, so no older
+    /// line is kept.
+    fn lines_newest_first(self, geometry: CacheGeometry) -> impl Iterator<Item = u64> {
+        let line_bytes = geometry.line_bytes();
+        let span = geometry.sets() * line_bytes;
+        let period = span / gcd(self.stride, span);
+        let oldest_kept = self
+            .count
+            .saturating_sub(period.saturating_mul(u64::from(geometry.ways())));
+        let mut next = self.count.checked_sub(1);
+        std::iter::from_fn(move || {
+            let i = next?;
+            let line = (self.first + i * self.stride) / line_bytes;
+            let start = line * line_bytes;
+            // The last load of the line below, if the sweep reaches it.
+            next = (start > self.first)
+                .then(|| (start - 1 - self.first) / self.stride)
+                .filter(|&prev| prev >= oldest_kept);
+            Some(line)
+        })
+    }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 #[cfg(test)]
@@ -275,6 +393,42 @@ mod tests {
         h.invalidate(a);
         assert_eq!(h.probe(a), None);
         assert_eq!(h.load(a, mem()).level, HitLevel::Memory);
+    }
+
+    #[test]
+    fn load_sweep_matches_load_loop_on_paper_geometries() {
+        // (first, stride, count): line-by-line past the EV68 B-cache; a
+        // 16 KB stride that reaches few sets; sub-line, line-straddling
+        // and set-skipping strides.
+        let sweeps = [
+            (0, 64, 300_000),
+            (0, 16_384, 2048),
+            (0, 4, 100_000),
+            (40, 96, 30_000),
+            (8, 128, 20_000),
+        ];
+        for config in [HierarchyConfig::ev7(), HierarchyConfig::ev68()] {
+            for (first, stride, count) in sweeps {
+                let mut swept = CacheHierarchy::new(config);
+                let mut looped = swept.clone();
+                swept.load_sweep(Addr::new(first), stride, count);
+                for i in 0..count {
+                    looped.load(Addr::new(first + i * stride), mem());
+                }
+                assert!(swept == looped, "{first} + i * {stride}, {count} loads");
+            }
+        }
+    }
+
+    #[test]
+    fn load_sweep_on_a_flushed_hierarchy_is_a_cold_sweep() {
+        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
+        h.store(Addr::new(0), mem());
+        h.flush();
+        h.load_sweep(Addr::new(0), 64, 3);
+        assert_eq!(h.memory_loads(), 3);
+        assert_eq!(h.writebacks(), 0);
+        assert_eq!(h.load(Addr::new(128), mem()).level, HitLevel::L1);
     }
 
     #[test]

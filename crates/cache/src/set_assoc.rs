@@ -35,7 +35,7 @@ pub struct AccessResult {
 /// assert_eq!(c.hits(), 1);
 /// assert_eq!(c.misses(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     /// Per set: `(tag, dirty)` in LRU order, most recently used last.
@@ -144,6 +144,41 @@ impl SetAssocCache {
         self.hits = 0;
         self.misses = 0;
         self.writebacks = 0;
+    }
+
+    /// Whether the cache has seen no access since construction or
+    /// [`flush`](Self::flush) and holds no line.
+    pub(crate) fn is_cold(&self) -> bool {
+        self.hits == 0 && self.misses == 0 && self.sets.iter().all(Vec::is_empty)
+    }
+
+    /// Install the end state of a monotone load sweep into a cold cache.
+    /// `lines` are the distinct line numbers the sweep touched, newest
+    /// first; each set keeps its newest `ways` of them, the oldest in LRU
+    /// position, all clean. `lines` is read only until every set is full.
+    pub(crate) fn fill_cold(
+        &mut self,
+        lines: impl IntoIterator<Item = u64>,
+        hits: u64,
+        misses: u64,
+    ) {
+        debug_assert!(self.is_cold(), "fill_cold needs a cold cache");
+        let (sets, ways) = (self.geometry.sets(), self.geometry.ways() as usize);
+        let mut unfilled = self.sets.len();
+        for line in lines {
+            let set = &mut self.sets[(line % sets) as usize];
+            if set.len() < ways {
+                set.insert(0, (line / sets, false));
+                if set.len() == ways {
+                    unfilled -= 1;
+                    if unfilled == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        self.hits = hits;
+        self.misses = misses;
     }
 
     /// Number of resident lines.

@@ -15,6 +15,50 @@ fn small_geometry() -> impl Strategy<Value = CacheGeometry> {
     })
 }
 
+/// One small level: 1–16 sets, 1–4 ways, 32–128 B lines.
+fn small_level() -> impl Strategy<Value = CacheGeometry> {
+    (0u32..5, 1u32..=4, 5u32..8).prop_map(|(s, w, l)| {
+        let line = 1u64 << l;
+        CacheGeometry::new((1u64 << s) * u64::from(w) * line, line, w)
+    })
+}
+
+/// Two small levels, so L1 lines can be shorter than, equal to or longer
+/// than L2 lines.
+fn small_hierarchy() -> impl Strategy<Value = HierarchyConfig> {
+    (small_level(), small_level()).prop_map(|(l1, l2)| HierarchyConfig {
+        l1,
+        l1_latency: SimDuration::from_ns(2.0),
+        l2,
+        l2_latency: SimDuration::from_ns(10.0),
+    })
+}
+
+/// Accesses made before the sweep, `(address, is_store)`; half the cases
+/// start cold.
+fn warm_start() -> impl Strategy<Value = Vec<(u64, bool)>> {
+    (
+        any::<bool>(),
+        prop::collection::vec((0u64..16_384, any::<bool>()), 1..24),
+    )
+        .prop_map(|(cold, accesses)| if cold { Vec::new() } else { accesses })
+}
+
+/// Every counter the hierarchy exposes, the miss ratio by its bits.
+fn counters(h: &CacheHierarchy) -> [u64; 9] {
+    [
+        h.l1().hits(),
+        h.l1().misses(),
+        h.l1().writebacks(),
+        h.l2().hits(),
+        h.l2().misses(),
+        h.l2().writebacks(),
+        h.memory_loads(),
+        h.writebacks(),
+        h.l2_miss_ratio().to_bits(),
+    ]
+}
+
 proptest! {
     /// Resident lines never exceed capacity, and a hit is always reported
     /// for the line just accessed.
@@ -90,5 +134,47 @@ proptest! {
         if la != lb {
             prop_assert!(h.probe(Addr::new(lb)).is_some());
         }
+    }
+
+    /// `load_sweep` is `count` loads: same counters, same lines in the
+    /// same LRU order, whether it builds a cold hierarchy's end state
+    /// directly or falls back on a warm one (earlier loads, dirty lines).
+    /// A follow-up run of loads and stores over the sweep's tail must then
+    /// see identical outcomes.
+    #[test]
+    fn load_sweep_matches_load_loop(
+        config in small_hierarchy(),
+        warm in warm_start(),
+        first in 0u64..10_000,
+        stride in prop::sample::select(vec![0u64, 1, 4, 24, 64, 96, 128, 4096, 4160]),
+        count in prop::sample::select(vec![0u64, 1, 2, 5, 64, 300, 2000]),
+        after in prop::collection::vec((0u64..512, any::<bool>()), 0..48),
+    ) {
+        let mem = SimDuration::from_ns(83.0);
+        let mut swept = CacheHierarchy::new(config);
+        for &(a, store) in &warm {
+            if store {
+                swept.store(Addr::new(a), mem);
+            } else {
+                swept.load(Addr::new(a), mem);
+            }
+        }
+        let mut looped = swept.clone();
+        swept.load_sweep(Addr::new(first), stride, count);
+        for i in 0..count {
+            looped.load(Addr::new(first + i * stride), mem);
+        }
+        prop_assert_eq!(counters(&swept), counters(&looped));
+        prop_assert!(swept == looped, "state differs: {swept:?} vs {looped:?}");
+        let tail = first + count.saturating_sub(1) * stride;
+        for &(back, store) in &after {
+            let a = Addr::new(tail.saturating_sub(back * 32));
+            if store {
+                prop_assert_eq!(swept.store(a, mem), looped.store(a, mem));
+            } else {
+                prop_assert_eq!(swept.load(a, mem), looped.load(a, mem));
+            }
+        }
+        prop_assert_eq!(counters(&swept), counters(&looped));
     }
 }

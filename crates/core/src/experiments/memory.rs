@@ -198,6 +198,18 @@ mod tests {
     }
 
     #[test]
+    fn every_machine_builds_its_page_table() {
+        for m in [
+            LatencyMachine::gs1280(),
+            LatencyMachine::es45(),
+            LatencyMachine::gs320(),
+        ] {
+            let pages = OpenPageTable::new(m.page_kib, m.open_pages);
+            assert_eq!(pages.bank_count(), m.open_pages, "{}", m.name);
+        }
+    }
+
+    #[test]
     fn fig05_stride_raises_latency_toward_closed_page() {
         let m = LatencyMachine::gs1280();
         let small_stride = m.dependent_load_ns(8 << 20, 64, 20_000);

@@ -21,8 +21,11 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OpenPageTable {
-    page_kib: u64,
-    /// Open row (page id) per bank; `bank = page % banks`.
+    /// `log2` of the page size in bytes.
+    page_shift: u32,
+    /// `banks - 1`: `bank = page % banks = page & bank_mask`.
+    bank_mask: u64,
+    /// Open row (page id) per bank.
     banks: Vec<Option<u64>>,
     hits: u64,
     misses: u64,
@@ -33,11 +36,20 @@ impl OpenPageTable {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` or `page_kib` is zero.
+    /// Panics unless `page_kib` and `banks` are both powers of two (so
+    /// neither is zero).
     pub fn new(page_kib: u64, banks: usize) -> Self {
-        assert!(banks > 0 && page_kib > 0, "empty page table");
+        assert!(
+            page_kib.is_power_of_two(),
+            "page size must be a power of two KiB, got {page_kib}"
+        );
+        assert!(
+            banks.is_power_of_two(),
+            "bank count must be a power of two, got {banks}"
+        );
         OpenPageTable {
-            page_kib,
+            page_shift: page_kib.trailing_zeros() + 10,
+            bank_mask: banks as u64 - 1,
             banks: vec![None; banks],
             hits: 0,
             misses: 0,
@@ -46,14 +58,14 @@ impl OpenPageTable {
 
     /// The RDRAM page an address belongs to.
     pub fn page_of(&self, addr: u64) -> u64 {
-        addr / (self.page_kib * 1024)
+        addr >> self.page_shift
     }
 
     /// Touch a page: `true` if its bank already has this row open (page
     /// hit); otherwise the row is activated, displacing the bank's previous
     /// row.
     pub fn touch(&mut self, page: u64) -> bool {
-        let bank = (page % self.banks.len() as u64) as usize;
+        let bank = (page & self.bank_mask) as usize;
         if self.banks[bank] == Some(page) {
             self.hits += 1;
             return true;
@@ -158,5 +170,42 @@ mod tests {
         t.close_all();
         assert_eq!(t.open_count(), 0);
         assert!(!t.touch(5));
+    }
+
+    #[test]
+    fn page_and_bank_match_division() {
+        for (page_kib, banks) in [(1, 1), (2, 2048), (8, 128), (64, 4)] {
+            let mut t = OpenPageTable::new(page_kib, banks);
+            for addr in [0, 1023, 1024, 2047, 8191, 8192, 123_456_789, u64::MAX] {
+                let page = t.page_of(addr);
+                assert_eq!(page, addr / (page_kib * 1024), "{page_kib} KiB, {addr}");
+                t.touch(page);
+                assert_eq!(t.banks[(page % banks as u64) as usize], Some(page));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "page size must be a power of two KiB, got 3")]
+    fn rejects_non_power_of_two_page() {
+        let _ = OpenPageTable::new(3, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "page size must be a power of two KiB, got 0")]
+    fn rejects_zero_page() {
+        let _ = OpenPageTable::new(0, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count must be a power of two, got 96")]
+    fn rejects_non_power_of_two_banks() {
+        let _ = OpenPageTable::new(2, 96);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count must be a power of two, got 0")]
+    fn rejects_zero_banks() {
+        let _ = OpenPageTable::new(2, 0);
     }
 }

@@ -300,6 +300,19 @@ mod tests {
     }
 
     #[test]
+    fn every_preset_builds_its_page_table() {
+        for config in [
+            ZboxConfig::ev7(),
+            ZboxConfig::gs320_qbb(),
+            ZboxConfig::es45(),
+        ] {
+            let z = Zbox::new(config);
+            assert_eq!(z.pages.bank_count(), config.open_pages);
+            assert_eq!(z.pages.page_of(config.page_kib * 1024), 1);
+        }
+    }
+
+    #[test]
     fn back_to_back_requests_queue() {
         let mut z = Zbox::new(ZboxConfig::ev7());
         let a = z.access(SimTime::ZERO, Addr::new(0), 64);

@@ -52,6 +52,13 @@ impl PointerChase {
     /// load-to-use latency. `memory_latency` supplies the cost of a full
     /// miss for each address (e.g. open- vs. closed-page from a Zbox
     /// model).
+    ///
+    /// `memory_latency` is called exactly once per load, as if every load
+    /// went through [`CacheHierarchy::load`]: first once for each element
+    /// in address order (the warm-up pass), then once for each measured
+    /// load `i`, at [`address(i)`](Self::address). A stateful closure, such
+    /// as one driving an open-page table, therefore sees the same address
+    /// sequence however the hierarchy takes the warm-up.
     pub fn run(
         &self,
         hierarchy: &mut CacheHierarchy,
@@ -59,12 +66,15 @@ impl PointerChase {
         loads: u64,
     ) -> SimDuration {
         assert!(loads > 0, "need at least one measured load");
-        // Warm-up pass: populate caches exactly as a real run would.
-        for i in 0..self.elements() {
-            let a = self.address(i);
-            let ml = memory_latency(a);
-            hierarchy.load(a, ml);
+        // Warm-up pass: its latencies are discarded, so the caches take it
+        // as one sweep while the closure still sees every address.
+        let first = Addr::new(self.base);
+        let mut a = first;
+        for _ in 0..self.elements() {
+            memory_latency(a);
+            a = a.offset(self.stride);
         }
+        hierarchy.load_sweep(first, self.stride, self.elements());
         let mut total = SimDuration::ZERO;
         for i in 0..loads {
             let a = self.address(i);
@@ -79,6 +89,7 @@ impl PointerChase {
 mod tests {
     use super::*;
     use alphasim_cache::HierarchyConfig;
+    use alphasim_mem::OpenPageTable;
 
     fn mem(_a: Addr) -> SimDuration {
         SimDuration::from_ns(83.0)
@@ -128,6 +139,72 @@ mod tests {
         let l7 = pc.run(&mut ev7, mem, 2000);
         let l68 = pc.run(&mut ev68, |_| SimDuration::from_ns(185.0), 2000);
         assert!(l68 < l7, "EV68 {l68} should beat EV7 {l7} at 8 MB");
+    }
+
+    /// `run` with the per-load warm-up it had before
+    /// [`CacheHierarchy::load_sweep`]: one `load` per element.
+    fn reference_run(
+        pc: &PointerChase,
+        hierarchy: &mut CacheHierarchy,
+        mut memory_latency: impl FnMut(Addr) -> SimDuration,
+        loads: u64,
+    ) -> SimDuration {
+        for i in 0..pc.elements() {
+            let a = pc.address(i);
+            let ml = memory_latency(a);
+            hierarchy.load(a, ml);
+        }
+        let mut total = SimDuration::ZERO;
+        for i in 0..loads {
+            let a = pc.address(i);
+            let ml = memory_latency(a);
+            total += hierarchy.load(a, ml).latency;
+        }
+        total / loads
+    }
+
+    /// A recording open/closed-page memory, like `dependent_load_ns`'s.
+    fn paged_memory(seen: &mut Vec<Addr>) -> impl FnMut(Addr) -> SimDuration + '_ {
+        let mut pages = OpenPageTable::new(2, 2048);
+        move |a| {
+            seen.push(a);
+            if pages.touch(pages.page_of(a.get())) {
+                SimDuration::from_ns(83.0)
+            } else {
+                SimDuration::from_ns(130.0)
+            }
+        }
+    }
+
+    #[test]
+    fn run_matches_the_per_load_warm_up_and_shows_every_address() {
+        for (config, size, stride, loads) in [
+            (HierarchyConfig::ev7(), 4 << 20, 64, 3000),
+            (HierarchyConfig::ev7(), 1 << 20, 4, 3000),
+            (HierarchyConfig::ev7(), 8 << 20, 16_384, 3000),
+            (HierarchyConfig::ev68(), 32 << 20, 1024, 5000),
+            (HierarchyConfig::ev68(), 64 * 1024, 96, 100),
+        ] {
+            let pc = PointerChase {
+                base: 3 * 4096 + 8,
+                ..PointerChase::new(size, stride)
+            };
+            let mut seen = Vec::new();
+            let mut h = CacheHierarchy::new(config);
+            let lat = pc.run(&mut h, paged_memory(&mut seen), loads);
+            let order: Vec<Addr> = (0..pc.elements())
+                .chain(0..loads)
+                .map(|i| pc.address(i))
+                .collect();
+            assert!(seen == order, "{size} B at stride {stride}: closure calls");
+
+            let mut ref_seen = Vec::new();
+            let mut reference = CacheHierarchy::new(config);
+            let ref_lat = reference_run(&pc, &mut reference, paged_memory(&mut ref_seen), loads);
+            assert_eq!(lat, ref_lat, "{size} B at stride {stride}");
+            assert_eq!(h.memory_loads(), reference.memory_loads());
+            assert!(h == reference, "{size} B at stride {stride}: cache state");
+        }
     }
 
     #[test]

@@ -23,6 +23,36 @@ fn fig04_crossover_structure() {
     assert!(q8 < g8, "GS320 must win at 8MB: {q8} vs {g8}");
 }
 
+/// §3.1 / Figs. 4–5 at 32 MB: the paper's dependent-load anchors, each
+/// printed with its deviation and held within 5%.
+#[test]
+fn dependent_load_anchors_at_32mb() {
+    let g = memory::LatencyMachine::gs1280();
+    let q = memory::LatencyMachine::gs320();
+    let ns = |m: &memory::LatencyMachine, stride| m.dependent_load_ns(32 << 20, stride, 60_000);
+    let open = ns(&g, 64);
+    let anchors = [
+        ("GS1280 open page (ns)", 83.0, open),
+        (
+            "GS1280 closed page, stride 16 KB (ns)",
+            130.0,
+            ns(&g, 16_384),
+        ),
+        ("GS320 : GS1280 latency", 3.8, ns(&q, 64) / open),
+    ];
+    let mut worst = 0.0f64;
+    for (anchor, paper, model) in anchors {
+        let dev = (model - paper) / paper * 100.0;
+        println!("{anchor}: paper {paper}, model {model:.3}, {dev:+.1}%");
+        assert!(
+            dev.abs() <= 5.0,
+            "{anchor}: {model} vs paper {paper} ({dev:+.1}%)"
+        );
+        worst = worst.max(dev.abs());
+    }
+    println!("worst deviation {worst:.1}%");
+}
+
 /// §3.4 / Figs. 12–13: 4x average latency advantage, 6.6x read-dirty, and
 /// the measured latency map.
 #[test]

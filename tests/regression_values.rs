@@ -6,6 +6,7 @@
 // Test/harness code may unwrap freely; the workspace denies it in libraries.
 #![allow(clippy::unwrap_used)]
 
+use alphasim::experiments::memory::LatencyMachine;
 use alphasim::experiments::{latency, stream, summary};
 use alphasim::system::{Es45, Gs1280, Gs320};
 use alphasim::topology::table1::shuffle_gains;
@@ -18,6 +19,39 @@ fn pinned_local_latencies() {
     assert_eq!(g.local_latency(false).as_ns(), 130.0);
     assert_eq!(Gs320::new(16).local_latency(true).as_ns(), 330.0);
     assert_eq!(Es45::new(4).local_latency(true).as_ns(), 185.0);
+}
+
+/// Figs. 4–5 points, one per regime, equal bit for bit to the committed
+/// `results/fig04.json` / `results/fig05.json` (60,000 measured loads, as
+/// the full-effort sweep runs them).
+#[test]
+fn pinned_dependent_load_points() {
+    let (g, e, q) = (
+        LatencyMachine::gs1280(),
+        LatencyMachine::es45(),
+        LatencyMachine::gs320(),
+    );
+    let points = [
+        ("L1", g, 4 << 10, 64, 2.6),
+        ("EV7 L2", g, 512 << 10, 64, 10.4),
+        ("ES45 B-cache", e, 16 << 20, 64, 24.0),
+        ("GS320 B-cache", q, 16 << 20, 64, 24.0),
+        ("GS1280 memory", g, 32 << 20, 64, 84.468),
+        ("ES45 memory", e, 32 << 20, 64, 185.234),
+        ("GS320 memory", q, 32 << 20, 64, 330.39),
+        ("stride 16 KB closed page", g, 8 << 20, 16_384, 130.0),
+        ("stride 16 KB open page", g, 4 << 20, 16_384, 83.0),
+        ("stride 4 in L2", g, 1 << 20, 4, 3.087),
+        ("stride 4 in memory", g, 4 << 20, 4, 7.625),
+    ];
+    for (regime, m, size, stride, committed) in points {
+        let ns = m.dependent_load_ns(size, stride, 60_000);
+        assert_eq!(
+            ns, committed,
+            "{regime}: {} {size} B stride {stride}",
+            m.name
+        );
+    }
 }
 
 #[test]
