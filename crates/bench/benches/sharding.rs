@@ -1,28 +1,19 @@
-//! Single-queue vs region-sharded stepping: the cost and the payoff.
+//! Sequential vs region-parallel stepping on the one epoch engine: the cost
+//! and the payoff.
 //!
-//! Two families of measurements:
-//!
-//! * **Production path** — the `NetworkSim` event loop with its queue
-//!   partitioned into torus row-band shards. The order is identical at any
-//!   shard count (shared insertion sequence, global-min pop), so this
-//!   isolates the pure per-step overhead of sharding on the two workload
-//!   shapes that dominate the committed sweep: a fig05-shaped hotspot
-//!   (every node hammering node 0) and a resilience-shaped faulty run
-//!   (bisection mirror traffic over a wounded fabric).
-//!
-//! * **Epoch engine crossover** — the conservative [`EpochExecutor`]
-//!   against plain single-queue stepping on the same synthetic workload,
-//!   with a per-event compute knob. At zero compute the barrier/channel
-//!   overhead dominates and the single queue wins; as per-event work grows
-//!   the threaded epochs cross over. The `cost` parameter in the bench name
-//!   is the spin count — compare `single_queue` against
+//! * **Epoch engine crossover** — the conservative [`EpochExecutor`] at one
+//!   shard (an ordinary sequential simulation: one heap, an unbounded
+//!   lookahead) against four shards on the same synthetic workload, with a
+//!   per-event compute knob. At zero compute the barrier/channel overhead
+//!   dominates and the single shard wins; as per-event work grows the
+//!   threaded epochs cross over. The `cost` parameter in the bench name is
+//!   the spin count — compare `epochs_1shard_1thread` against
 //!   `epochs_4shards_4threads` at each cost to locate the crossover point
-//!   on the host at hand. The `1thread` rows isolate the pure epoch
-//!   machinery (they track `single_queue` within a few percent); the
-//!   `4threads` rows additionally carry the pool's channel round-trips, so
-//!   on a single-core host they can only lose — run this bench on a
-//!   multi-core machine to see the crossover (with 4 cores it sits between
-//!   `cost64` and `cost512` for this workload shape).
+//!   on the host at hand. The `4shards_1thread` rows isolate the pure epoch
+//!   machinery; the `4threads` rows additionally carry the pool's channel
+//!   round-trips, so on a single-core host they can only lose — run this
+//!   bench on a multi-core machine to see the crossover (with 4 cores it
+//!   sits between `cost64` and `cost512` for this workload shape).
 //!
 //! * **Closed-loop crossover** — the real thing: a resilience-shaped
 //!   [`FaultCampaignConfig`] (bisection traffic, mid-run link cuts, retry
@@ -38,81 +29,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use alphasim::kernel::shard::{EpochExecutor, Outbox, ShardWorker};
-use alphasim::kernel::{DetRng, EventQueue, FaultKind, FaultPlan, SimDuration, SimTime};
-use alphasim::net::{LinkTiming, MessageClass, NetworkSim};
+use alphasim::kernel::{DetRng, FaultKind, FaultPlan, SimDuration, SimTime};
 use alphasim::system::{gs1280_fault_campaign, CampaignPattern, FaultCampaignConfig, Gs1280};
-use alphasim::topology::{NodeId, Torus2D};
-
-/// Drain an 8x8 torus with every node sending `per_node` requests to node 0
-/// (the fig05/fig27 hotspot shape) at the given shard count.
-fn hotspot_run(shards: usize, per_node: u64) -> u64 {
-    let mut net = NetworkSim::new(Torus2D::new(8, 8), LinkTiming::ev7_torus());
-    net.set_shards(shards);
-    for round in 0..per_node {
-        for src in 1..64usize {
-            net.send(
-                SimTime::from_ps(round * 5_000),
-                NodeId::new(src),
-                NodeId::new(0),
-                MessageClass::Request,
-                64,
-                round * 64 + src as u64,
-            );
-        }
-    }
-    net.drain();
-    net.delivered_count()
-}
-
-/// Same-row mirror traffic over an 8x8 torus with two bisection links cut
-/// mid-run (the resilience campaign's shape) at the given shard count.
-fn faulty_run(shards: usize, rounds: u64) -> u64 {
-    let mut net = NetworkSim::new(Torus2D::new(8, 8), LinkTiming::ev7_torus());
-    net.set_shards(shards);
-    for round in 0..rounds {
-        for row in 0..8usize {
-            for col in 0..4usize {
-                let west = NodeId::new(row * 8 + col);
-                let east = NodeId::new(row * 8 + col + 4);
-                let at = SimTime::from_ps(round * 20_000);
-                net.send(at, west, east, MessageClass::Request, 64, round * 64);
-                net.send(
-                    at,
-                    east,
-                    west,
-                    MessageClass::BlockResponse,
-                    64,
-                    round * 64 + 1,
-                );
-            }
-        }
-        if round == rounds / 3 {
-            net.fail_link(NodeId::new(3), NodeId::new(4)).unwrap();
-            net.fail_link(NodeId::new(11), NodeId::new(12)).unwrap();
-        }
-    }
-    net.drain();
-    net.delivered_count()
-}
-
-fn bench_network_sharding(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sharding");
-    // 63 senders x 8 rounds of hotspot traffic.
-    g.throughput(Throughput::Elements(63 * 8));
-    for shards in [1usize, 2, 4, 8] {
-        g.bench_function(format!("hotspot_fig05_shape_{shards}shards"), |b| {
-            b.iter(|| black_box(hotspot_run(shards, 8)))
-        });
-    }
-    // 64 mirror messages x 12 rounds over the wounded fabric.
-    g.throughput(Throughput::Elements(64 * 12));
-    for shards in [1usize, 2, 4] {
-        g.bench_function(format!("faulty_resilience_shape_{shards}shards"), |b| {
-            b.iter(|| black_box(faulty_run(shards, 12)))
-        });
-    }
-    g.finish();
-}
 
 const NODES: u32 = 64;
 const HOP: u64 = 500; // intra-region follow-up delay, ps
@@ -178,23 +96,6 @@ impl ShardWorker for RegionWorker {
     }
 }
 
-/// The same workload through one flat [`EventQueue`], stepped inline.
-fn single_queue_run(msgs: u64, hops: u32, cost: u32) -> u64 {
-    let mut q = EventQueue::new();
-    let mut rng = DetRng::seeded(9);
-    for m in 0..msgs {
-        let node = rng.index(NODES as usize) as u32;
-        q.schedule(SimTime::from_ps(m * 11), (node, hops, m));
-    }
-    let mut acc = 0u64;
-    while let Some((at, ev)) = q.pop() {
-        if let Some((_, when, _, next)) = next_hop(at, ev, cost, 1, &mut acc) {
-            q.schedule(when, next);
-        }
-    }
-    acc
-}
-
 /// The same workload through the conservative epoch engine.
 fn epoch_run(msgs: u64, hops: u32, cost: u32, shards: u32, threads: usize) -> u64 {
     let workers = (0..shards)
@@ -204,7 +105,10 @@ fn epoch_run(msgs: u64, hops: u32, cost: u32, shards: u32, threads: usize) -> u6
             acc: 0,
         })
         .collect();
-    let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(LOOKAHEAD), threads);
+    // One shard never emits across regions, so its horizon is unbounded:
+    // the whole run is one epoch, exactly a sequential simulation.
+    let lookahead = if shards == 1 { 1 << 62 } else { LOOKAHEAD };
+    let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(lookahead), threads);
     let mut rng = DetRng::seeded(9);
     for m in 0..msgs {
         let node = rng.index(NODES as usize) as u32;
@@ -269,8 +173,8 @@ fn bench_epoch_crossover(c: &mut Criterion) {
     // cost 0: pure stepping overhead. cost 4096: multi-µs events, the
     // regime where threaded epochs pay off.
     for cost in [0u32, 64, 512, 4096] {
-        g.bench_function(format!("single_queue_cost{cost}"), |b| {
-            b.iter(|| black_box(single_queue_run(msgs, hops, cost)))
+        g.bench_function(format!("epochs_1shard_1thread_cost{cost}"), |b| {
+            b.iter(|| black_box(epoch_run(msgs, hops, cost, 1, 1)))
         });
         g.bench_function(format!("epochs_4shards_1thread_cost{cost}"), |b| {
             b.iter(|| black_box(epoch_run(msgs, hops, cost, 4, 1)))
@@ -282,10 +186,5 @@ fn bench_epoch_crossover(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_network_sharding,
-    bench_epoch_crossover,
-    bench_closed_loop_crossover
-);
+criterion_group!(benches, bench_epoch_crossover, bench_closed_loop_crossover);
 criterion_main!(benches);

@@ -13,35 +13,79 @@ use std::hint::black_box;
 
 use alphasim::cache::{Addr, CacheGeometry, SetAssocCache};
 use alphasim::coherence::{AccessKind, Directory};
-use alphasim::kernel::{DetRng, EventQueue, SimTime};
+use alphasim::kernel::shard::{EpochExecutor, Outbox, ShardWorker};
+use alphasim::kernel::{DetRng, SimDuration, SimTime};
 use alphasim::mem::{Zbox, ZboxConfig};
-use alphasim::net::{LinkTiming, MessageClass, NetworkSim};
+use alphasim::net::partition::{FabricTables, OpenLoop};
+use alphasim::net::{LinkTiming, MessageClass};
 use alphasim::topology::route::{RoutePolicy, Routes};
 use alphasim::topology::{NodeId, Torus2D};
+
+/// Counts events; with a budget left, each event re-emits itself a
+/// pseudo-random delay later (the steady-state churn of link and arrival
+/// events).
+struct Churn {
+    fired: u64,
+    budget: u64,
+    rng: DetRng,
+}
+
+impl ShardWorker for Churn {
+    type Event = u64;
+
+    fn handle(&mut self, at: SimTime, ev: u64, out: &mut Outbox<u64>) {
+        self.fired += 1;
+        if self.budget > 0 {
+            self.budget -= 1;
+            let delay = SimDuration::from_ps(1 + self.rng.bits() % 1_000);
+            out.emit(0, at + delay, ev, ev);
+        }
+    }
+}
+
+/// A one-shard executor (the sequential engine: unbounded lookahead)
+/// seeded with `seeds` events spread over `spread` picoseconds, each
+/// allowed `budget` re-emissions in total.
+fn one_shard(seeds: u64, spread: u64, budget: u64) -> EpochExecutor<Churn> {
+    let worker = Churn {
+        fired: 0,
+        budget,
+        rng: DetRng::seeded(6),
+    };
+    let mut exec = EpochExecutor::new(vec![worker], SimDuration::from_ps(1 << 62), 1);
+    let mut rng = DetRng::seeded(1);
+    for i in 0..seeds {
+        exec.seed(0, SimTime::from_ps(rng.bits() % spread), i, i);
+    }
+    exec
+}
+
+/// The 8x8 EV7 torus open-loop driver, one region.
+fn open_8x8() -> OpenLoop {
+    OpenLoop::new(FabricTables::new(
+        &Torus2D::new(8, 8),
+        LinkTiming::ev7_torus(),
+        RoutePolicy::Minimal,
+        1,
+    ))
+}
 
 fn bench_kernel(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate");
     g.throughput(Throughput::Elements(10_000));
-    g.bench_function("event_queue_10k_schedule_pop", |b| {
+    g.bench_function("event_heap_10k_seed_run", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
-            let mut rng = DetRng::seeded(1);
-            for i in 0..10_000u64 {
-                q.schedule(SimTime::from_ps(rng.bits() % 1_000_000_000), i);
-            }
-            let mut count = 0u64;
-            while q.pop().is_some() {
-                count += 1;
-            }
-            black_box(count)
+            let mut exec = one_shard(10_000, 1_000_000_000, 0);
+            exec.run_until_idle();
+            black_box(exec.worker(0).fired)
         })
     });
 
-    // Reference point for the 4-ary EventQueue: the same workload through
-    // std's binary heap, which the queue used before. Lets a single-core run
-    // quantify the kernel-level speedup directly.
+    // Reference point for the engine's 4-ary event heap: the same workload
+    // through std's binary heap. Lets a single-core run quantify the
+    // kernel-level speedup directly.
     g.throughput(Throughput::Elements(10_000));
-    g.bench_function("event_queue_10k_binary_heap_reference", |b| {
+    g.bench_function("event_heap_10k_binary_heap_reference", |b| {
         b.iter(|| {
             let mut q: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
             let mut rng = DetRng::seeded(1);
@@ -60,29 +104,20 @@ fn bench_kernel(c: &mut Criterion) {
         })
     });
 
-    // Steady-state churn: a ~1k-deep queue with one schedule per pop, the
-    // shape the network simulator actually produces.
+    // Steady-state churn: a ~1k-deep heap with one emission per event,
+    // the shape the fabric actually produces.
     g.throughput(Throughput::Elements(100_000));
-    g.bench_function("event_queue_100k_sliding_window", |b| {
+    g.bench_function("event_heap_100k_sliding_window", |b| {
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(1_024);
-            let mut rng = DetRng::seeded(6);
-            for i in 0..1_000u64 {
-                q.schedule(SimTime::from_ps(rng.bits() % 1_000), i);
-            }
-            let mut count = 0u64;
-            for i in 0..100_000u64 {
-                let (t, _) = q.pop().expect("window stays populated");
-                q.schedule(SimTime::from_ps(t.as_ps() + 1 + rng.bits() % 1_000), i);
-                count += 1;
-            }
-            black_box((count, q.len()))
+            let mut exec = one_shard(1_000, 1_000, 100_000);
+            exec.run_until_idle();
+            black_box(exec.worker(0).fired)
         })
     });
 
     g.throughput(Throughput::Elements(100_000));
     g.bench_function(
-        "event_queue_100k_sliding_window_binary_heap_reference",
+        "event_heap_100k_sliding_window_binary_heap_reference",
         |b| {
             b.iter(|| {
                 let mut q: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
@@ -155,10 +190,12 @@ fn bench_kernel(c: &mut Criterion) {
         b.iter(|| black_box(Routes::compute(&Torus2D::new(8, 8), RoutePolicy::Minimal)))
     });
 
+    // The network hot path — routing, arbitration, hop arithmetic and the
+    // event heap — through the open-loop driver.
     g.throughput(Throughput::Elements(1_000));
     g.bench_function("network_1k_messages_8x8", |b| {
         b.iter(|| {
-            let mut net = NetworkSim::new(Torus2D::new(8, 8), LinkTiming::ev7_torus());
+            let mut net = open_8x8();
             let mut rng = DetRng::seeded(5);
             for i in 0..1_000u64 {
                 let src = rng.index(64);
@@ -172,17 +209,17 @@ fn bench_kernel(c: &mut Criterion) {
                     i,
                 );
             }
-            net.drain();
-            black_box(net.delivered_count())
+            black_box(net.drain().len())
         })
     });
 
-    // Wave traffic with drains between waves: exercises the message free
-    // list (slot table stays one wave deep instead of growing 20×).
+    // Wave traffic with drains between waves: exercises the region slab's
+    // free list (it stays one wave deep instead of growing 20×).
     g.throughput(Throughput::Elements(2_000));
     g.bench_function("network_20_waves_of_100_messages_8x8", |b| {
         b.iter(|| {
-            let mut net = NetworkSim::new(Torus2D::new(8, 8), LinkTiming::ev7_torus());
+            let mut net = open_8x8();
+            let mut delivered = 0;
             let mut rng = DetRng::seeded(7);
             for wave in 0..20u64 {
                 for i in 0..100u64 {
@@ -197,9 +234,9 @@ fn bench_kernel(c: &mut Criterion) {
                         wave * 100 + i,
                     );
                 }
-                net.drain();
+                delivered += net.drain().len();
             }
-            black_box((net.delivered_count(), net.msg_slot_count()))
+            black_box(delivered)
         })
     });
     g.finish();

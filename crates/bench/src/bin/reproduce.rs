@@ -10,14 +10,14 @@
 //! printed as text; `--json DIR` additionally writes one JSON file per
 //! artifact (EXPERIMENTS.md is generated from these) plus a
 //! `BENCH_sweep.json` timing record (wall-clock per artifact, total, the
-//! worker and shard counts actually in force, and global plus per-shard
-//! peak event-queue depth). The sweep fans out across all cores by
+//! worker, region and thread counts actually in force, and the deepest
+//! epoch-shard event heap). The sweep fans out across all cores by
 //! default; `--jobs N` pins the worker count and `--sequential` is shorthand
-//! for `--jobs 1`. `--shards N` additionally partitions each simulation's
-//! event queue into N torus-region shards (`ALPHASIM_SHARDS` is the
-//! environment equivalent), and `--threads N` drives the epoch-parallel
-//! closed-loop campaigns (resilience, chaos) with N pool threads
-//! (`ALPHASIM_THREADS`; `--threads 0` means all available cores). The
+//! for `--jobs 1`. `--shards N` partitions every fabric run — the load
+//! tests and the fault campaigns alike — into N torus-region shards
+//! (`ALPHASIM_SHARDS` is the environment equivalent), and `--threads N`
+//! steps those regions with N pool threads (`ALPHASIM_THREADS`;
+//! `--threads 0` means all available cores). The
 //! artifact outputs are byte-identical at any `--jobs` × `--shards` ×
 //! `--threads` combination — only `BENCH_sweep.json`, which records
 //! measured times, varies between runs.
@@ -39,8 +39,8 @@ use std::io::Write;
 use std::time::Instant;
 
 use alphasim_bench::{
-    jobs, run_all_timed, set_jobs, set_shards, set_threads, shards, take_peak_event_depth,
-    take_shard_peak_depths, threads, Effort,
+    jobs, run_all_timed, set_jobs, set_shards, set_threads, shards, take_peak_event_depth, threads,
+    Effort,
 };
 
 /// Write `content` to `path`, or in check mode compare against the file's
@@ -131,15 +131,13 @@ fn main() {
     let shard_count = shards();
     let thread_count = threads();
     eprintln!(
-        "regenerating all experiments ({effort:?}, {workers} worker(s), {shard_count} shard(s), {thread_count} campaign thread(s)) ..."
+        "regenerating all experiments ({effort:?}, {workers} worker(s), {shard_count} shard(s), {thread_count} fabric thread(s)) ..."
     );
-    take_peak_event_depth(); // start the gauges fresh for this sweep
-    take_shard_peak_depths();
+    take_peak_event_depth(); // start the gauge fresh for this sweep
     let wall = Instant::now(); // lint-allow: wall-clock (harness self-timing)
     let timed = run_all_timed(effort);
     let total_secs = wall.elapsed().as_secs_f64();
     let peak_depth = take_peak_event_depth();
-    let shard_peaks = take_shard_peak_depths();
     // The worker count the fan-out actually used: `jobs()` is capped by the
     // number of artifacts, so a `--jobs 64` run of 28 artifacts must not be
     // recorded as having had 64-way parallelism.
@@ -211,9 +209,9 @@ fn main() {
         let artifacts_json: Vec<serde_json::Value> = timed
             .iter()
             .map(|(a, secs)| {
-                // Truthful per-artifact thread count: only the epoch-parallel
-                // closed loops consume pool threads; everything else runs on
-                // one thread no matter what `--threads` says.
+                // Truthful per-artifact thread count: only the fabric runs
+                // consume pool threads; everything else runs on one thread
+                // no matter what `--threads` says.
                 let artifact_threads = if a.uses_worker_threads() {
                     thread_count
                 } else {
@@ -235,7 +233,6 @@ fn main() {
             "threads": thread_count as u64,
             "total_wall_clock_s": total_secs,
             "peak_event_queue_depth": peak_depth,
-            "per_shard_peak_event_queue_depth": shard_peaks,
             "artifacts": artifacts_json,
         });
         let path = format!("{dir}/BENCH_sweep.json");

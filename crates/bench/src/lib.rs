@@ -21,7 +21,7 @@ use alphasim::xmesh;
 pub use alphasim::experiments::telemetry::TelemetryReport;
 pub use alphasim::experiments::timeline::{TimelineReport, WINDOW_PS as TIMELINE_WINDOW_PS};
 pub use alphasim::kernel::par::{jobs, set_jobs, set_shards, set_threads, shards, threads};
-pub use alphasim::kernel::{take_peak_event_depth, take_shard_peak_depths};
+pub use alphasim::kernel::take_peak_event_depth;
 
 /// How hard to sweep each experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,12 +125,25 @@ impl Artifact {
         }
     }
 
-    /// Whether this artifact's sweep runs on the epoch-parallel closed-loop
-    /// engine and therefore actually uses the worker-thread knob
-    /// ([`threads`]). Every other artifact is a single-threaded simulation
-    /// whatever `--threads` says, so `BENCH_sweep.json` records `1` for it.
+    /// Whether this artifact's sweep runs on the partitioned fabric engine
+    /// and therefore actually uses the worker-thread knob ([`threads`]).
+    /// Every other artifact is a single-threaded simulation whatever
+    /// `--threads` says, so `BENCH_sweep.json` records `1` for it.
     pub fn uses_worker_threads(&self) -> bool {
-        matches!(self.id(), "resilience" | "chaos")
+        matches!(
+            self.id(),
+            "fig15"
+                | "fig18"
+                | "fig23"
+                | "fig24"
+                | "fig26"
+                | "fig27"
+                | "fig28"
+                | "ablation-zbox"
+                | "ablation-failures"
+                | "resilience"
+                | "chaos"
+        )
     }
 
     /// Serialise to JSON.
@@ -361,10 +374,9 @@ mod tests {
 
     #[test]
     fn sweep_is_byte_identical_across_shard_counts() {
-        // Region-sharding the event queue restructures the future-event
-        // list but shares one insertion sequence and pops the global
-        // minimum, so every artifact must regenerate byte-for-byte at any
-        // shard count.
+        // Every fabric run orders simultaneous events by tiebreaks derived
+        // from simulation identities, never by region or arrival order, so
+        // every artifact must regenerate byte-for-byte at any region count.
         fn render(artifacts: &[Artifact]) -> Vec<(String, String)> {
             artifacts
                 .iter()

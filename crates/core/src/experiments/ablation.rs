@@ -67,7 +67,7 @@ pub fn class_traffic_shares(cpus: usize, requests_per_cpu: usize) -> Vec<(String
         );
     }
     net.drain();
-    let totals = net.class_byte_totals();
+    let totals = net.links().class_byte_totals();
     let all: u64 = totals.iter().map(|&(_, b)| b).sum();
     totals
         .iter()
@@ -90,7 +90,9 @@ pub fn controllers_ablation(requests_per_cpu: usize) -> Table {
             ..calib.zbox
         };
         LoadTest::new(
-            machine.network(),
+            machine.fabric(),
+            *machine.timing(),
+            machine.policy(),
             (0..16).map(NodeId::new).collect(),
             zbox,
             calib.local_fixed,
@@ -229,9 +231,11 @@ pub fn link_failure_resilience(
                     (NodeId::new(col % cols), NodeId::new((col + 1) % cols))
                 })
                 .collect();
-            let net = machine.degraded_network(&cuts);
+            let wounded = alphasim_topology::Degraded::new(machine.fabric().clone(), &cuts);
             let r = LoadTest::new(
-                net,
+                &wounded,
+                *machine.timing(),
+                machine.policy(),
                 (0..cpus).map(NodeId::new).collect(),
                 zbox,
                 calib.local_fixed,

@@ -50,7 +50,7 @@ use super::resilience::bisection_cuts;
 /// time, fine enough to watch each fault land inside a ~30 µs campaign.
 pub const WINDOW_PS: u64 = 2_000_000;
 
-/// Event-queue region shards of the timeline campaigns. Pinned (rather
+/// Fabric regions of the timeline campaigns. Pinned (rather
 /// than inherited from `--shards`) so the embedded epoch profile and
 /// `engine.*` registry entries — which describe the engine, not the
 /// machine — are the same bytes at any CLI knob setting.

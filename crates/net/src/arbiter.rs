@@ -6,7 +6,7 @@
 //! the global arbiter, which selects a packet from those nominated for it
 //! by the local arbiters."
 //!
-//! [`NetworkSim`](crate::NetworkSim) abstracts this into per-link
+//! The fabric engine ([`crate::partition`]) abstracts this into per-link
 //! priority queues; this module models the mechanism itself, cycle by
 //! arbitration cycle, so its fairness and work-conservation properties can
 //! be tested directly — they are the justification for the abstraction.

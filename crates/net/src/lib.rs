@@ -7,24 +7,30 @@
 //! dimension-order escape routing against torus deadlocks, and an Adaptive
 //! channel giving minimal adaptive routing.
 //!
-//! [`NetworkSim`] reproduces this at message granularity: per-class VC
-//! queues with strict-priority output arbitration, minimal adaptive output
-//! selection by backlog, wormhole-style latency accounting, and calibrated
-//! congestion penalties (see `DESIGN.md` for the fidelity argument). The
+//! [`partition`] reproduces this at message granularity on the kernel's
+//! one event engine: per-class VC queues with strict-priority output
+//! arbitration, minimal adaptive output selection by backlog,
+//! wormhole-style latency accounting, and calibrated congestion penalties
+//! (see `DESIGN.md` for the fidelity argument), partitioned into torus
+//! row-band regions so a run can advance them on separate cores. The
 //! deadlock-freedom construction itself is checked as a graph property in
 //! [`alphasim_topology::route`].
 //!
 //! # Examples
 //!
 //! ```
-//! use alphasim_net::{NetworkSim, LinkTiming, MessageClass, Step};
-//! use alphasim_topology::{Torus2D, NodeId};
+//! use alphasim_net::partition::{FabricTables, OpenLoop};
+//! use alphasim_net::{LinkTiming, MessageClass};
+//! use alphasim_topology::route::RoutePolicy;
+//! use alphasim_topology::{NodeId, Torus2D};
 //! use alphasim_kernel::SimTime;
 //!
-//! let mut net = NetworkSim::new(Torus2D::for_cpus(16), LinkTiming::ev7_torus());
+//! let torus = Torus2D::for_cpus(16);
+//! let tables = FabricTables::new(&torus, LinkTiming::ev7_torus(), RoutePolicy::Minimal, 1);
+//! let mut net = OpenLoop::new(tables);
 //! net.send(SimTime::ZERO, NodeId::new(0), NodeId::new(10),
 //!          MessageClass::Request, 16, 0);
-//! let deliveries = net.drain_deliveries();
+//! let deliveries = net.drain();
 //! assert_eq!(deliveries.len(), 1);
 //! ```
 
@@ -37,9 +43,8 @@ pub mod link;
 mod msg;
 pub mod partition;
 pub mod region;
-mod sim;
 mod timing;
 
-pub use msg::{Delivery, DroppedMsg, MessageClass, MessageId};
-pub use sim::{FaultError, NetworkSim, Step};
+pub use msg::{Delivery, MessageClass, MessageId};
+pub use partition::FaultError;
 pub use timing::LinkTiming;

@@ -26,8 +26,6 @@ pub struct Link {
     busy: bool,
     /// Whether the physical channel is up (live fault injection downs it).
     alive: bool,
-    /// The message currently occupying the channel, if any.
-    in_flight: Option<MessageId>,
     meter: UtilizationMeter,
     granted: u64,
     /// Bytes moved per message class, indexed by `MessageClass::priority()`.
@@ -57,7 +55,6 @@ impl Link {
             queues: Default::default(),
             busy: false,
             alive: true,
-            in_flight: None,
             meter: UtilizationMeter::new(),
             granted: 0,
             class_bytes: [0; 5],
@@ -91,7 +88,6 @@ impl Link {
         for q in self.queues.iter_mut().rev() {
             if let Some(id) = q.pop_front() {
                 self.busy = true;
-                self.in_flight = Some(id);
                 self.granted += 1;
                 return Some(id);
             }
@@ -109,14 +105,9 @@ impl Link {
         self.alive = alive;
     }
 
-    /// The message currently occupying the channel, if any.
-    pub fn in_flight(&self) -> Option<MessageId> {
-        self.in_flight
-    }
-
     /// Empty every VC queue, returning the evicted messages highest
     /// priority first (FIFO within a class) so a failing link's backlog can
-    /// be re-routed deterministically. The in-flight message, if any, is
+    /// be re-routed deterministically. The message on the wire, if any, is
     /// not touched.
     pub fn drain_queued(&mut self) -> Vec<MessageId> {
         let mut out = Vec::new();
@@ -138,7 +129,6 @@ impl Link {
     pub fn release(&mut self) {
         debug_assert!(self.busy, "release on an idle link");
         self.busy = false;
-        self.in_flight = None;
     }
 
     /// Fraction of `[0, now]` the channel spent transferring.

@@ -76,7 +76,7 @@ impl MessageClass {
     }
 }
 
-/// Identifier of an in-flight or delivered message.
+/// A region-local slot of a queued message (link queues hold these).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -89,13 +89,10 @@ impl MessageId {
     }
 }
 
-/// A delivered message, handed back by [`NetworkSim::step`].
-///
-/// [`NetworkSim::step`]: crate::NetworkSim::step
+/// A delivered message, handed back by
+/// [`OpenLoop::drain`](crate::partition::OpenLoop::drain).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Delivery {
-    /// The message's id.
-    pub id: MessageId,
     /// Source endpoint.
     pub src: NodeId,
     /// Destination endpoint.
@@ -106,15 +103,17 @@ pub struct Delivery {
     pub bytes: u64,
     /// Caller-supplied correlation tag.
     pub tag: u64,
+    /// The packet's shard-invariant identity.
+    pub uid: u64,
     /// Injection time.
     pub injected_at: SimTime,
     /// Delivery time.
     pub delivered_at: SimTime,
     /// Hops traversed.
     pub hops: u32,
-    /// Per-stage latency attribution accumulated over the route. For a
-    /// message never evicted off a failed link the stages sum exactly to
-    /// [`latency`](Self::latency) (integer picoseconds, no rounding).
+    /// Per-stage latency attribution accumulated over the route; the
+    /// stages sum exactly to [`latency`](Self::latency) (integer
+    /// picoseconds, no rounding).
     pub breakdown: HopBreakdown,
 }
 
@@ -123,32 +122,6 @@ impl Delivery {
     pub fn latency(&self) -> alphasim_kernel::SimDuration {
         self.delivered_at.since(self.injected_at)
     }
-}
-
-/// A message lost to a live link failure while occupying the failed wire,
-/// handed back by [`NetworkSim::step`] so the coherence layer can retry it.
-///
-/// [`NetworkSim::step`]: crate::NetworkSim::step
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DroppedMsg {
-    /// The message's id (its slot is recycled after this report).
-    pub id: MessageId,
-    /// Source endpoint.
-    pub src: NodeId,
-    /// Destination endpoint.
-    pub dst: NodeId,
-    /// Coherence class.
-    pub class: MessageClass,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Caller-supplied correlation tag.
-    pub tag: u64,
-    /// Injection time.
-    pub injected_at: SimTime,
-    /// When the loss was observed.
-    pub dropped_at: SimTime,
-    /// Hops traversed before the loss.
-    pub hops: u32,
 }
 
 #[cfg(test)]

@@ -1,32 +1,46 @@
-//! Region-partitioned fabric state for epoch-parallel closed-loop
-//! simulation.
+//! The partitioned fabric: the one hop-by-hop network engine.
 //!
-//! [`crate::NetworkSim`] steps one global interleaved event loop; this
-//! module splits the same physical model into per-region slices so the
-//! conservative epoch engine ([`alphasim_kernel::shard::EpochExecutor`])
-//! can advance each torus row band on its own core:
+//! Every loaded experiment — the load test, the fault campaigns, and
+//! open-loop batch drains — runs the 21364 router model here, on the
+//! kernel's conservative epoch engine
+//! ([`alphasim_kernel::shard::EpochExecutor`]). The fabric is split into
+//! per-region slices so each torus row band can advance on its own core:
 //!
-//! * [`FabricTables`] is the **shared, immutable** routing snapshot —
-//!   topology, route tables over the live fabric, link liveness, drain
-//!   flags, and the [`RegionMap`]. Workers hold it behind an [`Arc`]; only
-//!   the barrier coordinator mutates its master copy (fault strikes) and
-//!   republishes. Between barriers the snapshot is constant, which is what
-//!   makes per-region routing decisions safe without locks.
+//! * [`FabricTables`] is the **shared, immutable** routing snapshot — the
+//!   topology materialized into plain tables ([`FabricGraph`]), route
+//!   tables over the live fabric, link liveness, drain flags, and the
+//!   [`RegionMap`]. Workers hold it behind an [`Arc`]; only a barrier
+//!   coordinator mutates its master copy (fault strikes) and republishes.
+//!   Between barriers the snapshot is constant, which is what makes
+//!   per-region routing decisions safe without locks.
 //! * [`RegionNet`] is one region's **owned, mutable** slice: the [`Link`]
 //!   state (queues, occupancy, degradation, pauses) of every directed link
 //!   whose *sending* node the region owns, plus the packets queued on
 //!   them. A packet in flight between hops lives inside its pending
 //!   `Arrive` event, not in any region — hop handoff is event handoff.
+//! * [`OpenLoop`] is the small batch driver: inject messages, run to
+//!   idle, read deliveries and the fabric-wide link reductions
+//!   ([`FabricLinks`]).
 //!
-//! The hop arithmetic here mirrors `NetworkSim`'s exactly (grant, degrade
-//! stretch, CRC retransmit, congestion penalty, serialization-once), so
-//! the partitioned engine reproduces the same physics; determinism across
-//! shard counts follows because every event touches only its own node's
-//! links and every simultaneous pair of events is ordered by a
-//! shard-count-invariant tiebreak (see the `tb_*` constructors).
+//! Fidelity choices (see DESIGN.md): routing is minimal adaptive — at each
+//! hop a packet takes the minimal-path output with the smallest backlog,
+//! while I/O packets route deterministically, as in the 21364. Virtual
+//! channels are per-class FIFO queues per link under strict priority
+//! arbitration, so responses never block behind requests; queues are
+//! unbounded, with a calibrated arbitration penalty per queued packet
+//! standing in for head-of-line blocking (what bends Fig. 15's delivered
+//! bandwidth back past saturation). A message pays its serialization once
+//! (wormhole pipelining) and router + wire latency per hop, while
+//! occupying each traversed link for its full transfer time.
+//!
+//! Determinism across region and thread counts follows because every event
+//! touches only its own node's links and every simultaneous pair of events
+//! is ordered by a shard-count-invariant tiebreak (see the `tb_*`
+//! constructors).
 
 use std::sync::Arc;
 
+use alphasim_kernel::shard::{EpochExecutor, Outbox, ShardWorker};
 use alphasim_kernel::{SimDuration, SimTime};
 use alphasim_telemetry::trace::{PID_LINKS, PID_MESSAGES};
 use alphasim_telemetry::{HopBreakdown, Timeline, TraceSink};
@@ -34,9 +48,8 @@ use alphasim_topology::route::{RoutePolicy, Routes};
 use alphasim_topology::{Coord, Direction, LinkClass, NodeId, Port, Topology};
 
 use crate::link::Link;
-use crate::msg::{MessageClass, MessageId};
+use crate::msg::{Delivery, MessageClass, MessageId};
 use crate::region::RegionMap;
-use crate::sim::FaultError;
 use crate::timing::LinkTiming;
 
 /// Tiebreak kind tag for packet `Arrive` events (low bits: packet uid).
@@ -63,11 +76,73 @@ pub fn tb_inject(cpu: usize) -> u64 {
     (4 << 61) | cpu as u64
 }
 
-/// A message travelling the partitioned fabric. Unlike `NetworkSim`'s
-/// slab-resident `MsgState`, a `Packet` is an owned value: queued packets
-/// live in their sending region's slab, in-flight packets live inside
-/// their pending `Arrive` event, and the closed-loop payload `P` (e.g. the
-/// served-request telemetry leg a response carries home) rides along.
+/// Why a live fault could not be applied (or survived).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultError {
+    /// No such link exists in the underlying topology.
+    NoSuchLink {
+        /// One claimed end of the link.
+        a: NodeId,
+        /// The other claimed end.
+        b: NodeId,
+    },
+    /// The link is already in the requested liveness state.
+    AlreadyInState {
+        /// One end of the link.
+        a: NodeId,
+        /// The other end.
+        b: NodeId,
+        /// The state it is already in.
+        alive: bool,
+    },
+    /// Failing the link would disconnect at least one endpoint pair; the
+    /// failure was rolled back and the fabric left routable.
+    Partitioned {
+        /// An endpoint that would lose reachability.
+        from: NodeId,
+        /// The endpoint it could no longer reach.
+        to: NodeId,
+    },
+    /// The link is in a state that rejects the requested transition (e.g.
+    /// degrading a dead link, or corrupting a flit on one).
+    BadState {
+        /// One end of the link.
+        a: NodeId,
+        /// The other end.
+        b: NodeId,
+        /// Why the transition is rejected.
+        what: &'static str,
+    },
+}
+
+impl std::fmt::Display for FaultError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultError::NoSuchLink { a, b } => write!(f, "no link {a}<->{b} in the fabric"),
+            FaultError::AlreadyInState { a, b, alive } => {
+                let state = if *alive { "alive" } else { "dead" };
+                write!(f, "link {a}<->{b} is already {state}")
+            }
+            FaultError::Partitioned { from, to } => {
+                write!(
+                    f,
+                    "failure would partition the fabric: {from} cannot reach {to}"
+                )
+            }
+            FaultError::BadState { a, b, what } => {
+                write!(f, "link {a}<->{b} {what}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FaultError {}
+
+/// A message travelling the partitioned fabric. A `Packet` is an owned
+/// value: queued packets live in their sending region's slab, in-flight
+/// packets live inside their pending `Arrive` event, and the closed-loop
+/// payload `P` (e.g. a read's issue time, or the served-request telemetry
+/// leg a response carries home) rides along.
 #[derive(Debug, Clone)]
 pub struct Packet<P> {
     /// Injecting node.
@@ -99,40 +174,49 @@ pub struct Packet<P> {
 }
 
 impl<P> Packet<P> {
+    /// A fresh packet entering the fabric at `at`, not yet routed.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        src: NodeId,
+        dst: NodeId,
+        class: MessageClass,
+        bytes: u64,
+        tag: u64,
+        uid: u64,
+        at: SimTime,
+        payload: P,
+    ) -> Box<Self> {
+        Box::new(Packet {
+            src,
+            dst,
+            class,
+            bytes,
+            tag,
+            uid,
+            injected_at: at,
+            hops: 0,
+            serialized: false,
+            enqueued_at: at,
+            acc: HopBreakdown::default(),
+            payload,
+        })
+    }
+
     /// End-to-end latency once delivered at `at`.
     pub fn latency(&self, at: SimTime) -> SimDuration {
         at.since(self.injected_at)
     }
 }
 
-/// What [`RegionNet`] asks its caller to do next: schedule follow-up
-/// events (the caller owns the outbox and the event vocabulary) or
-/// consume a delivery.
-#[derive(Debug)]
-pub enum NetStep<P> {
-    /// Schedule an `Arrive { node, pkt }` in `node`'s region at `at` with
-    /// tiebreak [`tb_arrive`]`(pkt.uid)`.
-    Arrive {
-        /// Arrival instant.
-        at: SimTime,
-        /// Node the packet lands on.
-        node: NodeId,
-        /// The packet in flight.
-        pkt: Box<Packet<P>>,
-    },
-    /// Schedule a `LinkFree { link }` in the sending region at `at` with
-    /// tiebreak [`tb_link_free`]`(link)`.
-    LinkFree {
-        /// Release instant.
-        at: SimTime,
-        /// Global link id.
-        link: usize,
-    },
-    /// The packet reached its destination at the current event time.
-    Delivered {
-        /// The delivered packet.
-        pkt: Box<Packet<P>>,
-    },
+/// The two fabric events a [`RegionNet`] schedules, expressed in a
+/// worker's own event vocabulary. Arrivals go to the landing node's
+/// region with tiebreak [`tb_arrive`]`(pkt.uid)`; releases stay in the
+/// sending region with tiebreak [`tb_link_free`]`(link)`.
+pub trait FabricEvent<P>: Sized {
+    /// A packet lands on `node`.
+    fn arrive(node: NodeId, pkt: Box<Packet<P>>) -> Self;
+    /// Owned link `link`'s channel frees up.
+    fn link_free(link: usize) -> Self;
 }
 
 /// The packet most recently granted onto a link, for barrier-time drop
@@ -151,21 +235,37 @@ pub struct InFlight {
     pub dest: NodeId,
 }
 
-/// The live (non-failed) ports of the fabric, materialized so route
-/// computation and `minimal_ports` see the same port indexing after a
-/// failure. (Mirror of the private view in `crate::sim`.)
-struct LivePorts<'a, T: Topology> {
-    inner: &'a T,
-    ports: &'a [Vec<Port>],
+/// A topology materialized into plain tables: name, ports, endpoint flags
+/// and planar coordinates. Building one from any [`Topology`] frees the
+/// engine (and everything holding its tables) from the topology's type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FabricGraph {
+    name: String,
+    ports: Vec<Vec<Port>>,
+    endpoint: Vec<bool>,
+    coords: Vec<Option<Coord>>,
 }
 
-impl<T: Topology> Topology for LivePorts<'_, T> {
+impl FabricGraph {
+    /// Copy `topo`'s structure.
+    pub fn of<T: Topology + ?Sized>(topo: &T) -> Self {
+        let nodes = (0..topo.node_count()).map(NodeId::new);
+        FabricGraph {
+            name: topo.name(),
+            ports: nodes.clone().map(|n| topo.ports(n).to_vec()).collect(),
+            endpoint: nodes.clone().map(|n| topo.is_endpoint(n)).collect(),
+            coords: nodes.map(|n| topo.coord(n)).collect(),
+        }
+    }
+}
+
+impl Topology for FabricGraph {
     fn name(&self) -> String {
-        self.inner.name()
+        self.name.clone()
     }
 
     fn node_count(&self) -> usize {
-        self.inner.node_count()
+        self.ports.len()
     }
 
     fn ports(&self, node: NodeId) -> &[Port] {
@@ -173,28 +273,29 @@ impl<T: Topology> Topology for LivePorts<'_, T> {
     }
 
     fn is_endpoint(&self, node: NodeId) -> bool {
-        self.inner.is_endpoint(node)
+        self.endpoint[node.index()]
     }
 
     fn coord(&self, node: NodeId) -> Option<Coord> {
-        self.inner.coord(node)
+        self.coords[node.index()]
     }
 }
 
 /// The shared routing snapshot of a partitioned fabric.
 ///
-/// Workers read it behind an [`Arc`] and never mutate it; the barrier
+/// Workers read it behind an [`Arc`] and never mutate it; a barrier
 /// coordinator keeps a master copy, applies fault strikes to that, and
 /// republishes a fresh `Arc` to every region — so a route lookup inside an
-/// epoch always sees the fabric as it stood at the last barrier, which is
-/// exactly when the sequential engine's rebuilt tables took effect too.
+/// epoch always sees the fabric as it stood at the last barrier.
 #[derive(Debug, Clone)]
-pub struct FabricTables<T: Topology> {
-    topo: T,
+pub struct FabricTables {
+    graph: FabricGraph,
     policy: RoutePolicy,
     timing: LinkTiming,
     routes: Routes,
-    live_ports: Vec<Vec<Port>>,
+    /// The fabric minus its failed links, so route computation and
+    /// `minimal_ports` see the same port indexing after a failure.
+    live: FabricGraph,
     live_link_of: Vec<Vec<usize>>,
     link_of: Vec<Vec<usize>>,
     /// `(from, to, class, dir)` per global link id.
@@ -204,55 +305,57 @@ pub struct FabricTables<T: Topology> {
     drained: Vec<bool>,
 }
 
-impl<T: Topology> FabricTables<T> {
-    /// Tables over a healthy `topo` partitioned into `shards` row bands.
-    pub fn new(topo: T, timing: LinkTiming, policy: RoutePolicy, shards: usize) -> Self {
-        let routes = Routes::compute(&topo, policy);
+impl FabricTables {
+    /// Tables over a healthy `topo` partitioned into `regions` row bands.
+    pub fn new<T: Topology + ?Sized>(
+        topo: &T,
+        timing: LinkTiming,
+        policy: RoutePolicy,
+        regions: usize,
+    ) -> Self {
+        let graph = FabricGraph::of(topo);
+        let routes = Routes::compute(&graph, policy);
         let mut link_meta = Vec::new();
-        let mut link_of = Vec::with_capacity(topo.node_count());
-        let mut live_ports = Vec::with_capacity(topo.node_count());
-        for n in 0..topo.node_count() {
+        let mut link_of = Vec::with_capacity(graph.node_count());
+        for n in 0..graph.node_count() {
             let node = NodeId::new(n);
             let mut ids = Vec::new();
-            for p in topo.ports(node) {
+            for p in graph.ports(node) {
                 ids.push(link_meta.len());
                 link_meta.push((node, p.to, p.class, p.dir));
             }
             link_of.push(ids);
-            live_ports.push(topo.ports(node).to_vec());
         }
-        let live_link_of = link_of.clone();
-        let alive = vec![true; link_meta.len()];
-        let drained = vec![false; topo.node_count()];
-        let region = RegionMap::bands(&topo, shards);
+        let region = RegionMap::bands(&graph, regions);
         FabricTables {
-            topo,
+            live: graph.clone(),
+            live_link_of: link_of.clone(),
+            alive: vec![true; link_meta.len()],
+            drained: vec![false; graph.node_count()],
+            graph,
             policy,
             timing,
             routes,
-            live_ports,
-            live_link_of,
             link_of,
             link_meta,
             region,
-            alive,
-            drained,
         }
     }
 
-    /// The underlying topology.
-    pub fn topology(&self) -> &T {
-        &self.topo
+    /// Re-partition into `regions` row bands, keeping routes, liveness and
+    /// drain flags (cross-region links are counted over the live fabric).
+    pub fn set_regions(&mut self, regions: usize) {
+        self.region = RegionMap::bands(&self.live, regions);
+    }
+
+    /// The materialized topology.
+    pub fn topology(&self) -> &FabricGraph {
+        &self.graph
     }
 
     /// The timing parameters in force.
     pub fn timing(&self) -> &LinkTiming {
         &self.timing
-    }
-
-    /// The region partition.
-    pub fn region_map(&self) -> &RegionMap {
-        &self.region
     }
 
     /// Number of regions.
@@ -280,6 +383,11 @@ impl<T: Topology> FabricTables<T> {
         &self.link_of[node.index()]
     }
 
+    /// The *live* directed links sent by `node`, in port order.
+    pub fn live_links_from(&self, node: NodeId) -> &[usize] {
+        &self.live_link_of[node.index()]
+    }
+
     /// Whether the directed channel `id` is up.
     pub fn is_alive(&self, id: usize) -> bool {
         self.alive[id]
@@ -301,6 +409,15 @@ impl<T: Topology> FabricTables<T> {
         self.region.conservative_lookahead(&self.timing)
     }
 
+    /// The epoch horizon to run with: the conservative lookahead, or — when
+    /// no live link crosses a region boundary (a single region, or a fully
+    /// severed cut) — an effectively infinite one, so epochs are bounded
+    /// only by guide barriers.
+    pub fn lookahead(&self) -> SimDuration {
+        self.conservative_lookahead()
+            .unwrap_or(SimDuration::from_ps(1 << 62))
+    }
+
     /// The global ids of both directed channels of the undirected link
     /// `a ↔ b`.
     pub fn link_ids(&self, a: NodeId, b: NodeId) -> Result<[usize; 2], FaultError> {
@@ -314,10 +431,10 @@ impl<T: Topology> FabricTables<T> {
     }
 
     fn directed_link_id(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        if from.index() >= self.topo.node_count() {
+        if from.index() >= self.graph.node_count() {
             return None;
         }
-        self.topo
+        self.graph
             .ports(from)
             .iter()
             .position(|p| p.to == to)
@@ -378,14 +495,10 @@ impl<T: Topology> FabricTables<T> {
     /// Invariant monitor: recompute minimal routes from scratch over the
     /// live fabric and compare distances against the installed tables.
     /// `Err` describes the first divergence — the incremental fault path
-    /// has corrupted routing state. (Mirror of `NetworkSim::audit_routes`.)
+    /// has corrupted routing state.
     pub fn audit_routes(&self) -> Result<(), String> {
-        let view = LivePorts {
-            inner: &self.topo,
-            ports: &self.live_ports,
-        };
-        let fresh = Routes::compute(&view, self.policy);
-        let eps = self.topo.endpoints();
+        let fresh = Routes::compute(&self.live, self.policy);
+        let eps = self.graph.endpoints();
         for &from in &eps {
             for &to in &eps {
                 if from == to {
@@ -407,14 +520,9 @@ impl<T: Topology> FabricTables<T> {
     /// Invariant monitor: compare the incrementally maintained conservative
     /// lookahead against the brute-force walk oracle over the live fabric.
     /// `Err` describes the divergence — fault plumbing has desynced the
-    /// cross-region link accounting. (Mirror of
-    /// `NetworkSim::audit_lookahead`.)
+    /// cross-region link accounting.
     pub fn audit_lookahead(&self) -> Result<(), String> {
-        let view = LivePorts {
-            inner: &self.topo,
-            ports: &self.live_ports,
-        };
-        let walked = crate::region::lookahead_by_walk(&view, &self.region, &self.timing);
+        let walked = crate::region::lookahead_by_walk(&self.live, &self.region, &self.timing);
         let incremental = self.conservative_lookahead();
         if walked == incremental {
             Ok(())
@@ -437,13 +545,12 @@ impl<T: Topology> FabricTables<T> {
     /// the current liveness flags; `Err` (with the tables unchanged) if
     /// any endpoint pair would become unreachable.
     fn rebuild_routes(&mut self) -> Result<(), FaultError> {
-        for n in 0..self.topo.node_count() {
-            let node = NodeId::new(n);
-            let lp = &mut self.live_ports[n];
+        for n in 0..self.graph.node_count() {
+            let lp = &mut self.live.ports[n];
             let ll = &mut self.live_link_of[n];
             lp.clear();
             ll.clear();
-            for (pi, p) in self.topo.ports(node).iter().enumerate() {
+            for (pi, p) in self.graph.ports[n].iter().enumerate() {
                 let id = self.link_of[n][pi];
                 if self.alive[id] {
                     lp.push(*p);
@@ -451,12 +558,8 @@ impl<T: Topology> FabricTables<T> {
                 }
             }
         }
-        let view = LivePorts {
-            inner: &self.topo,
-            ports: &self.live_ports,
-        };
-        let routes = Routes::compute(&view, self.policy);
-        let eps = self.topo.endpoints();
+        let routes = Routes::compute(&self.live, self.policy);
+        let eps = self.graph.endpoints();
         for &from in &eps {
             for &to in &eps {
                 if from != to && routes.distance(from, 0, to) == Routes::UNREACHABLE {
@@ -545,9 +648,9 @@ impl NetHeat {
 /// every directed link whose sending node the region owns, the packets
 /// queued on those links, and the region's share of the Chrome trace.
 #[derive(Debug)]
-pub struct RegionNet<T: Topology, P> {
+pub struct RegionNet<P> {
     region: usize,
-    tables: Arc<FabricTables<T>>,
+    tables: Arc<FabricTables>,
     /// Indexed by global link id; `Some` for owned (region-local) links.
     links: Vec<Option<Link>>,
     /// Queued packets, addressed by the region-local [`MessageId`]s living
@@ -561,13 +664,18 @@ pub struct RegionNet<T: Topology, P> {
     heat: Option<Box<NetHeat>>,
 }
 
-impl<T: Topology, P> RegionNet<T, P> {
+impl<P> RegionNet<P> {
     /// The slice of `tables`' fabric owned by `region`.
-    pub fn new(region: usize, tables: Arc<FabricTables<T>>) -> Self {
+    pub fn new(region: usize, tables: Arc<FabricTables>) -> Self {
         let links = (0..tables.link_count())
             .map(|id| {
                 let (from, to, class, dir) = tables.link_meta(id);
-                (tables.region_of(from) == region).then(|| Link::new(from, to, class, dir))
+                (tables.region_of(from) == region).then(|| {
+                    // Links the tables already count dead start down.
+                    let mut link = Link::new(from, to, class, dir);
+                    link.set_alive(tables.is_alive(id));
+                    link
+                })
             })
             .collect();
         let tickets = vec![None; tables.link_count()];
@@ -590,12 +698,12 @@ impl<T: Topology, P> RegionNet<T, P> {
     }
 
     /// The shared routing snapshot.
-    pub fn tables(&self) -> &FabricTables<T> {
+    pub fn tables(&self) -> &FabricTables {
         &self.tables
     }
 
     /// Install a fresh routing snapshot (barrier republish).
-    pub fn set_tables(&mut self, tables: Arc<FabricTables<T>>) {
+    pub fn set_tables(&mut self, tables: Arc<FabricTables>) {
         self.tables = tables;
     }
 
@@ -636,12 +744,6 @@ impl<T: Topology, P> RegionNet<T, P> {
         )));
     }
 
-    /// The heat accumulators, when enabled — for callers charging extra
-    /// windowed metrics (e.g. memory service counters).
-    pub fn heat_mut(&mut self) -> Option<&mut NetHeat> {
-        self.heat.as_deref_mut()
-    }
-
     /// Detach and return the accumulated heat, if it was enabled.
     pub fn take_heat(&mut self) -> Option<NetHeat> {
         self.heat.take().map(|b| *b)
@@ -658,16 +760,23 @@ impl<T: Topology, P> RegionNet<T, P> {
             .expect("link is owned by this region")
     }
 
+    /// Brown out `node`'s router until `until`: its live outbound links
+    /// stall, then drain their backlogs. Returns the links that were idle:
+    /// each now reads busy with nothing in flight, so the caller must
+    /// schedule its `LinkFree` at `until` to restore the
+    /// one-pending-release-per-busy-channel invariant.
+    pub fn pause_router(&mut self, node: NodeId, until: SimTime) -> Vec<usize> {
+        let ids = self.tables.live_links_from(node).to_vec();
+        ids.into_iter()
+            .filter(|&id| self.link_mut(id).pause(until))
+            .collect()
+    }
+
     /// Shared access to an owned link.
     pub fn link(&self, id: usize) -> &Link {
         self.links[id]
             .as_ref()
             .expect("link is owned by this region")
-    }
-
-    /// Whether this region owns link `id`.
-    pub fn owns_link(&self, id: usize) -> bool {
-        self.links[id].is_some()
     }
 
     /// The drop-condemnation ticket of the packet last granted on `id`.
@@ -699,16 +808,17 @@ impl<T: Topology, P> RegionNet<T, P> {
         pkt
     }
 
-    /// Process a packet arriving on `node` at `now`: deliver it, or route
-    /// it onto the next output link (starting a transfer if the link is
-    /// idle). Emits follow-ups into `steps`.
-    pub fn handle_arrive(
+    /// Process a packet arriving on `node` at `now`: hand it back if
+    /// `node` is its destination, or route it onto the next output link
+    /// (starting a transfer if the link is idle), emitting the follow-up
+    /// events through `out`.
+    pub fn handle_arrive<E: FabricEvent<P>>(
         &mut self,
         now: SimTime,
         node: NodeId,
         pkt: Box<Packet<P>>,
-        steps: &mut Vec<NetStep<P>>,
-    ) {
+        out: &mut Outbox<E>,
+    ) -> Option<Box<Packet<P>>> {
         debug_assert_eq!(self.tables.region_of(node), self.region, "foreign arrive");
         if node == pkt.dst {
             self.delivered += 1;
@@ -736,8 +846,7 @@ impl<T: Topology, P> RegionNet<T, P> {
                     ],
                 );
             }
-            steps.push(NetStep::Delivered { pkt });
-            return;
+            return Some(pkt);
         }
         let link = self.choose_output(node, &pkt);
         let class = pkt.class;
@@ -745,38 +854,42 @@ impl<T: Topology, P> RegionNet<T, P> {
         let l = self.links[link].as_mut().expect("chosen link is owned");
         l.enqueue(class, slot);
         if !l.is_busy() {
-            self.start_transfer(link, now, steps);
+            self.start_transfer(link, now, out);
         }
+        None
     }
 
     /// Process a link becoming free at `now`: lift pauses, release the
     /// channel, and grant the next queued packet if the link is still up.
-    pub fn handle_link_free(&mut self, now: SimTime, link: usize, steps: &mut Vec<NetStep<P>>) {
+    pub fn handle_link_free<E: FabricEvent<P>>(
+        &mut self,
+        now: SimTime,
+        link: usize,
+        out: &mut Outbox<E>,
+    ) {
         let l = self.links[link].as_mut().expect("freed link is owned");
         if l.pause_until() > now {
             // Still paused: push the release to the pause horizon.
-            steps.push(NetStep::LinkFree {
-                at: l.pause_until(),
-                link,
-            });
+            out.emit(
+                self.region,
+                l.pause_until(),
+                tb_link_free(link),
+                E::link_free(link),
+            );
             return;
         }
         l.release();
         if l.is_alive() && l.backlog() > 0 {
-            self.start_transfer(link, now, steps);
+            self.start_transfer(link, now, out);
         }
     }
 
     /// Route `pkt` out of `node`: minimal ports over the live fabric, the
     /// least-backlogged candidate for adaptive classes (ties to the lowest
-    /// port index). Identical to `NetworkSim::choose_output`.
+    /// port index), the first minimal port for I/O.
     fn choose_output(&self, node: NodeId, pkt: &Packet<P>) -> usize {
         let t = &*self.tables;
-        let view = LivePorts {
-            inner: &t.topo,
-            ports: &t.live_ports,
-        };
-        let candidates = t.routes.minimal_ports(&view, node, pkt.hops, pkt.dst);
+        let candidates = t.routes.minimal_ports(&t.live, node, pkt.hops, pkt.dst);
         debug_assert!(!candidates.is_empty(), "routing dead end");
         let chosen = if pkt.class.may_route_adaptively() {
             *candidates
@@ -795,14 +908,22 @@ impl<T: Topology, P> RegionNet<T, P> {
     }
 
     /// Grant the head-of-queue packet on `link_id` and emit its arrival
-    /// and the link's next availability. The arithmetic mirrors
-    /// `NetworkSim::start_transfer` exactly.
-    fn start_transfer(&mut self, link_id: usize, now: SimTime, steps: &mut Vec<NetStep<P>>) {
+    /// and the link's next availability.
+    fn start_transfer<E: FabricEvent<P>>(
+        &mut self,
+        link_id: usize,
+        now: SimTime,
+        out: &mut Outbox<E>,
+    ) {
         let timing = self.tables.timing;
         let l = self.links[link_id].as_mut().expect("granting owned link");
         let Some(mid) = l.grant() else {
             return;
         };
+        // A degraded link stretches everything paced by the wire — transfer
+        // occupancy, serialization, and flight — by a fixed factor (1 when
+        // healthy). An armed transient costs one extra transfer + flight:
+        // the receiver's CRC rejects the flit and the link layer resends it.
         let stretch = l.degrade_factor();
         let retransmit = l.take_corruption();
         let backlog = l.backlog() as u32;
@@ -833,6 +954,13 @@ impl<T: Topology, P> RegionNet<T, P> {
             } else {
                 SimDuration::ZERO
             };
+        // Per-hop latency attribution. The arrival fires at exactly
+        // grant + router + wire + serialization + penalty (+ resend), so
+        // these integer picosecond charges sum to the end-to-end latency
+        // with no rounding; a retransmit is charged as a second
+        // serialization plus a second wire flight. `enqueued_at` then moves
+        // to the arrival instant, the epoch the next hop's grant wait is
+        // measured from (an eviction re-route keeps accruing against it).
         pkt.hops += 1;
         pkt.acc.queued_ps += now.since(pkt.enqueued_at).as_ps();
         pkt.acc.router_ps += timing.router_latency.as_ps();
@@ -872,170 +1000,407 @@ impl<T: Topology, P> RegionNet<T, P> {
                 &[("tag", tag), ("backlog", u64::from(backlog))],
             );
         }
-        steps.push(NetStep::Arrive {
-            at: arrive_at,
-            node: to,
-            pkt,
-        });
-        steps.push(NetStep::LinkFree {
-            at: now + occupancy,
-            link: link_id,
-        });
+        out.emit(
+            self.tables.region_of(to),
+            arrive_at,
+            tb_arrive(uid),
+            E::arrive(to, pkt),
+        );
+        out.emit(
+            self.region,
+            now + occupancy,
+            tb_link_free(link_id),
+            E::link_free(link_id),
+        );
+    }
+}
+
+/// Every directed link of a partitioned fabric, gathered from its regions
+/// in global link-id order, for the fabric-wide reductions the load test
+/// and the open-loop driver report. Floating-point sums run in link-id
+/// order, so every reduction is byte-identical at any region count.
+pub struct FabricLinks<'a> {
+    tables: &'a FabricTables,
+    links: Vec<&'a Link>,
+}
+
+impl<'a> FabricLinks<'a> {
+    /// Gather the links of `nets`, which must together cover the fabric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nets` is empty or leaves a link unowned.
+    pub fn gather<P: 'a>(nets: impl IntoIterator<Item = &'a RegionNet<P>>) -> Self {
+        let nets: Vec<&RegionNet<P>> = nets.into_iter().collect();
+        let tables = &*nets.first().expect("at least one region").tables;
+        let links = (0..tables.link_count())
+            .map(|id| {
+                nets.iter()
+                    .find_map(|n| n.links[id].as_ref())
+                    .expect("every link has an owner region")
+            })
+            .collect();
+        FabricLinks { tables, links }
+    }
+
+    /// The links, in global id order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Link> + '_ {
+        self.links.iter().copied()
+    }
+
+    /// Mean utilization over `[0, now]` of the *live* links whose direction
+    /// satisfies `pred` (e.g. horizontal for the GUPS East/West analysis,
+    /// Fig. 24). Dead links are excluded so a wounded fabric is not
+    /// averaged down by wires that cannot carry traffic.
+    pub fn mean_utilization_where(
+        &self,
+        now: SimTime,
+        pred: impl Fn(Option<Direction>) -> bool,
+    ) -> f64 {
+        let (sum, n) = self
+            .iter()
+            .filter(|l| l.is_alive() && pred(l.dir))
+            .fold((0.0, 0usize), |(s, n), l| (s + l.utilization(now), n + 1));
+        if n == 0 {
+            0.0
+        } else {
+            sum / n as f64
+        }
+    }
+
+    /// Mean cumulative busy time over *live* links whose direction
+    /// satisfies `pred`, for interval sampling (East/West vs North/South).
+    pub fn mean_busy_where(&self, pred: impl Fn(Option<Direction>) -> bool) -> SimDuration {
+        let (sum, n) = self
+            .iter()
+            .filter(|l| l.is_alive() && pred(l.dir))
+            .fold((SimDuration::ZERO, 0u64), |(s, n), l| {
+                (s + l.busy_time(), n + 1)
+            });
+        if n == 0 {
+            SimDuration::ZERO
+        } else {
+            sum / n
+        }
+    }
+
+    /// *Live* outgoing-link utilizations of one node, averaged (Xmesh's
+    /// per-node IP-link gauge; a node with every link dead reads 0).
+    pub fn node_ip_utilization(&self, node: NodeId, now: SimTime) -> f64 {
+        let ids = self.tables.live_links_from(node);
+        if ids.is_empty() {
+            return 0.0;
+        }
+        ids.iter()
+            .map(|&i| self.links[i].utilization(now))
+            .sum::<f64>()
+            / ids.len() as f64
+    }
+
+    /// Total bytes moved over links of the whole fabric.
+    pub fn total_bytes(&self) -> u64 {
+        self.iter().map(Link::bytes).sum()
+    }
+
+    /// Total packet grants across all output arbiters (each hop of each
+    /// message is one grant).
+    pub fn total_grants(&self) -> u64 {
+        self.iter().map(Link::granted).sum()
+    }
+
+    /// Fabric bytes moved per message class — the protocol-traffic
+    /// breakdown (data responses dominate coherence traffic).
+    pub fn class_byte_totals(&self) -> [(MessageClass, u64); 5] {
+        MessageClass::ALL.map(|c| (c, self.iter().map(|l| l.class_bytes(c)).sum()))
+    }
+}
+
+/// The open-loop driver's events.
+enum OpenEv {
+    Arrive { node: NodeId, pkt: Box<Packet<()>> },
+    LinkFree { link: usize },
+}
+
+impl FabricEvent<()> for OpenEv {
+    fn arrive(node: NodeId, pkt: Box<Packet<()>>) -> Self {
+        OpenEv::Arrive { node, pkt }
+    }
+
+    fn link_free(link: usize) -> Self {
+        OpenEv::LinkFree { link }
+    }
+}
+
+/// One region of an [`OpenLoop`] run: its fabric slice and what landed
+/// there.
+struct OpenRegion {
+    net: RegionNet<()>,
+    delivered: Vec<Delivery>,
+    /// Time of the last event this region handled.
+    now: SimTime,
+}
+
+impl ShardWorker for OpenRegion {
+    type Event = OpenEv;
+
+    fn handle(&mut self, at: SimTime, ev: OpenEv, out: &mut Outbox<OpenEv>) {
+        self.now = at;
+        match ev {
+            OpenEv::Arrive { node, pkt } => {
+                if let Some(pkt) = self.net.handle_arrive(at, node, pkt, out) {
+                    self.delivered.push(Delivery {
+                        src: pkt.src,
+                        dst: pkt.dst,
+                        class: pkt.class,
+                        bytes: pkt.bytes,
+                        tag: pkt.tag,
+                        uid: pkt.uid,
+                        injected_at: pkt.injected_at,
+                        delivered_at: at,
+                        hops: pkt.hops,
+                        breakdown: pkt.acc,
+                    });
+                }
+            }
+            OpenEv::LinkFree { link } => self.net.handle_link_free(at, link, out),
+        }
+    }
+}
+
+/// An open-loop batch driver over the partitioned fabric: inject messages,
+/// [`drain`](Self::drain) to idle, then read the deliveries and the
+/// fabric-wide link statistics.
+///
+/// It runs on the same engine as every closed loop — one
+/// [`EpochExecutor`] worker per region of its [`FabricTables`], stepped
+/// inline — so message `i` (the `i`-th [`send`](Self::send)) carries uid
+/// `i`, and simultaneous events order by `(time, tb_*)`, never by
+/// insertion.
+///
+/// # Examples
+///
+/// ```
+/// use alphasim_net::partition::{FabricTables, OpenLoop};
+/// use alphasim_net::{LinkTiming, MessageClass};
+/// use alphasim_topology::route::RoutePolicy;
+/// use alphasim_topology::{NodeId, Torus2D};
+/// use alphasim_kernel::SimTime;
+///
+/// let tables = FabricTables::new(
+///     &Torus2D::new(4, 4),
+///     LinkTiming::ev7_torus(),
+///     RoutePolicy::Minimal,
+///     1,
+/// );
+/// let mut net = OpenLoop::new(tables);
+/// net.send(SimTime::ZERO, NodeId::new(0), NodeId::new(5), MessageClass::Request, 16, 7);
+/// let delivered = net.drain();
+/// assert_eq!(delivered.len(), 1);
+/// assert_eq!((delivered[0].tag, delivered[0].hops), (7, 2));
+/// ```
+pub struct OpenLoop {
+    exec: EpochExecutor<OpenRegion>,
+    tables: Arc<FabricTables>,
+    sent: u64,
+}
+
+impl OpenLoop {
+    /// A driver over `tables`, with one region worker per region.
+    pub fn new(tables: FabricTables) -> Self {
+        let tables = Arc::new(tables);
+        let workers = (0..tables.region_count())
+            .map(|r| OpenRegion {
+                net: RegionNet::new(r, tables.clone()),
+                delivered: Vec::new(),
+                now: SimTime::ZERO,
+            })
+            .collect();
+        OpenLoop {
+            exec: EpochExecutor::new(workers, tables.lookahead(), 1),
+            tables,
+            sent: 0,
+        }
+    }
+
+    /// The routing snapshot in force.
+    pub fn tables(&self) -> &FabricTables {
+        &self.tables
+    }
+
+    /// Time of the last event processed (zero before the first drain).
+    pub fn now(&self) -> SimTime {
+        (0..self.tables.region_count())
+            .map(|r| self.exec.worker(r).now)
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Inject a message at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` is out of range.
+    pub fn send(
+        &mut self,
+        at: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        class: MessageClass,
+        bytes: u64,
+        tag: u64,
+    ) {
+        let nodes = self.tables.topology().node_count();
+        assert!(src.index() < nodes, "bad source");
+        assert!(dst.index() < nodes, "bad destination");
+        let uid = self.sent;
+        self.sent += 1;
+        self.exec.seed(
+            self.tables.region_of(src),
+            at,
+            tb_arrive(uid),
+            OpenEv::Arrive {
+                node: src,
+                pkt: Packet::new(src, dst, class, bytes, tag, uid, at, ()),
+            },
+        );
+    }
+
+    /// Run until no events remain and return the deliveries since the
+    /// last drain, in `(delivered_at, uid)` order.
+    pub fn drain(&mut self) -> Vec<Delivery> {
+        self.exec.run_until_idle();
+        let mut out: Vec<Delivery> = (0..self.tables.region_count())
+            .flat_map(|r| std::mem::take(&mut self.exec.worker_mut(r).delivered))
+            .collect();
+        out.sort_by_key(|d| (d.delivered_at, d.uid));
+        out
+    }
+
+    /// The fabric's links, for the link-statistic reductions.
+    pub fn links(&self) -> FabricLinks<'_> {
+        FabricLinks::gather((0..self.tables.region_count()).map(|r| &self.exec.worker(r).net))
+    }
+
+    /// Exclusive access to directed link `id` between drains (fault
+    /// studies: degrade it, or arm a flit corruption).
+    pub fn link_mut(&mut self, id: usize) -> &mut Link {
+        let (from, ..) = self.tables.link_meta(id);
+        let region = self.tables.region_of(from);
+        self.exec.worker_mut(region).net.link_mut(id)
+    }
+
+    /// Brown out `node`'s router between drains: its live outbound links
+    /// stall until `until`, then drain their backlogs.
+    pub fn pause_router(&mut self, node: NodeId, until: SimTime) {
+        let region = self.tables.region_of(node);
+        for id in self.exec.worker_mut(region).net.pause_router(node, until) {
+            self.exec.seed(
+                region,
+                until,
+                tb_link_free(id),
+                OpenEv::LinkFree { link: id },
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alphasim_kernel::fault::DEGRADE_FACTOR;
+    use alphasim_kernel::DetRng;
     use alphasim_topology::Torus2D;
 
-    fn tables(shards: usize) -> FabricTables<Torus2D> {
+    fn tables_of(cols: usize, rows: usize, regions: usize) -> FabricTables {
         FabricTables::new(
-            Torus2D::new(4, 4),
+            &Torus2D::new(cols, rows),
             LinkTiming::ev7_torus(),
             RoutePolicy::Minimal,
-            shards,
+            regions,
         )
     }
 
-    fn packet(src: usize, dst: usize, uid: u64) -> Box<Packet<()>> {
-        Box::new(Packet {
-            src: NodeId::new(src),
-            dst: NodeId::new(dst),
-            class: MessageClass::Request,
-            bytes: 64,
-            tag: uid >> 16,
-            uid,
-            injected_at: SimTime::ZERO,
-            hops: 0,
-            serialized: false,
-            enqueued_at: SimTime::ZERO,
-            acc: HopBreakdown::default(),
-            payload: (),
-        })
+    fn tables(regions: usize) -> FabricTables {
+        tables_of(4, 4, regions)
     }
 
-    /// Drive packets to delivery through however many regions they cross,
-    /// dispatching each emitted step to the owning region in (time, kind)
-    /// order — a miniature sequential epoch engine.
-    fn run_to_empty(
-        nets: &mut [RegionNet<Torus2D, ()>],
-        mut pending: Vec<(SimTime, u64, usize, NetStep<()>)>,
-    ) -> Vec<(u64, u64, u64)> {
-        let mut done = Vec::new();
-        while !pending.is_empty() {
-            pending.sort_by_key(|&(at, tb, _, _)| (at, tb));
-            let (at, _, region, step) = pending.remove(0);
-            let mut steps = Vec::new();
-            match step {
-                NetStep::Arrive { node, pkt, .. } => {
-                    nets[region].handle_arrive(at, node, pkt, &mut steps);
-                }
-                NetStep::LinkFree { link, .. } => {
-                    nets[region].handle_link_free(at, link, &mut steps);
-                }
-                NetStep::Delivered { .. } => unreachable!("consumed below"),
-            }
-            for s in steps {
-                match s {
-                    NetStep::Delivered { pkt } => {
-                        done.push((pkt.uid, at.as_ps(), u64::from(pkt.hops)));
-                    }
-                    NetStep::Arrive { at, node, pkt } => {
-                        let dest = nets[0].tables().region_of(node);
-                        let tb = tb_arrive(pkt.uid);
-                        pending.push((at, tb, dest, NetStep::Arrive { at, node, pkt }));
-                    }
-                    NetStep::LinkFree { at, link } => {
-                        let (from, ..) = nets[0].tables().link_meta(link);
-                        let dest = nets[0].tables().region_of(from);
-                        let tb = tb_link_free(link);
-                        pending.push((at, tb, dest, NetStep::LinkFree { at, link }));
-                    }
-                }
-            }
+    fn open4x4() -> OpenLoop {
+        OpenLoop::new(tables(1))
+    }
+
+    fn send(
+        net: &mut OpenLoop,
+        at: SimTime,
+        src: usize,
+        dst: usize,
+        class: MessageClass,
+        tag: u64,
+    ) {
+        net.send(at, NodeId::new(src), NodeId::new(dst), class, 64, tag);
+    }
+
+    /// Inject a fixed five-message batch (one self-send) at time zero.
+    fn send_batch(net: &mut OpenLoop) {
+        for (i, (src, dst)) in [(0usize, 15usize), (3, 12), (5, 6), (14, 1), (9, 9)]
+            .into_iter()
+            .enumerate()
+        {
+            send(
+                net,
+                SimTime::ZERO,
+                src,
+                dst,
+                MessageClass::Request,
+                i as u64,
+            );
         }
+    }
+
+    /// `(uid, delivered_ps, hops)` of the batch.
+    fn deliveries_at(regions: usize) -> Vec<(u64, u64, u32)> {
+        let mut net = OpenLoop::new(tables(regions));
+        send_batch(&mut net);
+        let mut done: Vec<_> = net
+            .drain()
+            .iter()
+            .map(|d| (d.uid, d.delivered_at.as_ps(), d.hops))
+            .collect();
         done.sort_unstable();
         done
     }
 
-    fn deliveries_at(shards: usize) -> Vec<(u64, u64, u64)> {
-        let t = Arc::new(tables(shards));
-        let mut nets: Vec<RegionNet<Torus2D, ()>> = (0..t.region_count())
-            .map(|r| RegionNet::new(r, t.clone()))
-            .collect();
-        let mut seed = Vec::new();
-        for (i, (src, dst)) in [(0usize, 15usize), (3, 12), (5, 6), (14, 1), (9, 9)]
-            .into_iter()
-            .enumerate()
-        {
-            let uid = (i as u64) << 16;
-            let pkt = packet(src, dst, uid);
-            let region = t.region_of(pkt.src);
-            let node = pkt.src;
-            seed.push((
-                SimTime::ZERO,
-                tb_arrive(uid),
-                region,
-                NetStep::Arrive {
-                    at: SimTime::ZERO,
-                    node,
-                    pkt,
-                },
-            ));
-        }
-        run_to_empty(&mut nets, seed)
-    }
-
     #[test]
-    fn partitioned_delivery_is_shard_count_invariant() {
+    fn partitioned_delivery_is_region_count_invariant() {
         let reference = deliveries_at(1);
         assert_eq!(reference.len(), 5);
-        for shards in [2, 4] {
-            assert_eq!(deliveries_at(shards), reference, "{shards} shards diverged");
+        for regions in [2, 4] {
+            assert_eq!(
+                deliveries_at(regions),
+                reference,
+                "{regions} regions diverged"
+            );
         }
     }
 
-    /// Same traffic as `deliveries_at`, with heat accumulation on; returns
-    /// the region heats merged in region order.
-    fn heat_at(shards: usize) -> NetHeat {
-        let t = Arc::new(tables(shards));
-        let mut nets: Vec<RegionNet<Torus2D, ()>> = (0..t.region_count())
-            .map(|r| RegionNet::new(r, t.clone()))
-            .collect();
-        for net in &mut nets {
-            net.enable_heat(10_000);
+    /// The same batch with heat accumulation on; the region heats merged
+    /// in region order.
+    fn heat_at(regions: usize) -> NetHeat {
+        let mut net = OpenLoop::new(tables(regions));
+        for r in 0..regions {
+            net.exec.worker_mut(r).net.enable_heat(10_000);
         }
-        let mut seed = Vec::new();
-        for (i, (src, dst)) in [(0usize, 15usize), (3, 12), (5, 6), (14, 1), (9, 9)]
-            .into_iter()
-            .enumerate()
-        {
-            let uid = (i as u64) << 16;
-            let pkt = packet(src, dst, uid);
-            let region = t.region_of(pkt.src);
-            let node = pkt.src;
-            seed.push((
-                SimTime::ZERO,
-                tb_arrive(uid),
-                region,
-                NetStep::Arrive {
-                    at: SimTime::ZERO,
-                    node,
-                    pkt,
-                },
-            ));
-        }
-        run_to_empty(&mut nets, seed);
-        let mut merged = NetHeat::new(10_000, t.topology().node_count(), t.link_count());
-        for net in &mut nets {
-            merged.merge(&net.take_heat().expect("heat was enabled"));
+        send_batch(&mut net);
+        net.drain();
+        let mut merged = NetHeat::new(10_000, 16, net.tables().link_count());
+        for r in 0..regions {
+            let heat = net.exec.worker_mut(r).net.take_heat();
+            merged.merge(&heat.expect("heat was enabled"));
         }
         merged
     }
 
     #[test]
-    fn heat_accumulators_are_shard_count_invariant_and_sum_exactly() {
+    fn heat_accumulators_are_region_count_invariant_and_sum_exactly() {
         let reference = heat_at(1);
         // All five messages landed, and only at their destinations.
         assert_eq!(reference.node_delivered.iter().sum::<u64>(), 5);
@@ -1049,40 +1414,325 @@ mod tests {
             totals.counter("net.link_busy_ps"),
             reference.link_busy_ps.iter().sum::<u64>()
         );
-        for shards in [2, 4] {
-            assert_eq!(heat_at(shards), reference, "{shards} shards diverged");
+        for regions in [2, 4] {
+            assert_eq!(heat_at(regions), reference, "{regions} regions diverged");
+        }
+    }
+
+    /// Every ordered pair of a torus, one lone packet at a time: the
+    /// delivery time equals the analytic unloaded latency over the classes
+    /// of the links the packet actually took (read back from the links'
+    /// grant counters).
+    fn lone_packets_match_unloaded_latency(cols: usize, rows: usize) {
+        let mut net = OpenLoop::new(tables_of(cols, rows, 1));
+        let timing = *net.tables().timing();
+        let n = cols * rows;
+        let mut granted: Vec<u64> = net.links().iter().map(Link::granted).collect();
+        for src in 0..n {
+            for dst in (0..n).filter(|&d| d != src) {
+                let at = net.now();
+                send(&mut net, at, src, dst, MessageClass::Request, 0);
+                let d = net.drain();
+                let now: Vec<u64> = net.links().iter().map(Link::granted).collect();
+                let classes: Vec<LinkClass> = (0..now.len())
+                    .filter(|&id| now[id] > granted[id])
+                    .map(|id| net.tables().link_meta(id).2)
+                    .collect();
+                granted = now;
+                assert_eq!(classes.len() as u32, d[0].hops, "{src}->{dst}");
+                assert_eq!(
+                    d[0].latency(),
+                    timing.unloaded_latency(&classes, 64),
+                    "{src}->{dst} over {classes:?}"
+                );
+            }
         }
     }
 
     #[test]
-    fn hop_math_matches_networksim_zero_load() {
-        // One packet, idle fabric: latency must equal NetworkSim's
-        // unloaded analytic (serialization once + per-hop router + wire).
-        let t = Arc::new(tables(1));
-        let mut nets = vec![RegionNet::<Torus2D, ()>::new(0, t.clone())];
-        let pkt = packet(0, 1, 7 << 16);
-        let classes: Vec<LinkClass> = vec![t.link_meta(t.links_from(NodeId::new(0))[0]).2];
-        let reference = {
-            let sim = crate::NetworkSim::new(Torus2D::new(4, 4), LinkTiming::ev7_torus());
-            sim.unloaded_latency(&classes, 64)
-        };
-        let done = run_to_empty(
-            &mut nets,
-            vec![(
-                SimTime::ZERO,
-                tb_arrive(pkt.uid),
-                0,
-                NetStep::Arrive {
-                    at: SimTime::ZERO,
-                    node: NodeId::new(0),
-                    pkt,
-                },
-            )],
+    fn lone_packet_latency_is_unloaded_latency_on_4x4_and_8x8() {
+        lone_packets_match_unloaded_latency(4, 4);
+        lone_packets_match_unloaded_latency(8, 8);
+    }
+
+    #[test]
+    fn self_send_is_immediate_and_unattributed() {
+        let mut net = open4x4();
+        send(&mut net, SimTime::ZERO, 3, 3, MessageClass::Special, 42);
+        let d = net.drain();
+        assert_eq!((d[0].hops, d[0].latency()), (0, SimDuration::ZERO));
+        assert_eq!(d[0].breakdown, HopBreakdown::default());
+    }
+
+    #[test]
+    fn responses_overtake_queued_requests() {
+        // Flood one link with requests, then send a response; it must be
+        // granted at the first arbitration after it arrives.
+        let mut net = open4x4();
+        for i in 0..10 {
+            send(&mut net, SimTime::ZERO, 0, 1, MessageClass::Request, i);
+        }
+        send(
+            &mut net,
+            SimTime::ZERO,
+            0,
+            1,
+            MessageClass::BlockResponse,
+            999,
         );
-        assert_eq!(done.len(), 1);
-        let (_, delivered_ps, hops) = done[0];
-        assert_eq!(hops, 1);
-        assert_eq!(delivered_ps, reference.as_ps());
+        let d = net.drain();
+        let pos = d.iter().position(|x| x.tag == 999).unwrap();
+        assert!(
+            pos <= 1,
+            "response delivered {pos} deep despite priority VCs"
+        );
+    }
+
+    /// Bytes granted on the directed link `from -> to`.
+    fn link_bytes(net: &OpenLoop, from: usize, to: usize) -> u64 {
+        let id = net
+            .tables()
+            .directed_link(NodeId::new(from), NodeId::new(to))
+            .unwrap();
+        net.links().links[id].bytes()
+    }
+
+    #[test]
+    fn adaptive_routing_uses_both_minimal_paths() {
+        // 0 -> 5 has minimal first hops East (to 1) and South (to 4).
+        let mut net = open4x4();
+        for i in 0..20 {
+            send(&mut net, SimTime::ZERO, 0, 5, MessageClass::Request, i);
+        }
+        net.drain();
+        let (east, south) = (link_bytes(&net, 0, 1), link_bytes(&net, 0, 4));
+        assert!(east > 0 && south > 0, "east={east} south={south}");
+        let ratio = east as f64 / south as f64;
+        assert!((0.5..=2.0).contains(&ratio), "near-even split: {ratio}");
+    }
+
+    #[test]
+    fn io_routes_deterministically() {
+        let mut net = open4x4();
+        for i in 0..20 {
+            send(&mut net, SimTime::ZERO, 0, 5, MessageClass::Io, i);
+        }
+        net.drain();
+        let used = net
+            .tables()
+            .links_from(NodeId::new(0))
+            .iter()
+            .filter(|&&id| net.links().links[id].bytes() > 0)
+            .count();
+        assert_eq!(used, 1, "I/O must not spread");
+    }
+
+    #[test]
+    fn congestion_raises_latency() {
+        let mut light = open4x4();
+        send(&mut light, SimTime::ZERO, 0, 2, MessageClass::Request, 0);
+        let light = light.drain()[0].latency();
+        let mut heavy = open4x4();
+        for i in 0..200 {
+            send(&mut heavy, SimTime::ZERO, 0, 2, MessageClass::Request, i);
+        }
+        let heavy = heavy.drain().iter().map(Delivery::latency).max().unwrap();
+        assert!(
+            heavy > light * 20,
+            "queueing should dominate: {light} vs {heavy}"
+        );
+    }
+
+    #[test]
+    fn link_utilization_bounded_and_direction_filtered() {
+        // Traffic only along row 0: horizontal links carry it all.
+        let mut net = open4x4();
+        for i in 0..100 {
+            send(&mut net, SimTime::ZERO, 0, 2, MessageClass::Request, i);
+        }
+        assert_eq!(net.drain().len(), 100);
+        let now = net.now();
+        let links = net.links();
+        for l in links.iter() {
+            assert!((0.0..=1.0).contains(&l.utilization(now)));
+        }
+        assert!(links.node_ip_utilization(NodeId::new(0), now) > 0.0);
+        assert_eq!(links.total_bytes(), 100 * 2 * 64);
+        assert_eq!(links.total_grants(), 100 * 2);
+        let horiz = links.mean_utilization_where(now, |d| d.is_some_and(|d| d.is_horizontal()));
+        let vert = links.mean_utilization_where(now, |d| d.is_some_and(|d| !d.is_horizontal()));
+        assert!(horiz > 0.0);
+        assert_eq!(vert, 0.0);
+        assert_eq!(
+            links.mean_busy_where(|d| d.is_some_and(|d| !d.is_horizontal())),
+            SimDuration::ZERO
+        );
+    }
+
+    #[test]
+    fn dead_links_are_excluded_from_the_gauges() {
+        // Cut 0 <-> 1, then load node 0's three surviving links: a dead
+        // wire must not average node 0's or the fabric's gauges down.
+        let mut t = tables(1);
+        let dead = t.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
+        let mut net = OpenLoop::new(t);
+        for (i, dst) in [3usize, 4, 12].into_iter().cycle().take(30).enumerate() {
+            send(
+                &mut net,
+                SimTime::ZERO,
+                0,
+                dst,
+                MessageClass::Request,
+                i as u64,
+            );
+        }
+        net.drain();
+        let now = net.now();
+        let links = net.links();
+        let live: Vec<f64> = net
+            .tables()
+            .live_links_from(NodeId::new(0))
+            .iter()
+            .map(|&id| links.iter().nth(id).unwrap().utilization(now))
+            .collect();
+        assert_eq!(live.len(), 3);
+        let mean = live.iter().sum::<f64>() / 3.0;
+        assert_eq!(links.node_ip_utilization(NodeId::new(0), now), mean);
+        let alive: Vec<f64> = links
+            .iter()
+            .enumerate()
+            .filter(|(id, _)| !dead.contains(id))
+            .map(|(_, l)| l.utilization(now))
+            .collect();
+        let fabric = alive.iter().sum::<f64>() / alive.len() as f64;
+        assert_eq!(links.mean_utilization_where(now, |_| true), fabric);
+    }
+
+    #[test]
+    fn breakdown_sums_exactly_to_latency_under_congestion() {
+        // Heavy contended traffic: every delivery's per-stage attribution
+        // sums to its end-to-end latency in integer picoseconds — the
+        // identity the fig06 decomposition rests on.
+        let mut net = open4x4();
+        let mut rng = DetRng::seeded(3);
+        for i in 0..300u64 {
+            let src = rng.index(16);
+            let dst = rng.index_excluding(16, src);
+            send(
+                &mut net,
+                SimTime::from_ps(i * 500),
+                src,
+                dst,
+                MessageClass::Request,
+                i,
+            );
+        }
+        let deliveries = net.drain();
+        assert_eq!(deliveries.len(), 300);
+        for d in &deliveries {
+            assert_eq!(d.breakdown.total_ps(), d.latency().as_ps(), "tag {}", d.tag);
+        }
+        assert!(
+            deliveries
+                .iter()
+                .any(|d| d.breakdown.queued_ps > 0 || d.breakdown.congestion_ps > 0),
+            "the flood must exercise queue/congestion stages"
+        );
+    }
+
+    /// Latency of one 64 B request over the single board hop `0 -> 1`.
+    fn one_hop(net: &mut OpenLoop) -> Delivery {
+        let at = net.now();
+        send(net, at, 0, 1, MessageClass::Request, 0);
+        net.drain()[0]
+    }
+
+    #[test]
+    fn degraded_link_stretches_wire_and_serialization_only() {
+        let timing = LinkTiming::ev7_torus();
+        let healthy = one_hop(&mut open4x4()).latency();
+        let mut net = open4x4();
+        let id = net
+            .tables()
+            .directed_link(NodeId::new(0), NodeId::new(1))
+            .unwrap();
+        net.link_mut(id).set_degrade(DEGRADE_FACTOR);
+        let d = one_hop(&mut net);
+        let expect = timing.router_latency
+            + (healthy - timing.router_latency).saturating_mul(DEGRADE_FACTOR);
+        assert_eq!(d.latency(), expect);
+        assert_eq!(d.breakdown.total_ps(), d.latency().as_ps());
+        // Healing restores full speed without a topology rebuild.
+        net.link_mut(id).set_degrade(1);
+        assert_eq!(one_hop(&mut net).latency(), healthy);
+    }
+
+    #[test]
+    fn crc_retransmit_costs_one_extra_transfer_and_flight() {
+        let timing = LinkTiming::ev7_torus();
+        let healthy = one_hop(&mut open4x4()).latency();
+        let mut net = open4x4();
+        let id = net
+            .tables()
+            .directed_link(NodeId::new(0), NodeId::new(1))
+            .unwrap();
+        net.link_mut(id).arm_corruption();
+        let d = one_hop(&mut net);
+        // Resend = transfer + wire = healthy minus the router pipeline.
+        assert_eq!(d.latency(), healthy + (healthy - timing.router_latency));
+        assert_eq!(d.breakdown.total_ps(), d.latency().as_ps());
+        assert_eq!(net.links().links[id].crc_retransmits(), 1);
+        // The transient fires once; the next flit flies clean.
+        assert_eq!(one_hop(&mut net).latency(), healthy);
+        assert_eq!(net.links().links[id].crc_retransmits(), 1);
+    }
+
+    #[test]
+    fn router_pause_stalls_departures_until_the_window_lifts() {
+        let pause = SimTime::ZERO + SimDuration::from_ns(200.0);
+        let mut net = open4x4();
+        net.pause_router(NodeId::new(0), pause);
+        for i in 0..10 {
+            send(&mut net, SimTime::ZERO, 0, 1, MessageClass::Request, i);
+        }
+        let d = net.drain();
+        assert_eq!(d.len(), 10);
+        for x in &d {
+            assert!(
+                x.delivered_at >= pause,
+                "delivery at {} beat the pause",
+                x.delivered_at
+            );
+            assert_eq!(x.breakdown.total_ps(), x.latency().as_ps(), "tag {}", x.tag);
+        }
+    }
+
+    #[test]
+    fn lookahead_tracks_faults_on_the_live_fabric() {
+        assert_eq!(
+            tables(1).conservative_lookahead(),
+            None,
+            "one region: no horizon"
+        );
+        let mut t = tables(2);
+        // 4x4 band boundary crossings are North/South Board hops: 20.5 ns.
+        let la = t.conservative_lookahead().expect("two regions share links");
+        assert_eq!(la.as_ns(), 20.5);
+        t.fail_link(NodeId::new(4), NodeId::new(8)).unwrap();
+        assert_eq!(t.conservative_lookahead(), Some(la));
+        t.audit_lookahead().unwrap();
+        t.revive_link(NodeId::new(4), NodeId::new(8)).unwrap();
+        assert_eq!(t.conservative_lookahead(), Some(la));
+    }
+
+    #[test]
+    fn set_regions_counts_cross_links_over_the_live_fabric() {
+        let mut t = tables(1);
+        t.fail_link(NodeId::new(4), NodeId::new(8)).unwrap();
+        t.set_regions(2);
+        assert_eq!(t.region_count(), 2);
+        t.audit_lookahead().unwrap();
+        t.audit_routes().unwrap();
     }
 
     #[test]
@@ -1091,6 +1741,7 @@ mod tests {
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let ids = master.fail_link(a, b).expect("first failure applies");
         assert!(!master.is_alive(ids[0]));
+        master.audit_routes().unwrap();
         assert_eq!(
             master.fail_link(a, b),
             Err(FaultError::AlreadyInState { a, b, alive: false })
@@ -1100,6 +1751,13 @@ mod tests {
         assert_eq!(
             master.revive_link(a, b),
             Err(FaultError::AlreadyInState { a, b, alive: true })
+        );
+        assert_eq!(
+            master.fail_link(a, NodeId::new(10)),
+            Err(FaultError::NoSuchLink {
+                a,
+                b: NodeId::new(10)
+            })
         );
     }
 
@@ -1117,32 +1775,67 @@ mod tests {
             master.fail_link(NodeId::new(0), NodeId::new(12)),
             Err(FaultError::Partitioned { .. })
         ));
-        // The rollback leaves the last link routable: node 0 still sends.
+        // The rollback leaves the last link routable: node 0 still sends,
+        // detouring through node 12.
         let ids = master.link_ids(NodeId::new(0), NodeId::new(12)).unwrap();
         assert!(master.is_alive(ids[0]) && master.is_alive(ids[1]));
+        let mut net = OpenLoop::new(master);
+        send(&mut net, SimTime::ZERO, 0, 5, MessageClass::Request, 7);
+        assert!(net.drain()[0].hops >= 3, "must detour through node 12");
     }
 
     #[test]
     fn ticket_records_the_granted_packet() {
-        let t = Arc::new(tables(1));
-        let mut net = RegionNet::<Torus2D, ()>::new(0, t.clone());
-        let pkt = packet(0, 2, 42 << 16);
-        let mut steps = Vec::new();
-        net.handle_arrive(SimTime::ZERO, NodeId::new(0), pkt, &mut steps);
-        let arrive = steps
-            .iter()
-            .find_map(|s| match s {
-                NetStep::Arrive { at, .. } => Some(*at),
-                _ => None,
-            })
-            .expect("hop scheduled");
-        let ticket = net
+        let mut net = open4x4();
+        send(&mut net, SimTime::ZERO, 0, 1, MessageClass::Request, 42);
+        let d = net.drain();
+        let id = net
             .tables()
-            .links_from(NodeId::new(0))
-            .iter()
-            .find_map(|&id| net.in_flight_ticket(id))
-            .expect("a link carries the packet");
-        assert_eq!(ticket.uid, 42 << 16);
-        assert_eq!(ticket.arrive_at, arrive);
+            .directed_link(NodeId::new(0), NodeId::new(1))
+            .unwrap();
+        let ticket = net
+            .exec
+            .worker(0)
+            .net
+            .in_flight_ticket(id)
+            .expect("granted");
+        assert_eq!((ticket.uid, ticket.tag), (d[0].uid, 42));
+        assert_eq!(ticket.arrive_at, d[0].delivered_at);
+        assert_eq!(ticket.dest, NodeId::new(1));
+    }
+
+    #[test]
+    fn packet_slab_recycles_slots_across_waves() {
+        // Twenty waves of 50 packets from one corner: the slab stays one
+        // wave deep, and every recycled slot delivers its own packet.
+        let mut net = open4x4();
+        for wave in 0..20u64 {
+            let at = net.now();
+            for i in 0..50u64 {
+                let tag = wave * 50 + i;
+                let dst = 1 + (tag % 15) as usize;
+                send(&mut net, at, 0, dst, MessageClass::Request, tag);
+            }
+            let d = net.drain();
+            assert_eq!(d.len(), 50);
+            for x in &d {
+                assert_eq!(x.dst.index(), 1 + (x.tag % 15) as usize, "tag {}", x.tag);
+            }
+        }
+        let slab = net.exec.worker(0).net.slab.len();
+        assert!(slab <= 50, "slab grew to {slab} slots");
+    }
+
+    #[test]
+    fn the_materialized_graph_matches_its_source() {
+        let torus = Torus2D::new(4, 2);
+        let g = FabricGraph::of(&torus);
+        assert_eq!(g.name(), torus.name());
+        assert_eq!(g.endpoints(), torus.endpoints());
+        for n in 0..torus.node_count() {
+            let node = NodeId::new(n);
+            assert_eq!(g.ports(node), torus.ports(node));
+            assert_eq!(g.coord(node), torus.coord(node));
+        }
     }
 }

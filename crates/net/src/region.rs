@@ -1,8 +1,8 @@
 //! Region assignment for sharded simulation, and the conservative
 //! lookahead those regions guarantee.
 //!
-//! The sharded event queue ([`alphasim_kernel::shard`]) needs two things
-//! from the network layer: a deterministic node → region map, and the
+//! The epoch engine ([`alphasim_kernel::shard`]) needs two things from the
+//! network layer: a deterministic node → region map, and the
 //! **conservative lookahead** — the minimum latency of any live link whose
 //! endpoints sit in different regions. Any event a region emits for a peer
 //! region travels over such a link, so it fires at least one lookahead

@@ -57,6 +57,18 @@ impl LinkTiming {
         self.router_latency + self.wire(class)
     }
 
+    /// The zero-load latency of a `bytes`-sized message over hops of the
+    /// given link classes: serialization once (wormhole pipelining), then
+    /// router + wire per hop. The partitioned fabric reproduces this to the
+    /// picosecond for a lone packet.
+    pub fn unloaded_latency(&self, hops: &[LinkClass], bytes: u64) -> SimDuration {
+        let mut total = SimDuration::transfer_time(bytes, self.bandwidth_gbps);
+        for &class in hops {
+            total += self.hop(class);
+        }
+        total
+    }
+
     /// The EV7 torus fabric, fitted to the paper's Fig. 13 latency map.
     ///
     /// With a local open-page access of 83 ns and a fixed 21 ns remote

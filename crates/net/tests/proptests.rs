@@ -1,13 +1,26 @@
-//! Property tests for the network simulator.
+//! Property tests for the fabric engine.
 
 // Test/harness code may unwrap freely; the workspace denies it in libraries.
 #![allow(clippy::unwrap_used)]
 
 use alphasim_kernel::SimTime;
+use alphasim_net::partition::{FabricTables, OpenLoop};
 use alphasim_net::region::{lookahead_by_walk, RegionMap};
-use alphasim_net::{LinkTiming, MessageClass, NetworkSim};
+use alphasim_net::{LinkTiming, MessageClass};
+use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{Degraded, NodeId, Topology, Torus2D};
 use proptest::prelude::*;
+
+/// An open-loop driver over a `cols` × `rows` EV7 torus in `regions`
+/// row bands.
+fn open(cols: usize, rows: usize, regions: usize) -> OpenLoop {
+    OpenLoop::new(FabricTables::new(
+        &Torus2D::new(cols, rows),
+        LinkTiming::ev7_torus(),
+        RoutePolicy::Minimal,
+        regions,
+    ))
+}
 
 fn classes() -> impl Strategy<Value = MessageClass> {
     prop::sample::select(vec![
@@ -34,7 +47,7 @@ proptest! {
         let n = c * r;
         let torus = Torus2D::new(c, r);
         let timing = LinkTiming::ev7_torus();
-        let mut net = NetworkSim::new(torus.clone(), timing);
+        let mut net = open(c, r, 1);
         let mut expected = std::collections::HashMap::new();
         for (i, &(src, dst, bytes, at)) in msgs.iter().enumerate() {
             let (src, dst) = (src % n, dst % n);
@@ -48,7 +61,7 @@ proptest! {
             );
             expected.insert(i as u64, (src, dst, bytes));
         }
-        let deliveries = net.drain_deliveries();
+        let deliveries = net.drain();
         prop_assert_eq!(deliveries.len(), msgs.len());
         for d in &deliveries {
             let (src, dst, bytes) = expected.remove(&d.tag).expect("duplicate delivery");
@@ -71,7 +84,7 @@ proptest! {
         burst in 1usize..200,
         dst in 1usize..16,
     ) {
-        let mut net = NetworkSim::new(Torus2D::new(4, 4), LinkTiming::ev7_torus());
+        let mut net = open(4, 4, 1);
         for i in 0..burst {
             net.send(
                 SimTime::ZERO,
@@ -83,41 +96,15 @@ proptest! {
             );
         }
         net.drain();
-        for (_, _, _, u, _) in net.link_stats() {
-            prop_assert!((0.0..=1.0).contains(&u));
+        let now = net.now();
+        let links = net.links();
+        for l in links.iter() {
+            prop_assert!((0.0..=1.0).contains(&l.utilization(now)));
         }
-        if dst % 16 != 0 {
-            // Each hop of each message moves its bytes over one link.
-            let hops = Torus2D::new(4, 4).hop_distance(NodeId::new(0), NodeId::new(dst % 16));
-            prop_assert_eq!(net.total_link_bytes(), (burst * hops) as u64 * 64);
-            prop_assert_eq!(net.total_grants(), (burst * hops) as u64);
-        }
-    }
-
-    /// Determinism: identical injection sequences produce identical
-    /// delivery schedules.
-    #[test]
-    fn deterministic_replay(
-        msgs in prop::collection::vec((0usize..16, 0usize..16, 0u64..10_000), 1..60),
-    ) {
-        let run = || {
-            let mut net = NetworkSim::new(Torus2D::new(4, 4), LinkTiming::ev7_torus());
-            for (i, &(src, dst, at)) in msgs.iter().enumerate() {
-                net.send(
-                    SimTime::from_ps(at),
-                    NodeId::new(src),
-                    NodeId::new(dst),
-                    MessageClass::Request,
-                    32,
-                    i as u64,
-                );
-            }
-            net.drain_deliveries()
-                .into_iter()
-                .map(|d| (d.tag, d.delivered_at))
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(run(), run());
+        // Each hop of each message moves its bytes over one link.
+        let hops = Torus2D::new(4, 4).hop_distance(NodeId::new(0), NodeId::new(dst % 16));
+        prop_assert_eq!(links.total_bytes(), (burst * hops) as u64 * 64);
+        prop_assert_eq!(links.total_grants(), (burst * hops) as u64);
     }
 
     /// The conservative-lookahead invariant: the incrementally-maintained
@@ -174,16 +161,16 @@ proptest! {
         );
     }
 
-    /// Sharding the event queue must not change a single delivery: same
-    /// messages, same times, same hops at any shard count.
+    /// Partitioning the fabric must not change a single delivery: same
+    /// messages, same times, same hops at any region count, and replays
+    /// are identical.
     #[test]
-    fn sharded_deliveries_match_unsharded(
+    fn deliveries_are_region_count_invariant(
         msgs in prop::collection::vec((0usize..32, 0usize..32, 0u64..20_000), 1..60),
-        shards in 2usize..=5,
+        regions in 2usize..=5,
     ) {
-        let run = |shards: usize| {
-            let mut net = NetworkSim::new(Torus2D::new(8, 4), LinkTiming::ev7_torus());
-            net.set_shards(shards);
+        let run = |regions: usize| {
+            let mut net = open(8, 4, regions);
             for (i, &(src, dst, at)) in msgs.iter().enumerate() {
                 net.send(
                     SimTime::from_ps(at),
@@ -194,11 +181,13 @@ proptest! {
                     i as u64,
                 );
             }
-            net.drain_deliveries()
+            net.drain()
                 .into_iter()
                 .map(|d| (d.tag, d.delivered_at, d.hops))
                 .collect::<Vec<_>>()
         };
-        prop_assert_eq!(run(1), run(shards));
+        let reference = run(1);
+        prop_assert_eq!(&reference, &run(1));
+        prop_assert_eq!(reference, run(regions));
     }
 }

@@ -5,9 +5,8 @@
 //! fail *while the machine is running*. A [`FaultPlan`] is a seeded,
 //! reproducible schedule of such failures: link-down/link-up, node drains
 //! and RDRAM channel losses, each stamped with the simulation time at which
-//! it strikes. Consumers (the network simulator, the system-level fault
-//! campaign) feed the plan into their event queues, so two runs with the
-//! same plan are bit-identical.
+//! it strikes. Consumers (the system-level fault campaign) strike the plan
+//! at epoch barriers, so two runs with the same plan are bit-identical.
 //!
 //! Node and link identifiers are plain `usize` indices here — the kernel
 //! crate sits below the topology crate, so it cannot name `NodeId`; the

@@ -4,17 +4,16 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer picosecond timestamps, so that
 //!   component latencies compose without floating-point drift;
-//! * [`EventQueue`] — a deterministic future-event list with stable FIFO
-//!   ordering among simultaneous events;
 //! * [`DetRng`] — a seedable random-number source so every experiment is
 //!   reproducible bit-for-bit;
 //! * [`stats`] — counters, running statistics, histograms, utilization meters
 //!   and time-series samplers used by the performance-counter ("Xmesh") layer;
 //! * [`par`] — an ordered [`par::parallel_map`] used to fan independent
 //!   simulations out across OS threads without changing their results;
-//! * [`shard`] — region-sharded event queues ([`ShardedEventQueue`]) and a
-//!   conservative-lookahead epoch scheduler for parallelism *inside* one
-//!   run, byte-identical at any shard count;
+//! * [`shard`] — the conservative-lookahead epoch scheduler
+//!   ([`shard::EpochExecutor`]), the one event engine every simulation runs
+//!   on: per-region 4-ary event heaps ordered by `(time, tiebreak)`,
+//!   byte-identical at any region or thread count;
 //! * [`FaultPlan`] — a seeded, time-sorted schedule of link/node/channel
 //!   failures (and repairs, degradations, transients) for live
 //!   fault-injection runs;
@@ -25,14 +24,24 @@
 //! # Examples
 //!
 //! ```
-//! use alphasim_kernel::{EventQueue, SimTime, SimDuration};
+//! use alphasim_kernel::shard::{EpochExecutor, Outbox, ShardWorker};
+//! use alphasim_kernel::{SimDuration, SimTime};
 //!
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::ZERO + SimDuration::from_ns(5.0), "late");
-//! q.schedule(SimTime::ZERO + SimDuration::from_ns(1.0), "early");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!(ev, "early");
-//! assert_eq!(t.as_ns(), 1.0);
+//! /// Logs every event it handles.
+//! struct Log(Vec<&'static str>);
+//!
+//! impl ShardWorker for Log {
+//!     type Event = &'static str;
+//!     fn handle(&mut self, _at: SimTime, ev: &'static str, _out: &mut Outbox<&'static str>) {
+//!         self.0.push(ev);
+//!     }
+//! }
+//!
+//! let mut exec = EpochExecutor::new(vec![Log(Vec::new())], SimDuration::from_ns(1.0), 1);
+//! exec.seed(0, SimTime::ZERO + SimDuration::from_ns(5.0), 0, "late");
+//! exec.seed(0, SimTime::ZERO + SimDuration::from_ns(1.0), 0, "early");
+//! exec.run_until_idle();
+//! assert_eq!(exec.worker(0).0, ["early", "late"]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +49,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod chaos;
-mod event;
 pub mod fault;
 pub mod par;
 mod rng;
@@ -48,8 +56,7 @@ pub mod shard;
 pub mod stats;
 mod time;
 
-pub use event::{peak_event_depth, take_peak_event_depth, EventQueue};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use rng::DetRng;
-pub use shard::{take_shard_peak_depths, ShardedEventQueue};
+pub use shard::{peak_event_depth, take_peak_event_depth};
 pub use time::{Frequency, SimDuration, SimTime};

@@ -11,9 +11,9 @@
 //! wins, then the `ALPHASIM_JOBS` / `RAYON_NUM_THREADS` environment
 //! variables, then [`std::thread::available_parallelism`].
 //!
-//! Intra-run parallelism (the region-sharded event queues of
-//! [`crate::shard`]) has a separate knob, [`shards`], resolved from
-//! [`set_shards`] or `ALPHASIM_SHARDS` and defaulting to 1: sharding is
+//! Intra-run parallelism (the fabric regions the epoch engine of
+//! [`crate::shard`] steps) has a separate knob, [`shards`], resolved from
+//! [`set_shards`] or `ALPHASIM_SHARDS` and defaulting to 1: partitioning is
 //! opt-in per run, while job fan-out is opt-out. [`WorkerPool`] is the
 //! persistent thread pool behind epoch-synchronous sharded execution —
 //! unlike [`parallel_map`] it keeps its threads across rounds, so a
@@ -32,13 +32,14 @@ static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Process-wide epoch-thread override; 0 means "resolve from environment".
 static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Force the region-shard count used by sharded event queues (see
+/// Force the fabric-region count every partitioned run uses (see
 /// [`shards`]). `0` restores resolution from `ALPHASIM_SHARDS`.
 pub fn set_shards(n: usize) {
     SHARDS_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// The region-shard count for intra-run sharded simulation: [`set_shards`],
+/// The fabric-region count for intra-run partitioned simulation (load
+/// tests and fault campaigns alike): [`set_shards`],
 /// else `ALPHASIM_SHARDS`, else 1 (unsharded). Unlike [`jobs`] this never
 /// auto-detects from the machine: artifact output is byte-identical at any
 /// shard count, but the shard count is recorded in `BENCH_sweep.json`, so
@@ -59,13 +60,13 @@ pub fn shards() -> usize {
     1
 }
 
-/// Force the pool-thread count used by epoch-parallel closed-loop runs
-/// (see [`threads`]). `0` restores resolution from `ALPHASIM_THREADS`.
+/// Force the pool-thread count that steps the fabric regions (see
+/// [`threads`]). `0` restores resolution from `ALPHASIM_THREADS`.
 pub fn set_threads(n: usize) {
     THREADS_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// The pool-thread count for epoch-parallel closed-loop simulation:
+/// The pool-thread count for epoch-parallel fabric simulation:
 /// [`set_threads`], else `ALPHASIM_THREADS`, else 1 (inline execution).
 /// Like [`shards`] — and unlike [`jobs`] — this never auto-detects:
 /// thread count is purely a wall-clock knob (artifacts are byte-identical

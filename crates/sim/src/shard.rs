@@ -1,23 +1,16 @@
-//! Region-sharded event queues and the conservative epoch scheduler.
+//! The conservative epoch scheduler: the kernel's one discrete-event engine.
 //!
 //! The GS1280 being reproduced is itself a partitioned machine: a 2-D torus
 //! where every hop costs a known, fixed wire latency. This module exploits
-//! the same structure *inside* one simulation run:
-//!
-//! * [`ShardedEventQueue`] splits the future-event list into per-region
-//!   heaps while preserving the **exact** pop order of a single
-//!   [`EventQueue`](crate::EventQueue): all shards share one insertion
-//!   sequence counter, and `pop` takes the globally minimal packed
-//!   `(time << 64 | seq)` key. Output is therefore byte-identical at any
-//!   shard count *by construction* — the invariant `reproduce --check`
-//!   enforces for every committed artifact.
-//! * [`EpochExecutor`] is the conservative parallel engine: each shard owns
-//!   its slice of simulation state (a [`ShardWorker`]) and its own event
-//!   heap, advances independently up to a **conservative lookahead
-//!   horizon** — the minimum latency of any inter-region link — and
-//!   exchanges cross-region events at barrier epochs. The lookahead
-//!   contract is enforced at every emission: a cross-shard event closer
-//!   than the horizon panics, because it could land in a region's past.
+//! the same structure *inside* one simulation run. [`EpochExecutor`] gives
+//! each region ("shard") its own slice of simulation state (a
+//! [`ShardWorker`]) and its own 4-ary event heap ordered by
+//! `(time, tiebreak)`. Shards advance independently up to a **conservative
+//! lookahead horizon** — the minimum latency of any inter-region link — and
+//! exchange cross-region events at barrier epochs. The lookahead contract
+//! is enforced at every emission: a cross-shard event closer than the
+//! horizon panics, because it could land in a region's past. One shard with
+//! an unbounded lookahead is an ordinary sequential simulation.
 //!
 //! Determinism of the parallel engine does not come from scheduling luck:
 //! shards are **owned values** moved through the
@@ -35,15 +28,15 @@
 //! a worker cannot even type an effect that bypasses the lookahead
 //! contract. `cargo run -p verify --bin ownership` enforces it in CI.
 
-use alphasim_telemetry::global::{EVENT_QUEUE_PEAK, EVENT_QUEUE_SHARD_PEAKS, MAX_TRACKED_SHARDS};
+use alphasim_telemetry::global::EVENT_QUEUE_PEAK;
 
 use crate::par::WorkerPool;
 use crate::time::{SimDuration, SimTime};
 
 /// Packed heap key: `time << 64 | tiebreak` — one `u128` comparison orders
-/// events by time, then tiebreak. Identical to the packing in
-/// [`EventQueue`](crate::EventQueue), which is what makes the sharded
-/// queue's pop order provably equal to the single queue's.
+/// events by time, then tiebreak. The packing makes ordering a single
+/// integer comparison — branchless — which matters because a 4-ary heap
+/// trades extra sibling comparisons for half the sift levels.
 #[inline]
 fn pack(at: SimTime, tiebreak: u64) -> u128 {
     (u128::from(at.as_ps()) << 64) | u128::from(tiebreak)
@@ -104,196 +97,18 @@ fn heap_pop<E>(heap: &mut Vec<(u128, E)>) -> Option<(u128, E)> {
     Some(entry)
 }
 
-/// A future-event list partitioned into per-region shards, with the exact
-/// pop order of a single [`EventQueue`](crate::EventQueue).
-///
-/// Every `schedule` draws from one shared insertion-sequence counter and
-/// `pop` removes the globally smallest `(time, seq)` key, so the pop
-/// sequence is independent of how events are assigned to shards — sharding
-/// changes *where* an event waits, never *when* it fires. What sharding
-/// adds is structure: per-shard high-water marks (the congestion signature
-/// of each torus region) and the partitioning a conservative parallel
-/// executor needs.
-///
-/// # Examples
-///
-/// ```
-/// use alphasim_kernel::shard::ShardedEventQueue;
-/// use alphasim_kernel::SimTime;
-///
-/// let mut q = ShardedEventQueue::new(2);
-/// q.schedule(1, SimTime::from_ps(10), 'b');
-/// q.schedule(0, SimTime::from_ps(5), 'a');
-/// assert_eq!(q.pop(), Some((SimTime::from_ps(5), 'a')));
-/// assert_eq!(q.pop(), Some((SimTime::from_ps(10), 'b')));
-/// ```
-pub struct ShardedEventQueue<E> {
-    shards: Vec<Vec<(u128, E)>>,
-    /// Shared across shards: the global FIFO order among simultaneous
-    /// events, exactly as in the unsharded queue.
-    next_seq: u64,
-    now: SimTime,
-    len: usize,
-    peak_len: usize,
-    shard_peaks: Vec<usize>,
+/// The deepest any epoch shard's event heap has been since the last
+/// [`take_peak_event_depth`] call (executors contribute when they hand back
+/// their workers or are dropped). Backed by the telemetry registry's
+/// process-wide gauge [`alphasim_telemetry::global::EVENT_QUEUE_PEAK`];
+/// read by the reproduction driver for `BENCH_sweep.json`.
+pub fn peak_event_depth() -> u64 {
+    EVENT_QUEUE_PEAK.get()
 }
 
-impl<E> ShardedEventQueue<E> {
-    /// An empty queue with `shards` regions (at least one), positioned at
-    /// [`SimTime::ZERO`].
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedEventQueue {
-            shards: (0..shards).map(|_| Vec::new()).collect(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            len: 0,
-            peak_len: 0,
-            shard_peaks: vec![0; shards],
-        }
-    }
-
-    /// Number of region shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedule `payload` on `shard` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current simulation time or
-    /// `shard` is out of range.
-    pub fn schedule(&mut self, shard: usize, at: SimTime, payload: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at} now={now}",
-            at = at,
-            now = self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        heap_push(&mut self.shards[shard], pack(at, seq), payload);
-        self.len += 1;
-        if self.shards[shard].len() > self.shard_peaks[shard] {
-            self.shard_peaks[shard] = self.shards[shard].len();
-        }
-        if self.len > self.peak_len {
-            self.peak_len = self.len;
-        }
-    }
-
-    /// Remove and return the globally earliest event, advancing the clock
-    /// to its timestamp. `None` when every shard is empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let mut best: Option<(usize, u128)> = None;
-        for (i, heap) in self.shards.iter().enumerate() {
-            if let Some(&(key, _)) = heap.first() {
-                if best.is_none_or(|(_, bk)| key < bk) {
-                    best = Some((i, key));
-                }
-            }
-        }
-        let (shard, _) = best?;
-        let (key, payload) = heap_pop(&mut self.shards[shard])?;
-        self.len -= 1;
-        let time = unpack_time(key);
-        debug_assert!(time >= self.now);
-        self.now = time;
-        Some((time, payload))
-    }
-
-    /// Timestamp of the globally earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.shards
-            .iter()
-            .filter_map(|h| h.first().map(|e| e.0))
-            .min()
-            .map(unpack_time)
-    }
-
-    /// The current simulation time (timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The most events held at once across all shards since construction
-    /// (or the last [`clear`](Self::clear)).
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Per-shard high-water marks, indexed by shard id.
-    pub fn shard_peaks(&self) -> &[usize] {
-        &self.shard_peaks
-    }
-
-    /// Drop all pending events and rewind to [`SimTime::ZERO`], keeping
-    /// allocations (and flushing peaks to the process-wide gauges).
-    pub fn clear(&mut self) {
-        self.flush_peaks();
-        for heap in &mut self.shards {
-            heap.clear();
-        }
-        self.next_seq = 0;
-        self.now = SimTime::ZERO;
-        self.len = 0;
-    }
-
-    /// Publish high-water marks to the process-wide telemetry gauges and
-    /// reset the local counters. Shards beyond
-    /// [`MAX_TRACKED_SHARDS`] fold into the last gauge.
-    fn flush_peaks(&mut self) {
-        if self.peak_len > 0 {
-            EVENT_QUEUE_PEAK.record_max(self.peak_len as u64);
-            self.peak_len = 0;
-        }
-        for (i, peak) in self.shard_peaks.iter_mut().enumerate() {
-            if *peak > 0 {
-                EVENT_QUEUE_SHARD_PEAKS[i.min(MAX_TRACKED_SHARDS - 1)].record_max(*peak as u64);
-                *peak = 0;
-            }
-        }
-    }
-}
-
-impl<E> Drop for ShardedEventQueue<E> {
-    fn drop(&mut self) {
-        self.flush_peaks();
-    }
-}
-
-/// Read-and-reset the process-wide per-shard peak event-queue depths (the
-/// high-water marks flushed by every [`ShardedEventQueue`] since the last
-/// take), trimmed of trailing zeros. Index `i` is shard `i`'s peak; shards
-/// beyond [`MAX_TRACKED_SHARDS`] fold into the last entry. Empty when no
-/// sharded queue ran.
-pub fn take_shard_peak_depths() -> Vec<u64> {
-    let mut peaks: Vec<u64> = EVENT_QUEUE_SHARD_PEAKS.iter().map(|g| g.take()).collect();
-    while peaks.last() == Some(&0) {
-        peaks.pop();
-    }
-    peaks
-}
-
-impl<E> std::fmt::Debug for ShardedEventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEventQueue")
-            .field("shards", &self.shards.len())
-            .field("pending", &self.len)
-            .field("now", &self.now)
-            .finish()
-    }
+/// Read and reset the process-wide peak event-heap depth.
+pub fn take_peak_event_depth() -> u64 {
+    EVENT_QUEUE_PEAK.take()
 }
 
 /// One shard's slice of simulation state in an epoch-parallel run.
@@ -595,6 +410,12 @@ impl<W: ShardWorker> EpochControl<'_, W> {
         *self.lookahead
     }
 
+    /// Whether every shard's heap is empty: nothing is left to fire, so a
+    /// guide's periodic barriers (samplers, watchdogs) can stop.
+    pub fn is_idle(&self) -> bool {
+        self.slots.iter().all(|s| s.heap.is_empty())
+    }
+
     /// Remove every pending event on `shard` matching `pred`, returning
     /// the matches as `(time, tiebreak, event)` in ascending key order.
     /// Non-matching events keep their keys. Used to condemn in-flight
@@ -728,6 +549,17 @@ impl<W: ShardWorker> EpochExecutor<W> {
     /// The conservative lookahead horizon in force.
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
+    }
+
+    /// Shared access to `shard`'s worker state (between runs).
+    pub fn worker(&self, shard: usize) -> &W {
+        &self.slots[shard].worker
+    }
+
+    /// Exclusive access to `shard`'s worker state (between runs; a running
+    /// executor is never observable from outside).
+    pub fn worker_mut(&mut self, shard: usize) -> &mut W {
+        &mut self.slots[shard].worker
     }
 
     /// Seed an initial event on `shard` (before or between runs).
@@ -888,88 +720,32 @@ impl<W: ShardWorker> EpochExecutor<W> {
     /// accumulated), in shard order.
     pub fn into_workers(mut self) -> Vec<W> {
         self.pool = None; // join pool threads before dismantling the slots
+        self.flush_peak();
         self.slots.drain(..).map(|s| s.worker).collect()
+    }
+
+    /// Publish the deepest shard heap seen to the process-wide
+    /// [`EVENT_QUEUE_PEAK`] gauge (reporting only) and reset the marks.
+    fn flush_peak(&mut self) {
+        let peak = self.slots.iter().map(|s| s.peak).max().unwrap_or(0);
+        if peak > 0 {
+            EVENT_QUEUE_PEAK.record_max(peak as u64);
+        }
+        for slot in &mut self.slots {
+            slot.peak = 0;
+        }
+    }
+}
+
+impl<W: ShardWorker> Drop for EpochExecutor<W> {
+    fn drop(&mut self) {
+        self.flush_peak();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventQueue;
-
-    #[test]
-    fn pop_order_matches_single_queue_under_churn() {
-        // The construction proof, exercised: shared seq + global-min pop
-        // must reproduce EventQueue's order exactly, however events are
-        // assigned to shards.
-        for shards in [1usize, 2, 4, 7] {
-            let mut single = EventQueue::new();
-            let mut sharded = ShardedEventQueue::new(shards);
-            let mut state = 0x9e37_79b9_7f4a_7c15u64;
-            let mut rng = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut now = 0u64;
-            let mut next_id = 0u64;
-            for _ in 0..3_000 {
-                if rng() % 3 != 0 || single.is_empty() {
-                    let at = now + rng() % 89;
-                    single.schedule(SimTime::from_ps(at), next_id);
-                    sharded.schedule(next_id as usize % shards, SimTime::from_ps(at), next_id);
-                    next_id += 1;
-                } else {
-                    let a = single.pop().unwrap();
-                    let b = sharded.pop().unwrap();
-                    assert_eq!(a, b, "diverged at {shards} shards");
-                    now = a.0.as_ps();
-                }
-            }
-            loop {
-                match (single.pop(), sharded.pop()) {
-                    (None, None) => break,
-                    (a, b) => assert_eq!(a, b),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tracks_global_and_per_shard_peaks() {
-        let mut q = ShardedEventQueue::new(2);
-        for i in 0..6u64 {
-            q.schedule(usize::from(i >= 4), SimTime::from_ps(i), i);
-        }
-        assert_eq!(q.peak_len(), 6);
-        assert_eq!(q.shard_peaks(), [4, 2]);
-        while q.pop().is_some() {}
-        assert!(q.is_empty());
-        assert_eq!(q.peak_len(), 6, "peak survives drain");
-    }
-
-    #[test]
-    fn clear_rewinds_clock_and_flushes() {
-        let mut q = ShardedEventQueue::new(3);
-        q.schedule(2, SimTime::from_ps(10), ());
-        q.pop();
-        q.schedule(0, SimTime::from_ps(20), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.schedule(1, SimTime::from_ps(1), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ps(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduled in the past")]
-    fn rejects_past_events() {
-        let mut q = ShardedEventQueue::new(2);
-        q.schedule(0, SimTime::from_ps(10), ());
-        q.pop();
-        q.schedule(1, SimTime::from_ps(5), ());
-    }
 
     /// A toy partitioned simulation for executor tests: messages hop around
     /// a ring of `nodes` nodes, one hop per `HOP_PS`, each shard owning a
@@ -1389,5 +1165,30 @@ mod tests {
             emitted: 0,
         }];
         let _ = EpochExecutor::new(workers, SimDuration::ZERO, 1);
+    }
+
+    /// Fans one seed event out into 100 same-shard follow-ups.
+    struct Fan;
+
+    impl ShardWorker for Fan {
+        type Event = u32;
+
+        fn handle(&mut self, at: SimTime, ev: u32, out: &mut Outbox<u32>) {
+            if ev == 0 {
+                for i in 1..=100u32 {
+                    out.emit(0, at + SimDuration::from_ps(u64::from(i)), u64::from(i), i);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deepest_heap_reaches_the_process_gauge() {
+        let mut exec = EpochExecutor::new(vec![Fan], SimDuration::from_ps(1 << 40), 1);
+        exec.seed(0, SimTime::ZERO, 0, 0);
+        exec.run_until_idle();
+        drop(exec.into_workers());
+        // Other tests only ever raise the gauge, so the floor is exact.
+        assert!(peak_event_depth() >= 100, "gauge {}", peak_event_depth());
     }
 }

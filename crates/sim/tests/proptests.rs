@@ -3,49 +3,72 @@
 // Test/harness code may unwrap freely; the workspace denies it in libraries.
 #![allow(clippy::unwrap_used)]
 
+use alphasim_kernel::shard::{EpochExecutor, Outbox, ShardWorker};
 use alphasim_kernel::stats::RunningStats;
-use alphasim_kernel::{DetRng, EventQueue, SimDuration, SimTime};
+use alphasim_kernel::{DetRng, SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// Records `(time, tiebreak)` of every event it handles.
+struct Log(Vec<(u64, u64)>);
+
+impl ShardWorker for Log {
+    type Event = (u64, u64);
+
+    fn handle(&mut self, _at: SimTime, ev: (u64, u64), _out: &mut Outbox<(u64, u64)>) {
+        self.0.push(ev);
+    }
+}
+
+/// Records the time of every event; a seeded event re-emits itself once,
+/// `delay` picoseconds later.
+struct Echo(Vec<u64>);
+
+impl ShardWorker for Echo {
+    type Event = Option<u64>;
+
+    fn handle(&mut self, at: SimTime, ev: Option<u64>, out: &mut Outbox<Option<u64>>) {
+        self.0.push(at.as_ps());
+        if let Some(delay) = ev {
+            out.emit(0, at + SimDuration::from_ps(delay), 1 << 40, None);
+        }
+    }
+}
+
 proptest! {
-    /// Events always pop in nondecreasing time order, whatever the
-    /// insertion order.
+    /// A single-shard executor fires events in `(time, tiebreak)` order,
+    /// whatever the seeding order: the packed-key 4-ary heap is a total
+    /// order.
     #[test]
-    fn event_queue_is_time_ordered(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_ps(t), i);
+    fn executor_fires_in_time_then_tiebreak_order(
+        events in prop::collection::vec((0u64..1_000, 0u64..8), 1..200),
+    ) {
+        let mut exec = EpochExecutor::new(vec![Log(Vec::new())], SimDuration::from_ps(1 << 40), 1);
+        for (i, &(t, tb)) in events.iter().enumerate() {
+            exec.seed(0, SimTime::from_ps(t), (tb << 16) | i as u64, (t, (tb << 16) | i as u64));
         }
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
+        exec.run_until_idle();
+        let fired = &exec.worker(0).0;
+        let mut sorted = fired.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(fired.len(), events.len());
+        prop_assert_eq!(fired, &sorted);
     }
 
-    /// Simultaneous events preserve insertion order (stable FIFO).
+    /// Same-shard follow-ups emitted during a run merge back into the heap
+    /// and still fire in `(time, tiebreak)` order.
     #[test]
-    fn simultaneous_events_fifo(groups in prop::collection::vec((0u64..100, 1usize..5), 1..40)) {
-        let mut q = EventQueue::new();
-        let mut seq = 0usize;
-        for &(t, n) in &groups {
-            for _ in 0..n {
-                q.schedule(SimTime::from_ps(t), seq);
-                seq += 1;
-            }
+    fn emitted_follow_ups_keep_the_order(
+        seeds in prop::collection::vec((0u64..500, 1u64..300), 1..60),
+    ) {
+        let mut exec = EpochExecutor::new(vec![Echo(Vec::new())], SimDuration::from_ps(1 << 40), 1);
+        for (i, &(t, delay)) in seeds.iter().enumerate() {
+            exec.seed(0, SimTime::from_ps(t), i as u64, Some(delay));
         }
-        // Among equal timestamps, payload sequence must be increasing.
-        let mut seen: Vec<(u64, usize)> = Vec::new();
-        while let Some((t, s)) = q.pop() {
-            seen.push((t.as_ps(), s));
-        }
-        for w in seen.windows(2) {
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1);
-            }
+        exec.run_until_idle();
+        let fired = &exec.worker(0).0;
+        prop_assert_eq!(fired.len(), 2 * seeds.len());
+        for w in fired.windows(2) {
+            prop_assert!(w[0] <= w[1], "{:?} fired before {:?}", w[0], w[1]);
         }
     }
 

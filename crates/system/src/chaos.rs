@@ -13,7 +13,7 @@
 //! a self-contained, serializable description that [`replay`] can re-run
 //! bit-for-bit as a regression test.
 //!
-//! Trials alternate between one and two event-queue shards so the
+//! Trials alternate between one and two fabric regions so the
 //! conservative-lookahead machinery is fuzzed alongside the fault
 //! handling; the shard count is pinned per trial, so results never depend
 //! on the ambient `ALPHASIM_SHARDS`.
@@ -101,7 +101,7 @@ impl Default for ChaosOptions {
 pub struct ChaosTrial {
     /// Schedule seed.
     pub seed: u64,
-    /// Event-queue shards the trial ran with (pinned, alternating 1/2).
+    /// Fabric regions the trial ran with (pinned, alternating 1/2).
     pub shards: usize,
     /// Faults that actually struck.
     pub faults_applied: Vec<FaultKind>,
@@ -123,7 +123,7 @@ pub struct Reproducer {
     pub outstanding: usize,
     /// Reads per CPU.
     pub requests_per_cpu: usize,
-    /// Pinned event-queue shard count.
+    /// Pinned fabric-region count.
     pub shards: usize,
     /// Retry policy the violating campaign ran under (replayed verbatim —
     /// retry pressure is part of what makes a schedule violate).
@@ -320,8 +320,8 @@ pub fn kind_name(kind: FaultKind) -> &'static str {
 /// The fault-site catalog of a GS1280 fabric: every node and every
 /// undirected link, as the kernel's schedule algebra sees them.
 pub fn catalog_for(cpus: usize) -> SiteCatalog {
-    let net = Gs1280::builder().cpus(cpus).build().network();
-    let topo = net.topology();
+    let machine = Gs1280::builder().cpus(cpus).build();
+    let topo = machine.fabric();
     let nodes: Vec<usize> = (0..topo.node_count()).collect();
     let mut links = Vec::new();
     for n in 0..topo.node_count() {

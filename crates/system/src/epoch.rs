@@ -1,7 +1,6 @@
 //! The epoch-parallel closed-loop campaign engine.
 //!
-//! [`crate::faulty::FaultCampaign`] used to drive one global
-//! `NetworkSim` event loop; this module partitions the same closed loop
+//! [`crate::faulty::FaultCampaign`] runs its closed loop here, partitioned
 //! by torus row band so the conservative epoch scheduler
 //! ([`EpochExecutor`]) can advance each region on its own core:
 //!
@@ -42,22 +41,15 @@ use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochGuide, Outbox, S
 use alphasim_kernel::{DetRng, FaultEvent, FaultKind, SimDuration, SimTime};
 use alphasim_mem::Zbox;
 use alphasim_net::partition::{
-    tb_arrive, tb_inject, tb_link_free, tb_timer, FabricTables, NetStep, Packet, RegionNet,
+    tb_arrive, tb_inject, tb_link_free, tb_timer, FabricEvent, FabricTables, Packet, RegionNet,
 };
 use alphasim_net::{FaultError, MessageClass};
 use alphasim_telemetry::trace::PID_MEMORY;
 use alphasim_telemetry::{BreakdownTable, HopBreakdown};
-use alphasim_topology::{NodeId, Topology};
+use alphasim_topology::NodeId;
 
 use crate::faulty::{CampaignPattern, PoisonedTx, RecoveryMutation, STUCK_WINDOW_LIMIT};
 use crate::obs::ObsAcc;
-
-/// The horizon used when no live link crosses a region boundary (single
-/// region, or a fully severed cut): effectively infinite, so epochs are
-/// bounded only by guide barriers.
-pub(crate) fn fallback_lookahead() -> SimDuration {
-    SimDuration::from_ps(1 << 62)
-}
 
 /// The request-leg attribution a response carries home. Sequentially this
 /// was parked at the collector keyed by tag; here it rides the completing
@@ -111,6 +103,16 @@ pub(crate) enum Ev {
     },
 }
 
+impl FabricEvent<Option<ServedLeg>> for Ev {
+    fn arrive(node: NodeId, pkt: Box<Packet<Option<ServedLeg>>>) -> Self {
+        Ev::Arrive { node, pkt }
+    }
+
+    fn link_free(link: usize) -> Self {
+        Ev::LinkFree { link }
+    }
+}
+
 /// Immutable campaign parameters shared by every worker.
 pub(crate) struct CampaignCfg {
     /// Outstanding reads per CPU.
@@ -134,13 +136,13 @@ pub(crate) struct CampaignCfg {
 }
 
 /// One region's slice of the closed-loop campaign state.
-pub(crate) struct CampaignWorker<T: Topology> {
+pub(crate) struct CampaignWorker {
     /// Shared campaign parameters.
     pub(crate) cfg: Arc<CampaignCfg>,
     /// Every CPU endpoint, indexed by CPU number.
     pub(crate) cpus: Arc<Vec<NodeId>>,
     /// This region's fabric slice.
-    pub(crate) net: RegionNet<T, Option<ServedLeg>>,
+    pub(crate) net: RegionNet<Option<ServedLeg>>,
     /// Per-CPU RNG streams; only owned CPUs ever advance, so the per-CPU
     /// draw sequence is shard-count invariant.
     pub(crate) rngs: Vec<DetRng>,
@@ -174,27 +176,19 @@ pub(crate) struct CampaignWorker<T: Topology> {
     pub(crate) breakdown: Option<BreakdownTable>,
     /// Windowed campaign-plane observability, present on observed runs.
     pub(crate) obs: Option<Box<ObsAcc>>,
-    /// Scratch for [`RegionNet`] step emission (reused across events).
-    pub(crate) steps: Vec<NetStep<Option<ServedLeg>>>,
 }
 
-impl<T: Topology + Clone + Send + Sync + 'static> ShardWorker for CampaignWorker<T> {
+impl ShardWorker for CampaignWorker {
     type Event = Ev;
 
     fn handle(&mut self, at: SimTime, ev: Ev, out: &mut Outbox<Ev>) {
         match ev {
             Ev::Arrive { node, pkt } => {
-                let mut steps = std::mem::take(&mut self.steps);
-                self.net.handle_arrive(at, node, pkt, &mut steps);
-                self.dispatch(at, &mut steps, out);
-                self.steps = steps;
+                if let Some(pkt) = self.net.handle_arrive(at, node, pkt, out) {
+                    self.deliver(at, *pkt, out);
+                }
             }
-            Ev::LinkFree { link } => {
-                let mut steps = std::mem::take(&mut self.steps);
-                self.net.handle_link_free(at, link, &mut steps);
-                self.dispatch(at, &mut steps, out);
-                self.steps = steps;
-            }
+            Ev::LinkFree { link } => self.net.handle_link_free(at, link, out),
             Ev::Timer { tag } => {
                 let overdue = self.pending.get(tag).is_some_and(|tx| tx.deadline <= at);
                 // IgnoreTimeouts mutation: the expiry is dropped on the
@@ -210,34 +204,7 @@ impl<T: Topology + Clone + Send + Sync + 'static> ShardWorker for CampaignWorker
     }
 }
 
-impl<T: Topology + Clone + Send + Sync + 'static> CampaignWorker<T> {
-    /// Route every emitted [`NetStep`] to its owning region's heap (or
-    /// consume the delivery in place).
-    fn dispatch(
-        &mut self,
-        at: SimTime,
-        steps: &mut Vec<NetStep<Option<ServedLeg>>>,
-        out: &mut Outbox<Ev>,
-    ) {
-        for step in std::mem::take(steps) {
-            match step {
-                NetStep::Arrive { at: t, node, pkt } => {
-                    let dest = self.net.tables().region_of(node);
-                    out.emit(dest, t, tb_arrive(pkt.uid), Ev::Arrive { node, pkt });
-                }
-                NetStep::LinkFree { at: t, link } => {
-                    out.emit(
-                        self.net.region(),
-                        t,
-                        tb_link_free(link),
-                        Ev::LinkFree { link },
-                    );
-                }
-                NetStep::Delivered { pkt } => self.deliver(at, *pkt, out),
-            }
-        }
-    }
-
+impl CampaignWorker {
     /// Consume a delivery: serve a request from the home Zbox, or close
     /// the transaction a response answers.
     fn deliver(&mut self, at: SimTime, pkt: Packet<Option<ServedLeg>>, out: &mut Outbox<Ev>) {
@@ -289,20 +256,16 @@ impl<T: Topology + Clone + Send + Sync + 'static> CampaignWorker<T> {
                 };
                 let requester = self.cpus[(tag >> 32) as usize];
                 let uid = pkt.uid | 1;
-                let resp = Box::new(Packet {
-                    src: home,
-                    dst: requester,
-                    class: MessageClass::BlockResponse,
-                    bytes: 80,
+                let resp = Packet::new(
+                    home,
+                    requester,
+                    MessageClass::BlockResponse,
+                    80,
                     tag,
                     uid,
-                    injected_at: acc.completed,
-                    hops: 0,
-                    serialized: false,
-                    enqueued_at: acc.completed,
-                    acc: HopBreakdown::default(),
-                    payload: Some(leg),
-                });
+                    acc.completed,
+                    Some(leg),
+                );
                 out.emit(
                     self.net.region(),
                     acc.completed,
@@ -429,20 +392,7 @@ impl<T: Topology + Clone + Send + Sync + 'static> CampaignWorker<T> {
     ) {
         let uid = (tag << 16) | (u64::from(attempt) << 1);
         let src = self.cpus[cpu];
-        let pkt = Box::new(Packet {
-            src,
-            dst: home,
-            class: MessageClass::Request,
-            bytes: 16,
-            tag,
-            uid,
-            injected_at: at,
-            hops: 0,
-            serialized: false,
-            enqueued_at: at,
-            acc: HopBreakdown::default(),
-            payload: None,
-        });
+        let pkt = Packet::new(src, home, MessageClass::Request, 16, tag, uid, at, None);
         out.emit(
             self.net.region(),
             at,
@@ -638,10 +588,10 @@ fn charge_completion(
 /// plan, strikes fault events and watchdog ticks at epoch barriers, and
 /// keeps every worker's routing snapshot and the conservative lookahead
 /// in sync with the wounded fabric.
-pub(crate) struct CampaignGuide<T: Topology> {
+pub(crate) struct CampaignGuide {
     /// The master routing snapshot; workers hold [`Arc`] clones
     /// republished after every fabric mutation.
-    pub(crate) master: FabricTables<T>,
+    pub(crate) master: FabricTables,
     /// Every CPU endpoint, indexed by CPU number.
     pub(crate) cpus: Arc<Vec<NodeId>>,
     /// The fault schedule, sorted by strike time.
@@ -674,9 +624,7 @@ pub(crate) struct CampaignGuide<T: Topology> {
     pub(crate) rerouted: u64,
 }
 
-impl<T: Topology + Clone + Send + Sync + 'static> EpochGuide<CampaignWorker<T>>
-    for CampaignGuide<T>
-{
+impl EpochGuide<CampaignWorker> for CampaignGuide {
     fn next_barrier(&mut self) -> Option<SimTime> {
         let fault = self.plan.get(self.plan_idx).map(|e| e.at);
         let dog = self.live.then_some(self.dog_next);
@@ -691,7 +639,7 @@ impl<T: Topology + Clone + Send + Sync + 'static> EpochGuide<CampaignWorker<T>>
     fn at_barrier(
         &mut self,
         at: SimTime,
-        ctl: &mut EpochControl<'_, CampaignWorker<T>>,
+        ctl: &mut EpochControl<'_, CampaignWorker>,
     ) -> BarrierVerdict {
         let mut verdict = BarrierVerdict::Continue;
         while self.plan_idx < self.plan.len() && self.plan[self.plan_idx].at == at {
@@ -724,11 +672,11 @@ impl<T: Topology + Clone + Send + Sync + 'static> EpochGuide<CampaignWorker<T>>
     }
 }
 
-impl<T: Topology + Clone + Send + Sync + 'static> CampaignGuide<T> {
+impl CampaignGuide {
     /// Republish the master tables to every worker (so route lookups
     /// inside the next epochs see the fabric as it stands at this
     /// barrier).
-    fn republish(&self, ctl: &mut EpochControl<'_, CampaignWorker<T>>) {
+    fn republish(&self, ctl: &mut EpochControl<'_, CampaignWorker>) {
         let fresh = Arc::new(self.master.clone());
         for s in 0..ctl.shard_count() {
             ctl.worker_mut(s).net.set_tables(fresh.clone());
@@ -739,12 +687,8 @@ impl<T: Topology + Clone + Send + Sync + 'static> CampaignGuide<T> {
     /// cross-region links. Killing the fastest cross link *grows* the
     /// horizon; restoring it shrinks it — both safe, since the contract
     /// is only checked on new emissions.
-    fn refresh_lookahead(&self, ctl: &mut EpochControl<'_, CampaignWorker<T>>) {
-        ctl.set_lookahead(
-            self.master
-                .conservative_lookahead()
-                .unwrap_or_else(fallback_lookahead),
-        );
+    fn refresh_lookahead(&self, ctl: &mut EpochControl<'_, CampaignWorker>) {
+        ctl.set_lookahead(self.master.lookahead());
     }
 
     /// Apply one fault strike at barrier `b`, with the same semantics —
@@ -754,7 +698,7 @@ impl<T: Topology + Clone + Send + Sync + 'static> CampaignGuide<T> {
         &mut self,
         b: SimTime,
         kind: FaultKind,
-        ctl: &mut EpochControl<'_, CampaignWorker<T>>,
+        ctl: &mut EpochControl<'_, CampaignWorker>,
     ) {
         match kind {
             FaultKind::LinkDown { a, b: other } => {
@@ -812,8 +756,7 @@ impl<T: Topology + Clone + Send + Sync + 'static> CampaignGuide<T> {
                 };
                 if self.master.is_alive(ids[0]) {
                     // An alive link only heals if it was degraded;
-                    // repairing a healthy full-speed link errs, exactly
-                    // like the sequential engine.
+                    // repairing a healthy full-speed link errs.
                     let degraded = ids.iter().any(|&id| {
                         let (from, _, _, _) = self.master.link_meta(id);
                         ctl.worker(self.master.region_of(from))
@@ -907,19 +850,8 @@ impl<T: Topology + Clone + Send + Sync + 'static> CampaignGuide<T> {
                 let n = NodeId::new(node);
                 let until = b + SimDuration::from_ps(ps);
                 let region = self.master.region_of(n);
-                let ids: Vec<usize> = self.master.links_from(n).to_vec();
-                for id in ids {
-                    if !self.master.is_alive(id) {
-                        continue;
-                    }
-                    let was_idle = ctl.worker_mut(region).net.link_mut(id).pause(until);
-                    if was_idle {
-                        // The channel was idle: it now reads busy with
-                        // nothing in flight, and this release at pause end
-                        // restores the one-pending-LinkFree-per-busy-
-                        // channel invariant.
-                        ctl.inject(region, until, tb_link_free(id), Ev::LinkFree { link: id });
-                    }
+                for id in ctl.worker_mut(region).net.pause_router(n, until) {
+                    ctl.inject(region, until, tb_link_free(id), Ev::LinkFree { link: id });
                 }
             }
             FaultKind::NodeDrain { node } => {
@@ -970,7 +902,7 @@ impl<T: Topology + Clone + Send + Sync + 'static> CampaignGuide<T> {
     fn dog_tick(
         &mut self,
         now: SimTime,
-        ctl: &mut EpochControl<'_, CampaignWorker<T>>,
+        ctl: &mut EpochControl<'_, CampaignWorker>,
     ) -> BarrierVerdict {
         let shard_count = ctl.shard_count();
         let progress = (0..shard_count)

@@ -34,14 +34,16 @@ use alphasim_kernel::stats::MeanP99;
 use alphasim_kernel::{DetRng, FaultKind, FaultPlan, SimDuration, SimTime};
 use alphasim_mem::{Zbox, ZboxConfig};
 use alphasim_net::partition::{tb_inject, FabricTables, NetHeat, RegionNet};
-use alphasim_net::NetworkSim;
+use alphasim_net::LinkTiming;
 use alphasim_telemetry::trace::{PID_LINKS, PID_MEMORY, PID_MESSAGES, PID_SHARDS};
 use alphasim_telemetry::{BreakdownTable, Registry, TraceSink};
+use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-use crate::epoch::{fallback_lookahead, CampaignCfg, CampaignGuide, CampaignWorker, Ev};
+use crate::epoch::{CampaignCfg, CampaignGuide, CampaignWorker, Ev};
 use crate::obs::{assemble, CampaignObservability, ObsAcc, ObserveOptions};
 
 /// Consecutive no-progress watchdog windows a monitored run tolerates
@@ -152,14 +154,13 @@ pub struct FaultCampaignConfig {
     /// Watchdog no-progress window (should exceed the retry timeout, or
     /// ordinary timeouts read as livelock).
     pub watchdog_window: SimDuration,
-    /// Event-queue region shards for the run (`0` = resolve via
+    /// Fabric regions for the run (`0` = resolve via
     /// [`alphasim_kernel::par::shards`]). Results are byte-identical at
-    /// any value; the shard map only repartitions the queue.
+    /// any value; the region map only repartitions the fabric.
     pub shards: usize,
-    /// Worker threads driving the region shards (`0` = resolve via the
-    /// campaign's default, then [`alphasim_kernel::par::threads`]).
-    /// Results are byte-identical at any value; threads only change which
-    /// core advances each region.
+    /// Worker threads driving the regions (`0` = resolve via
+    /// [`alphasim_kernel::par::threads`]). Results are byte-identical at
+    /// any value; threads only change which core advances each region.
     pub threads: usize,
     /// Deliberately broken recovery path for mutation testing (`None` =
     /// intact machinery). Only honoured by
@@ -278,55 +279,51 @@ pub(crate) const PIPELINE_STAGES: [&str; 16] = [
     "unattributed (retry / backoff)",
 ];
 
-/// A machine prepared for fault-injection load testing: a network with
-/// drop-on-failure semantics plus one memory controller per CPU node.
+/// A machine prepared for fault-injection load testing: a fabric whose
+/// link failures lose the packets on their wires, plus one memory
+/// controller per CPU node.
 pub struct FaultCampaign<T: Topology> {
-    net: NetworkSim<T>,
+    /// The fabric's routing tables, materialized from a `T` (one region;
+    /// each run re-partitions them).
+    tables: FabricTables,
     cpus: Vec<NodeId>,
     /// One controller per CPU node, indexed by node id (deterministic).
     zboxes: Vec<Zbox>,
     front_overhead: SimDuration,
     directory_overhead: SimDuration,
-    /// Default worker-thread count when the config leaves `threads` at 0
-    /// (machine builders pass their own knob through here).
-    default_threads: usize,
+    fabric: PhantomData<fn() -> T>,
 }
 
 impl<T: Topology> FaultCampaign<T> {
-    /// Assemble a campaign over `net`; each CPU's memory lives on its own
-    /// node (the GS1280 arrangement).
+    /// Assemble a campaign over `fabric` with the given link timing and
+    /// routing policy; each CPU's memory lives on its own node (the GS1280
+    /// arrangement).
     pub fn new(
-        mut net: NetworkSim<T>,
+        fabric: &T,
+        timing: LinkTiming,
+        policy: RoutePolicy,
         zbox: ZboxConfig,
         front_overhead: SimDuration,
         directory_overhead: SimDuration,
     ) -> Self {
-        net.set_drop_in_flight(true);
-        let cpus = net.topology().endpoints();
+        let cpus = fabric.endpoints();
         assert!(!cpus.is_empty(), "no CPU endpoints");
-        let nodes = net.topology().node_count();
-        let zboxes = (0..nodes).map(|_| Zbox::new(zbox)).collect();
+        let zboxes = (0..fabric.node_count()).map(|_| Zbox::new(zbox)).collect();
         FaultCampaign {
-            net,
+            tables: FabricTables::new(fabric, timing, policy, 1),
             cpus,
             zboxes,
             front_overhead,
             directory_overhead,
-            default_threads: 0,
+            fabric: PhantomData,
         }
-    }
-
-    /// Default worker-thread count for runs whose config leaves `threads`
-    /// at 0 (`0` = fall through to [`alphasim_kernel::par::threads`]).
-    pub fn set_default_threads(&mut self, threads: usize) {
-        self.default_threads = threads;
     }
 
     /// The bisection mirror of `cpu`: same row, column reflected across the
     /// vertical cut.
     fn bisection_partner(&self, cpu: usize) -> usize {
         let coord = |i: usize| {
-            self.net
+            self.tables
                 .topology()
                 .coord(self.cpus[i])
                 .expect("bisection pattern needs planar coordinates")
@@ -345,9 +342,7 @@ impl<T: Topology> FaultCampaign<T> {
             })
             .expect("mirror CPU exists")
     }
-}
 
-impl<T: Topology + Clone + Send + Sync + 'static> FaultCampaign<T> {
     /// Run the campaign to completion. Panics (loudly, by design) if the
     /// fault plan would partition the fabric, or if `cfg` carries a
     /// [`RecoveryMutation`] — a broken recovery path can hang an
@@ -451,12 +446,10 @@ impl<T: Topology + Clone + Send + Sync + 'static> FaultCampaign<T> {
         } else {
             cfg.shards
         };
-        let threads = if cfg.threads != 0 {
-            cfg.threads
-        } else if self.default_threads != 0 {
-            self.default_threads
-        } else {
+        let threads = if cfg.threads == 0 {
             alphasim_kernel::par::threads()
+        } else {
+            cfg.threads
         };
         let ncpus = self.cpus.len();
         let partners: Vec<usize> = match cfg.pattern {
@@ -465,12 +458,8 @@ impl<T: Topology + Clone + Send + Sync + 'static> FaultCampaign<T> {
             }
             CampaignPattern::UniformRemote => Vec::new(),
         };
-        let master = FabricTables::new(
-            self.net.topology().clone(),
-            *self.net.timing(),
-            self.net.policy(),
-            shards,
-        );
+        let mut master = self.tables;
+        master.set_regions(shards);
         let regions = master.region_count();
         let node_count = self.zboxes.len();
         let ccfg = Arc::new(CampaignCfg {
@@ -494,7 +483,7 @@ impl<T: Topology + Clone + Send + Sync + 'static> FaultCampaign<T> {
             zparts[master.region_of(NodeId::new(n))][n] = Some(z);
         }
         let shared = Arc::new(master.clone());
-        let workers: Vec<CampaignWorker<T>> = zparts
+        let workers: Vec<CampaignWorker> = zparts
             .into_iter()
             .enumerate()
             .map(|(region, zboxes)| {
@@ -525,14 +514,10 @@ impl<T: Topology + Clone + Send + Sync + 'static> FaultCampaign<T> {
                     ever_drained: vec![false; ncpus],
                     breakdown: collect.then(BreakdownTable::default),
                     obs: observe.map(|o| Box::new(ObsAcc::new(o.window_ps, node_count))),
-                    steps: Vec::new(),
                 }
             })
             .collect();
-        let lookahead = master
-            .conservative_lookahead()
-            .unwrap_or_else(fallback_lookahead);
-        let mut exec = EpochExecutor::new(workers, lookahead, threads);
+        let mut exec = EpochExecutor::new(workers, master.lookahead(), threads);
         if let Some(o) = observe {
             exec.enable_profile(o.wall);
         }
@@ -870,14 +855,14 @@ pub fn gs1280_fault_campaign(machine: &crate::Gs1280) -> FaultCampaign<crate::gs
         bandwidth_gbps: calib.zbox.bandwidth_gbps * 2.0,
         ..calib.zbox
     };
-    let mut campaign = FaultCampaign::new(
-        machine.network(),
+    FaultCampaign::new(
+        machine.fabric(),
+        calib.timing,
+        machine.policy(),
         zbox,
         calib.local_fixed,
         calib.remote_fixed,
-    );
-    campaign.set_default_threads(machine.worker_threads());
-    campaign
+    )
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 use alphasim_cache::Addr;
 use alphasim_kernel::SimDuration;
 use alphasim_mem::{AddressMap, Interleave};
-use alphasim_net::{LinkTiming, NetworkSim};
+use alphasim_net::partition::{FabricTables, OpenLoop};
+use alphasim_net::LinkTiming;
 use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{Coord, NodeId, Port, ShuffleTorus, Topology, Torus2D};
 use serde::{Deserialize, Serialize};
@@ -70,8 +71,6 @@ pub struct Gs1280Builder {
     shuffle: Option<RoutePolicy>,
     striping: bool,
     mem_per_cpu: u64,
-    shards: usize,
-    threads: usize,
 }
 
 impl Gs1280Builder {
@@ -111,24 +110,6 @@ impl Gs1280Builder {
         self
     }
 
-    /// Event-queue region shards for every [`network`](Gs1280::network)
-    /// this machine hands out (`0`, the default, resolves via
-    /// [`alphasim_kernel::par::shards`]). Sharding repartitions the queue
-    /// by torus row band without changing any result byte.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Worker threads for every fault campaign this machine hands out
-    /// (`0`, the default, resolves via
-    /// [`alphasim_kernel::par::threads`]). Threads drive the region shards
-    /// on real cores without changing any result byte.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Construct the machine.
     ///
     /// # Panics
@@ -160,8 +141,6 @@ impl Gs1280Builder {
             policy,
             map: AddressMap::new(self.cpus, self.mem_per_cpu, interleave),
             one_way,
-            shards: self.shards,
-            threads: self.threads,
         }
     }
 }
@@ -175,8 +154,6 @@ pub struct Gs1280 {
     policy: RoutePolicy,
     map: AddressMap,
     one_way: Vec<Vec<SimDuration>>,
-    shards: usize,
-    threads: usize,
 }
 
 impl Gs1280 {
@@ -189,15 +166,7 @@ impl Gs1280 {
             shuffle: None,
             striping: false,
             mem_per_cpu: 1 << 30,
-            shards: 0,
-            threads: 0,
         }
-    }
-
-    /// Configured worker-thread count (`0` = resolve via
-    /// [`alphasim_kernel::par::threads`] at run time).
-    pub fn worker_threads(&self) -> usize {
-        self.threads
     }
 
     /// Number of CPUs.
@@ -225,42 +194,27 @@ impl Gs1280 {
         self.map.interleave() == Interleave::StripedPairs
     }
 
-    /// A fresh network simulator over this machine's fabric and routing
-    /// policy, for the loaded experiments (Figs. 15, 18, 23–26).
-    pub fn network(&self) -> NetworkSim<FabricTopo> {
-        let mut net = NetworkSim::with_policy(self.fabric.clone(), self.calib.timing, self.policy);
-        let shards = if self.shards == 0 {
-            alphasim_kernel::par::shards()
-        } else {
-            self.shards
-        };
-        if shards > 1 {
-            net.set_shards(shards);
-        }
-        net
+    /// The routing policy of the fabric (minimal, or a shuffle policy).
+    pub fn policy(&self) -> RoutePolicy {
+        self.policy
+    }
+
+    /// A fresh open-loop driver over this machine's fabric and routing
+    /// policy, in one region: batch drains and link statistics. The
+    /// closed-loop experiments (Figs. 15, 18, 23–27) run on
+    /// [`crate::loadtest`] instead.
+    pub fn network(&self) -> OpenLoop {
+        OpenLoop::new(FabricTables::new(
+            &self.fabric,
+            self.calib.timing,
+            self.policy,
+            1,
+        ))
     }
 
     /// The fabric timing in force.
     pub fn timing(&self) -> &LinkTiming {
         &self.calib.timing
-    }
-
-    /// A network simulator over the fabric with the given links failed —
-    /// failure-injection studies run the same load tests on the wounded
-    /// machine (minimal adaptive routing detours around the cut).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a named link does not exist.
-    pub fn degraded_network(
-        &self,
-        failed: &[(NodeId, NodeId)],
-    ) -> NetworkSim<alphasim_topology::Degraded<FabricTopo>> {
-        NetworkSim::with_policy(
-            alphasim_topology::Degraded::new(self.fabric.clone(), failed),
-            self.calib.timing,
-            self.policy,
-        )
     }
 
     /// Local memory load-to-use latency (83 ns open-page, 130 ns
@@ -562,7 +516,7 @@ mod tests {
             16,
             0,
         );
-        let d = net.drain_deliveries();
+        let d = net.drain();
         // One board hop ≈ 20.5 ns + serialization.
         let ns = d[0].latency().as_ns();
         assert!((20.0..35.0).contains(&ns), "unloaded hop {ns}");

@@ -1,7 +1,8 @@
 //! The previous-generation AlphaServer GS320 machine model.
 
 use alphasim_kernel::SimDuration;
-use alphasim_net::NetworkSim;
+use alphasim_net::partition::{FabricTables, OpenLoop};
+use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{NodeId, QbbTree};
 
 use crate::calibration::Calibration;
@@ -66,9 +67,15 @@ impl Gs320 {
         &self.topo
     }
 
-    /// A fresh network simulator over the hierarchical switch fabric.
-    pub fn network(&self) -> NetworkSim<QbbTree> {
-        NetworkSim::new(self.topo.clone(), self.calib.timing)
+    /// A fresh open-loop driver over the hierarchical switch fabric, in
+    /// one region.
+    pub fn network(&self) -> OpenLoop {
+        OpenLoop::new(FabricTables::new(
+            &self.topo,
+            self.calib.timing,
+            RoutePolicy::Minimal,
+            1,
+        ))
     }
 
     /// The node where `cpu`'s memory physically lives: its QBB's local

@@ -5,13 +5,34 @@
 //! The same closed-loop engine drives the shuffle experiment (Fig. 18), the
 //! GUPS throughput study (Figs. 23–24) and the hot-spot striping experiment
 //! (Figs. 26–27): they differ only in traffic pattern and window size.
+//!
+//! It runs on the one fabric engine every loaded experiment shares: the
+//! loop is partitioned by torus row band into region workers — each owns
+//! its [`RegionNet`] slice, the Zboxes of the memory sites in its region,
+//! and the RNG streams and issue counters of its CPUs — stepped by the
+//! kernel's [`EpochExecutor`]. Each read's issue time rides its packets,
+//! and simultaneous events order by `(time, tb_*)` tiebreaks derived from
+//! simulation identities, so a run is byte-identical at any region and
+//! thread count; one region is an ordinary sequential run. The Xmesh
+//! sampler strikes at epoch barriers.
+//!
+//! The worker/guide state partition here is statically checked by the
+//! `verify::ownership` pass, like the fault-campaign engine's.
 
-use std::collections::BTreeMap;
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 use alphasim_cache::Addr;
+use alphasim_kernel::shard::{
+    BarrierVerdict, EpochControl, EpochExecutor, EpochGuide, Outbox, ShardWorker,
+};
 use alphasim_kernel::{DetRng, SimDuration, SimTime};
 use alphasim_mem::{Zbox, ZboxConfig};
-use alphasim_net::{Delivery, MessageClass, NetworkSim, Step};
+use alphasim_net::partition::{
+    tb_arrive, tb_inject, FabricEvent, FabricLinks, FabricTables, Packet, RegionNet,
+};
+use alphasim_net::{LinkTiming, MessageClass};
+use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -105,68 +126,147 @@ pub struct LoadTestResult {
     pub samples: Vec<UtilSample>,
 }
 
-/// A machine prepared for load testing: a network plus the memory sites
-/// behind it.
-pub struct LoadTest<T: Topology> {
-    net: NetworkSim<T>,
-    /// Memory site (node holding the Zbox) of each CPU's memory.
-    site_of_cpu: Vec<NodeId>,
-    /// CPU endpoints that generate traffic.
+/// Immutable load-test parameters shared by every worker (and the guide).
+struct LoadParams {
+    cfg: LoadTestConfig,
+    /// CPU endpoints, indexed by CPU number.
     cpus: Vec<NodeId>,
-    /// One controller per distinct memory site.
-    zboxes: BTreeMap<usize, Zbox>,
-    /// Front-end (cache miss detect) charge reported per transaction.
+    /// Memory site of each CPU's memory, indexed by the CPU's node id.
+    site_of_cpu: Vec<NodeId>,
     front_overhead: SimDuration,
-    /// Directory processing time at the home before memory is accessed.
     directory_overhead: SimDuration,
 }
 
-impl<T: Topology> LoadTest<T> {
-    /// Assemble a load test over `net`.
-    ///
-    /// `site_of_cpu[i]` is the node where CPU `i`'s memory lives (itself on
-    /// the GS1280; the QBB switch on the GS320); each distinct site gets one
-    /// controller configured as `zbox`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site_of_cpu` is empty or shorter than the CPU list.
-    pub fn new(
-        net: NetworkSim<T>,
-        site_of_cpu: Vec<NodeId>,
-        zbox: ZboxConfig,
-        front_overhead: SimDuration,
-        directory_overhead: SimDuration,
-    ) -> Self {
-        let cpus = net.topology().endpoints();
-        assert!(!cpus.is_empty(), "no CPU endpoints");
-        assert!(
-            site_of_cpu.len() >= cpus.len(),
-            "need a memory site per CPU"
-        );
-        let mut zboxes = BTreeMap::new();
-        for site in &site_of_cpu {
-            zboxes
-                .entry(site.index())
-                .or_insert_with(|| Zbox::new(zbox));
+/// The load test's event vocabulary; tiebreaks come from the `tb_*`
+/// constructors, all derived from simulation identities.
+enum LoadEv {
+    /// A packet lands on `node` (a request carries its issue time as the
+    /// payload, and its response carries it back).
+    Arrive {
+        node: NodeId,
+        pkt: Box<Packet<SimTime>>,
+    },
+    /// An owned link's channel frees up.
+    LinkFree { link: usize },
+    /// Prime `cpu`'s issue window at time zero.
+    Inject { cpu: usize },
+}
+
+impl FabricEvent<SimTime> for LoadEv {
+    fn arrive(node: NodeId, pkt: Box<Packet<SimTime>>) -> Self {
+        LoadEv::Arrive { node, pkt }
+    }
+
+    fn link_free(link: usize) -> Self {
+        LoadEv::LinkFree { link }
+    }
+}
+
+/// One region's slice of the load test: its fabric slice, the memory
+/// controllers of the sites it owns, and the RNG, issue counter and
+/// latency tally of its CPUs. Every piece of per-event state is owned by
+/// exactly one region, so the run is byte-identical at any region count.
+struct LoadWorker {
+    params: Arc<LoadParams>,
+    net: RegionNet<SimTime>,
+    /// Memory controllers indexed by node id (`Some` for owned sites).
+    zboxes: Vec<Option<Zbox>>,
+    /// Per-CPU RNG streams; only owned CPUs ever advance.
+    rngs: Vec<DetRng>,
+    /// Per-CPU issue counters (only owned CPUs are nonzero).
+    issued: Vec<u64>,
+    /// Sum of end-to-end latencies of the reads completed here.
+    total_latency: SimDuration,
+    /// Reads completed here.
+    completed: u64,
+    /// Time of the last event this region handled.
+    now: SimTime,
+}
+
+impl ShardWorker for LoadWorker {
+    type Event = LoadEv;
+
+    fn handle(&mut self, at: SimTime, ev: LoadEv, out: &mut Outbox<LoadEv>) {
+        self.now = at;
+        match ev {
+            LoadEv::Arrive { node, pkt } => {
+                if let Some(pkt) = self.net.handle_arrive(at, node, pkt, out) {
+                    self.deliver(at, *pkt, out);
+                }
+            }
+            LoadEv::LinkFree { link } => self.net.handle_link_free(at, link, out),
+            LoadEv::Inject { cpu } => {
+                let cfg = &self.params.cfg;
+                for _ in 0..cfg.outstanding.min(cfg.requests_per_cpu) {
+                    self.inject(at, cpu, out);
+                }
+            }
         }
-        LoadTest {
-            net,
-            site_of_cpu,
-            cpus,
-            zboxes,
-            front_overhead,
-            directory_overhead,
+    }
+}
+
+impl LoadWorker {
+    /// A request reached its home: directory, then memory, then the
+    /// response. A response reached its CPU: tally the read and refill
+    /// the window.
+    fn deliver(&mut self, at: SimTime, pkt: Packet<SimTime>, out: &mut Outbox<LoadEv>) {
+        match pkt.class {
+            MessageClass::Request => {
+                let home = pkt.dst;
+                let zbox = self.zboxes[home.index()]
+                    .as_mut()
+                    .expect("request delivered to a memory site this region owns");
+                // Synthesize a random-ish line address from the tag so the
+                // page table sees load-test-like (page-unfriendly)
+                // behaviour.
+                let addr =
+                    Addr::new((pkt.tag.wrapping_mul(0x9E3779B97F4A7C15) >> 16) & 0x3FFF_FFC0);
+                let acc = zbox.access(at + self.params.directory_overhead, addr, 64);
+                let requester = self.params.cpus[(pkt.tag >> 32) as usize];
+                let uid = pkt.uid | 1;
+                let resp = Packet::new(
+                    home,
+                    requester,
+                    MessageClass::BlockResponse,
+                    80,
+                    pkt.tag,
+                    uid,
+                    acc.completed,
+                    pkt.payload,
+                );
+                out.emit(
+                    self.net.region(),
+                    acc.completed,
+                    tb_arrive(uid),
+                    LoadEv::Arrive {
+                        node: home,
+                        pkt: resp,
+                    },
+                );
+            }
+            MessageClass::BlockResponse => {
+                self.total_latency += at.since(pkt.payload) + self.params.front_overhead;
+                self.completed += 1;
+                let cpu = (pkt.tag >> 32) as usize;
+                if self.issued[cpu] < self.params.cfg.requests_per_cpu as u64 {
+                    self.inject(at, cpu, out);
+                }
+            }
+            other => panic!("unexpected class {other:?}"),
         }
     }
 
-    fn pick_target(&self, cfg: &LoadTestConfig, cpu: usize, rng: &mut DetRng, seq: u64) -> usize {
-        match cfg.pattern {
+    /// Issue `cpu`'s next read at `at`.
+    fn inject(&mut self, at: SimTime, cpu: usize, out: &mut Outbox<LoadEv>) {
+        let seq = self.issued[cpu];
+        self.issued[cpu] += 1;
+        let p = &*self.params;
+        let target = match p.cfg.pattern {
             TrafficPattern::UniformRemote => {
-                if self.cpus.len() == 1 {
+                if p.cpus.len() == 1 {
                     0
                 } else {
-                    rng.index_excluding(self.cpus.len(), cpu)
+                    self.rngs[cpu].index_excluding(p.cpus.len(), cpu)
                 }
             }
             TrafficPattern::HotSpot(hot) => hot,
@@ -177,81 +277,234 @@ impl<T: Topology> LoadTest<T> {
                     partner
                 }
             }
+        };
+        let src = p.cpus[cpu];
+        let site = p.site_of_cpu[p.cpus[target].index()];
+        let tag = ((cpu as u64) << 32) | seq;
+        let uid = tag << 1;
+        let pkt = Packet::new(src, site, MessageClass::Request, 16, tag, uid, at, at);
+        out.emit(
+            self.net.region(),
+            at,
+            tb_arrive(uid),
+            LoadEv::Arrive { node: src, pkt },
+        );
+    }
+}
+
+/// The barrier coordinator: with sampling on, it strikes a barrier every
+/// sampling interval and captures an Xmesh-style sample of interval
+/// utilizations — every event before the barrier has fired, none at or
+/// after it has. Sampling stops once nothing is left to fire.
+struct LoadGuide {
+    params: Arc<LoadParams>,
+    /// The next sample instant (`None`: no sampling, or the run is over).
+    next_at: Option<SimTime>,
+    interval: SimDuration,
+    prev_zbox_busy: Vec<SimDuration>,
+    prev_ew_busy: SimDuration,
+    prev_ns_busy: SimDuration,
+    samples: Vec<UtilSample>,
+}
+
+impl EpochGuide<LoadWorker> for LoadGuide {
+    fn next_barrier(&mut self) -> Option<SimTime> {
+        self.next_at
+    }
+
+    fn at_barrier(
+        &mut self,
+        at: SimTime,
+        ctl: &mut EpochControl<'_, LoadWorker>,
+    ) -> BarrierVerdict {
+        if ctl.is_idle() {
+            self.next_at = None;
+        } else {
+            self.capture(at, ctl);
+            self.next_at = Some(at + self.interval);
+        }
+        BarrierVerdict::Continue
+    }
+}
+
+impl LoadGuide {
+    /// Record the sample at `at`: per-CPU Zbox and mean East–West /
+    /// North–South link busy time accrued since the previous sample, as
+    /// fractions of the interval.
+    fn capture(&mut self, at: SimTime, ctl: &EpochControl<'_, LoadWorker>) {
+        let window = self.interval.as_ps() as f64;
+        let tables = ctl.worker(0).net.tables();
+        let mut zbox = Vec::with_capacity(self.params.cpus.len());
+        for (i, &cpu) in self.params.cpus.iter().enumerate() {
+            let site = self.params.site_of_cpu[cpu.index()];
+            let busy = ctl.worker(tables.region_of(site)).zboxes[site.index()]
+                .as_ref()
+                .map_or(SimDuration::ZERO, Zbox::busy_time);
+            let delta = busy - self.prev_zbox_busy[i].min(busy);
+            self.prev_zbox_busy[i] = busy;
+            zbox.push((delta.as_ps() as f64 / window).min(1.0));
+        }
+        let links = FabricLinks::gather((0..ctl.shard_count()).map(|s| &ctl.worker(s).net));
+        let ew = links.mean_busy_where(|d| d.is_some_and(|d| d.is_horizontal()));
+        let ns = links.mean_busy_where(|d| d.is_some_and(|d| !d.is_horizontal()));
+        let ew_delta = ew - self.prev_ew_busy.min(ew);
+        let ns_delta = ns - self.prev_ns_busy.min(ns);
+        self.prev_ew_busy = ew;
+        self.prev_ns_busy = ns;
+        self.samples.push(UtilSample {
+            at_ns: at.as_ns(),
+            zbox,
+            east_west: (ew_delta.as_ps() as f64 / window).min(1.0),
+            north_south: (ns_delta.as_ps() as f64 / window).min(1.0),
+        });
+    }
+}
+
+/// A machine prepared for load testing: a fabric plus the memory sites
+/// behind it. `T` names the topology the fabric was built from.
+pub struct LoadTest<T: Topology> {
+    /// The fabric's routing tables, materialized from a `T` (one region;
+    /// each run re-partitions them).
+    tables: FabricTables,
+    /// Memory site (node holding the Zbox) of each CPU's memory, indexed
+    /// by the CPU's node id.
+    site_of_cpu: Vec<NodeId>,
+    /// CPU endpoints that generate traffic.
+    cpus: Vec<NodeId>,
+    /// Configuration of the controller at each distinct memory site.
+    zbox: ZboxConfig,
+    /// Front-end (cache miss detect) charge reported per transaction.
+    front_overhead: SimDuration,
+    /// Directory processing time at the home before memory is accessed.
+    directory_overhead: SimDuration,
+    fabric: PhantomData<fn() -> T>,
+}
+
+impl<T: Topology> LoadTest<T> {
+    /// Assemble a load test over `fabric` with the given link timing and
+    /// routing policy.
+    ///
+    /// `site_of_cpu[i]` is the node where CPU `i`'s memory lives (itself on
+    /// the GS1280; the QBB switch on the GS320); each distinct site gets one
+    /// controller configured as `zbox`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fabric has no CPU endpoints, or `site_of_cpu` is
+    /// shorter than the CPU list.
+    pub fn new(
+        fabric: &T,
+        timing: LinkTiming,
+        policy: RoutePolicy,
+        site_of_cpu: Vec<NodeId>,
+        zbox: ZboxConfig,
+        front_overhead: SimDuration,
+        directory_overhead: SimDuration,
+    ) -> Self {
+        let cpus = fabric.endpoints();
+        assert!(!cpus.is_empty(), "no CPU endpoints");
+        assert!(
+            site_of_cpu.len() >= cpus.len(),
+            "need a memory site per CPU"
+        );
+        LoadTest {
+            tables: FabricTables::new(fabric, timing, policy, 1),
+            site_of_cpu,
+            cpus,
+            zbox,
+            front_overhead,
+            directory_overhead,
+            fabric: PhantomData,
         }
     }
 
-    /// Run the closed loop to completion.
-    pub fn run(mut self, cfg: &LoadTestConfig) -> LoadTestResult {
+    /// Run the closed loop to completion on
+    /// [`alphasim_kernel::par::shards`] fabric regions stepped by
+    /// [`alphasim_kernel::par::threads`] threads. The result is
+    /// byte-identical at any region and thread count.
+    pub fn run(self, cfg: &LoadTestConfig) -> LoadTestResult {
         assert!(cfg.outstanding >= 1, "need at least one outstanding read");
+        let mut tables = self.tables;
+        tables.set_regions(alphasim_kernel::par::shards());
+        let tables = Arc::new(tables);
         let ncpus = self.cpus.len();
-        let mut rngs: Vec<DetRng> = (0..ncpus)
-            .map(|i| DetRng::seeded(cfg.seed).split(i as u64))
+        let nodes = tables.topology().node_count();
+        // One controller per distinct memory site, owned by its region.
+        let mut zparts: Vec<Vec<Option<Zbox>>> = (0..tables.region_count())
+            .map(|_| (0..nodes).map(|_| None).collect())
             .collect();
-        let mut issued = vec![0u64; ncpus];
-        let mut start_of: BTreeMap<u64, SimTime> = BTreeMap::new();
-        let mut total_latency = SimDuration::ZERO;
-        let mut completed = 0u64;
-
-        // Prime the windows.
-        let mut to_inject: Vec<(usize, SimTime)> = Vec::new();
-        for cpu in 0..ncpus {
-            for _ in 0..cfg.outstanding.min(cfg.requests_per_cpu) {
-                to_inject.push((cpu, SimTime::ZERO));
-            }
+        for &site in &self.site_of_cpu {
+            zparts[tables.region_of(site)][site.index()]
+                .get_or_insert_with(|| Zbox::new(self.zbox));
         }
-        for (cpu, at) in to_inject {
-            self.inject(cfg, cpu, at, &mut rngs, &mut issued, &mut start_of);
+        let params = Arc::new(LoadParams {
+            cfg: *cfg,
+            cpus: self.cpus,
+            site_of_cpu: self.site_of_cpu,
+            front_overhead: self.front_overhead,
+            directory_overhead: self.directory_overhead,
+        });
+        let workers: Vec<LoadWorker> = zparts
+            .into_iter()
+            .enumerate()
+            .map(|(region, zboxes)| LoadWorker {
+                params: params.clone(),
+                net: RegionNet::new(region, tables.clone()),
+                zboxes,
+                rngs: (0..ncpus)
+                    .map(|i| DetRng::seeded(cfg.seed).split(i as u64))
+                    .collect(),
+                issued: vec![0; ncpus],
+                total_latency: SimDuration::ZERO,
+                completed: 0,
+                now: SimTime::ZERO,
+            })
+            .collect();
+        let mut exec =
+            EpochExecutor::new(workers, tables.lookahead(), alphasim_kernel::par::threads());
+        for (cpu, &node) in params.cpus.iter().enumerate() {
+            exec.seed(
+                tables.region_of(node),
+                SimTime::ZERO,
+                tb_inject(cpu),
+                LoadEv::Inject { cpu },
+            );
         }
-
-        let mut samples: Vec<UtilSample> = Vec::new();
-        let mut sampler = cfg.sample_interval_ns.map(|interval_ns| Sampler {
-            interval: SimDuration::from_ns(interval_ns),
-            next_at: SimTime::ZERO + SimDuration::from_ns(interval_ns),
+        let interval = SimDuration::from_ns(cfg.sample_interval_ns.unwrap_or(0.0));
+        let mut guide = LoadGuide {
+            params: params.clone(),
+            next_at: cfg.sample_interval_ns.map(|_| SimTime::ZERO + interval),
+            interval,
             prev_zbox_busy: vec![SimDuration::ZERO; ncpus],
             prev_ew_busy: SimDuration::ZERO,
             prev_ns_busy: SimDuration::ZERO,
-        });
+            samples: Vec::new(),
+        };
+        exec.run_guided(&mut guide);
+        let workers = exec.into_workers();
 
-        while let Some(step) = self.net.step() {
-            if let Some(s) = sampler.as_mut() {
-                while self.net.now() >= s.next_at {
-                    samples.push(s.capture(&self.net, &self.cpus, &self.site_of_cpu, &self.zboxes));
-                }
-            }
-            let Step::Delivered(d) = step else { continue };
-            match d.class {
-                MessageClass::Request => self.serve_at_home(&d),
-                MessageClass::BlockResponse => {
-                    let cpu = (d.tag >> 32) as usize;
-                    let started = start_of.remove(&d.tag).expect("unknown response tag");
-                    total_latency += d.delivered_at.since(started) + self.front_overhead;
-                    completed += 1;
-                    if issued[cpu] < cfg.requests_per_cpu as u64 {
-                        let now = self.net.now();
-                        self.inject(cfg, cpu, now, &mut rngs, &mut issued, &mut start_of);
-                    }
-                }
-                other => panic!("unexpected class {other:?}"),
-            }
-        }
-
-        let elapsed = self.net.now().since(SimTime::ZERO);
+        let now = workers.iter().map(|w| w.now).max().unwrap_or(SimTime::ZERO);
+        let completed: u64 = workers.iter().map(|w| w.completed).sum();
+        let total_latency: SimDuration = workers.iter().map(|w| w.total_latency).sum();
+        let elapsed = now.since(SimTime::ZERO);
         let delivered_gbps = if elapsed > SimDuration::ZERO {
             completed as f64 * 64.0 / elapsed.as_secs() / 1e9
         } else {
             0.0
         };
-        let now = self.net.now();
-        let nodes = self
+        let links = FabricLinks::gather(workers.iter().map(|w| &w.net));
+        let nodes = params
             .cpus
             .iter()
-            .map(|&cpu| NodeStat {
-                node: cpu.index(),
-                zbox_utilization: self
-                    .zboxes
-                    .get(&self.site_of_cpu[cpu.index()].index())
-                    .map_or(0.0, |z| z.utilization(now)),
-                ip_utilization: self.net.node_ip_utilization(cpu),
+            .map(|&cpu| {
+                let site = params.site_of_cpu[cpu.index()];
+                NodeStat {
+                    node: cpu.index(),
+                    zbox_utilization: workers[tables.region_of(site)].zboxes[site.index()]
+                        .as_ref()
+                        .map_or(0.0, |z| z.utilization(now)),
+                    ip_utilization: links.node_ip_utilization(cpu, now),
+                }
             })
             .collect();
         LoadTestResult {
@@ -263,101 +516,13 @@ impl<T: Topology> LoadTest<T> {
             delivered_gbps,
             completed,
             elapsed,
-            horizontal_util: self
-                .net
-                .mean_utilization_where(|d| d.is_some_and(|d| d.is_horizontal())),
-            vertical_util: self
-                .net
-                .mean_utilization_where(|d| d.is_some_and(|d| !d.is_horizontal())),
+            horizontal_util: links
+                .mean_utilization_where(now, |d| d.is_some_and(|d| d.is_horizontal())),
+            vertical_util: links
+                .mean_utilization_where(now, |d| d.is_some_and(|d| !d.is_horizontal())),
             nodes,
-            samples,
+            samples: guide.samples,
         }
-    }
-
-    fn inject(
-        &mut self,
-        cfg: &LoadTestConfig,
-        cpu: usize,
-        at: SimTime,
-        rngs: &mut [DetRng],
-        issued: &mut [u64],
-        start_of: &mut BTreeMap<u64, SimTime>,
-    ) {
-        let seq = issued[cpu];
-        issued[cpu] += 1;
-        let target = self.pick_target(cfg, cpu, &mut rngs[cpu], seq);
-        let site = self.site_of_cpu[self.cpus[target].index()];
-        let tag = ((cpu as u64) << 32) | seq;
-        start_of.insert(tag, at);
-        self.net
-            .send(at, self.cpus[cpu], site, MessageClass::Request, 16, tag);
-    }
-
-    /// A request reached the home: directory + memory, then the response.
-    fn serve_at_home(&mut self, d: &Delivery) {
-        let now = self.net.now();
-        let zbox = self
-            .zboxes
-            .get_mut(&d.dst.index())
-            .expect("request delivered to a non-memory site");
-        // Synthesize a random-ish line address from the tag so the page
-        // table sees load-test-like (page-unfriendly) behaviour.
-        let addr = Addr::new((d.tag.wrapping_mul(0x9E3779B97F4A7C15) >> 16) & 0x3FFF_FFC0);
-        let acc = zbox.access(now + self.directory_overhead, addr, 64);
-        let requester = NodeId::new((d.tag >> 32) as usize);
-        let requester = self.cpus[requester.index()];
-        self.net.send(
-            acc.completed,
-            d.dst,
-            requester,
-            MessageClass::BlockResponse,
-            80,
-            d.tag,
-        );
-    }
-}
-
-/// Interval-sampling state for the Xmesh strip charts.
-struct Sampler {
-    interval: SimDuration,
-    next_at: SimTime,
-    prev_zbox_busy: Vec<SimDuration>,
-    prev_ew_busy: SimDuration,
-    prev_ns_busy: SimDuration,
-}
-
-impl Sampler {
-    fn capture<T: Topology>(
-        &mut self,
-        net: &NetworkSim<T>,
-        cpus: &[NodeId],
-        site_of_cpu: &[NodeId],
-        zboxes: &BTreeMap<usize, Zbox>,
-    ) -> UtilSample {
-        let window = self.interval.as_ps() as f64;
-        let mut zbox = Vec::with_capacity(cpus.len());
-        for (i, &cpu) in cpus.iter().enumerate() {
-            let busy = zboxes
-                .get(&site_of_cpu[cpu.index()].index())
-                .map_or(SimDuration::ZERO, Zbox::busy_time);
-            let delta = busy - self.prev_zbox_busy[i].min(busy);
-            self.prev_zbox_busy[i] = busy;
-            zbox.push((delta.as_ps() as f64 / window).min(1.0));
-        }
-        let ew = net.mean_busy_where(|d| d.is_some_and(|d| d.is_horizontal()));
-        let ns = net.mean_busy_where(|d| d.is_some_and(|d| !d.is_horizontal()));
-        let ew_delta = ew - self.prev_ew_busy.min(ew);
-        let ns_delta = ns - self.prev_ns_busy.min(ns);
-        self.prev_ew_busy = ew;
-        self.prev_ns_busy = ns;
-        let sample = UtilSample {
-            at_ns: SimTime::from_ps(self.next_at.as_ps()).as_ns(),
-            zbox,
-            east_west: (ew_delta.as_ps() as f64 / window).min(1.0),
-            north_south: (ns_delta.as_ps() as f64 / window).min(1.0),
-        };
-        self.next_at += self.interval;
-        sample
     }
 }
 
@@ -372,7 +537,9 @@ pub fn gs1280_load_test(machine: &crate::Gs1280) -> LoadTest<crate::gs1280::Fabr
         ..calib.zbox
     };
     LoadTest::new(
-        machine.network(),
+        machine.fabric(),
+        calib.timing,
+        machine.policy(),
         (0..cpus).map(NodeId::new).collect(),
         zbox,
         calib.local_fixed,
@@ -387,7 +554,9 @@ pub fn gs320_load_test(machine: &crate::Gs320) -> LoadTest<alphasim_topology::Qb
         .map(|c| machine.memory_site(NodeId::new(c)))
         .collect();
     LoadTest::new(
-        machine.network(),
+        machine.topology(),
+        calib.timing,
+        RoutePolicy::Minimal,
         sites,
         calib.zbox,
         calib.local_fixed,

@@ -23,8 +23,8 @@
 //! facade is an `Option<...>` at each instrumentation site, so disabled
 //! telemetry is a branch on a `None` that the hot loops never take.
 //! The one process-global piece of state is [`global::EVENT_QUEUE_PEAK`],
-//! a relaxed high-water gauge that event queues flush into on drop (the
-//! promotion of the old ad-hoc peak-depth static in `alphasim_kernel`).
+//! a relaxed high-water gauge that the kernel's epoch executors flush their
+//! deepest shard heap into.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
@@ -83,37 +83,9 @@ pub mod global {
         }
     }
 
-    /// Deepest simultaneous event count observed by any event queue in the
+    /// Deepest event heap observed by any epoch-engine shard in the
     /// process since the last [`PeakGauge::take`].
     pub static EVENT_QUEUE_PEAK: PeakGauge = PeakGauge::new();
-
-    /// Shard indices tracked by [`EVENT_QUEUE_SHARD_PEAKS`]. Sharded queues
-    /// with more regions than this fold the excess into the last gauge.
-    pub const MAX_TRACKED_SHARDS: usize = 16;
-
-    /// Per-region-shard high-water marks of sharded event queues, indexed
-    /// by shard id. Like [`EVENT_QUEUE_PEAK`] these are reporting-only and
-    /// merged commutatively (`max`), so the snapshot is byte-identical at
-    /// any worker count; `BENCH_sweep.json` records them next to the global
-    /// gauge.
-    pub static EVENT_QUEUE_SHARD_PEAKS: [PeakGauge; MAX_TRACKED_SHARDS] = [
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-        PeakGauge::new(),
-    ];
 
     #[cfg(test)]
     mod tests {

@@ -1,14 +1,15 @@
 //! Static ownership lint for the epoch-parallel engine.
 //!
-//! The PR 8 epoch engine's determinism argument rests on a *state
-//! partition*: every [`CampaignWorker`] owns its region's slice of the
-//! machine outright, cross-region effects flow only through
-//! [`Outbox::emit`] under the lookahead contract, and the
-//! [`CampaignGuide`] touches worker state only through an
-//! [`EpochControl`] handle at epoch barriers. The runtime proptests
-//! demonstrate the partition holds on the schedules they draw; this pass
-//! proves the *code* cannot express the violations at all, by scanning
-//! `crates/system/src/epoch.rs`, `crates/sim/src/shard.rs`, and
+//! The epoch engine's determinism argument rests on a *state partition*:
+//! every region worker (the fault campaign's [`CampaignWorker`], the load
+//! test's `LoadWorker`) owns its region's slice of the machine outright,
+//! cross-region effects flow only through [`Outbox::emit`] under the
+//! lookahead contract, and the guide ([`CampaignGuide`], `LoadGuide`)
+//! touches worker state only through an [`EpochControl`] handle at epoch
+//! barriers. The runtime proptests demonstrate the partition holds on the
+//! schedules they draw; this pass proves the *code* cannot express the
+//! violations at all, by scanning `crates/system/src/epoch.rs`,
+//! `crates/system/src/loadtest.rs`, `crates/sim/src/shard.rs`, and
 //! `crates/sim/src/par.rs` and checking every worker/guide method against
 //! the partition discipline:
 //!
@@ -56,10 +57,11 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The files the partition discipline governs, relative to the workspace
-/// root: the epoch engine, the shard/epoch infrastructure, and the worker
-/// pool.
-pub const GOVERNED_FILES: [&str; 3] = [
+/// root: the two region workers (fault campaign and load test), the
+/// shard/epoch infrastructure, and the worker pool.
+pub const GOVERNED_FILES: [&str; 4] = [
     "crates/system/src/epoch.rs",
+    "crates/system/src/loadtest.rs",
     "crates/sim/src/shard.rs",
     "crates/sim/src/par.rs",
 ];
@@ -899,7 +901,7 @@ mod tests {
     #[test]
     fn the_shipped_engine_has_no_findings() {
         let scan = analyze(&real_sources());
-        assert_eq!(scan.files, 3);
+        assert_eq!(scan.files, GOVERNED_FILES.len());
         assert!(
             scan.findings.is_empty(),
             "partition violations:\n{}",
@@ -926,12 +928,25 @@ mod tests {
         );
         // Guide-plane state is never barrier-path state.
         assert!(guide.values().all(|a| a.barrier == 0));
+        // The load test's sampler reads Zbox and link state at barriers.
+        assert!(scan.field_count("LoadWorker") >= 6);
+        assert!(scan.field_count("LoadGuide") >= 5);
+        assert!(
+            scan.barrier_touched_fields("LoadWorker") >= 2,
+            "load-test barrier-touched: {}",
+            scan.barrier_touched_fields("LoadWorker")
+        );
+    }
+
+    /// Run the lint with governed file `idx` doctored by `mutate`.
+    fn seeded_file(idx: usize, mutate: impl Fn(&mut String)) -> OwnershipScan {
+        let mut sources = real_sources();
+        mutate(&mut sources[idx].1);
+        analyze(&sources)
     }
 
     fn seeded(mutate: impl Fn(&mut String)) -> OwnershipScan {
-        let mut sources = real_sources();
-        mutate(&mut sources[0].1); // epoch.rs
-        analyze(&sources)
+        seeded_file(0, mutate) // epoch.rs
     }
 
     #[test]
@@ -977,11 +992,11 @@ mod tests {
     #[test]
     fn an_unmerged_shared_accumulator_is_flagged() {
         let scan = seeded(|epoch| {
-            let anchor = "pub(crate) steps: Vec<NetStep<Option<ServedLeg>>>,";
+            let anchor = "pub(crate) obs: Option<Box<ObsAcc>>,";
             assert!(epoch.contains(anchor), "anchor drifted");
             *epoch = epoch.replace(
                 anchor,
-                "pub(crate) steps: Vec<NetStep<Option<ServedLeg>>>,\n    \
+                "pub(crate) obs: Option<Box<ObsAcc>>,\n    \
                  pub(crate) totals: Arc<Mutex<u64>>,",
             );
         });
@@ -997,12 +1012,12 @@ mod tests {
     fn an_ungated_worker_mutation_is_flagged() {
         let scan = seeded(|epoch| {
             // A guide method that takes raw workers instead of the control.
-            let anchor = "impl<T: Topology + Clone + Send + Sync + 'static> CampaignGuide<T> {";
+            let anchor = "impl CampaignGuide {";
             assert!(epoch.contains(anchor), "anchor drifted");
             *epoch = epoch.replace(
                 anchor,
-                "impl<T: Topology + Clone + Send + Sync + 'static> CampaignGuide<T> {\n    \
-                 fn sneak(&mut self, raw: &mut RawSlots<T>) { \
+                "impl CampaignGuide {\n    \
+                 fn sneak(&mut self, raw: &mut RawSlots) { \
                  raw.worker_mut(0).issued[0] += 1; }\n",
             );
         });
@@ -1013,6 +1028,27 @@ mod tests {
             "got:\n{}",
             describe(&scan.findings)
         );
+    }
+
+    #[test]
+    fn a_sampler_read_inside_a_load_test_worker_is_flagged() {
+        let scan = seeded_file(1, |loadtest| {
+            // A load-test worker peeking at the guide's sample log mid-epoch.
+            let anchor = "LoadEv::LinkFree { link } => self.net.handle_link_free(at, link, out),";
+            assert!(loadtest.contains(anchor), "anchor drifted");
+            *loadtest = loadtest.replace(
+                anchor,
+                "LoadEv::LinkFree { link } => { let _n = self.samples.len(); \
+                 self.net.handle_link_free(at, link, out) },",
+            );
+        });
+        let hit = scan
+            .findings
+            .iter()
+            .find(|f| f.rule == "guide-state-in-worker")
+            .unwrap_or_else(|| panic!("not flagged:\n{}", describe(&scan.findings)));
+        assert!(hit.file.ends_with("loadtest.rs"), "{}", hit.file);
+        assert!(hit.message.contains("samples"), "{}", hit.message);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use alphasim::cache::Addr;
 use alphasim::coherence::{AccessKind, Directory, ServedBy};
 use alphasim::kernel::SimTime;
-use alphasim::net::{MessageClass, Step};
+use alphasim::net::MessageClass;
 use alphasim::system::{Gs1280, Gs320};
 use alphasim::topology::graph::DistanceMatrix;
 use alphasim::topology::{NodeId, Torus2D};
@@ -38,14 +38,7 @@ fn protocol_legs_replay_through_network() {
             leg.bytes,
             i as u64,
         );
-        let mut arrived = now;
-        while let Some(step) = net.step() {
-            if let Step::Delivered(d) = step {
-                arrived = d.delivered_at;
-                break;
-            }
-        }
-        now = arrived;
+        now = net.drain()[0].delivered_at;
     }
     let network_ns = now.since(SimTime::ZERO).as_ns();
     let analytic = machine
@@ -119,7 +112,7 @@ fn gs320_network_has_two_levels() {
         16,
         1,
     );
-    let d = net.drain_deliveries();
+    let d = net.drain();
     let local = d.iter().find(|x| x.tag == 0).unwrap().latency();
     let remote = d.iter().find(|x| x.tag == 1).unwrap().latency();
     assert!(remote.as_ns() > local.as_ns() + 150.0);
@@ -146,7 +139,7 @@ fn io_and_coherence_coexist() {
             i,
         );
     }
-    let delivered = net.drain_deliveries();
+    let delivered = net.drain();
     assert_eq!(delivered.len(), 40);
 }
 
@@ -214,7 +207,7 @@ fn traffic_matrix_matches_network_bytes() {
             }
         }
     }
-    let deliveries = net.drain_deliveries();
+    let deliveries = net.drain();
     // Every predicted byte arrives, between exactly the predicted pair.
     let mut seen: std::collections::HashMap<(usize, usize), u64> = std::collections::HashMap::new();
     for d in &deliveries {

@@ -6,6 +6,11 @@
 #![allow(clippy::unwrap_used)]
 
 use alphasim::experiments::{apps, latency, memory, network, spec, stream, summary};
+use alphasim::kernel::par;
+use alphasim::system::loadtest::{
+    gs1280_load_test, gs320_load_test, LoadTestConfig, LoadTestResult,
+};
+use alphasim::system::{Gs1280, Gs320};
 use alphasim::workloads::spec::Suite;
 
 #[test]
@@ -42,4 +47,39 @@ fn gups_and_summary_are_deterministic() {
     let b = apps::gups_mups_gs1280(16, 30);
     assert_eq!(a, b);
     assert_eq!(summary::fig28(20), summary::fig28(20));
+}
+
+/// The load test runs on fabric regions stepped by pool threads; neither
+/// count may change a byte of the result, Xmesh samples included. (The
+/// knobs are process-global, so every other test in this binary is
+/// region-invariant too and may run alongside.)
+#[test]
+fn load_test_is_region_and_thread_invariant() {
+    let cfg = LoadTestConfig {
+        outstanding: 8,
+        requests_per_cpu: 60,
+        sample_interval_ns: Some(500.0),
+        ..Default::default()
+    };
+    let g = Gs1280::builder().cpus(16).build();
+    let q = Gs320::new(16);
+    let run = || -> [LoadTestResult; 2] {
+        [
+            gs1280_load_test(&g).run(&cfg),
+            gs320_load_test(&q).run(&cfg),
+        ]
+    };
+    par::set_shards(1);
+    par::set_threads(1);
+    let reference = run();
+    assert!(reference.iter().all(|r| !r.samples.is_empty()));
+    for regions in [1, 2, 4] {
+        for threads in [1, 2] {
+            par::set_shards(regions);
+            par::set_threads(threads);
+            assert_eq!(run(), reference, "{regions} region(s), {threads} thread(s)");
+        }
+    }
+    par::set_shards(0);
+    par::set_threads(0);
 }

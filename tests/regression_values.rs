@@ -7,8 +7,10 @@
 #![allow(clippy::unwrap_used)]
 
 use alphasim::experiments::memory::LatencyMachine;
-use alphasim::experiments::{latency, stream, summary};
+use alphasim::experiments::{apps, latency, stream, summary};
+use alphasim::system::loadtest::{gs1280_load_test, gs320_load_test, LoadTestConfig};
 use alphasim::system::{Es45, Gs1280, Gs320};
+use alphasim::topology::route::RoutePolicy;
 use alphasim::topology::table1::shuffle_gains;
 use alphasim::topology::NodeId;
 
@@ -52,6 +54,78 @@ fn pinned_dependent_load_points() {
             m.name
         );
     }
+}
+
+/// Load-test points equal bit for bit to the committed `results/fig15.json`,
+/// `fig18.json` and `fig24.json` (200 reads per CPU, as the full-effort
+/// sweep runs them): `(bandwidth MB/s, latency ns)` per point, and the
+/// Xmesh samples of the GUPS run.
+#[test]
+fn pinned_load_test_points() {
+    let point = |r: alphasim::system::loadtest::LoadTestResult| {
+        (r.delivered_gbps * 1000.0, r.mean_latency.as_ns())
+    };
+    let cfg = |outstanding| LoadTestConfig {
+        outstanding,
+        requests_per_cpu: 200,
+        ..Default::default()
+    };
+    let g16 = Gs1280::builder().cpus(16).build();
+    let q16 = Gs320::new(16);
+    let shuffle8 = Gs1280::builder()
+        .cpus(8)
+        .shuffle(RoutePolicy::ShuffleFirstHop)
+        .build();
+    let points = [
+        (
+            "fig15 GS1280/16P window 1",
+            point(gs1280_load_test(&g16).run(&cfg(1))),
+            (4255.785244432002, 273.273),
+        ),
+        (
+            "fig15 GS1280/16P window 30",
+            point(gs1280_load_test(&g16).run(&cfg(30))),
+            (38018.04223418372, 637.549),
+        ),
+        (
+            "fig15 GS320/16P window 8",
+            point(gs320_load_test(&q16).run(&cfg(8))),
+            (1175.6264171522057, 3926.376),
+        ),
+        (
+            "fig18 shuffle window 4",
+            point(gs1280_load_test(&shuffle8).run(&cfg(4))),
+            (9589.536916205334, 247.342),
+        ),
+    ];
+    for (what, got, committed) in points {
+        assert_eq!(got, committed, "{what}");
+    }
+    let fig24 = apps::fig24(200);
+    let samples = |label: &str| -> Vec<(f64, f64)> {
+        let s = fig24.series_like(label).unwrap();
+        s.points.iter().map(|p| (p.x, p.y)).collect()
+    };
+    assert_eq!(
+        samples("memory controller"),
+        [
+            (2000.0, 13.544059374999998),
+            (4000.0, 10.430389062500002),
+            (6000.0, 9.674328125000004),
+            (8000.0, 7.357367187500002),
+            (10000.0, 8.284151562500002),
+        ]
+    );
+    assert_eq!(
+        samples("average East/West"),
+        [
+            (2000.0, 78.4483),
+            (4000.0, 66.4678),
+            (6000.0, 61.0803),
+            (8000.0, 47.9818),
+            (10000.0, 53.0214),
+        ]
+    );
 }
 
 #[test]
