@@ -16,7 +16,6 @@ use alphasim::experiments::{
 use alphasim::kernel::par::parallel_map;
 use alphasim::types::{Figure, RatioRow, Table};
 use alphasim::workloads::spec::Suite;
-use alphasim::xmesh;
 
 pub use alphasim::experiments::telemetry::TelemetryReport;
 pub use alphasim::experiments::timeline::{TimelineReport, WINDOW_PS as TIMELINE_WINDOW_PS};
@@ -285,16 +284,9 @@ pub fn fig13_table() -> Table {
 
 /// Fig. 27: the rendered Xmesh hot-spot panel.
 pub fn fig27_artifact(requests: usize) -> Artifact {
-    let (snap, report) = network::fig27(requests);
-    let mut body = xmesh::render(&snap);
-    body.push_str(&format!(
-        "hot spots detected at: {:?} (background Zbox {:.1}%)\n",
-        report.hot_nodes,
-        report.background_zbox * 100.0
-    ));
     Artifact::Text {
         id: "fig27".into(),
-        body,
+        body: network::fig27(requests),
     }
 }
 

@@ -5,8 +5,9 @@ use alphasim_system::loadtest::{
     gs1280_load_test, gs320_load_test, LoadTestConfig, TrafficPattern,
 };
 use alphasim_system::{Gs1280, Gs320};
+use alphasim_telemetry::Heatmap;
 use alphasim_topology::route::RoutePolicy;
-use alphasim_xmesh::{detect_hot_spots, HotSpotReport, MeshSnapshot, NodeCounters};
+use alphasim_topology::{NodeId, Topology};
 
 use crate::types::{Figure, Series};
 
@@ -136,9 +137,10 @@ pub fn fig26(windows: &[usize], requests_per_cpu: usize) -> Figure {
     fig
 }
 
-/// Reproduce Fig. 27: run hot-spot traffic and return the Xmesh snapshot
-/// plus its hot-spot report.
-pub fn fig27(requests_per_cpu: usize) -> (MeshSnapshot, HotSpotReport) {
+/// Reproduce Fig. 27: run hot-spot traffic and render the Xmesh display —
+/// Zbox, IP-link and I/O utilization panels over the run's span, then the
+/// §6 hot-spot verdict on the Zbox grid.
+pub fn fig27(requests_per_cpu: usize) -> String {
     let m = Gs1280::builder().cpus(16).build();
     let r = gs1280_load_test(&m).run(&LoadTestConfig {
         outstanding: 8,
@@ -146,19 +148,27 @@ pub fn fig27(requests_per_cpu: usize) -> (MeshSnapshot, HotSpotReport) {
         pattern: TrafficPattern::HotSpot(0),
         ..Default::default()
     });
-    let mut snap = MeshSnapshot::new(4, 4);
-    for n in &r.nodes {
-        snap.set(
-            n.node,
-            NodeCounters {
-                zbox_util: n.zbox_utilization,
-                ip_util: n.ip_utilization,
-                io_util: 0.0,
-            },
-        );
+    let elapsed = r.elapsed.as_ps();
+    // Every node of the healthy torus sends on the same number of links.
+    let links = m.fabric().ports(NodeId::new(0)).len() as u64;
+    // The load test drives no I/O: that panel stays idle.
+    let io = Heatmap::new(r.zbox_busy.cols(), r.zbox_busy.rows());
+    let mut body = String::new();
+    for (title, grid, capacity) in [
+        ("Zbox utilization (%)", &r.zbox_busy, elapsed),
+        ("IP-link utilization (%)", &r.link_busy, links * elapsed),
+        ("I/O utilization (%)", &io, elapsed),
+    ] {
+        body.push_str(&grid.percent_panel(title, capacity));
+        body.push('\n');
     }
-    let report = detect_hot_spots(&snap);
-    (snap, report)
+    let report = r.zbox_busy.hot_spots(elapsed);
+    body.push_str(&format!(
+        "hot spots detected at: {:?} (background Zbox {:.1}%)\n",
+        report.hot_nodes,
+        report.background * 100.0
+    ));
+    body
 }
 
 #[cfg(test)]
@@ -214,9 +224,15 @@ mod tests {
 
     #[test]
     fn fig27_xmesh_flags_node_zero() {
-        let (snap, report) = fig27(60);
-        assert_eq!(report.hot_nodes, vec![0]);
-        assert!(snap.get(0).zbox_util > 0.3);
-        assert!(report.background_zbox < 0.05);
+        let body = fig27(60);
+        assert!(
+            body.ends_with("hot spots detected at: [0] (background Zbox 0.0%)\n"),
+            "{body}"
+        );
+        // Node 0's Zbox cell reads at least 30%; no other Zbox is busy.
+        let zbox_row = body.lines().nth(2).unwrap();
+        let hot: f64 = zbox_row[1..4].trim().parse().unwrap();
+        assert!(hot >= 30.0, "{zbox_row}");
+        assert!(zbox_row.ends_with("|  0%  |  0%  |  0%  |"), "{zbox_row}");
     }
 }

@@ -17,7 +17,8 @@
 //!   [`mem`], [`coherence`]);
 //! * the measurement workloads — pointer chase, STREAM, GUPS, SPEC
 //!   profiles, Fluent and NAS SP proxies ([`workloads`]);
-//! * the Xmesh profiling tool ([`xmesh`]).
+//! * the Xmesh hot-spot display (Fig. 27), rendered from the load test's
+//!   per-node busy-time heat maps ([`experiments::network::fig27`]).
 //!
 //! [`experiments`] contains one driver per paper figure/table, each
 //! returning structured [`types`] data; the `alphasim-bench` crate renders
@@ -51,4 +52,3 @@ pub use alphasim_net as net;
 pub use alphasim_system as system;
 pub use alphasim_topology as topology;
 pub use alphasim_workloads as workloads;
-pub use alphasim_xmesh as xmesh;

@@ -1020,7 +1020,6 @@ impl<P> RegionNet<P> {
 /// and the open-loop driver report. Floating-point sums run in link-id
 /// order, so every reduction is byte-identical at any region count.
 pub struct FabricLinks<'a> {
-    tables: &'a FabricTables,
     links: Vec<&'a Link>,
 }
 
@@ -1040,7 +1039,7 @@ impl<'a> FabricLinks<'a> {
                     .expect("every link has an owner region")
             })
             .collect();
-        FabricLinks { tables, links }
+        FabricLinks { links }
     }
 
     /// The links, in global id order.
@@ -1082,19 +1081,6 @@ impl<'a> FabricLinks<'a> {
         } else {
             sum / n
         }
-    }
-
-    /// *Live* outgoing-link utilizations of one node, averaged (Xmesh's
-    /// per-node IP-link gauge; a node with every link dead reads 0).
-    pub fn node_ip_utilization(&self, node: NodeId, now: SimTime) -> f64 {
-        let ids = self.tables.live_links_from(node);
-        if ids.is_empty() {
-            return 0.0;
-        }
-        ids.iter()
-            .map(|&i| self.links[i].utilization(now))
-            .sum::<f64>()
-            / ids.len() as f64
     }
 
     /// Total bytes moved over links of the whole fabric.
@@ -1556,7 +1542,15 @@ mod tests {
         for l in links.iter() {
             assert!((0.0..=1.0).contains(&l.utilization(now)));
         }
-        assert!(links.node_ip_utilization(NodeId::new(0), now) > 0.0);
+        // Node 0's live out-links carry its traffic: their busy time,
+        // folded onto node 0, is what Xmesh's IP-link panel shows.
+        let node0_busy: SimDuration = net
+            .tables()
+            .live_links_from(NodeId::new(0))
+            .iter()
+            .map(|&id| links.iter().nth(id).unwrap().busy_time())
+            .sum();
+        assert!(node0_busy > SimDuration::ZERO);
         assert_eq!(links.total_bytes(), 100 * 2 * 64);
         assert_eq!(links.total_grants(), 100 * 2);
         let horiz = links.mean_utilization_where(now, |d| d.is_some_and(|d| d.is_horizontal()));
@@ -1589,15 +1583,24 @@ mod tests {
         net.drain();
         let now = net.now();
         let links = net.links();
-        let live: Vec<f64> = net
-            .tables()
-            .live_links_from(NodeId::new(0))
+        // Node 0's per-node busy fold (its IP-link panel cell) runs over
+        // the live links it sends on: the tables' three survivors, each
+        // of which carried traffic, and never the cut one.
+        let tables = net.tables();
+        let folded: Vec<usize> = links
             .iter()
-            .map(|&id| links.iter().nth(id).unwrap().utilization(now))
+            .enumerate()
+            .filter(|&(id, l)| l.is_alive() && tables.link_meta(id).0 == NodeId::new(0))
+            .map(|(id, _)| id)
             .collect();
-        assert_eq!(live.len(), 3);
-        let mean = live.iter().sum::<f64>() / 3.0;
-        assert_eq!(links.node_ip_utilization(NodeId::new(0), now), mean);
+        let mut live = tables.live_links_from(NodeId::new(0)).to_vec();
+        live.sort_unstable();
+        assert_eq!(folded, live);
+        assert_eq!(folded.len(), 3);
+        assert!(folded.iter().all(|id| !dead.contains(id)));
+        assert!(folded
+            .iter()
+            .all(|&id| links.iter().nth(id).unwrap().busy_time() > SimDuration::ZERO));
         let alive: Vec<f64> = links
             .iter()
             .enumerate()

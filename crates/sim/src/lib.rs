@@ -6,8 +6,8 @@
 //!   component latencies compose without floating-point drift;
 //! * [`DetRng`] — a seedable random-number source so every experiment is
 //!   reproducible bit-for-bit;
-//! * [`stats`] — counters, running statistics, histograms, utilization meters
-//!   and time-series samplers used by the performance-counter ("Xmesh") layer;
+//! * [`stats`] — the mean/p50/p99 latency summary every artifact reports
+//!   and the busy-time meter behind link and Zbox utilizations;
 //! * [`par`] — an ordered [`par::parallel_map`] used to fan independent
 //!   simulations out across OS threads without changing their results;
 //! * [`shard`] — the conservative-lookahead epoch scheduler

@@ -1,8 +1,6 @@
-//! Measurement primitives: running statistics, histograms, utilization
-//! meters, and time-series samplers.
-//!
-//! These back the simulated EV7 performance counters that the paper's Xmesh
-//! tool reads (Figs. 10–11, 20, 22, 24, 27).
+//! Measurement primitives: the latency summary behind every mean/p50/p99
+//! the artifacts report, and the busy-time meter behind every link and
+//! Zbox utilization (the gauges the paper's Xmesh tool displays, Fig. 27).
 
 use serde::{Deserialize, Serialize};
 
@@ -38,10 +36,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct MeanP50P99 {
     samples: Vec<SimDuration>,
 }
-
-/// The accumulator's historical name, kept so existing call sites and
-/// docs keep reading naturally where only `(mean, p99)` is consumed.
-pub type MeanP99 = MeanP50P99;
 
 impl MeanP50P99 {
     /// An empty accumulator.
@@ -97,200 +91,6 @@ impl MeanP50P99 {
                 .unwrap_or(SimDuration::ZERO)
         };
         (mean, rank(50), rank(99))
-    }
-}
-
-/// Running mean / min / max / variance over a stream of samples
-/// (Welford's algorithm; no sample storage).
-///
-/// # Examples
-///
-/// ```
-/// use alphasim_kernel::stats::RunningStats;
-/// let mut s = RunningStats::new();
-/// for x in [1.0, 2.0, 3.0] { s.record(x); }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 3.0);
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 if no samples).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (`+inf` if none).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample (`-inf` if none).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A latency histogram with fixed-width bins plus an overflow bin.
-///
-/// # Examples
-///
-/// ```
-/// use alphasim_kernel::stats::Histogram;
-/// let mut h = Histogram::new(10.0, 10); // bins of 10 ns, 10 bins
-/// h.record(25.0);
-/// assert_eq!(h.bin_count(2), 1);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    bin_width: f64,
-    bins: Vec<u64>,
-    overflow: u64,
-    stats: RunningStats,
-}
-
-impl Histogram {
-    /// A histogram of `bins` bins each `bin_width` wide, starting at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_width <= 0` or `bins == 0`.
-    pub fn new(bin_width: f64, bins: usize) -> Self {
-        assert!(bin_width > 0.0, "bin width must be positive");
-        assert!(bins > 0, "need at least one bin");
-        Histogram {
-            bin_width,
-            bins: vec![0; bins],
-            overflow: 0,
-            stats: RunningStats::new(),
-        }
-    }
-
-    /// Record a sample.
-    pub fn record(&mut self, x: f64) {
-        self.stats.record(x);
-        let idx = (x / self.bin_width).floor();
-        if idx >= 0.0 && (idx as usize) < self.bins.len() {
-            self.bins[idx as usize] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Count of samples beyond the last bin (or negative).
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Summary statistics over all recorded samples.
-    pub fn stats(&self) -> &RunningStats {
-        &self.stats
-    }
-
-    /// Approximate p-th percentile (`0 < p < 100`) from bin midpoints.
-    pub fn percentile(&self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (p / 100.0 * total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as f64 + 0.5) * self.bin_width;
-            }
-        }
-        self.stats.max()
     }
 }
 
@@ -355,88 +155,6 @@ impl UtilizationMeter {
             self.bytes as f64 / 1e9 / secs
         }
     }
-
-    /// Reset both accumulators (used at sampling boundaries).
-    pub fn reset(&mut self) {
-        self.busy = SimDuration::ZERO;
-        self.bytes = 0;
-    }
-}
-
-/// One sampled point of a utilization/bandwidth time series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Sample {
-    /// Sample timestamp (end of the sampling interval).
-    pub at: SimTime,
-    /// Sampled value (meaning depends on the series; often percent).
-    pub value: f64,
-}
-
-/// A named series of periodic samples, as displayed by Xmesh.
-///
-/// # Examples
-///
-/// ```
-/// use alphasim_kernel::stats::TimeSeries;
-/// use alphasim_kernel::SimTime;
-/// let mut ts = TimeSeries::new("zbox0");
-/// ts.push(SimTime::from_ps(1), 10.0);
-/// assert_eq!(ts.len(), 1);
-/// assert_eq!(ts.mean(), 10.0);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeSeries {
-    name: String,
-    samples: Vec<Sample>,
-}
-
-impl TimeSeries {
-    /// An empty series with a display name.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// The series name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Append a sample.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        self.samples.push(Sample { at, value });
-    }
-
-    /// The recorded samples, in order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean of the sampled values (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().map(|s| s.value).sum::<f64>() / self.samples.len() as f64
-        }
-    }
-
-    /// Largest sampled value (0 if empty).
-    pub fn peak(&self) -> f64 {
-        self.samples.iter().map(|s| s.value).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -445,7 +163,7 @@ mod tests {
 
     #[test]
     fn mean_p99_empty_is_zero() {
-        let q = MeanP99::new();
+        let q = MeanP50P99::new();
         assert!(q.is_empty());
         assert_eq!(q.finish(), (SimDuration::ZERO, SimDuration::ZERO));
     }
@@ -454,7 +172,7 @@ mod tests {
     fn mean_p99_matches_sort_based_reference() {
         // The nearest-rank-below rule the resilience sweep has always used:
         // sorted[(n - 1) * 99 / 100].
-        let mut q = MeanP99::with_capacity(200);
+        let mut q = MeanP50P99::with_capacity(200);
         let mut reference: Vec<SimDuration> = Vec::new();
         let mut x = 7u64;
         for _ in 0..200 {
@@ -504,81 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_mean_and_variance() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn running_stats_merge_equals_concat() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..20] {
-            a.record(x);
-        }
-        for &x in &xs[20..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.record(3.0);
-        let before = a.mean();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.mean(), before);
-        let mut empty = RunningStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.mean(), before);
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(10.0, 5);
-        h.record(0.0);
-        h.record(9.999);
-        h.record(10.0);
-        h.record(49.0);
-        h.record(51.0); // overflow
-        assert_eq!(h.bin_count(0), 2);
-        assert_eq!(h.bin_count(1), 1);
-        assert_eq!(h.bin_count(4), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn histogram_percentile_monotone() {
-        let mut h = Histogram::new(1.0, 100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        let p50 = h.percentile(50.0);
-        let p90 = h.percentile(90.0);
-        let p99 = h.percentile(99.0);
-        assert!(p50 <= p90 && p90 <= p99);
-        assert!((p50 - 49.5).abs() <= 1.0);
-    }
-
-    #[test]
     fn utilization_meter_fraction_and_bandwidth() {
         let mut m = UtilizationMeter::new();
         m.add_busy(SimDuration::from_ns(30.0));
@@ -587,9 +230,7 @@ mod tests {
         assert!((m.utilization(now) - 0.5).abs() < 1e-12);
         // 64 bytes in 60ns = 1.0667 GB/s
         assert!((m.bandwidth_gbps(now) - 64.0 / 60.0).abs() < 1e-9);
-        m.reset();
-        assert_eq!(m.utilization(now), 0.0);
-        assert_eq!(m.bytes(), 0);
+        assert_eq!(m.bytes(), 64);
     }
 
     #[test]
@@ -598,18 +239,5 @@ mod tests {
         m.add_busy(SimDuration::from_ns(100.0));
         assert_eq!(m.utilization(SimTime::from_ps(50_000)), 1.0);
         assert_eq!(m.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn time_series_accumulates() {
-        let mut ts = TimeSeries::new("link");
-        assert!(ts.is_empty());
-        ts.push(SimTime::from_ps(1), 1.0);
-        ts.push(SimTime::from_ps(2), 3.0);
-        assert_eq!(ts.name(), "link");
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts.mean(), 2.0);
-        assert_eq!(ts.peak(), 3.0);
-        assert_eq!(ts.samples()[1].value, 3.0);
     }
 }

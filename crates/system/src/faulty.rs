@@ -30,7 +30,7 @@
 
 use alphasim_coherence::{LivelockReport, RetryPolicy, Watchdog};
 use alphasim_kernel::shard::EpochExecutor;
-use alphasim_kernel::stats::MeanP99;
+use alphasim_kernel::stats::MeanP50P99;
 use alphasim_kernel::{DetRng, FaultKind, FaultPlan, SimDuration, SimTime};
 use alphasim_mem::{Zbox, ZboxConfig};
 use alphasim_net::partition::{tb_inject, FabricTables, NetHeat, RegionNet};
@@ -578,7 +578,7 @@ impl<T: Topology> FaultCampaign<T> {
         completions.sort_unstable();
         // The latency fold sorts its samples, so per-worker concatenation
         // order cannot leak into the mean/p99.
-        let mut latencies = MeanP99::new();
+        let mut latencies = MeanP50P99::new();
         for w in &workers {
             for &sample in &w.latency_samples {
                 latencies.record(sample);
@@ -808,8 +808,8 @@ impl<T: Topology> FaultCampaign<T> {
         // pending-depth gauge.
         let observability = observe.map(|o| {
             let link_count = guide.master.link_count();
-            let link_from: Vec<usize> = (0..link_count)
-                .map(|id| guide.master.link_meta(id).0.index())
+            let link_from: Vec<NodeId> = (0..link_count)
+                .map(|id| guide.master.link_meta(id).0)
                 .collect();
             let mut heat = NetHeat::new(o.window_ps, node_count, link_count);
             let mut acc = ObsAcc::new(o.window_ps, node_count);

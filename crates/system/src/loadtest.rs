@@ -32,9 +32,12 @@ use alphasim_net::partition::{
     tb_arrive, tb_inject, FabricEvent, FabricLinks, FabricTables, Packet, RegionNet,
 };
 use alphasim_net::{LinkTiming, MessageClass};
+use alphasim_telemetry::Heatmap;
 use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
+
+use crate::obs::{link_grid, node_grid};
 
 /// How CPUs pick the home of each request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,7 +83,7 @@ impl Default for LoadTestConfig {
 
 /// One Xmesh-style sample captured mid-run: interval utilizations over the
 /// preceding sampling window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilSample {
     /// Sample time, ns.
     pub at_ns: f64,
@@ -92,19 +95,8 @@ pub struct UtilSample {
     pub north_south: f64,
 }
 
-/// Per-node measurements after a run (what Xmesh displays, Fig. 27).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NodeStat {
-    /// The CPU node.
-    pub node: usize,
-    /// Its memory controller's busy fraction.
-    pub zbox_utilization: f64,
-    /// Mean utilization of its outgoing fabric links.
-    pub ip_utilization: f64,
-}
-
 /// The outcome of one load-test run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadTestResult {
     /// Mean end-to-end read latency (request injection to data return,
     /// including the front-end overhead).
@@ -119,8 +111,13 @@ pub struct LoadTestResult {
     pub horizontal_util: f64,
     /// Mean utilization of vertical (North–South) torus links.
     pub vertical_util: f64,
-    /// Per-CPU statistics.
-    pub nodes: Vec<NodeStat>,
+    /// Zbox busy picoseconds per node (nonzero only at memory sites), on
+    /// the fabric's P×Q grid — what Xmesh's Zbox panel shows (Fig. 27)
+    /// as a share of [`elapsed`](Self::elapsed).
+    pub zbox_busy: Heatmap,
+    /// Busy picoseconds of each node's live outgoing links, summed onto
+    /// the sending node, on the same grid — Xmesh's IP-link panel.
+    pub link_busy: Heatmap,
     /// Mid-run Xmesh samples (empty unless
     /// [`LoadTestConfig::sample_interval_ns`] was set).
     pub samples: Vec<UtilSample>,
@@ -493,20 +490,23 @@ impl<T: Topology> LoadTest<T> {
             0.0
         };
         let links = FabricLinks::gather(workers.iter().map(|w| &w.net));
-        let nodes = params
-            .cpus
-            .iter()
-            .map(|&cpu| {
-                let site = params.site_of_cpu[cpu.index()];
-                NodeStat {
-                    node: cpu.index(),
-                    zbox_utilization: workers[tables.region_of(site)].zboxes[site.index()]
-                        .as_ref()
-                        .map_or(0.0, |z| z.utilization(now)),
-                    ip_utilization: links.node_ip_utilization(cpu, now),
+        let topo = tables.topology();
+        let mut zbox_busy_ps = vec![0u64; nodes];
+        for w in &workers {
+            for (site, z) in w.zboxes.iter().enumerate() {
+                if let Some(z) = z {
+                    zbox_busy_ps[site] += z.busy_time().as_ps();
                 }
-            })
-            .collect();
+            }
+        }
+        let link_busy = link_grid(
+            topo,
+            links
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.is_alive())
+                .map(|(id, l)| (tables.link_meta(id).0, l.busy_time().as_ps())),
+        );
         LoadTestResult {
             mean_latency: if completed == 0 {
                 SimDuration::ZERO
@@ -520,7 +520,8 @@ impl<T: Topology> LoadTest<T> {
                 .mean_utilization_where(now, |d| d.is_some_and(|d| d.is_horizontal())),
             vertical_util: links
                 .mean_utilization_where(now, |d| d.is_some_and(|d| !d.is_horizontal())),
-            nodes,
+            zbox_busy: node_grid(topo, &zbox_busy_ps),
+            link_busy,
             samples: guide.samples,
         }
     }
@@ -630,10 +631,14 @@ mod tests {
             pattern: TrafficPattern::HotSpot(0),
             ..Default::default()
         });
-        let hot = r.nodes[0].zbox_utilization;
-        let others: f64 = r.nodes[1..].iter().map(|n| n.zbox_utilization).sum::<f64>() / 15.0;
+        let hot = r.zbox_busy.cell(0) as f64 / r.elapsed.as_ps() as f64;
         assert!(hot > 0.3, "hot node util {hot}");
-        assert_eq!(others, 0.0, "only node 0 serves memory");
+        assert_eq!(
+            r.zbox_busy.total(),
+            r.zbox_busy.cell(0),
+            "only node 0 serves memory"
+        );
+        assert_eq!(r.zbox_busy.hot_spots(r.elapsed.as_ps()).hot_nodes, vec![0]);
     }
 
     #[test]

@@ -172,6 +172,19 @@ pub(crate) fn node_grid<T: Topology>(topo: &T, values: &[u64]) -> Heatmap {
     }
 }
 
+/// Fold per-link `(sending node, value)` pairs onto their sending nodes
+/// and lay the sums on [`node_grid`] — the router view of link occupancy.
+pub(crate) fn link_grid<T: Topology>(
+    topo: &T,
+    per_link: impl IntoIterator<Item = (NodeId, u64)>,
+) -> Heatmap {
+    let mut by_node = vec![0u64; topo.node_count()];
+    for (from, v) in per_link {
+        by_node[from.index()] += v;
+    }
+    node_grid(topo, &by_node)
+}
+
 /// Assemble the merged per-region accumulators into the public result.
 ///
 /// `link_from[id]` is the sending node of directed link `id` (for folding
@@ -184,7 +197,7 @@ pub(crate) fn assemble<T: Topology>(
     heat: NetHeat,
     mut obs: ObsAcc,
     profile: EpochProfile,
-    link_from: &[usize],
+    link_from: &[NodeId],
     pending_deltas: &[(u64, i8)],
 ) -> CampaignObservability {
     obs.timeline.merge(&heat.timeline);
@@ -195,14 +208,10 @@ pub(crate) fn assemble<T: Topology>(
             .gauge_max(at_ps, "campaign.pending_depth", occupancy.max(0) as u64);
     }
     obs.latencies.sort_unstable();
-    let mut link_busy_by_node = vec![0u64; topo.node_count()];
-    for (id, &busy) in heat.link_busy_ps.iter().enumerate() {
-        link_busy_by_node[link_from[id]] += busy;
-    }
     CampaignObservability {
         window_ps,
         node_delivered: node_grid(topo, &heat.node_delivered),
-        link_busy: node_grid(topo, &link_busy_by_node),
+        link_busy: link_grid(topo, link_from.iter().copied().zip(heat.link_busy_ps)),
         zbox_reads: node_grid(topo, &obs.zbox_reads),
         zbox_busy: node_grid(topo, &obs.zbox_busy_ps),
         link_bytes: heat.link_bytes,
@@ -258,5 +267,15 @@ mod tests {
         assert_eq!(grid.at(0, 0), 3);
         assert_eq!(grid.total(), 12);
         assert_eq!(grid.peak(), 9);
+    }
+
+    #[test]
+    fn link_grid_sums_links_onto_their_sending_node() {
+        let topo = Torus2D::new(4, 4);
+        let n = NodeId::new;
+        let grid = link_grid(&topo, [(n(0), 5), (n(7), 2), (n(0), 3)]);
+        assert_eq!(grid.at(0, 0), 8);
+        assert_eq!(grid.at(3, 1), 2);
+        assert_eq!(grid.total(), 10);
     }
 }

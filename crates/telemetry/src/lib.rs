@@ -17,7 +17,9 @@
 //! * [`Timeline`] / [`Heatmap`] — the time axis and the space axis:
 //!   fixed-width sim-time-windowed registries with the same commutative
 //!   merge, and P×Q topology grids merged element-wise, so *when* and
-//!   *where* are as byte-reproducible as *how much*.
+//!   *where* are as byte-reproducible as *how much*. A grid of busy time
+//!   also renders as the paper's Xmesh percent panel and carries its §6
+//!   hot-spot rule ([`HotSpotReport`]).
 //!
 //! Everything is plain data updated through `&mut`: the zero-cost-when-off
 //! facade is an `Option<...>` at each instrumentation site, so disabled
@@ -35,7 +37,7 @@ pub mod span;
 pub mod timeline;
 pub mod trace;
 
-pub use heatmap::Heatmap;
+pub use heatmap::{Heatmap, HotSpotReport};
 pub use hist::Log2Histogram;
 pub use registry::Registry;
 pub use span::{BreakdownTable, HopBreakdown};

@@ -10,17 +10,9 @@
 #![allow(clippy::unwrap_used)]
 
 use alphasim::experiments::network;
-use alphasim::xmesh;
 
 fn main() {
-    let (snap, report) = network::fig27(150);
-    println!("{}", xmesh::render_metric(&snap, xmesh::Metric::Zbox));
-    println!("{}", xmesh::render_metric(&snap, xmesh::Metric::IpLinks));
-    println!(
-        "hot spots: {:?}  (background Zbox {:.1}%)",
-        report.hot_nodes,
-        report.background_zbox * 100.0
-    );
+    print!("{}", network::fig27(150));
 
     println!("\nFig. 26 — does striping help this pattern?");
     let fig = network::fig26(&[1, 4, 8, 16, 30], 120);

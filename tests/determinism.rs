@@ -50,9 +50,10 @@ fn gups_and_summary_are_deterministic() {
 }
 
 /// The load test runs on fabric regions stepped by pool threads; neither
-/// count may change a byte of the result, Xmesh samples included. (The
-/// knobs are process-global, so every other test in this binary is
-/// region-invariant too and may run alongside.)
+/// count may change a byte of the result, Xmesh samples and the per-node
+/// Zbox and IP-link busy grids included. (The knobs are process-global,
+/// so every other test in this binary is region-invariant too and may
+/// run alongside.)
 #[test]
 fn load_test_is_region_and_thread_invariant() {
     let cfg = LoadTestConfig {
@@ -73,6 +74,10 @@ fn load_test_is_region_and_thread_invariant() {
     par::set_threads(1);
     let reference = run();
     assert!(reference.iter().all(|r| !r.samples.is_empty()));
+    // Both grids hold traffic, so comparing them is not vacuous.
+    assert!(reference
+        .iter()
+        .all(|r| r.zbox_busy.total() > 0 && r.link_busy.total() > 0));
     for regions in [1, 2, 4] {
         for threads in [1, 2] {
             par::set_shards(regions);

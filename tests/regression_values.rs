@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used)]
 
 use alphasim::experiments::memory::LatencyMachine;
-use alphasim::experiments::{apps, latency, stream, summary};
+use alphasim::experiments::{apps, latency, network, stream, summary};
 use alphasim::system::loadtest::{gs1280_load_test, gs320_load_test, LoadTestConfig};
 use alphasim::system::{Es45, Gs1280, Gs320};
 use alphasim::topology::route::RoutePolicy;
@@ -192,4 +192,13 @@ fn pinned_fig28_component_rows() {
     assert!((row("CPU speed") - 1.15 / 1.22).abs() < 1e-9);
     assert!((row("memory latency (local)") - 330.0 / 83.0).abs() < 0.02);
     assert!((row("I/O bandwidth (32P)") - 8.27).abs() < 0.05);
+}
+
+/// Fig. 27 at full effort (200 reads/CPU): the Zbox, IP-link and I/O
+/// panels and the hot-spot verdict, byte for byte as committed.
+#[test]
+fn pinned_fig27_panel() {
+    let committed = serde_json::from_str(include_str!("../results/fig27.json")).unwrap();
+    let text = committed.get("text").and_then(|t| t.as_str()).unwrap();
+    assert_eq!(network::fig27(200), text);
 }
