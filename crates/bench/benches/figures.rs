@@ -1,10 +1,9 @@
-//! Criterion benchmarks: one benchmark per reproduced table/figure, plus
+//! Criterion benchmarks: one benchmark per registry artifact, plus
 //! ablation benches for the design choices DESIGN.md calls out.
 //!
-//! Each benchmark's measured value is the time to *regenerate* the
-//! artifact; its printed output (via `--nocapture`-style eprintln once per
-//! bench) reports the headline numbers the paper's version of the artifact
-//! carries, so `cargo bench` doubles as the reproduction run.
+//! Each `figures/<id>` benchmark's measured value is the time to
+//! *regenerate* that artifact of `alphasim_bench::ARTIFACTS` at
+//! `Effort::Quick`, the same build `reproduce --quick` runs.
 
 // Test/harness code may unwrap freely; the workspace denies it in libraries.
 #![allow(clippy::unwrap_used)]
@@ -12,91 +11,19 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use alphasim::experiments::{apps, latency, memory, network, spec, stream, summary};
 use alphasim::system::loadtest::{gs1280_load_test, LoadTestConfig, TrafficPattern};
 use alphasim::system::Gs1280;
 use alphasim::topology::route::RoutePolicy;
-use alphasim::workloads::spec::Suite;
-
-fn quick_sizes() -> Vec<u64> {
-    (12..=24).map(|p| 1u64 << p).collect()
-}
-
-fn quick_windows() -> Vec<usize> {
-    vec![1, 4, 12, 30]
-}
+use alphasim_bench::{Effort, ARTIFACTS};
 
 fn bench_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);
-
-    g.bench_function("fig01_specfp_rate", |b| b.iter(|| black_box(spec::fig01())));
-    g.bench_function("fig04_dependent_load", |b| {
-        b.iter(|| black_box(memory::fig04(&quick_sizes(), 4_000)))
-    });
-    g.bench_function("fig05_stride_surface", |b| {
-        b.iter(|| {
-            black_box(memory::fig05(
-                &quick_sizes(),
-                &memory::fig05_strides(),
-                2_000,
-            ))
-        })
-    });
-    g.bench_function("fig06_stream_scaling", |b| {
-        b.iter(|| black_box(stream::fig06()))
-    });
-    g.bench_function("fig07_stream_1v4", |b| {
-        b.iter(|| black_box(stream::fig07()))
-    });
-    g.bench_function("fig08_ipc_fp", |b| {
-        b.iter(|| black_box(spec::ipc_figure(Suite::Fp)))
-    });
-    g.bench_function("fig09_ipc_int", |b| {
-        b.iter(|| black_box(spec::ipc_figure(Suite::Int)))
-    });
-    g.bench_function("fig10_util_fp", |b| {
-        b.iter(|| black_box(spec::utilization_figure(Suite::Fp, 60)))
-    });
-    g.bench_function("fig11_util_int", |b| {
-        b.iter(|| black_box(spec::utilization_figure(Suite::Int, 60)))
-    });
-    g.bench_function("fig12_remote_16p", |b| {
-        b.iter(|| black_box(latency::fig12()))
-    });
-    g.bench_function("fig13_latency_map", |b| {
-        b.iter(|| black_box(latency::fig13()))
-    });
-    g.bench_function("fig14_latency_scaling", |b| {
-        b.iter(|| black_box(latency::fig14()))
-    });
-    g.bench_function("fig15_load_test", |b| {
-        b.iter(|| black_box(network::fig15(&quick_windows(), 40)))
-    });
-    g.bench_function("table1_shuffle_gains", |b| {
-        b.iter(|| black_box(summary::table1()))
-    });
-    g.bench_function("fig18_shuffle_load", |b| {
-        b.iter(|| black_box(network::fig18(&quick_windows(), 40)))
-    });
-    g.bench_function("fig19_fluent", |b| b.iter(|| black_box(apps::fig19())));
-    g.bench_function("fig20_fluent_util", |b| {
-        b.iter(|| black_box(apps::fig20(60)))
-    });
-    g.bench_function("fig21_sp", |b| b.iter(|| black_box(apps::fig21())));
-    g.bench_function("fig22_sp_util", |b| b.iter(|| black_box(apps::fig22(60))));
-    g.bench_function("fig23_gups", |b| b.iter(|| black_box(apps::fig23(40))));
-    g.bench_function("fig24_gups_util", |b| b.iter(|| black_box(apps::fig24(40))));
-    g.bench_function("fig25_striping_degradation", |b| {
-        b.iter(|| black_box(spec::fig25()))
-    });
-    g.bench_function("fig26_hotspot_striping", |b| {
-        b.iter(|| black_box(network::fig26(&quick_windows(), 40)))
-    });
-    g.bench_function("fig27_xmesh", |b| b.iter(|| black_box(network::fig27(40))));
-    g.bench_function("fig28_summary", |b| {
-        b.iter(|| black_box(summary::fig28(40)))
-    });
+    for entry in ARTIFACTS {
+        g.bench_function(entry.id, |b| {
+            b.iter(|| black_box((entry.build)(Effort::Quick)))
+        });
+    }
     g.finish();
 }
 

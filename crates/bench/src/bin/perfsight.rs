@@ -4,8 +4,8 @@
 //! perfsight [--window-us N] [--wall] [--json PATH]
 //! ```
 //!
-//! Runs the observed timeline campaigns (the same fixtures behind
-//! `reproduce --timeline`) and prints, per section:
+//! Runs the observed timeline campaigns (the same fixtures behind the
+//! `timeline` artifact of `reproduce`) and prints, per section:
 //!
 //! * the windowed table — injections, completions, retries, poisons,
 //!   delivered throughput, outstanding depth, and exact p50/p99 latency

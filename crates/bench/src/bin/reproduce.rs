@@ -2,65 +2,92 @@
 //!
 //! ```text
 //! reproduce [--quick] [--jobs N | --sequential] [--shards N] [--threads N]
-//!           [--json DIR] [--telemetry] [--timeline] [--trace PATH] [--check]
-//!           [fig15 fig28 ...]
+//!           [--json DIR [--check]] [--trace PATH] [ID ...]
 //! ```
 //!
-//! With no figure arguments, everything is regenerated in paper order and
-//! printed as text; `--json DIR` additionally writes one JSON file per
-//! artifact (EXPERIMENTS.md is generated from these) plus a
-//! `BENCH_sweep.json` timing record (wall-clock per artifact, total, the
-//! worker, region and thread counts actually in force, and the deepest
-//! epoch-shard event heap). The sweep fans out across all cores by
-//! default; `--jobs N` pins the worker count and `--sequential` is shorthand
-//! for `--jobs 1`. `--shards N` partitions every fabric run — the load
-//! tests and the fault campaigns alike — into N torus-region shards
-//! (`ALPHASIM_SHARDS` is the environment equivalent), and `--threads N`
-//! steps those regions with N pool threads (`ALPHASIM_THREADS`;
-//! `--threads 0` means all available cores). The
-//! artifact outputs are byte-identical at any `--jobs` × `--shards` ×
-//! `--threads` combination — only `BENCH_sweep.json`, which records
-//! measured times, varies between runs.
-//!
-//! `--telemetry` additionally runs the instrumented telemetry sweep (a
-//! fixed-size healthy 16P campaign, independent of `--quick`) and writes
-//! `DIR/telemetry.json`; `--trace PATH` also emits its Chrome trace —
-//! load the file at `ui.perfetto.dev` or `chrome://tracing`. `--timeline`
-//! runs the observed timeline campaigns (also fixed-size) and writes
-//! `DIR/timeline.json` — the sim-time-windowed series, topology heatmaps,
-//! and epoch-engine profile; with `--trace PATH` it additionally writes
-//! one Chrome trace per timeline section (per-shard profiler lanes
-//! included) next to PATH with a `-timeline-<section>` suffix. `--check`
-//! compares every file that would be written against what is on disk and
-//! exits 1 on any drift instead of writing (`BENCH_sweep.json`, being a
-//! timing record, is exempt).
+//! Builds the artifact registry (`alphasim_bench::ARTIFACTS`, or only the
+//! ids given) and prints each artifact's text. `--json DIR` writes
+//! `DIR/<id>.json` per artifact and, for a whole sweep, `full_report.txt`
+//! (the printed text) and `BENCH_sweep.json`: wall-clock per artifact and
+//! in total, worker count, each artifact's engine shape, peak epoch-shard
+//! heap depth, host cores and build profile. `--check` compares every file
+//! but `BENCH_sweep.json` against DIR instead, names the first value or
+//! line that moved, and exits 1 on drift. `--jobs N` pins the artifact
+//! fan-out (`--sequential` = `--jobs 1`), `--shards N` splits every fabric
+//! run into N torus regions, `--threads N` steps them on N threads (`0` =
+//! all cores); `ALPHASIM_{JOBS,SHARDS,THREADS}` are the environment
+//! equivalents. Outputs are byte-identical at any combination. `--trace
+//! PATH` re-runs the `telemetry` and `timeline` fixtures traced and writes
+//! Chrome traces (`ui.perfetto.dev`): the telemetry sweep's to PATH, each
+//! timeline section's next to it as `-timeline-<section>`. A bad argument
+//! prints the usage line and exits 2.
 
-use std::io::Write;
+#![cfg_attr(test, allow(clippy::unwrap_used))]
+
+use std::path::Path;
 use std::time::Instant;
 
+use alphasim::experiments::timeline::timeline_report;
 use alphasim_bench::{
-    jobs, run_all_timed, set_jobs, set_shards, set_threads, shards, take_peak_event_depth, threads,
-    Effort,
+    build_timed, files, jobs, report, set_jobs, set_shards, set_threads, shards,
+    take_peak_event_depth, telemetry_report, threads, write_or_check, Effort, Entry, ARTIFACTS,
 };
+use serde_json::json;
 
-/// Write `content` to `path`, or in check mode compare against the file's
-/// current bytes and record any drift.
-fn emit(path: &str, content: &str, check: bool, drift: &mut Vec<String>) {
-    if check {
-        match std::fs::read_to_string(path) {
-            Ok(existing) if existing == content => {}
-            Ok(_) => drift.push(format!("{path}: regenerated bytes differ")),
-            Err(e) => drift.push(format!("{path}: {e}")),
+const USAGE: &str = "usage: reproduce [--quick] [--jobs N | --sequential] [--shards N] \
+                     [--threads N] [--json DIR [--check]] [--trace PATH] [ID ...]";
+
+/// What the command line asks for.
+#[derive(Debug, Default, PartialEq)]
+struct Options {
+    effort: Effort,
+    check: bool,
+    jobs: Option<usize>,
+    shards: Option<usize>,
+    threads: Option<usize>,
+    json: Option<String>,
+    trace: Option<String>,
+    ids: Vec<String>,
+}
+
+/// Read the arguments in one pass, rejecting unknown flags and ids,
+/// missing or malformed values, and `--check` without `--json`.
+fn parse(args: &[String]) -> Result<Options, String> {
+    let mut o = Options::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || match args.next() {
+            Some(v) if !v.starts_with("--") => Ok(v.clone()),
+            _ => Err(format!("{arg} wants a value")),
+        };
+        let number = |v: String| {
+            v.parse()
+                .map_err(|_| format!("{arg} wants a number, got {v:?}"))
+        };
+        match arg.as_str() {
+            "--quick" => o.effort = Effort::Quick,
+            "--check" => o.check = true,
+            "--sequential" => o.jobs = Some(1),
+            "--jobs" => o.jobs = Some(number(value()?)?),
+            "--shards" => o.shards = Some(number(value()?)?),
+            "--threads" => o.threads = Some(number(value()?)?),
+            "--json" => o.json = Some(value()?),
+            "--trace" => o.trace = Some(value()?),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            id if ARTIFACTS.iter().any(|e| e.id == id) => o.ids.push(id.to_owned()),
+            id => return Err(format!("unknown artifact id {id:?}")),
         }
-    } else {
-        std::fs::write(path, content).unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
+    if o.check && o.json.is_none() {
+        return Err("--check compares the files --json DIR writes; give --json".into());
+    }
+    Ok(o)
 }
 
 /// `path` with `-suffix` inserted before its extension (appended when the
 /// file name has none) — the per-section timeline trace naming.
 fn with_suffix(path: &str, suffix: &str) -> String {
-    let p = std::path::Path::new(path);
+    let p = Path::new(path);
     match (p.file_stem().and_then(|s| s.to_str()), p.extension()) {
         (Some(stem), Some(ext)) => p
             .with_file_name(format!("{stem}-{suffix}.{}", ext.to_string_lossy()))
@@ -70,190 +97,182 @@ fn with_suffix(path: &str, suffix: &str) -> String {
     }
 }
 
+/// Re-run the two fixtures with tracing on and write their Chrome traces.
+fn write_traces(path: &str) -> Result<(), String> {
+    let mut traces = vec![(path.to_owned(), telemetry_report(true).trace)];
+    for s in timeline_report(true).sections {
+        traces.push((with_suffix(path, &format!("timeline-{}", s.id)), s.trace));
+    }
+    for (file, trace) in traces {
+        let trace = trace.ok_or_else(|| format!("{file}: no trace recorded"))?;
+        write_or_check(Path::new(&file), &trace.to_json_string(), false)?;
+        eprintln!("trace: {} events -> {file}", trace.len());
+    }
+    Ok(())
+}
+
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let telemetry_wanted = args.iter().any(|a| a == "--telemetry");
-    let timeline_wanted = args.iter().any(|a| a == "--timeline");
-    let check = args.iter().any(|a| a == "--check");
-    if args.iter().any(|a| a == "--sequential") {
-        set_jobs(1);
-    }
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    if let Some(n) = flag_value("--jobs") {
-        let n: usize = n
-            .parse()
-            .unwrap_or_else(|_| panic!("--jobs wants a number, got {n:?}"));
+    let opts = parse(&args).unwrap_or_else(|e| {
+        eprintln!("reproduce: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
+    if let Some(n) = opts.jobs {
         set_jobs(n.max(1));
     }
-    if let Some(n) = flag_value("--shards") {
-        let n: usize = n
-            .parse()
-            .unwrap_or_else(|_| panic!("--shards wants a number, got {n:?}"));
+    if let Some(n) = opts.shards {
         set_shards(n.max(1));
     }
-    if let Some(n) = flag_value("--threads") {
-        let n: usize = n
-            .parse()
-            .unwrap_or_else(|_| panic!("--threads wants a number, got {n:?}"));
+    if let Some(n) = opts.threads {
         // 0 = auto: all available cores.
-        set_threads(if n == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            n
-        });
+        set_threads(if n == 0 { host_cores() } else { n });
     }
-    let json_dir = flag_value("--json");
-    let trace_path = flag_value("--trace");
-    let mut skip_values: Vec<&str> = Vec::new();
-    for flag in ["--json", "--jobs", "--shards", "--threads", "--trace"] {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            if let Some(v) = args.get(i + 1) {
-                skip_values.push(v.as_str());
-            }
-        }
-    }
-    let wanted: Vec<&String> = args
+    let whole = opts.ids.is_empty();
+    let selected: Vec<&Entry> = ARTIFACTS
         .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| !skip_values.contains(&a.as_str()))
+        .filter(|e| whole || opts.ids.iter().any(|id| id == e.id))
         .collect();
 
-    let effort = if quick { Effort::Quick } else { Effort::Full };
-    let workers = jobs();
-    let shard_count = shards();
-    let thread_count = threads();
+    let effort = opts.effort;
+    let (workers, shard_count, thread_count) = (jobs(), shards(), threads());
     eprintln!(
-        "regenerating all experiments ({effort:?}, {workers} worker(s), {shard_count} shard(s), {thread_count} fabric thread(s)) ..."
+        "regenerating {} artifact(s) ({effort:?}, {workers} worker(s), {shard_count} shard(s), {thread_count} fabric thread(s)) ...",
+        selected.len()
     );
     take_peak_event_depth(); // start the gauge fresh for this sweep
     let wall = Instant::now(); // lint-allow: wall-clock (harness self-timing)
-    let timed = run_all_timed(effort);
+    let (artifacts, secs): (Vec<_>, Vec<_>) = build_timed(&selected, effort).into_iter().unzip();
     let total_secs = wall.elapsed().as_secs_f64();
     let peak_depth = take_peak_event_depth();
     // The worker count the fan-out actually used: `jobs()` is capped by the
-    // number of artifacts, so a `--jobs 64` run of 28 artifacts must not be
+    // number of artifacts, so a `--jobs 64` run of 31 artifacts must not be
     // recorded as having had 64-way parallelism.
-    let effective_jobs = workers.min(timed.len().max(1));
+    let jobs_used = workers.min(artifacts.len().max(1));
+    print!("{}", report(&artifacts));
 
-    let mut drift: Vec<String> = Vec::new();
-    if let Some(dir) = &json_dir {
-        if !check {
-            std::fs::create_dir_all(dir).expect("create json dir");
-        }
-    }
-    let mut stdout = std::io::stdout().lock();
-    for (a, _) in &timed {
-        if !wanted.is_empty() && !wanted.iter().any(|w| w.as_str() == a.id()) {
-            continue;
-        }
-        writeln!(stdout, "{}", a.to_text()).expect("write stdout");
-        if let Some(dir) = &json_dir {
-            let path = format!("{dir}/{}.json", a.id());
-            let body = serde_json::to_string_pretty(&a.to_json()).expect("serialise");
-            emit(&path, &body, check, &mut drift);
-        }
-    }
-
-    if telemetry_wanted || trace_path.is_some() {
-        let report = alphasim_bench::telemetry_report(trace_path.is_some());
-        writeln!(stdout, "{}", report.to_text()).expect("write stdout");
-        if let Some(dir) = &json_dir {
-            let path = format!("{dir}/telemetry.json");
-            let body = serde_json::to_string_pretty(&report.to_json()).expect("serialise");
-            emit(&path, &body, check, &mut drift);
-        }
-        if let Some(path) = &trace_path {
-            let trace = report.trace.as_ref().expect("trace requested");
-            std::fs::write(path, trace.to_json_string())
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!(
-                "trace: {} events -> {path} (open at ui.perfetto.dev)",
-                trace.len()
-            );
-        }
-    }
-
-    if timeline_wanted {
-        let report = alphasim_bench::timeline_report(trace_path.is_some());
-        writeln!(stdout, "{}", report.to_text()).expect("write stdout");
-        if let Some(dir) = &json_dir {
-            let path = format!("{dir}/timeline.json");
-            let body = serde_json::to_string_pretty(&report.to_json()).expect("serialise");
-            emit(&path, &body, check, &mut drift);
-        }
-        if let Some(path) = &trace_path {
-            for s in &report.sections {
-                let trace = s.trace.as_ref().expect("trace requested");
-                let section_path = with_suffix(path, &format!("timeline-{}", s.id));
-                std::fs::write(&section_path, trace.to_json_string())
-                    .unwrap_or_else(|e| panic!("write {section_path}: {e}"));
-                eprintln!(
-                    "trace: {} events -> {section_path} ({} section, per-shard profiler lanes)",
-                    trace.len(),
-                    s.id
-                );
+    let mut failures: Vec<String> = Vec::new();
+    if let Some(dir) = opts.json.as_deref().map(Path::new) {
+        let mut files = files(&artifacts, whole);
+        if whole && !opts.check {
+            let mut per_artifact = Vec::new();
+            for (entry, secs) in selected.iter().zip(&secs) {
+                let (shards, threads) = entry.engine.shape(shard_count, thread_count);
+                per_artifact.push(json!({
+                    "id": entry.id, "wall_clock_s": secs, "jobs": jobs_used,
+                    "shards": shards, "threads": threads,
+                }));
             }
+            let sweep = json!({
+                "effort": format!("{effort:?}"), "jobs": jobs_used, "shards": shard_count,
+                "threads": thread_count, "total_wall_clock_s": total_secs,
+                "peak_event_queue_depth": peak_depth, "artifacts": per_artifact,
+                "host_cores": host_cores(),
+                "profile": if cfg!(debug_assertions) { "debug" } else { "release" },
+            });
+            let body = serde_json::to_string_pretty(&sweep).expect("serialise sweep");
+            files.push(("BENCH_sweep.json".to_owned(), body));
+        }
+        for (name, body) in &files {
+            failures.extend(write_or_check(&dir.join(name), body, opts.check).err());
         }
     }
-
-    if json_dir.is_some() && !check {
-        let dir = json_dir.as_deref().expect("checked above");
-        let artifacts_json: Vec<serde_json::Value> = timed
-            .iter()
-            .map(|(a, secs)| {
-                // Truthful per-artifact thread count: only the fabric runs
-                // consume pool threads; everything else runs on one thread
-                // no matter what `--threads` says.
-                let artifact_threads = if a.uses_worker_threads() {
-                    thread_count
-                } else {
-                    1
-                };
-                serde_json::json!({
-                    "id": a.id(),
-                    "wall_clock_s": secs,
-                    "jobs": effective_jobs as u64,
-                    "shards": shard_count as u64,
-                    "threads": artifact_threads as u64,
-                })
-            })
-            .collect();
-        let sweep = serde_json::json!({
-            "effort": format!("{effort:?}"),
-            "jobs": effective_jobs as u64,
-            "shards": shard_count as u64,
-            "threads": thread_count as u64,
-            "total_wall_clock_s": total_secs,
-            "peak_event_queue_depth": peak_depth,
-            "artifacts": artifacts_json,
-        });
-        let path = format!("{dir}/BENCH_sweep.json");
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&sweep).expect("serialise sweep"),
-        )
-        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    if let Some(path) = &opts.trace {
+        failures.extend(write_traces(path).err());
     }
-    if check {
-        if drift.is_empty() {
-            eprintln!("check: every regenerated artifact is byte-identical to disk");
-        } else {
-            for d in &drift {
-                eprintln!("check FAILED: {d}");
-            }
-            std::process::exit(1);
-        }
+    for f in &failures {
+        eprintln!("{}: {f}", if opts.check { "check FAILED" } else { "error" });
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+    if opts.check {
+        eprintln!("check: every regenerated file is byte-identical to disk");
     }
     eprintln!(
-        "done: {} artifacts in {total_secs:.1}s ({effective_jobs} worker(s), {shard_count} shard(s), peak event-queue depth {peak_depth})",
-        timed.len()
+        "done: {} artifacts in {total_secs:.1}s ({jobs_used} worker(s), {shard_count} shard(s), peak event-queue depth {peak_depth})",
+        artifacts.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn accepts_every_documented_option() {
+        assert_eq!(parse_line("").unwrap(), Options::default());
+        let all = "--quick --jobs 3 --shards 2 --threads 0 --json out --check --trace t.json \
+                   fig13 timeline";
+        let expected = Options {
+            effort: Effort::Quick,
+            check: true,
+            jobs: Some(3),
+            shards: Some(2),
+            threads: Some(0),
+            json: Some("out".into()),
+            trace: Some("t.json".into()),
+            ids: vec!["fig13".into(), "timeline".into()],
+        };
+        assert_eq!(parse_line(all).unwrap(), expected);
+        assert_eq!(parse_line("--sequential").unwrap().jobs, Some(1));
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_ids() {
+        for (line, why) in [
+            ("--telemtry", "unknown flag --telemtry"),
+            ("-q", "unknown flag -q"),
+            ("fig13 fig99", "unknown artifact id \"fig99\""),
+        ] {
+            assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
+        }
+        // The two removed fixture flags: both fixtures are registry ids now.
+        for removed in ["telemetry", "timeline"] {
+            let err = parse_line(&format!("--json out --{removed}")).unwrap_err();
+            assert_eq!(err, format!("unknown flag --{removed}"));
+            assert!(parse_line(removed).is_ok());
+        }
+    }
+
+    #[test]
+    fn rejects_missing_and_malformed_values() {
+        for (line, why) in [
+            ("--json", "--json wants a value"),
+            ("--trace", "--trace wants a value"),
+            ("--jobs --quick", "--jobs wants a value"),
+            ("--jobs abc", "--jobs wants a number, got \"abc\""),
+            ("--shards 2x", "--shards wants a number, got \"2x\""),
+            ("--threads -1", "--threads wants a number, got \"-1\""),
+        ] {
+            assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
+        }
+    }
+
+    #[test]
+    fn rejects_check_without_json() {
+        let err = parse_line("--quick --check").unwrap_err();
+        assert!(err.contains("give --json"), "{err}");
+        assert!(parse_line("--check --json results").is_ok());
+    }
+
+    #[test]
+    fn timeline_traces_sit_next_to_the_named_trace() {
+        assert_eq!(
+            with_suffix("/tmp/t.json", "timeline-chaos"),
+            "/tmp/t-timeline-chaos.json"
+        );
+        assert_eq!(
+            with_suffix("trace", "timeline-chaos"),
+            "trace-timeline-chaos"
+        );
+    }
 }
