@@ -30,6 +30,11 @@
 //! the monitors catch it, shrinks the offending schedule, and with
 //! `--write DIR` commits the reproducer to the corpus. Exit 1 if the
 //! mutation is never caught — the monitors would have lost their teeth.
+//!
+//! A bad argument — an unknown subcommand, flag or mutation id, a missing
+//! or malformed value, a stray positional — prints the usage and exits 2.
+
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 use std::process::ExitCode;
 
@@ -37,48 +42,107 @@ use alphasim::coherence::RetryPolicy;
 use alphasim::kernel::SimDuration;
 use alphasim::system::chaos::{replay, replay_healthy, run_chaos, ChaosOptions, Reproducer};
 use alphasim::system::RecoveryMutation;
+use alphasim_bench::args::{or_usage, threads_or_all_cores, Args};
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "usage: chaos run [--trials N] [--seed S] [--threads N]
+       chaos replay <dir-or-file> ...
+       chaos mutate <mutation-id> [--write DIR] [--threads N]";
+
+/// What the command line asks for. `threads` is the campaign pool size:
+/// `0` (no `--threads`) defers to `ALPHASIM_THREADS`, then 1.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Run {
+        trials: usize,
+        seed: u64,
+        threads: usize,
+    },
+    Replay {
+        paths: Vec<String>,
+    },
+    Mutate {
+        mutation: RecoveryMutation,
+        write: Option<String>,
+        threads: usize,
+    },
 }
 
-fn parse_or_die(value: Option<String>, flag: &str, default: u64) -> u64 {
-    match value {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{flag} wants a number, got {v:?}")),
-    }
-}
-
-/// Resolve `--threads`: absent → 0 (defer to `ALPHASIM_THREADS`, then 1);
-/// `--threads 0` → all available cores; otherwise the given count.
-fn threads_arg(args: &[String]) -> usize {
-    match flag_value(args, "--threads") {
-        None => 0,
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .unwrap_or_else(|_| panic!("--threads wants a number, got {v:?}"));
-            if n == 0 {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            } else {
-                n
+/// Read the subcommand and its arguments in one pass, rejecting unknown
+/// subcommands, flags and mutation ids, missing or malformed values, and
+/// stray positionals.
+fn parse(args: &[String]) -> Result<Command, String> {
+    let (sub, rest) = args.split_first().ok_or("missing subcommand")?;
+    let mut args = Args::new(rest);
+    match sub.as_str() {
+        "run" => {
+            let (mut trials, mut seed, mut threads) = (50, 0xC405, 0);
+            while let Some(arg) = args.next() {
+                match arg {
+                    "--trials" => trials = args.number(arg)?,
+                    "--seed" => seed = args.number(arg)?,
+                    "--threads" => threads = threads_or_all_cores(args.number(arg)?),
+                    flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+                    other => return Err(format!("unexpected argument {other:?}")),
+                }
             }
+            Ok(Command::Run {
+                trials,
+                seed,
+                threads,
+            })
         }
+        "replay" => {
+            let mut paths = Vec::new();
+            for arg in args {
+                if arg.starts_with('-') {
+                    return Err(format!("unknown flag {arg}"));
+                }
+                paths.push(arg.to_owned());
+            }
+            if paths.is_empty() {
+                return Err("replay wants at least one reproducer file or directory".into());
+            }
+            Ok(Command::Replay { paths })
+        }
+        "mutate" => {
+            let (mut mutation, mut write, mut threads) = (None, None, 0);
+            while let Some(arg) = args.next() {
+                match arg {
+                    "--write" => write = Some(args.value(arg)?),
+                    "--threads" => threads = threads_or_all_cores(args.number(arg)?),
+                    flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+                    id if mutation.is_none() => {
+                        mutation = Some(RecoveryMutation::from_id(id).ok_or_else(|| {
+                            format!(
+                                "unknown mutation {id:?}; known: {:?}",
+                                RecoveryMutation::ALL.map(RecoveryMutation::id)
+                            )
+                        })?);
+                    }
+                    id => return Err(format!("unexpected argument {id:?}")),
+                }
+            }
+            let mutation = mutation.ok_or_else(|| {
+                format!(
+                    "mutate wants a mutation id: {:?}",
+                    RecoveryMutation::ALL.map(RecoveryMutation::id)
+                )
+            })?;
+            Ok(Command::Mutate {
+                mutation,
+                write,
+                threads,
+            })
+        }
+        other => Err(format!("unknown subcommand {other:?}")),
     }
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
+fn cmd_run(trials: usize, seed: u64, threads: usize) -> ExitCode {
     let opts = ChaosOptions {
-        trials: parse_or_die(flag_value(args, "--trials"), "--trials", 50) as usize,
-        base_seed: parse_or_die(flag_value(args, "--seed"), "--seed", 0xC405),
-        threads: threads_arg(args),
+        trials,
+        base_seed: seed,
+        threads,
         ..ChaosOptions::default()
     };
     eprintln!(
@@ -172,23 +236,8 @@ fn cmd_replay(paths: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_mutate(args: &[String]) -> ExitCode {
-    let id = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| {
-            panic!(
-                "mutate wants a mutation id: {:?}",
-                RecoveryMutation::ALL.map(RecoveryMutation::id)
-            )
-        });
-    let mutation = RecoveryMutation::from_id(id).unwrap_or_else(|| {
-        panic!(
-            "unknown mutation {id:?}; known: {:?}",
-            RecoveryMutation::ALL.map(RecoveryMutation::id)
-        )
-    });
-    let write_dir = flag_value(args, "--write");
+fn cmd_mutate(mutation: RecoveryMutation, write_dir: Option<String>, threads: usize) -> ExitCode {
+    let id = mutation.id();
     // The default 50 us timeout never exhausts its retries inside a ~7 us
     // run, so the off-by-one poison threshold is dead code under it. Hunt
     // that mutation with a hair-trigger policy: congestion from any fault
@@ -211,7 +260,7 @@ fn cmd_mutate(args: &[String]) -> ExitCode {
             base_seed: 0xC405 + batch * 12,
             retry,
             mutation: Some(mutation),
-            threads: threads_arg(args),
+            threads,
             ..ChaosOptions::default()
         };
         eprintln!("mutate {id}: batch {batch} (seeds {:#x}..)", opts.base_seed);
@@ -243,15 +292,121 @@ fn cmd_mutate(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("mutate") => cmd_mutate(&args[1..]),
-        _ => {
-            eprintln!("usage: chaos run [--trials N] [--seed S] [--threads N]");
-            eprintln!("       chaos replay <dir-or-file> ...");
-            eprintln!("       chaos mutate <mutation-id> [--write DIR] [--threads N]");
-            ExitCode::FAILURE
+    match or_usage(parse(&args), "chaos", USAGE) {
+        Command::Run {
+            trials,
+            seed,
+            threads,
+        } => cmd_run(trials, seed, threads),
+        Command::Replay { paths } => cmd_replay(&paths),
+        Command::Mutate {
+            mutation,
+            write,
+            threads,
+        } => cmd_mutate(mutation, write, threads),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Command, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn accepts_every_documented_option() {
+        assert_eq!(
+            parse_line("run").unwrap(),
+            Command::Run {
+                trials: 50,
+                seed: 0xC405,
+                threads: 0
+            }
+        );
+        assert_eq!(
+            parse_line("run --trials 12 --seed 7 --threads 3").unwrap(),
+            Command::Run {
+                trials: 12,
+                seed: 7,
+                threads: 3
+            }
+        );
+        assert_eq!(
+            parse_line("replay results/chaos-corpus a.json").unwrap(),
+            Command::Replay {
+                paths: vec!["results/chaos-corpus".into(), "a.json".into()]
+            }
+        );
+        assert_eq!(
+            parse_line("mutate --threads 2 leak-poison --write corpus").unwrap(),
+            Command::Mutate {
+                mutation: RecoveryMutation::LeakPoison,
+                write: Some("corpus".into()),
+                threads: 2
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_misspelled_flags_and_stray_arguments() {
+        for (line, why) in [
+            ("", "missing subcommand"),
+            ("fuzz", "unknown subcommand \"fuzz\""),
+            ("run --trails 3", "unknown flag --trails"),
+            ("run 12", "unexpected argument \"12\""),
+            ("replay --all", "unknown flag --all"),
+            ("mutate leak-poison --seed 3", "unknown flag --seed"),
+            (
+                "mutate leak-poison skip-window-refill",
+                "unexpected argument \"skip-window-refill\"",
+            ),
+        ] {
+            assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
         }
+    }
+
+    #[test]
+    fn rejects_missing_and_malformed_values() {
+        for (line, why) in [
+            ("run --trials x", "--trials wants a number, got \"x\""),
+            ("run --seed -1", "--seed wants a number, got \"-1\""),
+            ("run --threads", "--threads wants a value"),
+            ("mutate leak-poison --write", "--write wants a value"),
+            (
+                "mutate leak-poison --threads two",
+                "--threads wants a number, got \"two\"",
+            ),
+        ] {
+            assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
+        }
+    }
+
+    #[test]
+    fn rejects_missing_or_unknown_targets() {
+        assert!(parse_line("replay").unwrap_err().contains("at least one"));
+        assert!(parse_line("mutate")
+            .unwrap_err()
+            .contains("wants a mutation id"));
+        assert!(parse_line("mutate --threads 2")
+            .unwrap_err()
+            .contains("wants a mutation id"));
+        let err = parse_line("mutate leak-posion").unwrap_err();
+        assert!(err.starts_with("unknown mutation \"leak-posion\""), "{err}");
+    }
+
+    #[test]
+    fn threads_zero_means_every_core() {
+        let threads = |line| match parse_line(line).unwrap() {
+            Command::Run { threads, .. } | Command::Mutate { threads, .. } => threads,
+            Command::Replay { .. } => unreachable!(),
+        };
+        assert_eq!(threads("run --threads 0"), threads_or_all_cores(0));
+        assert_eq!(
+            threads("mutate leak-poison --threads 0"),
+            threads_or_all_cores(0)
+        );
     }
 }

@@ -21,29 +21,57 @@
 //! a measurement of the host, printed but never part of the JSON, so sim
 //! results are byte-identical either way. `--json PATH` writes the report
 //! JSON (identical to `results/timeline.json` only at the default width).
+//! A bad argument prints the usage line and exits 2.
+
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 use alphasim::experiments::timeline::{timeline_report_with, WINDOW_PS};
+use alphasim_bench::args::{or_usage, Args};
+
+const USAGE: &str = "usage: perfsight [--window-us N] [--wall] [--json PATH]";
+
+/// What the command line asks for.
+#[derive(Debug, PartialEq)]
+struct Options {
+    window_ps: u64,
+    wall: bool,
+    json: Option<String>,
+}
+
+/// Read the arguments in one pass, rejecting unknown flags, stray
+/// positionals, and a missing, malformed or zero window.
+fn parse(args: &[String]) -> Result<Options, String> {
+    let mut o = Options {
+        window_ps: WINDOW_PS,
+        wall: false,
+        json: None,
+    };
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--window-us" => {
+                o.window_ps = match args.number::<u64>(arg)?.checked_mul(1_000_000) {
+                    Some(0) => return Err("--window-us must be positive".into()),
+                    Some(ps) => ps,
+                    None => return Err("--window-us is out of range".into()),
+                }
+            }
+            "--wall" => o.wall = true,
+            "--json" => o.json = Some(args.value(arg)?),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            other => return Err(format!("unexpected argument {other:?}")),
+        }
+    }
+    Ok(o)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let window_ps = match flag_value("--window-us") {
-        Some(n) => {
-            let us: u64 = n
-                .parse()
-                .unwrap_or_else(|_| panic!("--window-us wants a number, got {n:?}"));
-            assert!(us > 0, "--window-us must be positive");
-            us * 1_000_000
-        }
-        None => WINDOW_PS,
-    };
-    let wall = args.iter().any(|a| a == "--wall");
-    let json_path = flag_value("--json");
+    let Options {
+        window_ps,
+        wall,
+        json: json_path,
+    } = or_usage(parse(&args), "perfsight", USAGE);
 
     eprintln!(
         "perfsight: observing timeline campaigns ({} µs windows{}) ...",
@@ -78,5 +106,53 @@ fn main() {
         let body = serde_json::to_string_pretty(&report.to_json()).expect("report serialises");
         std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("perfsight: report JSON -> {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn accepts_every_documented_option() {
+        assert_eq!(
+            parse_line("").unwrap(),
+            Options {
+                window_ps: WINDOW_PS,
+                wall: false,
+                json: None,
+            }
+        );
+        assert_eq!(
+            parse_line("--window-us 5 --wall --json out.json").unwrap(),
+            Options {
+                window_ps: 5_000_000,
+                wall: true,
+                json: Some("out.json".into()),
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_bad_arguments() {
+        for (line, why) in [
+            ("--window-us abc", "--window-us wants a number, got \"abc\""),
+            ("--window-us 0", "--window-us must be positive"),
+            (
+                "--window-us 18446744073709551",
+                "--window-us is out of range",
+            ),
+            ("--window-us", "--window-us wants a value"),
+            ("--json --wall", "--json wants a value"),
+            ("--walls", "unknown flag --walls"),
+            ("report.json", "unexpected argument \"report.json\""),
+        ] {
+            assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
+        }
     }
 }

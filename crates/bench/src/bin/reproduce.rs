@@ -28,6 +28,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use alphasim::experiments::timeline::timeline_report;
+use alphasim_bench::args::{host_cores, or_usage, threads_or_all_cores, Args};
 use alphasim_bench::{
     build_timed, files, jobs, report, set_jobs, set_shards, set_threads, shards,
     take_peak_event_depth, telemetry_report, threads, write_or_check, Effort, Entry, ARTIFACTS,
@@ -54,25 +55,17 @@ struct Options {
 /// missing or malformed values, and `--check` without `--json`.
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
-    let mut args = args.iter();
+    let mut args = Args::new(args);
     while let Some(arg) = args.next() {
-        let mut value = || match args.next() {
-            Some(v) if !v.starts_with("--") => Ok(v.clone()),
-            _ => Err(format!("{arg} wants a value")),
-        };
-        let number = |v: String| {
-            v.parse()
-                .map_err(|_| format!("{arg} wants a number, got {v:?}"))
-        };
-        match arg.as_str() {
+        match arg {
             "--quick" => o.effort = Effort::Quick,
             "--check" => o.check = true,
             "--sequential" => o.jobs = Some(1),
-            "--jobs" => o.jobs = Some(number(value()?)?),
-            "--shards" => o.shards = Some(number(value()?)?),
-            "--threads" => o.threads = Some(number(value()?)?),
-            "--json" => o.json = Some(value()?),
-            "--trace" => o.trace = Some(value()?),
+            "--jobs" => o.jobs = Some(args.number(arg)?),
+            "--shards" => o.shards = Some(args.number(arg)?),
+            "--threads" => o.threads = Some(args.number(arg)?),
+            "--json" => o.json = Some(args.value(arg)?),
+            "--trace" => o.trace = Some(args.value(arg)?),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             id if ARTIFACTS.iter().any(|e| e.id == id) => o.ids.push(id.to_owned()),
             id => return Err(format!("unknown artifact id {id:?}")),
@@ -111,16 +104,9 @@ fn write_traces(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse(&args).unwrap_or_else(|e| {
-        eprintln!("reproduce: {e}\n{USAGE}");
-        std::process::exit(2)
-    });
+    let opts = or_usage(parse(&args), "reproduce", USAGE);
     if let Some(n) = opts.jobs {
         set_jobs(n.max(1));
     }
@@ -128,8 +114,7 @@ fn main() {
         set_shards(n.max(1));
     }
     if let Some(n) = opts.threads {
-        // 0 = auto: all available cores.
-        set_threads(if n == 0 { host_cores() } else { n });
+        set_threads(threads_or_all_cores(n));
     }
     let whole = opts.ids.is_empty();
     let selected: Vec<&Entry> = ARTIFACTS

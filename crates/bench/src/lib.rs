@@ -8,7 +8,8 @@
 //! `results/full_report.txt`. [`files`] renders what a sweep writes and
 //! [`write_or_check`] writes it or, in check mode, explains any drift from
 //! disk. [`Effort`] trades run time for sweep density; `Effort::Full`
-//! matches the numbers quoted in EXPERIMENTS.md.
+//! matches the numbers quoted in EXPERIMENTS.md. [`args`] is the one
+//! command-line reader the binaries share.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -25,6 +26,8 @@ use alphasim::kernel::par::parallel_map;
 use alphasim::types::{Figure, RatioRow, Table};
 use alphasim::workloads::spec::Suite;
 use serde_json::Value;
+
+pub mod args;
 
 pub use alphasim::kernel::par::{jobs, set_jobs, set_shards, set_threads, shards, threads};
 pub use alphasim::kernel::take_peak_event_depth;

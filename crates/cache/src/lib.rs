@@ -9,10 +9,8 @@
 //!   bigger but much slower to reach.
 //!
 //! This crate provides a functional set-associative cache model
-//! ([`SetAssocCache`]), a two-level hierarchy that walks loads through
-//! L1 → L2 → memory ([`CacheHierarchy`]), and the EV7's victim-buffer limit
-//! on outstanding misses ([`MissTracker`]) that caps memory-level
-//! parallelism at 16.
+//! ([`SetAssocCache`]) and a two-level hierarchy that walks loads through
+//! L1 → L2 → memory ([`CacheHierarchy`]).
 //!
 //! # Examples
 //!
@@ -32,9 +30,7 @@
 mod geometry;
 mod hierarchy;
 mod set_assoc;
-mod tracker;
 
 pub use geometry::{Addr, CacheGeometry};
 pub use hierarchy::{CacheHierarchy, HierarchyConfig, HitLevel, LoadOutcome};
 pub use set_assoc::{AccessResult, SetAssocCache};
-pub use tracker::MissTracker;

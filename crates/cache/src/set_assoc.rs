@@ -116,13 +116,6 @@ impl SetAssocCache {
         set.iter().any(|&(t, _)| t == tag)
     }
 
-    /// Whether `addr`'s line is resident *and dirty*.
-    pub fn probe_dirty(&self, addr: Addr) -> bool {
-        let set = &self.sets[self.geometry.set_of(addr) as usize];
-        let tag = self.geometry.tag_of(addr);
-        set.iter().any(|&(t, d)| t == tag && d)
-    }
-
     /// Invalidate `addr`'s line if resident; reports whether it was.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
         let set_idx = self.geometry.set_of(addr) as usize;
@@ -347,12 +340,19 @@ mod tests {
 mod dirty_tests {
     use super::*;
 
+    /// Whether `addr`'s line is resident *and dirty*.
+    fn is_dirty(c: &SetAssocCache, addr: Addr) -> bool {
+        let set = &c.sets[c.geometry.set_of(addr) as usize];
+        let tag = c.geometry.tag_of(addr);
+        set.iter().any(|&(t, d)| t == tag && d)
+    }
+
     #[test]
     fn stores_mark_lines_dirty_and_evictions_write_back() {
         let mut c = SetAssocCache::new(CacheGeometry::new(128, 64, 1)); // 2 sets
         let a = Addr::new(0);
         c.access_write(a);
-        assert!(c.probe_dirty(a));
+        assert!(is_dirty(&c, a));
         // Conflicting fill evicts the dirty line: one write-back.
         let r = c.access(Addr::new(2 * 64));
         assert_eq!(r.evicted_line, Some(0));
@@ -375,7 +375,7 @@ mod dirty_tests {
         let a = Addr::new(64);
         c.access_write(a);
         c.access(a); // LRU refresh must not launder the dirty bit
-        assert!(c.probe_dirty(a));
+        assert!(is_dirty(&c, a));
     }
 
     #[test]
@@ -383,9 +383,9 @@ mod dirty_tests {
         let mut c = SetAssocCache::new(CacheGeometry::new(256, 64, 2));
         let a = Addr::new(0);
         c.access(a);
-        assert!(!c.probe_dirty(a));
+        assert!(!is_dirty(&c, a));
         assert!(c.access_write(a).hit);
-        assert!(c.probe_dirty(a));
+        assert!(is_dirty(&c, a));
     }
 
     #[test]

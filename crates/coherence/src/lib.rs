@@ -30,10 +30,8 @@
 
 mod directory;
 pub mod retry;
-mod traffic;
 mod transaction;
 
 pub use directory::{AccessKind, Directory, DirectoryStats, LineState};
 pub use retry::{LivelockReport, PendingSet, PendingTx, RetryPolicy, StuckTx, Watchdog};
-pub use traffic::TrafficMatrix;
 pub use transaction::{bytes, Leg, ServedBy, Transaction};

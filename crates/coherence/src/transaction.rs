@@ -90,11 +90,6 @@ impl Transaction {
         }
     }
 
-    /// Number of critical legs that cross the fabric.
-    pub fn remote_hop_legs(&self) -> usize {
-        self.critical.iter().filter(|l| l.is_remote()).count()
-    }
-
     /// Total bytes this transaction puts on the fabric (critical + side,
     /// remote legs only).
     pub fn fabric_bytes(&self) -> u64 {
@@ -132,7 +127,6 @@ mod tests {
             served_by: ServedBy::Memory,
         };
         assert_eq!(t.fabric_bytes(), 80 + 16);
-        assert_eq!(t.remote_hop_legs(), 1);
     }
 
     #[test]

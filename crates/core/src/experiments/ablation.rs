@@ -1,79 +1,15 @@
-//! Ablation studies over the design choices the paper highlights:
-//! adaptive vs. deterministic routing, the dual-controller design, and the
-//! class-priority virtual channels. Not figures from the paper, but the
-//! "what if the 21364 hadn't done this" questions its §2 invites.
+//! Ablation studies over two design choices the paper highlights: the
+//! dual memory controllers (`ablation-zbox`) and adaptive routing around
+//! failed links (`ablation-failures`). Not figures from the paper, but the
+//! "what if the 21364 hadn't done this" questions its §2 invites. The
+//! tests also pin the fabric behaviour behind two more of those choices:
+//! adaptive routing, and drain priority for block responses.
 
-use alphasim_kernel::SimTime;
-use alphasim_net::MessageClass;
-use alphasim_system::loadtest::{gs1280_load_test, LoadTestConfig};
+use alphasim_system::loadtest::LoadTestConfig;
 use alphasim_system::Gs1280;
 use alphasim_topology::NodeId;
 
 use crate::types::{RatioRow, Table};
-
-/// Adaptive vs. deterministic routing under identical random load: inject
-/// the same message set as coherence-class (adaptive) and as I/O-class
-/// (deterministic, first-minimal-port) traffic and compare drain times.
-/// Returns `(adaptive_ns, deterministic_ns)`.
-pub fn adaptive_vs_deterministic(cpus: usize, messages: usize) -> (f64, f64) {
-    let run = |class: MessageClass| {
-        let machine = Gs1280::builder().cpus(cpus).build();
-        let mut net = machine.network();
-        let mut rng = alphasim_kernel::DetRng::seeded(0xAB1A);
-        for i in 0..messages {
-            let src = rng.index(cpus);
-            let dst = rng.index_excluding(cpus, src);
-            net.send(
-                SimTime::ZERO,
-                NodeId::new(src),
-                NodeId::new(dst),
-                class,
-                80,
-                i as u64,
-            );
-        }
-        net.drain();
-        net.now().since(SimTime::ZERO).as_ns()
-    };
-    (run(MessageClass::Request), run(MessageClass::Io))
-}
-
-/// The protocol-traffic breakdown of a load-test run: what fraction of
-/// fabric bytes each message class carries. Block responses dominate —
-/// which is why the 21364 gives them drain priority.
-pub fn class_traffic_shares(cpus: usize, requests_per_cpu: usize) -> Vec<(String, f64)> {
-    let machine = Gs1280::builder().cpus(cpus).build();
-    let mut net = machine.network();
-    let mut rng = alphasim_kernel::DetRng::seeded(3);
-    // Emulate the load test's request/response pairs directly.
-    for i in 0..cpus * requests_per_cpu {
-        let src = rng.index(cpus);
-        let dst = rng.index_excluding(cpus, src);
-        net.send(
-            SimTime::ZERO,
-            NodeId::new(src),
-            NodeId::new(dst),
-            MessageClass::Request,
-            16,
-            i as u64,
-        );
-        net.send(
-            SimTime::ZERO,
-            NodeId::new(dst),
-            NodeId::new(src),
-            MessageClass::BlockResponse,
-            80,
-            (i + 1_000_000) as u64,
-        );
-    }
-    net.drain();
-    let totals = net.links().class_byte_totals();
-    let all: u64 = totals.iter().map(|&(_, b)| b).sum();
-    totals
-        .iter()
-        .map(|&(c, b)| (format!("{c:?}"), b as f64 / all.max(1) as f64))
-        .collect()
-}
 
 /// Single- vs dual-controller GS1280 (each CPU "can be configured with 0,
 /// 1, or 2 memory controllers", §3.1): halving controller bandwidth halves
@@ -131,51 +67,12 @@ pub fn controllers_ablation(requests_per_cpu: usize) -> Table {
     }
 }
 
-/// Window scaling on one machine size — the raw data behind one Fig. 15
-/// curve, exposed for the ablation benches.
-pub fn window_sweep(cpus: usize, windows: &[usize], requests_per_cpu: usize) -> Vec<(f64, f64)> {
-    let machine = Gs1280::builder().cpus(cpus).build();
-    windows
-        .iter()
-        .map(|&w| {
-            let r = gs1280_load_test(&machine).run(&LoadTestConfig {
-                outstanding: w,
-                requests_per_cpu,
-                ..Default::default()
-            });
-            (r.delivered_gbps, r.mean_latency.as_ns())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn adaptive_routing_drains_no_slower() {
-        let (adaptive, deterministic) = adaptive_vs_deterministic(16, 400);
-        assert!(
-            adaptive <= deterministic * 1.02,
-            "adaptive {adaptive} vs deterministic {deterministic}"
-        );
-        // Under this bursty all-at-once load the spread matters.
-        assert!(
-            adaptive < deterministic,
-            "adaptive should strictly win: {adaptive} vs {deterministic}"
-        );
-    }
-
-    #[test]
-    fn responses_carry_most_bytes() {
-        let shares = class_traffic_shares(16, 30);
-        let response = shares.iter().find(|(n, _)| n == "BlockResponse").unwrap().1;
-        let request = shares.iter().find(|(n, _)| n == "Request").unwrap().1;
-        assert!(response > 0.6, "response share {response}");
-        assert!(request < 0.4, "request share {request}");
-        let total: f64 = shares.iter().map(|(_, f)| f).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
+    use alphasim_kernel::{DetRng, SimTime};
+    use alphasim_net::MessageClass;
+    use alphasim_system::loadtest::gs1280_load_test;
 
     #[test]
     fn dual_controllers_raise_hot_spot_throughput() {
@@ -187,9 +84,87 @@ mod tests {
         );
     }
 
+    /// Adaptive vs. deterministic routing under identical load: the same
+    /// 400 random messages on the 16P torus, sent all at once as
+    /// coherence Requests (adaptive) and as Io (deterministic, first
+    /// minimal port).
+    #[test]
+    fn adaptive_routing_drains_no_slower() {
+        let drain_ns = |class: MessageClass| {
+            let mut net = Gs1280::builder().cpus(16).build().network();
+            let mut rng = DetRng::seeded(0xAB1A);
+            for i in 0..400 {
+                let src = rng.index(16);
+                let dst = rng.index_excluding(16, src);
+                net.send(
+                    SimTime::ZERO,
+                    NodeId::new(src),
+                    NodeId::new(dst),
+                    class,
+                    80,
+                    i,
+                );
+            }
+            net.drain();
+            net.now().since(SimTime::ZERO).as_ns()
+        };
+        let (adaptive, deterministic) =
+            (drain_ns(MessageClass::Request), drain_ns(MessageClass::Io));
+        // Under this bursty all-at-once load the spread strictly wins.
+        assert!(
+            adaptive < deterministic,
+            "adaptive {adaptive} vs deterministic {deterministic}"
+        );
+    }
+
+    /// Block responses carry most fabric bytes — which is why the 21364
+    /// gives them drain priority: 30 request/response pairs per CPU on the
+    /// 16P torus.
+    #[test]
+    fn responses_carry_most_bytes() {
+        let mut net = Gs1280::builder().cpus(16).build().network();
+        let mut rng = DetRng::seeded(3);
+        for i in 0..16 * 30 {
+            let src = NodeId::new(rng.index(16));
+            let dst = NodeId::new(rng.index_excluding(16, src.index()));
+            net.send(SimTime::ZERO, src, dst, MessageClass::Request, 16, i);
+            let response = MessageClass::BlockResponse;
+            net.send(SimTime::ZERO, dst, src, response, 80, i + 1_000_000);
+        }
+        net.drain();
+        let totals = net.links().class_byte_totals();
+        let all: u64 = totals.iter().map(|&(_, b)| b).sum();
+        let share = |class: MessageClass| {
+            let bytes = totals
+                .iter()
+                .find(|&&(c, _)| c == class)
+                .map_or(0, |&(_, b)| b);
+            bytes as f64 / all as f64
+        };
+        let (response, request) = (
+            share(MessageClass::BlockResponse),
+            share(MessageClass::Request),
+        );
+        assert!(response > 0.6, "response share {response}");
+        assert!(request < 0.4, "request share {request}");
+    }
+
+    /// Window scaling on the 16P machine (the raw data behind one Fig. 15
+    /// curve): bandwidth and latency both grow until saturation.
     #[test]
     fn window_sweep_is_monotone_in_bandwidth_until_saturation() {
-        let sweep = window_sweep(16, &[1, 2, 4, 8], 40);
+        let machine = Gs1280::builder().cpus(16).build();
+        let sweep: Vec<(f64, f64)> = [1, 2, 4, 8]
+            .iter()
+            .map(|&w| {
+                let r = gs1280_load_test(&machine).run(&LoadTestConfig {
+                    outstanding: w,
+                    requests_per_cpu: 40,
+                    ..Default::default()
+                });
+                (r.delivered_gbps, r.mean_latency.as_ns())
+            })
+            .collect();
         for w in sweep.windows(2) {
             assert!(w[1].0 >= w[0].0 * 0.95, "{sweep:?}");
             assert!(w[1].1 >= w[0].1 * 0.95, "latency non-decreasing");

@@ -15,8 +15,9 @@
 //! * the message-level interconnect simulator ([`alphasim_net`] → [`net`]);
 //! * caches, memory controllers, and the directory protocol ([`cache`],
 //!   [`mem`], [`coherence`]);
-//! * the measurement workloads — pointer chase, STREAM, GUPS, SPEC
-//!   profiles, Fluent and NAS SP proxies ([`workloads`]);
+//! * the measurement workloads — pointer chase, SPEC profiles, Fluent and
+//!   NAS SP proxies ([`workloads`]); STREAM and GUPS run on the machines'
+//!   bandwidth probes and the load test;
 //! * the Xmesh hot-spot display (Fig. 27), rendered from the load test's
 //!   per-node busy-time heat maps ([`experiments::network::fig27`]).
 //!

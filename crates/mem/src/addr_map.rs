@@ -128,24 +128,6 @@ impl AddressMap {
     pub fn home_cpu(&self, addr: Addr) -> usize {
         self.target_of(addr).cpu
     }
-
-    /// Whether `addr` is in `cpu`'s local memory.
-    pub fn is_local(&self, addr: Addr, cpu: usize) -> bool {
-        self.home_cpu(addr) == cpu
-    }
-
-    /// An address in the middle of `cpu`'s own region — a convenient "local
-    /// buffer" for workloads. With striping the line may still land on the
-    /// pair partner; that is exactly the striping tax the paper measures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is out of range or `offset` exceeds the region.
-    pub fn local_addr(&self, cpu: usize, offset: u64) -> Addr {
-        assert!(cpu < self.cpus, "CPU out of range");
-        assert!(offset < self.bytes_per_cpu, "offset beyond region");
-        Addr::new(cpu as u64 * self.bytes_per_cpu + offset)
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +141,6 @@ mod tests {
             let base = (cpu as u64) << 20;
             assert_eq!(m.home_cpu(Addr::new(base)), cpu);
             assert_eq!(m.home_cpu(Addr::new(base + (1 << 20) - 64)), cpu);
-            assert!(m.is_local(Addr::new(base), cpu));
         }
     }
 
@@ -224,14 +205,6 @@ mod tests {
         assert_eq!(counts.len(), 4);
         for (&k, &v) in &counts {
             assert_eq!(v, 1024, "{k:?}");
-        }
-    }
-
-    #[test]
-    fn local_addr_is_local_without_striping() {
-        let m = AddressMap::new(16, 1 << 24, Interleave::PerCpu);
-        for cpu in 0..16 {
-            assert!(m.is_local(m.local_addr(cpu, 4096), cpu));
         }
     }
 

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod arbiter;
 pub mod link;
 mod msg;
 pub mod partition;

@@ -378,11 +378,6 @@ impl FabricTables {
         self.link_meta[id]
     }
 
-    /// Every directed link sent by `node` (dead ones included).
-    pub fn links_from(&self, node: NodeId) -> &[usize] {
-        &self.link_of[node.index()]
-    }
-
     /// The *live* directed links sent by `node`, in port order.
     pub fn live_links_from(&self, node: NodeId) -> &[usize] {
         &self.live_link_of[node.index()]
@@ -1506,7 +1501,7 @@ mod tests {
         net.drain();
         let used = net
             .tables()
-            .links_from(NodeId::new(0))
+            .live_links_from(NodeId::new(0))
             .iter()
             .filter(|&&id| net.links().links[id].bytes() > 0)
             .count();

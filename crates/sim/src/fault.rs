@@ -119,14 +119,6 @@ impl FaultKind {
             FaultKind::ChannelUp { node } => format!("RDRAM channel restored at node {node}"),
         }
     }
-
-    /// Whether this kind heals damage rather than inflicting it.
-    pub fn is_repair(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::LinkUp { .. } | FaultKind::NodeUndrain { .. } | FaultKind::ChannelUp { .. }
-        )
-    }
 }
 
 /// One scheduled fault.
@@ -341,8 +333,6 @@ mod tests {
             assert!(!kind.describe().is_empty());
             assert!(seen.insert(kind.describe()), "descriptions must differ");
         }
-        let repairs = kinds.iter().filter(|k| k.is_repair()).count();
-        assert_eq!(repairs, 3, "LinkUp, NodeUndrain, ChannelUp are repairs");
     }
 
     #[test]

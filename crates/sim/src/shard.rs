@@ -14,7 +14,7 @@
 //!
 //! Determinism of the parallel engine does not come from scheduling luck:
 //! shards are **owned values** moved through the
-//! [`WorkerPool`](crate::par::WorkerPool)'s channels (no shared mutable
+//! [`WorkerPool`]'s channels (no shared mutable
 //! state), cross-region events carry caller-assigned, shard-count-invariant
 //! tiebreak ids, and barrier exchange applies outboxes in ascending region
 //! order. The same seeds therefore produce the same event order — and the

@@ -58,11 +58,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// The timestamp as (floating-point) microseconds.
-    pub fn as_us(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// The timestamp as (floating-point) seconds.
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / 1e12
@@ -253,11 +248,6 @@ impl Frequency {
         Frequency { ghz }
     }
 
-    /// A frequency in megahertz.
-    pub fn from_mhz(mhz: f64) -> Self {
-        Self::from_ghz(mhz / 1_000.0)
-    }
-
     /// The frequency in gigahertz.
     pub fn ghz(self) -> f64 {
         self.ghz
@@ -271,11 +261,6 @@ impl Frequency {
     /// Duration of `n` clock cycles.
     pub fn cycles(self, n: u64) -> SimDuration {
         SimDuration(((n as f64) * 1_000.0 / self.ghz).round() as u64)
-    }
-
-    /// How many whole cycles fit in `d`.
-    pub fn cycles_in(self, d: SimDuration) -> u64 {
-        (d.as_ps() as f64 * self.ghz / 1_000.0).floor() as u64
     }
 }
 
@@ -332,8 +317,7 @@ mod tests {
     fn frequency_cycles() {
         let f = Frequency::from_ghz(1.0);
         assert_eq!(f.cycles(7).as_ns(), 7.0);
-        assert_eq!(f.cycles_in(SimDuration::from_ns(7.9)), 7);
-        let links = Frequency::from_mhz(767.0);
+        let links = Frequency::from_ghz(0.767);
         assert!((links.period().as_ns() - 1.304).abs() < 0.01);
     }
 

@@ -173,13 +173,6 @@ impl Calibration {
     pub fn local_closed_latency(&self) -> SimDuration {
         self.local_fixed + self.zbox.closed_page_latency
     }
-
-    /// Latency-covered memory demand of one CPU (Little's law over the
-    /// MSHRs), in GB/s of line traffic.
-    pub fn mlp_demand_gbps(&self) -> f64 {
-        let line = self.hierarchy.l2.line_bytes() as f64;
-        self.mshrs as f64 * line / self.local_open_latency().as_secs() / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -205,9 +198,13 @@ mod tests {
     #[test]
     fn mlp_demand_matches_zbox_peak_on_gs1280() {
         // The EV7's 16 victim buffers cover its own local latency: demand
-        // equals the 12.3 GB/s controller peak (paper §2's balance).
+        // equals the 12.3 GB/s peak of its two controllers (paper §2's
+        // balance).
         let c = Calibration::gs1280();
-        assert!((c.mlp_demand_gbps() - 12.337).abs() < 0.05);
+        let line = c.hierarchy.l2.line_bytes() as f64;
+        let demand = c.mshrs as f64 * line / c.local_open_latency().as_secs() / 1e9;
+        assert!((demand - 12.337).abs() < 0.05);
+        assert!((demand - 2.0 * c.zbox.bandwidth_gbps).abs() < 0.05);
     }
 
     #[test]

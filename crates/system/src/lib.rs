@@ -31,7 +31,6 @@
 
 mod calibration;
 pub mod chaos;
-mod coherent;
 mod epoch;
 mod es45;
 pub mod faulty;
@@ -47,7 +46,6 @@ pub use chaos::{
     catalog_for, replay, replay_healthy, run_chaos, ChaosOptions, ChaosReport, ChaosTrial,
     Reproducer,
 };
-pub use coherent::{CoherentMachine, CoherentOutcome, CoherentStats, MachineModel, ServiceClass};
 pub use es45::{Es45, Sc45};
 pub use faulty::{
     gs1280_fault_campaign, CampaignPattern, CampaignResult, CampaignTelemetry, FaultCampaign,

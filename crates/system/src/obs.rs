@@ -4,7 +4,7 @@
 //! epoch-parallel closed loop as every other entry point while three
 //! zero-cost-when-off collectors ride along:
 //!
-//! * a per-worker [`ObsAcc`] — fixed-width sim-time windows
+//! * a per-worker `ObsAcc` — fixed-width sim-time windows
 //!   ([`Timeline`]) of injections, completions, retries, poisons and
 //!   Zbox service, plus per-node memory accumulators;
 //! * the fabric's [`NetHeat`] — per-node delivery and per-link

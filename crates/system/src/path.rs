@@ -42,16 +42,6 @@ pub fn one_way_latencies<T: Topology + ?Sized>(
         .collect()
 }
 
-/// One-way minimum latency between two nodes.
-pub fn one_way_latency<T: Topology + ?Sized>(
-    topo: &T,
-    timing: &LinkTiming,
-    src: NodeId,
-    dst: NodeId,
-) -> SimDuration {
-    one_way_latencies(topo, timing, src)[dst.index()]
-}
-
 /// All-pairs one-way latencies (indexed `[src][dst]`).
 pub fn all_pairs<T: Topology + ?Sized>(topo: &T, timing: &LinkTiming) -> Vec<Vec<SimDuration>> {
     (0..topo.node_count())
@@ -109,7 +99,7 @@ mod tests {
         let timing = LinkTiming::ev7_torus();
         for s in 0..8 {
             assert_eq!(
-                one_way_latency(&t, &timing, NodeId::new(s), NodeId::new(s)),
+                one_way_latencies(&t, &timing, NodeId::new(s))[s],
                 SimDuration::ZERO
             );
         }

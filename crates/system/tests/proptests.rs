@@ -6,9 +6,7 @@
 use alphasim_kernel::chaos::{ChaosConfig, KindSlot};
 use alphasim_kernel::{SimDuration, SimTime};
 use alphasim_system::chaos::catalog_for;
-use alphasim_system::{
-    gs1280_fault_campaign, CampaignPattern, CoherentMachine, FaultCampaignConfig, Gs1280, Gs320,
-};
+use alphasim_system::{gs1280_fault_campaign, CampaignPattern, FaultCampaignConfig, Gs1280, Gs320};
 use alphasim_topology::NodeId;
 use proptest::prelude::*;
 
@@ -75,38 +73,6 @@ proptest! {
             let bw = q.stream_triad_gbps(n);
             prop_assert!(bw >= last - 1e-12);
             last = bw;
-        }
-    }
-
-    /// The coherent machine never loses accesses: class counts always sum
-    /// to the number of operations issued.
-    #[test]
-    fn coherent_machine_accounts_every_access(
-        ops in prop::collection::vec((0usize..8, 0u64..512, any::<bool>()), 1..200),
-    ) {
-        let mut m = CoherentMachine::new(
-            Gs1280::builder().cpus(8).mem_per_cpu(1 << 20).build(),
-        );
-        for &(cpu, line, write) in &ops {
-            let addr = alphasim_cache::Addr::new((line * 64) % (8 << 20));
-            m.access(cpu, addr, write);
-        }
-        prop_assert_eq!(m.stats().total(), ops.len() as u64);
-        prop_assert!(m.mean_latency().as_ns() >= 0.0);
-    }
-
-    /// Directory state in the coherent machine stays safe under arbitrary
-    /// access interleavings.
-    #[test]
-    fn coherent_machine_directory_stays_safe(
-        ops in prop::collection::vec((0usize..8, 0u64..64, any::<bool>()), 1..150),
-    ) {
-        let mut m = CoherentMachine::new(
-            Gs1280::builder().cpus(8).mem_per_cpu(1 << 20).build(),
-        );
-        for &(cpu, line, write) in &ops {
-            m.access(cpu, alphasim_cache::Addr::new(line * 64), write);
-            m.directory().check_invariants().unwrap();
         }
     }
 }

@@ -36,11 +36,6 @@ impl Registry {
         *self.entry_counter(name) += delta;
     }
 
-    /// Set the named counter to `value` (registration or overwrite).
-    pub fn counter_set(&mut self, name: &str, value: u64) {
-        *self.entry_counter(name) = value;
-    }
-
     /// Raise the named high-water gauge to at least `value`.
     pub fn gauge_max(&mut self, name: &str, value: u64) {
         let g = self.gauges.entry(name.to_owned()).or_insert(0);

@@ -56,11 +56,6 @@ impl Timeline {
         at_ps / self.window_ps
     }
 
-    /// Number of windows that received at least one update.
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
     /// Whether no window was ever touched.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()

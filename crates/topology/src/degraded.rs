@@ -109,11 +109,6 @@ impl<T: Topology> Degraded<T> {
     pub fn inner(&self) -> &T {
         &self.inner
     }
-
-    /// The failed links.
-    pub fn failed_links(&self) -> &[(NodeId, NodeId)] {
-        &self.failed
-    }
 }
 
 impl<T: Topology> Topology for Degraded<T> {
@@ -156,7 +151,7 @@ mod tests {
             .iter()
             .any(|p| p.to == NodeId::new(0)));
         assert_eq!(t.ports(NodeId::new(0)).len(), 3);
-        assert_eq!(t.failed_links().len(), 1);
+        assert_eq!(t.failed.len(), 1);
     }
 
     #[test]
@@ -227,7 +222,7 @@ mod tests {
         let cuts = [(NodeId::new(0), NodeId::new(1))];
         let a = Degraded::new(Torus2D::new(4, 4), &cuts);
         let b = Degraded::try_new(Torus2D::new(4, 4), &cuts).unwrap();
-        assert_eq!(a.failed_links(), b.failed_links());
+        assert_eq!(a.failed, b.failed);
         assert_eq!(a.ports(NodeId::new(0)), b.ports(NodeId::new(0)));
     }
 }

@@ -1,5 +1,5 @@
 //! Topologies of the previous-generation comparison machines: the GS320's
-//! hierarchical switch, the ES45's shared bus, and the SC45 cluster.
+//! hierarchical switch and the SC45 cluster of shared-bus ES45 boxes.
 
 use serde::{Deserialize, Serialize};
 
@@ -88,16 +88,6 @@ impl QbbTree {
         assert!(q < self.qbbs, "QBB index out of range");
         NodeId::new(self.cpus + q)
     }
-
-    /// The global-switch node.
-    pub fn global_switch(&self) -> NodeId {
-        NodeId::new(self.cpus + self.qbbs)
-    }
-
-    /// Whether two CPUs share a QBB (local vs. remote memory in Fig. 12).
-    pub fn same_qbb(&self, a: NodeId, b: NodeId) -> bool {
-        self.qbb_of(a) == self.qbb_of(b)
-    }
 }
 
 impl Topology for QbbTree {
@@ -107,61 +97,6 @@ impl Topology for QbbTree {
 
     fn node_count(&self) -> usize {
         self.cpus + self.qbbs + 1
-    }
-
-    fn ports(&self, node: NodeId) -> &[Port] {
-        &self.ports[node.index()]
-    }
-
-    fn is_endpoint(&self, node: NodeId) -> bool {
-        node.index() < self.cpus
-    }
-}
-
-/// The ES45's shared memory bus: up to four CPUs and one memory system on a
-/// single arbitration domain. Node `cpus` is the bus/memory hub; CPUs are
-/// `0..cpus`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SharedBus {
-    cpus: usize,
-    ports: Vec<Vec<Port>>,
-}
-
-impl SharedBus {
-    /// A bus with `cpus` processors (1..=4 on an ES45).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus` is zero or greater than 4.
-    pub fn new(cpus: usize) -> Self {
-        assert!((1..=4).contains(&cpus), "ES45 holds 1..=4 CPUs");
-        let hub = cpus;
-        let mut ports = vec![Vec::new(); cpus + 1];
-        for cpu in 0..cpus {
-            ports[cpu].push(Port::undirected(NodeId::new(hub), LinkClass::Bus));
-            ports[hub].push(Port::undirected(NodeId::new(cpu), LinkClass::Bus));
-        }
-        SharedBus { cpus, ports }
-    }
-
-    /// Number of CPU endpoints.
-    pub fn cpus(&self) -> usize {
-        self.cpus
-    }
-
-    /// The bus/memory hub node.
-    pub fn hub(&self) -> NodeId {
-        NodeId::new(self.cpus)
-    }
-}
-
-impl Topology for SharedBus {
-    fn name(&self) -> String {
-        format!("es45-{}cpu", self.cpus)
-    }
-
-    fn node_count(&self) -> usize {
-        self.cpus + 1
     }
 
     fn ports(&self, node: NodeId) -> &[Port] {
@@ -262,8 +197,8 @@ mod tests {
         assert_eq!(g.endpoints().len(), 16);
         assert_eq!(g.qbb_of(NodeId::new(0)), 0);
         assert_eq!(g.qbb_of(NodeId::new(15)), 3);
-        assert!(g.same_qbb(NodeId::new(4), NodeId::new(7)));
-        assert!(!g.same_qbb(NodeId::new(3), NodeId::new(4)));
+        assert_eq!(g.qbb_of(NodeId::new(4)), g.qbb_of(NodeId::new(7)));
+        assert_ne!(g.qbb_of(NodeId::new(3)), g.qbb_of(NodeId::new(4)));
     }
 
     #[test]
@@ -291,15 +226,6 @@ mod tests {
     #[should_panic(expected = "multiples of 4")]
     fn gs320_rejects_odd_counts() {
         let _ = QbbTree::new(6);
-    }
-
-    #[test]
-    fn es45_bus_is_a_star() {
-        let b = SharedBus::new(4);
-        let d = DistanceMatrix::compute(&b);
-        assert_eq!(d.diameter(), 2);
-        assert_eq!(b.endpoints().len(), 4);
-        assert_eq!(b.ports(b.hub()).len(), 4);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   configuration ([`ShuffleTorus`], §4.1 / Figs. 16–17 / Table 1);
 //! * **GS320** — four-CPU Quad Building Blocks behind a local switch, joined
 //!   by a hierarchical global switch ([`QbbTree`]);
-//! * **ES45 / SC45** — a 4-CPU shared-bus SMP ([`SharedBus`]), clustered
-//!   through a central Quadrics-style switch ([`StarCluster`]).
+//! * **ES45 / SC45** — 4-CPU shared-bus SMP boxes, clustered through a
+//!   central Quadrics-style switch ([`StarCluster`]).
 //!
 //! All of them implement [`Topology`], a directed-adjacency view that the
 //! network simulator (`alphasim-net`) and the graph analyses in [`graph`]
@@ -39,7 +39,7 @@ mod torus;
 pub mod updown;
 
 pub use degraded::{Degraded, DegradedError};
-pub use hier::{QbbTree, SharedBus, StarCluster};
+pub use hier::{QbbTree, StarCluster};
 pub use ids::{Coord, Direction, LinkClass, NodeId, Port};
 pub use shuffle::ShuffleTorus;
 pub use torus::Torus2D;

@@ -230,9 +230,9 @@ impl UpDownRoutes {
 
     /// Visit the up*/down* path of every ordered endpoint pair in
     /// `(src, dst)` lexicographic order without materializing them all —
-    /// at 1024 nodes the million-path vector of [`all_pairs`]
-    /// (Self::all_pairs) costs hundreds of megabytes, while the visitor
-    /// needs one path at a time.
+    /// at 1024 nodes the million-path vector of
+    /// [`all_pairs`](Self::all_pairs) costs hundreds of megabytes, while the
+    /// visitor needs one path at a time.
     pub fn for_each_pair<T: Topology + ?Sized>(
         &self,
         topo: &T,

@@ -1,7 +1,7 @@
 //! The three application classes of §5: Fluent (CPU-bound CFD), NAS SP
 //! (memory-bandwidth-bound MPI), and the traffic signatures behind their
-//! utilization figures (Figs. 19–22). GUPS, the third class, lives in
-//! [`crate::gups`].
+//! utilization figures (Figs. 19–22). GUPS, the third class, is the load
+//! test's uniform-remote pattern in `alphasim-system`.
 
 use alphasim_system::{Gs1280, Gs320, Sc45};
 use serde::{Deserialize, Serialize};
@@ -50,12 +50,6 @@ impl AppMachine {
             AppMachine::Gs320(m) => m.calibration().hierarchy.l2.size_bytes(),
             AppMachine::Sc45(m) => m.calibration().hierarchy.l2.size_bytes(),
         }
-    }
-
-    /// Counted STREAM-triad bandwidth with `cpus` active CPUs (the
-    /// resource bound for bandwidth-limited kernels).
-    pub fn stream_gbps_public(&self, cpus: usize) -> f64 {
-        self.stream_gbps(cpus)
     }
 
     /// Local memory load-to-use latency in ns.

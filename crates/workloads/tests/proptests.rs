@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used)]
 
 use alphasim_workloads::spec::{MachinePerf, PhasePattern, SpecProfile, Suite};
-use alphasim_workloads::{Gups, GupsConfig, PointerChase, Stream, StreamKernel};
+use alphasim_workloads::PointerChase;
 use proptest::prelude::*;
 
 fn arb_profile() -> impl Strategy<Value = SpecProfile> {
@@ -71,36 +71,6 @@ proptest! {
         prop_assert!(profile.rate(&m, n + 1) >= profile.rate(&m, n) - 1e-9);
     }
 
-    /// The GUPS home map is a balanced partition of the table.
-    #[test]
-    fn gups_homes_partition(entries_log in 8u32..16, cpus in 1usize..32) {
-        let entries = 1u64 << entries_log;
-        prop_assume!(entries as usize >= cpus);
-        let cfg = GupsConfig::new(entries, cpus);
-        let mut counts = vec![0u64; cpus];
-        for i in 0..entries {
-            counts[cfg.home_of(i)] += 1;
-        }
-        let (min, max) = (
-            *counts.iter().min().unwrap(),
-            *counts.iter().max().unwrap(),
-        );
-        prop_assert!(max - min <= 1 + entries / cpus as u64 / 8, "{counts:?}");
-        prop_assert_eq!(counts.iter().sum::<u64>(), entries);
-    }
-
-    /// GUPS updates are always reversible (XOR involution), whatever the
-    /// seed and count.
-    #[test]
-    fn gups_always_restores(seed in 0u64..1000, updates in 1u64..5000) {
-        let mut g = Gups::new(GupsConfig::new(1 << 10, 4));
-        let mut r1 = alphasim_kernel::DetRng::seeded(seed);
-        g.run(&mut r1, updates);
-        let mut r2 = alphasim_kernel::DetRng::seeded(seed);
-        g.run(&mut r2, updates);
-        prop_assert!(g.verify_restored().is_ok());
-    }
-
     /// Pointer-chase addresses always stay inside the dataset and visit
     /// every element exactly once per lap.
     #[test]
@@ -118,22 +88,5 @@ proptest! {
             seen.insert(a);
         }
         prop_assert_eq!(seen.len() as u64, n);
-    }
-
-    /// STREAM kernels always verify after any executed sequence.
-    #[test]
-    fn stream_always_verifies(seq in prop::collection::vec(0usize..4, 1..20), n in 1usize..300) {
-        let kernels = [
-            StreamKernel::Copy,
-            StreamKernel::Scale,
-            StreamKernel::Add,
-            StreamKernel::Triad,
-        ];
-        let mut s = Stream::new(n);
-        let executed: Vec<StreamKernel> = seq.iter().map(|&i| kernels[i]).collect();
-        for &k in &executed {
-            s.run(k);
-        }
-        prop_assert!(s.verify(&executed).is_ok());
     }
 }

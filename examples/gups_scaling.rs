@@ -10,25 +10,10 @@
 #![allow(clippy::unwrap_used)]
 
 use alphasim::experiments::apps;
-use alphasim::kernel::DetRng;
-use alphasim::workloads::{Gups, GupsConfig};
 
 fn main() {
-    // First, the kernel itself: real XOR updates with the benchmark's
-    // self-check (replaying the stream restores the table).
-    let mut gups = Gups::new(GupsConfig::new(1 << 16, 32));
-    let mut rng = DetRng::seeded(2003);
-    gups.run(&mut rng, 250_000);
-    let mut rng = DetRng::seeded(2003);
-    gups.run(&mut rng, 250_000);
-    gups.verify_restored().expect("GUPS self-check");
-    println!("GUPS kernel self-check passed (500k updates)");
-
-    // Then the throughput experiment on the simulated machines.
-    println!(
-        "\n{:>6} {:>18} {:>18}",
-        "CPUs", "GS1280 Mup/s", "GS320 Mup/s"
-    );
+    // Each update is one remote round trip in the event-driven load test.
+    println!("{:>6} {:>18} {:>18}", "CPUs", "GS1280 Mup/s", "GS320 Mup/s");
     for cpus in [4usize, 8, 16, 32] {
         let g = apps::gups_mups_gs1280(cpus, 150);
         let q = apps::gups_mups_gs320(cpus, 150);

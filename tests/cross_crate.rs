@@ -6,12 +6,11 @@
 
 use alphasim::cache::Addr;
 use alphasim::coherence::{AccessKind, Directory, ServedBy};
-use alphasim::kernel::SimTime;
+use alphasim::kernel::{DetRng, SimTime};
 use alphasim::net::MessageClass;
 use alphasim::system::{Gs1280, Gs320};
 use alphasim::topology::graph::DistanceMatrix;
 use alphasim::topology::{NodeId, Torus2D};
-use alphasim::workloads::{Stream, StreamKernel};
 
 /// Replaying a coherence transaction's critical legs through the network
 /// simulator yields a latency consistent with the machine's analytic
@@ -74,17 +73,16 @@ fn analytic_paths_agree_with_bfs_hops() {
     }
 }
 
-/// STREAM's trace replayed against the GS1280's address map touches only
-/// the running CPU's own region (PerCpu interleave) — locality is what
-/// makes Fig. 7 scale linearly.
+/// A STREAM working set placed at a CPU's base address (three 64 KB
+/// arrays) lives entirely in that CPU's own region under the GS1280's
+/// PerCpu interleave — locality is what makes Fig. 7 scale linearly.
 #[test]
 fn stream_is_local_on_gs1280() {
     let machine = Gs1280::builder().cpus(4).mem_per_cpu(1 << 22).build();
-    let s = Stream::new(8 * 1024); // 3 arrays x 64 KB
     for cpu in 0..4u64 {
         let base = cpu * (1 << 22);
-        for addr in s.trace(StreamKernel::Triad, base) {
-            assert_eq!(machine.home_of(addr).index(), cpu as usize);
+        for line in (base..base + 3 * 64 * 1024).step_by(64) {
+            assert_eq!(machine.home_of(Addr::new(line)).index(), cpu as usize);
         }
     }
 }
@@ -164,17 +162,14 @@ fn striped_homes_split_across_pair() {
     assert_eq!(on_partner, 512);
 }
 
-/// The traffic matrix predicted from directory transactions matches the
-/// bytes the network simulator actually moves, pair by pair (conservation
-/// across the coherence/network boundary).
+/// The traffic matrix predicted from directory transactions (bytes per
+/// node pair, remote legs only) matches the bytes the network simulator
+/// actually moves, pair by pair (conservation across the coherence/network
+/// boundary).
 #[test]
 fn traffic_matrix_matches_network_bytes() {
-    use alphasim::coherence::TrafficMatrix;
-    use alphasim::kernel::DetRng;
-
     let machine = Gs1280::builder().cpus(16).build();
     let mut dir = Directory::new();
-    let mut tm = TrafficMatrix::new(16);
     let mut net = machine.network();
     let mut rng = DetRng::seeded(77);
     let mut expected_pairs: std::collections::HashMap<(usize, usize), u64> =
@@ -191,7 +186,6 @@ fn traffic_matrix_matches_network_bytes() {
             AccessKind::Read
         };
         let txn = dir.access(home, cpu, line, kind);
-        tm.record(&txn);
         for leg in txn.critical.iter().chain(&txn.side) {
             if leg.is_remote() {
                 net.send(
@@ -214,36 +208,29 @@ fn traffic_matrix_matches_network_bytes() {
         *seen.entry((d.src.index(), d.dst.index())).or_default() += d.bytes;
     }
     assert_eq!(seen, expected_pairs);
-    for (&(s, t), &b) in &expected_pairs {
-        assert_eq!(tm.between(s, t), b, "pair {s}->{t}");
-    }
-    assert_eq!(
-        tm.total(),
-        expected_pairs.values().sum::<u64>(),
-        "matrix total"
-    );
 }
 
-/// Hot-spot traffic is recognisable from the matrix alone, before any
-/// simulation — the Xmesh §6 workflow.
+/// Hot-spot traffic is recognisable from the directory's per-node traffic
+/// alone, before any simulation — the Xmesh §6 workflow: when every CPU
+/// reads lines homed at node 0, the hot-spot rule flags node 0 and only it.
 #[test]
 fn traffic_matrix_flags_hot_spot_pattern() {
-    use alphasim::coherence::TrafficMatrix;
+    use alphasim_telemetry::Heatmap;
 
     let mut dir = Directory::new();
-    let mut tm = TrafficMatrix::new(16);
+    let mut load = Heatmap::new(4, 4);
     for cpu in 1..16 {
         for l in 0..20u64 {
-            tm.record(&dir.access(0, cpu, cpu as u64 * 1000 + l, AccessKind::Read));
+            let txn = dir.access(0, cpu, cpu as u64 * 1000 + l, AccessKind::Read);
+            for leg in txn.critical.iter().chain(&txn.side) {
+                if leg.is_remote() {
+                    load.add(leg.from, leg.bytes);
+                    load.add(leg.to, leg.bytes);
+                }
+            }
         }
     }
-    assert_eq!(tm.hot_spots(4.0), vec![0]);
+    assert_eq!(load.hot_spots(load.peak()).hot_nodes, vec![0]);
     // Node 0 carries both the request fan-in and the data fan-out.
-    let load: Vec<u64> = tm
-        .inbound()
-        .iter()
-        .zip(tm.outbound())
-        .map(|(i, o)| i + o)
-        .collect();
-    assert!(load[0] > 10 * load[1], "{load:?}");
+    assert!(load.cell(0) > 10 * load.cell(1), "{load:?}");
 }
