@@ -43,6 +43,7 @@ use alphasim::kernel::SimDuration;
 use alphasim::system::chaos::{replay, replay_healthy, run_chaos, ChaosOptions, Reproducer};
 use alphasim::system::RecoveryMutation;
 use alphasim_bench::args::{or_usage, threads_or_all_cores, Args};
+use alphasim_bench::check_env;
 
 const USAGE: &str = "usage: chaos run [--trials N] [--seed S] [--threads N]
        chaos replay <dir-or-file> ...
@@ -291,6 +292,7 @@ fn cmd_mutate(mutation: RecoveryMutation, write_dir: Option<String>, threads: us
 }
 
 fn main() -> ExitCode {
+    or_usage(check_env(), "chaos", USAGE);
     let args: Vec<String> = std::env::args().skip(1).collect();
     match or_usage(parse(&args), "chaos", USAGE) {
         Command::Run {

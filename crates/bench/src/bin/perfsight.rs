@@ -27,6 +27,7 @@
 
 use alphasim::experiments::timeline::{timeline_report_with, WINDOW_PS};
 use alphasim_bench::args::{or_usage, Args};
+use alphasim_bench::check_env;
 
 const USAGE: &str = "usage: perfsight [--window-us N] [--wall] [--json PATH]";
 
@@ -66,6 +67,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
 }
 
 fn main() {
+    or_usage(check_env(), "perfsight", USAGE);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Options {
         window_ps,

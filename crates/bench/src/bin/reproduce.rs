@@ -30,7 +30,7 @@ use std::time::Instant;
 use alphasim::experiments::timeline::timeline_report;
 use alphasim_bench::args::{host_cores, or_usage, threads_or_all_cores, Args};
 use alphasim_bench::{
-    build_timed, files, jobs, report, set_jobs, set_shards, set_threads, shards,
+    build_timed, check_env, files, jobs, report, set_jobs, set_shards, set_threads, shards,
     take_peak_event_depth, telemetry_report, threads, write_or_check, Effort, Entry, ARTIFACTS,
 };
 use serde_json::json;
@@ -105,6 +105,7 @@ fn write_traces(path: &str) -> Result<(), String> {
 }
 
 fn main() {
+    or_usage(check_env(), "reproduce", USAGE);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = or_usage(parse(&args), "reproduce", USAGE);
     if let Some(n) = opts.jobs {

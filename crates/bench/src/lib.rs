@@ -29,7 +29,9 @@ use serde_json::Value;
 
 pub mod args;
 
-pub use alphasim::kernel::par::{jobs, set_jobs, set_shards, set_threads, shards, threads};
+pub use alphasim::kernel::par::{
+    check_env, jobs, set_jobs, set_shards, set_threads, shards, threads,
+};
 pub use alphasim::kernel::take_peak_event_depth;
 
 /// How hard to sweep each experiment.

@@ -114,13 +114,13 @@ impl CacheHierarchy {
     /// Perform a load; a miss in both levels costs `memory_latency` and
     /// fills both levels.
     pub fn load(&mut self, addr: Addr, memory_latency: SimDuration) -> LoadOutcome {
-        if self.l1.access(addr).hit {
+        if self.l1.access(addr) {
             return LoadOutcome {
                 level: HitLevel::L1,
                 latency: self.config.l1_latency,
             };
         }
-        if self.l2.access(addr).hit {
+        if self.l2.access(addr) {
             return LoadOutcome {
                 level: HitLevel::L2,
                 latency: self.config.l2_latency,
@@ -137,19 +137,17 @@ impl CacheHierarchy {
     /// 2 * stride`, …: exactly the state and counters that many [`load`]
     /// calls leave, with the outcomes discarded.
     ///
-    /// On a cold hierarchy (no access since construction or [`flush`], no
-    /// resident line) the end state is built directly, in time bounded by
-    /// the cache capacity rather than `count`. A monotone sweep visits each
-    /// line in one contiguous run, so each line's first load misses both
-    /// levels, every other load hits L1, and every set ends up holding the
-    /// newest `ways` distinct lines that map to it, oldest in LRU position,
-    /// all clean. A warm hierarchy, where dirty lines and earlier residents
-    /// break that closed form, falls back to the [`load`] loop; so does a
-    /// sweep that runs past the top of the address space or an L1 line
-    /// longer than an L2 line.
+    /// On a cold hierarchy (no access since construction) the end state is
+    /// built directly, in time bounded by the cache capacity rather than
+    /// `count`. A monotone sweep visits each line in one contiguous run, so
+    /// each line's first load misses both levels, every other load hits L1,
+    /// and every set ends up holding the newest `ways` distinct lines that
+    /// map to it, oldest in LRU position. A warm hierarchy, where earlier
+    /// residents break that closed form, falls back to the [`load`] loop;
+    /// so does a sweep that runs past the top of the address space or an
+    /// L1 line longer than an L2 line.
     ///
     /// [`load`]: Self::load
-    /// [`flush`]: Self::flush
     pub fn load_sweep(&mut self, first: Addr, stride: u64, count: u64) {
         let sweep = Sweep {
             first: first.get(),
@@ -157,7 +155,7 @@ impl CacheHierarchy {
             count,
         };
         let (g1, g2) = (self.config.l1, self.config.l2);
-        let cold = self.memory_loads == 0 && self.l1.is_cold() && self.l2.is_cold();
+        let cold = self.l1.is_cold() && self.l2.is_cold();
         let last = match sweep.last() {
             Some(last) if cold && g1.line_bytes() <= g2.line_bytes() => last,
             _ => {
@@ -179,61 +177,7 @@ impl CacheHierarchy {
         self.memory_loads = d2;
     }
 
-    /// Perform a store (write-allocate, write-back): like [`load`] but the
-    /// line is left dirty in both levels, and a dirty L2 victim counts as a
-    /// write-back.
-    ///
-    /// [`load`]: Self::load
-    pub fn store(&mut self, addr: Addr, memory_latency: SimDuration) -> LoadOutcome {
-        if self.l1.access_write(addr).hit {
-            return LoadOutcome {
-                level: HitLevel::L1,
-                latency: self.config.l1_latency,
-            };
-        }
-        if self.l2.access_write(addr).hit {
-            return LoadOutcome {
-                level: HitLevel::L2,
-                latency: self.config.l2_latency,
-            };
-        }
-        self.memory_loads += 1;
-        LoadOutcome {
-            level: HitLevel::Memory,
-            latency: memory_latency,
-        }
-    }
-
-    /// Dirty L2 victims written back to memory so far.
-    pub fn writebacks(&self) -> u64 {
-        self.l2.writebacks()
-    }
-
-    /// Whether `addr` would hit somewhere without changing any state.
-    pub fn probe(&self, addr: Addr) -> Option<HitLevel> {
-        if self.l1.probe(addr) {
-            Some(HitLevel::L1)
-        } else if self.l2.probe(addr) {
-            Some(HitLevel::L2)
-        } else {
-            None
-        }
-    }
-
-    /// Invalidate a line everywhere (used by coherence invalidations).
-    pub fn invalidate(&mut self, addr: Addr) {
-        self.l1.invalidate(addr);
-        self.l2.invalidate(addr);
-    }
-
-    /// Empty both levels and reset statistics.
-    pub fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-        self.memory_loads = 0;
-    }
-
-    /// Loads that reached memory since construction/flush.
+    /// Loads that reached memory since construction.
     pub fn memory_loads(&self) -> u64 {
         self.memory_loads
     }
@@ -385,17 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_forces_memory_reload() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
-        let a = Addr::new(0x2000);
-        h.load(a, mem());
-        assert_eq!(h.probe(a), Some(HitLevel::L1));
-        h.invalidate(a);
-        assert_eq!(h.probe(a), None);
-        assert_eq!(h.load(a, mem()).level, HitLevel::Memory);
-    }
-
-    #[test]
     fn load_sweep_matches_load_loop_on_paper_geometries() {
         // (first, stride, count): line-by-line past the EV68 B-cache; a
         // 16 KB stride that reaches few sets; sub-line, line-straddling
@@ -418,61 +351,5 @@ mod tests {
                 assert!(swept == looped, "{first} + i * {stride}, {count} loads");
             }
         }
-    }
-
-    #[test]
-    fn load_sweep_on_a_flushed_hierarchy_is_a_cold_sweep() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
-        h.store(Addr::new(0), mem());
-        h.flush();
-        h.load_sweep(Addr::new(0), 64, 3);
-        assert_eq!(h.memory_loads(), 3);
-        assert_eq!(h.writebacks(), 0);
-        assert_eq!(h.load(Addr::new(128), mem()).level, HitLevel::L1);
-    }
-
-    #[test]
-    fn flush_resets() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
-        h.load(Addr::new(0), mem());
-        h.flush();
-        assert_eq!(h.memory_loads(), 0);
-        assert_eq!(h.probe(Addr::new(0)), None);
-    }
-}
-
-#[cfg(test)]
-mod store_tests {
-    use super::*;
-
-    #[test]
-    fn store_sweep_beyond_l2_generates_writebacks() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
-        let mem = SimDuration::from_ns(83.0);
-        let l2_lines = HierarchyConfig::ev7().l2.size_bytes() / 64;
-        for i in 0..2 * l2_lines {
-            h.store(Addr::new(i * 64), mem);
-        }
-        assert!(h.writebacks() > l2_lines / 2, "{}", h.writebacks());
-    }
-
-    #[test]
-    fn load_sweep_generates_no_writebacks() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
-        let mem = SimDuration::from_ns(83.0);
-        for i in 0..100_000u64 {
-            h.load(Addr::new(i * 64), mem);
-        }
-        assert_eq!(h.writebacks(), 0);
-    }
-
-    #[test]
-    fn store_hits_are_l1_fast() {
-        let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
-        let mem = SimDuration::from_ns(83.0);
-        let a = Addr::new(0x100);
-        h.store(a, mem);
-        let again = h.store(a, mem);
-        assert_eq!(again.level, HitLevel::L1);
     }
 }

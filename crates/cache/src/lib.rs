@@ -8,9 +8,9 @@
 //! * **GS320 / ES45 (21264/EV68)** — 16 MB, direct-mapped, *off-chip* L2:
 //!   bigger but much slower to reach.
 //!
-//! This crate provides a functional set-associative cache model
-//! ([`SetAssocCache`]) and a two-level hierarchy that walks loads through
-//! L1 → L2 → memory ([`CacheHierarchy`]).
+//! This crate provides a functional, load-only set-associative cache model
+//! ([`SetAssocCache`], one flat tag array per level) and a two-level
+//! hierarchy that walks loads through L1 → L2 → memory ([`CacheHierarchy`]).
 //!
 //! # Examples
 //!
@@ -19,8 +19,8 @@
 //!
 //! // The EV7 on-chip L2.
 //! let mut l2 = SetAssocCache::new(CacheGeometry::ev7_l2());
-//! assert!(!l2.access(Addr::new(0x1000)).hit);
-//! assert!(l2.access(Addr::new(0x1000)).hit);
+//! assert!(!l2.access(Addr::new(0x1000))); // miss
+//! assert!(l2.access(Addr::new(0x1000))); // hit
 //! ```
 
 #![forbid(unsafe_code)]
@@ -33,4 +33,4 @@ mod set_assoc;
 
 pub use geometry::{Addr, CacheGeometry};
 pub use hierarchy::{CacheHierarchy, HierarchyConfig, HitLevel, LoadOutcome};
-pub use set_assoc::{AccessResult, SetAssocCache};
+pub use set_assoc::SetAssocCache;

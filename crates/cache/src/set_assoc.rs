@@ -4,56 +4,53 @@ use serde::{Deserialize, Serialize};
 
 use crate::geometry::{Addr, CacheGeometry};
 
-/// The outcome of one cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AccessResult {
-    /// Whether the line was present.
-    pub hit: bool,
-    /// The line number (in units of the line size) of a line evicted to
-    /// make room, if the fill displaced one.
-    pub evicted_line: Option<u64>,
-    /// Whether the evicted line was dirty (must be written back — the
-    /// write-back traffic STREAM's `moved_bytes` accounts for).
-    pub evicted_dirty: bool,
-}
-
 /// A set-associative cache with LRU replacement, tracking tags only (a
 /// *functional* model: it answers hit/miss questions, it does not hold
 /// data).
 ///
-/// Accesses allocate on miss (read-allocate; the reproduced experiments are
-/// latency/bandwidth studies over loads, with stores modelled as allocating
-/// too, matching the write-back write-allocate Alpha caches).
+/// Loads allocate on a miss. The tags live in one flat array, `ways` slots
+/// per set, indexed by shift and mask.
 ///
 /// # Examples
 ///
 /// ```
 /// use alphasim_cache::{Addr, CacheGeometry, SetAssocCache};
 /// let mut c = SetAssocCache::new(CacheGeometry::new(1024, 64, 2));
-/// assert!(!c.access(Addr::new(0)).hit);   // cold miss
-/// assert!(c.access(Addr::new(32)).hit);   // same line
+/// assert!(!c.access(Addr::new(0)));   // cold miss
+/// assert!(c.access(Addr::new(32)));   // same line
 /// assert_eq!(c.hits(), 1);
 /// assert_eq!(c.misses(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
-    /// Per set: `(tag, dirty)` in LRU order, most recently used last.
-    sets: Vec<Vec<(u64, bool)>>,
+    /// log2 of the line size: an address's line number is `addr >> line_shift`.
+    line_shift: u32,
+    /// log2 of the set count: a line's set is its low `set_bits` bits, its
+    /// tag the bits above.
+    set_bits: u32,
+    /// `ways` slots per set, set after set. A set's first `fill[set]` slots
+    /// hold its resident tags in LRU order, most recently used last; the
+    /// rest stay zero.
+    tags: Vec<u64>,
+    /// Resident lines per set.
+    fill: Vec<u32>,
     hits: u64,
     misses: u64,
-    writebacks: u64,
 }
 
 impl SetAssocCache {
     /// An empty cache of the given geometry.
     pub fn new(geometry: CacheGeometry) -> Self {
+        let sets = geometry.sets() as usize;
         SetAssocCache {
             geometry,
-            sets: vec![Vec::new(); geometry.sets() as usize],
+            line_shift: geometry.line_bytes().trailing_zeros(),
+            set_bits: geometry.sets().trailing_zeros(),
+            tags: vec![0; sets * geometry.ways() as usize],
+            fill: vec![0; sets],
             hits: 0,
             misses: 0,
-            writebacks: 0,
         }
     }
 
@@ -62,93 +59,43 @@ impl SetAssocCache {
         self.geometry
     }
 
-    /// Access `addr` with a load, allocating its line (clean) on a miss.
-    pub fn access(&mut self, addr: Addr) -> AccessResult {
-        self.reference(addr, false)
-    }
-
-    /// Access `addr` with a store, allocating (write-allocate) and marking
-    /// the line dirty.
-    pub fn access_write(&mut self, addr: Addr) -> AccessResult {
-        self.reference(addr, true)
-    }
-
-    fn reference(&mut self, addr: Addr, write: bool) -> AccessResult {
-        let set_idx = self.geometry.set_of(addr) as usize;
-        let tag = self.geometry.tag_of(addr);
+    /// Load `addr`, allocating its line on a miss; returns whether it hit.
+    pub fn access(&mut self, addr: Addr) -> bool {
+        let line = addr.get() >> self.line_shift;
+        let set = self.set_of_line(line);
+        let tag = line >> self.set_bits;
         let ways = self.geometry.ways() as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
-            let (t, dirty) = set.remove(pos);
-            set.push((t, dirty || write));
+        let slots = &mut self.tags[set * ways..][..ways];
+        let fill = &mut self.fill[set];
+        let resident = &mut slots[..*fill as usize];
+        if let Some(pos) = resident.iter().position(|&t| t == tag) {
+            resident[pos..].rotate_left(1);
             self.hits += 1;
-            return AccessResult {
-                hit: true,
-                evicted_line: None,
-                evicted_dirty: false,
-            };
+            return true;
         }
         self.misses += 1;
-        let (evicted, evicted_dirty) = if set.len() == ways {
-            let (victim_tag, dirty) = set.remove(0);
-            if dirty {
-                self.writebacks += 1;
-            }
-            (
-                Some(victim_tag * self.geometry.sets() + set_idx as u64),
-                dirty,
-            )
+        if resident.len() == ways {
+            slots.copy_within(1.., 0);
         } else {
-            (None, false)
-        };
-        set.push((tag, write));
-        AccessResult {
-            hit: false,
-            evicted_line: evicted,
-            evicted_dirty,
+            *fill += 1;
         }
+        slots[*fill as usize - 1] = tag;
+        false
     }
 
-    /// Whether `addr`'s line is currently resident (no LRU update, no fill).
-    pub fn probe(&self, addr: Addr) -> bool {
-        let set = &self.sets[self.geometry.set_of(addr) as usize];
-        let tag = self.geometry.tag_of(addr);
-        set.iter().any(|&(t, _)| t == tag)
+    fn set_of_line(&self, line: u64) -> usize {
+        (line & ((1 << self.set_bits) - 1)) as usize
     }
 
-    /// Invalidate `addr`'s line if resident; reports whether it was.
-    pub fn invalidate(&mut self, addr: Addr) -> bool {
-        let set_idx = self.geometry.set_of(addr) as usize;
-        let tag = self.geometry.tag_of(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
-            set.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Drop every line and reset statistics.
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.hits = 0;
-        self.misses = 0;
-        self.writebacks = 0;
-    }
-
-    /// Whether the cache has seen no access since construction or
-    /// [`flush`](Self::flush) and holds no line.
+    /// Whether the cache has seen no access since construction.
     pub(crate) fn is_cold(&self) -> bool {
-        self.hits == 0 && self.misses == 0 && self.sets.iter().all(Vec::is_empty)
+        self.hits == 0 && self.misses == 0
     }
 
     /// Install the end state of a monotone load sweep into a cold cache.
     /// `lines` are the distinct line numbers the sweep touched, newest
     /// first; each set keeps its newest `ways` of them, the oldest in LRU
-    /// position, all clean. `lines` is read only until every set is full.
+    /// position. `lines` is read only until every set is full.
     pub(crate) fn fill_cold(
         &mut self,
         lines: impl IntoIterator<Item = u64>,
@@ -156,13 +103,18 @@ impl SetAssocCache {
         misses: u64,
     ) {
         debug_assert!(self.is_cold(), "fill_cold needs a cold cache");
-        let (sets, ways) = (self.geometry.sets(), self.geometry.ways() as usize);
-        let mut unfilled = self.sets.len();
+        let ways = self.geometry.ways();
+        let mut unfilled = self.fill.len();
         for line in lines {
-            let set = &mut self.sets[(line % sets) as usize];
-            if set.len() < ways {
-                set.insert(0, (line / sets, false));
-                if set.len() == ways {
+            let set = self.set_of_line(line);
+            let fill = &mut self.fill[set];
+            if *fill < ways {
+                // Older lines arrive later and go in front of the newer ones.
+                let slots = &mut self.tags[set * ways as usize..][..ways as usize];
+                slots.copy_within(..*fill as usize, 1);
+                slots[0] = line >> self.set_bits;
+                *fill += 1;
+                if *fill == ways {
                     unfilled -= 1;
                     if unfilled == 0 {
                         break;
@@ -176,22 +128,17 @@ impl SetAssocCache {
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().map(|&f| f as usize).sum()
     }
 
-    /// Hits since construction or [`flush`](Self::flush).
+    /// Hits since construction.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Misses since construction or [`flush`](Self::flush).
+    /// Misses since construction.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Dirty lines written back on eviction so far.
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks
     }
 
     /// Miss ratio (0 when no accesses yet).
@@ -208,10 +155,23 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> SetAssocCache {
         // 2 sets x 2 ways x 64B lines = 256 B.
         SetAssocCache::new(CacheGeometry::new(256, 64, 2))
+    }
+
+    /// `set`'s resident tags, least recently used first.
+    fn set_tags(c: &SetAssocCache, set: usize) -> &[u64] {
+        let ways = c.geometry.ways() as usize;
+        &c.tags[set * ways..][..c.fill[set] as usize]
+    }
+
+    /// Whether `addr`'s line is resident (no LRU update, no fill).
+    fn resident(c: &SetAssocCache, addr: Addr) -> bool {
+        let g = c.geometry;
+        set_tags(c, g.set_of(addr) as usize).contains(&g.tag_of(addr))
     }
 
     #[test]
@@ -224,11 +184,10 @@ mod tests {
         c.access(a);
         c.access(b);
         c.access(a); // a is now MRU
-        let r = c.access(d); // evicts b
-        assert_eq!(r.evicted_line, Some(2));
-        assert!(c.probe(a));
-        assert!(!c.probe(b));
-        assert!(c.probe(d));
+        assert!(!c.access(d)); // evicts b
+        assert!(resident(&c, a));
+        assert!(!resident(&c, b));
+        assert!(resident(&c, d));
     }
 
     #[test]
@@ -242,17 +201,18 @@ mod tests {
 
     #[test]
     fn direct_mapped_conflicts() {
-        let mut c = SetAssocCache::new(CacheGeometry::new(128, 64, 1)); // 2 sets
+        let geometry = CacheGeometry::new(128, 64, 1); // 2 sets
         let a = Addr::new(0);
         let conflicting = Addr::new(2 * 64); // same set, different tag
+        let mut c = SetAssocCache::new(geometry);
         c.access(a);
         c.access(conflicting);
-        assert!(!c.probe(a), "direct-mapped conflict must evict");
+        assert!(!resident(&c, a), "direct-mapped conflict must evict");
         // Ping-pong: every access misses.
-        c.flush();
+        let mut c = SetAssocCache::new(geometry);
         for _ in 0..10 {
-            assert!(!c.access(a).hit);
-            assert!(!c.access(conflicting).hit);
+            assert!(!c.access(a));
+            assert!(!c.access(conflicting));
         }
         assert_eq!(c.misses(), 20);
     }
@@ -266,11 +226,11 @@ mod tests {
             c.access(Addr::new(i * sets * 64));
         }
         for i in 0..7u64 {
-            assert!(c.probe(Addr::new(i * sets * 64)), "way {i} lost");
+            assert!(resident(&c, Addr::new(i * sets * 64)), "way {i} lost");
         }
         // An 8th conflicting line evicts the LRU (line 0).
         c.access(Addr::new(7 * sets * 64));
-        assert!(!c.probe(Addr::new(0)));
+        assert!(!resident(&c, Addr::new(0)));
     }
 
     #[test]
@@ -301,102 +261,61 @@ mod tests {
         assert!((c.miss_ratio() - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        let a = Addr::new(64);
-        c.access(a);
-        assert!(c.invalidate(a));
-        assert!(!c.probe(a));
-        assert!(!c.invalidate(a));
-    }
-
-    #[test]
-    fn flush_resets_everything() {
-        let mut c = tiny();
-        c.access(Addr::new(0));
-        c.flush();
-        assert_eq!(c.resident_lines(), 0);
-        assert_eq!(c.hits() + c.misses(), 0);
-        assert_eq!(c.miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn probe_does_not_disturb_lru() {
-        let mut c = tiny();
-        let a = Addr::new(0);
-        let b = Addr::new(2 * 64);
-        c.access(a);
-        c.access(b);
-        // Probing `a` must NOT refresh it.
-        assert!(c.probe(a));
-        c.access(Addr::new(4 * 64)); // evicts LRU = a
-        assert!(!c.probe(a));
-        assert!(c.probe(b));
-    }
-}
-
-#[cfg(test)]
-mod dirty_tests {
-    use super::*;
-
-    /// Whether `addr`'s line is resident *and dirty*.
-    fn is_dirty(c: &SetAssocCache, addr: Addr) -> bool {
-        let set = &c.sets[c.geometry.set_of(addr) as usize];
-        let tag = c.geometry.tag_of(addr);
-        set.iter().any(|&(t, d)| t == tag && d)
-    }
-
-    #[test]
-    fn stores_mark_lines_dirty_and_evictions_write_back() {
-        let mut c = SetAssocCache::new(CacheGeometry::new(128, 64, 1)); // 2 sets
-        let a = Addr::new(0);
-        c.access_write(a);
-        assert!(is_dirty(&c, a));
-        // Conflicting fill evicts the dirty line: one write-back.
-        let r = c.access(Addr::new(2 * 64));
-        assert_eq!(r.evicted_line, Some(0));
-        assert!(r.evicted_dirty);
-        assert_eq!(c.writebacks(), 1);
-    }
-
-    #[test]
-    fn clean_evictions_do_not_write_back() {
-        let mut c = SetAssocCache::new(CacheGeometry::new(128, 64, 1));
-        c.access(Addr::new(0));
-        let r = c.access(Addr::new(2 * 64));
-        assert!(!r.evicted_dirty);
-        assert_eq!(c.writebacks(), 0);
-    }
-
-    #[test]
-    fn read_after_write_keeps_dirty_bit() {
-        let mut c = SetAssocCache::new(CacheGeometry::new(256, 64, 2));
-        let a = Addr::new(64);
-        c.access_write(a);
-        c.access(a); // LRU refresh must not launder the dirty bit
-        assert!(is_dirty(&c, a));
-    }
-
-    #[test]
-    fn write_hit_dirties_a_clean_line() {
-        let mut c = SetAssocCache::new(CacheGeometry::new(256, 64, 2));
-        let a = Addr::new(0);
-        c.access(a);
-        assert!(!is_dirty(&c, a));
-        assert!(c.access_write(a).hit);
-        assert!(is_dirty(&c, a));
-    }
-
-    #[test]
-    fn stream_like_write_stream_generates_one_writeback_per_line() {
-        // A store sweep over 2x capacity: every line comes back out dirty.
-        let mut c = SetAssocCache::new(CacheGeometry::new(1024, 64, 2));
-        let lines = 2 * 1024 / 64;
-        for i in 0..lines {
-            c.access_write(Addr::new(i * 64));
+    /// True LRU the plain way: per set, its resident tags least recently
+    /// used first, found by division. Returns whether `addr` hit.
+    fn reference_access(sets: &mut [Vec<u64>], g: CacheGeometry, addr: Addr) -> bool {
+        let line = addr.get() / g.line_bytes();
+        let n = sets.len() as u64;
+        let set = &mut sets[(line % n) as usize];
+        let tag = line / n;
+        if let Some(pos) = set.iter().position(|&t| t == tag) {
+            set.remove(pos);
+            set.push(tag);
+            return true;
         }
-        // First `capacity` fills evict nothing; the rest evict dirty lines.
-        assert_eq!(c.writebacks(), lines - 16);
+        if set.len() == g.ways() as usize {
+            set.remove(0);
+        }
+        set.push(tag);
+        false
+    }
+
+    /// 1–64 sets, 1–8 ways, 16–128 B lines.
+    fn geometries() -> impl Strategy<Value = CacheGeometry> {
+        (0u32..7, 1u32..=8, 4u32..8).prop_map(|(s, w, l)| {
+            let line = 1u64 << l;
+            CacheGeometry::new((1u64 << s) * u64::from(w) * line, line, w)
+        })
+    }
+
+    /// Loads over a few times the largest cache, plus a sprinkling of
+    /// arbitrary 64-bit addresses for tags near the top of the range.
+    fn loads() -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::vec(
+            (0u64..8, 0u64..1 << 17, any::<u64>())
+                .prop_map(|(pick, low, any)| if pick == 0 { any } else { low }),
+            1..600,
+        )
+    }
+
+    proptest! {
+        /// After every load, the flat layout agrees with the reference on
+        /// the hit flag and on every set's resident tags in LRU order.
+        #[test]
+        fn flat_sets_match_the_reference_lru(g in geometries(), loads in loads()) {
+            let mut c = SetAssocCache::new(g);
+            let mut reference = vec![Vec::new(); g.sets() as usize];
+            for (i, &a) in loads.iter().enumerate() {
+                let a = Addr::new(a);
+                let hit = c.access(a);
+                prop_assert_eq!(hit, reference_access(&mut reference, g, a), "load {}", i);
+                for (set, lru) in reference.iter().enumerate() {
+                    prop_assert_eq!(set_tags(&c, set), lru.as_slice(), "set {} after load {}", set, i);
+                }
+            }
+            let resident: usize = reference.iter().map(Vec::len).sum();
+            prop_assert_eq!(c.resident_lines(), resident);
+            prop_assert_eq!(c.hits() + c.misses(), loads.len() as u64);
+        }
     }
 }

@@ -75,11 +75,6 @@ impl OpenPageTable {
         false
     }
 
-    /// Number of currently open pages.
-    pub fn open_count(&self) -> usize {
-        self.banks.iter().filter(|b| b.is_some()).count()
-    }
-
     /// Number of banks (the maximum simultaneously open pages).
     pub fn bank_count(&self) -> usize {
         self.banks.len()
@@ -93,11 +88,6 @@ impl OpenPageTable {
     /// Page misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Close every page (e.g. at a workload boundary).
-    pub fn close_all(&mut self) {
-        self.banks.fill(None);
     }
 }
 
@@ -145,7 +135,6 @@ mod tests {
         for p in 0..100 {
             t.touch(p);
         }
-        assert_eq!(t.open_count(), 16);
         assert_eq!(t.bank_count(), 16);
         // The most recent row in bank (99 % 16) is open.
         assert!(t.touch(99));
@@ -161,15 +150,6 @@ mod tests {
         assert!(t.touch(0));
         assert!(t.touch(1));
         assert!(t.touch(2));
-    }
-
-    #[test]
-    fn close_all_empties() {
-        let mut t = OpenPageTable::new(2, 8);
-        t.touch(5);
-        t.close_all();
-        assert_eq!(t.open_count(), 0);
-        assert!(!t.touch(5));
     }
 
     #[test]

@@ -884,22 +884,18 @@ impl<P> RegionNet<P> {
     /// port index), the first minimal port for I/O.
     fn choose_output(&self, node: NodeId, pkt: &Packet<P>) -> usize {
         let t = &*self.tables;
-        let candidates = t.routes.minimal_ports(&t.live, node, pkt.hops, pkt.dst);
-        debug_assert!(!candidates.is_empty(), "routing dead end");
+        let mut candidates = t.routes.minimal_ports(&t.live, node, pkt.hops, pkt.dst);
         let chosen = if pkt.class.may_route_adaptively() {
-            *candidates
-                .iter()
-                .min_by_key(|&&pi| {
-                    let link = self.links[t.live_link_of[node.index()][pi]]
-                        .as_ref()
-                        .expect("candidate link is owned by the sender's region");
-                    (link.backlog() + usize::from(link.is_busy()), pi)
-                })
-                .expect("non-empty candidates")
+            candidates.min_by_key(|&pi| {
+                let link = self.links[t.live_link_of[node.index()][pi]]
+                    .as_ref()
+                    .expect("candidate link is owned by the sender's region");
+                (link.backlog() + usize::from(link.is_busy()), pi)
+            })
         } else {
-            candidates[0]
+            candidates.next()
         };
-        t.live_link_of[node.index()][chosen]
+        t.live_link_of[node.index()][chosen.expect("routing dead end")]
     }
 
     /// Grant the head-of-queue packet on `link_id` and emit its arrival

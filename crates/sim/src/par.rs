@@ -11,6 +11,12 @@
 //! wins, then the `ALPHASIM_JOBS` / `RAYON_NUM_THREADS` environment
 //! variables, then [`std::thread::available_parallelism`].
 //!
+//! Every `ALPHASIM_*` knob is read by one parser: unset, empty and `0`
+//! mean "unset", and any other value must be a non-negative integer. A
+//! malformed one (`abc`, `-1`, `2x`) is an error that names the variable
+//! and the value; [`check_env`] reports it so a CLI can refuse to start,
+//! and a resolver that meets it panics rather than fall back.
+//!
 //! Intra-run parallelism (the fabric regions the epoch engine of
 //! [`crate::shard`] steps) has a separate knob, [`shards`], resolved from
 //! [`set_shards`] or `ALPHASIM_SHARDS` and defaulting to 1: partitioning is
@@ -32,6 +38,41 @@ static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Process-wide epoch-thread override; 0 means "resolve from environment".
 static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+/// The engine knobs the resolvers read from the environment.
+const KNOBS: [&str; 3] = ["ALPHASIM_JOBS", "ALPHASIM_SHARDS", "ALPHASIM_THREADS"];
+
+/// Parse the value of the engine knob `var`: empty and `0` mean unset
+/// (`None`), any other value must be a non-negative integer. The error
+/// names the variable and the value.
+fn parse_knob(var: &str, value: &str) -> Result<Option<usize>, String> {
+    if value.is_empty() {
+        return Ok(None);
+    }
+    value
+        .parse::<usize>()
+        .map(|n| (n != 0).then_some(n))
+        .map_err(|_| format!("{var}={value:?} is not a non-negative integer"))
+}
+
+/// The engine knob `var` from the environment; unset reads as empty.
+fn env_knob(var: &str) -> Result<Option<usize>, String> {
+    let value = std::env::var_os(var).unwrap_or_default();
+    parse_knob(var, &value.to_string_lossy())
+}
+
+/// [`env_knob`] for a resolver, which has no way to report a malformed
+/// value but refuses to run on it.
+fn knob(var: &str) -> Option<usize> {
+    env_knob(var).unwrap_or_else(|why| panic!("{why}"))
+}
+
+/// Check every `ALPHASIM_*` engine knob ([`jobs`], [`shards`],
+/// [`threads`]) so a CLI can reject a malformed one before any resolver
+/// panics on it.
+pub fn check_env() -> Result<(), String> {
+    KNOBS.iter().try_for_each(|var| env_knob(var).map(drop))
+}
+
 /// Force the fabric-region count every partitioned run uses (see
 /// [`shards`]). `0` restores resolution from `ALPHASIM_SHARDS`.
 pub fn set_shards(n: usize) {
@@ -44,20 +85,16 @@ pub fn set_shards(n: usize) {
 /// auto-detects from the machine: artifact output is byte-identical at any
 /// shard count, but the shard count is recorded in `BENCH_sweep.json`, so
 /// it defaults to a fixed, machine-independent value.
+///
+/// # Panics
+///
+/// Panics if `ALPHASIM_SHARDS` is malformed (see [`check_env`]).
 pub fn shards() -> usize {
     let forced = SHARDS_OVERRIDE.load(Ordering::Relaxed);
     if forced != 0 {
         return forced;
     }
-    if let Some(n) = std::env::var("ALPHASIM_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n >= 1 {
-            return n;
-        }
-    }
-    1
+    knob("ALPHASIM_SHARDS").unwrap_or(1)
 }
 
 /// Force the pool-thread count that steps the fabric regions (see
@@ -74,20 +111,16 @@ pub fn set_threads(n: usize) {
 /// so the default must be fixed and machine-independent. Callers that want
 /// "auto" resolve it explicitly (the CLIs map `--threads 0` to
 /// [`std::thread::available_parallelism`]).
+///
+/// # Panics
+///
+/// Panics if `ALPHASIM_THREADS` is malformed (see [`check_env`]).
 pub fn threads() -> usize {
     let forced = THREADS_OVERRIDE.load(Ordering::Relaxed);
     if forced != 0 {
         return forced;
     }
-    if let Some(n) = std::env::var("ALPHASIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n >= 1 {
-            return n;
-        }
-    }
-    1
+    knob("ALPHASIM_THREADS").unwrap_or(1)
 }
 
 /// Force the worker count used by [`parallel_map`]. `1` makes every
@@ -99,25 +132,24 @@ pub fn set_jobs(n: usize) {
 
 /// The worker count [`parallel_map`] will use: [`set_jobs`], else
 /// `ALPHASIM_JOBS`, else `RAYON_NUM_THREADS`, else the machine's available
-/// parallelism (1 if that cannot be determined).
+/// parallelism (1 if that cannot be determined). `RAYON_NUM_THREADS`
+/// belongs to other programs too, so a malformed value there is ignored.
+///
+/// # Panics
+///
+/// Panics if `ALPHASIM_JOBS` is malformed (see [`check_env`]).
 pub fn jobs() -> usize {
     let forced = JOBS_OVERRIDE.load(Ordering::Relaxed);
     if forced != 0 {
         return forced;
     }
-    for var in ["ALPHASIM_JOBS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(var)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    knob("ALPHASIM_JOBS")
+        .or_else(|| env_knob("RAYON_NUM_THREADS").ok().flatten())
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
 /// Lock `m`, treating poisoning as a bug: a worker panic already aborts the
@@ -318,6 +350,18 @@ mod tests {
         assert_eq!(jobs(), 3);
         set_jobs(0);
         assert!(jobs() >= 1);
+    }
+
+    #[test]
+    fn knob_parser_rejects_malformed_values_and_names_them() {
+        for bad in ["abc", "-1", "2x"] {
+            let why = parse_knob("ALPHASIM_SHARDS", bad).unwrap_err();
+            assert!(why.contains("ALPHASIM_SHARDS"), "{why}");
+            assert!(why.contains(bad), "{why}");
+        }
+        assert_eq!(parse_knob("ALPHASIM_JOBS", "0"), Ok(None));
+        assert_eq!(parse_knob("ALPHASIM_JOBS", ""), Ok(None));
+        assert_eq!(parse_knob("ALPHASIM_THREADS", "4"), Ok(Some(4)));
     }
 
     #[test]

@@ -4,7 +4,6 @@ use alphasim_kernel::SimDuration;
 use alphasim_topology::{NodeId, StarCluster};
 
 use crate::calibration::Calibration;
-use crate::path;
 
 /// An ES45: four Alpha 21264 CPUs sharing one memory system over a crossbar
 /// (paper §1, ref.\[4\]). All memory is equidistant; there is no remote level.
@@ -87,7 +86,6 @@ impl Es45 {
 pub struct Sc45 {
     calib: Calibration,
     topo: StarCluster,
-    one_way: Vec<Vec<SimDuration>>,
 }
 
 impl Sc45 {
@@ -99,12 +97,7 @@ impl Sc45 {
     pub fn new(cpus: usize) -> Self {
         let calib = Calibration::sc45();
         let topo = StarCluster::new(cpus);
-        let one_way = path::all_pairs(&topo, &calib.timing);
-        Sc45 {
-            calib,
-            topo,
-            one_way,
-        }
+        Sc45 { calib, topo }
     }
 
     /// Number of CPUs.
@@ -125,17 +118,6 @@ impl Sc45 {
     /// Local (in-box) memory latency.
     pub fn local_latency(&self, page_hit: bool) -> SimDuration {
         Es45::new(4).local_latency(page_hit)
-    }
-
-    /// One-way cost of an MPI-style message between two CPUs: in-box
-    /// exchanges go through shared memory; cross-box messages cross the
-    /// cluster switch (microseconds).
-    pub fn message_latency(&self, from: NodeId, to: NodeId) -> SimDuration {
-        if self.topo.same_box(from, to) {
-            // Shared-memory exchange: a couple of cache-to-cache transfers.
-            return SimDuration::from_ns(500.0);
-        }
-        self.one_way[from.index()][to.index()]
     }
 
     /// Counted STREAM-triad bandwidth: boxes scale linearly, CPUs within a
@@ -196,14 +178,6 @@ mod tests {
             let c = gs320.stream_triad_gbps(n);
             assert!(a > b && b > c, "n={n}: {a} {b} {c}");
         }
-    }
-
-    #[test]
-    fn sc45_messages_cost_more_across_boxes() {
-        let m = Sc45::new(16);
-        let inbox = m.message_latency(NodeId::new(0), NodeId::new(3));
-        let cross = m.message_latency(NodeId::new(0), NodeId::new(4));
-        assert!(cross > inbox * 4, "in {inbox} cross {cross}");
     }
 
     #[test]

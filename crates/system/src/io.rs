@@ -57,17 +57,6 @@ impl IoSubsystem {
     pub fn aggregate_gbps(&self) -> f64 {
         self.ports as f64 * self.effective_port_gbps()
     }
-
-    /// Time in seconds to stream `bytes` through all ports in parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the subsystem has zero aggregate bandwidth.
-    pub fn stream_seconds(&self, bytes: u64) -> f64 {
-        let agg = self.aggregate_gbps();
-        assert!(agg > 0.0, "I/O subsystem has no bandwidth");
-        bytes as f64 / (agg * 1e9)
-    }
 }
 
 #[cfg(test)]
@@ -97,13 +86,5 @@ mod tests {
         let mut io = IoSubsystem::for_machine(&Calibration::gs1280(), 4);
         io.host_headroom_gbps = 1.0;
         assert_eq!(io.effective_port_gbps(), 1.0);
-    }
-
-    #[test]
-    fn stream_time_matches_bandwidth() {
-        let io = IoSubsystem::for_machine(&Calibration::gs1280(), 8);
-        let secs = io.stream_seconds(24_800_000_000);
-        // 8 x 3.1 GB/s = 24.8 GB/s: one second for 24.8 GB.
-        assert!((secs - 1.0).abs() < 1e-9);
     }
 }

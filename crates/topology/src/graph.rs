@@ -99,21 +99,6 @@ impl DistanceMatrix {
         }
         worst
     }
-
-    /// Mean hop distance from one endpoint to all other endpoints.
-    pub fn average_from(&self, src: NodeId) -> f64 {
-        let others: Vec<u32> = self
-            .endpoints
-            .iter()
-            .filter(|&&b| b != src)
-            .map(|&b| self.distance(src, b))
-            .collect();
-        if others.is_empty() {
-            0.0
-        } else {
-            others.iter().map(|&d| u64::from(d)).sum::<u64>() as f64 / others.len() as f64
-        }
-    }
 }
 
 /// Bisection width of a grid-laid-out topology: the minimum, over
@@ -224,14 +209,6 @@ mod tests {
             DistanceMatrix::compute(&Torus2D::new(16, 16)).diameter(),
             16
         );
-    }
-
-    #[test]
-    fn average_from_matches_manual() {
-        let t = Torus2D::new(4, 4);
-        let d = DistanceMatrix::compute(&t);
-        let avg = d.average_from(NodeId::new(0));
-        assert!((avg - 32.0 / 15.0).abs() < 1e-12);
     }
 
     #[test]

@@ -159,12 +159,6 @@ impl StarCluster {
     pub fn boxes(&self) -> usize {
         self.boxes
     }
-
-    /// Whether two CPUs share an ES45 box.
-    pub fn same_box(&self, a: NodeId, b: NodeId) -> bool {
-        assert!(a.index() < self.cpus && b.index() < self.cpus);
-        a.index() / Self::CPUS_PER_BOX == b.index() / Self::CPUS_PER_BOX
-    }
 }
 
 impl Topology for StarCluster {
@@ -236,8 +230,6 @@ mod tests {
         // In-box: 2 hops; cross-box: cpu->hub->switch->hub->cpu = 4 hops.
         assert_eq!(d.distance(NodeId::new(0), NodeId::new(3)), 2);
         assert_eq!(d.distance(NodeId::new(0), NodeId::new(4)), 4);
-        assert!(c.same_box(NodeId::new(0), NodeId::new(3)));
-        assert!(!c.same_box(NodeId::new(0), NodeId::new(4)));
     }
 
     #[test]

@@ -59,7 +59,9 @@ impl RoutePolicy {
 /// let routes = Routes::compute(&torus, RoutePolicy::Minimal);
 /// // From node 0 to node 2 (two columns east) both E and W are minimal on
 /// // a 4-ring, so there are two candidate ports.
-/// let ports = routes.minimal_ports(&torus, NodeId::new(0), 0, NodeId::new(2));
+/// let ports: Vec<usize> = routes
+///     .minimal_ports(&torus, NodeId::new(0), 0, NodeId::new(2))
+///     .collect();
 /// assert_eq!(ports.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -159,18 +161,18 @@ impl Routes {
 
     /// Indices (into `topo.ports(at)`) of every port on a minimal remaining
     /// path from `at` to `dst` given `taken` hops so far — the adaptive
-    /// candidate set.
+    /// candidate set — in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is unreachable from `at` under the policy.
-    pub fn minimal_ports<T: Topology + ?Sized>(
-        &self,
-        topo: &T,
+    pub fn minimal_ports<'a, T: Topology + ?Sized>(
+        &'a self,
+        topo: &'a T,
         at: NodeId,
         taken: u32,
         dst: NodeId,
-    ) -> Vec<usize> {
+    ) -> impl Iterator<Item = usize> + 'a {
         let here = self.distance(at, taken, dst);
         assert!(here != Self::UNREACHABLE, "destination unreachable");
         let k = taken.min(self.layers - 1);
@@ -178,13 +180,12 @@ impl Routes {
         topo.ports(at)
             .iter()
             .enumerate()
-            .filter(|(_, p)| {
+            .filter(move |(_, p)| {
                 policy_allows(self.policy, p.class, k)
                     && self.distance(p.to, next_taken, dst) != Self::UNREACHABLE
                     && self.distance(p.to, next_taken, dst) + 1 == here
             })
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// Mean hop distance over ordered endpoint pairs, under this policy.
@@ -426,7 +427,7 @@ mod tests {
                     continue;
                 }
                 let (a, b) = (NodeId::new(a), NodeId::new(b));
-                let ports = routes.minimal_ports(&t, a, 0, b);
+                let ports: Vec<usize> = routes.minimal_ports(&t, a, 0, b).collect();
                 assert!(!ports.is_empty());
                 for pi in ports {
                     let to = t.ports(a)[pi].to;
@@ -454,7 +455,7 @@ mod tests {
                     let mut at = src;
                     let mut taken = 0u32;
                     while at != dst {
-                        let ports = routes.minimal_ports(&t, at, taken, dst);
+                        let ports: Vec<usize> = routes.minimal_ports(&t, at, taken, dst).collect();
                         assert!(!ports.is_empty(), "{policy:?}: stuck at {at} for {dst}");
                         at = t.ports(at)[ports[0]].to;
                         taken += 1;

@@ -107,7 +107,7 @@ proptest! {
                 let mut taken = 0u32;
                 while at != dst {
                     let d = routes.distance(at, taken, dst);
-                    let ports = routes.minimal_ports(&s, at, taken, dst);
+                    let ports: Vec<usize> = routes.minimal_ports(&s, at, taken, dst).collect();
                     prop_assert!(!ports.is_empty());
                     at = s.ports(at)[ports[0]].to;
                     taken += 1;
