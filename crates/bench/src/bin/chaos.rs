@@ -23,7 +23,9 @@
 //! violate again (the monitors still catch the bug it documents), and a
 //! mutated reproducer's schedule must additionally come back clean on the
 //! intact machine (the bug lives in the broken recovery path, not the
-//! schedule). Exit 1 on any mismatch.
+//! schedule). Exit 1 on any mismatch. An unreadable file, bad JSON, an
+//! invalid reproducer or an illegal plan prints `<file>: <error>` and
+//! exits 2.
 //!
 //! `mutate` deliberately breaks one recovery path (`ignore-timeouts`,
 //! `leak-poison`, `skip-window-refill`, `off-by-one-retry`), fuzzes until
@@ -41,7 +43,7 @@ use std::process::ExitCode;
 use alphasim::coherence::RetryPolicy;
 use alphasim::kernel::SimDuration;
 use alphasim::system::chaos::{replay, replay_healthy, run_chaos, ChaosOptions, Reproducer};
-use alphasim::system::RecoveryMutation;
+use alphasim::system::{MonitorReport, RecoveryMutation};
 use alphasim_bench::args::{or_usage, threads_or_all_cores, Args};
 use alphasim_bench::check_env;
 
@@ -176,36 +178,66 @@ fn cmd_run(trials: usize, seed: u64, threads: usize) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn corpus_files(paths: &[String]) -> Vec<String> {
+/// The reproducer files under `paths`: each directory's `*.json` files in
+/// sorted order, and each plain file as given.
+fn corpus_files(paths: &[String]) -> Result<Vec<String>, String> {
     let mut files = Vec::new();
     for path in paths {
-        let meta = std::fs::metadata(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let meta = std::fs::metadata(path).map_err(|e| format!("{path}: {e}"))?;
         if meta.is_dir() {
-            let mut entries: Vec<String> = std::fs::read_dir(path)
-                .unwrap_or_else(|e| panic!("{path}: {e}"))
-                .map(|e| e.expect("read dir entry").path().display().to_string())
-                .filter(|p| p.ends_with(".json"))
-                .collect();
+            let mut entries = Vec::new();
+            for entry in std::fs::read_dir(path).map_err(|e| format!("{path}: {e}"))? {
+                let entry = entry.map_err(|e| format!("{path}: {e}"))?;
+                entries.push(entry.path().display().to_string());
+            }
+            entries.retain(|p| p.ends_with(".json"));
             entries.sort();
             files.extend(entries);
         } else {
             files.push(path.clone());
         }
     }
-    files
+    Ok(files)
+}
+
+/// Replay the reproducer in `text` (read from `file`) as recorded. Bad
+/// JSON, an invalid reproducer or an illegal plan is an error naming the
+/// file.
+fn replay_text(file: &str, text: &str) -> Result<(Reproducer, MonitorReport), String> {
+    let named = |e: String| format!("{file}: {e}");
+    let rep = Reproducer::from_json(text).map_err(named)?;
+    let (_, report) = replay(&rep).map_err(named)?;
+    Ok((rep, report))
+}
+
+/// [`replay_text`] on the contents of `file`; an unreadable file is an
+/// error naming it too.
+fn replay_file(file: &str) -> Result<(Reproducer, MonitorReport), String> {
+    let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+    replay_text(file, &text)
 }
 
 fn cmd_replay(paths: &[String]) -> ExitCode {
-    let files = corpus_files(paths);
+    let files = match corpus_files(paths) {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     if files.is_empty() {
         eprintln!("replay: no reproducer files found in {paths:?}");
         return ExitCode::FAILURE;
     }
     let mut failures = 0usize;
     for file in &files {
-        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let rep = Reproducer::from_json(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let (_, mutated) = replay(&rep).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let (rep, mutated) = match replay_file(file) {
+            Ok(replayed) => replayed,
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::from(2);
+            }
+        };
         if mutated.is_clean() {
             println!("{file}: FAILED — reproducer no longer violates");
             failures += 1;
@@ -397,6 +429,33 @@ mod tests {
             .contains("wants a mutation id"));
         let err = parse_line("mutate leak-posion").unwrap_err();
         assert!(err.starts_with("unknown mutation \"leak-posion\""), "{err}");
+    }
+
+    #[test]
+    fn damaged_reproducers_are_errors_naming_the_file() {
+        let json =
+            include_str!("../../../../results/chaos-corpus/chaos-leak-poison-seed50181.json");
+        let file = "corpus/damaged.json";
+        for (text, why) in [
+            (&json[..json.len() / 2], "bad JSON"),
+            (
+                &json.replace("\"cpus\": 16", "\"cpus\": 48"),
+                "field \"cpus\" must be a machine size",
+            ),
+            (
+                &json.replace("\"outstanding\": 6", "\"outstanding\": 0"),
+                "field \"outstanding\" must be at least 1, got 0",
+            ),
+            (&json.replace("\"node\": 0", "\"node\": 99"), "illegal plan"),
+        ] {
+            let err = replay_text(file, text).unwrap_err();
+            assert!(err.starts_with("corpus/damaged.json: "), "{err}");
+            assert!(err.contains(why), "{err}");
+        }
+        let err = replay_file("corpus/no-such-file.json").unwrap_err();
+        assert!(err.starts_with("corpus/no-such-file.json: "), "{err}");
+        let err = corpus_files(&["corpus/no-such-dir".into()]).unwrap_err();
+        assert!(err.starts_with("corpus/no-such-dir: "), "{err}");
     }
 
     #[test]

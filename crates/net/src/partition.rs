@@ -202,6 +202,23 @@ impl<P> Packet<P> {
         })
     }
 
+    /// Turn this delivered packet around as its reply, reusing its
+    /// allocation: the reply carries the same `tag` from the old
+    /// destination back to the old source, entering the fabric at `at`
+    /// exactly as [`new`](Self::new) would build it.
+    pub fn reply(&mut self, class: MessageClass, bytes: u64, uid: u64, at: SimTime, payload: P) {
+        std::mem::swap(&mut self.src, &mut self.dst);
+        self.class = class;
+        self.bytes = bytes;
+        self.uid = uid;
+        self.injected_at = at;
+        self.hops = 0;
+        self.serialized = false;
+        self.enqueued_at = at;
+        self.acc = HopBreakdown::default();
+        self.payload = payload;
+    }
+
     /// End-to-end latency once delivered at `at`.
     pub fn latency(&self, at: SimTime) -> SimDuration {
         at.since(self.injected_at)
@@ -1008,8 +1025,8 @@ impl<P> RegionNet<P> {
 
 /// Every directed link of a partitioned fabric, gathered from its regions
 /// in global link-id order, for the fabric-wide reductions the load test
-/// and the open-loop driver report. Floating-point sums run in link-id
-/// order, so every reduction is byte-identical at any region count.
+/// and the open-loop driver report. Sums run in link-id order, so every
+/// reduction is byte-identical at any region count.
 pub struct FabricLinks<'a> {
     links: Vec<&'a Link>,
 }
@@ -1038,28 +1055,10 @@ impl<'a> FabricLinks<'a> {
         self.links.iter().copied()
     }
 
-    /// Mean utilization over `[0, now]` of the *live* links whose direction
-    /// satisfies `pred` (e.g. horizontal for the GUPS East/West analysis,
+    /// Mean cumulative busy time over *live* links whose direction
+    /// satisfies `pred`, for interval sampling (East/West vs North/South,
     /// Fig. 24). Dead links are excluded so a wounded fabric is not
     /// averaged down by wires that cannot carry traffic.
-    pub fn mean_utilization_where(
-        &self,
-        now: SimTime,
-        pred: impl Fn(Option<Direction>) -> bool,
-    ) -> f64 {
-        let (sum, n) = self
-            .iter()
-            .filter(|l| l.is_alive() && pred(l.dir))
-            .fold((0.0, 0usize), |(s, n), l| (s + l.utilization(now), n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
-    /// Mean cumulative busy time over *live* links whose direction
-    /// satisfies `pred`, for interval sampling (East/West vs North/South).
     pub fn mean_busy_where(&self, pred: impl Fn(Option<Direction>) -> bool) -> SimDuration {
         let (sum, n) = self
             .iter()
@@ -1316,6 +1315,30 @@ mod tests {
         net.send(at, NodeId::new(src), NodeId::new(dst), class, 64, tag);
     }
 
+    #[test]
+    fn a_reply_is_a_fresh_packet_back_to_the_source() {
+        let n = NodeId::new;
+        let t = |ns| SimTime::ZERO + SimDuration::from_ns(ns);
+        let mut pkt = Packet::new(n(3), n(9), MessageClass::Request, 16, 7, 14, t(1.0), 5u8);
+        // Mid-route state a delivered request carries.
+        pkt.hops = 4;
+        pkt.serialized = true;
+        pkt.enqueued_at = t(3.0);
+        pkt.acc.queued_ps = 250;
+        pkt.reply(MessageClass::BlockResponse, 80, 15, t(9.0), 6);
+        let fresh = Packet::new(
+            n(9),
+            n(3),
+            MessageClass::BlockResponse,
+            80,
+            7,
+            15,
+            t(9.0),
+            6u8,
+        );
+        assert_eq!(format!("{pkt:?}"), format!("{fresh:?}"));
+    }
+
     /// Inject a fixed five-message batch (one self-send) at time zero.
     fn send_batch(net: &mut OpenLoop) {
         for (i, (src, dst)) in [(0usize, 15usize), (3, 12), (5, 6), (14, 1), (9, 9)]
@@ -1544,14 +1567,10 @@ mod tests {
         assert!(node0_busy > SimDuration::ZERO);
         assert_eq!(links.total_bytes(), 100 * 2 * 64);
         assert_eq!(links.total_grants(), 100 * 2);
-        let horiz = links.mean_utilization_where(now, |d| d.is_some_and(|d| d.is_horizontal()));
-        let vert = links.mean_utilization_where(now, |d| d.is_some_and(|d| !d.is_horizontal()));
-        assert!(horiz > 0.0);
-        assert_eq!(vert, 0.0);
-        assert_eq!(
-            links.mean_busy_where(|d| d.is_some_and(|d| !d.is_horizontal())),
-            SimDuration::ZERO
-        );
+        let horiz = links.mean_busy_where(|d| d.is_some_and(|d| d.is_horizontal()));
+        let vert = links.mean_busy_where(|d| d.is_some_and(|d| !d.is_horizontal()));
+        assert!(horiz > SimDuration::ZERO);
+        assert_eq!(vert, SimDuration::ZERO);
     }
 
     #[test]
@@ -1572,7 +1591,6 @@ mod tests {
             );
         }
         net.drain();
-        let now = net.now();
         let links = net.links();
         // Node 0's per-node busy fold (its IP-link panel cell) runs over
         // the live links it sends on: the tables' three survivors, each
@@ -1592,14 +1610,17 @@ mod tests {
         assert!(folded
             .iter()
             .all(|&id| links.iter().nth(id).unwrap().busy_time() > SimDuration::ZERO));
-        let alive: Vec<f64> = links
+        let alive: Vec<SimDuration> = links
             .iter()
             .enumerate()
             .filter(|(id, _)| !dead.contains(id))
-            .map(|(_, l)| l.utilization(now))
+            .map(|(_, l)| l.busy_time())
             .collect();
-        let fabric = alive.iter().sum::<f64>() / alive.len() as f64;
-        assert_eq!(links.mean_utilization_where(now, |_| true), fabric);
+        let fabric = alive.iter().copied().sum::<SimDuration>() / alive.len() as u64;
+        assert_eq!(links.mean_busy_where(|_| true), fabric);
+        // Averaging the dead wires in would pull the gauge down.
+        let every: SimDuration = links.iter().map(|l| l.busy_time()).sum();
+        assert!(every / (links.iter().count() as u64) < fabric);
     }
 
     #[test]

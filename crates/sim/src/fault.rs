@@ -2,11 +2,11 @@
 //!
 //! The GS1280's robustness story — the torus routes around wounded cables,
 //! the RDRAM subsystem spares a failed channel — only shows up when things
-//! fail *while the machine is running*. A [`FaultPlan`] is a seeded,
-//! reproducible schedule of such failures: link-down/link-up, node drains
-//! and RDRAM channel losses, each stamped with the simulation time at which
-//! it strikes. Consumers (the system-level fault campaign) strike the plan
-//! at epoch barriers, so two runs with the same plan are bit-identical.
+//! fail *while the machine is running*. A [`FaultPlan`] is a reproducible
+//! schedule of such failures: link-down/link-up, node drains and RDRAM
+//! channel losses, each stamped with the simulation time at which it
+//! strikes. Consumers (the system-level fault campaign) strike the plan at
+//! epoch barriers, so two runs with the same plan are bit-identical.
 //!
 //! Node and link identifiers are plain `usize` indices here — the kernel
 //! crate sits below the topology crate, so it cannot name `NodeId`; the
@@ -14,7 +14,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::rng::DetRng;
 use crate::time::SimTime;
 
 /// One kind of injected fault.
@@ -198,41 +197,6 @@ impl FaultPlan {
     pub fn len(&self) -> usize {
         self.events.len()
     }
-
-    /// A seeded plan failing `count` distinct links drawn from `candidates`,
-    /// with strike times spread evenly across `window` (first fault at the
-    /// window start plus one spacing). The draw is a deterministic partial
-    /// Fisher–Yates over the candidate list, so the same seed always wounds
-    /// the same links at the same times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > candidates.len()`.
-    pub fn random_link_failures(
-        seed: u64,
-        candidates: &[(usize, usize)],
-        count: usize,
-        window: (SimTime, SimTime),
-    ) -> Self {
-        assert!(
-            count <= candidates.len(),
-            "cannot fail {count} of {} candidate links",
-            candidates.len()
-        );
-        let mut pool = candidates.to_vec();
-        let mut rng = DetRng::seeded(seed);
-        let mut plan = FaultPlan::new();
-        let span = window.1.since(window.0);
-        let spacing = span / (count as u64 + 1).max(1);
-        for i in 0..count {
-            let pick = i + rng.index(pool.len() - i);
-            pool.swap(i, pick);
-            let (a, b) = pool[i];
-            let at = window.0 + spacing.saturating_mul(i as u64 + 1);
-            plan.push(at, FaultKind::LinkDown { a, b });
-        }
-        plan
-    }
 }
 
 #[cfg(test)]
@@ -291,31 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn random_failures_are_deterministic_and_distinct() {
-        let candidates: Vec<(usize, usize)> = (0..16).map(|i| (i, (i + 1) % 16)).collect();
-        let window = (t(0.0), t(1_000.0));
-        let a = FaultPlan::random_link_failures(7, &candidates, 5, window);
-        let b = FaultPlan::random_link_failures(7, &candidates, 5, window);
-        assert_eq!(a, b, "same seed, same plan");
-        let mut links: Vec<(usize, usize)> = a
-            .events()
-            .iter()
-            .map(|e| match e.kind {
-                FaultKind::LinkDown { a, b } => (a, b),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        links.sort_unstable();
-        links.dedup();
-        assert_eq!(links.len(), 5, "links must be distinct");
-        for w in a.events().windows(2) {
-            assert!(w[0].at < w[1].at, "strike times must be spread out");
-        }
-        let c = FaultPlan::random_link_failures(8, &candidates, 5, window);
-        assert_ne!(a, c, "different seed, different plan");
-    }
-
-    #[test]
     fn describe_names_every_kind() {
         let kinds = [
             FaultKind::LinkDown { a: 1, b: 2 },
@@ -333,11 +272,5 @@ mod tests {
             assert!(!kind.describe().is_empty());
             assert!(seen.insert(kind.describe()), "descriptions must differ");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot fail")]
-    fn rejects_overdrawn_plans() {
-        let _ = FaultPlan::random_link_failures(0, &[(0, 1)], 2, (t(0.0), t(10.0)));
     }
 }

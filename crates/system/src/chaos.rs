@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use alphasim_coherence::RetryPolicy;
 use alphasim_kernel::chaos::{shrink_candidates, validate_plan, ChaosConfig, SiteCatalog};
 use alphasim_kernel::{FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime};
-use alphasim_topology::Topology;
+use alphasim_topology::{Topology, Torus2D};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
@@ -150,6 +150,13 @@ impl Reproducer {
     /// stack has no typed deserializer, so this decodes the [`Value`] tree
     /// by hand, field for field — strict about shape, so a corrupted
     /// corpus entry fails loudly instead of replaying the wrong schedule.
+    ///
+    /// # Errors
+    ///
+    /// Bad JSON, a missing or mistyped field, an unknown fault kind, and
+    /// values no campaign can run: a machine size other than
+    /// [`Torus2D::SIZES`], an empty issue window, or a retry budget beyond
+    /// `u32`. Each names the field and the value.
     pub fn from_json(text: &str) -> Result<Reproducer, String> {
         let root = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e}"))?;
         let mutation = match get(&root, "mutation")? {
@@ -182,16 +189,30 @@ impl Reproducer {
             });
         }
         let retry_v = get(&root, "retry")?;
+        let max_retries = u64_field(retry_v, "max_retries")?;
         let retry = RetryPolicy {
             timeout: SimDuration::from_ps(u64_field(retry_v, "timeout")?),
             backoff_base: SimDuration::from_ps(u64_field(retry_v, "backoff_base")?),
             backoff_cap: SimDuration::from_ps(u64_field(retry_v, "backoff_cap")?),
-            max_retries: u64_field(retry_v, "max_retries")? as u32,
+            max_retries: u32::try_from(max_retries).map_err(|_| {
+                format!("field \"max_retries\" must fit in 32 bits, got {max_retries}")
+            })?,
         };
+        let cpus = usize_field(&root, "cpus")?;
+        if Torus2D::shape_for(cpus).is_none() {
+            let sizes = Torus2D::SIZES.map(|(n, _, _)| n);
+            return Err(format!(
+                "field \"cpus\" must be a machine size in {sizes:?}, got {cpus}"
+            ));
+        }
+        let outstanding = usize_field(&root, "outstanding")?;
+        if outstanding == 0 {
+            return Err("field \"outstanding\" must be at least 1, got 0".to_string());
+        }
         Ok(Reproducer {
             name: str_field(&root, "name")?,
-            cpus: usize_field(&root, "cpus")?,
-            outstanding: usize_field(&root, "outstanding")?,
+            cpus,
+            outstanding,
             requests_per_cpu: usize_field(&root, "requests_per_cpu")?,
             shards: usize_field(&root, "shards")?,
             retry,
@@ -642,5 +663,36 @@ mod tests {
         assert!(Reproducer::from_json(&bad_kind)
             .unwrap_err()
             .contains("unknown fault kind"));
+    }
+
+    #[test]
+    fn from_json_rejects_values_no_campaign_can_run() {
+        let json = include_str!("../../../results/chaos-corpus/chaos-leak-poison-seed50181.json");
+        assert!(Reproducer::from_json(json).is_ok());
+        for (from, to, why) in [
+            (
+                "\"cpus\": 16",
+                "\"cpus\": 48",
+                "field \"cpus\" must be a machine size in [2, 4, 8, 16, 32, 64, 128, 256], got 48",
+            ),
+            (
+                "\"outstanding\": 6",
+                "\"outstanding\": 0",
+                "field \"outstanding\" must be at least 1, got 0",
+            ),
+            (
+                "\"max_retries\": 6",
+                "\"max_retries\": 4294967296",
+                "field \"max_retries\" must fit in 32 bits, got 4294967296",
+            ),
+        ] {
+            assert!(json.contains(from), "corpus file drifted: {from}");
+            let doctored = json.replace(from, to);
+            assert_eq!(Reproducer::from_json(&doctored).unwrap_err(), why);
+        }
+        let truncated = &json[..json.len() / 2];
+        assert!(Reproducer::from_json(truncated)
+            .unwrap_err()
+            .starts_with("bad JSON"));
     }
 }

@@ -1,19 +1,29 @@
-//! The epoch-parallel closed-loop campaign engine.
+//! The epoch-parallel closed-loop engine.
 //!
-//! [`crate::faulty::FaultCampaign`] runs its closed loop here, partitioned
+//! Every closed-loop experiment runs here: the load test
+//! ([`crate::loadtest::LoadTest`], Figs. 15, 18 and 23–27) and the fault
+//! campaign ([`crate::faulty::FaultCampaign`], the resilience sweep and the
+//! chaos engine). Every CPU keeps a window of reads outstanding to the
+//! memory sites its [`TrafficPattern`] picks, and the loop is partitioned
 //! by torus row band so the conservative epoch scheduler
 //! ([`EpochExecutor`]) can advance each region on its own core:
 //!
 //! * [`CampaignWorker`] is one region's slice of everything mutable: the
 //!   [`RegionNet`] link state, the requester-partitioned [`PendingSet`],
-//!   the home-node-owned [`Zbox`] controllers, per-CPU RNGs and issue
-//!   counters, and the region's share of every result stream (latency
-//!   samples, completions, poisons, violations, trace events).
-//! * [`CampaignGuide`] is the barrier coordinator: it owns the master
-//!   [`FabricTables`], strikes fault-plan events and watchdog ticks as
-//!   epoch barriers, mutates worker link state under
+//!   the [`Zbox`] controllers of the memory sites it owns, per-CPU RNGs
+//!   and issue counters, and the region's share of every result stream
+//!   (latency samples, completions, poisons, violations, trace events).
+//! * [`CampaignGuide`] is the barrier coordinator: it holds the master
+//!   [`FabricTables`], strikes fault-plan events, watchdog ticks and
+//!   Fig. 24 samples as epoch barriers, mutates worker link state under
 //!   [`EpochControl`], condemns in-flight packets on dead wires, and
 //!   republishes the routing snapshot plus the conservative lookahead.
+//!
+//! A run with a retry policy (the campaign) tracks every read in the
+//! pending set until it completes or is poisoned, arms a retry timer per
+//! attempt, and runs the watchdog. A run without one (the load test) has
+//! no faults to recover from and keeps none of that: each read's issue
+//! time rides its packets, and the worker sums latency as reads complete.
 //!
 //! Determinism is by construction, not by luck: every event carries a
 //! shard-count-invariant tiebreak (packet uid, link id, transaction tag,
@@ -41,19 +51,31 @@ use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochGuide, Outbox, S
 use alphasim_kernel::{DetRng, FaultEvent, FaultKind, SimDuration, SimTime};
 use alphasim_mem::Zbox;
 use alphasim_net::partition::{
-    tb_arrive, tb_inject, tb_link_free, tb_timer, FabricEvent, FabricTables, Packet, RegionNet,
+    tb_arrive, tb_inject, tb_link_free, tb_timer, FabricEvent, FabricLinks, FabricTables, Packet,
+    RegionNet,
 };
 use alphasim_net::{FaultError, MessageClass};
 use alphasim_telemetry::trace::PID_MEMORY;
 use alphasim_telemetry::{BreakdownTable, HopBreakdown};
 use alphasim_topology::NodeId;
 
-use crate::faulty::{CampaignPattern, PoisonedTx, RecoveryMutation, STUCK_WINDOW_LIMIT};
+use crate::faulty::{PoisonedTx, RecoveryMutation, STUCK_WINDOW_LIMIT};
+use crate::loadtest::{TrafficPattern, UtilSample};
 use crate::obs::ObsAcc;
 
-/// The request-leg attribution a response carries home. Sequentially this
-/// was parked at the collector keyed by tag; here it rides the completing
-/// response itself, so the charge happens wherever the requester lives.
+/// What a request and its response carry besides their headers.
+#[derive(Debug)]
+pub(crate) struct Carried {
+    /// When the read's attempt was issued (a retry-free run's latency
+    /// clock).
+    pub(crate) issued: SimTime,
+    /// On a response of a run that collects the latency breakdown, the
+    /// attribution of the request leg it answers.
+    pub(crate) leg: Option<Box<ServedLeg>>,
+}
+
+/// The request-leg attribution a response carries home, so the charge
+/// happens wherever the requester lives.
 #[derive(Debug, Clone)]
 pub(crate) struct ServedLeg {
     /// Per-hop attribution of the request that was served.
@@ -70,13 +92,12 @@ pub(crate) struct ServedLeg {
 /// from the `tb_*` constructors, all derived from simulation identities.
 #[derive(Debug)]
 pub(crate) enum Ev {
-    /// A packet lands on `node` (hop-by-hop handoff; responses carry the
-    /// served leg).
+    /// A packet lands on `node` (hop-by-hop handoff).
     Arrive {
         /// Node the packet lands on.
         node: NodeId,
         /// The packet in flight.
-        pkt: Box<Packet<Option<ServedLeg>>>,
+        pkt: Box<Packet<Carried>>,
     },
     /// An owned link's channel frees up.
     LinkFree {
@@ -103,8 +124,8 @@ pub(crate) enum Ev {
     },
 }
 
-impl FabricEvent<Option<ServedLeg>> for Ev {
-    fn arrive(node: NodeId, pkt: Box<Packet<Option<ServedLeg>>>) -> Self {
+impl FabricEvent<Carried> for Ev {
+    fn arrive(node: NodeId, pkt: Box<Packet<Carried>>) -> Self {
         Ev::Arrive { node, pkt }
     }
 
@@ -119,14 +140,17 @@ pub(crate) struct CampaignCfg {
     pub(crate) outstanding: usize,
     /// Reads each CPU completes before the run ends.
     pub(crate) requests_per_cpu: u64,
-    /// Timeout / backoff / poison policy.
-    pub(crate) retry: RetryPolicy,
+    /// Timeout / backoff / poison policy; `None` runs retry-free (no
+    /// timers, pending set, watchdog or per-read streams).
+    pub(crate) retry: Option<RetryPolicy>,
     /// Deliberately broken recovery path, if any.
     pub(crate) mutation: Option<RecoveryMutation>,
     /// Traffic pattern.
-    pub(crate) pattern: CampaignPattern,
-    /// Bisection mirror per CPU (empty for [`CampaignPattern::UniformRemote`]).
+    pub(crate) pattern: TrafficPattern,
+    /// Bisection mirror per CPU (empty for every other pattern).
     pub(crate) partners: Vec<usize>,
+    /// The memory site serving each CPU's memory, indexed by CPU number.
+    pub(crate) homes: Vec<NodeId>,
     /// Fixed front-end overhead added to every end-to-end latency.
     pub(crate) front_overhead: SimDuration,
     /// Fixed directory lookup before the Zbox serves a request.
@@ -142,7 +166,7 @@ pub(crate) struct CampaignWorker {
     /// Every CPU endpoint, indexed by CPU number.
     pub(crate) cpus: Arc<Vec<NodeId>>,
     /// This region's fabric slice.
-    pub(crate) net: RegionNet<Option<ServedLeg>>,
+    pub(crate) net: RegionNet<Carried>,
     /// Per-CPU RNG streams; only owned CPUs ever advance, so the per-CPU
     /// draw sequence is shard-count invariant.
     pub(crate) rngs: Vec<DetRng>,
@@ -165,8 +189,16 @@ pub(crate) struct CampaignWorker {
     pub(crate) violations: Vec<(u64, String, String)>,
     /// Time of the last delivery (request or response) in this region.
     pub(crate) last_delivery: SimTime,
-    /// Memory controllers of the home nodes this region owns, indexed by
-    /// node id (`None` for foreign nodes).
+    /// Time of the last event this region handled.
+    pub(crate) last_event: SimTime,
+    /// Sum of the end-to-end latencies of the reads completed here
+    /// (retry-free runs).
+    pub(crate) total_latency: SimDuration,
+    /// Reads completed here (retry-free runs; a retrying run counts them
+    /// in its pending set).
+    pub(crate) completed: u64,
+    /// Memory controllers of the memory sites this region owns, indexed by
+    /// node id (`None` for foreign nodes and nodes without memory).
     pub(crate) zboxes: Vec<Option<Zbox>>,
     /// Per-CPU: whether the node was ever drained (set at the barrier by
     /// the guide; exempts the CPU from window-refill and issue-quota
@@ -182,10 +214,11 @@ impl ShardWorker for CampaignWorker {
     type Event = Ev;
 
     fn handle(&mut self, at: SimTime, ev: Ev, out: &mut Outbox<Ev>) {
+        self.last_event = at;
         match ev {
             Ev::Arrive { node, pkt } => {
                 if let Some(pkt) = self.net.handle_arrive(at, node, pkt, out) {
-                    self.deliver(at, *pkt, out);
+                    self.deliver(at, pkt, out);
                 }
             }
             Ev::LinkFree { link } => self.net.handle_link_free(at, link, out),
@@ -207,7 +240,7 @@ impl ShardWorker for CampaignWorker {
 impl CampaignWorker {
     /// Consume a delivery: serve a request from the home Zbox, or close
     /// the transaction a response answers.
-    fn deliver(&mut self, at: SimTime, pkt: Packet<Option<ServedLeg>>, out: &mut Outbox<Ev>) {
+    fn deliver(&mut self, at: SimTime, mut pkt: Box<Packet<Carried>>, out: &mut Outbox<Ev>) {
         self.last_delivery = self.last_delivery.max(at);
         match pkt.class {
             MessageClass::Request => {
@@ -226,7 +259,7 @@ impl CampaignWorker {
                 let served_from = at + self.cfg.directory_overhead;
                 let zbox = self.zboxes[home.index()]
                     .as_mut()
-                    .expect("home node's zbox is owned by this region");
+                    .expect("the memory site's zbox is owned by this region");
                 let acc = zbox.access(served_from, addr, 64);
                 if let Some(sink) = self.net.trace_mut() {
                     sink.complete(
@@ -239,8 +272,6 @@ impl CampaignWorker {
                         &[("tag", tag), ("page_hit", u64::from(acc.page_hit))],
                     );
                 }
-                // The leg always rides the response — instrumented and
-                // plain runs schedule byte-identical events.
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.note_zbox_read(
                         served_from.as_ps(),
@@ -248,43 +279,48 @@ impl CampaignWorker {
                         acc.completed.since(acc.started).as_ps(),
                     );
                 }
-                let leg = ServedLeg {
-                    request: pkt.acc,
-                    zbox_queue_ps: acc.started.since(served_from).as_ps(),
-                    dram_ps: acc.completed.since(acc.started).as_ps(),
-                    page_hit: acc.page_hit,
-                };
-                let requester = self.cpus[(tag >> 32) as usize];
+                // The leg rides the response only where a breakdown is
+                // charged; a payload never changes what is scheduled.
+                let leg = self.breakdown.is_some().then(|| {
+                    Box::new(ServedLeg {
+                        request: pkt.acc,
+                        zbox_queue_ps: acc.started.since(served_from).as_ps(),
+                        dram_ps: acc.completed.since(acc.started).as_ps(),
+                        page_hit: acc.page_hit,
+                    })
+                });
                 let uid = pkt.uid | 1;
-                let resp = Packet::new(
-                    home,
-                    requester,
-                    MessageClass::BlockResponse,
-                    80,
-                    tag,
-                    uid,
-                    acc.completed,
-                    Some(leg),
-                );
+                let carried = Carried {
+                    issued: pkt.payload.issued,
+                    leg,
+                };
+                pkt.reply(MessageClass::BlockResponse, 80, uid, acc.completed, carried);
                 out.emit(
                     self.net.region(),
                     acc.completed,
                     tb_arrive(uid),
-                    Ev::Arrive {
-                        node: home,
-                        pkt: resp,
-                    },
+                    Ev::Arrive { node: home, pkt },
                 );
             }
             MessageClass::BlockResponse => {
                 let tag = pkt.tag;
-                let Some(tx) = self.pending.complete(tag) else {
-                    return; // duplicate response from a retry
+                let e2e = if self.cfg.retry.is_some() {
+                    let Some(tx) = self.pending.complete(tag) else {
+                        return; // duplicate response from a retry
+                    };
+                    self.pending_log.push((at.as_ps(), -1));
+                    let e2e = at.since(tx.first_issued) + self.cfg.front_overhead;
+                    self.latency_samples.push(e2e);
+                    self.completions.push((at, tag));
+                    e2e
+                } else {
+                    // Retry-free: the one attempt's issue time rode the
+                    // response home.
+                    let e2e = at.since(pkt.payload.issued) + self.cfg.front_overhead;
+                    self.total_latency += e2e;
+                    self.completed += 1;
+                    e2e
                 };
-                self.pending_log.push((at.as_ps(), -1));
-                let e2e = at.since(tx.first_issued) + self.cfg.front_overhead;
-                self.latency_samples.push(e2e);
-                self.completions.push((at, tag));
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.note_completion(at.as_ps(), e2e.as_ps());
                 }
@@ -292,7 +328,7 @@ impl CampaignWorker {
                     charge_completion(
                         bd,
                         &pkt.acc,
-                        pkt.payload.as_ref(),
+                        pkt.payload.leg.as_deref(),
                         self.cfg.directory_overhead.as_ps(),
                         self.cfg.front_overhead.as_ps(),
                         e2e.as_ps(),
@@ -308,16 +344,18 @@ impl CampaignWorker {
     /// Refill `cpu`'s issue window to `outstanding`. Idempotent, so
     /// duplicate same-time refills are harmless.
     fn top_up(&mut self, at: SimTime, cpu: usize, out: &mut Outbox<Ev>) {
-        let inflight = self
-            .pending
-            .iter()
-            .filter(|&(tag, _)| (tag >> 32) as usize == cpu)
-            .count();
-        for _ in inflight..self.cfg.outstanding {
+        for _ in self.inflight(cpu)..self.cfg.outstanding {
             if !self.inject_next(at, cpu, out) {
                 break;
             }
         }
+    }
+
+    /// `cpu`'s tracked reads (none on a retry-free run, whose only
+    /// refill is the time-zero prime).
+    fn inflight(&self, cpu: usize) -> usize {
+        let tags = self.pending.iter().map(|(tag, _)| tag);
+        tags.filter(|&tag| (tag >> 32) as usize == cpu).count()
     }
 
     /// Issue `cpu`'s next read if it still has budget and has not drained.
@@ -333,49 +371,60 @@ impl CampaignWorker {
         }
     }
 
-    fn pick_target(&mut self, cpu: usize) -> usize {
-        match self.cfg.pattern {
-            CampaignPattern::UniformRemote => {
+    /// The memory site `cpu`'s read number `seq` goes to.
+    fn pick_home(&mut self, cpu: usize, seq: u64) -> NodeId {
+        let target = match self.cfg.pattern {
+            TrafficPattern::UniformRemote => {
                 if self.cpus.len() == 1 {
                     0
                 } else {
                     self.rngs[cpu].index_excluding(self.cpus.len(), cpu)
                 }
             }
-            CampaignPattern::Bisection => self.cfg.partners[cpu],
-        }
+            TrafficPattern::HotSpot(hot) => hot,
+            TrafficPattern::StripedHotSpot(hot, partner) => {
+                if seq.is_multiple_of(2) {
+                    hot
+                } else {
+                    partner
+                }
+            }
+            TrafficPattern::Bisection => self.cfg.partners[cpu],
+        };
+        self.cfg.homes[target]
     }
 
-    /// Issue one read from `cpu`: track it, launch the request packet, and
-    /// arm its retry timer.
+    /// Issue one read from `cpu` and launch its request packet; a retrying
+    /// run also tracks it and arms its retry timer.
     fn inject(&mut self, at: SimTime, cpu: usize, out: &mut Outbox<Ev>) {
         let seq = self.issued[cpu];
         self.issued[cpu] += 1;
-        let target = self.pick_target(cpu);
-        let home = self.cpus[target];
+        let home = self.pick_home(cpu, seq);
         let tag = ((cpu as u64) << 32) | seq;
-        let deadline = at + self.cfg.retry.timeout;
-        self.pending.insert(
-            tag,
-            PendingTx {
-                src: self.cpus[cpu].index(),
-                home: home.index(),
-                first_issued: at,
-                deadline,
-                attempts: 1,
-            },
-        );
-        self.pending_log.push((at.as_ps(), 1));
         if let Some(o) = self.obs.as_deref_mut() {
             o.note_injected(at.as_ps());
         }
         self.send_request(at, cpu, home, tag, 1, out);
-        out.emit(
-            self.net.region(),
-            deadline,
-            tb_timer(tag),
-            Ev::Timer { tag },
-        );
+        if let Some(retry) = self.cfg.retry {
+            let deadline = at + retry.timeout;
+            self.pending.insert(
+                tag,
+                PendingTx {
+                    src: self.cpus[cpu].index(),
+                    home: home.index(),
+                    first_issued: at,
+                    deadline,
+                    attempts: 1,
+                },
+            );
+            self.pending_log.push((at.as_ps(), 1));
+            out.emit(
+                self.net.region(),
+                deadline,
+                tb_timer(tag),
+                Ev::Timer { tag },
+            );
+        }
     }
 
     /// Launch attempt `attempt` of transaction `tag` into the fabric at
@@ -392,7 +441,11 @@ impl CampaignWorker {
     ) {
         let uid = (tag << 16) | (u64::from(attempt) << 1);
         let src = self.cpus[cpu];
-        let pkt = Packet::new(src, home, MessageClass::Request, 16, tag, uid, at, None);
+        let carried = Carried {
+            issued: at,
+            leg: None,
+        };
+        let pkt = Packet::new(src, home, MessageClass::Request, 16, tag, uid, at, carried);
         out.emit(
             self.net.region(),
             at,
@@ -409,14 +462,15 @@ impl CampaignWorker {
         let Some(tx) = self.pending.get(tag).copied() else {
             return; // completed in the meantime (e.g. drop of a dup response)
         };
+        let retry = self.cfg.retry.expect("only a retrying run tracks reads");
         let cpu = (tag >> 32) as usize;
         // OffByOneRetry mutation: the poison threshold slips by one, so
         // transactions overrun the retry bound — which the retry-bound
         // monitor must catch on the extra attempt.
         let max_retries = if self.cfg.mutation == Some(RecoveryMutation::OffByOneRetry) {
-            self.cfg.retry.max_retries + 1
+            retry.max_retries + 1
         } else {
-            self.cfg.retry.max_retries
+            retry.max_retries
         };
         let cause = if self.net.tables().is_drained(NodeId::new(tx.src)) {
             Some(format!("source cpu {} drained mid-flight", tx.src))
@@ -425,7 +479,7 @@ impl CampaignWorker {
         } else if tx.attempts > max_retries {
             Some(format!(
                 "exhausted {} retries (timeout {} per attempt)",
-                self.cfg.retry.max_retries, self.cfg.retry.timeout
+                retry.max_retries, retry.timeout
             ))
         } else {
             None
@@ -467,11 +521,7 @@ impl CampaignWorker {
                 && !self.net.tables().is_drained(self.cpus[cpu])
                 && self.issued[cpu] < self.cfg.requests_per_cpu
             {
-                let inflight = self
-                    .pending
-                    .iter()
-                    .filter(|&(t, _)| (t >> 32) as usize == cpu)
-                    .count();
+                let inflight = self.inflight(cpu);
                 if inflight < self.cfg.outstanding {
                     self.violations.push((
                         now.as_ps(),
@@ -485,21 +535,21 @@ impl CampaignWorker {
             }
             return;
         }
-        let backoff = self.cfg.retry.backoff(tx.attempts);
+        let backoff = retry.backoff(tx.attempts);
         let resend_at = now + backoff;
-        let deadline = resend_at + self.cfg.retry.timeout;
+        let deadline = resend_at + retry.timeout;
         let attempts = self.pending.retry(tag, deadline);
         self.max_attempts = self.max_attempts.max(attempts);
         if let Some(o) = self.obs.as_deref_mut() {
             o.note_retry(now.as_ps());
         }
-        if self.cfg.monitored && attempts > self.cfg.retry.max_retries + 1 {
+        if self.cfg.monitored && attempts > retry.max_retries + 1 {
             self.violations.push((
                 now.as_ps(),
                 "retry-bound".to_string(),
                 format!(
                     "tag {tag:#x} reached attempt {attempts}; the policy allows {}",
-                    self.cfg.retry.max_retries + 1
+                    retry.max_retries + 1
                 ),
             ));
         }
@@ -526,6 +576,9 @@ impl CampaignWorker {
 /// *concurrently* with the completing trip. Charging those would
 /// overshoot `e2e_ps` and break the exact-sum invariant, so a leg that no
 /// longer fits inside the end-to-end budget is left unattributed instead.
+///
+/// Kept out of line: inlined into `handle`, it slowed the load test 1–2%.
+#[inline(never)]
 fn charge_completion(
     bd: &mut BreakdownTable,
     response: &HopBreakdown,
@@ -584,16 +637,46 @@ fn charge_completion(
     bd.complete_transaction(e2e_ps);
 }
 
+/// Fig. 24's strip chart: at each sampling barrier, the utilization of
+/// every CPU's memory site and the mean East–West and North–South link
+/// utilization over the interval since the previous sample.
+pub(crate) struct Sampler {
+    /// Sampling interval.
+    pub(crate) every: SimDuration,
+    /// The next sample instant (`None` once the run has gone idle).
+    pub(crate) next_at: Option<SimTime>,
+    /// Cumulative Zbox busy time per CPU's memory site at the last sample.
+    pub(crate) prev_zbox_busy: Vec<SimDuration>,
+    /// Cumulative mean East–West link busy time at the last sample.
+    pub(crate) prev_ew_busy: SimDuration,
+    /// Cumulative mean North–South link busy time at the last sample.
+    pub(crate) prev_ns_busy: SimDuration,
+    /// The samples taken so far.
+    pub(crate) samples: Vec<UtilSample>,
+}
+
+/// A fault the plan cannot apply panics, loudly and by design.
+fn refused(e: FaultError) -> ! {
+    panic!("fault plan could not be applied: {e}")
+}
+
+/// The fabric mutation's result, or [`refused`].
+fn applied<T>(r: Result<T, FaultError>) -> T {
+    r.unwrap_or_else(|e| refused(e))
+}
+
 /// The barrier coordinator: owns the master fabric tables and the fault
-/// plan, strikes fault events and watchdog ticks at epoch barriers, and
-/// keeps every worker's routing snapshot and the conservative lookahead
-/// in sync with the wounded fabric.
+/// plan, strikes fault events, watchdog ticks and samples at epoch
+/// barriers, and keeps every worker's routing snapshot and the
+/// conservative lookahead in sync with the wounded fabric.
 pub(crate) struct CampaignGuide {
-    /// The master routing snapshot; workers hold [`Arc`] clones
-    /// republished after every fabric mutation.
-    pub(crate) master: FabricTables,
+    /// The master routing snapshot, shared with every worker: a fabric
+    /// mutation copies it on write and republishes the copy.
+    pub(crate) master: Arc<FabricTables>,
     /// Every CPU endpoint, indexed by CPU number.
     pub(crate) cpus: Arc<Vec<NodeId>>,
+    /// The run's shared parameters.
+    pub(crate) cfg: Arc<CampaignCfg>,
     /// The fault schedule, sorted by strike time.
     pub(crate) plan: Vec<FaultEvent>,
     /// Next unstruck plan entry.
@@ -604,14 +687,12 @@ pub(crate) struct CampaignGuide {
     pub(crate) dog: Watchdog,
     /// Next watchdog barrier on the fixed grid.
     pub(crate) dog_next: SimTime,
-    /// Whether watchdog barriers keep coming (plan remaining or any
-    /// transaction outstanding).
+    /// Whether watchdog barriers keep coming (a retrying run with plan
+    /// remaining or any transaction outstanding).
     pub(crate) live: bool,
     /// Consecutive no-progress windows (monitored runs escalate at
     /// [`STUCK_WINDOW_LIMIT`]).
     pub(crate) consecutive_stuck: u32,
-    /// Whether the always-on invariant monitors are armed.
-    pub(crate) monitored: bool,
     /// Faults that actually struck, in strike order.
     pub(crate) faults_applied: Vec<FaultKind>,
     /// Livelock reports, in firing order.
@@ -622,18 +703,16 @@ pub(crate) struct CampaignGuide {
     pub(crate) dropped: u64,
     /// Queued packets evicted from failing links and re-routed.
     pub(crate) rerouted: u64,
+    /// The Fig. 24 sampler, on sampled runs.
+    pub(crate) sampler: Option<Sampler>,
 }
 
 impl EpochGuide<CampaignWorker> for CampaignGuide {
     fn next_barrier(&mut self) -> Option<SimTime> {
         let fault = self.plan.get(self.plan_idx).map(|e| e.at);
         let dog = self.live.then_some(self.dog_next);
-        match (fault, dog) {
-            (None, None) => None,
-            (Some(f), None) => Some(f),
-            (None, Some(d)) => Some(d),
-            (Some(f), Some(d)) => Some(f.min(d)),
-        }
+        let sample = self.sampler.as_ref().and_then(|s| s.next_at);
+        [fault, dog, sample].into_iter().flatten().min()
     }
 
     fn at_barrier(
@@ -649,7 +728,7 @@ impl EpochGuide<CampaignWorker> for CampaignGuide {
             self.faults_applied.push(kind);
             // After every strike the route tables and the conservative
             // lookahead must agree with their brute-force oracles.
-            if self.monitored {
+            if self.cfg.monitored {
                 if let Err(why) = self.master.audit_routes() {
                     self.violations
                         .push((at.as_ps(), "route-consistency".to_string(), why));
@@ -660,27 +739,73 @@ impl EpochGuide<CampaignWorker> for CampaignGuide {
                 }
             }
         }
-        if self.live && at == self.dog_next {
-            if self.dog_tick(at, ctl) == BarrierVerdict::Stop {
-                verdict = BarrierVerdict::Stop;
+        if self.live {
+            if at == self.dog_next {
+                if self.dog_tick(at, ctl) == BarrierVerdict::Stop {
+                    verdict = BarrierVerdict::Stop;
+                }
+                self.dog_next = at + self.window;
             }
-            self.dog_next = at + self.window;
+            self.live = self.plan_idx < self.plan.len()
+                || (0..ctl.shard_count()).any(|s| !ctl.worker(s).pending.is_empty());
         }
-        self.live = self.plan_idx < self.plan.len()
-            || (0..ctl.shard_count()).any(|s| !ctl.worker(s).pending.is_empty());
+        if self.sampler.as_ref().is_some_and(|s| s.next_at == Some(at)) {
+            self.sample(at, ctl);
+        }
         verdict
     }
 }
 
 impl CampaignGuide {
+    /// Take the sample due at barrier `at` — every event before it has
+    /// fired, none at or after it has — or stop sampling once nothing is
+    /// left to fire.
+    fn sample(&mut self, at: SimTime, ctl: &EpochControl<'_, CampaignWorker>) {
+        let s = self.sampler.as_mut().expect("a sample is due");
+        if ctl.is_idle() {
+            s.next_at = None;
+            return;
+        }
+        let window = s.every.as_ps() as f64;
+        let share = |busy: SimDuration, prev: &mut SimDuration| {
+            let delta = busy - (*prev).min(busy);
+            *prev = busy;
+            (delta.as_ps() as f64 / window).min(1.0)
+        };
+        let mut zbox = Vec::with_capacity(self.cfg.homes.len());
+        for (&site, prev) in self.cfg.homes.iter().zip(&mut s.prev_zbox_busy) {
+            let owner = self.master.region_of(site);
+            let busy = ctl.worker(owner).zboxes[site.index()]
+                .as_ref()
+                .map_or(SimDuration::ZERO, Zbox::busy_time);
+            zbox.push(share(busy, prev));
+        }
+        let links = FabricLinks::gather((0..ctl.shard_count()).map(|r| &ctl.worker(r).net));
+        let ew = links.mean_busy_where(|d| d.is_some_and(|d| d.is_horizontal()));
+        let ns = links.mean_busy_where(|d| d.is_some_and(|d| !d.is_horizontal()));
+        let east_west = share(ew, &mut s.prev_ew_busy);
+        let north_south = share(ns, &mut s.prev_ns_busy);
+        s.samples.push(UtilSample {
+            at_ns: at.as_ns(),
+            zbox,
+            east_west,
+            north_south,
+        });
+        s.next_at = Some(at + s.every);
+    }
+
     /// Republish the master tables to every worker (so route lookups
     /// inside the next epochs see the fabric as it stands at this
     /// barrier).
     fn republish(&self, ctl: &mut EpochControl<'_, CampaignWorker>) {
-        let fresh = Arc::new(self.master.clone());
         for s in 0..ctl.shard_count() {
-            ctl.worker_mut(s).net.set_tables(fresh.clone());
+            ctl.worker_mut(s).net.set_tables(self.master.clone());
         }
+    }
+
+    /// The region that owns (sends on) directed link `id`.
+    fn owner_of(&self, id: usize) -> usize {
+        self.master.region_of(self.master.link_meta(id).0)
     }
 
     /// Re-derive the conservative lookahead from the surviving
@@ -691,9 +816,8 @@ impl CampaignGuide {
         ctl.set_lookahead(self.master.lookahead());
     }
 
-    /// Apply one fault strike at barrier `b`, with the same semantics —
-    /// and the same loud panics on inapplicable faults — as the
-    /// sequential engine.
+    /// Apply one fault strike at barrier `b`; an inapplicable fault
+    /// panics ([`refused`]).
     fn apply_fault(
         &mut self,
         b: SimTime,
@@ -703,12 +827,8 @@ impl CampaignGuide {
         match kind {
             FaultKind::LinkDown { a, b: other } => {
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                let ids = match self.master.fail_link(na, nb) {
-                    Ok(ids) => ids,
-                    Err(e) => panic!("fault plan could not be applied: {e}"),
-                };
-                for id in ids {
-                    let (from, _, _, _) = self.master.link_meta(id);
+                for id in applied(Arc::make_mut(&mut self.master).fail_link(na, nb)) {
+                    let from = self.master.link_meta(id).0;
                     let owner = self.master.region_of(from);
                     ctl.worker_mut(owner).net.link_mut(id).set_alive(false);
                     // Queued packets are evicted and re-routed from the
@@ -750,40 +870,28 @@ impl CampaignGuide {
             }
             FaultKind::LinkUp { a, b: other } => {
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                let ids = match self.master.link_ids(na, nb) {
-                    Ok(ids) => ids,
-                    Err(e) => panic!("fault plan could not be applied: {e}"),
-                };
+                let ids = applied(self.master.link_ids(na, nb));
                 if self.master.is_alive(ids[0]) {
                     // An alive link only heals if it was degraded;
                     // repairing a healthy full-speed link errs.
-                    let degraded = ids.iter().any(|&id| {
-                        let (from, _, _, _) = self.master.link_meta(id);
-                        ctl.worker(self.master.region_of(from))
-                            .net
-                            .link(id)
-                            .is_degraded()
-                    });
+                    let degraded = ids
+                        .iter()
+                        .any(|&id| ctl.worker(self.owner_of(id)).net.link(id).is_degraded());
                     if !degraded {
-                        let e = FaultError::AlreadyInState {
+                        refused(FaultError::AlreadyInState {
                             a: na,
                             b: nb,
                             alive: true,
-                        };
-                        panic!("fault plan could not be applied: {e}");
+                        });
                     }
                     for &id in &ids {
-                        let (from, _, _, _) = self.master.link_meta(id);
-                        let owner = self.master.region_of(from);
+                        let owner = self.owner_of(id);
                         ctl.worker_mut(owner).net.link_mut(id).set_degrade(1);
                     }
                 } else {
-                    if let Err(e) = self.master.revive_link(na, nb) {
-                        panic!("fault plan could not be applied: {e}");
-                    }
+                    applied(Arc::make_mut(&mut self.master).revive_link(na, nb));
                     for id in ids {
-                        let (from, _, _, _) = self.master.link_meta(id);
-                        let owner = self.master.region_of(from);
+                        let owner = self.owner_of(id);
                         let link = ctl.worker_mut(owner).net.link_mut(id);
                         link.set_alive(true);
                         link.set_degrade(1);
@@ -794,54 +902,37 @@ impl CampaignGuide {
             }
             FaultKind::LinkDegrade { a, b: other } => {
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                let ids = match self.master.link_ids(na, nb) {
-                    Ok(ids) => ids,
-                    Err(e) => panic!("fault plan could not be applied: {e}"),
-                };
-                if !self.master.is_alive(ids[0]) {
-                    let e = FaultError::BadState {
-                        a: na,
-                        b: nb,
-                        what: "is dead; cannot degrade",
-                    };
-                    panic!("fault plan could not be applied: {e}");
-                }
-                let (from0, _, _, _) = self.master.link_meta(ids[0]);
-                if ctl
-                    .worker(self.master.region_of(from0))
+                let ids = applied(self.master.link_ids(na, nb));
+                let what = if !self.master.is_alive(ids[0]) {
+                    Some("is dead; cannot degrade")
+                } else if ctl
+                    .worker(self.owner_of(ids[0]))
                     .net
                     .link(ids[0])
                     .is_degraded()
                 {
-                    let e = FaultError::BadState {
-                        a: na,
-                        b: nb,
-                        what: "is already degraded",
-                    };
-                    panic!("fault plan could not be applied: {e}");
+                    Some("is already degraded")
+                } else {
+                    None
+                };
+                if let Some(what) = what {
+                    refused(FaultError::BadState { a: na, b: nb, what });
                 }
                 for id in ids {
-                    let (from, _, _, _) = self.master.link_meta(id);
-                    let owner = self.master.region_of(from);
-                    ctl.worker_mut(owner)
-                        .net
-                        .link_mut(id)
-                        .set_degrade(DEGRADE_FACTOR);
+                    let owner = self.owner_of(id);
+                    let link = ctl.worker_mut(owner).net.link_mut(id);
+                    link.set_degrade(DEGRADE_FACTOR);
                 }
             }
             FaultKind::FlitCorrupt { from, to } => {
                 let (nf, nt) = (NodeId::new(from), NodeId::new(to));
-                let id = match self.master.directed_link(nf, nt) {
-                    Ok(id) => id,
-                    Err(e) => panic!("fault plan could not be applied: {e}"),
-                };
+                let id = applied(self.master.directed_link(nf, nt));
                 if !self.master.is_alive(id) {
-                    let e = FaultError::BadState {
+                    refused(FaultError::BadState {
                         a: nf,
                         b: nt,
                         what: "is dead; cannot corrupt a flit",
-                    };
-                    panic!("fault plan could not be applied: {e}");
+                    });
                 }
                 let owner = self.master.region_of(nf);
                 ctl.worker_mut(owner).net.link_mut(id).arm_corruption();
@@ -856,7 +947,7 @@ impl CampaignGuide {
             }
             FaultKind::NodeDrain { node } => {
                 let n = NodeId::new(node);
-                self.master.set_drained(n, true);
+                Arc::make_mut(&mut self.master).set_drained(n, true);
                 if let Some(cpu) = self.cpus.iter().position(|c| c.index() == node) {
                     let region = self.master.region_of(n);
                     ctl.worker_mut(region).ever_drained[cpu] = true;
@@ -865,7 +956,7 @@ impl CampaignGuide {
             }
             FaultKind::NodeUndrain { node } => {
                 let n = NodeId::new(node);
-                self.master.set_drained(n, false);
+                Arc::make_mut(&mut self.master).set_drained(n, false);
                 self.republish(ctl);
                 if let Some(cpu) = self.cpus.iter().position(|c| c.index() == node) {
                     // The node resumes service: refill its issue window so
@@ -914,7 +1005,7 @@ impl CampaignGuide {
         match self.dog.check_many(now, &sets) {
             Some(report) => {
                 self.reports.push(report);
-                if self.monitored {
+                if self.cfg.monitored {
                     self.consecutive_stuck += 1;
                     if self.consecutive_stuck >= STUCK_WINDOW_LIMIT {
                         let mut tags: Vec<u64> = sets

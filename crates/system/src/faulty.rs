@@ -1,9 +1,10 @@
 //! Closed-loop load testing under live fault injection.
 //!
-//! [`FaultCampaign`] drives the same windowed read loop as
-//! [`loadtest`](crate::loadtest) while a [`FaultPlan`] wounds the machine
-//! mid-run: links die (losing the packets on their wires), CPUs drain,
-//! RDRAM channels fail. The coherence layer's timeout-and-retry machinery
+//! [`FaultCampaign`] drives the windowed read loop of
+//! [`loadtest`](crate::loadtest) — on the same worker — while a
+//! [`FaultPlan`] wounds the machine mid-run: links die (losing the packets
+//! on their wires), CPUs drain, RDRAM channels fail. The coherence layer's
+//! timeout-and-retry machinery
 //! ([`RetryPolicy`], [`alphasim_coherence::PendingSet`], [`Watchdog`])
 //! guarantees the robustness contract: **every transaction either
 //! completes (possibly after bounded-backoff retries) or is poisoned with
@@ -11,8 +12,9 @@
 //! reports the stuck set if delivery progress ever stops for a whole
 //! window.
 //!
-//! Campaigns execute on the epoch-parallel engine (`crate::epoch`): the
-//! fabric, the requester-partitioned pending sets, and the home-node
+//! Campaigns execute on the epoch-parallel closed-loop engine
+//! (`crate::epoch`), the one the load test runs on without its retry
+//! machinery: the fabric, the requester-partitioned pending sets, and the
 //! memory controllers are split into torus row-band regions driven by
 //! [`alphasim_kernel::shard::EpochExecutor`] on real threads, with fault
 //! strikes and watchdog ticks applied at epoch barriers. Every result
@@ -29,7 +31,7 @@
 //! bugs and that the shrinker minimizes the schedule that exposed them.
 
 use alphasim_coherence::{LivelockReport, RetryPolicy, Watchdog};
-use alphasim_kernel::shard::EpochExecutor;
+use alphasim_kernel::shard::{EpochExecutor, EpochProfile, EpochReport};
 use alphasim_kernel::stats::MeanP50P99;
 use alphasim_kernel::{DetRng, FaultKind, FaultPlan, SimDuration, SimTime};
 use alphasim_mem::{Zbox, ZboxConfig};
@@ -43,7 +45,8 @@ use serde::{Deserialize, Serialize};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use crate::epoch::{CampaignCfg, CampaignGuide, CampaignWorker, Ev};
+use crate::epoch::{CampaignCfg, CampaignGuide, CampaignWorker, Ev, Sampler};
+use crate::loadtest::TrafficPattern;
 use crate::obs::{assemble, CampaignObservability, ObsAcc, ObserveOptions};
 
 /// Consecutive no-progress watchdog windows a monitored run tolerates
@@ -125,16 +128,9 @@ impl MonitorReport {
     }
 }
 
-/// How campaign CPUs pick the home of each read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignPattern {
-    /// Each request goes to a uniformly random *other* CPU.
-    UniformRemote,
-    /// Every CPU reads from its mirror across the vertical bisection of the
-    /// torus, so all traffic crosses the bisection — the pattern behind the
-    /// resilience sweep's achieved-bisection-bandwidth curve.
-    Bisection,
-}
+/// How campaign CPUs pick the home of each read: the load test's
+/// [`TrafficPattern`] under the name campaign callers use.
+pub type CampaignPattern = TrafficPattern;
 
 /// Parameters of one fault campaign.
 #[derive(Debug, Clone)]
@@ -279,16 +275,37 @@ pub(crate) const PIPELINE_STAGES: [&str; 16] = [
     "unattributed (retry / backoff)",
 ];
 
+/// How one closed-loop run is driven and what it collects besides its
+/// result.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Drive {
+    /// Run without retry machinery (the load test): no timers, pending
+    /// set, watchdog or per-read streams.
+    pub(crate) retry_free: bool,
+    /// Take a Fig. 24 sample every this long.
+    pub(crate) sample_every: Option<SimDuration>,
+    /// Collect the registry and the latency breakdown.
+    pub(crate) collect: bool,
+    /// Also collect the Chrome trace.
+    pub(crate) trace: bool,
+    /// Arm the invariant monitors.
+    pub(crate) monitored: bool,
+    /// Collect time-resolved observability.
+    pub(crate) observe: Option<ObserveOptions>,
+}
+
 /// A machine prepared for fault-injection load testing: a fabric whose
-/// link failures lose the packets on their wires, plus one memory
-/// controller per CPU node.
+/// link failures lose the packets on their wires, plus the memory sites
+/// behind it.
 pub struct FaultCampaign<T: Topology> {
     /// The fabric's routing tables, materialized from a `T` (one region;
     /// each run re-partitions them).
     tables: FabricTables,
     cpus: Vec<NodeId>,
-    /// One controller per CPU node, indexed by node id (deterministic).
-    zboxes: Vec<Zbox>,
+    /// The node holding each CPU's memory, indexed by the CPU's node id.
+    site_of_cpu: Vec<NodeId>,
+    /// Configuration of the controller at each distinct memory site.
+    zbox: ZboxConfig,
     front_overhead: SimDuration,
     directory_overhead: SimDuration,
     fabric: PhantomData<fn() -> T>,
@@ -306,13 +323,40 @@ impl<T: Topology> FaultCampaign<T> {
         front_overhead: SimDuration,
         directory_overhead: SimDuration,
     ) -> Self {
+        let sites = (0..fabric.node_count()).map(NodeId::new).collect();
+        Self::with_sites(
+            fabric,
+            timing,
+            policy,
+            sites,
+            zbox,
+            front_overhead,
+            directory_overhead,
+        )
+    }
+
+    /// Like [`new`](Self::new), with CPU `i`'s memory at node
+    /// `site_of_cpu[i]`; each distinct site gets one controller.
+    pub(crate) fn with_sites(
+        fabric: &T,
+        timing: LinkTiming,
+        policy: RoutePolicy,
+        site_of_cpu: Vec<NodeId>,
+        zbox: ZboxConfig,
+        front_overhead: SimDuration,
+        directory_overhead: SimDuration,
+    ) -> Self {
         let cpus = fabric.endpoints();
         assert!(!cpus.is_empty(), "no CPU endpoints");
-        let zboxes = (0..fabric.node_count()).map(|_| Zbox::new(zbox)).collect();
+        assert!(
+            site_of_cpu.len() >= cpus.len(),
+            "need a memory site per CPU"
+        );
         FaultCampaign {
             tables: FabricTables::new(fabric, timing, policy, 1),
             cpus,
-            zboxes,
+            site_of_cpu,
+            zbox,
             front_overhead,
             directory_overhead,
             fabric: PhantomData,
@@ -349,11 +393,7 @@ impl<T: Topology> FaultCampaign<T> {
     /// unmonitored run, so mutations require
     /// [`run_monitored`](Self::run_monitored).
     pub fn run(self, cfg: &FaultCampaignConfig) -> CampaignResult {
-        assert!(
-            cfg.mutation.is_none(),
-            "recovery mutations require run_monitored"
-        );
-        self.run_inner(cfg, false, false, false, None).0
+        self.run_inner(cfg, Drive::default()).0
     }
 
     /// Run the campaign with the always-on invariant monitors armed: hung
@@ -368,7 +408,12 @@ impl<T: Topology> FaultCampaign<T> {
         self,
         cfg: &FaultCampaignConfig,
     ) -> (CampaignResult, CampaignTelemetry, MonitorReport) {
-        let (result, telemetry, report, _) = self.run_inner(cfg, true, false, true, None);
+        let drive = Drive {
+            collect: true,
+            monitored: true,
+            ..Drive::default()
+        };
+        let (result, telemetry, report, _) = self.run_inner(cfg, drive);
         (
             result,
             telemetry.expect("collection was requested"),
@@ -386,11 +431,12 @@ impl<T: Topology> FaultCampaign<T> {
         cfg: &FaultCampaignConfig,
         trace: bool,
     ) -> (CampaignResult, CampaignTelemetry) {
-        assert!(
-            cfg.mutation.is_none(),
-            "recovery mutations require run_monitored"
-        );
-        let (result, telemetry, _, _) = self.run_inner(cfg, true, trace, false, None);
+        let drive = Drive {
+            collect: true,
+            trace,
+            ..Drive::default()
+        };
+        let (result, telemetry, _, _) = self.run_inner(cfg, drive);
         (result, telemetry.expect("collection was requested"))
     }
 
@@ -411,11 +457,13 @@ impl<T: Topology> FaultCampaign<T> {
         cfg: &FaultCampaignConfig,
         opts: ObserveOptions,
     ) -> (CampaignResult, CampaignTelemetry, CampaignObservability) {
-        assert!(
-            cfg.mutation.is_none(),
-            "recovery mutations require run_monitored"
-        );
-        let (result, telemetry, _, obs) = self.run_inner(cfg, true, opts.trace, false, Some(opts));
+        let drive = Drive {
+            collect: true,
+            trace: opts.trace,
+            observe: Some(opts),
+            ..Drive::default()
+        };
+        let (result, telemetry, _, obs) = self.run_inner(cfg, drive);
         (
             result,
             telemetry.expect("collection was requested"),
@@ -423,23 +471,29 @@ impl<T: Topology> FaultCampaign<T> {
         )
     }
 
-    fn run_inner(
+    /// Run the closed loop to completion on the epoch engine: partition
+    /// the fabric, the memory sites and the CPUs into regions, prime every
+    /// CPU's window, and step the regions under the guide. Returns the
+    /// workers in region order, the guide, what the executor did, and (on
+    /// observed runs) the epoch profile.
+    pub(crate) fn launch(
         self,
         cfg: &FaultCampaignConfig,
-        collect: bool,
-        trace: bool,
-        monitored: bool,
-        observe: Option<ObserveOptions>,
+        drive: Drive,
     ) -> (
-        CampaignResult,
-        Option<CampaignTelemetry>,
-        Option<MonitorReport>,
-        Option<CampaignObservability>,
+        Vec<CampaignWorker>,
+        CampaignGuide,
+        EpochReport,
+        Option<EpochProfile>,
     ) {
         assert!(cfg.outstanding >= 1, "need at least one outstanding read");
         assert!(
             cfg.watchdog_window > cfg.retry.timeout,
             "watchdog window must exceed the retry timeout"
+        );
+        assert!(
+            !drive.retry_free || cfg.plan.is_empty(),
+            "a retry-free run cannot recover from faults"
         );
         let shards = if cfg.shards == 0 {
             alphasim_kernel::par::shards()
@@ -453,45 +507,52 @@ impl<T: Topology> FaultCampaign<T> {
         };
         let ncpus = self.cpus.len();
         let partners: Vec<usize> = match cfg.pattern {
-            CampaignPattern::Bisection => {
+            TrafficPattern::Bisection => {
                 (0..ncpus).map(|cpu| self.bisection_partner(cpu)).collect()
             }
-            CampaignPattern::UniformRemote => Vec::new(),
+            _ => Vec::new(),
         };
-        let mut master = self.tables;
-        master.set_regions(shards);
+        let mut tables = self.tables;
+        tables.set_regions(shards);
+        let master = Arc::new(tables);
         let regions = master.region_count();
-        let node_count = self.zboxes.len();
+        let node_count = master.topology().node_count();
+        let homes = self
+            .cpus
+            .iter()
+            .map(|cpu| self.site_of_cpu[cpu.index()])
+            .collect();
         let ccfg = Arc::new(CampaignCfg {
             outstanding: cfg.outstanding,
             requests_per_cpu: cfg.requests_per_cpu as u64,
-            retry: cfg.retry,
+            retry: (!drive.retry_free).then_some(cfg.retry),
             mutation: cfg.mutation,
             pattern: cfg.pattern,
             partners,
+            homes,
             front_overhead: self.front_overhead,
             directory_overhead: self.directory_overhead,
-            monitored,
+            monitored: drive.monitored,
         });
-        let cpus = Arc::new(self.cpus.clone());
-        // Partition the memory controllers by home region: exactly one
-        // region owns each node's Zbox.
+        let cpus = Arc::new(self.cpus);
+        // One controller per distinct memory site, owned by the site's
+        // region.
         let mut zparts: Vec<Vec<Option<Zbox>>> = (0..regions)
             .map(|_| (0..node_count).map(|_| None).collect())
             .collect();
-        for (n, z) in self.zboxes.into_iter().enumerate() {
-            zparts[master.region_of(NodeId::new(n))][n] = Some(z);
+        for &site in &self.site_of_cpu {
+            zparts[master.region_of(site)][site.index()]
+                .get_or_insert_with(|| Zbox::new(self.zbox));
         }
-        let shared = Arc::new(master.clone());
         let workers: Vec<CampaignWorker> = zparts
             .into_iter()
             .enumerate()
             .map(|(region, zboxes)| {
-                let mut net = RegionNet::new(region, shared.clone());
-                if trace {
+                let mut net = RegionNet::new(region, master.clone());
+                if drive.trace {
                     net.enable_trace();
                 }
-                if let Some(o) = observe {
+                if let Some(o) = drive.observe {
                     net.enable_heat(o.window_ps);
                 }
                 CampaignWorker {
@@ -510,20 +571,24 @@ impl<T: Topology> FaultCampaign<T> {
                     pending_log: Vec::new(),
                     violations: Vec::new(),
                     last_delivery: SimTime::ZERO,
+                    last_event: SimTime::ZERO,
+                    total_latency: SimDuration::ZERO,
+                    completed: 0,
                     zboxes,
                     ever_drained: vec![false; ncpus],
-                    breakdown: collect.then(BreakdownTable::default),
-                    obs: observe.map(|o| Box::new(ObsAcc::new(o.window_ps, node_count))),
+                    breakdown: drive.collect.then(BreakdownTable::default),
+                    obs: drive
+                        .observe
+                        .map(|o| Box::new(ObsAcc::new(o.window_ps, node_count))),
                 }
             })
             .collect();
         let mut exec = EpochExecutor::new(workers, master.lookahead(), threads);
-        if let Some(o) = observe {
+        if let Some(o) = drive.observe {
             exec.enable_profile(o.wall);
         }
         // Prime every CPU's issue window at time zero. Faults scheduled at
-        // zero strike first (the guide runs before any event fires), just
-        // as the sequential engine ordered them.
+        // zero strike first: the guide runs before any event fires.
         for cpu in 0..ncpus {
             exec.seed(
                 master.region_of(cpus[cpu]),
@@ -534,24 +599,52 @@ impl<T: Topology> FaultCampaign<T> {
         }
         let mut guide = CampaignGuide {
             master,
-            cpus: cpus.clone(),
+            cpus,
+            cfg: ccfg,
             plan: cfg.plan.events().to_vec(),
             plan_idx: 0,
             window: cfg.watchdog_window,
             dog: Watchdog::new(cfg.watchdog_window),
             dog_next: SimTime::ZERO + cfg.watchdog_window,
-            live: true,
+            live: !drive.retry_free,
             consecutive_stuck: 0,
-            monitored,
             faults_applied: Vec::new(),
             reports: Vec::new(),
             violations: Vec::new(),
             dropped: 0,
             rerouted: 0,
+            sampler: drive.sample_every.map(|every| Sampler {
+                every,
+                next_at: Some(SimTime::ZERO + every),
+                prev_zbox_busy: vec![SimDuration::ZERO; ncpus],
+                prev_ew_busy: SimDuration::ZERO,
+                prev_ns_busy: SimDuration::ZERO,
+                samples: Vec::new(),
+            }),
         };
-        let epoch_report = exec.run_guided(&mut guide);
+        let report = exec.run_guided(&mut guide);
         let profile = exec.take_profile();
-        let mut workers = exec.into_workers();
+        (exec.into_workers(), guide, report, profile)
+    }
+
+    fn run_inner(
+        self,
+        cfg: &FaultCampaignConfig,
+        drive: Drive,
+    ) -> (
+        CampaignResult,
+        Option<CampaignTelemetry>,
+        Option<MonitorReport>,
+        Option<CampaignObservability>,
+    ) {
+        assert!(
+            drive.monitored || cfg.mutation.is_none(),
+            "recovery mutations require run_monitored"
+        );
+        let (mut workers, mut guide, epoch_report, profile) = self.launch(cfg, drive);
+        let cpus = guide.cpus.clone();
+        let ncpus = cpus.len();
+        let node_count = guide.master.topology().node_count();
 
         // ---- canonical aggregation ------------------------------------
         // Every stream below is merged into an order that is a pure
@@ -601,7 +694,7 @@ impl<T: Topology> FaultCampaign<T> {
         let issued_total: u64 = workers.iter().map(|w| w.issued.iter().sum::<u64>()).sum();
         let pending_total: usize = workers.iter().map(|w| w.pending.len()).sum();
 
-        let mut monitor_violations = monitored.then(|| {
+        let mut monitor_violations = drive.monitored.then(|| {
             let mut timed: Vec<(u64, String, String)> = workers
                 .iter_mut()
                 .flat_map(|w| w.violations.drain(..))
@@ -654,7 +747,7 @@ impl<T: Topology> FaultCampaign<T> {
             }
             violations
         });
-        if !monitored {
+        if !drive.monitored {
             assert!(
                 pending_total == 0,
                 "hung transactions survived the drain: {:?}",
@@ -684,7 +777,7 @@ impl<T: Topology> FaultCampaign<T> {
                 }
             }
         };
-        let telemetry = collect.then(|| {
+        let telemetry = drive.collect.then(|| {
             let mut registry = Registry::default();
             registry.counter_add("coherence.completed", completed);
             registry.counter_add("coherence.retries", retries);
@@ -692,10 +785,9 @@ impl<T: Topology> FaultCampaign<T> {
             guide.dog.export_metrics(&mut registry);
             for n in 0..node_count {
                 let owner = guide.master.region_of(NodeId::new(n));
-                workers[owner].zboxes[n]
-                    .as_ref()
-                    .expect("every node's zbox has exactly one owner region")
-                    .export_metrics(&mut registry);
+                if let Some(zbox) = workers[owner].zboxes[n].as_ref() {
+                    zbox.export_metrics(&mut registry);
+                }
             }
             registry.counter_add("net.dropped", guide.dropped);
             registry.counter_add("net.rerouted", guide.rerouted);
@@ -710,14 +802,14 @@ impl<T: Topology> FaultCampaign<T> {
             // never leak into byte-checked artifacts. Gauges (max-merge),
             // so merging same-shape campaign registries stays idempotent.
             if cfg.shards != 0 {
-                registry.gauge_max("engine.shards", shards as u64);
+                registry.gauge_max("engine.shards", cfg.shards as u64);
                 for (i, &peak) in epoch_report.shard_peaks.iter().enumerate() {
                     registry
                         .gauge_max(&format!("engine.shard{i:02}.peak_queue_depth"), peak as u64);
                 }
             }
             if cfg.threads != 0 {
-                registry.gauge_max("engine.threads", threads as u64);
+                registry.gauge_max("engine.threads", cfg.threads as u64);
             }
             // Pre-charge the stage rows so the merged table's row order is
             // the pipeline order, never completion order.
@@ -730,7 +822,7 @@ impl<T: Topology> FaultCampaign<T> {
                     breakdown.merge(bd);
                 }
             }
-            let trace_sink = trace.then(|| {
+            let trace_sink = drive.trace.then(|| {
                 let mut sink = TraceSink::new();
                 sink.name_process(PID_MESSAGES, "network: message lifetimes");
                 sink.name_process(PID_LINKS, "network: link occupancy");
@@ -806,7 +898,7 @@ impl<T: Topology> FaultCampaign<T> {
         // latency pairs) in region order and lay them onto the topology
         // grid; the merged pending-delta log replays into the windowed
         // pending-depth gauge.
-        let observability = observe.map(|o| {
+        let observability = drive.observe.map(|o| {
             let link_count = guide.master.link_count();
             let link_from: Vec<NodeId> = (0..link_count)
                 .map(|id| guide.master.link_meta(id).0)

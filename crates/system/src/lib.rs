@@ -7,10 +7,11 @@
 //! * [`Es45`] / [`Sc45`] — the 4-way SMP box and its Quadrics-style cluster.
 //!
 //! Each model exposes *analytic probes* (unloaded latencies, Figs. 4–5 and
-//! 12–14; streaming bandwidth, Figs. 6–7) and *event-driven engines*
-//! ([`loadtest`], Figs. 15, 18, 23–27) over one shared calibration
-//! ([`Calibration`]), whose constants are each anchored to a number the
-//! paper publishes.
+//! 12–14; streaming bandwidth, Figs. 6–7) and *one event-driven
+//! closed-loop engine* — the load test ([`loadtest`], Figs. 15, 18,
+//! 23–27) is a fault-free run of the fault campaign ([`faulty`]) without
+//! retry machinery — over one shared calibration ([`Calibration`]), whose
+//! constants are each anchored to a number the paper publishes.
 //!
 //! # Examples
 //!

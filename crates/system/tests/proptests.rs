@@ -6,7 +6,9 @@
 use alphasim_kernel::chaos::{ChaosConfig, KindSlot};
 use alphasim_kernel::{SimDuration, SimTime};
 use alphasim_system::chaos::catalog_for;
-use alphasim_system::{gs1280_fault_campaign, CampaignPattern, FaultCampaignConfig, Gs1280, Gs320};
+use alphasim_system::{
+    gs1280_fault_campaign, CampaignPattern, FaultCampaignConfig, Gs1280, Gs320, Reproducer,
+};
 use alphasim_topology::NodeId;
 use proptest::prelude::*;
 
@@ -229,5 +231,31 @@ proptest! {
         let sequential_trace = campaign_trace(dim, seed, &plan, 1, 2);
         let parallel_trace = campaign_trace(dim, seed, &plan, 4, 4);
         prop_assert_eq!(sequential_trace, parallel_trace);
+    }
+}
+
+/// The committed reproducer corpus, as parsed by `chaos replay`.
+const CORPUS: [&str; 2] = [
+    include_str!("../../../results/chaos-corpus/chaos-leak-poison-seed50181.json"),
+    include_str!("../../../results/chaos-corpus/chaos-off-by-one-retry-seed50184.json"),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A damaged corpus file is an error, never a panic: any truncation of
+    /// a committed reproducer, and any single-byte change to one.
+    #[test]
+    fn reproducer_parsing_never_panics_on_a_damaged_corpus_file(
+        file in 0usize..CORPUS.len(),
+        at in 0usize..1 << 20,
+        byte in any::<u8>(),
+    ) {
+        let text = CORPUS[file];
+        prop_assert!(Reproducer::from_json(text).is_ok());
+        let _ = Reproducer::from_json(&text[..at % (text.len() + 1)]);
+        let mut bytes = text.as_bytes().to_vec();
+        bytes[at % text.len()] = byte;
+        let _ = Reproducer::from_json(&String::from_utf8_lossy(&bytes));
     }
 }

@@ -56,26 +56,40 @@ impl Torus2D {
         torus
     }
 
+    /// The supported machine sizes as `(cpus, cols, rows)`: the paper's
+    /// 2–64P machines plus the projected larger builds (the paper's §7
+    /// scaling discussion).
+    pub const SIZES: [(usize, usize, usize); 8] = [
+        (2, 2, 1),
+        (4, 2, 2),
+        (8, 4, 2),
+        (16, 4, 4),
+        (32, 8, 4),
+        (64, 8, 8),
+        (128, 16, 8),
+        (256, 16, 16),
+    ];
+
+    /// The `(cols, rows)` of the standard `cpus`-processor torus, if `cpus`
+    /// is one of the [`SIZES`](Self::SIZES).
+    pub fn shape_for(cpus: usize) -> Option<(usize, usize)> {
+        Self::SIZES
+            .iter()
+            .find(|&&(n, _, _)| n == cpus)
+            .map(|&(_, cols, rows)| (cols, rows))
+    }
+
     /// The standard configuration for `cpus` processors, matching the
     /// paper's machine sizes: 4 → 2×2, 8 → 4×2, 16 → 4×4, 32 → 8×4,
     /// 64 → 8×8, plus the projected larger builds 128 → 16×8 and
-    /// 256 → 16×16 (the paper's §7 scaling discussion).
+    /// 256 → 16×16 (see [`SIZES`](Self::SIZES)).
     ///
     /// # Panics
     ///
     /// Panics if `cpus` is not one of the supported machine sizes.
     pub fn for_cpus(cpus: usize) -> Self {
-        let (cols, rows) = match cpus {
-            2 => (2, 1),
-            4 => (2, 2),
-            8 => (4, 2),
-            16 => (4, 4),
-            32 => (8, 4),
-            64 => (8, 8),
-            128 => (16, 8),
-            256 => (16, 16),
-            _ => panic!("unsupported GS1280 size: {cpus} CPUs"),
-        };
+        let (cols, rows) =
+            Self::shape_for(cpus).unwrap_or_else(|| panic!("unsupported GS1280 size: {cpus} CPUs"));
         Torus2D::new(cols, rows)
     }
 
@@ -314,6 +328,17 @@ mod tests {
         // Odd row count: last row unpaired.
         let t3 = Torus2D::new(2, 3);
         assert_eq!(t3.module_partner(t3.node_at(Coord::new(0, 2))), None);
+    }
+
+    #[test]
+    fn every_listed_size_builds_and_no_other() {
+        for (cpus, cols, rows) in Torus2D::SIZES {
+            assert_eq!(Torus2D::shape_for(cpus), Some((cols, rows)));
+            assert_eq!(Torus2D::for_cpus(cpus).node_count(), cpus);
+        }
+        for cpus in [0, 1, 3, 12, 48, 512] {
+            assert_eq!(Torus2D::shape_for(cpus), None, "{cpus}");
+        }
     }
 
     #[test]

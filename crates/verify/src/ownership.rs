@@ -1,15 +1,15 @@
 //! Static ownership lint for the epoch-parallel engine.
 //!
 //! The epoch engine's determinism argument rests on a *state partition*:
-//! every region worker (the fault campaign's [`CampaignWorker`], the load
-//! test's `LoadWorker`) owns its region's slice of the machine outright,
-//! cross-region effects flow only through [`Outbox::emit`] under the
-//! lookahead contract, and the guide ([`CampaignGuide`], `LoadGuide`)
-//! touches worker state only through an [`EpochControl`] handle at epoch
-//! barriers. The runtime proptests demonstrate the partition holds on the
-//! schedules they draw; this pass proves the *code* cannot express the
-//! violations at all, by scanning `crates/system/src/epoch.rs`,
-//! `crates/system/src/loadtest.rs`, `crates/sim/src/shard.rs`, and
+//! the one closed-loop region worker ([`CampaignWorker`], which runs both
+//! the load test and the fault campaign) owns its region's slice of the
+//! machine outright, cross-region effects flow only through
+//! [`Outbox::emit`] under the lookahead contract, and the guide
+//! ([`CampaignGuide`]) touches worker state only through an
+//! [`EpochControl`] handle at epoch barriers. The runtime proptests
+//! demonstrate the partition holds on the schedules they draw; this pass
+//! proves the *code* cannot express the violations at all, by scanning
+//! `crates/system/src/epoch.rs`, `crates/sim/src/shard.rs`, and
 //! `crates/sim/src/par.rs` and checking every worker/guide method against
 //! the partition discipline:
 //!
@@ -57,11 +57,10 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// The files the partition discipline governs, relative to the workspace
-/// root: the two region workers (fault campaign and load test), the
-/// shard/epoch infrastructure, and the worker pool.
-pub const GOVERNED_FILES: [&str; 4] = [
+/// root: the closed-loop region worker and its guide, the shard/epoch
+/// infrastructure, and the worker pool.
+pub const GOVERNED_FILES: [&str; 3] = [
     "crates/system/src/epoch.rs",
-    "crates/system/src/loadtest.rs",
     "crates/sim/src/shard.rs",
     "crates/sim/src/par.rs",
 ];
@@ -928,25 +927,21 @@ mod tests {
         );
         // Guide-plane state is never barrier-path state.
         assert!(guide.values().all(|a| a.barrier == 0));
-        // The load test's sampler reads Zbox and link state at barriers.
-        assert!(scan.field_count("LoadWorker") >= 6);
-        assert!(scan.field_count("LoadGuide") >= 5);
-        assert!(
-            scan.barrier_touched_fields("LoadWorker") >= 2,
-            "load-test barrier-touched: {}",
-            scan.barrier_touched_fields("LoadWorker")
-        );
+        // The load test's sampler is guide state that reads Zbox and link
+        // state at barriers.
+        let sampler = guide.get("sampler").expect("sampler mapped");
+        assert!(sampler.reads > 0, "sampler: {sampler:?}");
+        for field in ["zboxes", "net"] {
+            assert!(worker[field].barrier > 0, "{field}: {:?}", worker[field]);
+        }
     }
 
-    /// Run the lint with governed file `idx` doctored by `mutate`.
-    fn seeded_file(idx: usize, mutate: impl Fn(&mut String)) -> OwnershipScan {
-        let mut sources = real_sources();
-        mutate(&mut sources[idx].1);
-        analyze(&sources)
-    }
-
+    /// Run the lint with `epoch.rs` (the first governed file) doctored by
+    /// `mutate`.
     fn seeded(mutate: impl Fn(&mut String)) -> OwnershipScan {
-        seeded_file(0, mutate) // epoch.rs
+        let mut sources = real_sources();
+        mutate(&mut sources[0].1);
+        analyze(&sources)
     }
 
     #[test]
@@ -1032,13 +1027,13 @@ mod tests {
 
     #[test]
     fn a_sampler_read_inside_a_load_test_worker_is_flagged() {
-        let scan = seeded_file(1, |loadtest| {
-            // A load-test worker peeking at the guide's sample log mid-epoch.
-            let anchor = "LoadEv::LinkFree { link } => self.net.handle_link_free(at, link, out),";
-            assert!(loadtest.contains(anchor), "anchor drifted");
-            *loadtest = loadtest.replace(
+        let scan = seeded(|epoch| {
+            // A worker peeking at the guide's load-test sampler mid-epoch.
+            let anchor = "Ev::LinkFree { link } => self.net.handle_link_free(at, link, out),";
+            assert!(epoch.contains(anchor), "anchor drifted");
+            *epoch = epoch.replace(
                 anchor,
-                "LoadEv::LinkFree { link } => { let _n = self.samples.len(); \
+                "Ev::LinkFree { link } => { let _n = self.sampler.is_some(); \
                  self.net.handle_link_free(at, link, out) },",
             );
         });
@@ -1047,8 +1042,8 @@ mod tests {
             .iter()
             .find(|f| f.rule == "guide-state-in-worker")
             .unwrap_or_else(|| panic!("not flagged:\n{}", describe(&scan.findings)));
-        assert!(hit.file.ends_with("loadtest.rs"), "{}", hit.file);
-        assert!(hit.message.contains("samples"), "{}", hit.message);
+        assert!(hit.file.ends_with("epoch.rs"), "{}", hit.file);
+        assert!(hit.message.contains("sampler"), "{}", hit.message);
     }
 
     #[test]
