@@ -446,6 +446,10 @@ mod tests {
                 &json.replace("\"outstanding\": 6", "\"outstanding\": 0"),
                 "field \"outstanding\" must be at least 1, got 0",
             ),
+            (
+                &json.replace("\"requests_per_cpu\": 160", "\"requests_per_cpu\": 0"),
+                "field \"requests_per_cpu\" must be at least 1, got 0",
+            ),
             (&json.replace("\"node\": 0", "\"node\": 99"), "illegal plan"),
         ] {
             let err = replay_text(file, text).unwrap_err();

@@ -1,4 +1,10 @@
 //! A directed physical link with per-class virtual-channel queues.
+//!
+//! A `Link` does not schedule its own release. It records when its channel
+//! frees up ([`Link::free_at`]: the end of the current transfer, or of a
+//! router pause) and whether a release event is scheduled for it
+//! ([`Link::release_pending`]); the fabric schedules that event only while
+//! a packet waits, and otherwise reads "busy" off the release instant.
 
 use alphasim_kernel::stats::UtilizationMeter;
 use alphasim_kernel::{SimDuration, SimTime};
@@ -22,8 +28,13 @@ pub struct Link {
     pub dir: Option<Direction>,
     /// Per-class FIFO queues, indexed by `MessageClass::priority()`.
     queues: [std::collections::VecDeque<MessageId>; 5],
-    /// Whether the physical channel is mid-transfer.
-    busy: bool,
+    /// Packets waiting across all queues.
+    queued: usize,
+    /// When the current transfer, or a pause, releases the channel; `None`
+    /// while nothing has held it since it was last marked released.
+    free_at: Option<SimTime>,
+    /// Whether a release event is scheduled for the channel.
+    release_pending: bool,
     /// Whether the physical channel is up (live fault injection downs it).
     alive: bool,
     meter: UtilizationMeter,
@@ -33,9 +44,8 @@ pub struct Link {
     /// Latency stretch for a degraded (slowed, not dead) channel; `1` when
     /// healthy. Wire flight and serialization multiply by this.
     degrade: u64,
-    /// Router pause/brownout: the channel may not start (or finish
-    /// releasing) a transfer before this instant. `SimTime::ZERO` when
-    /// healthy.
+    /// Router pause/brownout: the channel may not start a transfer before
+    /// this instant. `SimTime::ZERO` when healthy.
     pause_until: SimTime,
     /// Transient fault: the next granted flit is corrupted in flight, CRC
     /// caught at the receiver, and retransmitted by the link layer.
@@ -53,7 +63,9 @@ impl Link {
             class,
             dir,
             queues: Default::default(),
-            busy: false,
+            queued: 0,
+            free_at: None,
+            release_pending: false,
             alive: true,
             meter: UtilizationMeter::new(),
             granted: 0,
@@ -68,31 +80,54 @@ impl Link {
     /// Queue a message on its class VC.
     pub fn enqueue(&mut self, class: MessageClass, id: MessageId) {
         self.queues[class.priority() as usize].push_back(id);
+        self.queued += 1;
     }
 
     /// Total packets waiting across all VCs (the backlog adaptive routing
     /// compares).
     pub fn backlog(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// Whether the physical channel is mid-transfer.
-    pub fn is_busy(&self) -> bool {
-        self.busy
+        self.queued
     }
 
     /// Global arbitration: pop the head of the highest-priority non-empty
-    /// VC and mark the channel busy. Returns `None` if nothing waits.
+    /// VC. Returns `None` if nothing waits. The fabric then holds the
+    /// channel for the granted transfer.
     pub fn grant(&mut self) -> Option<MessageId> {
-        debug_assert!(!self.busy, "grant on a busy link");
         for q in self.queues.iter_mut().rev() {
             if let Some(id) = q.pop_front() {
-                self.busy = true;
+                self.queued -= 1;
                 self.granted += 1;
                 return Some(id);
             }
         }
         None
+    }
+
+    /// When the current transfer, or a pause, releases the channel (`None`
+    /// while nothing has held it since it was last marked released).
+    pub fn free_at(&self) -> Option<SimTime> {
+        self.free_at
+    }
+
+    /// Hold the channel with a transfer until `until`.
+    pub(crate) fn occupy(&mut self, until: SimTime) {
+        self.free_at = Some(until);
+    }
+
+    /// Forget the release instant, so the channel reads free at any time —
+    /// the state once every event of a run has fired.
+    pub(crate) fn mark_released(&mut self) {
+        self.free_at = None;
+    }
+
+    /// Whether a release event is scheduled for the channel.
+    pub fn release_pending(&self) -> bool {
+        self.release_pending
+    }
+
+    /// Record that a release event is (or is no longer) scheduled.
+    pub(crate) fn set_release_pending(&mut self, pending: bool) {
+        self.release_pending = pending;
     }
 
     /// Whether the physical channel is up.
@@ -114,6 +149,7 @@ impl Link {
         for q in self.queues.iter_mut().rev() {
             out.extend(q.drain(..));
         }
+        self.queued = 0;
         out
     }
 
@@ -123,12 +159,6 @@ impl Link {
         self.meter.add_bytes(bytes);
         self.meter.add_busy(occupancy);
         self.class_bytes[class.priority() as usize] += bytes;
-    }
-
-    /// Mark the channel idle again.
-    pub fn release(&mut self) {
-        debug_assert!(self.busy, "release on an idle link");
-        self.busy = false;
     }
 
     /// Fraction of `[0, now]` the channel spent transferring.
@@ -182,18 +212,12 @@ impl Link {
         self.pause_until
     }
 
-    /// Extend the channel's pause window to at least `until`. Returns `true`
-    /// if the channel was idle and the caller must both treat it as busy and
-    /// schedule the release at `until` (a paused idle channel behaves like a
-    /// transfer with no message).
-    pub fn pause(&mut self, until: SimTime) -> bool {
+    /// Extend the channel's pause window to at least `until`: the channel
+    /// holds until then, like a transfer with no message, and a transfer
+    /// already on it keeps its own end if that is later.
+    pub fn pause(&mut self, until: SimTime) {
         self.pause_until = self.pause_until.max(until);
-        if self.busy {
-            false
-        } else {
-            self.busy = true;
-            true
-        }
+        self.free_at = Some(self.free_at.map_or(until, |t| t.max(until)));
     }
 
     /// Arm a transient: the next granted flit is corrupted and must be
@@ -227,6 +251,10 @@ mod tests {
         Link::new(NodeId::new(0), NodeId::new(1), LinkClass::Board, None)
     }
 
+    fn at_ns(ns: f64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_ns(ns)
+    }
+
     #[test]
     fn grants_follow_class_priority() {
         let mut l = link();
@@ -234,12 +262,11 @@ mod tests {
         l.enqueue(MessageClass::BlockResponse, MessageId(2));
         l.enqueue(MessageClass::Request, MessageId(3));
         assert_eq!(l.grant(), Some(MessageId(2)), "response drains first");
-        l.release();
         assert_eq!(l.grant(), Some(MessageId(1)));
-        l.release();
         assert_eq!(l.grant(), Some(MessageId(3)));
-        l.release();
         assert_eq!(l.grant(), None);
+        // Arbitration alone neither holds the channel nor books a release.
+        assert_eq!((l.free_at(), l.release_pending()), (None, false));
     }
 
     #[test]
@@ -250,8 +277,8 @@ mod tests {
         }
         for i in 0..5 {
             assert_eq!(l.grant(), Some(MessageId(i)));
-            l.release();
         }
+        assert_eq!(l.free_at(), None);
     }
 
     #[test]
@@ -262,6 +289,9 @@ mod tests {
         assert_eq!(l.backlog(), 2);
         l.grant();
         assert_eq!(l.backlog(), 1);
+        l.enqueue(MessageClass::Request, MessageId(2));
+        assert_eq!(l.drain_queued().len(), 2);
+        assert_eq!(l.backlog(), 0, "the count follows an eviction");
     }
 
     #[test]
@@ -270,14 +300,16 @@ mod tests {
         l.enqueue(MessageClass::Request, MessageId(0));
         l.grant();
         l.account(MessageClass::Request, 64, SimDuration::from_ns(20.0));
-        l.release();
-        assert!(!l.is_busy());
+        l.occupy(at_ns(20.0));
+        assert_eq!(l.free_at(), Some(at_ns(20.0)));
         assert_eq!(l.bytes(), 64);
         assert_eq!(l.granted(), 1);
-        let now = SimTime::ZERO + SimDuration::from_ns(40.0);
+        let now = at_ns(40.0);
         assert!((l.utilization(now) - 0.5).abs() < 1e-12);
         assert_eq!(l.class_bytes(MessageClass::Request), 64);
         assert_eq!(l.class_bytes(MessageClass::BlockResponse), 0);
+        l.mark_released();
+        assert_eq!(l.free_at(), None, "released channels read free");
     }
 
     #[test]
@@ -294,15 +326,31 @@ mod tests {
     #[test]
     fn pause_marks_idle_channel_busy_once() {
         let mut l = link();
-        let until = SimTime::ZERO + SimDuration::from_ns(100.0);
-        assert!(l.pause(until), "idle channel needs a scheduled release");
-        assert!(l.is_busy());
-        // Extending an already-paused (busy) channel must not double-book.
-        let later = SimTime::ZERO + SimDuration::from_ns(200.0);
-        assert!(!l.pause(later));
-        assert_eq!(l.pause_until(), later);
-        l.release();
-        assert!(!l.is_busy());
+        let until = at_ns(100.0);
+        l.pause(until);
+        assert_eq!(
+            l.free_at(),
+            Some(until),
+            "an idle channel holds to the pause"
+        );
+        assert!(!l.release_pending(), "a pause books no release of its own");
+        // Extending the pause moves the release; a shorter one does not.
+        let later = at_ns(200.0);
+        l.pause(later);
+        assert_eq!((l.pause_until(), l.free_at()), (later, Some(later)));
+        l.pause(until);
+        assert_eq!((l.pause_until(), l.free_at()), (later, Some(later)));
+        // A transfer ending after the pause keeps its own end.
+        let mut busy = link();
+        busy.occupy(at_ns(300.0));
+        busy.pause(later);
+        assert_eq!(
+            (busy.pause_until(), busy.free_at()),
+            (later, Some(at_ns(300.0)))
+        );
+        assert!(!busy.release_pending());
+        busy.set_release_pending(true);
+        assert!(busy.release_pending());
     }
 
     #[test]

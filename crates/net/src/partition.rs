@@ -37,6 +37,16 @@
 //! touches only its own node's links and every simultaneous pair of events
 //! is ordered by a shard-count-invariant tiebreak (see the `tb_*`
 //! constructors).
+//!
+//! Link releases are scheduled on demand. A transfer records when its
+//! channel frees up ([`Link::free_at`]) and emits a `LinkFree` event only
+//! if a packet is already waiting; a packet that queues behind a busy
+//! channel books the release then. A channel is busy exactly while its
+//! release, keyed `(free_at, tb_link_free(id))`, has not fired — or, where
+//! none was scheduled, would not have fired yet — which the kernel answers
+//! with [`Outbox::has_passed`]. Every grant therefore happens at the same
+//! key as if each transfer had scheduled its own release, and an idle
+//! channel costs no event at all.
 
 use std::sync::Arc;
 
@@ -320,6 +330,25 @@ pub struct FabricTables {
     region: RegionMap,
     alive: Vec<bool>,
     drained: Vec<bool>,
+    /// A healthy channel's transfer time for each payload size
+    /// `0..=TRANSFER_TABLE_BYTES`.
+    transfer: Vec<SimDuration>,
+    /// The congestion penalty for each capped backlog
+    /// `0..=congestion_cap` (at most `PENALTY_TABLE_ROWS` rows).
+    penalty: Vec<SimDuration>,
+}
+
+/// Largest payload, in bytes, whose transfer time [`FabricTables`] keeps
+/// precomputed (coherence packets carry 16–80 B).
+const TRANSFER_TABLE_BYTES: u64 = 128;
+
+/// Most congestion-penalty rows [`FabricTables`] precomputes; a larger cap
+/// computes the rest per grant.
+const PENALTY_TABLE_ROWS: u32 = 1024;
+
+/// The arbitration penalty for `queued` (already capped) waiting packets.
+fn penalty_for(timing: &LinkTiming, queued: u32) -> SimDuration {
+    SimDuration::from_ns(f64::from(queued) * timing.congestion_ns_per_queued)
 }
 
 impl FabricTables {
@@ -344,7 +373,17 @@ impl FabricTables {
             link_of.push(ids);
         }
         let region = RegionMap::bands(&graph, regions);
+        // The per-grant timing arithmetic, tabulated with the same `f64`
+        // expressions a grant would evaluate, so every picosecond matches.
+        let transfer = (0..=TRANSFER_TABLE_BYTES)
+            .map(|bytes| SimDuration::transfer_time(bytes, timing.bandwidth_gbps))
+            .collect();
+        let penalty = (0..=timing.congestion_cap.min(PENALTY_TABLE_ROWS))
+            .map(|queued| penalty_for(&timing, queued))
+            .collect();
         FabricTables {
+            transfer,
+            penalty,
             live: graph.clone(),
             live_link_of: link_of.clone(),
             alive: vec![true; link_meta.len()],
@@ -373,6 +412,24 @@ impl FabricTables {
     /// The timing parameters in force.
     pub fn timing(&self) -> &LinkTiming {
         &self.timing
+    }
+
+    /// A healthy channel's transfer time for a `bytes`-byte payload.
+    fn transfer_time(&self, bytes: u64) -> SimDuration {
+        match self.transfer.get(bytes as usize) {
+            Some(&t) => t,
+            None => SimDuration::transfer_time(bytes, self.timing.bandwidth_gbps),
+        }
+    }
+
+    /// The arbitration penalty for a grant that leaves `backlog` packets
+    /// queued behind it.
+    fn congestion_penalty(&self, backlog: u32) -> SimDuration {
+        let queued = backlog.min(self.timing.congestion_cap);
+        match self.penalty.get(queued as usize) {
+            Some(&p) => p,
+            None => penalty_for(&self.timing, queued),
+        }
     }
 
     /// Number of regions.
@@ -773,15 +830,31 @@ impl<P> RegionNet<P> {
     }
 
     /// Brown out `node`'s router until `until`: its live outbound links
-    /// stall, then drain their backlogs. Returns the links that were idle:
-    /// each now reads busy with nothing in flight, so the caller must
-    /// schedule its `LinkFree` at `until` to restore the
-    /// one-pending-release-per-busy-channel invariant.
-    pub fn pause_router(&mut self, node: NodeId, until: SimTime) -> Vec<usize> {
-        let ids = self.tables.live_links_from(node).to_vec();
-        ids.into_iter()
-            .filter(|&id| self.link_mut(id).pause(until))
-            .collect()
+    /// stall, then drain their backlogs. No event is needed: each link
+    /// holds until at least `until`, a release already booked moves there
+    /// when it fires, and a packet that queues behind an idle paused link
+    /// books the release at `until`.
+    pub fn pause_router(&mut self, node: NodeId, until: SimTime) {
+        for &id in self.tables.live_links_from(node) {
+            self.links[id]
+                .as_mut()
+                .expect("paused link is owned")
+                .pause(until);
+        }
+    }
+
+    /// The latest instant an owned link frees up (`None` if no link has
+    /// been held since it was last marked released).
+    pub fn latest_release(&self) -> Option<SimTime> {
+        self.links.iter().flatten().filter_map(Link::free_at).max()
+    }
+
+    /// Mark every owned link released: once every event of a run has
+    /// fired, no channel is held, whatever its last release instant.
+    pub(crate) fn mark_released(&mut self) {
+        for l in self.links.iter_mut().flatten() {
+            l.mark_released();
+        }
     }
 
     /// Shared access to an owned link.
@@ -822,8 +895,9 @@ impl<P> RegionNet<P> {
 
     /// Process a packet arriving on `node` at `now`: hand it back if
     /// `node` is its destination, or route it onto the next output link
-    /// (starting a transfer if the link is idle), emitting the follow-up
-    /// events through `out`.
+    /// (starting a transfer if the link is idle, else booking the link's
+    /// release if none is booked), emitting the follow-up events through
+    /// `out`.
     pub fn handle_arrive<E: FabricEvent<P>>(
         &mut self,
         now: SimTime,
@@ -860,19 +934,26 @@ impl<P> RegionNet<P> {
             }
             return Some(pkt);
         }
-        let link = self.choose_output(node, &pkt);
+        let link = self.choose_output(node, &pkt, out);
         let class = pkt.class;
         let slot = self.alloc_slot(pkt);
         let l = self.links[link].as_mut().expect("chosen link is owned");
         l.enqueue(class, slot);
-        if !l.is_busy() {
-            self.start_transfer(link, now, out);
+        match held_until(l, link, out) {
+            None => self.start_transfer(link, now, out),
+            Some(free_at) if !l.release_pending() => {
+                // A packet now waits on a held channel: book its release.
+                l.set_release_pending(true);
+                out.emit(self.region, free_at, tb_link_free(link), E::link_free(link));
+            }
+            Some(_) => {}
         }
         None
     }
 
-    /// Process a link becoming free at `now`: lift pauses, release the
-    /// channel, and grant the next queued packet if the link is still up.
+    /// Process a booked release of `link` at `now`: move it to the pause
+    /// horizon while the router is paused, else grant the next queued
+    /// packet if the link is still up.
     pub fn handle_link_free<E: FabricEvent<P>>(
         &mut self,
         now: SimTime,
@@ -881,7 +962,8 @@ impl<P> RegionNet<P> {
     ) {
         let l = self.links[link].as_mut().expect("freed link is owned");
         if l.pause_until() > now {
-            // Still paused: push the release to the pause horizon.
+            // Still paused: the release (still booked) moves to the pause
+            // horizon.
             out.emit(
                 self.region,
                 l.pause_until(),
@@ -890,40 +972,49 @@ impl<P> RegionNet<P> {
             );
             return;
         }
-        l.release();
+        debug_assert_eq!(
+            l.free_at(),
+            Some(now),
+            "a release fires as its channel frees"
+        );
+        l.set_release_pending(false);
         if l.is_alive() && l.backlog() > 0 {
             self.start_transfer(link, now, out);
         }
     }
 
     /// Route `pkt` out of `node`: minimal ports over the live fabric, the
-    /// least-backlogged candidate for adaptive classes (ties to the lowest
-    /// port index), the first minimal port for I/O.
-    fn choose_output(&self, node: NodeId, pkt: &Packet<P>) -> usize {
+    /// least-loaded candidate (backlog, plus one if the channel is held)
+    /// for adaptive classes (ties to the lowest port index), the first
+    /// minimal port for I/O.
+    fn choose_output<E>(&self, node: NodeId, pkt: &Packet<P>, out: &Outbox<E>) -> usize {
         let t = &*self.tables;
-        let mut candidates = t.routes.minimal_ports(&t.live, node, pkt.hops, pkt.dst);
+        let links = &t.live_link_of[node.index()];
+        let mut candidates = t.routes.minimal_ports(node, pkt.hops, pkt.dst);
         let chosen = if pkt.class.may_route_adaptively() {
             candidates.min_by_key(|&pi| {
-                let link = self.links[t.live_link_of[node.index()][pi]]
+                let id = links[pi];
+                let link = self.links[id]
                     .as_ref()
                     .expect("candidate link is owned by the sender's region");
-                (link.backlog() + usize::from(link.is_busy()), pi)
+                let held = held_until(link, id, out).is_some();
+                (link.backlog() + usize::from(held), pi)
             })
         } else {
             candidates.next()
         };
-        t.live_link_of[node.index()][chosen.expect("routing dead end")]
+        links[chosen.expect("routing dead end")]
     }
 
-    /// Grant the head-of-queue packet on `link_id` and emit its arrival
-    /// and the link's next availability.
+    /// Grant the head-of-queue packet on `link_id`, emit its arrival, hold
+    /// the channel for the transfer, and book the channel's release if
+    /// another packet waits for it.
     fn start_transfer<E: FabricEvent<P>>(
         &mut self,
         link_id: usize,
         now: SimTime,
         out: &mut Outbox<E>,
     ) {
-        let timing = self.tables.timing;
         let l = self.links[link_id].as_mut().expect("granting owned link");
         let Some(mid) = l.grant() else {
             return;
@@ -938,11 +1029,10 @@ impl<P> RegionNet<P> {
         let link_class = l.class;
         let to = l.to;
         let mut pkt = self.take_slot(mid);
-        let transfer =
-            SimDuration::transfer_time(pkt.bytes, timing.bandwidth_gbps).saturating_mul(stretch);
-        let penalty = SimDuration::from_ns(
-            f64::from(backlog.min(timing.congestion_cap)) * timing.congestion_ns_per_queued,
-        );
+        let tables = &*self.tables;
+        let timing = &tables.timing;
+        let transfer = tables.transfer_time(pkt.bytes).saturating_mul(stretch);
+        let penalty = tables.congestion_penalty(backlog);
         let serialization = if pkt.serialized {
             SimDuration::ZERO
         } else {
@@ -981,6 +1071,8 @@ impl<P> RegionNet<P> {
         let (bytes, tag, uid, msg_class) = (pkt.bytes, pkt.tag, pkt.uid, pkt.class);
         let l = self.links[link_id].as_mut().expect("granting owned link");
         l.account(msg_class, bytes, occupancy);
+        l.occupy(now + occupancy);
+        l.set_release_pending(backlog > 0);
         self.tickets[link_id] = Some(InFlight {
             uid,
             tag,
@@ -1014,13 +1106,23 @@ impl<P> RegionNet<P> {
             tb_arrive(uid),
             E::arrive(to, pkt),
         );
-        out.emit(
-            self.region,
-            now + occupancy,
-            tb_link_free(link_id),
-            E::link_free(link_id),
-        );
+        if backlog > 0 {
+            out.emit(
+                self.region,
+                now + occupancy,
+                tb_link_free(link_id),
+                E::link_free(link_id),
+            );
+        }
     }
+}
+
+/// When owned link `id` frees up, if its channel is held at the current
+/// instant: if its release, keyed `(free_at, tb_link_free(id))`, has not
+/// fired — or, where none was booked, would not have fired yet.
+fn held_until<E>(l: &Link, id: usize, out: &Outbox<E>) -> Option<SimTime> {
+    l.free_at()
+        .filter(|&free_at| !out.has_passed(free_at, tb_link_free(id)))
 }
 
 /// Every directed link of a partitioned fabric, gathered from its regions
@@ -1112,7 +1214,8 @@ impl FabricEvent<()> for OpenEv {
 struct OpenRegion {
     net: RegionNet<()>,
     delivered: Vec<Delivery>,
-    /// Time of the last event this region handled.
+    /// Time of the last event this region handled, or of its latest link
+    /// release if that is later (folded in at each drain).
     now: SimTime,
 }
 
@@ -1203,7 +1306,8 @@ impl OpenLoop {
         &self.tables
     }
 
-    /// Time of the last event processed (zero before the first drain).
+    /// Time of the last event processed, or of the latest link release if
+    /// that is later (zero before the first drain).
     pub fn now(&self) -> SimTime {
         (0..self.tables.region_count())
             .map(|r| self.exec.worker(r).now)
@@ -1243,8 +1347,20 @@ impl OpenLoop {
 
     /// Run until no events remain and return the deliveries since the
     /// last drain, in `(delivered_at, uid)` order.
+    ///
+    /// Once every event has fired no channel is held, so the drain marks
+    /// every link released (after folding the latest release into
+    /// [`now`](Self::now)) and restarts the engine's record of handled
+    /// events: a later [`send`](Self::send), at any time, finds the fabric
+    /// idle.
     pub fn drain(&mut self) -> Vec<Delivery> {
         self.exec.run_until_idle();
+        for r in 0..self.tables.region_count() {
+            let w = self.exec.worker_mut(r);
+            w.now = w.now.max(w.net.latest_release().unwrap_or(SimTime::ZERO));
+            w.net.mark_released();
+        }
+        self.exec.forget_handled();
         let mut out: Vec<Delivery> = (0..self.tables.region_count())
             .flat_map(|r| std::mem::take(&mut self.exec.worker_mut(r).delivered))
             .collect();
@@ -1269,14 +1385,7 @@ impl OpenLoop {
     /// stall until `until`, then drain their backlogs.
     pub fn pause_router(&mut self, node: NodeId, until: SimTime) {
         let region = self.tables.region_of(node);
-        for id in self.exec.worker_mut(region).net.pause_router(node, until) {
-            self.exec.seed(
-                region,
-                until,
-                tb_link_free(id),
-                OpenEv::LinkFree { link: id },
-            );
-        }
+        self.exec.worker_mut(region).net.pause_router(node, until);
     }
 }
 
@@ -1453,6 +1562,111 @@ mod tests {
     fn lone_packet_latency_is_unloaded_latency_on_4x4_and_8x8() {
         lone_packets_match_unloaded_latency(4, 4);
         lone_packets_match_unloaded_latency(8, 8);
+    }
+
+    #[test]
+    fn a_lone_packet_handles_one_event_per_hop_and_no_release() {
+        let mut net = open4x4();
+        send(&mut net, SimTime::ZERO, 0, 10, MessageClass::Request, 0);
+        let hops = net
+            .tables()
+            .routes
+            .distance(NodeId::new(0), 0, NodeId::new(10));
+        assert_eq!(hops, 4);
+        // One arrival per hop plus the delivery: a channel nobody waits
+        // for frees up without an event.
+        let report = net.exec.run_until_idle();
+        assert_eq!(report.processed.iter().sum::<u64>(), u64::from(hops) + 1);
+    }
+
+    /// Grants on node 0's two minimal ports toward node 2 of the 4x4
+    /// torus, `(lower, higher)`, when the lower one first carries a lone
+    /// packet to its neighbour and a 0 -> 2 request follows at
+    /// `at(release)`, where `release` is when the lone packet frees the
+    /// lower port.
+    fn ports_toward_2(at: impl FnOnce(SimTime) -> SimTime) -> (u64, u64) {
+        let mut net = open4x4();
+        let t = net.tables();
+        let from = t.live_links_from(NodeId::new(0));
+        let ports: Vec<usize> = t
+            .routes
+            .minimal_ports(NodeId::new(0), 0, NodeId::new(2))
+            .map(|p| from[p])
+            .collect();
+        let [low, high] = ports[..] else {
+            panic!("two minimal ports expected, got {ports:?}");
+        };
+        let neighbour = t.link_meta(low).1.index();
+        let release = SimTime::ZERO + SimDuration::transfer_time(64, t.timing().bandwidth_gbps);
+        send(
+            &mut net,
+            SimTime::ZERO,
+            0,
+            neighbour,
+            MessageClass::Request,
+            0,
+        );
+        send(&mut net, at(release), 0, 2, MessageClass::Request, 1);
+        net.drain();
+        let links = net.links();
+        (links.links[low].granted(), links.links[high].granted())
+    }
+
+    #[test]
+    fn an_arrival_at_a_release_instant_sorts_before_the_release() {
+        // At the very instant the lower port frees up, the arrival fires
+        // first, so that port still reads held and the other one wins.
+        assert_eq!(ports_toward_2(|release| release), (1, 1));
+        // A picosecond later it is free again and wins the tie.
+        assert_eq!(
+            ports_toward_2(|release| release + SimDuration::from_ps(1)),
+            (2, 0)
+        );
+    }
+
+    #[test]
+    fn a_drained_fabric_is_idle_at_any_send_time() {
+        let mut net = open4x4();
+        let timing = *net.tables().timing();
+        send(&mut net, SimTime::ZERO, 0, 2, MessageClass::Io, 0);
+        let first = net.drain()[0];
+        // The last hop's channel frees up after the delivery, so `now()`
+        // (the later of the two) lies beyond it.
+        assert!(first.delivered_at < net.now());
+        let links = net.links();
+        let last_hop = (0..net.tables().link_count())
+            .find(|&id| {
+                net.tables().link_meta(id).1 == NodeId::new(2) && links.links[id].granted() > 0
+            })
+            .expect("the packet entered node 2");
+        let (via, _, class, _) = net.tables().link_meta(last_hop);
+        let lone = timing.unloaded_latency(&[class], 64);
+        // A send over that channel before `now()` starts at once...
+        send(
+            &mut net,
+            first.delivered_at,
+            via.index(),
+            2,
+            MessageClass::Io,
+            1,
+        );
+        assert_eq!(net.drain()[0].latency(), lone);
+        // ...and so does one before the first delivery, while a second
+        // packet sent with it waits exactly one transfer behind it.
+        for tag in [2, 3] {
+            send(
+                &mut net,
+                SimTime::ZERO,
+                via.index(),
+                2,
+                MessageClass::Io,
+                tag,
+            );
+        }
+        let d = net.drain();
+        assert_eq!(d[0].latency(), lone);
+        let transfer = SimDuration::transfer_time(64, timing.bandwidth_gbps);
+        assert_eq!(d[1].latency(), lone + transfer);
     }
 
     #[test]

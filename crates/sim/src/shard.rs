@@ -27,6 +27,21 @@
 //! public fields and [`ShardWorker::handle`] must take `&mut Outbox`, so
 //! a worker cannot even type an effect that bypasses the lookahead
 //! contract. `cargo run -p verify --bin ownership` enforces it in CI.
+//!
+//! Each shard also keeps a **high-water key**: the largest
+//! `(time, tiebreak)` it has handled so far, raised before each
+//! [`ShardWorker::handle`]. [`Outbox::has_passed`] compares a key against
+//! it, which tells a worker whether an event it never scheduled *would
+//! already have fired* — so a worker can leave out an event whose only
+//! effect is to mark a state as over (the fabric's idle link releases) and
+//! still read that state exactly. Why this is exact: keys are unique, and
+//! a pending key pops only after every smaller key present in its heap.
+//! So before an event keyed `K` fires, every handled key is below `K`;
+//! after it fires, the high-water is at least `K`. A key emitted at the
+//! current instant may sort *below* the key that emitted it (an arrival
+//! emitted by a later-tiebreak event); it still fires after every key
+//! handled so far, which is why the comparison is against the high-water
+//! and not against the key being handled.
 
 use alphasim_telemetry::global::EVENT_QUEUE_PEAK;
 
@@ -143,11 +158,24 @@ pub struct Outbox<E> {
     home: usize,
     now: SimTime,
     lookahead: SimDuration,
+    /// The largest packed key this shard has handled (`None` before the
+    /// first event).
+    high_water: Option<u128>,
     local: Vec<(SimTime, u64, E)>,
     remote: Vec<(usize, SimTime, u64, E)>,
 }
 
 impl<E> Outbox<E> {
+    /// Whether an event keyed `(at, tiebreak)` would already have fired in
+    /// this shard: whether the key sorts at or below the shard's
+    /// high-water key, the largest key handled so far (the event being
+    /// handled included). See the module docs for why this is exact even
+    /// for events emitted at the current instant.
+    #[inline]
+    pub fn has_passed(&self, at: SimTime, tiebreak: u64) -> bool {
+        Some(pack(at, tiebreak)) <= self.high_water
+    }
+
     /// Emit an event for `shard` at absolute time `at`.
     ///
     /// # Panics
@@ -208,6 +236,7 @@ fn run_slot<W: ShardWorker>(slot: &mut ShardSlot<W>) {
         }
         let (_, ev) = heap_pop(&mut slot.heap).expect("peeked entry pops");
         slot.outbox.now = at;
+        slot.outbox.high_water = slot.outbox.high_water.max(Some(key));
         slot.worker.handle(at, ev, &mut slot.outbox);
         slot.processed += 1;
         while let Some((t, tb, e)) = slot.outbox.local.pop() {
@@ -498,6 +527,7 @@ impl<W: ShardWorker> EpochExecutor<W> {
                     home: i,
                     now: SimTime::ZERO,
                     lookahead,
+                    high_water: None,
                     local: Vec::new(),
                     remote: Vec::new(),
                 },
@@ -565,6 +595,24 @@ impl<W: ShardWorker> EpochExecutor<W> {
     /// Seed an initial event on `shard` (before or between runs).
     pub fn seed(&mut self, shard: usize, at: SimTime, tiebreak: u64, ev: W::Event) {
         heap_push(&mut self.slots[shard].heap, pack(at, tiebreak), ev);
+    }
+
+    /// Return every shard's high-water key to "nothing handled", so
+    /// [`Outbox::has_passed`] answers for a fresh run. For a caller that
+    /// reseeds an idle executor, possibly before its last event, once its
+    /// workers hold no state keyed to the finished run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event is still pending.
+    pub fn forget_handled(&mut self) {
+        assert!(
+            self.min_next().is_none(),
+            "forget_handled on an executor with events pending"
+        );
+        for slot in &mut self.slots {
+            slot.outbox.high_water = None;
+        }
     }
 
     /// Timestamp of the globally earliest pending event, if any.

@@ -33,7 +33,69 @@ impl ShardWorker for Echo {
     }
 }
 
+/// On each event (named by its tiebreak) records whether a probe key
+/// `(instant - 1 ps + dt, tiebreak)` has passed, for every probe; the seeded
+/// event `emitter` emits `child` at its own instant, a key that sorts
+/// below its emitter's.
+struct Probe {
+    emitter: u64,
+    child: u64,
+    probes: Vec<(u64, u64)>,
+    seen: Vec<(u64, Vec<bool>)>,
+}
+
+impl ShardWorker for Probe {
+    type Event = u64;
+
+    fn handle(&mut self, at: SimTime, tb: u64, out: &mut Outbox<u64>) {
+        let passed = self
+            .probes
+            .iter()
+            .map(|&(dt, key)| out.has_passed(SimTime::from_ps(at.as_ps() - 1 + dt), key))
+            .collect();
+        self.seen.push((tb, passed));
+        if tb == self.emitter {
+            out.emit(0, at, self.child, self.child);
+        }
+    }
+}
+
 proptest! {
+    /// `has_passed` answers whether a key would already have fired: at the
+    /// emitter and at the same-instant event it emits below itself alike,
+    /// a key has passed exactly when it sorts at or below the emitter's,
+    /// the high-water of what the shard has handled. After
+    /// `forget_handled`, a reseeded event sees only its own key and below.
+    #[test]
+    fn a_backward_emission_sees_the_high_water_of_its_emitter(
+        at in 1u64..1_000_000,
+        emitter in 1u64..1_000,
+        below in 1u64..1_000,
+        probes in prop::collection::vec((0u64..3, 0u64..2_000), 1..8),
+    ) {
+        let child = emitter.saturating_sub(below);
+        prop_assume!(child < emitter);
+        let probe = Probe { emitter, child, probes: probes.clone(), seen: Vec::new() };
+        let mut exec = EpochExecutor::new(vec![probe], SimDuration::from_ps(1 << 40), 1);
+        let t = SimTime::from_ps(at);
+        exec.seed(0, t, emitter, emitter);
+        exec.run_until_idle();
+        // An earlier instant has passed, a later one has not, and at the
+        // instant itself the emitter's key is the high-water.
+        let passed = |high: u64| -> Vec<bool> {
+            probes.iter().map(|&(dt, key)| dt == 0 || (dt == 1 && key <= high)).collect()
+        };
+        let expect = passed(emitter);
+        prop_assert_eq!(
+            &exec.worker(0).seen,
+            &vec![(emitter, expect.clone()), (child, expect)]
+        );
+        exec.forget_handled();
+        exec.seed(0, t, child, child);
+        exec.run_until_idle();
+        prop_assert_eq!(&exec.worker(0).seen[2], &(child, passed(child)));
+    }
+
     /// A single-shard executor fires events in `(time, tiebreak)` order,
     /// whatever the seeding order: the packed-key 4-ary heap is a total
     /// order.

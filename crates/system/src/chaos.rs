@@ -155,8 +155,8 @@ impl Reproducer {
     ///
     /// Bad JSON, a missing or mistyped field, an unknown fault kind, and
     /// values no campaign can run: a machine size other than
-    /// [`Torus2D::SIZES`], an empty issue window, or a retry budget beyond
-    /// `u32`. Each names the field and the value.
+    /// [`Torus2D::SIZES`], no outstanding reads, no reads per CPU, or a
+    /// retry budget beyond `u32`. Each names the field and the value.
     pub fn from_json(text: &str) -> Result<Reproducer, String> {
         let root = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e}"))?;
         let mutation = match get(&root, "mutation")? {
@@ -209,11 +209,15 @@ impl Reproducer {
         if outstanding == 0 {
             return Err("field \"outstanding\" must be at least 1, got 0".to_string());
         }
+        let requests_per_cpu = usize_field(&root, "requests_per_cpu")?;
+        if requests_per_cpu == 0 {
+            return Err("field \"requests_per_cpu\" must be at least 1, got 0".to_string());
+        }
         Ok(Reproducer {
             name: str_field(&root, "name")?,
             cpus,
             outstanding,
-            requests_per_cpu: usize_field(&root, "requests_per_cpu")?,
+            requests_per_cpu,
             shards: usize_field(&root, "shards")?,
             retry,
             mutation,
@@ -679,6 +683,11 @@ mod tests {
                 "\"outstanding\": 6",
                 "\"outstanding\": 0",
                 "field \"outstanding\" must be at least 1, got 0",
+            ),
+            (
+                "\"requests_per_cpu\": 160",
+                "\"requests_per_cpu\": 0",
+                "field \"requests_per_cpu\" must be at least 1, got 0",
             ),
             (
                 "\"max_retries\": 6",

@@ -51,15 +51,17 @@ use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochGuide, Outbox, S
 use alphasim_kernel::{DetRng, FaultEvent, FaultKind, SimDuration, SimTime};
 use alphasim_mem::Zbox;
 use alphasim_net::partition::{
-    tb_arrive, tb_inject, tb_link_free, tb_timer, FabricEvent, FabricLinks, FabricTables, Packet,
-    RegionNet,
+    tb_arrive, tb_inject, tb_timer, FabricEvent, FabricLinks, FabricTables, Packet, RegionNet,
 };
 use alphasim_net::{FaultError, MessageClass};
 use alphasim_telemetry::trace::PID_MEMORY;
 use alphasim_telemetry::{BreakdownTable, HopBreakdown};
 use alphasim_topology::NodeId;
 
-use crate::faulty::{PoisonedTx, RecoveryMutation, STUCK_WINDOW_LIMIT};
+use crate::faulty::{
+    PoisonedTx, RecoveryMutation, DIRECTORY_ROW, DRAM_CLOSED_ROW, DRAM_OPEN_ROW, FRONT_END_ROW,
+    REQUEST_ROWS, RESPONSE_ROWS, STUCK_WINDOW_LIMIT, UNATTRIBUTED_ROW, ZBOX_QUEUE_ROW,
+};
 use crate::loadtest::{TrafficPattern, UtilSample};
 use crate::obs::ObsAcc;
 
@@ -563,8 +565,20 @@ impl CampaignWorker {
     }
 }
 
+/// A leg's hop stages, in `HopBreakdown` field order.
+fn hop_stages(h: &HopBreakdown) -> [u64; 5] {
+    [
+        h.queued_ps,
+        h.router_ps,
+        h.wire_ps,
+        h.serialization_ps,
+        h.congestion_ps,
+    ]
+}
+
 /// Charge every attributable picosecond of a completed read's end-to-end
-/// latency to a pipeline stage. On a healthy run the stages sum exactly
+/// latency to a pipeline stage, by row of a table pre-charged with the
+/// pipeline stages. On a healthy run the stages sum exactly
 /// to `e2e_ps`; anything they cannot explain (retry backoff, time lost
 /// with a dropped packet) lands in the `unattributed` stage, so the table
 /// always balances.
@@ -588,52 +602,31 @@ fn charge_completion(
     e2e_ps: u64,
 ) {
     let mut known = 0u64;
-    for (stage, ps) in [
-        ("response: queue + arbitration", response.queued_ps),
-        ("response: router pipeline", response.router_ps),
-        ("response: wire flight", response.wire_ps),
-        ("response: link serialization", response.serialization_ps),
-        ("response: congestion penalty", response.congestion_ps),
-        ("directory lookup (fixed)", directory_ps),
-        ("front end (fixed)", front_ps),
-    ] {
-        bd.charge(stage, ps);
+    for (i, ps) in hop_stages(response).into_iter().enumerate() {
+        bd.charge_at(RESPONSE_ROWS + i, ps);
+        known += ps;
+    }
+    for (row, ps) in [(DIRECTORY_ROW, directory_ps), (FRONT_END_ROW, front_ps)] {
+        bd.charge_at(row, ps);
         known += ps;
     }
     if let Some(leg) = leg {
-        let leg_total = leg.request.queued_ps
-            + leg.request.router_ps
-            + leg.request.wire_ps
-            + leg.request.serialization_ps
-            + leg.request.congestion_ps
-            + leg.zbox_queue_ps
-            + leg.dram_ps;
+        let leg_total = leg.request.total_ps() + leg.zbox_queue_ps + leg.dram_ps;
         if known + leg_total <= e2e_ps {
-            for (stage, ps) in [
-                ("request: queue + arbitration", leg.request.queued_ps),
-                ("request: router pipeline", leg.request.router_ps),
-                ("request: wire flight", leg.request.wire_ps),
-                ("request: link serialization", leg.request.serialization_ps),
-                ("request: congestion penalty", leg.request.congestion_ps),
-                ("zbox queue", leg.zbox_queue_ps),
-                (
-                    if leg.page_hit {
-                        "dram open page"
-                    } else {
-                        "dram closed page"
-                    },
-                    leg.dram_ps,
-                ),
-            ] {
-                bd.charge(stage, ps);
-                known += ps;
+            for (i, ps) in hop_stages(&leg.request).into_iter().enumerate() {
+                bd.charge_at(REQUEST_ROWS + i, ps);
             }
+            bd.charge_at(ZBOX_QUEUE_ROW, leg.zbox_queue_ps);
+            let dram = if leg.page_hit {
+                DRAM_OPEN_ROW
+            } else {
+                DRAM_CLOSED_ROW
+            };
+            bd.charge_at(dram, leg.dram_ps);
+            known += leg_total;
         }
     }
-    bd.charge(
-        "unattributed (retry / backoff)",
-        e2e_ps.saturating_sub(known),
-    );
+    bd.charge_at(UNATTRIBUTED_ROW, e2e_ps.saturating_sub(known));
     bd.complete_transaction(e2e_ps);
 }
 
@@ -759,10 +752,14 @@ impl EpochGuide<CampaignWorker> for CampaignGuide {
 impl CampaignGuide {
     /// Take the sample due at barrier `at` — every event before it has
     /// fired, none at or after it has — or stop sampling once nothing is
-    /// left to fire.
+    /// left to happen: every heap is empty and no link frees up at or
+    /// after the barrier.
     fn sample(&mut self, at: SimTime, ctl: &EpochControl<'_, CampaignWorker>) {
         let s = self.sampler.as_mut().expect("a sample is due");
-        if ctl.is_idle() {
+        let done = ctl.is_idle()
+            && (0..ctl.shard_count())
+                .all(|r| ctl.worker(r).net.latest_release().is_none_or(|t| t < at));
+        if done {
             s.next_at = None;
             return;
         }
@@ -941,9 +938,7 @@ impl CampaignGuide {
                 let n = NodeId::new(node);
                 let until = b + SimDuration::from_ps(ps);
                 let region = self.master.region_of(n);
-                for id in ctl.worker_mut(region).net.pause_router(n, until) {
-                    ctl.inject(region, until, tb_link_free(id), Ev::LinkFree { link: id });
-                }
+                ctl.worker_mut(region).net.pause_router(n, until);
             }
             FaultKind::NodeDrain { node } => {
                 let n = NodeId::new(node);

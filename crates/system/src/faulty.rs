@@ -252,10 +252,11 @@ pub struct CampaignTelemetry {
     pub trace: Option<TraceSink>,
 }
 
-/// Stage names of the load-to-use pipeline, in pipeline order. The
-/// aggregator pre-charges all of them with zero so the breakdown table's
-/// row order never depends on which transaction happens to finish first
-/// (or on which region it completed in).
+/// Stage names of the load-to-use pipeline, in pipeline order. Every
+/// breakdown table — each worker's and the merged one — is pre-charged
+/// with all of them at zero ([`pipeline_table`]), so the row order never
+/// depends on which transaction happens to finish first (or on which
+/// region it completed in), and a worker charges a stage by its row.
 pub(crate) const PIPELINE_STAGES: [&str; 16] = [
     "request: queue + arbitration",
     "request: router pipeline",
@@ -274,6 +275,26 @@ pub(crate) const PIPELINE_STAGES: [&str; 16] = [
     "front end (fixed)",
     "unattributed (retry / backoff)",
 ];
+
+// Rows of `PIPELINE_STAGES`: each leg's five hop stages in `HopBreakdown`
+// field order, then the memory and fixed stages.
+pub(crate) const REQUEST_ROWS: usize = 0;
+pub(crate) const DIRECTORY_ROW: usize = 5;
+pub(crate) const ZBOX_QUEUE_ROW: usize = 6;
+pub(crate) const DRAM_OPEN_ROW: usize = 7;
+pub(crate) const DRAM_CLOSED_ROW: usize = 8;
+pub(crate) const RESPONSE_ROWS: usize = 9;
+pub(crate) const FRONT_END_ROW: usize = 14;
+pub(crate) const UNATTRIBUTED_ROW: usize = 15;
+
+/// A breakdown table with every [`PIPELINE_STAGES`] row, in order, at zero.
+pub(crate) fn pipeline_table() -> BreakdownTable {
+    let mut table = BreakdownTable::default();
+    for stage in PIPELINE_STAGES {
+        table.charge(stage, 0);
+    }
+    table
+}
 
 /// How one closed-loop run is driven and what it collects besides its
 /// result.
@@ -388,7 +409,8 @@ impl<T: Topology> FaultCampaign<T> {
     }
 
     /// Run the campaign to completion. Panics (loudly, by design) if the
-    /// fault plan would partition the fabric, or if `cfg` carries a
+    /// fault plan would partition the fabric, if the traffic pattern names
+    /// a CPU the machine does not have, or if `cfg` carries a
     /// [`RecoveryMutation`] — a broken recovery path can hang an
     /// unmonitored run, so mutations require
     /// [`run_monitored`](Self::run_monitored).
@@ -487,6 +509,19 @@ impl<T: Topology> FaultCampaign<T> {
         Option<EpochProfile>,
     ) {
         assert!(cfg.outstanding >= 1, "need at least one outstanding read");
+        let ncpus = self.cpus.len();
+        let named = match cfg.pattern {
+            TrafficPattern::HotSpot(hot) => [Some(hot), None],
+            TrafficPattern::StripedHotSpot(hot, partner) => [Some(hot), Some(partner)],
+            TrafficPattern::UniformRemote | TrafficPattern::Bisection => [None, None],
+        };
+        for cpu in named.into_iter().flatten() {
+            assert!(
+                cpu < ncpus,
+                "traffic pattern {:?} names CPU {cpu}, but the machine has {ncpus} CPUs",
+                cfg.pattern
+            );
+        }
         assert!(
             cfg.watchdog_window > cfg.retry.timeout,
             "watchdog window must exceed the retry timeout"
@@ -505,7 +540,6 @@ impl<T: Topology> FaultCampaign<T> {
         } else {
             cfg.threads
         };
-        let ncpus = self.cpus.len();
         let partners: Vec<usize> = match cfg.pattern {
             TrafficPattern::Bisection => {
                 (0..ncpus).map(|cpu| self.bisection_partner(cpu)).collect()
@@ -576,7 +610,7 @@ impl<T: Topology> FaultCampaign<T> {
                     completed: 0,
                     zboxes,
                     ever_drained: vec![false; ncpus],
-                    breakdown: drive.collect.then(BreakdownTable::default),
+                    breakdown: drive.collect.then(pipeline_table),
                     obs: drive
                         .observe
                         .map(|o| Box::new(ObsAcc::new(o.window_ps, node_count))),
@@ -813,10 +847,7 @@ impl<T: Topology> FaultCampaign<T> {
             }
             // Pre-charge the stage rows so the merged table's row order is
             // the pipeline order, never completion order.
-            let mut breakdown = BreakdownTable::default();
-            for stage in PIPELINE_STAGES {
-                breakdown.charge(stage, 0);
-            }
+            let mut breakdown = pipeline_table();
             for w in &workers {
                 if let Some(bd) = w.breakdown.as_ref() {
                     breakdown.merge(bd);
@@ -996,6 +1027,34 @@ mod tests {
                 "cause must name the exact retry budget: {}",
                 p.cause
             );
+        }
+    }
+
+    #[test]
+    fn breakdown_rows_name_their_pipeline_stages() {
+        let hops = |first: usize| PIPELINE_STAGES[first..first + 5].to_vec();
+        let leg = |side: &str| {
+            [
+                "queue + arbitration",
+                "router pipeline",
+                "wire flight",
+                "link serialization",
+                "congestion penalty",
+            ]
+            .map(|stage| format!("{side}: {stage}"))
+            .to_vec()
+        };
+        assert_eq!(hops(REQUEST_ROWS), leg("request"));
+        assert_eq!(hops(RESPONSE_ROWS), leg("response"));
+        for (row, stage) in [
+            (DIRECTORY_ROW, "directory lookup (fixed)"),
+            (ZBOX_QUEUE_ROW, "zbox queue"),
+            (DRAM_OPEN_ROW, "dram open page"),
+            (DRAM_CLOSED_ROW, "dram closed page"),
+            (FRONT_END_ROW, "front end (fixed)"),
+            (UNATTRIBUTED_ROW, "unattributed (retry / backoff)"),
+        ] {
+            assert_eq!(PIPELINE_STAGES[row], stage);
         }
     }
 

@@ -94,7 +94,8 @@ pub struct LoadTestResult {
     pub delivered_gbps: f64,
     /// Completed reads.
     pub completed: u64,
-    /// Wall-clock span of the run: the time of the last event handled.
+    /// Span of the run: the later of the last event handled and the last
+    /// link release.
     pub elapsed: SimDuration,
     /// Zbox busy picoseconds per node (nonzero only at memory sites), on
     /// the fabric's P×Q grid — what Xmesh's Zbox panel shows (Fig. 27)
@@ -153,6 +154,11 @@ impl<T: Topology> LoadTest<T> {
     /// [`alphasim_kernel::par::shards`] fabric regions stepped by
     /// [`alphasim_kernel::par::threads`] threads. The result is
     /// byte-identical at any region and thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the run if `cfg.pattern` names a CPU the machine does
+    /// not have.
     pub fn run(self, cfg: &LoadTestConfig) -> LoadTestResult {
         let loop_cfg = FaultCampaignConfig {
             outstanding: cfg.outstanding,
@@ -167,7 +173,13 @@ impl<T: Topology> LoadTest<T> {
             ..Drive::default()
         };
         let (workers, guide, ..) = self.campaign.launch(&loop_cfg, drive);
-        let last = workers.iter().map(|w| w.last_event).max();
+        // The run ends at its last event or its last link release,
+        // whichever is later.
+        let last = workers
+            .iter()
+            .flat_map(|w| [Some(w.last_event), w.net.latest_release()])
+            .flatten()
+            .max();
         let elapsed = last.unwrap_or(SimTime::ZERO).since(SimTime::ZERO);
         let completed: u64 = workers.iter().map(|w| w.completed).sum();
         let total_latency: SimDuration = workers.iter().map(|w| w.total_latency).sum();
@@ -319,6 +331,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(
+        expected = "traffic pattern HotSpot(16) names CPU 16, but the machine has 16 CPUs"
+    )]
+    fn a_hot_spot_beyond_the_machine_is_rejected_before_the_run() {
+        let m = Gs1280::builder().cpus(16).build();
+        gs1280_load_test(&m).run(&LoadTestConfig {
+            pattern: TrafficPattern::HotSpot(16),
+            ..Default::default()
+        });
+    }
+
+    #[test]
     fn striped_hot_spot_outperforms_plain_hot_spot() {
         // Fig. 26: striping spreads a hot spot over two CPUs.
         let m = Gs1280::builder().cpus(16).build();
@@ -356,9 +380,9 @@ mod tests {
         // The retry-free load test and a healthy campaign whose timeout
         // never fires schedule the same fabric events, so they complete
         // the same reads at the same mean latency to the picosecond. Only
-        // the end of the run differs: the load test ends at its last event
-        // (often a trailing link release), the campaign at its last
-        // delivery.
+        // the end of the run differs: the load test ends at the later of
+        // its last event and its last link release, the campaign at its
+        // last delivery.
         let m = Gs1280::builder().cpus(16).build();
         let second = SimDuration::from_us(1e6);
         for outstanding in [1, 8, 30] {

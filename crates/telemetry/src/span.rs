@@ -87,6 +87,17 @@ impl BreakdownTable {
         }
     }
 
+    /// Charge `ps` picoseconds to the stage in row `index` (rows in
+    /// first-use order): the by-row path for a caller that charged its
+    /// stages once, in a known order, before the hot loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no row `index`.
+    pub fn charge_at(&mut self, index: usize, ps: u64) {
+        self.stages[index].total_ps += ps;
+    }
+
     /// Close out one transaction whose end-to-end latency was `e2e_ps`.
     pub fn complete_transaction(&mut self, e2e_ps: u64) {
         self.transactions += 1;
@@ -233,6 +244,24 @@ mod tests {
         let wire = text.find("request: wire").expect("stage listed");
         let dram = text.find("zbox: dram").expect("stage listed");
         assert!(wire < dram, "first-use order expected:\n{text}");
+    }
+
+    #[test]
+    fn charge_at_adds_to_the_row_charge_named() {
+        let mut by_row = BreakdownTable::new();
+        let mut by_name = BreakdownTable::new();
+        for t in [&mut by_row, &mut by_name] {
+            t.charge("s1", 0);
+            t.charge("s2", 0);
+        }
+        by_row.charge_at(1, 7);
+        by_row.charge_at(0, 3);
+        by_row.charge_at(1, 2);
+        by_name.charge("s2", 7);
+        by_name.charge("s1", 3);
+        by_name.charge("s2", 2);
+        assert_eq!(by_row, by_name);
+        assert_eq!(by_row.stage_ps("s2"), 9);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! This module provides the route tables the network simulator consumes and
 //! a channel-dependency-graph checker that *proves* the escape network
 //! acyclic — reproducing the paper's deadlock-avoidance argument as an
-//! executable property.
-
-use std::collections::VecDeque;
+//! executable property. The route tables come from one breadth-first
+//! search per destination over a flat reverse adjacency; the same
+//! relaxation that settles a distance also records which ports lead one
+//! hop closer, so a hop's adaptive candidates are a precomputed port mask.
 
 use serde::{Deserialize, Serialize};
 
@@ -48,6 +49,9 @@ impl RoutePolicy {
 /// Distances are computed on a layered graph whose state is
 /// `(node, hops-taken, capped)`, so a policy that forbids shuffle links after
 /// hop *k* still yields correct shortest distances and never dead-ends.
+/// Alongside each distance the tables keep a **next-hop port mask**: bit `p`
+/// is set when port `p` leads one hop closer, so the adaptive candidate set
+/// of a hop is read, not searched.
 ///
 /// # Examples
 ///
@@ -60,7 +64,7 @@ impl RoutePolicy {
 /// // From node 0 to node 2 (two columns east) both E and W are minimal on
 /// // a 4-ring, so there are two candidate ports.
 /// let ports: Vec<usize> = routes
-///     .minimal_ports(&torus, NodeId::new(0), 0, NodeId::new(2))
+///     .minimal_ports(NodeId::new(0), 0, NodeId::new(2))
 ///     .collect();
 /// assert_eq!(ports.len(), 2);
 /// ```
@@ -69,9 +73,14 @@ pub struct Routes {
     n: usize,
     layers: u32,
     policy: RoutePolicy,
-    /// dist[layer][at][dst] = remaining hops from `at` to `dst` having
-    /// already taken `layer` hops (layer saturates at `layers - 1`).
-    dist: Vec<Vec<u32>>,
+    /// Remaining hops from `at` to `dst` having already taken `k` hops
+    /// (`k` saturates at `layers - 1`), at `(k·n + dst)·n + at`: one
+    /// destination-major row per layer and destination.
+    dist: Vec<u32>,
+    /// Next-hop port masks, indexed like `dist`: bit `p` is set when port
+    /// `p` of `at` is allowed at hop `k` and leads to a node exactly one hop
+    /// closer to `dst`.
+    next: Vec<u32>,
 }
 
 impl Routes {
@@ -79,64 +88,90 @@ impl Routes {
     pub const UNREACHABLE: u32 = u32::MAX;
 
     /// Compute routes over `topo` under `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node has more than 32 ports (the width of a port mask).
     pub fn compute<T: Topology + ?Sized>(topo: &T, policy: RoutePolicy) -> Self {
         let n = topo.node_count();
         let layers = policy.shuffle_hop_limit().map_or(1, |l| l + 1);
+        let last = layers - 1;
         // The policy makes distances depend on how many hops a packet has
         // already taken, so we BFS a layered graph with states
         // `(node, k = min(hops_taken, layers-1))`. Transitions: from
         // `(at, k)` over a port allowed at hop index `k` to
         // `(port.to, min(k+1, layers-1))`.
         //
-        // Reverse adjacency: incoming links of each node.
-        let mut rev: Vec<Vec<(usize, LinkClass)>> = vec![Vec::new(); n];
+        // Flat reverse adjacency: the incoming links of node `v` are
+        // `rev[start[v]..start[v + 1]]`, each `(sender, port index, class)`.
+        let mut start = vec![0usize; n + 1];
         for at in 0..n {
-            for p in topo.ports(NodeId::new(at)) {
-                rev[p.to.index()].push((at, p.class));
+            let ports = topo.ports(NodeId::new(at));
+            assert!(
+                ports.len() <= 32,
+                "node {at} has {} ports; a next-hop mask holds 32",
+                ports.len()
+            );
+            for p in ports {
+                start[p.to.index() + 1] += 1;
             }
         }
-        let idx = |node: usize, k: u32| node * layers as usize + k as usize;
-        let mut dist = vec![vec![Self::UNREACHABLE; n * n]; layers as usize];
-        let mut remaining = vec![Self::UNREACHABLE; n * layers as usize];
-        let mut queue = VecDeque::new();
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut rev = vec![(0usize, 0u32, LinkClass::Module); start[n]];
+        for at in 0..n {
+            for (pi, p) in topo.ports(NodeId::new(at)).iter().enumerate() {
+                let v = p.to.index();
+                rev[fill[v]] = (at, pi as u32, p.class);
+                fill[v] += 1;
+            }
+        }
+        let cells = layers as usize * n * n;
+        let mut dist = vec![Self::UNREACHABLE; cells];
+        let mut next = vec![0u32; cells];
+        let row = |k: u32, dst: usize| (k as usize * n + dst) * n;
+        let mut queue: Vec<(usize, u32)> = Vec::with_capacity(n * layers as usize);
         for dst in 0..n {
-            remaining.fill(Self::UNREACHABLE);
             queue.clear();
             for k in 0..layers {
-                remaining[idx(dst, k)] = 0;
-                queue.push_back((dst, k));
+                dist[row(k, dst) + dst] = 0;
+                queue.push((dst, k));
             }
-            while let Some((node, k)) = queue.pop_front() {
-                let d = remaining[idx(node, k)];
+            let mut head = 0;
+            while let Some(&(node, k)) = queue.get(head) {
+                head += 1;
+                let d = dist[row(k, dst) + node];
                 // Predecessor layers kp with min(kp+1, layers-1) == k.
-                let mut preds = [u32::MAX; 2];
-                let mut np = 0;
-                if k + 1 == layers {
-                    preds[np] = layers - 1;
-                    np += 1;
-                    if layers >= 2 {
-                        preds[np] = layers - 2;
-                        np += 1;
-                    }
+                let (preds, np) = if k == last {
+                    (
+                        [last, last.saturating_sub(1)],
+                        if layers >= 2 { 2 } else { 1 },
+                    )
                 } else if k > 0 {
-                    preds[np] = k - 1;
-                    np += 1;
-                }
-                for &(at, class) in &rev[node] {
+                    ([k - 1, 0], 1)
+                } else {
+                    ([0, 0], 0)
+                };
+                for &(at, pi, class) in &rev[start[node]..start[node + 1]] {
                     for &kp in &preds[..np] {
-                        if policy_allows(policy, class, kp) {
-                            let s = idx(at, kp);
-                            if remaining[s] == Self::UNREACHABLE {
-                                remaining[s] = d + 1;
-                                queue.push_back((at, kp));
-                            }
+                        if !policy_allows(policy, class, kp) {
+                            continue;
+                        }
+                        // BFS settles distances in rising order, so a
+                        // predecessor one hop farther is either unseen or
+                        // already at `d + 1`; either way this port is on a
+                        // minimal path from it.
+                        let s = row(kp, dst) + at;
+                        if dist[s] == Self::UNREACHABLE {
+                            dist[s] = d + 1;
+                            queue.push((at, kp));
+                        }
+                        if dist[s] == d + 1 {
+                            next[s] |= 1 << pi;
                         }
                     }
-                }
-            }
-            for k in 0..layers {
-                for at in 0..n {
-                    dist[k as usize][at * n + dst] = remaining[idx(at, k)];
                 }
             }
         }
@@ -145,6 +180,7 @@ impl Routes {
             layers,
             policy,
             dist,
+            next,
         }
     }
 
@@ -153,39 +189,40 @@ impl Routes {
         self.policy
     }
 
-    /// Remaining hops from `at` to `dst` with `taken` hops already behind.
-    pub fn distance(&self, at: NodeId, taken: u32, dst: NodeId) -> u32 {
+    /// Index of `(at, taken, dst)` in the flat tables.
+    fn cell(&self, at: NodeId, taken: u32, dst: NodeId) -> usize {
         let k = taken.min(self.layers - 1) as usize;
-        self.dist[k][at.index() * self.n + dst.index()]
+        (k * self.n + dst.index()) * self.n + at.index()
     }
 
-    /// Indices (into `topo.ports(at)`) of every port on a minimal remaining
-    /// path from `at` to `dst` given `taken` hops so far — the adaptive
-    /// candidate set — in ascending order.
+    /// Remaining hops from `at` to `dst` with `taken` hops already behind.
+    pub fn distance(&self, at: NodeId, taken: u32, dst: NodeId) -> u32 {
+        self.dist[self.cell(at, taken, dst)]
+    }
+
+    /// Indices (into the routed topology's `ports(at)`) of every port on a
+    /// minimal remaining path from `at` to `dst` given `taken` hops so far
+    /// — the adaptive candidate set — in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is unreachable from `at` under the policy.
-    pub fn minimal_ports<'a, T: Topology + ?Sized>(
-        &'a self,
-        topo: &'a T,
+    pub fn minimal_ports(
+        &self,
         at: NodeId,
         taken: u32,
         dst: NodeId,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let here = self.distance(at, taken, dst);
-        assert!(here != Self::UNREACHABLE, "destination unreachable");
-        let k = taken.min(self.layers - 1);
-        let next_taken = taken + 1;
-        topo.ports(at)
-            .iter()
-            .enumerate()
-            .filter(move |(_, p)| {
-                policy_allows(self.policy, p.class, k)
-                    && self.distance(p.to, next_taken, dst) != Self::UNREACHABLE
-                    && self.distance(p.to, next_taken, dst) + 1 == here
+    ) -> impl Iterator<Item = usize> {
+        let i = self.cell(at, taken, dst);
+        assert!(self.dist[i] != Self::UNREACHABLE, "destination unreachable");
+        let mut mask = self.next[i];
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let p = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                p
             })
-            .map(|(i, _)| i)
+        })
     }
 
     /// Mean hop distance over ordered endpoint pairs, under this policy.
@@ -427,7 +464,7 @@ mod tests {
                     continue;
                 }
                 let (a, b) = (NodeId::new(a), NodeId::new(b));
-                let ports: Vec<usize> = routes.minimal_ports(&t, a, 0, b).collect();
+                let ports: Vec<usize> = routes.minimal_ports(a, 0, b).collect();
                 assert!(!ports.is_empty());
                 for pi in ports {
                     let to = t.ports(a)[pi].to;
@@ -455,7 +492,7 @@ mod tests {
                     let mut at = src;
                     let mut taken = 0u32;
                     while at != dst {
-                        let ports: Vec<usize> = routes.minimal_ports(&t, at, taken, dst).collect();
+                        let ports: Vec<usize> = routes.minimal_ports(at, taken, dst).collect();
                         assert!(!ports.is_empty(), "{policy:?}: stuck at {at} for {dst}");
                         at = t.ports(at)[ports[0]].to;
                         taken += 1;

@@ -5,7 +5,7 @@
 
 use alphasim_topology::graph::{bisection_width, DistanceMatrix};
 use alphasim_topology::route::{escape_network_is_acyclic, RoutePolicy, Routes};
-use alphasim_topology::{Degraded, NodeId, ShuffleTorus, Topology, Torus2D};
+use alphasim_topology::{Degraded, LinkClass, NodeId, QbbTree, ShuffleTorus, Topology, Torus2D};
 use proptest::prelude::*;
 
 /// Every full-duplex link of `t`, once per pair.
@@ -39,8 +39,81 @@ fn shuffle_shapes() -> impl Strategy<Value = (usize, usize)> {
     (2usize..=6, 1usize..=4).prop_map(|(c2, r)| (2 * c2, r + 1))
 }
 
+const POLICIES: [RoutePolicy; 3] = [
+    RoutePolicy::Minimal,
+    RoutePolicy::ShuffleFirstHop,
+    RoutePolicy::ShuffleFirstTwoHops,
+];
+
+/// The distance filter the next-hop masks replaced, kept as the reference:
+/// every port of `at` that `policy` allows after `taken` hops and that
+/// leads exactly one hop closer to `dst`, in port order.
+fn ports_by_distance<T: Topology>(
+    topo: &T,
+    routes: &Routes,
+    at: NodeId,
+    taken: u32,
+    dst: NodeId,
+) -> Vec<usize> {
+    let allowed = |class: LinkClass| {
+        class != LinkClass::Shuffle
+            || match routes.policy() {
+                RoutePolicy::Minimal => true,
+                RoutePolicy::ShuffleFirstHop => taken < 1,
+                RoutePolicy::ShuffleFirstTwoHops => taken < 2,
+            }
+    };
+    let here = routes.distance(at, taken, dst);
+    topo.ports(at)
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| {
+            let there = routes.distance(p.to, taken + 1, dst);
+            allowed(p.class) && there != Routes::UNREACHABLE && there + 1 == here
+        })
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// `minimal_ports` equals the reference filter at every node, destination
+/// and hop count up to 3.
+fn masks_match_the_distance_filter<T: Topology>(topo: &T, policy: RoutePolicy) {
+    let routes = Routes::compute(topo, policy);
+    let n = topo.node_count();
+    for at in (0..n).map(NodeId::new) {
+        for dst in (0..n).map(NodeId::new) {
+            for taken in 0..=3 {
+                let masked: Vec<usize> = routes.minimal_ports(at, taken, dst).collect();
+                assert_eq!(
+                    masked,
+                    ports_by_distance(topo, &routes, at, taken, dst),
+                    "{} under {policy:?}: {at} -> {dst} after {taken} hops",
+                    topo.name()
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The next-hop masks `Routes::compute` builds inside its BFS give the
+    /// same candidate ports, in the same order, as filtering every port by
+    /// distance: on tori from 2x2 to 8x8 and on shuffle tori under every
+    /// policy, and on the GS320's switch tree.
+    #[test]
+    fn minimal_ports_match_the_distance_filter(
+        torus in (2usize..=8, 2usize..=8),
+        shuffle in shuffle_shapes(),
+        qbbs in 1usize..=8,
+        policy_ix in 0usize..3,
+    ) {
+        let policy = POLICIES[policy_ix];
+        masks_match_the_distance_filter(&Torus2D::new(torus.0, torus.1), policy);
+        masks_match_the_distance_filter(&ShuffleTorus::new(shuffle.0, shuffle.1), policy);
+        masks_match_the_distance_filter(&QbbTree::new(4 * qbbs), policy);
+    }
 
     /// Hop distances are a metric: symmetric, zero iff equal, triangle
     /// inequality.
@@ -94,8 +167,7 @@ proptest! {
     /// every policy, so walks terminate at the destination.
     #[test]
     fn routes_always_progress((c, r) in shuffle_shapes(), policy_ix in 0usize..3) {
-        let policy = [RoutePolicy::Minimal, RoutePolicy::ShuffleFirstHop,
-                      RoutePolicy::ShuffleFirstTwoHops][policy_ix];
+        let policy = POLICIES[policy_ix];
         let s = ShuffleTorus::new(c, r);
         let routes = Routes::compute(&s, policy);
         let n = s.node_count();
@@ -107,7 +179,7 @@ proptest! {
                 let mut taken = 0u32;
                 while at != dst {
                     let d = routes.distance(at, taken, dst);
-                    let ports: Vec<usize> = routes.minimal_ports(&s, at, taken, dst).collect();
+                    let ports: Vec<usize> = routes.minimal_ports(at, taken, dst).collect();
                     prop_assert!(!ports.is_empty());
                     at = s.ports(at)[ports[0]].to;
                     taken += 1;
