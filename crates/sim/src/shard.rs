@@ -20,13 +20,52 @@
 //! order. The same seeds therefore produce the same event order — and the
 //! same bytes — at 1, 2, or 4 shards, on 1 or 8 threads.
 //!
-//! The ownership discipline this module hands its users — workers emit
-//! cross-region effects only through [`Outbox::emit`], guides mutate
-//! workers only through the barrier-scoped [`EpochControl`] — is checked
-//! statically by the `verify::ownership` pass: `Outbox` must expose no
-//! public fields and [`ShardWorker::handle`] must take `&mut Outbox`, so
-//! a worker cannot even type an effect that bypasses the lookahead
-//! contract. `cargo run -p verify --bin ownership` enforces it in CI.
+//! Those bytes rest on a state partition, which the types enforce: a
+//! worker reaches other regions only through [`Outbox::emit`], and a guide
+//! reaches a worker only through the [`EpochControl`] it is handed at a
+//! barrier. [`Outbox`], [`ShardWorker`], [`EpochGuide`] and
+//! [`EpochControl`] each show, as `compile_fail` examples, the violations
+//! they rule out; each example is the program below plus the lines it
+//! shows. A shared `Arc<Mutex<…>>` is `Send + 'static`, so the compiler
+//! admits it; the determinism lint (`verify --bin lint`) rejects it.
+//!
+//! ```
+//! use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochExecutor, EpochGuide};
+//! use alphasim_kernel::shard::{Outbox, ShardWorker};
+//! use alphasim_kernel::{SimDuration, SimTime};
+//!
+//! /// A region that counts its pings and bounces each one to the other region.
+//! struct Region { pings: u64, credit: u64 }
+//!
+//! impl ShardWorker for Region {
+//!     type Event = u64;
+//!     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
+//!         self.pings += 1;
+//!         if hops > 0 {
+//!             // A cross-region effect: through the outbox, one lookahead ahead.
+//!             out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1);
+//!         }
+//!     }
+//! }
+//!
+//! /// Grants region 1 a credit at one barrier.
+//! struct Guide(Option<SimTime>);
+//!
+//! impl EpochGuide<Region> for Guide {
+//!     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
+//!     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
+//!         ctl.worker_mut(1).credit += 1; // a write into a worker, at a barrier
+//!         self.0 = None;
+//!         BarrierVerdict::Continue
+//!     }
+//! }
+//!
+//! let regions = (0..2).map(|_| Region { pings: 0, credit: 0 }).collect();
+//! let mut exec = EpochExecutor::new(regions, SimDuration::from_ns(10.0), 1);
+//! exec.seed(0, SimTime::ZERO, 0, 3);
+//! exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
+//! assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
+//! ```
 //!
 //! Each shard also keeps a **high-water key**: the largest
 //! `(time, tiebreak)` it has handled so far, raised before each
@@ -133,6 +172,66 @@ pub fn take_peak_event_depth() -> u64 {
 /// follow-up events through the [`Outbox`]. Workers are moved — never
 /// shared — between the coordinator and the pool threads, so a worker may
 /// freely mutate itself without any synchronization.
+///
+/// `Send + 'static` makes a worker own everything it reads. It cannot
+/// borrow the guide's state (E0478), and it cannot share state through
+/// `Rc<RefCell<…>>` (E0277). Guide-only state, such as a fault plan's
+/// cursor, is simply not a field of the worker, so a worker method that
+/// names it does not compile either (E0609).
+///
+/// ```compile_fail,E0478
+/// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
+/// # struct Region { pings: u64, credit: u64 }
+/// # impl ShardWorker for Region {
+/// #     type Event = u64;
+/// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
+/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #     }
+/// # }
+/// # struct Guide(Option<SimTime>);
+/// # impl EpochGuide<Region> for Guide {
+/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
+/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     }
+/// # }
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
+/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
+/// struct Planned<'a> { plan: &'a [u64] } // borrows the guide's plan
+/// impl<'a> ShardWorker for Planned<'a> {
+///     type Event = u64;
+///     fn handle(&mut self, _: SimTime, _: u64, _: &mut Outbox<u64>) {}
+/// }
+/// ```
+///
+/// ```compile_fail,E0277
+/// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
+/// # struct Region { pings: u64, credit: u64 }
+/// # impl ShardWorker for Region {
+/// #     type Event = u64;
+/// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
+/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #     }
+/// # }
+/// # struct Guide(Option<SimTime>);
+/// # impl EpochGuide<Region> for Guide {
+/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
+/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     }
+/// # }
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
+/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
+/// struct Shared(std::rc::Rc<std::cell::RefCell<u64>>); // a count the guide also holds
+/// impl ShardWorker for Shared {
+///     type Event = u64;
+///     fn handle(&mut self, _: SimTime, _: u64, _: &mut Outbox<u64>) { *self.0.borrow_mut() += 1 }
+/// }
+/// ```
 pub trait ShardWorker: Send + 'static {
     /// The event type this simulation processes.
     type Event: Send + 'static;
@@ -154,6 +253,59 @@ pub trait ShardWorker: Send + 'static {
 /// invariant* (derived from simulation identities like node and per-node
 /// emission counters, never from shard ids or arrival order), or runs at
 /// different shard counts may diverge on ties.
+///
+/// Only the executor builds one: `Outbox` has no constructor and no
+/// public field, so every cross-region effect passes [`emit`](Self::emit)'s
+/// lookahead check, and a guide, which holds no outbox, cannot call
+/// [`ShardWorker::handle`] to deliver an event itself (E0599, E0451):
+///
+/// ```compile_fail,E0599
+/// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
+/// # struct Region { pings: u64, credit: u64 }
+/// # impl ShardWorker for Region {
+/// #     type Event = u64;
+/// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
+/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #     }
+/// # }
+/// # struct Guide(Option<SimTime>);
+/// # impl EpochGuide<Region> for Guide {
+/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
+/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     }
+/// # }
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
+/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
+/// exec.worker_mut(0).handle(SimTime::ZERO, 1, &mut Outbox::new(0));
+/// ```
+///
+/// ```compile_fail,E0451
+/// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
+/// # struct Region { pings: u64, credit: u64 }
+/// # impl ShardWorker for Region {
+/// #     type Event = u64;
+/// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
+/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #     }
+/// # }
+/// # struct Guide(Option<SimTime>);
+/// # impl EpochGuide<Region> for Guide {
+/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
+/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     }
+/// # }
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
+/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
+/// let mut forged = Outbox { home: 0, now: SimTime::ZERO, lookahead: SimDuration::ZERO,
+///     high_water: None, local: Vec::new(), remote: Vec::new() };
+/// exec.worker_mut(0).handle(SimTime::ZERO, 1, &mut forged);
+/// ```
 pub struct Outbox<E> {
     home: usize,
     now: SimTime,
@@ -361,6 +513,43 @@ pub enum BarrierVerdict {
 /// for time `b`, every event strictly before `b` has been processed and no
 /// event at or after `b` has — so barrier mutations apply before any event
 /// at exactly `b`, in every shard, at every shard/thread count.
+///
+/// That [`EpochControl`] is a guide's only way into a worker:
+/// [`run_guided`](EpochExecutor::run_guided) holds the executor's `&mut`
+/// for the whole run, so a guide that keeps its own, to write a worker
+/// between barriers, cannot be passed in (E0499):
+///
+/// ```compile_fail,E0499
+/// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
+/// # struct Region { pings: u64, credit: u64 }
+/// # impl ShardWorker for Region {
+/// #     type Event = u64;
+/// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
+/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #     }
+/// # }
+/// # struct Guide(Option<SimTime>);
+/// # impl EpochGuide<Region> for Guide {
+/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
+/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     }
+/// # }
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
+/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
+/// struct Reacher<'e>(&'e mut EpochExecutor<Region>);
+/// impl EpochGuide<Region> for Reacher<'_> {
+///     fn next_barrier(&mut self) -> Option<SimTime> { None }
+///     fn at_barrier(&mut self, _: SimTime, _: &mut EpochControl<'_, Region>) -> BarrierVerdict {
+///         self.0.worker_mut(0).credit += 1; // a write around the control
+///         BarrierVerdict::Continue
+///     }
+/// }
+/// let mut reacher = Reacher(&mut exec);
+/// exec.run_guided(&mut reacher);
+/// ```
 pub trait EpochGuide<W: ShardWorker> {
     /// The next barrier time, if any. Called before each epoch; the
     /// returned time must not be in the executor's past, and after
@@ -376,6 +565,41 @@ pub trait EpochGuide<W: ShardWorker> {
 
 /// The guide's window into a stopped executor: exclusive access to every
 /// worker and heap while all shards sit at a barrier.
+///
+/// A guide gets one only as [`EpochGuide::at_barrier`]'s argument, and it
+/// borrows the stopped executor, so it cannot outlive the barrier: neither
+/// a worker nor a later epoch can hold it. A guide that tries to keep it
+/// does not compile ("lifetime may not live long enough"):
+///
+/// ```compile_fail
+/// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
+/// # struct Region { pings: u64, credit: u64 }
+/// # impl ShardWorker for Region {
+/// #     type Event = u64;
+/// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
+/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #     }
+/// # }
+/// # struct Guide(Option<SimTime>);
+/// # impl EpochGuide<Region> for Guide {
+/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
+/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     }
+/// # }
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
+/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
+/// struct Keeper(Option<&'static mut EpochControl<'static, Region>>);
+/// impl EpochGuide<Region> for Keeper {
+///     fn next_barrier(&mut self) -> Option<SimTime> { None }
+///     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
+///         self.0 = Some(ctl); // kept past the barrier
+///         BarrierVerdict::Continue
+///     }
+/// }
+/// ```
 pub struct EpochControl<'a, W: ShardWorker> {
     slots: &'a mut Vec<ShardSlot<W>>,
     lookahead: &'a mut SimDuration,

@@ -33,14 +33,11 @@
 //! same bytes at any `--threads`/`--shards` combination — the invariant
 //! `reproduce --check` enforces for every committed artifact.
 //!
-//! The worker/guide state partition is also **statically checked**: the
-//! `verify::ownership` pass parses this file and proves that no worker
-//! method reaches for the [`EpochControl`], names guide-plane state, or
-//! carries a shared-mutable accumulator field, and that every guide-side
-//! worker mutation is gated by an `EpochControl` parameter (the handle
-//! exists only at barriers, so the signature is the proof). `cargo run
-//! -p verify --bin ownership` fails on any violation, and the per-field
-//! access map is committed in `results/verify.json`.
+//! The compiler proves the worker/guide state partition: guide state is
+//! not a field of [`CampaignWorker`], and the kernel's shard types keep
+//! the [`EpochControl`] inside barriers and the outbox the only way across
+//! regions (their `compile_fail` examples show how). The determinism lint
+//! (`verify --bin lint`) rejects a shared accumulator field here.
 
 use std::sync::Arc;
 

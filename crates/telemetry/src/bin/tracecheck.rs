@@ -11,7 +11,8 @@
 //!   `pid`/`tid`;
 //! * complete (`"X"`) events also carry numeric `ts` and `dur`.
 //!
-//! Exit status: 0 valid, 1 schema violation, 2 I/O or parse error.
+//! Exit status: 0 valid, 1 schema violation, 2 a bad argument (none, or
+//! more than one path), an I/O error or a JSON parse error.
 
 #![allow(clippy::unwrap_used)]
 
@@ -267,12 +268,21 @@ fn validate(root: &Json) -> Result<usize, String> {
     Ok(events.len())
 }
 
+/// The one argument is the trace to check; anything else is a usage error.
+fn parse_args(args: &[String]) -> Option<&str> {
+    match args {
+        [path] if !path.starts_with('-') => Some(path),
+        _ => None,
+    }
+}
+
 fn main() -> ExitCode {
-    let Some(path) = std::env::args().nth(1) else {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(path) = parse_args(&args) else {
         eprintln!("usage: tracecheck <trace.json>");
         return ExitCode::from(2);
     };
-    let text = match std::fs::read_to_string(&path) {
+    let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("tracecheck: cannot read {path}: {e}");
@@ -323,6 +333,15 @@ mod tests {
                 ("c".to_owned(), Json::Bool(true)),
             ]))
         );
+    }
+
+    #[test]
+    fn takes_exactly_one_trace_path() {
+        let args = |l: &str| l.split_whitespace().map(String::from).collect::<Vec<_>>();
+        assert_eq!(parse_args(&args("t.json")), Some("t.json"));
+        for bad in ["", "ok.json bad.json", "--bogus", "--help t.json"] {
+            assert_eq!(parse_args(&args(bad)), None, "{bad}");
+        }
     }
 
     #[test]

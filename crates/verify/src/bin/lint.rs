@@ -3,7 +3,20 @@
 
 use verify::lint;
 
+const USAGE: &str = "usage: lint (no arguments: it scans the whole workspace)";
+
+/// Any argument is a usage error.
+fn parse(args: &[String]) -> Result<(), String> {
+    args.first()
+        .map_or(Ok(()), |arg| Err(format!("unexpected argument {arg:?}")))
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(why) = parse(&args) {
+        eprintln!("lint: {why}\n{USAGE}");
+        std::process::exit(2);
+    }
     let root = verify::workspace_root();
     let out = match lint::scan_workspace(&root) {
         Ok(out) => out,
@@ -36,5 +49,15 @@ fn main() {
     );
     if !out.findings.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn takes_no_arguments() {
+        assert_eq!(super::parse(&[]), Ok(()));
+        let why = "unexpected argument \"--bogus\"".to_string();
+        assert_eq!(super::parse(&["--bogus".to_string()]), Err(why));
     }
 }

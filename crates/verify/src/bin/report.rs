@@ -19,7 +19,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 use verify::mc::{check_reduced, Reduction, Verdict};
-use verify::protocol::{Mutation, ProtocolModel};
+use verify::protocol::{Mutation, ProtocolModel, MAX_CPUS};
 use verify::{cdg, report};
 
 const USAGE: &str = "usage: report [--check] [PATH] | report --mc N | report --cdg COLSxROWS";
@@ -30,25 +30,32 @@ enum Command {
     /// Exhaust the recovery protocol at this many CPUs.
     Mc(usize),
     /// Certify one `COLSxROWS` torus.
-    Cdg(String),
+    Cdg(usize, usize),
     /// Rewrite the report at `path` (default `results/verify.json`) or,
     /// with `check`, compare it.
     Report { check: bool, path: Option<String> },
 }
 
 /// Read the arguments, rejecting unknown flags, a second path, and a
-/// missing or malformed `--mc`/`--cdg` value.
+/// missing, malformed or out-of-range `--mc`/`--cdg` value.
 fn parse(args: &[String]) -> Result<Command, String> {
     match args.first().map(String::as_str) {
         Some("--mc") => match &args[1..] {
             [n] => n
                 .parse()
+                .ok()
+                .filter(|n| (2..=MAX_CPUS).contains(n))
                 .map(Command::Mc)
-                .map_err(|_| format!("--mc wants a CPU count (2..=8), got {n:?}")),
+                .ok_or_else(|| format!("--mc wants a CPU count (2..=8), got {n:?}")),
             _ => Err("--mc wants one CPU count (2..=8)".into()),
         },
         Some("--cdg") => match &args[1..] {
-            [spec] => Ok(Command::Cdg(spec.clone())),
+            [spec] => spec
+                .split_once('x')
+                .and_then(|(c, r)| Some((c.parse().ok()?, r.parse().ok()?)))
+                .filter(|&(cols, rows)| cols > 0 && rows > 0)
+                .map(|(cols, rows)| Command::Cdg(cols, rows))
+                .ok_or_else(|| format!("--cdg wants positive COLSxROWS, got {spec:?}")),
             _ => Err("--cdg wants one COLSxROWS torus spec".into()),
         },
         _ => {
@@ -100,14 +107,7 @@ fn run_mc(cpus: usize) {
     }
 }
 
-fn run_cdg(spec: &str) {
-    let (cols, rows) = spec
-        .split_once('x')
-        .and_then(|(c, r)| Some((c.parse().ok()?, r.parse().ok()?)))
-        .unwrap_or_else(|| {
-            eprintln!("cdg: expected COLSxROWS, got {spec:?}");
-            std::process::exit(2);
-        });
+fn run_cdg(cols: usize, rows: usize) {
     let healthy = cdg::healthy_torus(cols, rows, true)
         .verdict()
         .expect_acyclic();
@@ -136,7 +136,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (check, path) = match parse(&args) {
         Ok(Command::Mc(cpus)) => return run_mc(cpus),
-        Ok(Command::Cdg(spec)) => return run_cdg(&spec),
+        Ok(Command::Cdg(cols, rows)) => return run_cdg(cols, rows),
         Ok(Command::Report { check, path }) => (check, path),
         Err(why) => {
             eprintln!("report: {why}\n{USAGE}");
@@ -197,10 +197,7 @@ mod tests {
             }
         );
         assert_eq!(parse_line("--mc 6").unwrap(), Command::Mc(6));
-        assert_eq!(
-            parse_line("--cdg 32x32").unwrap(),
-            Command::Cdg("32x32".into())
-        );
+        assert_eq!(parse_line("--cdg 32x32").unwrap(), Command::Cdg(32, 32));
     }
 
     #[test]
@@ -224,7 +221,13 @@ mod tests {
             ("--mc", "--mc wants one CPU count (2..=8)"),
             ("--mc six", "--mc wants a CPU count (2..=8), got \"six\""),
             ("--mc 6 7", "--mc wants one CPU count (2..=8)"),
+            ("--mc 0", "--mc wants a CPU count (2..=8), got \"0\""),
+            ("--mc 1", "--mc wants a CPU count (2..=8), got \"1\""),
+            ("--mc 9", "--mc wants a CPU count (2..=8), got \"9\""),
             ("--cdg", "--cdg wants one COLSxROWS torus spec"),
+            ("--cdg 0x4", "--cdg wants positive COLSxROWS, got \"0x4\""),
+            ("--cdg 4x0", "--cdg wants positive COLSxROWS, got \"4x0\""),
+            ("--cdg 8by8", "--cdg wants positive COLSxROWS, got \"8by8\""),
         ] {
             assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
         }

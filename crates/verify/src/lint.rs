@@ -10,7 +10,7 @@
 //!   per process (the hasher is randomly seeded), so any simulation state
 //!   kept in one replays differently. Use ordered containers.
 //! * **wall-clock** — reads of host time: anything derived from it differs
-//!   per run. Simulation time is [`SimTime`]; host time is only legitimate
+//!   per run. Simulation time is `SimTime`; host time is only legitimate
 //!   in self-timing harness code.
 //! * **ambient-rng** — OS-entropy randomness: unseedable, so unreplayable.
 //!   All stochastic choices must flow from an explicit seeded generator.
@@ -38,8 +38,6 @@
 //!
 //! The needle strings below are assembled by concatenation so this file
 //! never contains its own hazards verbatim.
-//!
-//! [`SimTime`]: alphasim_kernel::SimTime
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -451,6 +449,24 @@ mod tests {
         assert!(inside.findings.is_empty(), "{:?}", inside.findings);
         let outside = scan_source(Path::new("crates/net/src/sim.rs"), src, &rules());
         assert_eq!(outside.findings.len(), 2, "exemption is par.rs-only");
+    }
+
+    /// The epoch engine's workers merge at barriers: a shared accumulator
+    /// seeded into `CampaignWorker` is flagged on its own line, and the
+    /// shipped file is clean.
+    #[test]
+    fn an_unmerged_shared_accumulator_is_flagged() {
+        let rel = Path::new("crates/system/src/epoch.rs");
+        let shipped = fs::read_to_string(crate::workspace_root().join(rel)).expect("epoch.rs");
+        let anchor = "pub(crate) obs: Option<Box<ObsAcc>>,";
+        let at = shipped.find(anchor).expect("anchor") + anchor.len();
+        let mut seeded = shipped.clone();
+        seeded.insert_str(at, "\n    pub(crate) totals: Arc<Mutex<u64>>,");
+        let out = scan_source(rel, &seeded, &rules());
+        let hits: Vec<_> = out.findings.iter().map(|f| (f.line, f.rule)).collect();
+        let line = shipped[..at].lines().count() + 1;
+        assert_eq!(hits, [(line, "shared-mutable-state")]);
+        assert!(scan_source(rel, &shipped, &rules()).findings.is_empty());
     }
 
     /// The real gate: the workspace as shipped has zero unexplained

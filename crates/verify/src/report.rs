@@ -15,7 +15,6 @@ use std::path::Path;
 use crate::cdg::{self, CdgReport, CdgVerdict, SweepSummary};
 use crate::lint;
 use crate::mc::{check, check_reduced, Exploration, Reduction};
-use crate::ownership;
 use crate::protocol::{backoff_saturates, Mutation, ProtocolModel};
 use alphasim_coherence::RetryPolicy;
 
@@ -129,33 +128,6 @@ pub struct LintSection {
     pub findings: usize,
 }
 
-/// Per-type row of the ownership access map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OwnershipTypeRow {
-    /// Worker or guide type name.
-    pub name: String,
-    /// Fields tracked.
-    pub fields: usize,
-    /// `self.field` reads in the type's own methods.
-    pub reads: usize,
-    /// `self.field` writes in the type's own methods.
-    pub writes: usize,
-    /// Worker-field accesses through the guide's `EpochControl` handle —
-    /// the sanctioned barrier path.
-    pub barrier: usize,
-}
-
-/// Ownership-lint section of the report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OwnershipSection {
-    /// Governed files analyzed.
-    pub files: usize,
-    /// The access map, one row per worker/guide type.
-    pub types: Vec<OwnershipTypeRow>,
-    /// Partition violations (must be 0; the ownership binary enforces it).
-    pub findings: usize,
-}
-
 /// The whole `results/verify.json` artifact.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Report {
@@ -163,8 +135,6 @@ pub struct Report {
     pub model_checker: McSection,
     /// Channel-dependency-graph analyzer.
     pub cdg: CdgSection,
-    /// Epoch-engine ownership lint.
-    pub ownership: OwnershipSection,
     /// Determinism lint.
     pub lint: LintSection,
 }
@@ -278,23 +248,6 @@ pub fn build(workspace_root: &Path) -> Report {
         cdg::sweep_sampled_double_cuts(8, 8, SAMPLED_DOUBLE_8X8, cdg::SAMPLE_SEED),
     );
 
-    let own = ownership::scan_workspace(workspace_root).expect("governed files scan");
-    let ownership_section = OwnershipSection {
-        files: own.files,
-        types: own
-            .access
-            .iter()
-            .map(|(name, fields)| OwnershipTypeRow {
-                name: name.clone(),
-                fields: fields.len(),
-                reads: fields.values().map(|a| a.reads).sum(),
-                writes: fields.values().map(|a| a.writes).sum(),
-                barrier: fields.values().map(|a| a.barrier).sum(),
-            })
-            .collect(),
-        findings: own.findings.len(),
-    };
-
     let scan = lint::scan_workspace(workspace_root).expect("workspace scans");
 
     Report {
@@ -316,7 +269,6 @@ pub fn build(workspace_root: &Path) -> Report {
             sampled_single_cuts_32x32,
             sampled_double_cuts_8x8,
         },
-        ownership: ownership_section,
         lint: LintSection {
             files: scan.files,
             allowed: scan.allowed,
@@ -374,10 +326,6 @@ mod tests {
         for m in Mutation::SEEDED.iter().chain(&Mutation::RECOVERY_SEEDED) {
             assert!(committed.contains(m.id()), "mutation {} missing", m.id());
         }
-        let own = ownership::scan_workspace(&workspace_root()).expect("governed files scan");
-        assert_eq!(own.findings.len(), 0);
-        assert!(committed.contains("CampaignWorker"));
-        assert!(committed.contains("CampaignGuide"));
         assert!(
             committed.contains(&format!("\"seed\": {}", crate::cdg::SAMPLE_SEED)),
             "sampling seed drifted from the committed artifact"
