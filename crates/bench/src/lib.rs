@@ -1,5 +1,4 @@
-//! Benchmark-harness support: the artifact registry behind `reproduce`,
-//! the Criterion `figures` benches and the tests.
+//! The artifact registry behind `reproduce` and the tests.
 //!
 //! [`ARTIFACTS`] is the one list of what the sweep owns, in paper order:
 //! every figure and table of the paper, the ablations, and last the two
@@ -37,7 +36,7 @@ pub use alphasim::kernel::take_peak_event_depth;
 /// How hard to sweep each experiment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Effort {
-    /// Small sweeps for CI and Criterion iterations.
+    /// Small sweeps for CI, `reproduce --quick` and the tests.
     Quick,
     /// The full sweeps quoted in EXPERIMENTS.md.
     #[default]

@@ -1,6 +1,6 @@
 //! Structured experiment results: every figure and table reproduction
-//! returns one of these, so benches, tests, examples and the `reproduce`
-//! binary all consume the same data.
+//! returns one of these, so tests, examples and the `reproduce` binary all
+//! consume the same data.
 
 use serde::{Deserialize, Serialize};
 

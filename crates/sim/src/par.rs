@@ -8,8 +8,8 @@
 //! byte-identical to a sequential run by construction.
 //!
 //! The worker count is resolved by [`jobs`]: an explicit [`set_jobs`] call
-//! wins, then the `ALPHASIM_JOBS` / `RAYON_NUM_THREADS` environment
-//! variables, then [`std::thread::available_parallelism`].
+//! wins, then the `ALPHASIM_JOBS` environment variable, then
+//! [`std::thread::available_parallelism`].
 //!
 //! Every `ALPHASIM_*` knob is read by one parser: unset, empty and `0`
 //! mean "unset", and any other value must be a non-negative integer. A
@@ -131,9 +131,8 @@ pub fn set_jobs(n: usize) {
 }
 
 /// The worker count [`parallel_map`] will use: [`set_jobs`], else
-/// `ALPHASIM_JOBS`, else `RAYON_NUM_THREADS`, else the machine's available
-/// parallelism (1 if that cannot be determined). `RAYON_NUM_THREADS`
-/// belongs to other programs too, so a malformed value there is ignored.
+/// `ALPHASIM_JOBS`, else the machine's available parallelism (1 if that
+/// cannot be determined).
 ///
 /// # Panics
 ///
@@ -143,13 +142,11 @@ pub fn jobs() -> usize {
     if forced != 0 {
         return forced;
     }
-    knob("ALPHASIM_JOBS")
-        .or_else(|| env_knob("RAYON_NUM_THREADS").ok().flatten())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    knob("ALPHASIM_JOBS").unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Lock `m`, treating poisoning as a bug: a worker panic already aborts the

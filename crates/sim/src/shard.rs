@@ -26,8 +26,9 @@
 //! barrier. [`Outbox`], [`ShardWorker`], [`EpochGuide`] and
 //! [`EpochControl`] each show, as `compile_fail` examples, the violations
 //! they rule out; each example is the program below plus the lines it
-//! shows. A shared `Arc<Mutex<…>>` is `Send + 'static`, so the compiler
-//! admits it; the determinism lint (`verify --bin lint`) rejects it.
+//! shows (`Outbox`'s per-field examples are a bare worker). A shared
+//! `Arc<Mutex<…>>` is `Send + 'static`, so the compiler admits it; the
+//! determinism lint (`verify --bin lint`) rejects it.
 //!
 //! ```
 //! use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochExecutor, EpochGuide};
@@ -305,6 +306,59 @@ pub trait ShardWorker: Send + 'static {
 /// let mut forged = Outbox { home: 0, now: SimTime::ZERO, lookahead: SimDuration::ZERO,
 ///     high_water: None, local: Vec::new(), remote: Vec::new() };
 /// exec.worker_mut(0).handle(SimTime::ZERO, 1, &mut forged);
+/// ```
+///
+/// Nor can a worker reach past [`emit`](Self::emit) through a field: each
+/// block below is a bare worker whose `handle` reads one field of its
+/// outbox (E0616), so making any one field public lets exactly that block
+/// compile and fails its doctest.
+///
+/// ```compile_fail,E0616
+/// # use alphasim_kernel::{shard::*, SimTime};
+/// # struct Peek;
+/// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
+/// let _ = &out.home;
+/// # } }
+/// ```
+///
+/// ```compile_fail,E0616
+/// # use alphasim_kernel::{shard::*, SimTime};
+/// # struct Peek;
+/// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
+/// let _ = &out.now;
+/// # } }
+/// ```
+///
+/// ```compile_fail,E0616
+/// # use alphasim_kernel::{shard::*, SimTime};
+/// # struct Peek;
+/// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
+/// let _ = &out.lookahead;
+/// # } }
+/// ```
+///
+/// ```compile_fail,E0616
+/// # use alphasim_kernel::{shard::*, SimTime};
+/// # struct Peek;
+/// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
+/// let _ = &out.high_water;
+/// # } }
+/// ```
+///
+/// ```compile_fail,E0616
+/// # use alphasim_kernel::{shard::*, SimTime};
+/// # struct Peek;
+/// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
+/// let _ = &out.local;
+/// # } }
+/// ```
+///
+/// ```compile_fail,E0616
+/// # use alphasim_kernel::{shard::*, SimTime};
+/// # struct Peek;
+/// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
+/// let _ = &out.remote;
+/// # } }
 /// ```
 pub struct Outbox<E> {
     home: usize,

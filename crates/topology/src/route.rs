@@ -8,11 +8,12 @@
 //! channel that can always drain into the escape channels.
 //!
 //! This module provides the route tables the network simulator consumes and
-//! a channel-dependency-graph checker that *proves* the escape network
-//! acyclic — reproducing the paper's deadlock-avoidance argument as an
-//! executable property. The route tables come from one breadth-first
-//! search per destination over a flat reverse adjacency; the same
-//! relaxation that settles a distance also records which ports lead one
+//! the dimension-order escape paths ([`escape_path`]) from which
+//! `verify::cdg` builds the channel-dependency graph that *proves* the
+//! escape network acyclic, reproducing the paper's deadlock-avoidance
+//! argument as an executable property. The route tables come from one
+//! breadth-first search per destination over a flat reverse adjacency; the
+//! same relaxation that settles a distance also records which ports lead one
 //! hop closer, so a hop's adaptive candidates are a precomputed port mask.
 
 use serde::{Deserialize, Serialize};
@@ -356,75 +357,6 @@ pub fn escape_path(
     path
 }
 
-/// Build the channel-dependency graph of dimension-order escape routing on
-/// `torus` and report whether it is acyclic.
-///
-/// With `dateline_vcs == true`, packets start each ring on VC0 and move to
-/// VC1 after crossing that ring's wrap link — the 21364's intra-dimension
-/// deadlock fix. With `false` (a single VC per link) the wrap rings create
-/// cyclic dependencies and this function reports a cycle, demonstrating why
-/// the VCs are necessary.
-///
-/// The richer analyzer in the `verify` crate builds on [`escape_path`] to
-/// cover all coherence classes and degraded topologies and to report the
-/// offending cycle; this boolean form is kept as the in-crate spot check.
-pub fn escape_network_is_acyclic(torus: &Torus2D, dateline_vcs: bool) -> bool {
-    use std::collections::{BTreeMap, BTreeSet};
-    let n = torus.node_count();
-    let mut edges: BTreeMap<EscapeChannel, BTreeSet<EscapeChannel>> = BTreeMap::new();
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            let path = escape_path(torus, NodeId::new(src), NodeId::new(dst), dateline_vcs);
-            for pair in path.windows(2) {
-                edges.entry(pair[0]).or_default().insert(pair[1]);
-            }
-            for &chan in &path {
-                edges.entry(chan).or_default();
-            }
-        }
-    }
-    // DFS cycle detection.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
-    }
-    let keys: Vec<EscapeChannel> = edges.keys().copied().collect();
-    let mut marks: BTreeMap<EscapeChannel, Mark> = keys.iter().map(|&k| (k, Mark::White)).collect();
-    fn dfs(
-        u: EscapeChannel,
-        edges: &BTreeMap<EscapeChannel, BTreeSet<EscapeChannel>>,
-        marks: &mut BTreeMap<EscapeChannel, Mark>,
-    ) -> bool {
-        marks.insert(u, Mark::Grey);
-        if let Some(nexts) = edges.get(&u) {
-            for &v in nexts {
-                match marks.get(&v).copied().unwrap_or(Mark::White) {
-                    Mark::Grey => return false, // cycle
-                    Mark::White => {
-                        if !dfs(v, edges, marks) {
-                            return false;
-                        }
-                    }
-                    Mark::Black => {}
-                }
-            }
-        }
-        marks.insert(u, Mark::Black);
-        true
-    }
-    for &k in &keys {
-        if marks[&k] == Mark::White && !dfs(k, &edges, &mut marks) {
-            return false;
-        }
-    }
-    true
-}
-
 fn wraps(a: usize, b: usize, len: usize) -> bool {
     if len <= 2 {
         return false;
@@ -596,24 +528,5 @@ mod tests {
                 assert!(escape_path(&t, src, dst, false).iter().all(|c| c.vc == 0));
             }
         }
-    }
-
-    #[test]
-    fn escape_network_acyclic_with_dateline_vcs() {
-        for (c, r) in [(4, 4), (8, 4), (4, 2), (8, 8)] {
-            assert!(
-                escape_network_is_acyclic(&Torus2D::new(c, r), true),
-                "{c}x{r} escape CDG has a cycle despite dateline VCs"
-            );
-        }
-    }
-
-    #[test]
-    fn escape_network_cyclic_without_vcs_on_large_rings() {
-        // The paper's point: a torus (wrap links) deadlocks without VC0/VC1.
-        assert!(!escape_network_is_acyclic(&Torus2D::new(4, 4), false));
-        assert!(!escape_network_is_acyclic(&Torus2D::new(8, 4), false));
-        // A 2x2 "torus" has no true wrap links, so even one VC suffices.
-        assert!(escape_network_is_acyclic(&Torus2D::new(2, 2), false));
     }
 }

@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used)]
 
 use alphasim_topology::graph::{bisection_width, DistanceMatrix};
-use alphasim_topology::route::{escape_network_is_acyclic, RoutePolicy, Routes};
+use alphasim_topology::route::{RoutePolicy, Routes};
 use alphasim_topology::{Degraded, LinkClass, NodeId, QbbTree, ShuffleTorus, Topology, Torus2D};
 use proptest::prelude::*;
 
@@ -188,13 +188,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The dimension-order escape network with dateline VCs is deadlock
-    /// free on every torus shape.
-    #[test]
-    fn escape_network_acyclic((c, r) in (2usize..=6, 2usize..=6)) {
-        prop_assert!(escape_network_is_acyclic(&Torus2D::new(c, r), true));
     }
 
     /// Bisection width is positive and no more than the total link count.

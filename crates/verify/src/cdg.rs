@@ -515,6 +515,13 @@ mod tests {
 
     #[test]
     fn healthy_torus_with_datelines_is_acyclic() {
+        // Every C×R in 2..=6 × 2..=6, plus the 32P and 64P machines.
+        let shapes = (2..=6).flat_map(|c| (2..=6).map(move |r| (c, r)));
+        for (c, r) in shapes.chain([(8, 4), (8, 8)]) {
+            if let Some(cycle) = healthy_torus(c, r, true).verdict().cycle() {
+                panic!("{c}x{r} with dateline VCs: {}", describe_cycle(&cycle));
+            }
+        }
         let r = healthy_torus(4, 4, true).verdict().expect_acyclic();
         // Every directed link (16 nodes × 4 ports) carries VC0 traffic in
         // all 5 class lanes; the VC1 copies exist only where some path
@@ -530,23 +537,28 @@ mod tests {
 
     #[test]
     fn single_vc_torus_has_a_real_reported_cycle() {
-        let cdg = healthy_torus(4, 4, false);
-        let cycle = cdg.verdict().cycle().expect("wrap rings must cycle");
-        assert!(cycle.len() >= 3, "{}", describe_cycle(&cycle));
-        assert_eq!(
-            cycle.first(),
-            cycle.last(),
-            "cycle must close on its first channel"
-        );
-        // Every consecutive pair must be a genuine dependency: same class
-        // lane, linked head-to-tail through a node or a protocol turn.
-        for pair in cycle.windows(2) {
-            assert!(
-                pair[0].to == pair[1].from,
-                "consecutive cycle channels must chain through a node: {}",
-                describe_cycle(&cycle)
+        // The paper's point: a torus (wrap links) deadlocks without VC0/VC1.
+        for (c, r) in [(4, 4), (8, 4)] {
+            let cdg = healthy_torus(c, r, false);
+            let cycle = cdg.verdict().cycle().expect("wrap rings must cycle");
+            assert!(cycle.len() >= 3, "{}", describe_cycle(&cycle));
+            assert_eq!(
+                cycle.first(),
+                cycle.last(),
+                "cycle must close on its first channel"
             );
+            // Every consecutive pair must be a genuine dependency: same class
+            // lane, linked head-to-tail through a node or a protocol turn.
+            for pair in cycle.windows(2) {
+                assert!(
+                    pair[0].to == pair[1].from,
+                    "consecutive cycle channels must chain through a node: {}",
+                    describe_cycle(&cycle)
+                );
+            }
         }
+        // A 2x2 "torus" has no true wrap links, so even one VC suffices.
+        healthy_torus(2, 2, false).verdict().expect_acyclic();
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //!   ample-set **partial-order reduction** ([`mc::Reduction`]) shrink the
 //!   search enough to exhaust the fault-extended recovery protocol (link
 //!   failure/repair racing timeout–NAK–poison–retry) at 6–8 CPUs.
-//! * [`cdg`] — a **channel-dependency-graph analyzer** generalizing the
-//!   in-crate `escape_network_is_acyclic` spot check: the full CDG over
-//!   (directed link × dateline VC × coherence class), including the
-//!   cross-class edges of `MessageClass::may_generate`, verified acyclic on
-//!   the healthy torus *and* under degraded topologies the fault campaigns
-//!   produce (single and double link cuts, routed up*/down*), reporting the
-//!   offending cycle otherwise. A streaming builder certifies P×Q tori up
+//! * [`cdg`] — the **channel-dependency-graph analyzer**, the one checker
+//!   of the escape network: the full CDG over (directed link × dateline VC
+//!   × coherence class), including the cross-class edges of
+//!   `MessageClass::may_generate`, verified acyclic on the healthy torus
+//!   *and* under degraded topologies the fault campaigns produce (single
+//!   and double link cuts, routed up*/down*), reporting the offending cycle
+//!   otherwise. A streaming builder certifies P×Q tori up
 //!   to 32×32; deterministic seeded sampling keeps the degraded sweeps
 //!   tractable at scale.
 //! * [`lint`] — a **determinism lint** over the workspace sources: flags

@@ -298,9 +298,9 @@ fn rust_sources_under(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()>
 }
 
 /// Scan every workspace source directory under `root`: the root crate's
-/// `src/` and each `crates/*/src/`. Vendored `third_party/` code and
-/// `tests/`, `benches/`, `examples/` trees are exempt — they are not
-/// simulation state.
+/// `src/` and each `crates/*/src/`. Vendored `third_party/` code and the
+/// `tests/` and `examples/` trees are exempt — they are not simulation
+/// state.
 ///
 /// # Errors
 ///
