@@ -9,7 +9,7 @@
 //!   backoff and a poison threshold (the NAK path: a transaction past
 //!   `max_retries` is poisoned and reported, never silently hung);
 //! * [`PendingSet`] — the outstanding-transaction table, deterministic in
-//!   iteration order so fault campaigns replay bit-identically;
+//!   iteration order so the transactions it reports replay bit-identically;
 //! * [`Watchdog`] — a livelock detector: if no transaction completes for a
 //!   whole window while some are outstanding, it reports the stuck set with
 //!   named causes instead of letting the run spin forever.
@@ -77,16 +77,14 @@ pub struct PendingTx {
 }
 
 /// The outstanding-transaction table, keyed by the caller's correlation
-/// tag. A `BTreeMap` keeps iteration deterministic, so campaigns that scan
-/// for overdue transactions replay identically.
+/// tag. A `BTreeMap` keeps iteration in ascending tag order, so what is
+/// read out of it (the watchdog's stuck list, a hung-transaction report)
+/// replays identically.
 #[derive(Debug, Clone, Default)]
 pub struct PendingSet {
     txs: BTreeMap<u64, PendingTx>,
     completed: u64,
     retries: u64,
-    /// Most transactions simultaneously outstanding (the occupancy the
-    /// paper's out-of-order window sizing bounds).
-    peak: usize,
 }
 
 impl PendingSet {
@@ -103,7 +101,6 @@ impl PendingSet {
     pub fn insert(&mut self, tag: u64, tx: PendingTx) {
         let prev = self.txs.insert(tag, tx);
         assert!(prev.is_none(), "tag {tag:#x} already outstanding");
-        self.peak = self.peak.max(self.txs.len());
     }
 
     /// Complete `tag`, returning its record — or `None` if it is unknown
@@ -141,15 +138,6 @@ impl PendingSet {
         self.txs.remove(&tag)
     }
 
-    /// Tags whose deadline has passed at `now`, in ascending tag order.
-    pub fn overdue(&self, now: SimTime) -> Vec<u64> {
-        self.txs
-            .iter()
-            .filter(|(_, tx)| tx.deadline <= now)
-            .map(|(&tag, _)| tag)
-            .collect()
-    }
-
     /// Outstanding transactions, in ascending tag order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &PendingTx)> {
         self.txs.iter().map(|(&tag, tx)| (tag, tx))
@@ -173,19 +161,6 @@ impl PendingSet {
     /// Retries recorded so far.
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// Most transactions simultaneously outstanding so far.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Export this table's counters into a telemetry registry under the
-    /// `coherence.` namespace.
-    pub fn export_metrics(&self, registry: &mut Registry) {
-        registry.counter_add("coherence.completed", self.completed);
-        registry.counter_add("coherence.retries", self.retries);
-        registry.gauge_max("coherence.pending_peak", self.peak as u64);
     }
 }
 
@@ -291,10 +266,11 @@ impl Watchdog {
 
     /// [`check`](Self::check) across several outstanding-transaction
     /// tables at once — the epoch-parallel engine keeps one `PendingSet`
-    /// per region. Fires when *every* table together has made no progress
-    /// for a full window while any transaction is outstanding; the report
-    /// names the stuck transactions of all tables merged in ascending tag
-    /// order, so the result is independent of how regions partition them.
+    /// per requester CPU. Fires when *every* table together has made no
+    /// progress for a full window while any transaction is outstanding; the
+    /// report names the stuck transactions of all tables merged in
+    /// ascending tag order, so the result is independent of how they are
+    /// partitioned.
     pub fn check_many(&mut self, now: SimTime, pending: &[&PendingSet]) -> Option<LivelockReport> {
         let outstanding: usize = pending.iter().map(|set| set.len()).sum();
         if outstanding == 0 || now.since(self.last_progress) < self.window {
@@ -381,68 +357,20 @@ mod tests {
             deadline: t(10.0),
             attempts: 1,
         };
-        set.insert(7, tx);
-        set.insert(9, tx);
-        assert_eq!(set.len(), 2);
+        for tag in [9, 7, 3] {
+            set.insert(tag, tx);
+        }
+        let tags: Vec<u64> = set.iter().map(|(tag, _)| tag).collect();
+        assert_eq!(tags, vec![3, 7, 9], "ascending tag order");
+        assert_eq!(set.len(), 3);
         assert_eq!(set.complete(7).unwrap().home, 2);
         assert!(set.complete(7).is_none(), "duplicate response is ignored");
         assert_eq!(set.completed(), 1);
-        assert_eq!(set.len(), 1);
-    }
-
-    #[test]
-    fn pending_set_peak_and_metric_export() {
-        let mut set = PendingSet::new();
-        let tx = PendingTx {
-            src: 1,
-            home: 2,
-            first_issued: t(0.0),
-            deadline: t(10.0),
-            attempts: 1,
-        };
-        set.insert(1, tx);
-        set.insert(2, tx);
-        set.insert(3, tx);
-        set.complete(1);
-        set.complete(2);
-        // Peak is a high-water mark: completions never lower it.
-        assert_eq!(set.peak(), 3);
-        set.insert(4, tx);
-        assert_eq!(set.peak(), 3, "re-filling below the peak keeps it");
-
-        let mut registry = Registry::default();
-        set.export_metrics(&mut registry);
-        assert_eq!(registry.counter("coherence.completed"), 2);
-        assert_eq!(registry.counter("coherence.retries"), 0);
-        assert_eq!(registry.gauge("coherence.pending_peak"), 3);
-
-        let dog = Watchdog::new(SimDuration::from_us(1.0));
-        dog.export_metrics(&mut registry);
-        assert_eq!(registry.counter("coherence.watchdog_fired"), 0);
-    }
-
-    #[test]
-    fn overdue_scans_are_deterministic_and_deadline_driven() {
-        let mut set = PendingSet::new();
-        for (tag, deadline) in [(5u64, 10.0), (3, 20.0), (8, 10.0)] {
-            set.insert(
-                tag,
-                PendingTx {
-                    src: 0,
-                    home: 1,
-                    first_issued: t(0.0),
-                    deadline: t(deadline),
-                    attempts: 1,
-                },
-            );
-        }
-        assert_eq!(set.overdue(t(5.0)), Vec::<u64>::new());
-        assert_eq!(set.overdue(t(10.0)), vec![5, 8], "ascending tag order");
-        assert_eq!(set.overdue(t(30.0)), vec![3, 5, 8]);
-        let attempts = set.retry(5, t(40.0));
-        assert_eq!(attempts, 2);
-        assert_eq!(set.overdue(t(30.0)), vec![3, 8], "retried tag re-armed");
+        assert_eq!(set.len(), 2);
+        assert_eq!(set.retry(3, t(40.0)), 2);
+        assert_eq!(set.get(3).unwrap().deadline, t(40.0), "retry re-arms");
         assert_eq!(set.retries(), 1);
+        assert_eq!(set.completed(), 1, "a retry is not a completion");
     }
 
     #[test]
@@ -539,6 +467,9 @@ mod tests {
         // Firing re-arms rather than re-firing every check.
         assert!(dog.check(t(1051.0), &set).is_none());
         assert_eq!(dog.fired(), 1);
+        let mut registry = Registry::default();
+        dog.export_metrics(&mut registry);
+        assert_eq!(registry.counter("coherence.watchdog_fired"), 1);
     }
 
     #[test]

@@ -268,6 +268,26 @@ mod tests {
     }
 
     #[test]
+    fn event_heap_depth_is_bounded_by_the_machine_not_the_run() {
+        use alphasim_topology::Topology;
+        // The heap holds at most each CPU's window of packets plus its one
+        // retry wake-up, and one release per directed link, however many
+        // reads the run issues within one retry timeout.
+        let links = Torus2D::for_cpus(64).link_count() as u64;
+        for failures in [0, 6] {
+            let (campaign, mut cfg) = campaign_setup(64, failures, 200);
+            cfg.shards = 1;
+            let bound = 64 * (cfg.outstanding as u64 + 1) + links;
+            let (_, t) = campaign.run_instrumented(&cfg, false);
+            let peak = t.registry.gauge("engine.shard00.peak_queue_depth");
+            assert!(
+                peak > 0 && peak <= bound,
+                "{failures} cuts: peak heap depth {peak}, bound {bound}"
+            );
+        }
+    }
+
+    #[test]
     fn figure_has_every_series_over_the_sweep() {
         let fig = resilience(16, 2, 15);
         assert_eq!(fig.id, "resilience");

@@ -9,21 +9,26 @@
 //! ([`EpochExecutor`]) can advance each region on its own core:
 //!
 //! * [`CampaignWorker`] is one region's slice of everything mutable: the
-//!   [`RegionNet`] link state, the requester-partitioned [`PendingSet`],
-//!   the [`Zbox`] controllers of the memory sites it owns, per-CPU RNGs
-//!   and issue counters, and the region's share of every result stream
-//!   (latency samples, completions, poisons, violations, trace events).
+//!   [`RegionNet`] link state, a [`Requester`] (pending set and deadline
+//!   queue) per CPU it owns, the [`Zbox`] controllers of the memory sites
+//!   it owns, per-CPU RNGs and issue counters, and the region's share of
+//!   every result stream (latency samples, completions, poisons,
+//!   violations, trace events).
 //! * [`CampaignGuide`] is the barrier coordinator: it holds the master
 //!   [`FabricTables`], strikes fault-plan events, watchdog ticks and
 //!   Fig. 24 samples as epoch barriers, mutates worker link state under
 //!   [`EpochControl`], condemns in-flight packets on dead wires, and
 //!   republishes the routing snapshot plus the conservative lookahead.
 //!
-//! A run with a retry policy (the campaign) tracks every read in the
-//! pending set until it completes or is poisoned, arms a retry timer per
-//! attempt, and runs the watchdog. A run without one (the load test) has
-//! no faults to recover from and keeps none of that: each read's issue
-//! time rides its packets, and the worker sums latency as reads complete.
+//! A run with a retry policy (the campaign) tracks every read in its
+//! CPU's pending set until it completes or is poisoned, queues each
+//! attempt's deadline on its CPU, and runs the watchdog. Each CPU keeps at
+//! most one timer event armed, at its earliest live deadline, so an
+//! attempt that completes before it times out (nearly all of them) costs
+//! a queue entry, not a heap event. A run without a retry policy (the
+//! load test) has no faults to recover from and keeps none of that: each
+//! read's issue time rides its packets, and the worker sums latency as
+//! reads complete.
 //!
 //! Determinism is by construction, not by luck: every event carries a
 //! shard-count-invariant tiebreak (packet uid, link id, transaction tag,
@@ -39,6 +44,7 @@
 //! regions (their `compile_fail` examples show how). The determinism lint
 //! (`verify --bin lint`) rejects a shared accumulator field here.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use alphasim_cache::Addr;
@@ -103,9 +109,15 @@ pub(crate) enum Ev {
         /// Global link id.
         link: usize,
     },
-    /// A transaction's retry deadline fires in its requester's region.
+    /// A CPU's retry wake-up, in its region: at most one is armed per
+    /// CPU, at the CPU's earliest live deadline and keyed exactly as that
+    /// attempt's own timer would be (`(deadline, tb_timer(tag))`), so an
+    /// expiry keeps its place among simultaneous events. It is per CPU,
+    /// not per region, because which wake-ups fire then depends only on
+    /// the CPU's own reads, never on which CPUs share its region: the
+    /// event count stays shard-count invariant.
     Timer {
-        /// Transaction tag.
+        /// Tag of the attempt the wake-up is keyed by.
         tag: u64,
     },
     /// A packet died with its wire; the requester reacts at the instant
@@ -158,6 +170,112 @@ pub(crate) struct CampaignCfg {
     pub(crate) monitored: bool,
 }
 
+/// A timer key: an attempt's deadline and its transaction tag.
+type Deadline = (SimTime, u64);
+
+/// One requester CPU's retry bookkeeping, held by the region that owns
+/// the CPU: its outstanding reads and the deadline of every attempt it
+/// launched, plus the key of its one armed wake-up.
+///
+/// An attempt is *live* while its read is pending and has not been retried
+/// to a later deadline; only a live attempt's expiry does anything. A
+/// read's deadlines never move earlier (a retry's is `now + backoff +
+/// timeout`, and neither `now` nor the backoff ever shrinks), so an
+/// attempt that is no longer live never becomes live again, and the
+/// attempt-level timer question "is the read pending with `deadline <=
+/// at`?" asked at the attempt's own key is exactly "is it live?". Dead
+/// attempts stay in the queue until they reach its front or the queue
+/// compacts, and no wake-up is ever armed for one; a wake-up armed for an
+/// attempt that then completes still fires, finds nothing due, and
+/// re-arms.
+#[derive(Debug, Default)]
+pub(crate) struct Requester {
+    /// The CPU's outstanding reads.
+    pub(crate) pending: PendingSet,
+    /// Every queued attempt, ascending by key.
+    deadlines: VecDeque<Deadline>,
+    /// Key of the CPU's armed wake-up: at or before its earliest live
+    /// deadline whenever it has one.
+    armed: Option<Deadline>,
+}
+
+impl Requester {
+    /// Whether attempt `(deadline, tag)` is live.
+    fn is_live(pending: &PendingSet, (deadline, tag): Deadline) -> bool {
+        pending.get(tag).is_some_and(|tx| tx.deadline <= deadline)
+    }
+
+    /// Queue the attempt of `tag` that times out at `deadline` (its read is
+    /// already pending with that deadline), in key order: the insertion
+    /// point is found scanning from the back, where a first attempt, whose
+    /// deadline is the latest of any first attempt, nearly always lands. A
+    /// retry's deadline carries a backoff, so a first attempt issued after
+    /// it can time out before it. Returns the key to arm a wake-up at when
+    /// this attempt is now the CPU's earliest.
+    fn push(&mut self, deadline: SimTime, tag: u64) -> Option<Deadline> {
+        let key = (deadline, tag);
+        if self.deadlines.len() == self.deadlines.capacity() {
+            // Drop dead attempts before the ring buffer grows, and leave
+            // room for as many dead attempts as live ones, so compaction
+            // costs O(1) per push.
+            let pending = &self.pending;
+            self.deadlines.retain(|&k| Self::is_live(pending, k));
+            self.deadlines.reserve(self.deadlines.len());
+        }
+        let at = self.deadlines.iter().rposition(|&k| k <= key);
+        self.deadlines.insert(at.map_or(0, |i| i + 1), key);
+        // The armed wake-up is at or before every other live deadline, so
+        // only a key before it needs one of its own.
+        if self.armed.is_some_and(|armed| armed <= key) {
+            return None;
+        }
+        self.armed = Some(key);
+        Some(key)
+    }
+
+    /// The wake-up keyed `key` fired. `None` if it was superseded by an
+    /// earlier one (it is spent and does nothing); otherwise whether the
+    /// attempt `key` is due, in which case it leaves the queue. The armed
+    /// key stays set, so attempts queued while the expiry is handled arm
+    /// nothing; [`rearm`](Self::rearm) afterwards.
+    fn fire(&mut self, key: Deadline) -> Option<bool> {
+        if self.armed != Some(key) {
+            return None;
+        }
+        self.drop_dead();
+        let due = self.deadlines.front() == Some(&key);
+        if due {
+            self.deadlines.pop_front();
+        }
+        Some(due)
+    }
+
+    /// Replace the wake-up that just fired: returns the CPU's earliest
+    /// live deadline to arm the next wake-up at, if it has one.
+    fn rearm(&mut self) -> Option<Deadline> {
+        self.drop_dead();
+        self.armed = self.deadlines.front().copied();
+        self.armed
+    }
+
+    /// Pop dead attempts off the front of the queue.
+    fn drop_dead(&mut self) {
+        while let Some(&key) = self.deadlines.front() {
+            if Self::is_live(&self.pending, key) {
+                break;
+            }
+            self.deadlines.pop_front();
+        }
+    }
+}
+
+/// The event that wakes `key`'s CPU at `key`, with its tiebreak: the
+/// attempt's own timer key, so an expiry fires where a timer per attempt
+/// would have.
+fn wake_up((deadline, tag): Deadline) -> (SimTime, u64, Ev) {
+    (deadline, tb_timer(tag), Ev::Timer { tag })
+}
+
 /// One region's slice of the closed-loop campaign state.
 pub(crate) struct CampaignWorker {
     /// Shared campaign parameters.
@@ -171,8 +289,9 @@ pub(crate) struct CampaignWorker {
     pub(crate) rngs: Vec<DetRng>,
     /// Per-CPU issue counters (only owned CPUs are nonzero).
     pub(crate) issued: Vec<u64>,
-    /// Outstanding transactions whose *requester* this region owns.
-    pub(crate) pending: PendingSet,
+    /// Per-CPU pending sets and deadline queues, indexed by CPU number
+    /// (only the CPUs this region owns ever hold reads).
+    pub(crate) requesters: Vec<Requester>,
     /// Reads abandoned with a named cause.
     pub(crate) poisoned: Vec<PoisonedTx>,
     /// Highest attempt count any owned transaction reached.
@@ -222,12 +341,20 @@ impl ShardWorker for CampaignWorker {
             }
             Ev::LinkFree { link } => self.net.handle_link_free(at, link, out),
             Ev::Timer { tag } => {
-                let overdue = self.pending.get(tag).is_some_and(|tx| tx.deadline <= at);
+                let cpu = (tag >> 32) as usize;
+                let Some(due) = self.requesters[cpu].fire((at, tag)) else {
+                    return; // superseded by an earlier wake-up
+                };
+                let pending = &self.requesters[cpu].pending;
+                let overdue = due && pending.get(tag).is_some_and(|tx| tx.deadline <= at);
                 // IgnoreTimeouts mutation: the expiry is dropped on the
                 // floor, so lost transactions hang — which the
                 // hung-transaction monitor must catch.
                 if overdue && self.cfg.mutation != Some(RecoveryMutation::IgnoreTimeouts) {
                     self.retry_or_poison(at, tag, out);
+                }
+                if let Some(key) = self.requesters[cpu].rearm() {
+                    self.arm(key, out);
                 }
             }
             Ev::DropNotice { tag } => self.retry_or_poison(at, tag, out),
@@ -303,8 +430,9 @@ impl CampaignWorker {
             }
             MessageClass::BlockResponse => {
                 let tag = pkt.tag;
+                let cpu = (tag >> 32) as usize;
                 let e2e = if self.cfg.retry.is_some() {
-                    let Some(tx) = self.pending.complete(tag) else {
+                    let Some(tx) = self.requesters[cpu].pending.complete(tag) else {
                         return; // duplicate response from a retry
                     };
                     self.pending_log.push((at.as_ps(), -1));
@@ -333,7 +461,6 @@ impl CampaignWorker {
                         e2e.as_ps(),
                     );
                 }
-                let cpu = (tag >> 32) as usize;
                 self.inject_next(at, cpu, out);
             }
             other => panic!("unexpected class {other:?}"),
@@ -353,8 +480,26 @@ impl CampaignWorker {
     /// `cpu`'s tracked reads (none on a retry-free run, whose only
     /// refill is the time-zero prime).
     fn inflight(&self, cpu: usize) -> usize {
-        let tags = self.pending.iter().map(|(tag, _)| tag);
-        tags.filter(|&tag| (tag >> 32) as usize == cpu).count()
+        self.requesters[cpu].pending.len()
+    }
+
+    /// Every CPU's pending set, in CPU order.
+    pub(crate) fn pending_sets(&self) -> impl Iterator<Item = &PendingSet> {
+        self.requesters.iter().map(|r| &r.pending)
+    }
+
+    /// Arm a wake-up at `key` in this region.
+    fn arm(&self, key: Deadline, out: &mut Outbox<Ev>) {
+        let (at, tiebreak, ev) = wake_up(key);
+        out.emit(self.net.region(), at, tiebreak, ev);
+    }
+
+    /// Queue `cpu`'s attempt of `tag` that times out at `deadline`, arming
+    /// a wake-up if it is now the CPU's earliest.
+    fn queue_deadline(&mut self, cpu: usize, deadline: SimTime, tag: u64, out: &mut Outbox<Ev>) {
+        if let Some(key) = self.requesters[cpu].push(deadline, tag) {
+            self.arm(key, out);
+        }
     }
 
     /// Issue `cpu`'s next read if it still has budget and has not drained.
@@ -394,7 +539,7 @@ impl CampaignWorker {
     }
 
     /// Issue one read from `cpu` and launch its request packet; a retrying
-    /// run also tracks it and arms its retry timer.
+    /// run also tracks it and queues its deadline.
     fn inject(&mut self, at: SimTime, cpu: usize, out: &mut Outbox<Ev>) {
         let seq = self.issued[cpu];
         self.issued[cpu] += 1;
@@ -406,7 +551,7 @@ impl CampaignWorker {
         self.send_request(at, cpu, home, tag, 1, out);
         if let Some(retry) = self.cfg.retry {
             let deadline = at + retry.timeout;
-            self.pending.insert(
+            self.requesters[cpu].pending.insert(
                 tag,
                 PendingTx {
                     src: self.cpus[cpu].index(),
@@ -417,12 +562,7 @@ impl CampaignWorker {
                 },
             );
             self.pending_log.push((at.as_ps(), 1));
-            out.emit(
-                self.net.region(),
-                deadline,
-                tb_timer(tag),
-                Ev::Timer { tag },
-            );
+            self.queue_deadline(cpu, deadline, tag, out);
         }
     }
 
@@ -458,11 +598,11 @@ impl CampaignWorker {
     /// `max_retries` (or when either end has drained). A poisoned read
     /// frees its window slot, so the CPU issues its next read.
     fn retry_or_poison(&mut self, now: SimTime, tag: u64, out: &mut Outbox<Ev>) {
-        let Some(tx) = self.pending.get(tag).copied() else {
+        let cpu = (tag >> 32) as usize;
+        let Some(tx) = self.requesters[cpu].pending.get(tag).copied() else {
             return; // completed in the meantime (e.g. drop of a dup response)
         };
         let retry = self.cfg.retry.expect("only a retrying run tracks reads");
-        let cpu = (tag >> 32) as usize;
         // OffByOneRetry mutation: the poison threshold slips by one, so
         // transactions overrun the retry bound — which the retry-bound
         // monitor must catch on the extra attempt.
@@ -488,10 +628,13 @@ impl CampaignWorker {
             if self.cfg.mutation == Some(RecoveryMutation::LeakPoison) {
                 // Deliberately broken: the abandoned entry stays pending.
             } else {
-                self.pending.poison(tag).expect("checked above");
+                self.requesters[cpu]
+                    .pending
+                    .poison(tag)
+                    .expect("checked above");
                 self.pending_log.push((now.as_ps(), -1));
             }
-            if self.cfg.monitored && self.pending.get(tag).is_some() {
+            if self.cfg.monitored && self.requesters[cpu].pending.get(tag).is_some() {
                 self.violations.push((
                     now.as_ps(),
                     "poison-leak".to_string(),
@@ -537,7 +680,7 @@ impl CampaignWorker {
         let backoff = retry.backoff(tx.attempts);
         let resend_at = now + backoff;
         let deadline = resend_at + retry.timeout;
-        let attempts = self.pending.retry(tag, deadline);
+        let attempts = self.requesters[cpu].pending.retry(tag, deadline);
         self.max_attempts = self.max_attempts.max(attempts);
         if let Some(o) = self.obs.as_deref_mut() {
             o.note_retry(now.as_ps());
@@ -553,12 +696,7 @@ impl CampaignWorker {
             ));
         }
         self.send_request(resend_at, cpu, NodeId::new(tx.home), tag, attempts, out);
-        out.emit(
-            self.net.region(),
-            deadline,
-            tb_timer(tag),
-            Ev::Timer { tag },
-        );
+        self.queue_deadline(cpu, deadline, tag, out);
     }
 }
 
@@ -737,7 +875,8 @@ impl EpochGuide<CampaignWorker> for CampaignGuide {
                 self.dog_next = at + self.window;
             }
             self.live = self.plan_idx < self.plan.len()
-                || (0..ctl.shard_count()).any(|s| !ctl.worker(s).pending.is_empty());
+                || (0..ctl.shard_count())
+                    .any(|s| ctl.worker(s).pending_sets().any(|set| !set.is_empty()));
         }
         if self.sampler.as_ref().is_some_and(|s| s.next_at == Some(at)) {
             self.sample(at, ctl);
@@ -993,7 +1132,9 @@ impl CampaignGuide {
             .max()
             .unwrap_or(SimTime::ZERO);
         self.dog.note_progress(progress);
-        let sets: Vec<&PendingSet> = (0..shard_count).map(|s| &ctl.worker(s).pending).collect();
+        let sets: Vec<&PendingSet> = (0..shard_count)
+            .flat_map(|s| ctl.worker(s).pending_sets())
+            .collect();
         match self.dog.check_many(now, &sets) {
             Some(report) => {
                 self.reports.push(report);
@@ -1020,5 +1161,228 @@ impl CampaignGuide {
             None => self.consecutive_stuck = 0,
         }
         BarrierVerdict::Continue
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The CPU under test; nonzero, so its tags differ from its index.
+    const CPU: u64 = 5;
+
+    /// Reads the CPU issues in all.
+    const QUOTA: u64 = 48;
+
+    /// A pending `(time, tiebreak, tag)` event of the harness.
+    type Timed = Reverse<(SimTime, u64, u64)>;
+
+    /// One CPU's [`Requester`] driven next to a reference that arms a
+    /// timer per attempt and, at each timer's key, asks whether the read
+    /// is pending with `deadline <= at`. Both share the CPU's pending set,
+    /// and events of both fire together in `(time, tiebreak)` order.
+    struct Harness {
+        now: SimTime,
+        seq: u64,
+        policy: RetryPolicy,
+        book: Requester,
+        /// The book's outstanding wake-ups.
+        wakes: BinaryHeap<Timed>,
+        /// The reference's outstanding timers, one per attempt.
+        timers: BinaryHeap<Timed>,
+        /// What each live expiry does, consumed in turn: `0 | 1` retry,
+        /// `2` poison and refill the window, `3` drop it (the
+        /// ignore-timeouts mutation).
+        reactions: Vec<u8>,
+        reacted: usize,
+    }
+
+    impl Harness {
+        fn new(reactions: Vec<u8>) -> Self {
+            Harness {
+                now: SimTime::ZERO,
+                seq: 0,
+                policy: RetryPolicy {
+                    timeout: SimDuration::from_ps(20),
+                    backoff_base: SimDuration::from_ps(1),
+                    backoff_cap: SimDuration::from_ps(8),
+                    max_retries: 6,
+                },
+                book: Requester::default(),
+                wakes: BinaryHeap::new(),
+                timers: BinaryHeap::new(),
+                reactions,
+                reacted: 0,
+            }
+        }
+
+        /// Queue an attempt that the pending set already carries.
+        fn queue(&mut self, deadline: SimTime, tag: u64) {
+            if let Some(key) = self.book.push(deadline, tag) {
+                let (at, tiebreak, _) = wake_up(key);
+                self.wakes.push(Reverse((at, tiebreak, tag)));
+            }
+            self.timers.push(Reverse((deadline, tb_timer(tag), tag)));
+        }
+
+        fn issue(&mut self) {
+            if self.seq == QUOTA {
+                return;
+            }
+            let tag = (CPU << 32) | self.seq;
+            self.seq += 1;
+            let deadline = self.now + self.policy.timeout;
+            let tx = PendingTx {
+                src: CPU as usize,
+                home: 0,
+                first_issued: self.now,
+                deadline,
+                attempts: 1,
+            };
+            self.book.pending.insert(tag, tx);
+            self.queue(deadline, tag);
+        }
+
+        fn retry(&mut self, tag: u64) {
+            let attempts = self.book.pending.get(tag).expect("pending").attempts;
+            let deadline = self.now + self.policy.backoff(attempts) + self.policy.timeout;
+            self.book.pending.retry(tag, deadline);
+            self.queue(deadline, tag);
+        }
+
+        /// Handle a live expiry of `tag` as the next reaction says; past
+        /// the retry bound it is always poisoned.
+        fn react(&mut self, tag: u64) {
+            let mut reaction = self.reactions[self.reacted % self.reactions.len()];
+            self.reacted += 1;
+            if self.book.pending.get(tag).expect("pending").attempts > self.policy.max_retries {
+                reaction = 2;
+            }
+            match reaction {
+                0 | 1 => self.retry(tag),
+                2 => {
+                    self.book.pending.poison(tag);
+                    self.issue();
+                }
+                _ => {}
+            }
+        }
+
+        /// Fire every event before `until`, checking that the book
+        /// delivers each live expiry the reference sees, at its key.
+        fn run_until(&mut self, until: SimTime) -> Result<(), TestCaseError> {
+            loop {
+                let next = [self.wakes.peek(), self.timers.peek()]
+                    .into_iter()
+                    .flatten()
+                    .map(|&Reverse((at, tiebreak, _))| (at, tiebreak))
+                    .min();
+                let Some(key) = next.filter(|&(at, _)| at < until) else {
+                    return Ok(());
+                };
+                self.now = key.0;
+                let at_key = |heap: &BinaryHeap<Timed>| {
+                    heap.peek()
+                        .is_some_and(|&Reverse((at, tb, _))| (at, tb) == key)
+                };
+                let overdue = |book: &Requester, tag| {
+                    book.pending.get(tag).is_some_and(|tx| tx.deadline <= key.0)
+                };
+                let mut reference = None;
+                if at_key(&self.timers) {
+                    let Reverse((_, _, tag)) = self.timers.pop().expect("peeked");
+                    reference = overdue(&self.book, tag).then_some(tag);
+                }
+                let mut book = None;
+                let mut fired = false;
+                if at_key(&self.wakes) {
+                    let Reverse((at, _, tag)) = self.wakes.pop().expect("peeked");
+                    if let Some(due) = self.book.fire((at, tag)) {
+                        fired = true;
+                        book = (due && overdue(&self.book, tag)).then_some(tag);
+                    }
+                }
+                prop_assert_eq!(reference, book, "live expiry at {:?}", key);
+                if let Some(tag) = book {
+                    self.react(tag);
+                }
+                if fired {
+                    if let Some(key) = self.book.rearm() {
+                        let (at, tiebreak, _) = wake_up(key);
+                        self.wakes.push(Reverse((at, tiebreak, key.1)));
+                    }
+                }
+                self.check_armed()?;
+            }
+        }
+
+        /// No wake-up is armed later than the earliest live deadline, and
+        /// the armed one is still to fire.
+        fn check_armed(&self) -> Result<(), TestCaseError> {
+            let earliest = self
+                .timers
+                .iter()
+                .map(|&Reverse((at, _, tag))| (at, tag))
+                .filter(|&key| Requester::is_live(&self.book.pending, key))
+                .min();
+            if let Some(earliest) = earliest {
+                let armed = self.book.armed;
+                prop_assert!(
+                    armed.is_some_and(|a| a <= earliest),
+                    "armed {:?} after the earliest live deadline {:?}",
+                    armed,
+                    earliest
+                );
+                let outstanding = self
+                    .wakes
+                    .iter()
+                    .any(|&Reverse((at, _, tag))| Some((at, tag)) == armed);
+                prop_assert!(outstanding, "armed {:?} has no wake-up", armed);
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One wake-up per CPU at its earliest live deadline delivers every
+        /// live expiry at the `(time, tiebreak)` key, and in the order, of a
+        /// timer per attempt, under random issues, completions, retries,
+        /// poisons and expiries, with deadlines colliding often.
+        #[test]
+        fn deadline_queue_keeps_the_timer_per_attempt_expiry_order(
+            steps in prop::collection::vec((0u8..8, 0u8..=255, 0u64..12), 1..160),
+            reactions in prop::collection::vec(0u8..4, 1..12),
+        ) {
+            let mut h = Harness::new(reactions);
+            for (op, pick, dt) in steps {
+                let at = h.now + SimDuration::from_ps(dt);
+                h.run_until(at)?;
+                h.now = at;
+                let tags: Vec<u64> = h.book.pending.iter().map(|(tag, _)| tag).collect();
+                let picked = (!tags.is_empty()).then(|| tags[usize::from(pick) % tags.len()]);
+                match (op, picked) {
+                    (0..=2, _) if tags.len() < 8 => h.issue(),
+                    (3 | 4, Some(tag)) => {
+                        h.book.pending.complete(tag);
+                    }
+                    (5, Some(tag)) => h.retry(tag),
+                    (6, Some(tag)) => {
+                        h.book.pending.poison(tag);
+                    }
+                    _ => {}
+                }
+                h.check_armed()?;
+            }
+            h.run_until(SimTime::from_ps(u64::MAX))?;
+            let stranded = h.book.deadlines.iter().find(|&&k| Requester::is_live(&h.book.pending, k));
+            prop_assert!(stranded.is_none(), "live attempt {:?} never expired", stranded);
+        }
     }
 }

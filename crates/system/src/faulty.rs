@@ -14,8 +14,8 @@
 //!
 //! Campaigns execute on the epoch-parallel closed-loop engine
 //! (`crate::epoch`), the one the load test runs on without its retry
-//! machinery: the fabric, the requester-partitioned pending sets, and the
-//! memory controllers are split into torus row-band regions driven by
+//! machinery: the fabric, the per-CPU pending sets and deadline queues,
+//! and the memory controllers are split into torus row-band regions driven by
 //! [`alphasim_kernel::shard::EpochExecutor`] on real threads, with fault
 //! strikes and watchdog ticks applied at epoch barriers. Every result
 //! stream is merged into a canonical order after the run, so the outcome
@@ -30,7 +30,7 @@
 //! recovery path so the chaos engine can prove those monitors catch real
 //! bugs and that the shrinker minimizes the schedule that exposed them.
 
-use alphasim_coherence::{LivelockReport, RetryPolicy, Watchdog};
+use alphasim_coherence::{LivelockReport, PendingSet, RetryPolicy, Watchdog};
 use alphasim_kernel::shard::{EpochExecutor, EpochProfile, EpochReport};
 use alphasim_kernel::stats::MeanP50P99;
 use alphasim_kernel::{DetRng, FaultKind, FaultPlan, SimDuration, SimTime};
@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use crate::epoch::{CampaignCfg, CampaignGuide, CampaignWorker, Ev, Sampler};
+use crate::epoch::{CampaignCfg, CampaignGuide, CampaignWorker, Ev, Requester, Sampler};
 use crate::loadtest::TrafficPattern;
 use crate::obs::{assemble, CampaignObservability, ObsAcc, ObserveOptions};
 
@@ -224,10 +224,11 @@ pub struct CampaignResult {
     /// 99th-percentile read latency.
     pub p99_latency: SimDuration,
     /// Aggregate delivered read bandwidth, GB/s (64 B per completed read),
-    /// measured to the last delivery (stale retry timers do not inflate
-    /// the denominator). Includes the recovery tail: after the unwounded
-    /// CPUs finish their quota, the machine idles while the wounded rows
-    /// grind out their remainder, so this understates the sustained rate.
+    /// measured to the last delivery, not to the last event: a CPU's armed
+    /// retry wake-up can fire up to one timeout after its last read
+    /// completed. Includes the recovery tail: after the unwounded CPUs
+    /// finish their quota, the machine idles while the wounded rows grind
+    /// out their remainder, so this understates the sustained rate.
     pub delivered_gbps: f64,
     /// Steady-state delivered bandwidth, GB/s: bytes completed by the
     /// 90th-percentile completion, over that interval. Trimming the
@@ -597,7 +598,7 @@ impl<T: Topology> FaultCampaign<T> {
                         .map(|i| DetRng::seeded(cfg.seed).split(i as u64))
                         .collect(),
                     issued: vec![0u64; ncpus],
-                    pending: alphasim_coherence::PendingSet::new(),
+                    requesters: (0..ncpus).map(|_| Requester::default()).collect(),
                     poisoned: Vec::new(),
                     max_attempts: 0,
                     latency_samples: Vec::new(),
@@ -684,8 +685,16 @@ impl<T: Topology> FaultCampaign<T> {
         // Every stream below is merged into an order that is a pure
         // function of simulation identities (time, tag, node), never of
         // shard count or thread interleaving.
-        let completed: u64 = workers.iter().map(|w| w.pending.completed()).sum();
-        let retries: u64 = workers.iter().map(|w| w.pending.retries()).sum();
+        let completed: u64 = workers
+            .iter()
+            .flat_map(CampaignWorker::pending_sets)
+            .map(PendingSet::completed)
+            .sum();
+        let retries: u64 = workers
+            .iter()
+            .flat_map(CampaignWorker::pending_sets)
+            .map(PendingSet::retries)
+            .sum();
         let crc_retransmits: u64 = workers.iter().map(|w| w.net.crc_retransmits()).sum();
         let max_attempts = workers.iter().map(|w| w.max_attempts).max().unwrap_or(0);
         let last_delivery = workers
@@ -726,7 +735,13 @@ impl<T: Topology> FaultCampaign<T> {
             pending_peak = pending_peak.max(occupancy);
         }
         let issued_total: u64 = workers.iter().map(|w| w.issued.iter().sum::<u64>()).sum();
-        let pending_total: usize = workers.iter().map(|w| w.pending.len()).sum();
+        let mut pending_tags: Vec<u64> = workers
+            .iter()
+            .flat_map(CampaignWorker::pending_sets)
+            .flat_map(|set| set.iter().map(|(tag, _)| tag))
+            .collect();
+        pending_tags.sort_unstable();
+        let pending_total = pending_tags.len();
 
         let mut monitor_violations = drive.monitored.then(|| {
             let mut timed: Vec<(u64, String, String)> = workers
@@ -740,14 +755,9 @@ impl<T: Topology> FaultCampaign<T> {
                 .map(|(_, monitor, detail)| Violation { monitor, detail })
                 .collect();
             if pending_total > 0 && guide.consecutive_stuck < STUCK_WINDOW_LIMIT {
-                let mut tags: Vec<u64> = workers
-                    .iter()
-                    .flat_map(|w| w.pending.iter().map(|(tag, _)| tag))
-                    .collect();
-                tags.sort_unstable();
                 violations.push(Violation {
                     monitor: "hung-transactions".to_string(),
-                    detail: format!("survived the drain: tags {tags:x?}"),
+                    detail: format!("survived the drain: tags {pending_tags:x?}"),
                 });
             }
             // Issue quota: a CPU that was never drained must have issued
@@ -784,11 +794,7 @@ impl<T: Topology> FaultCampaign<T> {
         if !drive.monitored {
             assert!(
                 pending_total == 0,
-                "hung transactions survived the drain: {:?}",
-                workers
-                    .iter()
-                    .flat_map(|w| w.pending.iter().map(|(tag, _)| tag))
-                    .collect::<Vec<_>>()
+                "hung transactions survived the drain: {pending_tags:?}"
             );
         }
 
