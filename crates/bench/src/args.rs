@@ -53,13 +53,3 @@ pub fn or_usage<T>(parsed: Result<T, String>, program: &str, usage: &str) -> T {
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
-
-/// A `--threads N` value as a thread count: `0` asks for every available
-/// core.
-pub fn threads_or_all_cores(n: usize) -> usize {
-    if n == 0 {
-        host_cores()
-    } else {
-        n
-    }
-}

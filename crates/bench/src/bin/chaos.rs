@@ -2,15 +2,10 @@
 //! seeded recovery-path mutation is caught and shrunk.
 //!
 //! ```text
-//! chaos run    [--trials N] [--seed S] [--threads N]   fuzz the intact machine
-//! chaos replay <dir-or-file> ...                       re-run committed reproducers
-//! chaos mutate <mutation-id> [--write DIR] [--threads N]  catch + shrink a seeded bug
+//! chaos run    [--trials N] [--seed S]          fuzz the intact machine
+//! chaos replay <dir-or-file> ...               re-run committed reproducers
+//! chaos mutate <mutation-id> [--write DIR]     catch + shrink a seeded bug
 //! ```
-//!
-//! `--threads N` drives each trial's epoch-parallel closed loop with N pool
-//! threads (`ALPHASIM_THREADS` is the environment equivalent; `--threads 0`
-//! means all available cores). Results are byte-identical at any value —
-//! threads only change which core advances each torus region.
 //!
 //! `run` draws N seeded random fault schedules (every fault kind: cuts,
 //! repairs, degradations, transient corruption, drains, brownouts, RDRAM
@@ -44,21 +39,19 @@ use alphasim::coherence::RetryPolicy;
 use alphasim::kernel::SimDuration;
 use alphasim::system::chaos::{replay, replay_healthy, run_chaos, ChaosOptions, Reproducer};
 use alphasim::system::{MonitorReport, RecoveryMutation};
-use alphasim_bench::args::{or_usage, threads_or_all_cores, Args};
+use alphasim_bench::args::{or_usage, Args};
 use alphasim_bench::check_env;
 
-const USAGE: &str = "usage: chaos run [--trials N] [--seed S] [--threads N]
+const USAGE: &str = "usage: chaos run [--trials N] [--seed S]
        chaos replay <dir-or-file> ...
-       chaos mutate <mutation-id> [--write DIR] [--threads N]";
+       chaos mutate <mutation-id> [--write DIR]";
 
-/// What the command line asks for. `threads` is the campaign pool size:
-/// `0` (no `--threads`) defers to `ALPHASIM_THREADS`, then 1.
+/// What the command line asks for.
 #[derive(Debug, PartialEq)]
 enum Command {
     Run {
         trials: usize,
         seed: u64,
-        threads: usize,
     },
     Replay {
         paths: Vec<String>,
@@ -66,7 +59,6 @@ enum Command {
     Mutate {
         mutation: RecoveryMutation,
         write: Option<String>,
-        threads: usize,
     },
 }
 
@@ -78,21 +70,16 @@ fn parse(args: &[String]) -> Result<Command, String> {
     let mut args = Args::new(rest);
     match sub.as_str() {
         "run" => {
-            let (mut trials, mut seed, mut threads) = (50, 0xC405, 0);
+            let (mut trials, mut seed) = (50, 0xC405);
             while let Some(arg) = args.next() {
                 match arg {
                     "--trials" => trials = args.number(arg)?,
                     "--seed" => seed = args.number(arg)?,
-                    "--threads" => threads = threads_or_all_cores(args.number(arg)?),
                     flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
                     other => return Err(format!("unexpected argument {other:?}")),
                 }
             }
-            Ok(Command::Run {
-                trials,
-                seed,
-                threads,
-            })
+            Ok(Command::Run { trials, seed })
         }
         "replay" => {
             let mut paths = Vec::new();
@@ -108,11 +95,10 @@ fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Replay { paths })
         }
         "mutate" => {
-            let (mut mutation, mut write, mut threads) = (None, None, 0);
+            let (mut mutation, mut write) = (None, None);
             while let Some(arg) = args.next() {
                 match arg {
                     "--write" => write = Some(args.value(arg)?),
-                    "--threads" => threads = threads_or_all_cores(args.number(arg)?),
                     flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
                     id if mutation.is_none() => {
                         mutation = Some(RecoveryMutation::from_id(id).ok_or_else(|| {
@@ -131,21 +117,16 @@ fn parse(args: &[String]) -> Result<Command, String> {
                     RecoveryMutation::ALL.map(RecoveryMutation::id)
                 )
             })?;
-            Ok(Command::Mutate {
-                mutation,
-                write,
-                threads,
-            })
+            Ok(Command::Mutate { mutation, write })
         }
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }
 
-fn cmd_run(trials: usize, seed: u64, threads: usize) -> ExitCode {
+fn cmd_run(trials: usize, seed: u64) -> ExitCode {
     let opts = ChaosOptions {
         trials,
         base_seed: seed,
-        threads,
         ..ChaosOptions::default()
     };
     eprintln!(
@@ -269,7 +250,7 @@ fn cmd_replay(paths: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_mutate(mutation: RecoveryMutation, write_dir: Option<String>, threads: usize) -> ExitCode {
+fn cmd_mutate(mutation: RecoveryMutation, write_dir: Option<String>) -> ExitCode {
     let id = mutation.id();
     // The default 50 us timeout never exhausts its retries inside a ~7 us
     // run, so the off-by-one poison threshold is dead code under it. Hunt
@@ -293,7 +274,6 @@ fn cmd_mutate(mutation: RecoveryMutation, write_dir: Option<String>, threads: us
             base_seed: 0xC405 + batch * 12,
             retry,
             mutation: Some(mutation),
-            threads,
             ..ChaosOptions::default()
         };
         eprintln!("mutate {id}: batch {batch} (seeds {:#x}..)", opts.base_seed);
@@ -327,17 +307,9 @@ fn main() -> ExitCode {
     or_usage(check_env(), "chaos", USAGE);
     let args: Vec<String> = std::env::args().skip(1).collect();
     match or_usage(parse(&args), "chaos", USAGE) {
-        Command::Run {
-            trials,
-            seed,
-            threads,
-        } => cmd_run(trials, seed, threads),
+        Command::Run { trials, seed } => cmd_run(trials, seed),
         Command::Replay { paths } => cmd_replay(&paths),
-        Command::Mutate {
-            mutation,
-            write,
-            threads,
-        } => cmd_mutate(mutation, write, threads),
+        Command::Mutate { mutation, write } => cmd_mutate(mutation, write),
     }
 }
 
@@ -356,16 +328,14 @@ mod tests {
             parse_line("run").unwrap(),
             Command::Run {
                 trials: 50,
-                seed: 0xC405,
-                threads: 0
+                seed: 0xC405
             }
         );
         assert_eq!(
-            parse_line("run --trials 12 --seed 7 --threads 3").unwrap(),
+            parse_line("run --trials 12 --seed 7").unwrap(),
             Command::Run {
                 trials: 12,
-                seed: 7,
-                threads: 3
+                seed: 7
             }
         );
         assert_eq!(
@@ -375,11 +345,10 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_line("mutate --threads 2 leak-poison --write corpus").unwrap(),
+            parse_line("mutate --write corpus leak-poison").unwrap(),
             Command::Mutate {
                 mutation: RecoveryMutation::LeakPoison,
-                write: Some("corpus".into()),
-                threads: 2
+                write: Some("corpus".into())
             }
         );
     }
@@ -390,6 +359,7 @@ mod tests {
             ("", "missing subcommand"),
             ("fuzz", "unknown subcommand \"fuzz\""),
             ("run --trails 3", "unknown flag --trails"),
+            ("run --threads 2", "unknown flag --threads"),
             ("run 12", "unexpected argument \"12\""),
             ("replay --all", "unknown flag --all"),
             ("mutate leak-poison --seed 3", "unknown flag --seed"),
@@ -407,12 +377,8 @@ mod tests {
         for (line, why) in [
             ("run --trials x", "--trials wants a number, got \"x\""),
             ("run --seed -1", "--seed wants a number, got \"-1\""),
-            ("run --threads", "--threads wants a value"),
+            ("run --trials", "--trials wants a value"),
             ("mutate leak-poison --write", "--write wants a value"),
-            (
-                "mutate leak-poison --threads two",
-                "--threads wants a number, got \"two\"",
-            ),
         ] {
             assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
         }
@@ -424,7 +390,7 @@ mod tests {
         assert!(parse_line("mutate")
             .unwrap_err()
             .contains("wants a mutation id"));
-        assert!(parse_line("mutate --threads 2")
+        assert!(parse_line("mutate --write corpus")
             .unwrap_err()
             .contains("wants a mutation id"));
         let err = parse_line("mutate leak-posion").unwrap_err();
@@ -460,18 +426,5 @@ mod tests {
         assert!(err.starts_with("corpus/no-such-file.json: "), "{err}");
         let err = corpus_files(&["corpus/no-such-dir".into()]).unwrap_err();
         assert!(err.starts_with("corpus/no-such-dir: "), "{err}");
-    }
-
-    #[test]
-    fn threads_zero_means_every_core() {
-        let threads = |line| match parse_line(line).unwrap() {
-            Command::Run { threads, .. } | Command::Mutate { threads, .. } => threads,
-            Command::Replay { .. } => unreachable!(),
-        };
-        assert_eq!(threads("run --threads 0"), threads_or_all_cores(0));
-        assert_eq!(
-            threads("mutate leak-poison --threads 0"),
-            threads_or_all_cores(0)
-        );
     }
 }

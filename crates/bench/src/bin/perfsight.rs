@@ -13,7 +13,7 @@
 //! * topology heatmaps — messages delivered per node, outgoing-link
 //!   occupancy per router, and reads served per home Zbox, as P×Q ASCII
 //!   grids;
-//! * the epoch-parallel engine profile — per-shard busy event counts,
+//! * the epoch engine profile — per-shard busy event counts,
 //!   the critical shard, and the load-imbalance ratio.
 //!
 //! `--window-us N` re-windows at N µs (the committed artifact width is

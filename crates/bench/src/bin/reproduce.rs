@@ -1,7 +1,7 @@
 //! Regenerate every figure and table of the paper.
 //!
 //! ```text
-//! reproduce [--quick] [--jobs N | --sequential] [--shards N] [--threads N]
+//! reproduce [--quick] [--jobs N | --sequential] [--shards N]
 //!           [--json DIR [--check]] [--trace PATH] [ID ...]
 //! ```
 //!
@@ -9,14 +9,14 @@
 //! ids given) and prints each artifact's text. `--json DIR` writes
 //! `DIR/<id>.json` per artifact and, for a whole sweep, `full_report.txt`
 //! (the printed text) and `BENCH_sweep.json`: wall-clock per artifact and
-//! in total, worker count, each artifact's engine shape, peak epoch-shard
+//! in total, worker count, each artifact's region count, peak epoch-shard
 //! heap depth, host cores and build profile. `--check` compares every file
 //! but `BENCH_sweep.json` against DIR instead, names the first value or
 //! line that moved, and exits 1 on drift. `--jobs N` pins the artifact
-//! fan-out (`--sequential` = `--jobs 1`), `--shards N` splits every fabric
-//! run into N torus regions, `--threads N` steps them on N threads (`0` =
-//! all cores); `ALPHASIM_{JOBS,SHARDS,THREADS}` are the environment
-//! equivalents. Outputs are byte-identical at any combination. `--trace
+//! fan-out (`--sequential` = `--jobs 1`) and `--shards N` splits every
+//! fabric run into N torus regions, stepped inline on the artifact's
+//! thread; `ALPHASIM_{JOBS,SHARDS}` are the environment equivalents.
+//! Outputs are byte-identical at any combination. `--trace
 //! PATH` re-runs the `telemetry` and `timeline` fixtures traced and writes
 //! Chrome traces (`ui.perfetto.dev`): the telemetry sweep's to PATH, each
 //! timeline section's next to it as `-timeline-<section>`. A bad argument
@@ -28,15 +28,15 @@ use std::path::Path;
 use std::time::Instant;
 
 use alphasim::experiments::timeline::timeline_report;
-use alphasim_bench::args::{host_cores, or_usage, threads_or_all_cores, Args};
+use alphasim_bench::args::{host_cores, or_usage, Args};
 use alphasim_bench::{
-    build_timed, check_env, files, jobs, report, set_jobs, set_shards, set_threads, shards,
-    take_peak_event_depth, telemetry_report, threads, write_or_check, Effort, Entry, ARTIFACTS,
+    build_timed, check_env, files, jobs, report, set_jobs, set_shards, shards,
+    take_peak_event_depth, telemetry_report, write_or_check, Effort, Entry, ARTIFACTS,
 };
 use serde_json::json;
 
 const USAGE: &str = "usage: reproduce [--quick] [--jobs N | --sequential] [--shards N] \
-                     [--threads N] [--json DIR [--check]] [--trace PATH] [ID ...]";
+                     [--json DIR [--check]] [--trace PATH] [ID ...]";
 
 /// What the command line asks for.
 #[derive(Debug, Default, PartialEq)]
@@ -45,7 +45,6 @@ struct Options {
     check: bool,
     jobs: Option<usize>,
     shards: Option<usize>,
-    threads: Option<usize>,
     json: Option<String>,
     trace: Option<String>,
     ids: Vec<String>,
@@ -63,7 +62,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--sequential" => o.jobs = Some(1),
             "--jobs" => o.jobs = Some(args.number(arg)?),
             "--shards" => o.shards = Some(args.number(arg)?),
-            "--threads" => o.threads = Some(args.number(arg)?),
             "--json" => o.json = Some(args.value(arg)?),
             "--trace" => o.trace = Some(args.value(arg)?),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
@@ -114,9 +112,6 @@ fn main() {
     if let Some(n) = opts.shards {
         set_shards(n.max(1));
     }
-    if let Some(n) = opts.threads {
-        set_threads(threads_or_all_cores(n));
-    }
     let whole = opts.ids.is_empty();
     let selected: Vec<&Entry> = ARTIFACTS
         .iter()
@@ -124,9 +119,9 @@ fn main() {
         .collect();
 
     let effort = opts.effort;
-    let (workers, shard_count, thread_count) = (jobs(), shards(), threads());
+    let (workers, shard_count) = (jobs(), shards());
     eprintln!(
-        "regenerating {} artifact(s) ({effort:?}, {workers} worker(s), {shard_count} shard(s), {thread_count} fabric thread(s)) ...",
+        "regenerating {} artifact(s) ({effort:?}, {workers} worker(s), {shard_count} shard(s)) ...",
         selected.len()
     );
     take_peak_event_depth(); // start the gauge fresh for this sweep
@@ -146,15 +141,14 @@ fn main() {
         if whole && !opts.check {
             let mut per_artifact = Vec::new();
             for (entry, secs) in selected.iter().zip(&secs) {
-                let (shards, threads) = entry.engine.shape(shard_count, thread_count);
                 per_artifact.push(json!({
                     "id": entry.id, "wall_clock_s": secs, "jobs": jobs_used,
-                    "shards": shards, "threads": threads,
+                    "shards": entry.engine.shape(shard_count),
                 }));
             }
             let sweep = json!({
                 "effort": format!("{effort:?}"), "jobs": jobs_used, "shards": shard_count,
-                "threads": thread_count, "total_wall_clock_s": total_secs,
+                "total_wall_clock_s": total_secs,
                 "peak_event_queue_depth": peak_depth, "artifacts": per_artifact,
                 "host_cores": host_cores(),
                 "profile": if cfg!(debug_assertions) { "debug" } else { "release" },
@@ -196,14 +190,12 @@ mod tests {
     #[test]
     fn accepts_every_documented_option() {
         assert_eq!(parse_line("").unwrap(), Options::default());
-        let all = "--quick --jobs 3 --shards 2 --threads 0 --json out --check --trace t.json \
-                   fig13 timeline";
+        let all = "--quick --jobs 3 --shards 2 --json out --check --trace t.json fig13 timeline";
         let expected = Options {
             effort: Effort::Quick,
             check: true,
             jobs: Some(3),
             shards: Some(2),
-            threads: Some(0),
             json: Some("out".into()),
             trace: Some("t.json".into()),
             ids: vec!["fig13".into(), "timeline".into()],
@@ -221,12 +213,13 @@ mod tests {
         ] {
             assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
         }
-        // The two removed fixture flags: both fixtures are registry ids now.
-        for removed in ["telemetry", "timeline"] {
-            let err = parse_line(&format!("--json out --{removed}")).unwrap_err();
+        // Removed flags: both fixtures are registry ids now, and fabric
+        // regions step inline, so there is no thread count to set.
+        for removed in ["telemetry", "timeline", "threads"] {
+            let err = parse_line(&format!("--json out --{removed} 2")).unwrap_err();
             assert_eq!(err, format!("unknown flag --{removed}"));
-            assert!(parse_line(removed).is_ok());
         }
+        assert!(parse_line("telemetry timeline").is_ok());
     }
 
     #[test]
@@ -237,7 +230,6 @@ mod tests {
             ("--jobs --quick", "--jobs wants a value"),
             ("--jobs abc", "--jobs wants a number, got \"abc\""),
             ("--shards 2x", "--shards wants a number, got \"2x\""),
-            ("--threads -1", "--threads wants a number, got \"-1\""),
         ] {
             assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
         }

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use alphasim::experiments::telemetry::TelemetryReport;
-use alphasim::experiments::timeline::{timeline_report, TIMELINE_SHARDS, TIMELINE_THREADS};
+use alphasim::experiments::timeline::{timeline_report, TIMELINE_SHARDS};
 use alphasim::experiments::{
     ablation, apps, chaos, latency, memory, network, resilience, spec, stream, summary, telemetry,
 };
@@ -28,9 +28,7 @@ use serde_json::Value;
 
 pub mod args;
 
-pub use alphasim::kernel::par::{
-    check_env, jobs, set_jobs, set_shards, set_threads, shards, threads,
-};
+pub use alphasim::kernel::par::{check_env, jobs, set_jobs, set_shards, shards};
 pub use alphasim::kernel::take_peak_event_depth;
 
 /// How hard to sweep each experiment.
@@ -130,25 +128,24 @@ impl From<Table> for Artifact {
     }
 }
 
-/// The engine shape an artifact's sweep runs at, as `BENCH_sweep.json`
+/// The region count an artifact's sweep runs at, as `BENCH_sweep.json`
 /// records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// A single-threaded simulation: `--threads` never reaches it.
-    Serial,
-    /// The partitioned fabric engine at the CLI's `--shards` × `--threads`.
-    Fabric,
-    /// A fixture's own region shards × threads, whatever the CLI says.
-    Pinned { shards: usize, threads: usize },
+    /// Whatever the CLI's `--shards` sets: every fabric run of the sweep
+    /// splits into that many regions, and a sweep with no fabric run
+    /// records it unchanged.
+    Cli,
+    /// A fixture's own region count, whatever the CLI says.
+    Pinned { shards: usize },
 }
 
 impl Engine {
-    /// `(shards, threads)` this engine runs at under the CLI's knobs.
-    pub fn shape(self, shards: usize, threads: usize) -> (usize, usize) {
+    /// The region count this engine runs at when the CLI sets `cli_shards`.
+    pub fn shape(self, cli_shards: usize) -> usize {
         match self {
-            Engine::Serial => (shards, 1),
-            Engine::Fabric => (shards, threads),
-            Engine::Pinned { shards, threads } => (shards, threads),
+            Engine::Cli => cli_shards,
+            Engine::Pinned { shards } => shards,
         }
     }
 }
@@ -165,46 +162,46 @@ pub struct Entry {
     pub build: fn(Effort) -> Artifact,
 }
 
-use Engine::{Fabric, Pinned, Serial};
+use Engine::{Cli, Pinned};
 
 /// Every artifact `reproduce` owns, in report order. The two fixtures at
-/// the end ignore [`Effort`] and pin their engine shape (telemetry: three
-/// campaigns of 2 shards on 1 thread), so `reproduce --check` holds for
-/// them at any `--quick`, `--shards` and `--threads`.
+/// the end ignore [`Effort`] and pin their region count (telemetry: three
+/// campaigns of 2 shards), so `reproduce --check` holds for them at any
+/// `--quick` and `--shards`.
 #[rustfmt::skip]
 pub static ARTIFACTS: &[Entry] = &[
-    Entry { id: "fig01", engine: Serial, build: |_| spec::fig01().into() },
-    Entry { id: "fig04", engine: Serial, build: |e| memory::fig04(&e.sizes(), e.max_loads()).into() },
-    Entry { id: "fig05", engine: Serial, build: fig05 },
-    Entry { id: "fig06", engine: Serial, build: |_| stream::fig06().into() },
-    Entry { id: "fig07", engine: Serial, build: |_| stream::fig07().into() },
-    Entry { id: "fig08", engine: Serial, build: |_| spec::ipc_figure(Suite::Fp).into() },
-    Entry { id: "fig09", engine: Serial, build: |_| spec::ipc_figure(Suite::Int).into() },
-    Entry { id: "fig10", engine: Serial, build: |_| spec::utilization_figure(Suite::Fp, 60).into() },
-    Entry { id: "fig11", engine: Serial, build: |_| spec::utilization_figure(Suite::Int, 60).into() },
-    Entry { id: "fig12", engine: Serial, build: |_| latency::fig12().into() },
-    Entry { id: "fig13", engine: Serial, build: |_| fig13_table().into() },
-    Entry { id: "fig14", engine: Serial, build: |_| latency::fig14().into() },
-    Entry { id: "fig15", engine: Fabric, build: |e| network::fig15(&e.windows(), e.requests()).into() },
-    Entry { id: "table1", engine: Serial, build: |_| summary::table1().into() },
-    Entry { id: "fig18", engine: Fabric, build: |e| network::fig18(&e.windows(), e.requests()).into() },
-    Entry { id: "fig19", engine: Serial, build: |_| apps::fig19().into() },
-    Entry { id: "fig20", engine: Serial, build: |_| apps::fig20(60).into() },
-    Entry { id: "fig21", engine: Serial, build: |_| apps::fig21().into() },
-    Entry { id: "fig22", engine: Serial, build: |_| apps::fig22(60).into() },
-    Entry { id: "fig23", engine: Fabric, build: |e| apps::fig23(e.requests()).into() },
-    Entry { id: "fig24", engine: Fabric, build: |e| apps::fig24(e.requests()).into() },
-    Entry { id: "fig25", engine: Serial, build: |_| spec::fig25().into() },
-    Entry { id: "fig26", engine: Fabric, build: |e| network::fig26(&e.windows(), e.requests()).into() },
-    Entry { id: "fig27", engine: Fabric, build: |e| fig27_artifact(e.requests()) },
-    Entry { id: "fig28", engine: Fabric, build: |e| summary::fig28(e.requests()).into() },
+    Entry { id: "fig01", engine: Cli, build: |_| spec::fig01().into() },
+    Entry { id: "fig04", engine: Cli, build: |e| memory::fig04(&e.sizes(), e.max_loads()).into() },
+    Entry { id: "fig05", engine: Cli, build: fig05 },
+    Entry { id: "fig06", engine: Cli, build: |_| stream::fig06().into() },
+    Entry { id: "fig07", engine: Cli, build: |_| stream::fig07().into() },
+    Entry { id: "fig08", engine: Cli, build: |_| spec::ipc_figure(Suite::Fp).into() },
+    Entry { id: "fig09", engine: Cli, build: |_| spec::ipc_figure(Suite::Int).into() },
+    Entry { id: "fig10", engine: Cli, build: |_| spec::utilization_figure(Suite::Fp, 60).into() },
+    Entry { id: "fig11", engine: Cli, build: |_| spec::utilization_figure(Suite::Int, 60).into() },
+    Entry { id: "fig12", engine: Cli, build: |_| latency::fig12().into() },
+    Entry { id: "fig13", engine: Cli, build: |_| fig13_table().into() },
+    Entry { id: "fig14", engine: Cli, build: |_| latency::fig14().into() },
+    Entry { id: "fig15", engine: Cli, build: |e| network::fig15(&e.windows(), e.requests()).into() },
+    Entry { id: "table1", engine: Cli, build: |_| summary::table1().into() },
+    Entry { id: "fig18", engine: Cli, build: |e| network::fig18(&e.windows(), e.requests()).into() },
+    Entry { id: "fig19", engine: Cli, build: |_| apps::fig19().into() },
+    Entry { id: "fig20", engine: Cli, build: |_| apps::fig20(60).into() },
+    Entry { id: "fig21", engine: Cli, build: |_| apps::fig21().into() },
+    Entry { id: "fig22", engine: Cli, build: |_| apps::fig22(60).into() },
+    Entry { id: "fig23", engine: Cli, build: |e| apps::fig23(e.requests()).into() },
+    Entry { id: "fig24", engine: Cli, build: |e| apps::fig24(e.requests()).into() },
+    Entry { id: "fig25", engine: Cli, build: |_| spec::fig25().into() },
+    Entry { id: "fig26", engine: Cli, build: |e| network::fig26(&e.windows(), e.requests()).into() },
+    Entry { id: "fig27", engine: Cli, build: |e| fig27_artifact(e.requests()) },
+    Entry { id: "fig28", engine: Cli, build: |e| summary::fig28(e.requests()).into() },
     // Beyond the paper: ablations and failure injection (DESIGN.md §2).
-    Entry { id: "ablation-zbox", engine: Fabric, build: |e| ablation::controllers_ablation(e.requests()).into() },
-    Entry { id: "ablation-failures", engine: Fabric, build: |e| failure_artifact(e.requests()).into() },
-    Entry { id: "resilience", engine: Fabric, build: resilience_artifact },
-    Entry { id: "chaos", engine: Fabric, build: |e| chaos::chaos(e.chaos_trials()).into() },
-    Entry { id: "telemetry", engine: Pinned { shards: 2, threads: 1 }, build: telemetry_artifact },
-    Entry { id: "timeline", engine: Pinned { shards: TIMELINE_SHARDS, threads: TIMELINE_THREADS }, build: timeline_artifact },
+    Entry { id: "ablation-zbox", engine: Cli, build: |e| ablation::controllers_ablation(e.requests()).into() },
+    Entry { id: "ablation-failures", engine: Cli, build: |e| failure_artifact(e.requests()).into() },
+    Entry { id: "resilience", engine: Cli, build: resilience_artifact },
+    Entry { id: "chaos", engine: Cli, build: |e| chaos::chaos(e.chaos_trials()).into() },
+    Entry { id: "telemetry", engine: Pinned { shards: 2 }, build: telemetry_artifact },
+    Entry { id: "timeline", engine: Pinned { shards: TIMELINE_SHARDS }, build: timeline_artifact },
 ];
 
 /// Build every artifact of the registry, in order.
@@ -442,14 +439,17 @@ mod tests {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
     }
 
-    /// A pinned fixture's engine shape as the artifact itself records it.
-    fn recorded_shape(a: &Artifact) -> Option<(usize, usize)> {
-        let (engine, prefix) = match a.id.as_str() {
-            "telemetry" => (a.json.get("registry")?.get("gauges")?, "engine."),
-            _ => (a.json.get("engine")?, ""),
+    /// A pinned fixture's region count as the artifact itself records it.
+    fn recorded_shape(a: &Artifact) -> Option<usize> {
+        let shards = match a.id.as_str() {
+            "telemetry" => a
+                .json
+                .get("registry")?
+                .get("gauges")?
+                .get("engine.shards")?,
+            _ => a.json.get("engine")?.get("shards")?,
         };
-        let get = |key: &str| Some(engine.get(&format!("{prefix}{key}"))?.as_u64()? as usize);
-        Some((get("shards")?, get("threads")?))
+        Some(shards.as_u64()? as usize)
     }
 
     #[test]
@@ -475,8 +475,8 @@ mod tests {
             assert_eq!(a.id, entry.id, "entry {} built another artifact", entry.id);
             assert!(!a.text.is_empty(), "{} renders empty", a.id);
             assert!(a.json.is_object(), "{} JSON", a.id);
-            if let Engine::Pinned { shards, threads } = entry.engine {
-                assert_eq!(recorded_shape(a), Some((shards, threads)), "{} shape", a.id);
+            if let Engine::Pinned { shards } = entry.engine {
+                assert_eq!(recorded_shape(a), Some(shards), "{} shape", a.id);
             }
         }
     }

@@ -265,7 +265,7 @@ impl Watchdog {
     }
 
     /// [`check`](Self::check) across several outstanding-transaction
-    /// tables at once — the epoch-parallel engine keeps one `PendingSet`
+    /// tables at once — the epoch engine keeps one `PendingSet`
     /// per requester CPU. Fires when *every* table together has made no
     /// progress for a full window while any transaction is outstanding; the
     /// report names the stuck transactions of all tables merged in

@@ -75,14 +75,13 @@ pub fn telemetry_report(cpus: usize, requests_per_cpu: usize, trace: bool) -> Te
             outstanding,
             requests_per_cpu,
             pattern: CampaignPattern::Bisection,
-            // Pinned engine shape: with the knobs fixed here (instead of
-            // inherited from `--shards`/`--threads`), the registry carries
-            // `engine.shards`/`engine.threads` and the per-shard
+            // Pinned engine shape: with the region count fixed here
+            // (instead of inherited from `--shards`), the registry carries
+            // `engine.shards` and the per-shard
             // `engine.shardNN.peak_queue_depth` gauges, making
             // `results/telemetry.json` the authoritative record of how it
             // was produced — and still byte-identical at any CLI setting.
             shards: 2,
-            threads: 1,
             ..Default::default()
         };
         let want_trace = trace && outstanding == TRACED_WINDOW;
@@ -116,10 +115,9 @@ mod tests {
         assert_eq!(r.registry.counter("coherence.completed"), total);
         assert!(r.trace.is_none());
         // The pinned engine shape makes the artifact authoritative: shard
-        // count, thread count, and per-shard queue peaks live in the same
-        // registry as the machine counters.
+        // count and per-shard queue peaks live in the same registry as the
+        // machine counters.
         assert_eq!(r.registry.gauge("engine.shards"), 2);
-        assert_eq!(r.registry.gauge("engine.threads"), 1);
         assert!(r.registry.gauge("engine.shard00.peak_queue_depth") > 0);
     }
 

@@ -1,5 +1,5 @@
 //! The timeline artifact: sim-time-resolved metric series, topology
-//! heatmaps, and the epoch-parallel engine profile for two closed-loop
+//! heatmaps, and the epoch engine profile for two closed-loop
 //! fault campaigns.
 //!
 //! The paper's figures are endpoint summaries — one number per sweep
@@ -20,10 +20,9 @@
 //!
 //! Window boundaries are a pure function of the timestamp and the
 //! per-window merges are commutative, so the artifact regenerates
-//! byte-identically at any `--jobs`/`--shards`/`--threads` setting; the
-//! engine knobs of the campaigns themselves are pinned
-//! ([`TIMELINE_SHARDS`]/[`TIMELINE_THREADS`]) so the embedded epoch
-//! profile and `engine.*` counters are fixtures too. The window sums
+//! byte-identically at any `--jobs`/`--shards` setting; the region count
+//! of the campaigns themselves is pinned ([`TIMELINE_SHARDS`]) so the
+//! embedded epoch profile and `engine.*` counters are fixtures too. The window sums
 //! equal the whole-run registry totals exactly (the timeline partitions
 //! the totals — asserted in tests), and [`saturation_knee`] marks the
 //! first window where the latency tail has doubled while delivered
@@ -55,11 +54,6 @@ pub const WINDOW_PS: u64 = 2_000_000;
 /// `engine.*` registry entries — which describe the engine, not the
 /// machine — are the same bytes at any CLI knob setting.
 pub const TIMELINE_SHARDS: usize = 2;
-
-/// Worker threads of the timeline campaigns; pinned for the same reason
-/// as [`TIMELINE_SHARDS`] (sim-time outputs are thread-invariant anyway,
-/// but the pin keeps even the engine-plane fixture honest).
-pub const TIMELINE_THREADS: usize = 2;
 
 /// One window of a section's timeline, every field an exact integer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -193,7 +187,6 @@ fn section_cfg(
         },
         watchdog_window: SimDuration::from_us(250.0),
         shards: TIMELINE_SHARDS,
-        threads: TIMELINE_THREADS,
         ..Default::default()
     }
 }
@@ -467,10 +460,6 @@ impl TimelineReport {
             "shards".to_owned(),
             Value::Number(Number::PosInt(TIMELINE_SHARDS as u64)),
         );
-        engine.insert(
-            "threads".to_owned(),
-            Value::Number(Number::PosInt(TIMELINE_THREADS as u64)),
-        );
         let mut root = BTreeMap::new();
         root.insert("id".to_owned(), Value::String("timeline".to_owned()));
         root.insert(
@@ -560,7 +549,6 @@ mod tests {
             );
             // The engine fixture is pinned, not inherited from the CLI.
             assert_eq!(s.registry.gauge("engine.shards"), TIMELINE_SHARDS as u64);
-            assert_eq!(s.registry.gauge("engine.threads"), TIMELINE_THREADS as u64);
             assert_eq!(s.observability.profile.shard_count(), TIMELINE_SHARDS);
         }
     }

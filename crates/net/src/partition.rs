@@ -4,7 +4,8 @@
 //! open-loop batch drains — runs the 21364 router model here, on the
 //! kernel's conservative epoch engine
 //! ([`alphasim_kernel::shard::EpochExecutor`]). The fabric is split into
-//! per-region slices so each torus row band can advance on its own core:
+//! per-region slices so each torus row band advances its own heap up to a
+//! shared horizon:
 //!
 //! * [`FabricTables`] is the **shared, immutable** routing snapshot — the
 //!   topology materialized into plain tables ([`FabricGraph`]), route
@@ -33,7 +34,7 @@
 //! (wormhole pipelining) and router + wire latency per hop, while
 //! occupying each traversed link for its full transfer time.
 //!
-//! Determinism across region and thread counts follows because every event
+//! Determinism across region counts follows because every event
 //! touches only its own node's links and every simultaneous pair of events
 //! is ordered by a shard-count-invariant tiebreak (see the `tb_*`
 //! constructors).
@@ -649,7 +650,7 @@ impl FabricTables {
 /// per-region accumulators partition the fabric and merging is exact:
 /// element-wise add (plus `max` for the backlog high-water marks) and a
 /// commutative [`Timeline::merge`]. Merged in region order, the result is
-/// byte-identical at any shard/thread count — same argument as the
+/// byte-identical at any shard count — same argument as the
 /// registries the campaigns already merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetHeat {
@@ -1295,7 +1296,7 @@ impl OpenLoop {
             })
             .collect();
         OpenLoop {
-            exec: EpochExecutor::new(workers, tables.lookahead(), 1),
+            exec: EpochExecutor::new(workers, tables.lookahead()),
             tables,
             sent: 0,
         }

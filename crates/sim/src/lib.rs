@@ -13,7 +13,7 @@
 //! * [`shard`] — the conservative-lookahead epoch scheduler
 //!   ([`shard::EpochExecutor`]), the one event engine every simulation runs
 //!   on: per-region 4-ary event heaps ordered by `(time, tiebreak)`,
-//!   byte-identical at any region or thread count;
+//!   stepped inline and byte-identical at any region count;
 //! * [`FaultPlan`] — a seeded, time-sorted schedule of link/node/channel
 //!   failures (and repairs, degradations, transients) for live
 //!   fault-injection runs;
@@ -37,7 +37,7 @@
 //!     }
 //! }
 //!
-//! let mut exec = EpochExecutor::new(vec![Log(Vec::new())], SimDuration::from_ns(1.0), 1);
+//! let mut exec = EpochExecutor::new(vec![Log(Vec::new())], SimDuration::from_ns(1.0));
 //! exec.seed(0, SimTime::ZERO + SimDuration::from_ns(5.0), 0, "late");
 //! exec.seed(0, SimTime::ZERO + SimDuration::from_ns(1.0), 0, "early");
 //! exec.run_until_idle();

@@ -17,17 +17,15 @@
 //! and the value; [`check_env`] reports it so a CLI can refuse to start,
 //! and a resolver that meets it panics rather than fall back.
 //!
-//! Intra-run parallelism (the fabric regions the epoch engine of
-//! [`crate::shard`] steps) has a separate knob, [`shards`], resolved from
-//! [`set_shards`] or `ALPHASIM_SHARDS` and defaulting to 1: partitioning is
-//! opt-in per run, while job fan-out is opt-out. [`WorkerPool`] is the
-//! persistent thread pool behind epoch-synchronous sharded execution —
-//! unlike [`parallel_map`] it keeps its threads across rounds, so a
-//! simulation taking thousands of conservative epochs pays two channel
-//! transfers per shard per epoch instead of a thread spawn.
+//! The fabric regions the epoch engine of [`crate::shard`] steps have a
+//! separate knob, [`shards`], resolved from [`set_shards`] or
+//! `ALPHASIM_SHARDS` and defaulting to 1: partitioning is opt-in per run,
+//! while job fan-out is opt-out. The regions of one run step inline, one
+//! after another, on the caller's thread; only whole artifacts and sweep
+//! points fan out across threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
 /// Process-wide worker-count override; 0 means "auto-detect".
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -35,11 +33,8 @@ static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Process-wide shard-count override; 0 means "resolve from environment".
 static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-wide epoch-thread override; 0 means "resolve from environment".
-static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 /// The engine knobs the resolvers read from the environment.
-const KNOBS: [&str; 3] = ["ALPHASIM_JOBS", "ALPHASIM_SHARDS", "ALPHASIM_THREADS"];
+const KNOBS: [&str; 2] = ["ALPHASIM_JOBS", "ALPHASIM_SHARDS"];
 
 /// Parse the value of the engine knob `var`: empty and `0` mean unset
 /// (`None`), any other value must be a non-negative integer. The error
@@ -66,9 +61,8 @@ fn knob(var: &str) -> Option<usize> {
     env_knob(var).unwrap_or_else(|why| panic!("{why}"))
 }
 
-/// Check every `ALPHASIM_*` engine knob ([`jobs`], [`shards`],
-/// [`threads`]) so a CLI can reject a malformed one before any resolver
-/// panics on it.
+/// Check every `ALPHASIM_*` engine knob ([`jobs`], [`shards`]) so a CLI
+/// can reject a malformed one before any resolver panics on it.
 pub fn check_env() -> Result<(), String> {
     KNOBS.iter().try_for_each(|var| env_knob(var).map(drop))
 }
@@ -95,32 +89,6 @@ pub fn shards() -> usize {
         return forced;
     }
     knob("ALPHASIM_SHARDS").unwrap_or(1)
-}
-
-/// Force the pool-thread count that steps the fabric regions (see
-/// [`threads`]). `0` restores resolution from `ALPHASIM_THREADS`.
-pub fn set_threads(n: usize) {
-    THREADS_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// The pool-thread count for epoch-parallel fabric simulation:
-/// [`set_threads`], else `ALPHASIM_THREADS`, else 1 (inline execution).
-/// Like [`shards`] — and unlike [`jobs`] — this never auto-detects:
-/// thread count is purely a wall-clock knob (artifacts are byte-identical
-/// at any value), but it is recorded per artifact in `BENCH_sweep.json`,
-/// so the default must be fixed and machine-independent. Callers that want
-/// "auto" resolve it explicitly (the CLIs map `--threads 0` to
-/// [`std::thread::available_parallelism`]).
-///
-/// # Panics
-///
-/// Panics if `ALPHASIM_THREADS` is malformed (see [`check_env`]).
-pub fn threads() -> usize {
-    let forced = THREADS_OVERRIDE.load(Ordering::Relaxed);
-    if forced != 0 {
-        return forced;
-    }
-    knob("ALPHASIM_THREADS").unwrap_or(1)
 }
 
 /// Force the worker count used by [`parallel_map`]. `1` makes every
@@ -208,113 +176,6 @@ where
         .collect()
 }
 
-/// A persistent pool of worker threads for epoch-synchronous sharded
-/// simulation.
-///
-/// Each [`run_round`](Self::run_round) call hands every item to some worker
-/// (round-robin), applies the pool's work function to it by `&mut`, and
-/// returns the items **in input order**. Items are moved through channels,
-/// so workers own their item for the duration of a round — no shared
-/// mutable state, no locks on the processing path, and therefore no
-/// scheduling-order nondeterminism: the result of a round is a pure
-/// function of the items and the work function.
-///
-/// This is the engine room of the conservative epoch scheduler in
-/// [`crate::shard`]: a resilience-shaped campaign takes thousands of
-/// epochs, and `parallel_map`'s per-call thread spawn (~tens of µs) would
-/// dwarf the per-epoch work. The pool's threads persist for its lifetime;
-/// dropping the pool joins them.
-///
-/// # Examples
-///
-/// ```
-/// use alphasim_kernel::par::WorkerPool;
-///
-/// let pool = WorkerPool::new(2, |x: &mut u64| *x *= 10);
-/// assert_eq!(pool.run_round(vec![1, 2, 3]), [10, 20, 30]);
-/// assert_eq!(pool.run_round(vec![4]), [40]);
-/// ```
-pub struct WorkerPool<T: Send + 'static> {
-    /// Per-worker submission channels; dropping them stops the workers.
-    txs: Vec<mpsc::Sender<(usize, T)>>,
-    /// Shared return channel carrying `(input index, item)`.
-    results: mpsc::Receiver<(usize, T)>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl<T: Send + 'static> WorkerPool<T> {
-    /// Spawn `workers` threads (at least one), each applying `work` to the
-    /// items it receives.
-    pub fn new<F>(workers: usize, work: F) -> Self
-    where
-        F: Fn(&mut T) + Send + Sync + Clone + 'static,
-    {
-        let workers = workers.max(1);
-        let (res_tx, results) = mpsc::channel();
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::channel::<(usize, T)>();
-            let res_tx = res_tx.clone();
-            let work = work.clone();
-            handles.push(std::thread::spawn(move || {
-                while let Ok((idx, mut item)) = rx.recv() {
-                    work(&mut item);
-                    if res_tx.send((idx, item)).is_err() {
-                        break; // pool dropped mid-round; nothing to report to
-                    }
-                }
-            }));
-            txs.push(tx);
-        }
-        WorkerPool {
-            txs,
-            results,
-            handles,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Process every item on the pool and return them in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread has died (a panic inside the work function
-    /// kills its worker; the next round then cannot complete).
-    pub fn run_round(&self, items: Vec<T>) -> Vec<T> {
-        let n = items.len();
-        for (i, item) in items.into_iter().enumerate() {
-            self.txs[i % self.txs.len()]
-                .send((i, item))
-                .expect("pool worker alive");
-        }
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, item) = self
-                .results
-                .recv()
-                .expect("every dispatched item comes back");
-            out[i] = Some(item);
-        }
-        out.into_iter()
-            .map(|o| o.expect("each index returned exactly once"))
-            .collect()
-    }
-}
-
-impl<T: Send + 'static> Drop for WorkerPool<T> {
-    fn drop(&mut self) {
-        self.txs.clear(); // disconnects the submission channels
-        for h in self.handles.drain(..) {
-            let _ = h.join(); // a worker that panicked already did its damage
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,7 +219,7 @@ mod tests {
         }
         assert_eq!(parse_knob("ALPHASIM_JOBS", "0"), Ok(None));
         assert_eq!(parse_knob("ALPHASIM_JOBS", ""), Ok(None));
-        assert_eq!(parse_knob("ALPHASIM_THREADS", "4"), Ok(Some(4)));
+        assert_eq!(parse_knob("ALPHASIM_SHARDS", "4"), Ok(Some(4)));
     }
 
     #[test]
@@ -368,35 +229,6 @@ mod tests {
         set_shards(4);
         assert_eq!(shards(), 4);
         set_shards(0);
-    }
-
-    #[test]
-    fn threads_default_to_one_and_respect_override() {
-        set_threads(0);
-        assert_eq!(threads(), 1, "epoch parallelism is opt-in");
-        set_threads(4);
-        assert_eq!(threads(), 4);
-        set_threads(0);
-    }
-
-    #[test]
-    fn pool_round_preserves_input_order_across_rounds() {
-        let pool = WorkerPool::new(3, |x: &mut usize| *x += 1);
-        let first = pool.run_round((0..64).collect());
-        assert_eq!(first, (1..65).collect::<Vec<_>>());
-        let second = pool.run_round(vec![100, 200]);
-        assert_eq!(second, [101, 201]);
-        assert!(pool.run_round(Vec::new()).is_empty());
-        assert_eq!(pool.workers(), 3);
-    }
-
-    #[test]
-    fn pool_with_more_items_than_workers_processes_everything() {
-        let pool = WorkerPool::new(2, |v: &mut Vec<u32>| v.push(7));
-        let out = pool.run_round((0..17).map(|i| vec![i]).collect());
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(v.as_slice(), [i as u32, 7]);
-        }
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //! horizon panics, because it could land in a region's past. One shard with
 //! an unbounded lookahead is an ordinary sequential simulation.
 //!
-//! Determinism of the parallel engine does not come from scheduling luck:
-//! shards are **owned values** moved through the
-//! [`WorkerPool`]'s channels (no shared mutable
-//! state), cross-region events carry caller-assigned, shard-count-invariant
-//! tiebreak ids, and barrier exchange applies outboxes in ascending region
-//! order. The same seeds therefore produce the same event order — and the
-//! same bytes — at 1, 2, or 4 shards, on 1 or 8 threads.
+//! Within an epoch the shards step inline, one after another, on the
+//! caller's thread. Determinism across shard counts does not come from
+//! that order: each shard is an **owned value** that shares no mutable
+//! state with its peers or the guide, cross-region events carry
+//! caller-assigned, shard-count-invariant tiebreak ids, and barrier
+//! exchange applies outboxes in ascending region order. The same seeds
+//! therefore produce the same event order — and the same bytes — at 1, 2,
+//! or 4 shards.
 //!
 //! Those bytes rest on a state partition, which the types enforce: a
 //! worker reaches other regions only through [`Outbox::emit`], and a guide
@@ -62,7 +63,7 @@
 //! }
 //!
 //! let regions = (0..2).map(|_| Region { pings: 0, credit: 0 }).collect();
-//! let mut exec = EpochExecutor::new(regions, SimDuration::from_ns(10.0), 1);
+//! let mut exec = EpochExecutor::new(regions, SimDuration::from_ns(10.0));
 //! exec.seed(0, SimTime::ZERO, 0, 3);
 //! exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
 //! assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
@@ -85,7 +86,6 @@
 
 use alphasim_telemetry::global::EVENT_QUEUE_PEAK;
 
-use crate::par::WorkerPool;
 use crate::time::{SimDuration, SimTime};
 
 /// Packed heap key: `time << 64 | tiebreak` — one `u128` comparison orders
@@ -166,13 +166,13 @@ pub fn take_peak_event_depth() -> u64 {
     EVENT_QUEUE_PEAK.take()
 }
 
-/// One shard's slice of simulation state in an epoch-parallel run.
+/// One shard's slice of simulation state in a partitioned run.
 ///
 /// The executor owns one worker per region; during an epoch each worker
 /// handles its region's events in `(time, tiebreak)` order and emits
-/// follow-up events through the [`Outbox`]. Workers are moved — never
-/// shared — between the coordinator and the pool threads, so a worker may
-/// freely mutate itself without any synchronization.
+/// follow-up events through the [`Outbox`]. Each worker is owned by its
+/// shard and never shared, so a worker may freely mutate itself without
+/// any synchronization.
 ///
 /// `Send + 'static` makes a worker own everything it reads. It cannot
 /// borrow the guide's state (E0478), and it cannot share state through
@@ -196,7 +196,7 @@ pub fn take_peak_event_depth() -> u64 {
 /// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
 /// # exec.seed(0, SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
 /// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
@@ -223,7 +223,7 @@ pub fn take_peak_event_depth() -> u64 {
 /// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
 /// # exec.seed(0, SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
 /// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
@@ -276,7 +276,7 @@ pub trait ShardWorker: Send + 'static {
 /// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
 /// # exec.seed(0, SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
 /// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
@@ -299,7 +299,7 @@ pub trait ShardWorker: Send + 'static {
 /// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
 /// # exec.seed(0, SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
 /// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
@@ -414,7 +414,7 @@ impl<E> Outbox<E> {
 }
 
 /// One shard: its event heap, its owned worker state, and its epoch
-/// scratch. Moved wholesale through the pool's channels each epoch.
+/// scratch.
 struct ShardSlot<W: ShardWorker> {
     heap: Vec<(u128, W::Event)>,
     worker: W,
@@ -459,7 +459,7 @@ fn run_slot<W: ShardWorker>(slot: &mut ShardSlot<W>) {
 
 /// One epoch of one profiled run: the sim-time span the epoch covered and
 /// what every shard did inside it. `processed[s]` / `merged[s]` are
-/// sim-time facts (event counts), identical at any thread count;
+/// sim-time facts (event counts), identical run to run;
 /// `wall_ns` is the optional measured view and is never part of any
 /// byte-checked artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -477,7 +477,7 @@ pub struct EpochSample {
     pub wall_ns: Option<Vec<u64>>,
 }
 
-/// The epoch-parallel profiler's output: one [`EpochSample`] per barrier
+/// The epoch profiler's output: one [`EpochSample`] per barrier
 /// epoch, in execution order. Collected only when
 /// [`EpochExecutor::enable_profile`] was called — the zero-cost-when-off
 /// pattern every other instrumentation site follows.
@@ -566,7 +566,7 @@ pub enum BarrierVerdict {
 /// The executor guarantees that when [`at_barrier`](Self::at_barrier) runs
 /// for time `b`, every event strictly before `b` has been processed and no
 /// event at or after `b` has — so barrier mutations apply before any event
-/// at exactly `b`, in every shard, at every shard/thread count.
+/// at exactly `b`, in every shard, at every shard count.
 ///
 /// That [`EpochControl`] is a guide's only way into a worker:
 /// [`run_guided`](EpochExecutor::run_guided) holds the executor's `&mut`
@@ -589,7 +589,7 @@ pub enum BarrierVerdict {
 /// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
 /// # exec.seed(0, SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
 /// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
@@ -641,7 +641,7 @@ pub trait EpochGuide<W: ShardWorker> {
 /// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0), 1);
+/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
 /// # exec.seed(0, SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
 /// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
@@ -766,20 +766,18 @@ pub struct EpochReport {
 ///
 /// Each epoch the coordinator computes the global minimum next event time
 /// `t` and sets every shard's bound to `t + lookahead`; shards then process
-/// their local events below the bound — concurrently on the persistent
-/// [`WorkerPool`] when `threads > 1`, inline otherwise — and the barrier
-/// routes cross-shard emissions into their destination heaps in ascending
-/// source-shard order. Safety is the emission-time assertion in
-/// [`Outbox::emit`]: any event a shard emits for a peer fires at or after
-/// every bound the peer could have run to, so no shard ever receives an
-/// event in its past.
+/// their local events below the bound, one after another on the caller's
+/// thread, and the barrier routes cross-shard emissions into their
+/// destination heaps in ascending source-shard order. Safety is the
+/// emission-time assertion in [`Outbox::emit`]: any event a shard emits
+/// for a peer fires at or after every bound the peer could have run to, so
+/// no shard ever receives an event in its past.
 ///
-/// Serial and parallel execution produce identical results: the per-epoch
-/// work is a pure function of the owned slots, and barrier merge order is
-/// fixed. The choice of `threads` is purely a wall-clock knob.
+/// The order in which shards step within an epoch cannot change a result:
+/// each shard's epoch is a pure function of its owned slot, and the
+/// barrier merge order is fixed.
 pub struct EpochExecutor<W: ShardWorker> {
     slots: Vec<ShardSlot<W>>,
-    pool: Option<WorkerPool<ShardSlot<W>>>,
     lookahead: SimDuration,
     epochs: u64,
     profile: Option<EpochProfile>,
@@ -788,8 +786,8 @@ pub struct EpochExecutor<W: ShardWorker> {
 impl<W: ShardWorker> EpochExecutor<W> {
     /// An executor over one worker per region, with the given conservative
     /// `lookahead` (must be positive — a zero horizon cannot make
-    /// progress), running epochs on `threads` pool threads (1 = inline).
-    pub fn new(workers: Vec<W>, lookahead: SimDuration, threads: usize) -> Self {
+    /// progress).
+    pub fn new(workers: Vec<W>, lookahead: SimDuration) -> Self {
         assert!(!workers.is_empty(), "need at least one shard");
         assert!(
             lookahead > SimDuration::ZERO,
@@ -816,11 +814,8 @@ impl<W: ShardWorker> EpochExecutor<W> {
                 wall_ns: 0,
             })
             .collect();
-        let pool = (threads > 1 && slots.len() > 1)
-            .then(|| WorkerPool::new(threads.min(slots.len()), run_slot::<W>));
         EpochExecutor {
             slots,
-            pool,
             lookahead,
             epochs: 0,
             profile: None,
@@ -920,16 +915,8 @@ impl<W: ShardWorker> EpochExecutor<W> {
             slot.bound = bound;
             slot.outbox.lookahead = self.lookahead;
         }
-        match &self.pool {
-            Some(pool) => {
-                let taken = std::mem::take(&mut self.slots);
-                self.slots = pool.run_round(taken);
-            }
-            None => {
-                for slot in &mut self.slots {
-                    run_slot(slot);
-                }
-            }
+        for slot in &mut self.slots {
+            run_slot(slot);
         }
         let mut merged_in = vec![
             0u64;
@@ -1042,10 +1029,9 @@ impl<W: ShardWorker> EpochExecutor<W> {
         self.report()
     }
 
-    /// Tear down the pool and return the workers (and whatever results they
-    /// accumulated), in shard order.
+    /// Return the workers (and whatever results they accumulated), in shard
+    /// order.
     pub fn into_workers(mut self) -> Vec<W> {
-        self.pool = None; // join pool threads before dismantling the slots
         self.flush_peak();
         self.slots.drain(..).map(|s| s.worker).collect()
     }
@@ -1122,7 +1108,7 @@ mod tests {
         }
     }
 
-    fn run_ring(shards: usize, threads: usize, hop_ps: u64, lookahead_ps: u64) -> Vec<(u64, u64)> {
+    fn run_ring(shards: usize, hop_ps: u64, lookahead_ps: u64) -> Vec<(u64, u64)> {
         let nodes = 16;
         let workers: Vec<RingWorker> = (0..shards)
             .map(|_| RingWorker {
@@ -1133,7 +1119,7 @@ mod tests {
                 emitted: 0,
             })
             .collect();
-        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(lookahead_ps), threads);
+        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(lookahead_ps));
         for msg in 0..48u64 {
             let node = (msg as usize * 5) % nodes;
             exec.seed(
@@ -1162,21 +1148,18 @@ mod tests {
 
     #[test]
     fn executor_is_invariant_across_shard_and_thread_counts() {
-        let reference = run_ring(1, 1, 50, 50);
+        let reference = run_ring(1, 50, 50);
         for shards in [2usize, 4] {
-            for threads in [1usize, 4] {
-                assert_eq!(
-                    run_ring(shards, threads, 50, 50),
-                    reference,
-                    "{shards} shards x {threads} threads diverged"
-                );
-            }
+            assert_eq!(
+                run_ring(shards, 50, 50),
+                reference,
+                "{shards} shards diverged"
+            );
         }
     }
 
     fn run_ring_profiled(
         shards: usize,
-        threads: usize,
         wall: bool,
     ) -> (Vec<(u64, u64)>, EpochProfile, EpochReport) {
         let nodes = 16;
@@ -1189,7 +1172,7 @@ mod tests {
                 emitted: 0,
             })
             .collect();
-        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(50), threads);
+        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(50));
         for msg in 0..48u64 {
             let node = (msg as usize * 5) % nodes;
             exec.seed(
@@ -1217,8 +1200,8 @@ mod tests {
 
     #[test]
     fn profiling_does_not_perturb_results_and_busy_sums_match_the_report() {
-        let plain = run_ring(4, 1, 50, 50);
-        let (profiled, profile, report) = run_ring_profiled(4, 1, false);
+        let plain = run_ring(4, 50, 50);
+        let (profiled, profile, report) = run_ring_profiled(4, false);
         assert_eq!(profiled, plain, "profiling must not change sim results");
         assert_eq!(profile.epochs() as u64, report.epochs);
         assert_eq!(profile.shard_count(), 4);
@@ -1247,21 +1230,11 @@ mod tests {
     }
 
     #[test]
-    fn profile_sim_time_fields_are_thread_invariant() {
-        let (_, reference, _) = run_ring_profiled(4, 1, false);
-        let (_, parallel, _) = run_ring_profiled(4, 4, false);
-        assert_eq!(
-            parallel, reference,
-            "sim-time profile fields must not depend on thread count"
-        );
-    }
-
-    #[test]
     fn wall_profiling_records_spans_without_perturbing_sim_time_fields() {
-        let (results, walled, _) = run_ring_profiled(2, 2, true);
+        let (results, walled, _) = run_ring_profiled(2, true);
         assert!(walled.wall_clock());
-        assert_eq!(results, run_ring(2, 1, 50, 50));
-        let (_, reference, _) = run_ring_profiled(2, 1, false);
+        assert_eq!(results, run_ring(2, 50, 50));
+        let (_, reference, _) = run_ring_profiled(2, false);
         assert_eq!(walled.epochs(), reference.epochs());
         for (w, r) in walled.samples.iter().zip(&reference.samples) {
             assert_eq!(w.wall_ns.as_ref().map(Vec::len), Some(2));
@@ -1276,7 +1249,7 @@ mod tests {
         // The lookahead only needs to be conservative (<= the true minimum
         // inter-region latency); a smaller horizon costs epochs, not
         // correctness.
-        assert_eq!(run_ring(4, 2, 50, 20), run_ring(1, 1, 50, 20));
+        assert_eq!(run_ring(4, 50, 20), run_ring(1, 50, 20));
     }
 
     #[test]
@@ -1284,7 +1257,7 @@ mod tests {
     fn cross_shard_emission_inside_horizon_panics() {
         // Claim a horizon larger than the hop latency: the first
         // cross-region hop violates the contract and must be caught.
-        run_ring(4, 1, 10, 500);
+        run_ring(4, 10, 500);
     }
 
     /// A guide for the ring simulation: at each barrier it records the
@@ -1332,7 +1305,7 @@ mod tests {
         }
     }
 
-    fn run_guided_ring(shards: usize, threads: usize) -> (Vec<u64>, Vec<(u64, u64)>) {
+    fn run_guided_ring(shards: usize) -> (Vec<u64>, Vec<(u64, u64)>) {
         let nodes = 16;
         let workers: Vec<RingWorker> = (0..shards)
             .map(|_| RingWorker {
@@ -1343,7 +1316,7 @@ mod tests {
                 emitted: 0,
             })
             .collect();
-        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(50), threads);
+        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(50));
         for msg in 0..24u64 {
             let node = (msg as usize * 5) % nodes;
             exec.seed(
@@ -1377,20 +1350,18 @@ mod tests {
 
     #[test]
     fn guided_run_is_invariant_and_strikes_every_barrier() {
-        let reference = run_guided_ring(1, 1);
+        let reference = run_guided_ring(1);
         assert_eq!(reference.0, [120, 250, 1_000_000], "all barriers struck");
         assert!(
             reference.1.iter().any(|&(_, msg)| msg == 77),
             "barrier-injected message delivered"
         );
         for shards in [2usize, 4] {
-            for threads in [1usize, 4] {
-                assert_eq!(
-                    run_guided_ring(shards, threads),
-                    reference,
-                    "{shards} shards x {threads} threads diverged under guide"
-                );
-            }
+            assert_eq!(
+                run_guided_ring(shards),
+                reference,
+                "{shards} shards diverged under guide"
+            );
         }
     }
 
@@ -1403,7 +1374,7 @@ mod tests {
             log: Vec::new(),
             emitted: 0,
         }];
-        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(10), 1);
+        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(10));
         exec.seed(
             0,
             SimTime::from_ps(500),
@@ -1436,7 +1407,7 @@ mod tests {
             log: Vec::new(),
             emitted: 0,
         }];
-        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(10), 1);
+        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(10));
         for msg in 0..6u64 {
             exec.seed(
                 0,
@@ -1490,7 +1461,7 @@ mod tests {
             log: Vec::new(),
             emitted: 0,
         }];
-        let _ = EpochExecutor::new(workers, SimDuration::ZERO, 1);
+        let _ = EpochExecutor::new(workers, SimDuration::ZERO);
     }
 
     /// Fans one seed event out into 100 same-shard follow-ups.
@@ -1510,7 +1481,7 @@ mod tests {
 
     #[test]
     fn deepest_heap_reaches_the_process_gauge() {
-        let mut exec = EpochExecutor::new(vec![Fan], SimDuration::from_ps(1 << 40), 1);
+        let mut exec = EpochExecutor::new(vec![Fan], SimDuration::from_ps(1 << 40));
         exec.seed(0, SimTime::ZERO, 0, 0);
         exec.run_until_idle();
         drop(exec.into_workers());

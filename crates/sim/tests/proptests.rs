@@ -76,7 +76,7 @@ proptest! {
         let child = emitter.saturating_sub(below);
         prop_assume!(child < emitter);
         let probe = Probe { emitter, child, probes: probes.clone(), seen: Vec::new() };
-        let mut exec = EpochExecutor::new(vec![probe], SimDuration::from_ps(1 << 40), 1);
+        let mut exec = EpochExecutor::new(vec![probe], SimDuration::from_ps(1 << 40));
         let t = SimTime::from_ps(at);
         exec.seed(0, t, emitter, emitter);
         exec.run_until_idle();
@@ -103,7 +103,7 @@ proptest! {
     fn executor_fires_in_time_then_tiebreak_order(
         events in prop::collection::vec((0u64..1_000, 0u64..8), 1..200),
     ) {
-        let mut exec = EpochExecutor::new(vec![Log(Vec::new())], SimDuration::from_ps(1 << 40), 1);
+        let mut exec = EpochExecutor::new(vec![Log(Vec::new())], SimDuration::from_ps(1 << 40));
         for (i, &(t, tb)) in events.iter().enumerate() {
             exec.seed(0, SimTime::from_ps(t), (tb << 16) | i as u64, (t, (tb << 16) | i as u64));
         }
@@ -121,7 +121,7 @@ proptest! {
     fn emitted_follow_ups_keep_the_order(
         seeds in prop::collection::vec((0u64..500, 1u64..300), 1..60),
     ) {
-        let mut exec = EpochExecutor::new(vec![Echo(Vec::new())], SimDuration::from_ps(1 << 40), 1);
+        let mut exec = EpochExecutor::new(vec![Echo(Vec::new())], SimDuration::from_ps(1 << 40));
         for (i, &(t, delay)) in seeds.iter().enumerate() {
             exec.seed(0, SimTime::from_ps(t), i as u64, Some(delay));
         }

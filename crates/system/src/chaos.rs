@@ -59,10 +59,6 @@ pub struct ChaosOptions {
     pub mutation: Option<RecoveryMutation>,
     /// Most campaign re-runs the shrinker may spend per violating trial.
     pub shrink_budget: usize,
-    /// Worker threads for every trial campaign (`0` = resolve via
-    /// [`alphasim_kernel::par::threads`]). Trial outcomes, reproducers,
-    /// and shrinks are byte-identical at any value.
-    pub threads: usize,
 }
 
 impl Default for ChaosOptions {
@@ -91,7 +87,6 @@ impl Default for ChaosOptions {
             },
             mutation: None,
             shrink_budget: 200,
-            threads: 0,
         }
     }
 }
@@ -381,7 +376,6 @@ fn trial_cfg(
         retry: opts.retry,
         watchdog_window: SimDuration::from_us(250.0),
         shards,
-        threads: opts.threads,
         mutation,
         ..Default::default()
     }

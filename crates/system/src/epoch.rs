@@ -1,4 +1,4 @@
-//! The epoch-parallel closed-loop engine.
+//! The partitioned closed-loop engine.
 //!
 //! Every closed-loop experiment runs here: the load test
 //! ([`crate::loadtest::LoadTest`], Figs. 15, 18 and 23–27) and the fault
@@ -6,7 +6,8 @@
 //! chaos engine). Every CPU keeps a window of reads outstanding to the
 //! memory sites its [`TrafficPattern`] picks, and the loop is partitioned
 //! by torus row band so the conservative epoch scheduler
-//! ([`EpochExecutor`]) can advance each region on its own core:
+//! ([`EpochExecutor`]) can advance each region up to a shared horizon on
+//! its own heap:
 //!
 //! * [`CampaignWorker`] is one region's slice of everything mutable: the
 //!   [`RegionNet`] link state, a [`Requester`] (pending set and deadline
@@ -35,8 +36,8 @@
 //! CPU index — never a slot or arrival order), per-CPU RNGs advance only
 //! in the CPU's owning region, and every result stream is merged into a
 //! canonical order after the run. The same config therefore produces the
-//! same bytes at any `--threads`/`--shards` combination — the invariant
-//! `reproduce --check` enforces for every committed artifact.
+//! same bytes at any `--shards` count — the invariant `reproduce --check`
+//! enforces for every committed artifact.
 //!
 //! The compiler proves the worker/guide state partition: guide state is
 //! not a field of [`CampaignWorker`], and the kernel's shard types keep

@@ -12,14 +12,14 @@
 //! reports the stuck set if delivery progress ever stops for a whole
 //! window.
 //!
-//! Campaigns execute on the epoch-parallel closed-loop engine
+//! Campaigns execute on the partitioned closed-loop engine
 //! (`crate::epoch`), the one the load test runs on without its retry
 //! machinery: the fabric, the per-CPU pending sets and deadline queues,
-//! and the memory controllers are split into torus row-band regions driven by
-//! [`alphasim_kernel::shard::EpochExecutor`] on real threads, with fault
-//! strikes and watchdog ticks applied at epoch barriers. Every result
-//! stream is merged into a canonical order after the run, so the outcome
-//! is byte-identical at any `threads`/`shards` combination.
+//! and the memory controllers are split into torus row-band regions stepped
+//! inline by [`alphasim_kernel::shard::EpochExecutor`], with fault strikes
+//! and watchdog ticks applied at epoch barriers. Every result stream is
+//! merged into a canonical order after the run, so the outcome is
+//! byte-identical at any `shards` count.
 //!
 //! [`FaultCampaign::run_monitored`] arms the always-on invariant monitors
 //! on top of the same loop: hung-transaction detection (with watchdog
@@ -154,10 +154,6 @@ pub struct FaultCampaignConfig {
     /// [`alphasim_kernel::par::shards`]). Results are byte-identical at
     /// any value; the region map only repartitions the fabric.
     pub shards: usize,
-    /// Worker threads driving the regions (`0` = resolve via
-    /// [`alphasim_kernel::par::threads`]). Results are byte-identical at
-    /// any value; threads only change which core advances each region.
-    pub threads: usize,
     /// Deliberately broken recovery path for mutation testing (`None` =
     /// intact machinery). Only honoured by
     /// [`FaultCampaign::run_monitored`].
@@ -175,7 +171,6 @@ impl Default for FaultCampaignConfig {
             retry: RetryPolicy::gs1280_default(),
             watchdog_window: SimDuration::from_us(200.0),
             shards: 0,
-            threads: 0,
             mutation: None,
         }
     }
@@ -466,15 +461,14 @@ impl<T: Topology> FaultCampaign<T> {
     /// Run the campaign with full time-resolved observability on top of
     /// the instrumented telemetry: fixed-width windowed metric timelines,
     /// P×Q topology heatmaps, per-completion latency pairs, and the
-    /// epoch-parallel profiler's per-shard spans (exported as Chrome-trace
+    /// epoch profiler's per-shard spans (exported as Chrome-trace
     /// lanes when `opts.trace` is set).
     ///
     /// Like every other collector, observability never perturbs the
     /// simulation: the [`CampaignResult`] and every sim-time field are
-    /// byte-identical to a plain [`run`](Self::run), at any
-    /// `threads`/`shards` combination (the epoch profile is the one
-    /// shard-*count*-dependent piece, since it describes the engine
-    /// itself rather than the machine).
+    /// byte-identical to a plain [`run`](Self::run), at any `shards`
+    /// count (the epoch profile is the one shard-count-dependent piece,
+    /// since it describes the engine itself rather than the machine).
     pub fn run_observed(
         self,
         cfg: &FaultCampaignConfig,
@@ -535,11 +529,6 @@ impl<T: Topology> FaultCampaign<T> {
             alphasim_kernel::par::shards()
         } else {
             cfg.shards
-        };
-        let threads = if cfg.threads == 0 {
-            alphasim_kernel::par::threads()
-        } else {
-            cfg.threads
         };
         let partners: Vec<usize> = match cfg.pattern {
             TrafficPattern::Bisection => {
@@ -618,7 +607,7 @@ impl<T: Topology> FaultCampaign<T> {
                 }
             })
             .collect();
-        let mut exec = EpochExecutor::new(workers, master.lookahead(), threads);
+        let mut exec = EpochExecutor::new(workers, master.lookahead());
         if let Some(o) = drive.observe {
             exec.enable_profile(o.wall);
         }
@@ -684,7 +673,7 @@ impl<T: Topology> FaultCampaign<T> {
         // ---- canonical aggregation ------------------------------------
         // Every stream below is merged into an order that is a pure
         // function of simulation identities (time, tag, node), never of
-        // shard count or thread interleaving.
+        // shard count or stepping order.
         let completed: u64 = workers
             .iter()
             .flat_map(CampaignWorker::pending_sets)
@@ -838,7 +827,7 @@ impl<T: Topology> FaultCampaign<T> {
                 epoch_report.processed.iter().sum::<u64>(),
             );
             // Engine-shape metrics are registered only when the config
-            // pins the knob: a CLI-resolved shard or thread count must
+            // pins the knob: a CLI-resolved shard count must
             // never leak into byte-checked artifacts. Gauges (max-merge),
             // so merging same-shape campaign registries stays idempotent.
             if cfg.shards != 0 {
@@ -847,9 +836,6 @@ impl<T: Topology> FaultCampaign<T> {
                     registry
                         .gauge_max(&format!("engine.shard{i:02}.peak_queue_depth"), peak as u64);
                 }
-            }
-            if cfg.threads != 0 {
-                registry.gauge_max("engine.threads", cfg.threads as u64);
             }
             // Pre-charge the stage rows so the merged table's row order is
             // the pipeline order, never completion order.
@@ -1438,7 +1424,7 @@ mod tests {
     /// The observed-run stage: a mid-run cut through bisection traffic, so
     /// drops, retries, reroutes, and (with a short retry budget) poisons
     /// all leave windowed footprints.
-    fn observed_cfg(shards: usize, threads: usize) -> FaultCampaignConfig {
+    fn observed_cfg(shards: usize) -> FaultCampaignConfig {
         let mut plan = FaultPlan::new();
         plan.push(at_us(1.0), FaultKind::LinkDown { a: 0, b: 1 });
         plan.push(at_us(20.0), FaultKind::LinkUp { a: 0, b: 1 });
@@ -1448,14 +1434,13 @@ mod tests {
             pattern: CampaignPattern::Bisection,
             plan,
             shards,
-            threads,
             ..Default::default()
         }
     }
 
     #[test]
     fn observed_run_matches_plain_and_window_sums_equal_registry_totals() {
-        let cfg = observed_cfg(2, 1);
+        let cfg = observed_cfg(2);
         let plain = campaign16().run(&cfg);
         // A deliberately awkward window width (prime picoseconds, aligned
         // to nothing): windows straddle epoch barriers, fault strikes and
@@ -1493,7 +1478,6 @@ mod tests {
         // The pinned engine shape is registered, making the registry
         // authoritative for how the artifact was produced.
         assert_eq!(t.registry.gauge("engine.shards"), 2);
-        assert_eq!(t.registry.gauge("engine.threads"), 1);
         assert!(t.registry.gauge("engine.shard00.peak_queue_depth") > 0);
         // The profiler's busy totals are the engine's processed totals.
         assert_eq!(
@@ -1510,29 +1494,25 @@ mod tests {
     #[test]
     fn observed_windows_are_shard_and_thread_invariant() {
         let reference =
-            campaign16().run_observed(&observed_cfg(1, 1), ObserveOptions::windowed(20_000_000));
+            campaign16().run_observed(&observed_cfg(1), ObserveOptions::windowed(20_000_000));
         for shards in [2usize, 4] {
-            for threads in [1usize, 4] {
-                let (r, _, obs) = campaign16().run_observed(
-                    &observed_cfg(shards, threads),
-                    ObserveOptions::windowed(20_000_000),
-                );
-                assert_eq!(r.completed, reference.0.completed);
-                assert_eq!(r.mean_latency, reference.0.mean_latency);
-                // Every machine-plane observable is byte-identical; only
-                // the profile (which describes the engine itself) differs.
-                assert_eq!(
-                    obs.timeline, reference.2.timeline,
-                    "{shards}x{threads} timeline diverged"
-                );
-                assert_eq!(obs.latencies, reference.2.latencies);
-                assert_eq!(obs.node_delivered, reference.2.node_delivered);
-                assert_eq!(obs.link_busy, reference.2.link_busy);
-                assert_eq!(obs.zbox_reads, reference.2.zbox_reads);
-                assert_eq!(obs.zbox_busy, reference.2.zbox_busy);
-                assert_eq!(obs.link_bytes, reference.2.link_bytes);
-                assert_eq!(obs.link_peak_backlog, reference.2.link_peak_backlog);
-            }
+            let (r, _, obs) = campaign16()
+                .run_observed(&observed_cfg(shards), ObserveOptions::windowed(20_000_000));
+            assert_eq!(r.completed, reference.0.completed);
+            assert_eq!(r.mean_latency, reference.0.mean_latency);
+            // Every machine-plane observable is byte-identical; only the
+            // profile (which describes the engine itself) differs.
+            assert_eq!(
+                obs.timeline, reference.2.timeline,
+                "{shards}-shard timeline diverged"
+            );
+            assert_eq!(obs.latencies, reference.2.latencies);
+            assert_eq!(obs.node_delivered, reference.2.node_delivered);
+            assert_eq!(obs.link_busy, reference.2.link_busy);
+            assert_eq!(obs.zbox_reads, reference.2.zbox_reads);
+            assert_eq!(obs.zbox_busy, reference.2.zbox_busy);
+            assert_eq!(obs.link_bytes, reference.2.link_bytes);
+            assert_eq!(obs.link_peak_backlog, reference.2.link_peak_backlog);
         }
     }
 
@@ -1543,7 +1523,7 @@ mod tests {
             trace: true,
             wall: true,
         };
-        let (r, t, obs) = campaign16().run_observed(&observed_cfg(2, 2), opts);
+        let (r, t, obs) = campaign16().run_observed(&observed_cfg(2), opts);
         assert_eq!(r.completed + r.poisoned.len() as u64, 16 * 60);
         let trace = t.trace.expect("tracing was requested");
         assert!(!trace.is_empty());
@@ -1554,7 +1534,7 @@ mod tests {
         // Wall measurement never leaks into sim-time fields: the same run
         // without it produces the identical profile modulo wall_ns.
         let (_, _, plain) =
-            campaign16().run_observed(&observed_cfg(2, 2), ObserveOptions::windowed(20_000_000));
+            campaign16().run_observed(&observed_cfg(2), ObserveOptions::windowed(20_000_000));
         assert_eq!(plain.profile.epochs(), obs.profile.epochs());
         for (a, b) in plain.profile.samples.iter().zip(&obs.profile.samples) {
             assert_eq!((a.start_ps, a.end_ps), (b.start_ps, b.end_ps));

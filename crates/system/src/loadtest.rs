@@ -9,8 +9,8 @@
 //! [`LoadTest`] is a fault-free [`FaultCampaign`] run without retry
 //! machinery: one closed-loop worker (`crate::epoch`) serves both, so a
 //! load test is partitioned by torus row band into regions stepped by the
-//! kernel's epoch executor and is byte-identical at any region and thread
-//! count. The Xmesh sampler strikes at epoch barriers.
+//! kernel's epoch executor and is byte-identical at any region count. The
+//! Xmesh sampler strikes at epoch barriers.
 
 use alphasim_kernel::{SimDuration, SimTime};
 use alphasim_mem::ZboxConfig;
@@ -151,9 +151,8 @@ impl<T: Topology> LoadTest<T> {
     }
 
     /// Run the closed loop to completion on
-    /// [`alphasim_kernel::par::shards`] fabric regions stepped by
-    /// [`alphasim_kernel::par::threads`] threads. The result is
-    /// byte-identical at any region and thread count.
+    /// [`alphasim_kernel::par::shards`] fabric regions, stepped inline. The
+    /// result is byte-identical at any region count.
     ///
     /// # Panics
     ///

@@ -1,7 +1,7 @@
 //! Time-resolved observability for fault campaigns.
 //!
 //! [`crate::faulty::FaultCampaign::run_observed`] runs the same
-//! epoch-parallel closed loop as every other entry point while three
+//! partitioned closed loop as every other entry point while three
 //! zero-cost-when-off collectors ride along:
 //!
 //! * a per-worker `ObsAcc` — fixed-width sim-time windows
@@ -14,9 +14,9 @@
 //!
 //! Every accumulator is owned by exactly one region and merged in region
 //! (input) order after the run, the same argument that makes the
-//! campaign's registries byte-identical at any `--threads`/`--shards`
-//! combination. [`CampaignObservability`] is the merged result: the
-//! timeline, the latency pairs, P×Q topology heatmaps, and the profile.
+//! campaign's registries byte-identical at any `--shards` count.
+//! [`CampaignObservability`] is the merged result: the timeline, the
+//! latency pairs, P×Q topology heatmaps, and the profile.
 
 use alphasim_kernel::shard::EpochProfile;
 use alphasim_net::partition::NetHeat;

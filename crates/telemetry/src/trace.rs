@@ -18,7 +18,7 @@ pub const PID_MESSAGES: u32 = 1;
 pub const PID_LINKS: u32 = 2;
 /// Conventional process id for memory-controller (Zbox) service lanes.
 pub const PID_MEMORY: u32 = 3;
-/// Conventional process id for the epoch-parallel engine's per-shard
+/// Conventional process id for the epoch engine's per-shard
 /// profiler lanes (one thread row per region shard).
 pub const PID_SHARDS: u32 = 4;
 
@@ -105,7 +105,7 @@ impl TraceSink {
     }
 
     /// Append every event (complete and metadata) of `other` to this sink.
-    /// Used by the epoch-parallel engine to combine per-region sinks after
+    /// Used by the epoch engine to combine per-region sinks after
     /// a run; follow with [`canonical_sort`](Self::canonical_sort) so the
     /// merged order is independent of how regions partitioned the work.
     pub fn merge_from(&mut self, other: TraceSink) {

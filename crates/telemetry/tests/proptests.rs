@@ -30,7 +30,7 @@ proptest! {
     /// Partitioning an update stream across any number of workers and
     /// merging the per-worker timelines in input order yields the same
     /// timeline (and bytes) as recording sequentially — the property the
-    /// epoch-parallel campaign relies on for `results/timeline.json`.
+    /// partitioned campaign relies on for `results/timeline.json`.
     #[test]
     fn per_worker_merge_in_input_order_matches_sequential(
         updates in prop::collection::vec((0u64..500_000, 0u8..3, 0u64..1_000), 1..300),

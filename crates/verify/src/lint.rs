@@ -19,8 +19,8 @@
 //!   time and `as` wraps silently.
 //! * **raw-thread-spawn** — threads spawned outside the `kernel::par`
 //!   substrate: raw spawns make scheduling order part of the result.
-//!   `parallel_map` and `WorkerPool` pin result order to input order; they
-//!   are the only sanctioned way to go wide.
+//!   `parallel_map` pins result order to input order; it is the only
+//!   sanctioned way to go wide.
 //! * **shared-mutable-state** — `Mutex`/`RwLock`/atomics outside
 //!   `kernel::par`: state mutated from several threads replays in
 //!   scheduling order, not program order. Reporting-only gauges (which
@@ -134,12 +134,11 @@ pub fn rules() -> Vec<Rule> {
             needles: vec![join(&["thread::", "spawn"]), join(&["scope.", "spawn"])],
             context: None,
             // The parallelism substrate is the one module allowed to spawn:
-            // its pool and ordered map are what everyone else must go
-            // through.
+            // its ordered map is what everyone else must go through.
             exempt_paths: vec!["crates/sim/src/par.rs"],
             advice: "raw thread spawns make scheduling part of the result; route \
-                     parallel work through kernel::par (parallel_map or \
-                     WorkerPool), which pin result order to input order",
+                     parallel work through kernel::par::parallel_map, which pins \
+                     result order to input order",
         },
         Rule {
             name: "shared-mutable-state",

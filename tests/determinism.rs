@@ -49,11 +49,11 @@ fn gups_and_summary_are_deterministic() {
     assert_eq!(summary::fig28(20), summary::fig28(20));
 }
 
-/// The load test runs on fabric regions stepped by pool threads; neither
-/// count may change a byte of the result, Xmesh samples and the per-node
-/// Zbox and IP-link busy grids included. (The knobs are process-global,
-/// so every other test in this binary is region-invariant too and may
-/// run alongside.)
+/// The load test runs on fabric regions stepped in epochs; the region
+/// count may not change a byte of the result, Xmesh samples and the
+/// per-node Zbox and IP-link busy grids included. (The knob is
+/// process-global, so every other test in this binary is region-invariant
+/// too and may run alongside.)
 #[test]
 fn load_test_is_region_and_thread_invariant() {
     let cfg = LoadTestConfig {
@@ -71,7 +71,6 @@ fn load_test_is_region_and_thread_invariant() {
         ]
     };
     par::set_shards(1);
-    par::set_threads(1);
     let reference = run();
     assert!(reference.iter().all(|r| !r.samples.is_empty()));
     // Both grids hold traffic, so comparing them is not vacuous.
@@ -79,12 +78,8 @@ fn load_test_is_region_and_thread_invariant() {
         .iter()
         .all(|r| r.zbox_busy.total() > 0 && r.link_busy.total() > 0));
     for regions in [1, 2, 4] {
-        for threads in [1, 2] {
-            par::set_shards(regions);
-            par::set_threads(threads);
-            assert_eq!(run(), reference, "{regions} region(s), {threads} thread(s)");
-        }
+        par::set_shards(regions);
+        assert_eq!(run(), reference, "{regions} region(s)");
     }
     par::set_shards(0);
-    par::set_threads(0);
 }
