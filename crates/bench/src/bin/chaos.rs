@@ -26,13 +26,15 @@
 //! `leak-poison`, `skip-window-refill`, `off-by-one-retry`), fuzzes until
 //! the monitors catch it, shrinks the offending schedule, and with
 //! `--write DIR` commits the reproducer to the corpus. Exit 1 if the
-//! mutation is never caught — the monitors would have lost their teeth.
+//! mutation is never caught — the monitors would have lost their teeth —
+//! or if the reproducer cannot be written (`chaos: <path>: <error>`).
 //!
 //! A bad argument — an unknown subcommand, flag or mutation id, a missing
 //! or malformed value, a stray positional — prints the usage and exits 2.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use alphasim::coherence::RetryPolicy;
@@ -40,7 +42,7 @@ use alphasim::kernel::SimDuration;
 use alphasim::system::chaos::{replay, replay_healthy, run_chaos, ChaosOptions, Reproducer};
 use alphasim::system::{MonitorReport, RecoveryMutation};
 use alphasim_bench::args::{or_usage, Args};
-use alphasim_bench::check_env;
+use alphasim_bench::{check_env, write_or_check};
 
 const USAGE: &str = "usage: chaos run [--trials N] [--seed S]
        chaos replay <dir-or-file> ...
@@ -292,9 +294,11 @@ fn cmd_mutate(mutation: RecoveryMutation, write_dir: Option<String>) -> ExitCode
             return ExitCode::FAILURE;
         }
         if let Some(dir) = write_dir {
-            std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("{dir}: {e}"));
             let path = format!("{dir}/{}.json", rep.name);
-            std::fs::write(&path, rep.to_json()).unwrap_or_else(|e| panic!("{path}: {e}"));
+            if let Err(e) = write_or_check(Path::new(&path), &rep.to_json(), false) {
+                eprintln!("chaos: {e}");
+                return ExitCode::FAILURE;
+            }
             println!("wrote {path}");
         }
         return ExitCode::SUCCESS;

@@ -21,13 +21,14 @@
 //! a measurement of the host, printed but never part of the JSON, so sim
 //! results are byte-identical either way. `--json PATH` writes the report
 //! JSON (identical to `results/timeline.json` only at the default width).
-//! A bad argument prints the usage line and exits 2.
+//! A bad argument prints the usage line and exits 2; a report it cannot
+//! write prints `perfsight: <path>: <error>` and exits 1.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 use alphasim::experiments::timeline::{timeline_report_with, WINDOW_PS};
 use alphasim_bench::args::{or_usage, Args};
-use alphasim_bench::check_env;
+use alphasim_bench::{check_env, write_or_check};
 
 const USAGE: &str = "usage: perfsight [--window-us N] [--wall] [--json PATH]";
 
@@ -106,7 +107,10 @@ fn main() {
 
     if let Some(path) = &json_path {
         let body = serde_json::to_string_pretty(&report.to_json()).expect("report serialises");
-        std::fs::write(path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        if let Err(e) = write_or_check(std::path::Path::new(path), &body, false) {
+            eprintln!("perfsight: {e}");
+            std::process::exit(1);
+        }
         eprintln!("perfsight: report JSON -> {path}");
     }
 }

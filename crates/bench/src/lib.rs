@@ -692,4 +692,14 @@ mod tests {
         assert!(missing.contains("absent.json: "), "{missing}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn write_or_check_names_a_path_under_a_regular_file() {
+        let file = std::env::temp_dir().join(format!("alphasim-bench-file-{}", std::process::id()));
+        std::fs::write(&file, "").unwrap();
+        let path = file.join("out/report.json");
+        let err = write_or_check(&path, "{}", false).unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        assert!(err.starts_with(&format!("{}: ", path.display())), "{err}");
+    }
 }

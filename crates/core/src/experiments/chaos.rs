@@ -6,8 +6,8 @@
 //! cuts, repairs, degradations, transient flit corruption, drains,
 //! router brownouts, RDRAM channel churn — and drives the closed-loop
 //! GS1280 fault campaign under it with the always-on monitors checking
-//! zero hung transactions, the retry bound, poison accounting, route-table
-//! consistency, the conservative-lookahead oracle, and telemetry balance.
+//! zero hung transactions, the retry bound, poison accounting, window
+//! refills, issue quotas, read accounting, and telemetry balance.
 //! The artifact records what each schedule did to the machine; the
 //! experiment *fails loudly* if any monitor fires, because a violation
 //! here is a simulator bug (the chaos engine shrinks it to a minimal

@@ -12,8 +12,9 @@
 //! arbitration, minimal adaptive output selection by backlog,
 //! wormhole-style latency accounting, and calibrated congestion penalties
 //! (see `DESIGN.md` for the fidelity argument), partitioned into torus
-//! row-band regions so a run can advance them on separate cores. The
-//! deadlock-freedom construction itself is checked as a graph property in
+//! row-band regions that the kernel's epoch executor steps in conservative
+//! epochs, one after another on the run's thread. The deadlock-freedom
+//! construction itself is checked as a graph property in
 //! [`alphasim_topology::route`].
 //!
 //! # Examples

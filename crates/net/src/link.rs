@@ -5,6 +5,8 @@
 //! router pause) and whether a release event is scheduled for it
 //! ([`Link::release_pending`]); the fabric schedules that event only while
 //! a packet waits, and otherwise reads "busy" off the release instant.
+//! Nor does it know whether it is up: the fabric tables own liveness
+//! ([`FabricTables::is_alive`](crate::partition::FabricTables::is_alive)).
 
 use alphasim_kernel::stats::UtilizationMeter;
 use alphasim_kernel::{SimDuration, SimTime};
@@ -35,8 +37,6 @@ pub struct Link {
     free_at: Option<SimTime>,
     /// Whether a release event is scheduled for the channel.
     release_pending: bool,
-    /// Whether the physical channel is up (live fault injection downs it).
-    alive: bool,
     meter: UtilizationMeter,
     granted: u64,
     /// Bytes moved per message class, indexed by `MessageClass::priority()`.
@@ -66,7 +66,6 @@ impl Link {
             queued: 0,
             free_at: None,
             release_pending: false,
-            alive: true,
             meter: UtilizationMeter::new(),
             granted: 0,
             class_bytes: [0; 5],
@@ -128,16 +127,6 @@ impl Link {
     /// Record that a release event is (or is no longer) scheduled.
     pub(crate) fn set_release_pending(&mut self, pending: bool) {
         self.release_pending = pending;
-    }
-
-    /// Whether the physical channel is up.
-    pub fn is_alive(&self) -> bool {
-        self.alive
-    }
-
-    /// Mark the channel up or down (live fault injection).
-    pub fn set_alive(&mut self, alive: bool) {
-        self.alive = alive;
     }
 
     /// Empty every VC queue, returning the evicted messages highest

@@ -9,11 +9,12 @@
 //!
 //! * [`FabricTables`] is the **shared, immutable** routing snapshot — the
 //!   topology materialized into plain tables ([`FabricGraph`]), route
-//!   tables over the live fabric, link liveness, drain flags, and the
-//!   [`RegionMap`]. Workers hold it behind an [`Arc`]; only a barrier
-//!   coordinator mutates its master copy (fault strikes) and republishes.
-//!   Between barriers the snapshot is constant, which is what makes
-//!   per-region routing decisions safe without locks.
+//!   tables over the live fabric, link liveness, drain flags, the
+//!   [`RegionMap`], and the conservative lookahead walked from the live
+//!   links. Workers hold it behind an [`Arc`]; only a barrier coordinator
+//!   mutates its master copy (fault strikes) and republishes. Between
+//!   barriers the snapshot is constant, which is what makes per-region
+//!   routing decisions safe without locks.
 //! * [`RegionNet`] is one region's **owned, mutable** slice: the [`Link`]
 //!   state (queues, occupancy, degradation, pauses) of every directed link
 //!   whose *sending* node the region owns, plus the packets queued on
@@ -60,7 +61,7 @@ use alphasim_topology::{Coord, Direction, LinkClass, NodeId, Port, Topology};
 
 use crate::link::Link;
 use crate::msg::{Delivery, MessageClass, MessageId};
-use crate::region::RegionMap;
+use crate::region::{lookahead_by_walk, RegionMap};
 use crate::timing::LinkTiming;
 
 /// Tiebreak kind tag for packet `Arrive` events (low bits: packet uid).
@@ -329,6 +330,9 @@ pub struct FabricTables {
     /// `(from, to, class, dir)` per global link id.
     link_meta: Vec<(NodeId, NodeId, LinkClass, Option<Direction>)>,
     region: RegionMap,
+    /// The cheapest live cross-region hop, walked from `live` whenever it
+    /// or `region` changes.
+    lookahead: Option<SimDuration>,
     alive: Vec<bool>,
     drained: Vec<bool>,
     /// A healthy channel's transfer time for each payload size
@@ -374,6 +378,7 @@ impl FabricTables {
             link_of.push(ids);
         }
         let region = RegionMap::bands(&graph, regions);
+        let lookahead = lookahead_by_walk(&graph, &region, &timing);
         // The per-grant timing arithmetic, tabulated with the same `f64`
         // expressions a grant would evaluate, so every picosecond matches.
         let transfer = (0..=TRANSFER_TABLE_BYTES)
@@ -396,13 +401,15 @@ impl FabricTables {
             link_of,
             link_meta,
             region,
+            lookahead,
         }
     }
 
     /// Re-partition into `regions` row bands, keeping routes, liveness and
-    /// drain flags (cross-region links are counted over the live fabric).
+    /// drain flags (the lookahead is walked over the live fabric).
     pub fn set_regions(&mut self, regions: usize) {
         self.region = RegionMap::bands(&self.live, regions);
+        self.lookahead = lookahead_by_walk(&self.live, &self.region, &self.timing);
     }
 
     /// The materialized topology.
@@ -473,10 +480,11 @@ impl FabricTables {
         self.drained[node.index()] = drained;
     }
 
-    /// The conservative lookahead over the live cross-region links, if any
-    /// cross a boundary.
+    /// The conservative lookahead: the cheapest hop (router + wire) over
+    /// any live cross-region link, or `None` when no live link crosses a
+    /// region boundary.
     pub fn conservative_lookahead(&self) -> Option<SimDuration> {
-        self.region.conservative_lookahead(&self.timing)
+        self.lookahead
     }
 
     /// The epoch horizon to run with: the conservative lookahead, or — when
@@ -512,10 +520,10 @@ impl FabricTables {
     }
 
     /// Fail the undirected link `a ↔ b`: both directed channels go dead
-    /// and routes are recomputed over the survivors. If the failure would
-    /// partition the fabric the tables are left untouched and the error
-    /// returned — worker link state has not been modified yet, so there is
-    /// nothing to roll back.
+    /// and routes and the lookahead are recomputed over the survivors. If
+    /// the failure would partition the fabric the tables are left
+    /// untouched and the error returned — worker link state has not been
+    /// modified yet, so there is nothing to roll back.
     pub fn fail_link(&mut self, a: NodeId, b: NodeId) -> Result<[usize; 2], FaultError> {
         let ids = self.link_ids(a, b)?;
         if !self.alive[ids[0]] {
@@ -532,14 +540,11 @@ impl FabricTables {
                 .expect("rollback restores a routable fabric");
             return Err(e);
         }
-        for id in ids {
-            let (from, to, class, _) = self.link_meta[id];
-            self.region.directed_link_down(from, to, class);
-        }
         Ok(ids)
     }
 
-    /// Bring the dead undirected link `a ↔ b` back and recompute routes.
+    /// Bring the dead undirected link `a ↔ b` back and recompute routes and
+    /// the lookahead.
     /// (Restoring an *alive* but degraded link is a worker-side heal and
     /// never reaches the tables; call sites check liveness first.)
     ///
@@ -554,54 +559,10 @@ impl FabricTables {
         }
         for id in ids {
             self.alive[id] = true;
-            let (from, to, class, _) = self.link_meta[id];
-            self.region.directed_link_up(from, to, class);
         }
         self.rebuild_routes()
             .expect("restoring a link cannot partition the fabric");
         Ok(ids)
-    }
-
-    /// Invariant monitor: recompute minimal routes from scratch over the
-    /// live fabric and compare distances against the installed tables.
-    /// `Err` describes the first divergence — the incremental fault path
-    /// has corrupted routing state.
-    pub fn audit_routes(&self) -> Result<(), String> {
-        let fresh = Routes::compute(&self.live, self.policy);
-        let eps = self.graph.endpoints();
-        for &from in &eps {
-            for &to in &eps {
-                if from == to {
-                    continue;
-                }
-                let installed = self.routes.distance(from, 0, to);
-                let recomputed = fresh.distance(from, 0, to);
-                if installed != recomputed {
-                    return Err(format!(
-                        "route table inconsistent: {from}->{to} installed distance \
-                         {installed}, recomputed {recomputed}"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Invariant monitor: compare the incrementally maintained conservative
-    /// lookahead against the brute-force walk oracle over the live fabric.
-    /// `Err` describes the divergence — fault plumbing has desynced the
-    /// cross-region link accounting.
-    pub fn audit_lookahead(&self) -> Result<(), String> {
-        let walked = crate::region::lookahead_by_walk(&self.live, &self.region, &self.timing);
-        let incremental = self.conservative_lookahead();
-        if walked == incremental {
-            Ok(())
-        } else {
-            Err(format!(
-                "conservative lookahead diverged from the oracle: incremental {incremental:?}, \
-                 brute-force walk {walked:?}"
-            ))
-        }
     }
 
     /// The global id of the directed link `from -> to`, with the same
@@ -611,9 +572,10 @@ impl FabricTables {
             .ok_or(FaultError::NoSuchLink { a: from, b: to })
     }
 
-    /// Recompute the live port views and minimal-path route tables from
-    /// the current liveness flags; `Err` (with the tables unchanged) if
-    /// any endpoint pair would become unreachable.
+    /// Recompute the live port views, the minimal-path route tables and the
+    /// lookahead from the current liveness flags; `Err` (with the routes
+    /// and the lookahead unchanged) if any endpoint pair would become
+    /// unreachable.
     fn rebuild_routes(&mut self) -> Result<(), FaultError> {
         for n in 0..self.graph.node_count() {
             let lp = &mut self.live.ports[n];
@@ -638,17 +600,18 @@ impl FabricTables {
             }
         }
         self.routes = routes;
+        self.lookahead = lookahead_by_walk(&self.live, &self.region, &self.timing);
         Ok(())
     }
 }
 
 /// Topology-indexed and time-windowed accumulators for one region's share
-/// of the fabric: where traffic lands (per-node), where it flows (per-link)
-/// and when (a fixed-width [`Timeline`]).
+/// of the fabric: where traffic lands (per-node) and when (a fixed-width
+/// [`Timeline`]). Where it flows is the links' own meters
+/// ([`Link::busy_time`], [`Link::bytes`]).
 ///
-/// Every node and every directed link is owned by exactly one region, so
-/// per-region accumulators partition the fabric and merging is exact:
-/// element-wise add (plus `max` for the backlog high-water marks) and a
+/// Every node is owned by exactly one region, so per-region accumulators
+/// partition the fabric and merging is exact: element-wise add and a
 /// commutative [`Timeline::merge`]. Merged in region order, the result is
 /// byte-identical at any shard count — same argument as the
 /// registries the campaigns already merge.
@@ -656,29 +619,16 @@ impl FabricTables {
 pub struct NetHeat {
     /// Messages delivered at each destination node, indexed by node id.
     pub node_delivered: Vec<u64>,
-    /// Payload bytes delivered at each destination node.
-    pub node_bytes: Vec<u64>,
-    /// Payload bytes granted onto each directed link.
-    pub link_bytes: Vec<u64>,
-    /// Picoseconds each directed link was occupied by granted transfers.
-    pub link_busy_ps: Vec<u64>,
-    /// Deepest queue observed behind each directed link at grant time.
-    pub link_peak_backlog: Vec<u64>,
     /// Windowed counters `net.delivered` / `net.bytes` / `net.link_busy_ps`,
     /// gauge `net.peak_backlog`, histogram `net.latency_ns`.
     pub timeline: Timeline,
 }
 
 impl NetHeat {
-    /// Zeroed accumulators over `nodes` nodes and `links` directed links,
-    /// windowed at `window_ps`.
-    pub fn new(window_ps: u64, nodes: usize, links: usize) -> Self {
+    /// Zeroed accumulators over `nodes` nodes, windowed at `window_ps`.
+    pub fn new(window_ps: u64, nodes: usize) -> Self {
         NetHeat {
             node_delivered: vec![0; nodes],
-            node_bytes: vec![0; nodes],
-            link_bytes: vec![0; links],
-            link_busy_ps: vec![0; links],
-            link_peak_backlog: vec![0; links],
             timeline: Timeline::new(window_ps),
         }
     }
@@ -690,25 +640,8 @@ impl NetHeat {
     /// Panics if the two sides cover different topologies or window widths.
     pub fn merge(&mut self, other: &NetHeat) {
         assert_eq!(self.node_delivered.len(), other.node_delivered.len());
-        assert_eq!(self.link_bytes.len(), other.link_bytes.len());
         for (a, b) in self.node_delivered.iter_mut().zip(&other.node_delivered) {
             *a += b;
-        }
-        for (a, b) in self.node_bytes.iter_mut().zip(&other.node_bytes) {
-            *a += b;
-        }
-        for (a, b) in self.link_bytes.iter_mut().zip(&other.link_bytes) {
-            *a += b;
-        }
-        for (a, b) in self.link_busy_ps.iter_mut().zip(&other.link_busy_ps) {
-            *a += b;
-        }
-        for (a, b) in self
-            .link_peak_backlog
-            .iter_mut()
-            .zip(&other.link_peak_backlog)
-        {
-            *a = (*a).max(*b);
         }
         self.timeline.merge(&other.timeline);
     }
@@ -729,7 +662,6 @@ pub struct RegionNet<P> {
     slab: Vec<Option<Box<Packet<P>>>>,
     free: Vec<u32>,
     tickets: Vec<Option<InFlight>>,
-    delivered: u64,
     trace: Option<Box<TraceSink>>,
     heat: Option<Box<NetHeat>>,
 }
@@ -740,12 +672,7 @@ impl<P> RegionNet<P> {
         let links = (0..tables.link_count())
             .map(|id| {
                 let (from, to, class, dir) = tables.link_meta(id);
-                (tables.region_of(from) == region).then(|| {
-                    // Links the tables already count dead start down.
-                    let mut link = Link::new(from, to, class, dir);
-                    link.set_alive(tables.is_alive(id));
-                    link
-                })
+                (tables.region_of(from) == region).then(|| Link::new(from, to, class, dir))
             })
             .collect();
         let tickets = vec![None; tables.link_count()];
@@ -756,7 +683,6 @@ impl<P> RegionNet<P> {
             slab: Vec::new(),
             free: Vec::new(),
             tickets,
-            delivered: 0,
             trace: None,
             heat: None,
         }
@@ -775,11 +701,6 @@ impl<P> RegionNet<P> {
     /// Install a fresh routing snapshot (barrier republish).
     pub fn set_tables(&mut self, tables: Arc<FabricTables>) {
         self.tables = tables;
-    }
-
-    /// Messages delivered inside this region.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 
     /// CRC retransmits across this region's links.
@@ -810,7 +731,6 @@ impl<P> RegionNet<P> {
         self.heat = Some(Box::new(NetHeat::new(
             window_ps,
             self.tables.topology().node_count(),
-            self.tables.link_count(),
         )));
     }
 
@@ -908,10 +828,8 @@ impl<P> RegionNet<P> {
     ) -> Option<Box<Packet<P>>> {
         debug_assert_eq!(self.tables.region_of(node), self.region, "foreign arrive");
         if node == pkt.dst {
-            self.delivered += 1;
             if let Some(h) = self.heat.as_deref_mut() {
                 h.node_delivered[node.index()] += 1;
-                h.node_bytes[node.index()] += pkt.bytes;
                 let at = now.as_ps();
                 h.timeline.counter_add(at, "net.delivered", 1);
                 h.timeline.counter_add(at, "net.bytes", pkt.bytes);
@@ -954,7 +872,7 @@ impl<P> RegionNet<P> {
 
     /// Process a booked release of `link` at `now`: move it to the pause
     /// horizon while the router is paused, else grant the next queued
-    /// packet if the link is still up.
+    /// packet if the tables still count the link alive.
     pub fn handle_link_free<E: FabricEvent<P>>(
         &mut self,
         now: SimTime,
@@ -979,7 +897,7 @@ impl<P> RegionNet<P> {
             "a release fires as its channel frees"
         );
         l.set_release_pending(false);
-        if l.is_alive() && l.backlog() > 0 {
+        if self.tables.is_alive(link) && l.backlog() > 0 {
             self.start_transfer(link, now, out);
         }
     }
@@ -1081,9 +999,6 @@ impl<P> RegionNet<P> {
             dest: to,
         });
         if let Some(h) = self.heat.as_deref_mut() {
-            h.link_bytes[link_id] += bytes;
-            h.link_busy_ps[link_id] += occupancy.as_ps();
-            h.link_peak_backlog[link_id] = h.link_peak_backlog[link_id].max(u64::from(backlog));
             let at = now.as_ps();
             h.timeline
                 .counter_add(at, "net.link_busy_ps", occupancy.as_ps());
@@ -1131,6 +1046,7 @@ fn held_until<E>(l: &Link, id: usize, out: &Outbox<E>) -> Option<SimTime> {
 /// and the open-loop driver report. Sums run in link-id order, so every
 /// reduction is byte-identical at any region count.
 pub struct FabricLinks<'a> {
+    tables: &'a FabricTables,
     links: Vec<&'a Link>,
 }
 
@@ -1150,7 +1066,7 @@ impl<'a> FabricLinks<'a> {
                     .expect("every link has an owner region")
             })
             .collect();
-        FabricLinks { links }
+        FabricLinks { tables, links }
     }
 
     /// The links, in global id order.
@@ -1158,14 +1074,16 @@ impl<'a> FabricLinks<'a> {
         self.links.iter().copied()
     }
 
-    /// Mean cumulative busy time over *live* links whose direction
-    /// satisfies `pred`, for interval sampling (East/West vs North/South,
-    /// Fig. 24). Dead links are excluded so a wounded fabric is not
-    /// averaged down by wires that cannot carry traffic.
+    /// Mean cumulative busy time over links the tables count *live* whose
+    /// direction satisfies `pred`, for interval sampling (East/West vs
+    /// North/South, Fig. 24). Dead links are excluded so a wounded fabric
+    /// is not averaged down by wires that cannot carry traffic.
     pub fn mean_busy_where(&self, pred: impl Fn(Option<Direction>) -> bool) -> SimDuration {
         let (sum, n) = self
             .iter()
-            .filter(|l| l.is_alive() && pred(l.dir))
+            .enumerate()
+            .filter(|&(id, l)| self.tables.is_alive(id) && pred(l.dir))
+            .map(|(_, l)| l)
             .fold((SimDuration::ZERO, 0u64), |(s, n), l| {
                 (s + l.busy_time(), n + 1)
             });
@@ -1492,40 +1410,43 @@ mod tests {
         }
     }
 
-    /// The same batch with heat accumulation on; the region heats merged
-    /// in region order.
-    fn heat_at(regions: usize) -> NetHeat {
+    /// The same batch with heat accumulation on: the region heats merged
+    /// in region order, and the busy picoseconds the link meters hold.
+    fn heat_at(regions: usize) -> (NetHeat, u64) {
         let mut net = OpenLoop::new(tables(regions));
         for r in 0..regions {
             net.exec.worker_mut(r).net.enable_heat(10_000);
         }
         send_batch(&mut net);
         net.drain();
-        let mut merged = NetHeat::new(10_000, 16, net.tables().link_count());
+        let mut merged = NetHeat::new(10_000, 16);
         for r in 0..regions {
             let heat = net.exec.worker_mut(r).net.take_heat();
             merged.merge(&heat.expect("heat was enabled"));
         }
-        merged
+        let busy_ps = net.links().iter().map(|l| l.busy_time().as_ps()).sum();
+        (merged, busy_ps)
     }
 
     #[test]
     fn heat_accumulators_are_region_count_invariant_and_sum_exactly() {
-        let reference = heat_at(1);
+        let (reference, busy_ps) = heat_at(1);
         // All five messages landed, and only at their destinations.
         assert_eq!(reference.node_delivered.iter().sum::<u64>(), 5);
         assert_eq!(reference.node_delivered[15], 1);
-        assert_eq!(reference.node_bytes.iter().sum::<u64>(), 5 * 64);
-        // The windowed counters partition the same totals (exact-sum).
+        // The windowed counters partition the same totals (exact-sum), and
+        // the windowed link occupancy sums to what the link meters hold.
         let totals = reference.timeline.totals();
         assert_eq!(totals.counter("net.delivered"), 5);
         assert_eq!(totals.counter("net.bytes"), 5 * 64);
-        assert_eq!(
-            totals.counter("net.link_busy_ps"),
-            reference.link_busy_ps.iter().sum::<u64>()
-        );
+        assert!(busy_ps > 0);
+        assert_eq!(totals.counter("net.link_busy_ps"), busy_ps);
         for regions in [2, 4] {
-            assert_eq!(heat_at(regions), reference, "{regions} regions diverged");
+            assert_eq!(
+                heat_at(regions),
+                (reference.clone(), busy_ps),
+                "{regions} regions diverged"
+            );
         }
     }
 
@@ -1811,11 +1732,8 @@ mod tests {
         // the live links it sends on: the tables' three survivors, each
         // of which carried traffic, and never the cut one.
         let tables = net.tables();
-        let folded: Vec<usize> = links
-            .iter()
-            .enumerate()
-            .filter(|&(id, l)| l.is_alive() && tables.link_meta(id).0 == NodeId::new(0))
-            .map(|(id, _)| id)
+        let folded: Vec<usize> = (0..tables.link_count())
+            .filter(|&id| tables.is_alive(id) && tables.link_meta(id).0 == NodeId::new(0))
             .collect();
         let mut live = tables.live_links_from(NodeId::new(0)).to_vec();
         live.sort_unstable();
@@ -1937,32 +1855,53 @@ mod tests {
         }
     }
 
+    /// The four row 1 -> row 2 links of the 4x4: its band boundary at two
+    /// regions. The row 3 -> row 0 wrap cables cross the bands too.
+    fn band_boundary() -> [(NodeId, NodeId); 4] {
+        [(4, 8), (5, 9), (6, 10), (7, 11)].map(|(a, b)| (NodeId::new(a), NodeId::new(b)))
+    }
+
+    /// The conservative lookahead in nanoseconds.
+    fn lookahead_ns(t: &FabricTables) -> Option<f64> {
+        t.conservative_lookahead().map(SimDuration::as_ns)
+    }
+
     #[test]
     fn lookahead_tracks_faults_on_the_live_fabric() {
-        assert_eq!(
-            tables(1).conservative_lookahead(),
-            None,
-            "one region: no horizon"
-        );
+        assert_eq!(lookahead_ns(&tables(1)), None, "one region: no horizon");
         let mut t = tables(2);
-        // 4x4 band boundary crossings are North/South Board hops: 20.5 ns.
-        let la = t.conservative_lookahead().expect("two regions share links");
-        assert_eq!(la.as_ns(), 20.5);
-        t.fail_link(NodeId::new(4), NodeId::new(8)).unwrap();
-        assert_eq!(t.conservative_lookahead(), Some(la));
-        t.audit_lookahead().unwrap();
-        t.revive_link(NodeId::new(4), NodeId::new(8)).unwrap();
-        assert_eq!(t.conservative_lookahead(), Some(la));
+        // The band boundary is North/South Board hops (20.5 ns); the wrap
+        // cables cost 25 ns.
+        assert_eq!(lookahead_ns(&t), Some(20.5));
+        let [(a, b), rest @ ..] = band_boundary();
+        t.fail_link(a, b).unwrap();
+        assert_eq!(
+            lookahead_ns(&t),
+            Some(20.5),
+            "three board links still cross"
+        );
+        for (a, b) in rest {
+            t.fail_link(a, b).unwrap();
+        }
+        assert_eq!(lookahead_ns(&t), Some(25.0), "only the wrap cables cross");
+        t.revive_link(a, b).unwrap();
+        assert_eq!(lookahead_ns(&t), Some(20.5), "one board link is back");
     }
 
     #[test]
     fn set_regions_counts_cross_links_over_the_live_fabric() {
+        // Cut the future band boundary while the fabric is one region:
+        // re-partitioned, only the wrap cables cross.
         let mut t = tables(1);
-        t.fail_link(NodeId::new(4), NodeId::new(8)).unwrap();
+        for (a, b) in band_boundary() {
+            t.fail_link(a, b).unwrap();
+        }
+        assert_eq!(lookahead_ns(&t), None);
         t.set_regions(2);
         assert_eq!(t.region_count(), 2);
-        t.audit_lookahead().unwrap();
-        t.audit_routes().unwrap();
+        assert_eq!(lookahead_ns(&t), Some(25.0));
+        // The routes stay the wounded fabric's: 4 -> 8 detours over a wrap.
+        assert_eq!(t.routes.distance(NodeId::new(4), 0, NodeId::new(8)), 3);
     }
 
     #[test]
@@ -1971,13 +1910,14 @@ mod tests {
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let ids = master.fail_link(a, b).expect("first failure applies");
         assert!(!master.is_alive(ids[0]));
-        master.audit_routes().unwrap();
+        assert_eq!(master.routes.distance(a, 0, b), 3, "0 -> 1 detours");
         assert_eq!(
             master.fail_link(a, b),
             Err(FaultError::AlreadyInState { a, b, alive: false })
         );
         master.revive_link(a, b).expect("revive applies");
         assert!(master.is_alive(ids[0]));
+        assert_eq!(master.routes.distance(a, 0, b), 1);
         assert_eq!(
             master.revive_link(a, b),
             Err(FaultError::AlreadyInState { a, b, alive: true })

@@ -6,7 +6,7 @@
 use alphasim_kernel::SimTime;
 use alphasim_net::partition::{FabricTables, OpenLoop};
 use alphasim_net::region::{lookahead_by_walk, RegionMap};
-use alphasim_net::{LinkTiming, MessageClass};
+use alphasim_net::{FaultError, LinkTiming, MessageClass};
 use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{Degraded, NodeId, Topology, Torus2D};
 use proptest::prelude::*;
@@ -107,11 +107,13 @@ proptest! {
         prop_assert_eq!(links.total_grants(), (burst * hops) as u64);
     }
 
-    /// The conservative-lookahead invariant: the incrementally-maintained
-    /// lookahead equals the minimum latency over live inter-region links —
-    /// computed by brute-force fabric walk — across torus sizes from 4x4 to
-    /// 16x16 and under zero, one, or two link cuts; and restoring the cuts
-    /// restores the healthy value.
+    /// The conservative-lookahead invariant: the lookahead the fabric
+    /// tables hold after cuts made through their fault API equals the
+    /// minimum latency over live inter-region links, walked over an
+    /// independently built wounded torus, across torus sizes from 4x4 to
+    /// 16x16 and under zero, one, or two link cuts (a cut the tables refuse
+    /// because it would partition the fabric is skipped); and reviving the
+    /// cuts restores the healthy value.
     #[test]
     fn lookahead_is_min_inter_region_latency_under_cuts(
         shape in (4usize..=16, 4usize..=16),
@@ -121,43 +123,42 @@ proptest! {
         let (c, r) = shape;
         let torus = Torus2D::new(c, r);
         let timing = LinkTiming::ev7_torus();
-        let mut map = RegionMap::bands(&torus, shards);
+        let mut tables = FabricTables::new(&torus, timing, RoutePolicy::Minimal, shards);
+        let map = RegionMap::bands(&torus, shards);
 
-        // Resolve the random picks into distinct undirected links.
+        // Resolve the random picks into distinct undirected links and cut
+        // each one the fabric survives.
         let mut cuts: Vec<(NodeId, NodeId)> = Vec::new();
         for &(ni, pi) in &picks {
             let a = NodeId::new(ni % (c * r));
             let ports = torus.ports(a);
             let b = ports[pi % ports.len()].to;
             let key = if a.index() <= b.index() { (a, b) } else { (b, a) };
-            if !cuts.contains(&key) {
-                cuts.push(key);
+            if cuts.contains(&key) {
+                continue;
             }
-        }
-        let class_of = |a: NodeId, b: NodeId| {
-            torus.ports(a).iter().find(|p| p.to == b).expect("link exists").class
-        };
-
-        // Cut both directed channels of each link, as the fabric does.
-        for &(a, b) in &cuts {
-            map.directed_link_down(a, b, class_of(a, b));
-            map.directed_link_down(b, a, class_of(b, a));
+            match tables.fail_link(key.0, key.1) {
+                Ok(_) => cuts.push(key),
+                Err(FaultError::Partitioned { .. }) => {}
+                Err(e) => prop_assert!(false, "cut {:?} refused: {}", key, e),
+            }
         }
         let wounded = Degraded::new(torus.clone(), &cuts);
         prop_assert_eq!(
-            map.conservative_lookahead(&timing),
+            tables.conservative_lookahead(),
             lookahead_by_walk(&wounded, &map, &timing),
-            "incremental lookahead diverged from the walked minimum on a wounded {c}x{r}"
+            "the tables' lookahead is not the walked minimum on a wounded {}x{}",
+            c,
+            r
         );
 
         for &(a, b) in &cuts {
-            map.directed_link_up(a, b, class_of(a, b));
-            map.directed_link_up(b, a, class_of(b, a));
+            tables.revive_link(a, b).unwrap();
         }
         prop_assert_eq!(
-            map.conservative_lookahead(&timing),
+            tables.conservative_lookahead(),
             lookahead_by_walk(&torus, &map, &timing),
-            "restores did not recover the healthy lookahead"
+            "revives did not recover the healthy lookahead"
         );
     }
 

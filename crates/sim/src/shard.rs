@@ -1147,7 +1147,7 @@ mod tests {
     }
 
     #[test]
-    fn executor_is_invariant_across_shard_and_thread_counts() {
+    fn executor_is_invariant_across_shard_counts() {
         let reference = run_ring(1, 50, 50);
         for shards in [2usize, 4] {
             assert_eq!(

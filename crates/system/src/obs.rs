@@ -6,22 +6,27 @@
 //!
 //! * a per-worker `ObsAcc` — fixed-width sim-time windows
 //!   ([`Timeline`]) of injections, completions, retries, poisons and
-//!   Zbox service, plus per-node memory accumulators;
-//! * the fabric's [`NetHeat`] — per-node delivery and per-link
-//!   occupancy accumulators with their own windowed series;
+//!   Zbox service, plus DRAM service time per home node;
+//! * the fabric's [`NetHeat`] — per-node deliveries and the fabric's own
+//!   windowed series;
 //! * the executor's [`EpochProfile`] — per-epoch per-shard busy/merge
 //!   spans from the conservative scheduler.
 //!
-//! Every accumulator is owned by exactly one region and merged in region
-//! (input) order after the run, the same argument that makes the
+//! What the run already meters is read, not re-counted: link occupancy
+//! comes from the links' meters and reads served from the Zboxes' access
+//! counts. Every accumulator is owned by exactly one region and merged in
+//! region (input) order after the run, the same argument that makes the
 //! campaign's registries byte-identical at any `--shards` count.
 //! [`CampaignObservability`] is the merged result: the timeline, the
 //! latency pairs, P×Q topology heatmaps, and the profile.
 
 use alphasim_kernel::shard::EpochProfile;
-use alphasim_net::partition::NetHeat;
+use alphasim_mem::Zbox;
+use alphasim_net::partition::{FabricLinks, NetHeat};
 use alphasim_telemetry::{Heatmap, Timeline};
 use alphasim_topology::{NodeId, Topology};
+
+use crate::epoch::CampaignWorker;
 
 /// What [`crate::faulty::FaultCampaign::run_observed`] collects beyond the
 /// plain result and telemetry.
@@ -60,8 +65,6 @@ pub(crate) struct ObsAcc {
     /// `(completed_at_ps, e2e_ps)` per completion, for exact windowed
     /// latency quantiles.
     pub(crate) latencies: Vec<(u64, u64)>,
-    /// Reads served per home node.
-    pub(crate) zbox_reads: Vec<u64>,
     /// DRAM service picoseconds per home node.
     pub(crate) zbox_busy_ps: Vec<u64>,
 }
@@ -71,7 +74,6 @@ impl ObsAcc {
         ObsAcc {
             timeline: Timeline::new(window_ps),
             latencies: Vec::new(),
-            zbox_reads: vec![0; nodes],
             zbox_busy_ps: vec![0; nodes],
         }
     }
@@ -96,7 +98,6 @@ impl ObsAcc {
     }
 
     pub(crate) fn note_zbox_read(&mut self, at_ps: u64, node: usize, dram_ps: u64) {
-        self.zbox_reads[node] += 1;
         self.zbox_busy_ps[node] += dram_ps;
         self.timeline.counter_add(at_ps, "campaign.zbox_reads", 1);
         self.timeline
@@ -108,9 +109,6 @@ impl ObsAcc {
     pub(crate) fn merge(&mut self, other: &ObsAcc) {
         self.timeline.merge(&other.timeline);
         self.latencies.extend_from_slice(&other.latencies);
-        for (a, b) in self.zbox_reads.iter_mut().zip(&other.zbox_reads) {
-            *a += b;
-        }
         for (a, b) in self.zbox_busy_ps.iter_mut().zip(&other.zbox_busy_ps) {
             *a += b;
         }
@@ -133,17 +131,14 @@ pub struct CampaignObservability {
     pub latencies: Vec<(u64, u64)>,
     /// Messages delivered per node, as a P×Q grid.
     pub node_delivered: Heatmap,
-    /// Outgoing-link occupancy picoseconds folded onto each sending node,
-    /// as a P×Q grid — the router-utilization view.
+    /// Outgoing-link occupancy picoseconds (the link meters' busy time)
+    /// folded onto each sending node, as a P×Q grid — the
+    /// router-utilization view.
     pub link_busy: Heatmap,
-    /// Reads served per home Zbox, as a P×Q grid.
+    /// Reads served per home Zbox (its access count), as a P×Q grid.
     pub zbox_reads: Heatmap,
     /// DRAM service picoseconds per home Zbox, as a P×Q grid.
     pub zbox_busy: Heatmap,
-    /// Payload bytes granted per directed link, indexed by global link id.
-    pub link_bytes: Vec<u64>,
-    /// Deepest queue observed behind each directed link.
-    pub link_peak_backlog: Vec<u64>,
     /// Per-epoch per-shard busy/merge spans from the conservative
     /// scheduler (plus optional wall-clock, when requested).
     pub profile: EpochProfile,
@@ -185,21 +180,42 @@ pub(crate) fn link_grid<T: Topology>(
     node_grid(topo, &by_node)
 }
 
-/// Assemble the merged per-region accumulators into the public result.
-///
-/// `link_from[id]` is the sending node of directed link `id` (for folding
-/// link occupancy onto the router grid); `pending_deltas` is the merged,
-/// sorted pending-set occupancy log, replayed here into the
-/// `campaign.pending_depth` windowed gauge.
+/// Sum `f` of every memory site's Zbox onto its node and lay the sums on
+/// [`node_grid`]. Each site's controller lives in exactly one region.
+pub(crate) fn zbox_grid<T: Topology>(
+    topo: &T,
+    workers: &[CampaignWorker],
+    f: impl Fn(&Zbox) -> u64,
+) -> Heatmap {
+    let mut by_node = vec![0u64; topo.node_count()];
+    for (site, zbox) in workers.iter().flat_map(|w| w.zboxes.iter().enumerate()) {
+        by_node[site] += zbox.as_ref().map_or(0, &f);
+    }
+    node_grid(topo, &by_node)
+}
+
+/// Fold the observed run's `workers` into the public result: merge their
+/// accumulators in region order, read link occupancy off the link meters
+/// and reads served off the Zboxes, and lay the per-node values onto
+/// `topo`'s grid. `pending_deltas` is the merged, sorted pending-set
+/// occupancy log, replayed here into the `campaign.pending_depth`
+/// windowed gauge.
 pub(crate) fn assemble<T: Topology>(
     topo: &T,
     window_ps: u64,
-    heat: NetHeat,
-    mut obs: ObsAcc,
+    workers: &mut [CampaignWorker],
     profile: EpochProfile,
-    link_from: &[NodeId],
     pending_deltas: &[(u64, i8)],
 ) -> CampaignObservability {
+    let nodes = topo.node_count();
+    let mut heat = NetHeat::new(window_ps, nodes);
+    let mut obs = ObsAcc::new(window_ps, nodes);
+    for w in workers.iter_mut() {
+        heat.merge(&w.net.take_heat().expect("heat was enabled"));
+        obs.merge(w.obs.as_deref().expect("observation was enabled"));
+    }
+    let links = FabricLinks::gather(workers.iter().map(|w| &w.net));
+    let link_busy = link_grid(topo, links.iter().map(|l| (l.from, l.busy_time().as_ps())));
     obs.timeline.merge(&heat.timeline);
     let mut occupancy = 0i64;
     for &(at_ps, d) in pending_deltas {
@@ -211,11 +227,9 @@ pub(crate) fn assemble<T: Topology>(
     CampaignObservability {
         window_ps,
         node_delivered: node_grid(topo, &heat.node_delivered),
-        link_busy: link_grid(topo, link_from.iter().copied().zip(heat.link_busy_ps)),
-        zbox_reads: node_grid(topo, &obs.zbox_reads),
+        link_busy,
+        zbox_reads: zbox_grid(topo, workers, Zbox::accesses),
         zbox_busy: node_grid(topo, &obs.zbox_busy_ps),
-        link_bytes: heat.link_bytes,
-        link_peak_backlog: heat.link_peak_backlog,
         timeline: obs.timeline,
         latencies: obs.latencies,
         profile,
@@ -247,7 +261,6 @@ mod tests {
         whole.latencies.sort_unstable();
         assert_eq!(merged.timeline, whole.timeline);
         assert_eq!(merged.latencies, whole.latencies);
-        assert_eq!(merged.zbox_reads, whole.zbox_reads);
         assert_eq!(merged.zbox_busy_ps, whole.zbox_busy_ps);
         assert_eq!(
             merged.timeline.totals().counter("campaign.completed"),

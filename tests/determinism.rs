@@ -55,7 +55,7 @@ fn gups_and_summary_are_deterministic() {
 /// process-global, so every other test in this binary is region-invariant
 /// too and may run alongside.)
 #[test]
-fn load_test_is_region_and_thread_invariant() {
+fn load_test_is_region_count_invariant() {
     let cfg = LoadTestConfig {
         outstanding: 8,
         requests_per_cpu: 60,
