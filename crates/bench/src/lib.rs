@@ -246,12 +246,22 @@ pub fn files(artifacts: &[Artifact], whole: bool) -> Vec<(String, String)> {
 /// Write `content` to `path` (creating its directory), or with `check`
 /// compare it against the file on disk. A failed check or an I/O error
 /// comes back as one line naming the file and, via [`explain_drift`], what
-/// moved.
+/// moved; a directory that cannot be created because an ancestor is a
+/// file names that ancestor (`out/x.json: out is not a directory`).
 pub fn write_or_check(path: &Path, content: &str, check: bool) -> Result<(), String> {
     let fail = |e: std::io::Error| format!("{}: {e}", path.display());
     if !check {
         if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(fail)?;
+            std::fs::create_dir_all(dir).map_err(|e| {
+                // The nearest ancestor that exists; if it is not a
+                // directory, that is what stopped the walk.
+                match dir.ancestors().find(|a| a.exists()) {
+                    Some(a) if !a.is_dir() => {
+                        format!("{}: {} is not a directory", path.display(), a.display())
+                    }
+                    _ => fail(e),
+                }
+            })?;
         }
         return std::fs::write(path, content).map_err(fail);
     }
@@ -700,6 +710,9 @@ mod tests {
         let path = file.join("out/report.json");
         let err = write_or_check(&path, "{}", false).unwrap_err();
         std::fs::remove_file(&file).unwrap();
-        assert!(err.starts_with(&format!("{}: ", path.display())), "{err}");
+        assert_eq!(
+            err,
+            format!("{}: {} is not a directory", path.display(), file.display())
+        );
     }
 }

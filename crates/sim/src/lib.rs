@@ -12,8 +12,10 @@
 //!   simulations out across OS threads without changing their results;
 //! * [`shard`] — the conservative-lookahead epoch scheduler
 //!   ([`shard::EpochExecutor`]), the one event engine every simulation runs
-//!   on: per-region 4-ary event heaps ordered by `(time, tiebreak)`,
-//!   stepped inline and byte-identical at any region count;
+//!   on: per-region event queues (a ring of 128 ps time-slot buckets over
+//!   the next 524 ns, in front of a 4-ary heap for the rest) that pop in
+//!   exact `(time, tiebreak)` order, stepped inline and byte-identical at
+//!   any region count;
 //! * [`FaultPlan`] — a seeded, time-sorted schedule of link/node/channel
 //!   failures (and repairs, degradations, transients) for live
 //!   fault-injection runs;

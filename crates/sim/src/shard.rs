@@ -4,8 +4,10 @@
 //! where every hop costs a known, fixed wire latency. This module exploits
 //! the same structure *inside* one simulation run. [`EpochExecutor`] gives
 //! each region ("shard") its own slice of simulation state (a
-//! [`ShardWorker`]) and its own 4-ary event heap ordered by
-//! `(time, tiebreak)`. Shards advance independently up to a **conservative
+//! [`ShardWorker`]) and its own event queue ordered by `(time, tiebreak)`:
+//! a ring of 128 ps time-slot buckets spanning the next 524 ns, in front
+//! of a 4-ary heap for everything else, popped in exact key order whatever
+//! lands where. Shards advance independently up to a **conservative
 //! lookahead horizon** — the minimum latency of any inter-region link — and
 //! exchange cross-region events at barrier epochs. The lookahead contract
 //! is enforced at every emission: a cross-shard event closer than the
@@ -76,7 +78,7 @@
 //! already have fired* — so a worker can leave out an event whose only
 //! effect is to mark a state as over (the fabric's idle link releases) and
 //! still read that state exactly. Why this is exact: keys are unique, and
-//! a pending key pops only after every smaller key present in its heap.
+//! a pending key pops only after every smaller key present in its queue.
 //! So before an event keyed `K` fires, every handled key is below `K`;
 //! after it fires, the high-water is at least `K`. A key emitted at the
 //! current instant may sort *below* the key that emitted it (an arrival
@@ -88,10 +90,8 @@ use alphasim_telemetry::global::EVENT_QUEUE_PEAK;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Packed heap key: `time << 64 | tiebreak` — one `u128` comparison orders
-/// events by time, then tiebreak. The packing makes ordering a single
-/// integer comparison — branchless — which matters because a 4-ary heap
-/// trades extra sibling comparisons for half the sift levels.
+/// Packed event key: `time << 64 | tiebreak` — one `u128` comparison orders
+/// events by time, then tiebreak.
 #[inline]
 fn pack(at: SimTime, tiebreak: u64) -> u128 {
     (u128::from(at.as_ps()) << 64) | u128::from(tiebreak)
@@ -100,6 +100,214 @@ fn pack(at: SimTime, tiebreak: u64) -> u128 {
 #[inline]
 fn unpack_time(key: u128) -> SimTime {
     SimTime::from_ps((key >> 64) as u64)
+}
+
+/// One ring bucket spans `2^SLOT_SHIFT` = 128 ps.
+const SLOT_SHIFT: u32 = 7;
+/// Ring buckets: 4,096 × 128 ps is a 524 ns near-future window, which
+/// holds all but a few hundredths of a percent of the events a torus or
+/// switch hop schedules.
+const BUCKETS: usize = 4096;
+/// Occupancy-bitmap words, one bit per bucket.
+const WORDS: usize = BUCKETS / 64;
+/// Events one bucket holds before further keys for it go to the far heap,
+/// so a same-instant burst never walks a long list.
+const BUCKET_CAP: u8 = 32;
+/// The end of a bucket's list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// The ring's time slot of a key: its time in 128 ps units.
+#[inline]
+fn slot_of(key: u128) -> u64 {
+    (key >> (64 + SLOT_SHIFT)) as u64
+}
+
+/// A ring node: a key, its payload (`None` while on the free list) and the
+/// next node of its bucket's list (or of the free list).
+struct Node<E> {
+    key: u128,
+    ev: Option<E>,
+    next: u32,
+}
+
+/// One shard's pending events: a calendar queue (Brown, CACM 1988) with an
+/// exact fallback.
+///
+/// The **ring** files a key by time slot: bucket `slot % BUCKETS` of a
+/// window of `BUCKETS` slots that starts at `base`. Each bucket is an
+/// ascending singly linked list threaded through one node pool, and an
+/// occupancy bitmap finds the first non-empty bucket. The **far heap** (a
+/// 4-ary heap) holds every other key: past the window, for a full bucket,
+/// or below `base` after a reseed. A pop takes the smaller of the ring's
+/// front and the heap's top; keys are unique, so events come out in exact
+/// `(time, tiebreak)` order wherever each one was filed, and the constants
+/// above tune speed only.
+///
+/// `base` follows each popped key's slot, but only forward while the ring
+/// holds events (every ring key then stays inside the window, so no two of
+/// its slots share a bucket); once the ring is empty it may move anywhere.
+struct EventQueue<E> {
+    /// First node of each bucket's list, `NIL` when empty.
+    heads: Box<[u32]>,
+    /// Events in each bucket.
+    counts: Box<[u8]>,
+    /// Bit `b % 64` of word `b / 64` is set when bucket `b` is non-empty.
+    occupied: [u64; WORDS],
+    /// Slot of the window's first bucket.
+    base: u64,
+    /// Events in the ring.
+    ring_len: usize,
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list, `NIL` when every node is in use.
+    free: u32,
+    far: Vec<(u128, E)>,
+}
+
+impl<E> EventQueue<E> {
+    fn new() -> Self {
+        EventQueue {
+            heads: vec![NIL; BUCKETS].into_boxed_slice(),
+            counts: vec![0; BUCKETS].into_boxed_slice(),
+            occupied: [0; WORDS],
+            base: 0,
+            ring_len: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            far: Vec::new(),
+        }
+    }
+
+    /// Pending events, ring and far heap together.
+    fn len(&self) -> usize {
+        self.ring_len + self.far.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// File `key` in its bucket's list, in order, when its slot is inside
+    /// the window and the bucket has room; otherwise in the far heap.
+    fn push(&mut self, key: u128, ev: E) {
+        let slot = slot_of(key);
+        let b = slot as usize % BUCKETS;
+        if slot.wrapping_sub(self.base) >= BUCKETS as u64 || self.counts[b] >= BUCKET_CAP {
+            heap_push(&mut self.far, key, ev);
+            return;
+        }
+        let node = if self.free == NIL {
+            self.nodes.push(Node {
+                key,
+                ev: Some(ev),
+                next: NIL,
+            });
+            // Free nodes are reused first, so the pool never exceeds
+            // `BUCKETS * BUCKET_CAP` nodes and every index fits a `u32`.
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            let reused = &mut self.nodes[n as usize];
+            self.free = reused.next;
+            reused.key = key;
+            reused.ev = Some(ev);
+            n
+        };
+        let (mut prev, mut cur) = (NIL, self.heads[b]);
+        while cur != NIL && self.nodes[cur as usize].key < key {
+            prev = cur;
+            cur = self.nodes[cur as usize].next;
+        }
+        self.nodes[node as usize].next = cur;
+        if prev == NIL {
+            self.heads[b] = node;
+        } else {
+            self.nodes[prev as usize].next = node;
+        }
+        self.counts[b] += 1;
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.ring_len += 1;
+    }
+
+    /// The non-empty bucket of the smallest slot: the first set bit at or
+    /// after `base`'s bucket, wrapping once round the ring.
+    fn front_bucket(&self) -> Option<usize> {
+        if self.ring_len == 0 {
+            return None;
+        }
+        let start = self.base as usize % BUCKETS;
+        let first = start / 64;
+        let high = self.occupied[first] & (!0u64 << (start % 64));
+        if high != 0 {
+            return Some(first * 64 + high.trailing_zeros() as usize);
+        }
+        // The last step revisits `first`, whose bits at or after `start`
+        // are clear, so it finds the wrapped slots below `start`.
+        (1..=WORDS)
+            .map(|step| (first + step) % WORDS)
+            .find(|&w| self.occupied[w] != 0)
+            .map(|w| w * 64 + self.occupied[w].trailing_zeros() as usize)
+    }
+
+    /// The smallest pending key and where it is: `Some(b)` for the front
+    /// of ring bucket `b`, `None` for the far heap's top.
+    fn min(&self) -> Option<(u128, Option<usize>)> {
+        let ring = self
+            .front_bucket()
+            .map(|b| (self.nodes[self.heads[b] as usize].key, Some(b)));
+        let far = self.far.first().map(|e| (e.0, None));
+        match (ring, far) {
+            (Some(r), Some(f)) => Some(if r.0 < f.0 { r } else { f }),
+            (r, f) => r.or(f),
+        }
+    }
+
+    fn peek(&self) -> Option<u128> {
+        self.min().map(|(key, _)| key)
+    }
+
+    /// Pop the smallest pending key if it is below `limit`.
+    fn pop_below(&mut self, limit: u128) -> Option<(u128, E)> {
+        let (key, bucket) = self.min().filter(|&(key, _)| key < limit)?;
+        let ev = match bucket {
+            Some(b) => {
+                let n = self.heads[b];
+                let node = &mut self.nodes[n as usize];
+                let ev = node.ev.take().expect("a listed node holds its event");
+                self.heads[b] = node.next;
+                node.next = self.free;
+                self.free = n;
+                self.counts[b] -= 1;
+                if self.heads[b] == NIL {
+                    self.occupied[b / 64] &= !(1 << (b % 64));
+                }
+                self.ring_len -= 1;
+                ev
+            }
+            None => heap_pop(&mut self.far).expect("peeked entry pops").1,
+        };
+        let slot = slot_of(key);
+        if self.ring_len == 0 || slot > self.base {
+            self.base = slot;
+        }
+        Some((key, ev))
+    }
+
+    /// Remove every pending event, in no particular order, leaving the
+    /// ring empty.
+    fn take_all(&mut self) -> Vec<(u128, E)> {
+        let mut all = std::mem::take(&mut self.far);
+        all.extend(
+            self.nodes
+                .drain(..)
+                .filter_map(|n| n.ev.map(|ev| (n.key, ev))),
+        );
+        self.heads.fill(NIL);
+        self.counts.fill(0);
+        self.occupied = [0; WORDS];
+        self.ring_len = 0;
+        self.free = NIL;
+        all
+    }
 }
 
 /// Push onto a 4-ary implicit min-heap (children of `i` at `4i+1..=4i+4`).
@@ -152,7 +360,8 @@ fn heap_pop<E>(heap: &mut Vec<(u128, E)>) -> Option<(u128, E)> {
     Some(entry)
 }
 
-/// The deepest any epoch shard's event heap has been since the last
+/// The deepest any epoch shard's event queue has been (pending events,
+/// ring and far heap together) since the last
 /// [`take_peak_event_depth`] call (executors contribute when they hand back
 /// their workers or are dropped). Backed by the telemetry registry's
 /// process-wide gauge [`alphasim_telemetry::global::EVENT_QUEUE_PEAK`];
@@ -161,7 +370,7 @@ pub fn peak_event_depth() -> u64 {
     EVENT_QUEUE_PEAK.get()
 }
 
-/// Read and reset the process-wide peak event-heap depth.
+/// Read and reset the process-wide peak event-queue depth.
 pub fn take_peak_event_depth() -> u64 {
     EVENT_QUEUE_PEAK.take()
 }
@@ -244,7 +453,7 @@ pub trait ShardWorker: Send + 'static {
 /// Where a [`ShardWorker`] emits follow-up events.
 ///
 /// Same-shard emissions may fire at any `at >= now` (they are merged into
-/// the shard's own heap and can still fire within the current epoch).
+/// the shard's own queue and can still fire within the current epoch).
 /// Cross-shard emissions must respect the **lookahead contract**:
 /// `at >= now + lookahead`, where the lookahead is the minimum inter-region
 /// link latency. Violations panic immediately, naming the horizon — a
@@ -413,10 +622,10 @@ impl<E> Outbox<E> {
     }
 }
 
-/// One shard: its event heap, its owned worker state, and its epoch
+/// One shard: its event queue, its owned worker state, and its epoch
 /// scratch.
 struct ShardSlot<W: ShardWorker> {
-    heap: Vec<(u128, W::Event)>,
+    queue: EventQueue<W::Event>,
     worker: W,
     outbox: Outbox<W::Event>,
     /// Exclusive processing bound for the current epoch.
@@ -429,27 +638,24 @@ struct ShardSlot<W: ShardWorker> {
 }
 
 /// Process every local event strictly before the epoch bound, merging
-/// same-shard emissions back into the heap as it goes.
+/// same-shard emissions back into the queue as it goes.
 fn run_slot<W: ShardWorker>(slot: &mut ShardSlot<W>) {
     // Wall-clock here is reporting-only (the epoch profiler's optional
     // overhead view) and never feeds back into simulation decisions; off,
     // it costs one untaken branch.
     let t0 = slot.time_wall.then(std::time::Instant::now); // lint-allow: wall-clock
-    while let Some(&(key, _)) = slot.heap.first() {
+    let limit = pack(slot.bound, 0);
+    while let Some((key, ev)) = slot.queue.pop_below(limit) {
         let at = unpack_time(key);
-        if at >= slot.bound {
-            break;
-        }
-        let (_, ev) = heap_pop(&mut slot.heap).expect("peeked entry pops");
         slot.outbox.now = at;
         slot.outbox.high_water = slot.outbox.high_water.max(Some(key));
         slot.worker.handle(at, ev, &mut slot.outbox);
         slot.processed += 1;
         while let Some((t, tb, e)) = slot.outbox.local.pop() {
-            heap_push(&mut slot.heap, pack(t, tb), e);
+            slot.queue.push(pack(t, tb), e);
         }
-        if slot.heap.len() > slot.peak {
-            slot.peak = slot.heap.len();
+        if slot.queue.len() > slot.peak {
+            slot.peak = slot.queue.len();
         }
     }
     if let Some(t0) = t0 {
@@ -554,7 +760,7 @@ impl EpochProfile {
 pub enum BarrierVerdict {
     /// Keep running epochs (the guide may have injected new events).
     Continue,
-    /// Stop the run immediately; pending events stay in their heaps.
+    /// Stop the run immediately; pending events stay in their queues.
     Stop,
 }
 
@@ -612,13 +818,13 @@ pub trait EpochGuide<W: ShardWorker> {
     fn next_barrier(&mut self) -> Option<SimTime>;
 
     /// Strike the barrier at `at`: mutate workers, inject or extract
-    /// events, adjust the lookahead. Invoked even when every heap is empty
+    /// events, adjust the lookahead. Invoked even when every queue is empty
     /// — a quiescent simulation can still owe watchdog ticks.
     fn at_barrier(&mut self, at: SimTime, ctl: &mut EpochControl<'_, W>) -> BarrierVerdict;
 }
 
 /// The guide's window into a stopped executor: exclusive access to every
-/// worker and heap while all shards sit at a barrier.
+/// worker and event queue while all shards sit at a barrier.
 ///
 /// A guide gets one only as [`EpochGuide::at_barrier`]'s argument, and it
 /// borrows the stopped executor, so it cannot outlive the barrier: neither
@@ -695,7 +901,7 @@ impl<W: ShardWorker> EpochControl<'_, W> {
             "barrier injection into the past: {at} < barrier {now}",
             now = self.now
         );
-        heap_push(&mut self.slots[shard].heap, pack(at, tiebreak), ev);
+        self.slots[shard].queue.push(pack(at, tiebreak), ev);
     }
 
     /// Replace the conservative lookahead for subsequent epochs — e.g.
@@ -717,10 +923,10 @@ impl<W: ShardWorker> EpochControl<'_, W> {
         *self.lookahead
     }
 
-    /// Whether every shard's heap is empty: nothing is left to fire, so a
+    /// Whether every shard's queue is empty: nothing is left to fire, so a
     /// guide's periodic barriers (samplers, watchdogs) can stop.
     pub fn is_idle(&self) -> bool {
-        self.slots.iter().all(|s| s.heap.is_empty())
+        self.slots.iter().all(|s| s.queue.is_empty())
     }
 
     /// Remove every pending event on `shard` matching `pred`, returning
@@ -732,14 +938,13 @@ impl<W: ShardWorker> EpochControl<'_, W> {
     where
         F: FnMut(SimTime, &W::Event) -> bool,
     {
-        let heap = &mut self.slots[shard].heap;
-        let entries: Vec<(u128, W::Event)> = std::mem::take(heap);
+        let queue = &mut self.slots[shard].queue;
         let mut taken = Vec::new();
-        for (key, ev) in entries {
+        for (key, ev) in queue.take_all() {
             if pred(unpack_time(key), &ev) {
                 taken.push((key, ev));
             } else {
-                heap_push(heap, key, ev);
+                queue.push(key, ev);
             }
         }
         taken.sort_unstable_by_key(|&(key, _)| key);
@@ -757,7 +962,8 @@ pub struct EpochReport {
     pub epochs: u64,
     /// Events processed per shard, indexed by shard id.
     pub processed: Vec<u64>,
-    /// Per-shard event-heap high-water marks.
+    /// Per-shard event-queue high-water marks: the most events pending in
+    /// a shard's queue at once.
     pub shard_peaks: Vec<usize>,
 }
 
@@ -768,7 +974,7 @@ pub struct EpochReport {
 /// `t` and sets every shard's bound to `t + lookahead`; shards then process
 /// their local events below the bound, one after another on the caller's
 /// thread, and the barrier routes cross-shard emissions into their
-/// destination heaps in ascending source-shard order. Safety is the
+/// destination queues in ascending source-shard order. Safety is the
 /// emission-time assertion in [`Outbox::emit`]: any event a shard emits
 /// for a peer fires at or after every bound the peer could have run to, so
 /// no shard ever receives an event in its past.
@@ -797,7 +1003,7 @@ impl<W: ShardWorker> EpochExecutor<W> {
             .into_iter()
             .enumerate()
             .map(|(i, worker)| ShardSlot {
-                heap: Vec::new(),
+                queue: EventQueue::new(),
                 worker,
                 outbox: Outbox {
                     home: i,
@@ -867,7 +1073,7 @@ impl<W: ShardWorker> EpochExecutor<W> {
 
     /// Seed an initial event on `shard` (before or between runs).
     pub fn seed(&mut self, shard: usize, at: SimTime, tiebreak: u64, ev: W::Event) {
-        heap_push(&mut self.slots[shard].heap, pack(at, tiebreak), ev);
+        self.slots[shard].queue.push(pack(at, tiebreak), ev);
     }
 
     /// Return every shard's high-water key to "nothing handled", so
@@ -892,13 +1098,13 @@ impl<W: ShardWorker> EpochExecutor<W> {
     fn min_next(&self) -> Option<SimTime> {
         self.slots
             .iter()
-            .filter_map(|s| s.heap.first().map(|e| unpack_time(e.0)))
+            .filter_map(|s| s.queue.peek().map(unpack_time))
             .min()
     }
 
     /// Run one epoch with the given exclusive bound: every shard processes
     /// its local events strictly below `bound`, then the barrier routes
-    /// cross-shard emissions into their destination heaps in ascending
+    /// cross-shard emissions into their destination queues in ascending
     /// source-shard order — a fixed, shard-count-independent merge order.
     fn run_epoch(&mut self, bound: SimTime) {
         // Snapshot the profiler's "before" view first: the epoch's start is
@@ -933,7 +1139,7 @@ impl<W: ShardWorker> EpochExecutor<W> {
                 if let Some(m) = merged_in.get_mut(dest) {
                     *m += 1;
                 }
-                heap_push(&mut self.slots[dest].heap, pack(at, tb), ev);
+                self.slots[dest].queue.push(pack(at, tb), ev);
             }
         }
         self.epochs += 1;
@@ -972,7 +1178,7 @@ impl<W: ShardWorker> EpochExecutor<W> {
         }
     }
 
-    /// Run barrier epochs until every shard's heap is empty.
+    /// Run barrier epochs until every shard's queue is empty.
     pub fn run_until_idle(&mut self) -> EpochReport {
         while let Some(t) = self.min_next() {
             self.run_epoch(t + self.lookahead);
@@ -981,7 +1187,7 @@ impl<W: ShardWorker> EpochExecutor<W> {
     }
 
     /// Run barrier epochs under a coordinating [`EpochGuide`] until every
-    /// heap is empty and the guide has no barriers left (or it votes
+    /// queue is empty and the guide has no barriers left (or it votes
     /// [`BarrierVerdict::Stop`]).
     ///
     /// Each iteration the bound is `min(t + lookahead, b)` for global
@@ -1036,7 +1242,7 @@ impl<W: ShardWorker> EpochExecutor<W> {
         self.slots.drain(..).map(|s| s.worker).collect()
     }
 
-    /// Publish the deepest shard heap seen to the process-wide
+    /// Publish the deepest shard queue seen to the process-wide
     /// [`EVENT_QUEUE_PEAK`] gauge (reporting only) and reset the marks.
     fn flush_peak(&mut self) {
         let peak = self.slots.iter().map(|s| s.peak).max().unwrap_or(0);
@@ -1487,5 +1693,137 @@ mod tests {
         drop(exec.into_workers());
         // Other tests only ever raise the gauge, so the floor is exact.
         assert!(peak_event_depth() >= 100, "gauge {}", peak_event_depth());
+    }
+
+    /// The event queue beside a sorted reference, for one random walk.
+    struct QueueCheck {
+        rng: crate::DetRng,
+        queue: EventQueue<u64>,
+        reference: std::collections::BTreeMap<u128, u64>,
+        /// The last popped key, `0` before the first pop.
+        last: u128,
+        ids: u64,
+    }
+
+    impl QueueCheck {
+        fn push(&mut self, at: u64, tiebreak: u64) {
+            let key = pack(SimTime::from_ps(at), tiebreak);
+            // Pending keys are unique, as the executor's are.
+            if !self.reference.contains_key(&key) {
+                self.ids += 1;
+                self.queue.push(key, self.ids);
+                self.reference.insert(key, self.ids);
+            }
+        }
+
+        /// Pop below `limit` from both and require the same answer.
+        fn pop(&mut self, limit: u128) -> bool {
+            let want = match self.reference.first_key_value() {
+                Some((&key, _)) if key < limit => self.reference.pop_first(),
+                _ => None,
+            };
+            let got = self.queue.pop_below(limit);
+            assert_eq!(got, want, "pop below {limit:#x} after {:#x}", self.last);
+            if let Some((key, _)) = got {
+                self.last = key;
+            }
+            got.is_some()
+        }
+
+        fn last_ps(&self) -> u64 {
+            unpack_time(self.last).as_ps()
+        }
+
+        /// A time at or after the last popped key's: the same instant,
+        /// inside one bucket, across the window or past it.
+        fn ahead(&mut self) -> u64 {
+            let span = [1, 128, 300_000, 600_000, 3_000_000][self.rng.index(5)];
+            self.last_ps() + self.rng.bits() % span
+        }
+
+        fn step(&mut self) {
+            let last_tb = self.last as u64;
+            match self.rng.index(9) {
+                0..=2 => {
+                    let (at, tb) = (self.ahead(), self.rng.bits() % (1 << 20));
+                    self.push(at, tb);
+                }
+                // A same-instant key below the last popped one.
+                3 => {
+                    let tb = self.rng.bits() % (last_tb + 1);
+                    self.push(self.last_ps(), tb);
+                }
+                // A burst past the bucket cap, on one instant or in one bucket.
+                4 => {
+                    let at = self.ahead();
+                    let spread = [1, 128][self.rng.index(2)];
+                    for tb in 0..40 + self.rng.bits() % 40 {
+                        let t = at + self.rng.bits() % spread;
+                        self.push(t, (1 << 20) + tb);
+                    }
+                }
+                5 | 6 => {
+                    for _ in 0..1 + self.rng.index(8) {
+                        self.pop(u128::MAX);
+                    }
+                    let limit = self.last + u128::from(self.rng.bits() % 2) * (1 << 70);
+                    self.pop(limit);
+                }
+                // `extract_events`: take everything, keep what survives.
+                7 => {
+                    let mut all = self.queue.take_all();
+                    all.sort_unstable();
+                    let want: Vec<(u128, u64)> =
+                        self.reference.iter().map(|(&k, &v)| (k, v)).collect();
+                    assert_eq!(all, want, "take_all returns every pending event");
+                    let condemned = self.rng.bits() % 4;
+                    for (key, id) in all {
+                        if id % 4 == condemned {
+                            self.reference.remove(&key);
+                        } else {
+                            self.queue.push(key, id);
+                        }
+                    }
+                }
+                // Drain, then reseed below the window's base (an open-loop
+                // drain followed by a send at an earlier instant), with keys
+                // near the window's far end and past it as well.
+                _ => {
+                    while self.pop(u128::MAX) {}
+                    let last = self.last_ps();
+                    for _ in 0..1 + self.rng.index(6) {
+                        let at = last - self.rng.bits() % (last + 1);
+                        let tb = self.rng.bits() % (1 << 20);
+                        self.push(at, tb);
+                    }
+                    for span in [400_000, 524_000, 700_000] {
+                        let at = last + span + self.rng.bits() % 100_000;
+                        let tb = self.rng.bits() % (1 << 20);
+                        self.push(at, tb);
+                    }
+                }
+            }
+            assert_eq!(self.queue.len(), self.reference.len());
+            let front = self.reference.first_key_value().map(|(&k, _)| k);
+            assert_eq!(self.queue.peek(), front);
+        }
+    }
+
+    #[test]
+    fn event_queue_matches_a_sorted_reference_in_every_regime() {
+        for seed in 0..32 {
+            let mut check = QueueCheck {
+                rng: crate::DetRng::seeded(seed),
+                queue: EventQueue::new(),
+                reference: std::collections::BTreeMap::new(),
+                last: 0,
+                ids: 0,
+            };
+            for _ in 0..1_500 {
+                check.step();
+            }
+            while check.pop(u128::MAX) {}
+            assert!(check.queue.is_empty());
+        }
     }
 }

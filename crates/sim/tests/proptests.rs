@@ -18,19 +18,44 @@ impl ShardWorker for Log {
     }
 }
 
-/// Records the time of every event; a seeded event re-emits itself once,
-/// `delay` picoseconds later.
-struct Echo(Vec<u64>);
+/// An event carrying its own tiebreak and, for a seeded event, the
+/// `(delay, tiebreak)` of the one follow-up it emits.
+type EchoEv = (u64, Option<(u64, u64)>);
+
+/// Records `(time, tiebreak)` of every event; a seeded event emits one
+/// follow-up, `delay` picoseconds later.
+struct Echo(Vec<(u64, u64)>);
 
 impl ShardWorker for Echo {
-    type Event = Option<u64>;
+    type Event = EchoEv;
 
-    fn handle(&mut self, at: SimTime, ev: Option<u64>, out: &mut Outbox<Option<u64>>) {
-        self.0.push(at.as_ps());
-        if let Some(delay) = ev {
-            out.emit(0, at + SimDuration::from_ps(delay), 1 << 40, None);
+    fn handle(&mut self, at: SimTime, (tb, next): EchoEv, out: &mut Outbox<EchoEv>) {
+        self.0.push((at.as_ps(), tb));
+        if let Some((delay, child)) = next {
+            out.emit(0, at + SimDuration::from_ps(delay), child, (child, None));
         }
     }
+}
+
+/// Event times that reach every regime of the event queue: inside one
+/// 128 ps bucket, across many buckets and past the 524 ns near-future
+/// window, and one shared instant (more events on it than a bucket holds).
+fn queue_times() -> impl Strategy<Value = u64> {
+    (0u8..3, 0u64..2_000_000).prop_map(|(regime, t)| match regime {
+        0 => t % 1_000,
+        1 => t,
+        _ => 777,
+    })
+}
+
+/// Follow-up delays: none (the emitter's own instant), inside the window,
+/// and past it.
+fn queue_delays() -> impl Strategy<Value = u64> {
+    (0u8..3, 0u64..1_500_000).prop_map(|(regime, d)| match regime {
+        0 => 0,
+        1 => 1 + d % 299,
+        _ => 524_288 + d,
+    })
 }
 
 /// On each event (named by its tiebreak) records whether a probe key
@@ -97,11 +122,11 @@ proptest! {
     }
 
     /// A single-shard executor fires events in `(time, tiebreak)` order,
-    /// whatever the seeding order: the packed-key 4-ary heap is a total
-    /// order.
+    /// whatever the seeding order: the event queue pops in exact key order
+    /// whether the near-future ring or the far heap holds a key.
     #[test]
     fn executor_fires_in_time_then_tiebreak_order(
-        events in prop::collection::vec((0u64..1_000, 0u64..8), 1..200),
+        events in prop::collection::vec((queue_times(), 0u64..8), 1..200),
     ) {
         let mut exec = EpochExecutor::new(vec![Log(Vec::new())], SimDuration::from_ps(1 << 40));
         for (i, &(t, tb)) in events.iter().enumerate() {
@@ -115,22 +140,42 @@ proptest! {
         prop_assert_eq!(fired, &sorted);
     }
 
-    /// Same-shard follow-ups emitted during a run merge back into the heap
-    /// and still fire in `(time, tiebreak)` order.
+    /// Same-shard follow-ups emitted during a run merge back into the
+    /// queue and fire exactly when a sorted reference pops them: at the
+    /// same instant (also below their emitter's key), inside the window
+    /// and past it.
     #[test]
     fn emitted_follow_ups_keep_the_order(
-        seeds in prop::collection::vec((0u64..500, 1u64..300), 1..60),
+        seeds in prop::collection::vec(
+            (
+                queue_times(),
+                queue_delays(),
+                any::<bool>(),
+            ),
+            1..60,
+        ),
     ) {
         let mut exec = EpochExecutor::new(vec![Echo(Vec::new())], SimDuration::from_ps(1 << 40));
-        for (i, &(t, delay)) in seeds.iter().enumerate() {
-            exec.seed(0, SimTime::from_ps(t), i as u64, Some(delay));
+        let mut reference = std::collections::BTreeMap::new();
+        for (i, &(t, delay, below)) in seeds.iter().enumerate() {
+            let i = i as u64;
+            // Unique keys; a child tiebreak `i` sorts below its emitter's.
+            let child = if below { i } else { (2 << 32) | i };
+            let ev = ((1 << 32) | i, Some((delay, child)));
+            exec.seed(0, SimTime::from_ps(t), ev.0, ev);
+            reference.insert((t, ev.0), ev.1);
         }
         exec.run_until_idle();
+        let mut expect = Vec::new();
+        while let Some(((t, tb), next)) = reference.pop_first() {
+            expect.push((t, tb));
+            if let Some((delay, child)) = next {
+                reference.insert((t + delay, child), None);
+            }
+        }
         let fired = &exec.worker(0).0;
         prop_assert_eq!(fired.len(), 2 * seeds.len());
-        for w in fired.windows(2) {
-            prop_assert!(w[0] <= w[1], "{:?} fired before {:?}", w[0], w[1]);
-        }
+        prop_assert_eq!(fired, &expect);
     }
 
     /// Durations compose linearly with transfer sizes.

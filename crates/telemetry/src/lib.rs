@@ -26,7 +26,7 @@
 //! telemetry is a branch on a `None` that the hot loops never take.
 //! The one process-global piece of state is [`global::EVENT_QUEUE_PEAK`],
 //! a relaxed high-water gauge that the kernel's epoch executors flush their
-//! deepest shard heap into.
+//! deepest shard event queue into.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
@@ -85,8 +85,9 @@ pub mod global {
         }
     }
 
-    /// Deepest event heap observed by any epoch-engine shard in the
-    /// process since the last [`PeakGauge::take`].
+    /// Deepest event queue observed by any epoch-engine shard in the
+    /// process since the last [`PeakGauge::take`]: the most events pending
+    /// in one shard's queue at once.
     pub static EVENT_QUEUE_PEAK: PeakGauge = PeakGauge::new();
 
     #[cfg(test)]
