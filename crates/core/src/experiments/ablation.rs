@@ -5,7 +5,7 @@
 //! tests also pin the fabric behaviour behind two more of those choices:
 //! adaptive routing, and drain priority for block responses.
 
-use alphasim_system::loadtest::LoadTestConfig;
+use alphasim_system::loadtest::{LoadTest, LoadTestConfig, TrafficPattern};
 use alphasim_system::Gs1280;
 use alphasim_topology::NodeId;
 
@@ -15,35 +15,19 @@ use crate::types::{RatioRow, Table};
 /// 1, or 2 memory controllers", §3.1): halving controller bandwidth halves
 /// hot-spot service capacity.
 pub fn controllers_ablation(requests_per_cpu: usize) -> Table {
-    use alphasim_mem::ZboxConfig;
-    use alphasim_system::loadtest::{LoadTest, TrafficPattern};
-
-    let run = |controllers: f64| {
-        let machine = Gs1280::builder().cpus(16).build();
-        let calib = machine.calibration();
-        let zbox = ZboxConfig {
-            bandwidth_gbps: calib.zbox.bandwidth_gbps * controllers,
-            ..calib.zbox
-        };
-        LoadTest::new(
-            machine.fabric(),
-            *machine.timing(),
-            machine.policy(),
-            (0..16).map(NodeId::new).collect(),
-            zbox,
-            calib.local_fixed,
-            calib.remote_fixed,
-        )
-        .run(&LoadTestConfig {
-            outstanding: 12,
-            requests_per_cpu,
-            pattern: TrafficPattern::HotSpot(0),
-            ..Default::default()
-        })
-        .delivered_gbps
+    let machine = Gs1280::builder().cpus(16).build();
+    let run = |zbox| {
+        LoadTest::from(machine.closed_loop(machine.fabric(), zbox))
+            .run(&LoadTestConfig {
+                outstanding: 12,
+                requests_per_cpu,
+                pattern: TrafficPattern::HotSpot(0),
+                ..Default::default()
+            })
+            .delivered_gbps
     };
-    let two = run(2.0);
-    let one = run(1.0);
+    let two = run(machine.site_zbox());
+    let one = run(machine.calibration().zbox);
     Table {
         id: "ablation-zbox".into(),
         title: "Hot-spot bandwidth vs. memory controllers per CPU".into(),
@@ -181,15 +165,8 @@ pub fn link_failure_resilience(
     failures: &[usize],
     requests_per_cpu: usize,
 ) -> Vec<(usize, f64)> {
-    use alphasim_mem::ZboxConfig;
-    use alphasim_system::loadtest::LoadTest;
-
     let machine = Gs1280::builder().cpus(cpus).build();
-    let calib = machine.calibration();
-    let zbox = ZboxConfig {
-        bandwidth_gbps: calib.zbox.bandwidth_gbps * 2.0,
-        ..calib.zbox
-    };
+    let (cols, _) = machine.fabric().shape();
     failures
         .iter()
         .map(|&n| {
@@ -198,29 +175,17 @@ pub fn link_failure_resilience(
             let cuts: Vec<(NodeId, NodeId)> = (0..n)
                 .map(|i| {
                     let col = 2 * i; // skip alternate links so cuts stay disjoint
-                    let cols = match cpus {
-                        16 => 4,
-                        32 | 64 => 8,
-                        _ => 4,
-                    };
                     (NodeId::new(col % cols), NodeId::new((col + 1) % cols))
                 })
                 .collect();
             let wounded = alphasim_topology::Degraded::new(machine.fabric().clone(), &cuts);
-            let r = LoadTest::new(
-                &wounded,
-                *machine.timing(),
-                machine.policy(),
-                (0..cpus).map(NodeId::new).collect(),
-                zbox,
-                calib.local_fixed,
-                calib.remote_fixed,
-            )
-            .run(&LoadTestConfig {
-                outstanding: 12,
-                requests_per_cpu,
-                ..Default::default()
-            });
+            let r = LoadTest::from(machine.closed_loop(&wounded, machine.site_zbox())).run(
+                &LoadTestConfig {
+                    outstanding: 12,
+                    requests_per_cpu,
+                    ..Default::default()
+                },
+            );
             (n, r.delivered_gbps)
         })
         .collect()

@@ -4,11 +4,13 @@ use alphasim_cache::{CacheHierarchy, HierarchyConfig};
 use alphasim_kernel::par::parallel_map;
 use alphasim_kernel::SimDuration;
 use alphasim_mem::OpenPageTable;
+use alphasim_system::{Calibration, Gs1280, Gs320};
 use alphasim_workloads::PointerChase;
 
 use crate::types::{Figure, Series};
 
-/// A machine's view for the single-CPU latency experiments.
+/// A machine's view for the single-CPU latency experiments, read from its
+/// machine model.
 #[derive(Debug, Clone, Copy)]
 pub struct LatencyMachine {
     /// Display name.
@@ -26,40 +28,51 @@ pub struct LatencyMachine {
 }
 
 impl LatencyMachine {
-    /// The GS1280 (83/130 ns; Figs. 5, 13).
+    /// The view of a machine with calibration `calib`, local load-to-use
+    /// `local_latency(page_hit)` and `open_pages` open pages at each
+    /// memory site.
+    fn view(
+        calib: &Calibration,
+        local_latency: impl Fn(bool) -> SimDuration,
+        open_pages: usize,
+    ) -> Self {
+        LatencyMachine {
+            name: calib.kind.name(),
+            hierarchy: calib.hierarchy,
+            open_ns: local_latency(true).as_ns(),
+            closed_ns: local_latency(false).as_ns(),
+            page_kib: calib.zbox.page_kib,
+            open_pages,
+        }
+    }
+
+    /// The GS1280 (83/130 ns; Figs. 5, 13) in front of both Zboxes' open
+    /// pages. A node's local latency is its calibration's, as in
+    /// [`Gs1280::local_latency`].
     pub fn gs1280() -> Self {
-        LatencyMachine {
-            name: "GS1280/1.15GHz",
-            hierarchy: HierarchyConfig::ev7(),
-            open_ns: 83.0,
-            closed_ns: 130.0,
-            page_kib: 2,
-            open_pages: 2048,
-        }
+        let calib = Calibration::gs1280();
+        let open_pages = calib.zbox.open_pages * Gs1280::ZBOXES_PER_NODE;
+        Self::view(&calib, |hit| calib.local_latency(hit), open_pages)
     }
 
-    /// The ES45 (~185 ns memory plateau in Fig. 4).
+    /// The ES45 (~185 ns memory plateau in Fig. 4). Its local latency is
+    /// its calibration's, as in
+    /// [`Es45::local_latency`](alphasim_system::Es45::local_latency).
     pub fn es45() -> Self {
-        LatencyMachine {
-            name: "ES45/1.25GHz",
-            hierarchy: HierarchyConfig::ev68(),
-            open_ns: 185.0,
-            closed_ns: 215.0,
-            page_kib: 8,
-            open_pages: 128,
-        }
+        let calib = Calibration::es45();
+        Self::view(
+            &calib,
+            |hit| calib.local_latency(hit),
+            calib.zbox.open_pages,
+        )
     }
 
-    /// The GS320 (~330 ns memory plateau in Fig. 4).
+    /// The GS320 (~330 ns memory plateau in Fig. 4): memory sits behind
+    /// the QBB's switch, so the latency is one QBB's.
     pub fn gs320() -> Self {
-        LatencyMachine {
-            name: "GS320/1.22GHz",
-            hierarchy: HierarchyConfig::ev68(),
-            open_ns: 330.0,
-            closed_ns: 380.0,
-            page_kib: 8,
-            open_pages: 128,
-        }
+        let qbb = Gs320::new(Calibration::gs320().cpus_per_mem_site);
+        let calib = qbb.calibration();
+        Self::view(calib, |hit| qbb.local_latency(hit), calib.zbox.open_pages)
     }
 
     /// Measured dependent-load latency (ns) for one dataset size and stride.
@@ -195,6 +208,54 @@ mod tests {
         let b = m320.dependent_load_ns(32 << 20, 64, 20_000);
         let ratio = b / a;
         assert!((3.2..=4.4).contains(&ratio), "32MB ratio {ratio}");
+    }
+
+    #[test]
+    fn each_machine_view_reads_its_model() {
+        use alphasim_system::Es45;
+        use alphasim_workloads::spec::MachinePerf;
+
+        let (g, e, q) = (Gs1280::builder().build(), Es45::new(1), Gs320::new(4));
+        let ns = |f: &dyn Fn(bool) -> SimDuration| [f(true), f(false)].map(|d| d.as_ns().to_bits());
+        for (view, calib, local, zboxes) in [
+            (
+                LatencyMachine::gs1280(),
+                g.calibration(),
+                ns(&|h| g.local_latency(h)),
+                2,
+            ),
+            (
+                LatencyMachine::es45(),
+                e.calibration(),
+                ns(&|h| e.local_latency(h)),
+                1,
+            ),
+            (
+                LatencyMachine::gs320(),
+                q.calibration(),
+                ns(&|h| q.local_latency(h)),
+                1,
+            ),
+        ] {
+            assert_eq!(view.name, calib.kind.to_string());
+            assert_eq!(view.hierarchy, calib.hierarchy, "{}", view.name);
+            assert_eq!([view.open_ns, view.closed_ns].map(f64::to_bits), local);
+            assert_eq!(view.page_kib, calib.zbox.page_kib, "{}", view.name);
+            assert_eq!(view.open_pages, calib.zbox.open_pages * zboxes);
+        }
+        let striped = Gs1280::builder().striping(true).build();
+        for (perf, latency) in [
+            (MachinePerf::gs1280(), g.local_latency(true)),
+            (
+                MachinePerf::gs1280_striped(),
+                striped.effective_local_latency(),
+            ),
+            (MachinePerf::es45(), e.local_latency(true)),
+            (MachinePerf::gs320(), q.local_latency(true)),
+        ] {
+            let model = latency.as_ns().to_bits();
+            assert_eq!(perf.memory_latency_ns.to_bits(), model, "{}", perf.name);
+        }
     }
 
     #[test]

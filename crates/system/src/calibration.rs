@@ -24,15 +24,21 @@ pub enum MachineKind {
     Sc45,
 }
 
-impl std::fmt::Display for MachineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl MachineKind {
+    /// Display name: the machine and its calibrated clock.
+    pub fn name(self) -> &'static str {
+        match self {
             MachineKind::Gs1280 => "GS1280/1.15GHz",
             MachineKind::Gs320 => "GS320/1.22GHz",
             MachineKind::Es45 => "ES45/1.25GHz",
             MachineKind::Sc45 => "SC45/1.25GHz",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for MachineKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -163,15 +169,16 @@ impl Calibration {
         }
     }
 
-    /// The machine's local open-page load-to-use latency (front end +
-    /// controller DRAM access).
-    pub fn local_open_latency(&self) -> SimDuration {
-        self.local_fixed + self.zbox.open_page_latency
-    }
-
-    /// The machine's local closed-page load-to-use latency.
-    pub fn local_closed_latency(&self) -> SimDuration {
-        self.local_fixed + self.zbox.closed_page_latency
+    /// The machine's local load-to-use latency at its memory controller:
+    /// the front end plus an open- or closed-page DRAM access. The GS320
+    /// adds its QBB switch hops on top ([`crate::Gs320::local_latency`]).
+    pub fn local_latency(&self, page_hit: bool) -> SimDuration {
+        let dram = if page_hit {
+            self.zbox.open_page_latency
+        } else {
+            self.zbox.closed_page_latency
+        };
+        self.local_fixed + dram
     }
 }
 
@@ -182,8 +189,8 @@ mod tests {
     #[test]
     fn gs1280_local_latencies_match_paper() {
         let c = Calibration::gs1280();
-        assert_eq!(c.local_open_latency().as_ns(), 83.0); // Figs. 5, 13
-        assert_eq!(c.local_closed_latency().as_ns(), 130.0); // Fig. 5
+        assert_eq!(c.local_latency(true).as_ns(), 83.0); // Figs. 5, 13
+        assert_eq!(c.local_latency(false).as_ns(), 130.0); // Fig. 5
     }
 
     #[test]
@@ -192,7 +199,7 @@ mod tests {
         // 330 ns composed as 2x75 switch hops + 180 SDRAM happens at the
         // machine level; the calibration's own share is the SDRAM part.
         assert_eq!(c.zbox.open_page_latency.as_ns(), 180.0);
-        assert!(c.local_open_latency().as_ns() < 330.0);
+        assert!(c.local_latency(true).as_ns() < 330.0);
     }
 
     #[test]
@@ -202,16 +209,17 @@ mod tests {
         // balance).
         let c = Calibration::gs1280();
         let line = c.hierarchy.l2.line_bytes() as f64;
-        let demand = c.mshrs as f64 * line / c.local_open_latency().as_secs() / 1e9;
+        let demand = c.mshrs as f64 * line / c.local_latency(true).as_secs() / 1e9;
         assert!((demand - 12.337).abs() < 0.05);
-        assert!((demand - 2.0 * c.zbox.bandwidth_gbps).abs() < 0.05);
+        let site = crate::Gs1280::builder().build().site_zbox();
+        assert!((demand - site.bandwidth_gbps).abs() < 0.05);
     }
 
     #[test]
     fn machine_ranking_local_latency() {
-        let g1280 = Calibration::gs1280().local_open_latency();
-        let es45 = Calibration::es45().local_open_latency();
-        let gs320 = Calibration::gs320().local_open_latency();
+        let g1280 = Calibration::gs1280().local_latency(true);
+        let es45 = Calibration::es45().local_latency(true);
+        let gs320 = Calibration::gs320().local_latency(true);
         assert!(g1280 < es45);
         assert!(es45 < gs320 + SimDuration::from_ns(150.0));
     }

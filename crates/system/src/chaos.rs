@@ -41,7 +41,8 @@ pub struct ChaosOptions {
     pub cpus: usize,
     /// Random schedules to draw and run.
     pub trials: usize,
-    /// Seed of the first trial; trial `i` uses `base_seed + i`.
+    /// Seed of the first trial; trial `i` uses `base_seed + i`, wrapping
+    /// past `u64::MAX` to 0.
     pub base_seed: u64,
     /// Outstanding reads per CPU in each campaign.
     pub outstanding: usize,
@@ -439,7 +440,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     let mut trials = Vec::with_capacity(opts.trials);
     let mut reproducers = Vec::new();
     for i in 0..opts.trials {
-        let seed = opts.base_seed + i as u64;
+        let seed = opts.base_seed.wrapping_add(i as u64);
         let plan = opts.config.generate(seed, &catalog);
         // Alternate shard counts so the lookahead path is fuzzed too.
         let shards = 1 + (i % 2);
@@ -534,24 +535,35 @@ mod tests {
 
     #[test]
     fn chaos_trials_are_deterministic_and_clean() {
-        let opts = small_opts();
-        let a = run_chaos(&opts);
-        let b = run_chaos(&opts);
-        assert_eq!(a.trials.len(), opts.trials);
-        for (ta, tb) in a.trials.iter().zip(&b.trials) {
-            assert_eq!(ta.seed, tb.seed);
-            assert_eq!(ta.result.completed, tb.result.completed);
-            assert_eq!(ta.result.mean_latency, tb.result.mean_latency);
-            assert_eq!(ta.faults_applied, tb.faults_applied);
-            assert!(
-                ta.report.is_clean(),
-                "seed {} violated: {:?}",
-                ta.seed,
-                ta.report.violations
-            );
+        // The last seed wraps to 0 rather than overflowing.
+        let wrapping = ChaosOptions {
+            trials: 2,
+            base_seed: u64::MAX,
+            ..ChaosOptions::default()
+        };
+        for (opts, seeds) in [
+            (small_opts(), vec![0xC405, 0xC406, 0xC407, 0xC408]),
+            (wrapping, vec![u64::MAX, 0]),
+        ] {
+            let a = run_chaos(&opts);
+            let b = run_chaos(&opts);
+            let drawn: Vec<u64> = a.trials.iter().map(|t| t.seed).collect();
+            assert_eq!(drawn, seeds);
+            for (ta, tb) in a.trials.iter().zip(&b.trials) {
+                assert_eq!(ta.seed, tb.seed);
+                assert_eq!(ta.result.completed, tb.result.completed);
+                assert_eq!(ta.result.mean_latency, tb.result.mean_latency);
+                assert_eq!(ta.faults_applied, tb.faults_applied);
+                assert!(
+                    ta.report.is_clean(),
+                    "seed {} violated: {:?}",
+                    ta.seed,
+                    ta.report.violations
+                );
+            }
+            assert!(a.reproducers.is_empty());
+            assert!(a.violating_seeds().is_empty());
         }
-        assert!(a.reproducers.is_empty());
-        assert!(a.violating_seeds().is_empty());
     }
 
     #[test]

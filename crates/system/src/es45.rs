@@ -47,12 +47,7 @@ impl Es45 {
 
     /// Memory load-to-use latency (Fig. 4's ~185 ns plateau).
     pub fn local_latency(&self, page_hit: bool) -> SimDuration {
-        let dram = if page_hit {
-            self.calib.zbox.open_page_latency
-        } else {
-            self.calib.zbox.closed_page_latency
-        };
-        self.calib.local_fixed + dram
+        self.calib.local_latency(page_hit)
     }
 
     /// Read latency between CPUs is the same as local — one shared memory.

@@ -329,32 +329,18 @@ pub struct FaultCampaign<T: Topology> {
 }
 
 impl<T: Topology> FaultCampaign<T> {
-    /// Assemble a campaign over `fabric` with the given link timing and
-    /// routing policy; each CPU's memory lives on its own node (the GS1280
-    /// arrangement).
-    pub fn new(
-        fabric: &T,
-        timing: LinkTiming,
-        policy: RoutePolicy,
-        zbox: ZboxConfig,
-        front_overhead: SimDuration,
-        directory_overhead: SimDuration,
-    ) -> Self {
-        let sites = (0..fabric.node_count()).map(NodeId::new).collect();
-        Self::with_sites(
-            fabric,
-            timing,
-            policy,
-            sites,
-            zbox,
-            front_overhead,
-            directory_overhead,
-        )
-    }
-
-    /// Like [`new`](Self::new), with CPU `i`'s memory at node
-    /// `site_of_cpu[i]`; each distinct site gets one controller.
-    pub(crate) fn with_sites(
+    /// Assemble a closed loop over `fabric` with the given link timing and
+    /// routing policy. `site_of_cpu[i]` is the node where CPU `i`'s memory
+    /// lives (itself on the GS1280, the QBB switch on the GS320); each
+    /// distinct site gets one controller configured as `zbox`. Every read
+    /// pays `front_overhead` before it leaves its CPU, and a remote one
+    /// `directory_overhead` at its home.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fabric has no CPU endpoints, or `site_of_cpu` is
+    /// shorter than the CPU list.
+    pub(crate) fn new(
         fabric: &T,
         timing: LinkTiming,
         policy: RoutePolicy,
@@ -945,22 +931,10 @@ impl<T: Topology> FaultCampaign<T> {
     }
 }
 
-/// Convenience: a fault campaign over a GS1280 (both Zboxes of each node
-/// serve, as in the load test).
+/// Convenience: a fault campaign over a GS1280's own fabric, each node's
+/// memory served by its [`site_zbox`](crate::Gs1280::site_zbox).
 pub fn gs1280_fault_campaign(machine: &crate::Gs1280) -> FaultCampaign<crate::gs1280::FabricTopo> {
-    let calib = machine.calibration();
-    let zbox = ZboxConfig {
-        bandwidth_gbps: calib.zbox.bandwidth_gbps * 2.0,
-        ..calib.zbox
-    };
-    FaultCampaign::new(
-        machine.fabric(),
-        calib.timing,
-        machine.policy(),
-        zbox,
-        calib.local_fixed,
-        calib.remote_fixed,
-    )
+    machine.closed_loop(machine.fabric(), machine.site_zbox())
 }
 
 #[cfg(test)]

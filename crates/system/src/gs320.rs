@@ -93,25 +93,18 @@ impl Gs320 {
     /// memory. In-QBB ≈ 330 ns, cross-QBB ≈ 760 ns (Fig. 12).
     pub fn read_clean(&self, requester: NodeId, home: NodeId) -> SimDuration {
         let site = self.memory_site(home);
-        self.calib.local_fixed
+        self.calib.local_latency(true)
             + self.calib.remote_fixed
             + self.one_way(requester, site)
             + self.one_way(site, requester)
-            + self.calib.zbox.open_page_latency
     }
 
     /// Local memory latency (within the requester's own QBB).
     pub fn local_latency(&self, page_hit: bool) -> SimDuration {
-        let dram = if page_hit {
-            self.calib.zbox.open_page_latency
-        } else {
-            self.calib.zbox.closed_page_latency
-        };
         let site = self.memory_site(NodeId::new(0));
-        self.calib.local_fixed
+        self.calib.local_latency(page_hit)
             + self.one_way(NodeId::new(0), site)
             + self.one_way(site, NodeId::new(0))
-            + dram
     }
 
     /// Read-dirty latency: the line is dirty in `owner`'s off-chip cache.

@@ -13,9 +13,7 @@
 //! Xmesh sampler strikes at epoch barriers.
 
 use alphasim_kernel::{SimDuration, SimTime};
-use alphasim_mem::ZboxConfig;
 use alphasim_net::partition::FabricLinks;
-use alphasim_net::LinkTiming;
 use alphasim_telemetry::Heatmap;
 use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{NodeId, Topology};
@@ -116,40 +114,14 @@ pub struct LoadTest<T: Topology> {
     campaign: FaultCampaign<T>,
 }
 
-impl<T: Topology> LoadTest<T> {
-    /// Assemble a load test over `fabric` with the given link timing and
-    /// routing policy.
-    ///
-    /// `site_of_cpu[i]` is the node where CPU `i`'s memory lives (itself on
-    /// the GS1280; the QBB switch on the GS320); each distinct site gets one
-    /// controller configured as `zbox`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric has no CPU endpoints, or `site_of_cpu` is
-    /// shorter than the CPU list.
-    pub fn new(
-        fabric: &T,
-        timing: LinkTiming,
-        policy: RoutePolicy,
-        site_of_cpu: Vec<NodeId>,
-        zbox: ZboxConfig,
-        front_overhead: SimDuration,
-        directory_overhead: SimDuration,
-    ) -> Self {
-        LoadTest {
-            campaign: FaultCampaign::with_sites(
-                fabric,
-                timing,
-                policy,
-                site_of_cpu,
-                zbox,
-                front_overhead,
-                directory_overhead,
-            ),
-        }
+impl<T: Topology> From<FaultCampaign<T>> for LoadTest<T> {
+    /// Load-test the closed loop a campaign was assembled over.
+    fn from(campaign: FaultCampaign<T>) -> Self {
+        LoadTest { campaign }
     }
+}
 
+impl<T: Topology> LoadTest<T> {
     /// Run the closed loop to completion on
     /// [`alphasim_kernel::par::shards`] fabric regions, stepped inline. The
     /// result is byte-identical at any region count.
@@ -210,33 +182,20 @@ impl<T: Topology> LoadTest<T> {
     }
 }
 
-/// Convenience: a load test over a GS1280.
+/// Convenience: a load test over a GS1280 (the closed loop of
+/// [`gs1280_fault_campaign`](crate::gs1280_fault_campaign)).
 pub fn gs1280_load_test(machine: &crate::Gs1280) -> LoadTest<crate::gs1280::FabricTopo> {
-    let calib = machine.calibration();
-    // Both Zboxes of a node serve the load test: double the per-controller
-    // bandwidth.
-    let zbox = ZboxConfig {
-        bandwidth_gbps: calib.zbox.bandwidth_gbps * 2.0,
-        ..calib.zbox
-    };
-    LoadTest::new(
-        machine.fabric(),
-        calib.timing,
-        machine.policy(),
-        (0..machine.cpus()).map(NodeId::new).collect(),
-        zbox,
-        calib.local_fixed,
-        calib.remote_fixed,
-    )
+    crate::gs1280_fault_campaign(machine).into()
 }
 
-/// Convenience: a load test over a GS320.
+/// Convenience: a load test over a GS320, each CPU's memory behind its
+/// QBB's switch.
 pub fn gs320_load_test(machine: &crate::Gs320) -> LoadTest<alphasim_topology::QbbTree> {
     let calib = machine.calibration();
     let sites = (0..machine.cpus())
         .map(|c| machine.memory_site(NodeId::new(c)))
         .collect();
-    LoadTest::new(
+    FaultCampaign::new(
         machine.topology(),
         calib.timing,
         RoutePolicy::Minimal,
@@ -245,6 +204,7 @@ pub fn gs320_load_test(machine: &crate::Gs320) -> LoadTest<alphasim_topology::Qb
         calib.local_fixed,
         calib.remote_fixed,
     )
+    .into()
 }
 
 #[cfg(test)]

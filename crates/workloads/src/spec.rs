@@ -21,7 +21,8 @@
 //! follow from cache sizes and memory latencies alone, which is exactly the
 //! paper's explanation of them.
 
-use alphasim_system::{Calibration, MachineKind};
+use alphasim_kernel::SimDuration;
+use alphasim_system::{Calibration, Gs1280, Gs320, MachineKind};
 use serde::{Deserialize, Serialize};
 
 /// Which SPEC CPU2000 suite a benchmark belongs to.
@@ -91,7 +92,8 @@ pub struct MachinePerf {
     /// Memory-level parallelism the machine can sustain (integrated
     /// controller + 16 victim buffers on EV7; less on the bus machines).
     pub mlp_capacity: f64,
-    /// Zbox peak bandwidth, GB/s (used for utilization percentages).
+    /// Peak bandwidth of one memory site's controllers, GB/s (used for
+    /// utilization percentages).
     pub zbox_peak_gbps: f64,
     /// Sustained memory bandwidth per sharing group, GB/s.
     pub sustained_gbps: f64,
@@ -100,8 +102,9 @@ pub struct MachinePerf {
 }
 
 impl MachinePerf {
-    /// Build from a machine calibration plus its local latency.
-    pub fn from_calibration(calib: &Calibration, local_latency_ns: f64) -> Self {
+    /// Build from a machine's calibration, its local memory latency and
+    /// the peak bandwidth of one of its memory sites.
+    fn from_machine(calib: &Calibration, local_latency: SimDuration, site_gbps: f64) -> Self {
         let mlp_capacity = match calib.kind {
             MachineKind::Gs1280 => 8.0,
             MachineKind::Es45 | MachineKind::Sc45 => 5.0,
@@ -112,41 +115,52 @@ impl MachinePerf {
             clock_ghz: calib.clock.ghz(),
             l2_bytes: calib.hierarchy.l2.size_bytes(),
             l2_latency_ns: calib.hierarchy.l2_latency.as_ns(),
-            memory_latency_ns: local_latency_ns,
+            memory_latency_ns: local_latency.as_ns(),
             mlp_capacity,
-            zbox_peak_gbps: calib.zbox.bandwidth_gbps * 2.0,
+            zbox_peak_gbps: site_gbps,
             sustained_gbps: calib.sustained_mem_gbps,
             cpus_per_mem_site: calib.cpus_per_mem_site,
         }
     }
 
-    /// The GS1280 (83 ns local memory).
+    /// The GS1280 (83 ns local memory, both Zboxes of a node).
     pub fn gs1280() -> Self {
-        Self::from_calibration(&Calibration::gs1280(), 83.0)
+        let m = Gs1280::builder().build();
+        Self::from_machine(
+            m.calibration(),
+            m.local_latency(true),
+            m.site_zbox().bandwidth_gbps,
+        )
     }
 
     /// The GS1280 with memory striping: half of each CPU's lines live on
     /// its module partner, raising the average "local" latency to ~111 ns
     /// (§6; drives Fig. 25).
     pub fn gs1280_striped() -> Self {
-        let mut m = Self::from_calibration(&Calibration::gs1280(), (83.0 + 139.0) / 2.0);
-        m.name = "GS1280 (striped)".into();
-        // Half of every stream crosses the module pair link (3.1 GB/s per
-        // direction, ~80% payload), capping sustainable memory bandwidth
-        // below the Zbox limit — the "additional burden on the IP links"
-        // of §6.
-        m.sustained_gbps = m.sustained_gbps.min(3.1 * 0.8 / 0.5);
-        m
+        let m = Gs1280::builder().striping(true).build();
+        let mut perf = Self::from_machine(
+            m.calibration(),
+            m.effective_local_latency(),
+            m.site_zbox().bandwidth_gbps,
+        );
+        perf.name = "GS1280 (striped)".into();
+        // The module pair link caps sustainable memory bandwidth below the
+        // Zbox limit, as in the machine's own STREAM model.
+        perf.sustained_gbps = perf.sustained_gbps.min(m.pair_link_cap_gbps());
+        perf
     }
 
-    /// The ES45 (185 ns memory).
+    /// The ES45 (185 ns memory; its local latency is its calibration's).
     pub fn es45() -> Self {
-        Self::from_calibration(&Calibration::es45(), 185.0)
+        let calib = Calibration::es45();
+        Self::from_machine(&calib, calib.local_latency(true), calib.zbox.bandwidth_gbps)
     }
 
-    /// The GS320 (330 ns memory).
+    /// The GS320 (330 ns memory), one QBB.
     pub fn gs320() -> Self {
-        Self::from_calibration(&Calibration::gs320(), 330.0)
+        let m = Gs320::new(Calibration::gs320().cpus_per_mem_site);
+        let calib = m.calibration();
+        Self::from_machine(calib, m.local_latency(true), calib.zbox.bandwidth_gbps)
     }
 }
 
