@@ -98,6 +98,7 @@ impl PendingSet {
     /// # Panics
     ///
     /// Panics if `tag` is already outstanding.
+    #[inline]
     pub fn insert(&mut self, tag: u64, tx: PendingTx) {
         let prev = self.txs.insert(tag, tx);
         assert!(prev.is_none(), "tag {tag:#x} already outstanding");
@@ -105,6 +106,7 @@ impl PendingSet {
 
     /// Complete `tag`, returning its record — or `None` if it is unknown
     /// (a duplicate response from a retried transaction; callers ignore it).
+    #[inline]
     pub fn complete(&mut self, tag: u64) -> Option<PendingTx> {
         let tx = self.txs.remove(&tag);
         if tx.is_some() {
@@ -114,6 +116,7 @@ impl PendingSet {
     }
 
     /// The record for `tag`, if outstanding.
+    #[inline]
     pub fn get(&self, tag: u64) -> Option<&PendingTx> {
         self.txs.get(&tag)
     }
@@ -124,6 +127,7 @@ impl PendingSet {
     /// # Panics
     ///
     /// Panics if `tag` is not outstanding.
+    #[inline]
     pub fn retry(&mut self, tag: u64, deadline: SimTime) -> u32 {
         let tx = self.txs.get_mut(&tag).expect("retry of unknown tag");
         tx.attempts += 1;
@@ -134,6 +138,7 @@ impl PendingSet {
 
     /// Drop `tag` from the table without counting a completion (the poison
     /// path). Returns its record.
+    #[inline]
     pub fn poison(&mut self, tag: u64) -> Option<PendingTx> {
         self.txs.remove(&tag)
     }

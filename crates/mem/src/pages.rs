@@ -2,6 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The bank state "no row open": above every row id.
+const NO_ROW: u64 = u64::MAX;
+
 /// A banked open-page (row-buffer) table.
 ///
 /// The 21364 can keep "up to 2048 pages open simultaneously" (paper §2) —
@@ -25,8 +28,11 @@ pub struct OpenPageTable {
     page_shift: u32,
     /// `banks - 1`: `bank = page % banks = page & bank_mask`.
     bank_mask: u64,
-    /// Open row (page id) per bank.
-    banks: Vec<Option<u64>>,
+    /// Open row per bank, [`NO_ROW`] while the bank has none. A row id is
+    /// a [`page_of`](Self::page_of) value: an address shifted right by at
+    /// least 10 bits, so below 2^54, and `NO_ROW` never names a real row.
+    /// One word per bank, not an `Option`'s two.
+    banks: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -50,7 +56,7 @@ impl OpenPageTable {
         OpenPageTable {
             page_shift: page_kib.trailing_zeros() + 10,
             bank_mask: banks as u64 - 1,
-            banks: vec![None; banks],
+            banks: vec![NO_ROW; banks],
             hits: 0,
             misses: 0,
         }
@@ -63,14 +69,15 @@ impl OpenPageTable {
 
     /// Touch a page: `true` if its bank already has this row open (page
     /// hit); otherwise the row is activated, displacing the bank's previous
-    /// row.
+    /// row. `page` is a [`page_of`](Self::page_of) value.
     pub fn touch(&mut self, page: u64) -> bool {
+        debug_assert!(page < 1 << 54, "page {page:#x} is not a page_of value");
         let bank = (page & self.bank_mask) as usize;
-        if self.banks[bank] == Some(page) {
+        if self.banks[bank] == page {
             self.hits += 1;
             return true;
         }
-        self.banks[bank] = Some(page);
+        self.banks[bank] = page;
         self.misses += 1;
         false
     }
@@ -159,10 +166,18 @@ mod tests {
             for addr in [0, 1023, 1024, 2047, 8191, 8192, 123_456_789, u64::MAX] {
                 let page = t.page_of(addr);
                 assert_eq!(page, addr / (page_kib * 1024), "{page_kib} KiB, {addr}");
+                assert!(page < 1 << 54, "{page_kib} KiB, {addr}");
                 t.touch(page);
-                assert_eq!(t.banks[(page % banks as u64) as usize], Some(page));
+                assert_eq!(t.banks[(page % banks as u64) as usize], page);
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not a page_of value")]
+    fn touch_rejects_a_row_id_no_address_maps_to() {
+        OpenPageTable::new(2, 8).touch(NO_ROW);
     }
 
     #[test]

@@ -186,6 +186,7 @@ impl Zbox {
     }
 
     /// Serve a `bytes`-sized access to `addr` arriving at `now`.
+    #[inline]
     pub fn access(&mut self, now: SimTime, addr: Addr, bytes: u64) -> ZboxAccess {
         let page = self.pages.page_of(addr.get());
         let page_hit = self.pages.touch(page);

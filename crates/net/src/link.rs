@@ -77,6 +77,7 @@ impl Link {
     }
 
     /// Queue a message on its class VC.
+    #[inline]
     pub fn enqueue(&mut self, class: MessageClass, id: MessageId) {
         self.queues[class.priority() as usize].push_back(id);
         self.queued += 1;
@@ -91,6 +92,7 @@ impl Link {
     /// Global arbitration: pop the head of the highest-priority non-empty
     /// VC. Returns `None` if nothing waits. The fabric then holds the
     /// channel for the granted transfer.
+    #[inline]
     pub fn grant(&mut self) -> Option<MessageId> {
         for q in self.queues.iter_mut().rev() {
             if let Some(id) = q.pop_front() {
@@ -100,6 +102,15 @@ impl Link {
             }
         }
         None
+    }
+
+    /// Count the grant of a packet that found the channel idle and every
+    /// VC empty, so it never queued: the grant [`grant`](Self::grant)
+    /// would have made at once.
+    #[inline]
+    pub(crate) fn grant_unqueued(&mut self) {
+        debug_assert_eq!(self.queued, 0, "an unqueued grant jumps no queue");
+        self.granted += 1;
     }
 
     /// When the current transfer, or a pause, releases the channel (`None`
@@ -144,6 +155,7 @@ impl Link {
 
     /// Account a transfer of `bytes` of `class` occupying the channel for
     /// `occupancy`.
+    #[inline]
     pub fn account(&mut self, class: MessageClass, bytes: u64, occupancy: SimDuration) {
         self.meter.add_bytes(bytes);
         self.meter.add_busy(occupancy);

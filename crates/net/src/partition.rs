@@ -49,6 +49,12 @@
 //! with [`Outbox::has_passed`]. Every grant therefore happens at the same
 //! key as if each transfer had scheduled its own release, and an idle
 //! channel costs no event at all.
+//!
+//! Nor does an idle channel cost a queue. A packet whose chosen link is
+//! not held and has nothing queued is granted on the spot, without taking
+//! a slab slot: that is the grant the queue would have made at once, so
+//! the same `Arrive` and `LinkFree` events, ticket, occupancy and grant
+//! count follow. Most hops of a closed-loop run take this path.
 
 use std::sync::Arc;
 
@@ -198,7 +204,47 @@ impl<P> Packet<P> {
         at: SimTime,
         payload: P,
     ) -> Box<Self> {
-        Box::new(Packet {
+        Box::new(Self::fresh(src, dst, class, bytes, tag, uid, at, payload))
+    }
+
+    /// Rebuild this packet, which has left the fabric, in place: exactly
+    /// what [`new`](Self::new) would build, reusing the allocation.
+    #[allow(clippy::too_many_arguments)]
+    pub fn renew(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        class: MessageClass,
+        bytes: u64,
+        tag: u64,
+        uid: u64,
+        at: SimTime,
+        payload: P,
+    ) {
+        *self = Self::fresh(src, dst, class, bytes, tag, uid, at, payload);
+    }
+
+    /// Turn this delivered packet around as its reply, reusing its
+    /// allocation: the reply carries the same `tag` from the old
+    /// destination back to the old source, entering the fabric at `at`
+    /// exactly as [`new`](Self::new) would build it.
+    pub fn reply(&mut self, class: MessageClass, bytes: u64, uid: u64, at: SimTime, payload: P) {
+        let (src, dst, tag) = (self.dst, self.src, self.tag);
+        self.renew(src, dst, class, bytes, tag, uid, at, payload);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn fresh(
+        src: NodeId,
+        dst: NodeId,
+        class: MessageClass,
+        bytes: u64,
+        tag: u64,
+        uid: u64,
+        at: SimTime,
+        payload: P,
+    ) -> Self {
+        Packet {
             src,
             dst,
             class,
@@ -211,24 +257,7 @@ impl<P> Packet<P> {
             enqueued_at: at,
             acc: HopBreakdown::default(),
             payload,
-        })
-    }
-
-    /// Turn this delivered packet around as its reply, reusing its
-    /// allocation: the reply carries the same `tag` from the old
-    /// destination back to the old source, entering the fabric at `at`
-    /// exactly as [`new`](Self::new) would build it.
-    pub fn reply(&mut self, class: MessageClass, bytes: u64, uid: u64, at: SimTime, payload: P) {
-        std::mem::swap(&mut self.src, &mut self.dst);
-        self.class = class;
-        self.bytes = bytes;
-        self.uid = uid;
-        self.injected_at = at;
-        self.hops = 0;
-        self.serialized = false;
-        self.enqueued_at = at;
-        self.acc = HopBreakdown::default();
-        self.payload = payload;
+        }
     }
 
     /// End-to-end latency once delivered at `at`.
@@ -423,6 +452,7 @@ impl FabricTables {
     }
 
     /// A healthy channel's transfer time for a `bytes`-byte payload.
+    #[inline]
     fn transfer_time(&self, bytes: u64) -> SimDuration {
         match self.transfer.get(bytes as usize) {
             Some(&t) => t,
@@ -432,6 +462,7 @@ impl FabricTables {
 
     /// The arbitration penalty for a grant that leaves `backlog` packets
     /// queued behind it.
+    #[inline]
     fn congestion_penalty(&self, backlog: u32) -> SimDuration {
         let queued = backlog.min(self.timing.congestion_cap);
         match self.penalty.get(queued as usize) {
@@ -816,9 +847,9 @@ impl<P> RegionNet<P> {
 
     /// Process a packet arriving on `node` at `now`: hand it back if
     /// `node` is its destination, or route it onto the next output link
-    /// (starting a transfer if the link is idle, else booking the link's
-    /// release if none is booked), emitting the follow-up events through
-    /// `out`.
+    /// (granting it at once if the link is idle with nothing queued, else
+    /// queuing it and booking the link's release if none is booked),
+    /// emitting the follow-up events through `out`.
     pub fn handle_arrive<E: FabricEvent<P>>(
         &mut self,
         now: SimTime,
@@ -854,12 +885,21 @@ impl<P> RegionNet<P> {
             return Some(pkt);
         }
         let link = self.choose_output(node, &pkt, out);
+        let l = self.links[link].as_mut().expect("chosen link is owned");
+        let held = held_until(l, link, out);
+        if held.is_none() && l.backlog() == 0 {
+            // An idle channel with nothing queued: the grant the queue
+            // would make at once, without the queue.
+            l.grant_unqueued();
+            self.transfer(link, now, pkt, out);
+            return None;
+        }
         let class = pkt.class;
         let slot = self.alloc_slot(pkt);
         let l = self.links[link].as_mut().expect("chosen link is owned");
         l.enqueue(class, slot);
-        match held_until(l, link, out) {
-            None => self.start_transfer(link, now, out),
+        match held {
+            None => self.grant_queued(link, now, out),
             Some(free_at) if !l.release_pending() => {
                 // A packet now waits on a held channel: book its release.
                 l.set_release_pending(true);
@@ -898,7 +938,7 @@ impl<P> RegionNet<P> {
         );
         l.set_release_pending(false);
         if self.tables.is_alive(link) && l.backlog() > 0 {
-            self.start_transfer(link, now, out);
+            self.grant_queued(link, now, out);
         }
     }
 
@@ -925,10 +965,8 @@ impl<P> RegionNet<P> {
         links[chosen.expect("routing dead end")]
     }
 
-    /// Grant the head-of-queue packet on `link_id`, emit its arrival, hold
-    /// the channel for the transfer, and book the channel's release if
-    /// another packet waits for it.
-    fn start_transfer<E: FabricEvent<P>>(
+    /// Grant the head-of-queue packet on `link_id` and start its transfer.
+    fn grant_queued<E: FabricEvent<P>>(
         &mut self,
         link_id: usize,
         now: SimTime,
@@ -938,6 +976,21 @@ impl<P> RegionNet<P> {
         let Some(mid) = l.grant() else {
             return;
         };
+        let pkt = self.take_slot(mid);
+        self.transfer(link_id, now, pkt, out);
+    }
+
+    /// Start the transfer of `pkt`, just granted on `link_id`: emit its
+    /// arrival, hold the channel for the transfer, and book the channel's
+    /// release if another packet waits for it.
+    fn transfer<E: FabricEvent<P>>(
+        &mut self,
+        link_id: usize,
+        now: SimTime,
+        mut pkt: Box<Packet<P>>,
+        out: &mut Outbox<E>,
+    ) {
+        let l = self.links[link_id].as_mut().expect("granting owned link");
         // A degraded link stretches everything paced by the wire — transfer
         // occupancy, serialization, and flight — by a fixed factor (1 when
         // healthy). An armed transient costs one extra transfer + flight:
@@ -947,7 +1000,6 @@ impl<P> RegionNet<P> {
         let backlog = l.backlog() as u32;
         let link_class = l.class;
         let to = l.to;
-        let mut pkt = self.take_slot(mid);
         let tables = &*self.tables;
         let timing = &tables.timing;
         let transfer = tables.transfer_time(pkt.bytes).saturating_mul(stretch);
@@ -1365,6 +1417,10 @@ mod tests {
             6u8,
         );
         assert_eq!(format!("{pkt:?}"), format!("{fresh:?}"));
+        // Renewed in place, it is the fresh packet `new` would build.
+        pkt.renew(n(5), n(2), MessageClass::Request, 16, 8, 20, t(12.0), 7);
+        let fresh = Packet::new(n(5), n(2), MessageClass::Request, 16, 8, 20, t(12.0), 7u8);
+        assert_eq!(format!("{pkt:?}"), format!("{fresh:?}"));
     }
 
     /// Inject a fixed five-message batch (one self-send) at time zero.
@@ -1499,6 +1555,10 @@ mod tests {
         // for frees up without an event.
         let report = net.exec.run_until_idle();
         assert_eq!(report.processed.iter().sum::<u64>(), u64::from(hops) + 1);
+        // Every hop found its link idle and empty, so it was granted on the
+        // spot, once per hop, and never took a slab slot.
+        assert_eq!(net.links().total_grants(), u64::from(hops));
+        assert!(net.exec.worker(0).net.slab.is_empty());
     }
 
     /// Grants on node 0's two minimal ports toward node 2 of the 4x4
@@ -1956,22 +2016,29 @@ mod tests {
 
     #[test]
     fn ticket_records_the_granted_packet() {
+        // Two packets reach node 0's one link toward node 1 at the same
+        // instant: the first (lower uid) finds it idle and empty and is
+        // granted at once; the second queues and goes one transfer later.
         let mut net = open4x4();
         send(&mut net, SimTime::ZERO, 0, 1, MessageClass::Request, 42);
+        send(&mut net, SimTime::ZERO, 0, 1, MessageClass::Request, 43);
         let d = net.drain();
         let id = net
             .tables()
             .directed_link(NodeId::new(0), NodeId::new(1))
             .unwrap();
-        let ticket = net
-            .exec
-            .worker(0)
-            .net
-            .in_flight_ticket(id)
-            .expect("granted");
-        assert_eq!((ticket.uid, ticket.tag), (d[0].uid, 42));
-        assert_eq!(ticket.arrive_at, d[0].delivered_at);
+        let transfer = SimDuration::transfer_time(64, net.tables().timing().bandwidth_gbps);
+        assert_eq!([d[0].tag, d[1].tag], [42, 43], "granted in arrival order");
+        assert_eq!(d[1].delivered_at, d[0].delivered_at + transfer);
+        assert_eq!(net.links().total_grants(), 2);
+        // The ticket names the packet granted last; the slab holds the one
+        // slot the queued packet took.
+        let region = &net.exec.worker(0).net;
+        let ticket = region.in_flight_ticket(id).expect("granted");
+        assert_eq!((ticket.uid, ticket.tag), (d[1].uid, 43));
+        assert_eq!(ticket.arrive_at, d[1].delivered_at);
         assert_eq!(ticket.dest, NodeId::new(1));
+        assert_eq!(region.slab.len(), 1);
     }
 
     #[test]

@@ -47,6 +47,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot draw from an empty range");
         self.inner.gen_range(0..n)
@@ -60,6 +61,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `n < 2` or `excluded >= n`.
+    #[inline]
     pub fn index_excluding(&mut self, n: usize, excluded: usize) -> usize {
         assert!(n >= 2, "need at least two choices");
         assert!(excluded < n, "excluded index out of range");

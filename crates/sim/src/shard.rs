@@ -7,7 +7,9 @@
 //! [`ShardWorker`]) and its own event queue ordered by `(time, tiebreak)`:
 //! a ring of 128 ps time-slot buckets spanning the next 524 ns, in front
 //! of a 4-ary heap for everything else, popped in exact key order whatever
-//! lands where. Shards advance independently up to a **conservative
+//! lands where. The queue lives in the shard's [`Outbox`], so an event a
+//! worker emits for its own region goes straight into it: one insert and
+//! one pop per event. Shards advance independently up to a **conservative
 //! lookahead horizon** — the minimum latency of any inter-region link — and
 //! exchange cross-region events at barrier epochs. The lookahead contract
 //! is enforced at every emission: a cross-shard event closer than the
@@ -452,8 +454,9 @@ pub trait ShardWorker: Send + 'static {
 
 /// Where a [`ShardWorker`] emits follow-up events.
 ///
-/// Same-shard emissions may fire at any `at >= now` (they are merged into
-/// the shard's own queue and can still fire within the current epoch).
+/// Same-shard emissions may fire at any `at >= now`: the outbox owns the
+/// shard's event queue, so each one is filed there as it is emitted and can
+/// still fire within the current epoch.
 /// Cross-shard emissions must respect the **lookahead contract**:
 /// `at >= now + lookahead`, where the lookahead is the minimum inter-region
 /// link latency. Violations panic immediately, naming the horizon — a
@@ -513,14 +516,16 @@ pub trait ShardWorker: Send + 'static {
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
 /// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
 /// let mut forged = Outbox { home: 0, now: SimTime::ZERO, lookahead: SimDuration::ZERO,
-///     high_water: None, local: Vec::new(), remote: Vec::new() };
+///     high_water: None, queue: unreachable!(), remote: Vec::new() };
 /// exec.worker_mut(0).handle(SimTime::ZERO, 1, &mut forged);
 /// ```
 ///
 /// Nor can a worker reach past [`emit`](Self::emit) through a field: each
 /// block below is a bare worker whose `handle` reads one field of its
 /// outbox (E0616), so making any one field public lets exactly that block
-/// compile and fails its doctest.
+/// compile and fails its doctest. The `queue` field's type is private as
+/// well, so its block compiles only once both are public: exactly when a
+/// worker could reach the queue.
 ///
 /// ```compile_fail,E0616
 /// # use alphasim_kernel::{shard::*, SimTime};
@@ -558,7 +563,7 @@ pub trait ShardWorker: Send + 'static {
 /// # use alphasim_kernel::{shard::*, SimTime};
 /// # struct Peek;
 /// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
-/// let _ = &out.local;
+/// let _ = &out.queue;
 /// # } }
 /// ```
 ///
@@ -576,7 +581,9 @@ pub struct Outbox<E> {
     /// The largest packed key this shard has handled (`None` before the
     /// first event).
     high_water: Option<u128>,
-    local: Vec<(SimTime, u64, E)>,
+    /// The shard's pending events: a same-shard emission is filed here
+    /// directly.
+    queue: EventQueue<E>,
     remote: Vec<(usize, SimTime, u64, E)>,
 }
 
@@ -591,41 +598,64 @@ impl<E> Outbox<E> {
         Some(pack(at, tiebreak)) <= self.high_water
     }
 
-    /// Emit an event for `shard` at absolute time `at`.
+    /// Emit an event for `shard` at absolute time `at`. An event for the
+    /// emitting shard goes straight into its queue; one for a peer waits
+    /// in the outbox for the barrier.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past, or if `shard` is not the emitting
     /// shard and `at` is closer than the conservative lookahead horizon.
+    #[inline(always)]
     pub fn emit(&mut self, shard: usize, at: SimTime, tiebreak: u64, ev: E) {
-        assert!(
-            at >= self.now,
-            "event emitted into the past: {at} < {}",
-            self.now
-        );
-        if shard == self.home {
-            self.local.push((at, tiebreak, ev));
-        } else {
-            assert!(
-                at >= self.now + self.lookahead,
-                "lookahead violation: region {home} emitted an event for region \
-                 {shard} at t={at}, inside the conservative horizon {horizon} \
-                 (emitter's now={now} + lookahead {lookahead}); the event could \
-                 land in region {shard}'s already-executed past",
-                horizon = self.now + self.lookahead,
-                lookahead = self.lookahead,
-                now = self.now,
-                home = self.home,
-            );
-            self.remote.push((shard, at, tiebreak, ev));
+        if at < self.now {
+            emitted_into_the_past(at, self.now);
         }
+        if shard == self.home {
+            self.queue.push(pack(at, tiebreak), ev);
+        } else {
+            self.emit_remote(shard, at, tiebreak, ev);
+        }
+    }
+
+    /// The cross-shard half of [`emit`](Self::emit): check the lookahead
+    /// contract and hold the event for the barrier.
+    #[inline(never)]
+    fn emit_remote(&mut self, shard: usize, at: SimTime, tiebreak: u64, ev: E) {
+        if at < self.now + self.lookahead {
+            lookahead_violation(self.home, shard, at, self.now, self.lookahead);
+        }
+        self.remote.push((shard, at, tiebreak, ev));
     }
 }
 
-/// One shard: its event queue, its owned worker state, and its epoch
-/// scratch.
+#[cold]
+#[inline(never)]
+fn emitted_into_the_past(at: SimTime, now: SimTime) -> ! {
+    panic!("event emitted into the past: {at} < {now}")
+}
+
+#[cold]
+#[inline(never)]
+fn lookahead_violation(
+    home: usize,
+    shard: usize,
+    at: SimTime,
+    now: SimTime,
+    lookahead: SimDuration,
+) -> ! {
+    panic!(
+        "lookahead violation: region {home} emitted an event for region \
+         {shard} at t={at}, inside the conservative horizon {horizon} \
+         (emitter's now={now} + lookahead {lookahead}); the event could \
+         land in region {shard}'s already-executed past",
+        horizon = now + lookahead,
+    )
+}
+
+/// One shard: its owned worker state, its outbox (which holds the shard's
+/// event queue), and its epoch scratch.
 struct ShardSlot<W: ShardWorker> {
-    queue: EventQueue<W::Event>,
     worker: W,
     outbox: Outbox<W::Event>,
     /// Exclusive processing bound for the current epoch.
@@ -637,26 +667,23 @@ struct ShardSlot<W: ShardWorker> {
     wall_ns: u64,
 }
 
-/// Process every local event strictly before the epoch bound, merging
-/// same-shard emissions back into the queue as it goes.
+/// Process every local event strictly before the epoch bound. Same-shard
+/// emissions land in the queue as they are emitted, so they can fire
+/// within this epoch.
 fn run_slot<W: ShardWorker>(slot: &mut ShardSlot<W>) {
     // Wall-clock here is reporting-only (the epoch profiler's optional
     // overhead view) and never feeds back into simulation decisions; off,
     // it costs one untaken branch.
     let t0 = slot.time_wall.then(std::time::Instant::now); // lint-allow: wall-clock
     let limit = pack(slot.bound, 0);
-    while let Some((key, ev)) = slot.queue.pop_below(limit) {
+    let out = &mut slot.outbox;
+    while let Some((key, ev)) = out.queue.pop_below(limit) {
         let at = unpack_time(key);
-        slot.outbox.now = at;
-        slot.outbox.high_water = slot.outbox.high_water.max(Some(key));
-        slot.worker.handle(at, ev, &mut slot.outbox);
+        out.now = at;
+        out.high_water = out.high_water.max(Some(key));
+        slot.worker.handle(at, ev, out);
         slot.processed += 1;
-        while let Some((t, tb, e)) = slot.outbox.local.pop() {
-            slot.queue.push(pack(t, tb), e);
-        }
-        if slot.queue.len() > slot.peak {
-            slot.peak = slot.queue.len();
-        }
+        slot.peak = slot.peak.max(out.queue.len());
     }
     if let Some(t0) = t0 {
         slot.wall_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -901,7 +928,7 @@ impl<W: ShardWorker> EpochControl<'_, W> {
             "barrier injection into the past: {at} < barrier {now}",
             now = self.now
         );
-        self.slots[shard].queue.push(pack(at, tiebreak), ev);
+        self.slots[shard].outbox.queue.push(pack(at, tiebreak), ev);
     }
 
     /// Replace the conservative lookahead for subsequent epochs — e.g.
@@ -926,7 +953,7 @@ impl<W: ShardWorker> EpochControl<'_, W> {
     /// Whether every shard's queue is empty: nothing is left to fire, so a
     /// guide's periodic barriers (samplers, watchdogs) can stop.
     pub fn is_idle(&self) -> bool {
-        self.slots.iter().all(|s| s.queue.is_empty())
+        self.slots.iter().all(|s| s.outbox.queue.is_empty())
     }
 
     /// Remove every pending event on `shard` matching `pred`, returning
@@ -938,7 +965,7 @@ impl<W: ShardWorker> EpochControl<'_, W> {
     where
         F: FnMut(SimTime, &W::Event) -> bool,
     {
-        let queue = &mut self.slots[shard].queue;
+        let queue = &mut self.slots[shard].outbox.queue;
         let mut taken = Vec::new();
         for (key, ev) in queue.take_all() {
             if pred(unpack_time(key), &ev) {
@@ -1003,14 +1030,13 @@ impl<W: ShardWorker> EpochExecutor<W> {
             .into_iter()
             .enumerate()
             .map(|(i, worker)| ShardSlot {
-                queue: EventQueue::new(),
                 worker,
                 outbox: Outbox {
                     home: i,
                     now: SimTime::ZERO,
                     lookahead,
                     high_water: None,
-                    local: Vec::new(),
+                    queue: EventQueue::new(),
                     remote: Vec::new(),
                 },
                 bound: SimTime::ZERO,
@@ -1073,7 +1099,7 @@ impl<W: ShardWorker> EpochExecutor<W> {
 
     /// Seed an initial event on `shard` (before or between runs).
     pub fn seed(&mut self, shard: usize, at: SimTime, tiebreak: u64, ev: W::Event) {
-        self.slots[shard].queue.push(pack(at, tiebreak), ev);
+        self.slots[shard].outbox.queue.push(pack(at, tiebreak), ev);
     }
 
     /// Return every shard's high-water key to "nothing handled", so
@@ -1098,7 +1124,7 @@ impl<W: ShardWorker> EpochExecutor<W> {
     fn min_next(&self) -> Option<SimTime> {
         self.slots
             .iter()
-            .filter_map(|s| s.queue.peek().map(unpack_time))
+            .filter_map(|s| s.outbox.queue.peek().map(unpack_time))
             .min()
     }
 
@@ -1139,7 +1165,7 @@ impl<W: ShardWorker> EpochExecutor<W> {
                 if let Some(m) = merged_in.get_mut(dest) {
                     *m += 1;
                 }
-                self.slots[dest].queue.push(pack(at, tb), ev);
+                self.slots[dest].outbox.queue.push(pack(at, tb), ev);
             }
         }
         self.epochs += 1;

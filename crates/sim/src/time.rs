@@ -68,6 +68,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`; simulation time is monotone.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -77,6 +78,7 @@ impl SimTime {
     }
 
     /// The later of two timestamps.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
@@ -92,6 +94,7 @@ impl SimDuration {
     }
 
     /// Span from nanoseconds (rounded to the nearest picosecond).
+    #[inline]
     pub fn from_ns(ns: f64) -> Self {
         assert!(ns >= 0.0, "duration must be non-negative");
         SimDuration((ns * 1_000.0).round() as u64)
@@ -132,6 +135,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `bandwidth_gbps` is not strictly positive.
+    #[inline]
     pub fn transfer_time(bytes: u64, bandwidth_gbps: f64) -> Self {
         assert!(bandwidth_gbps > 0.0, "bandwidth must be positive");
         // bytes / (GB/s) = ns * bytes/GB… worked in ps: bytes * 1000 / gbps.

@@ -327,6 +327,15 @@ pub(crate) struct CampaignWorker {
     pub(crate) breakdown: Option<BreakdownTable>,
     /// Windowed campaign-plane observability, present on observed runs.
     pub(crate) obs: Option<Box<ObsAcc>>,
+    /// Packets of completed reads, which this region's CPUs' next requests
+    /// are rebuilt in, so a read allocates nothing once the windows are
+    /// primed. A request's response comes home in the request's own box,
+    /// to the region that sent it, and the list grows only when a
+    /// completion issues no next read, so it never outgrows the owned
+    /// CPUs' windows. The allocations are what is kept, so the list holds
+    /// boxes.
+    #[allow(clippy::vec_box)]
+    pub(crate) spare: Vec<Box<Packet<Carried>>>,
 }
 
 impl ShardWorker for CampaignWorker {
@@ -462,6 +471,7 @@ impl CampaignWorker {
                         e2e.as_ps(),
                     );
                 }
+                self.spare.push(pkt);
                 self.inject_next(at, cpu, out);
             }
             other => panic!("unexpected class {other:?}"),
@@ -568,8 +578,9 @@ impl CampaignWorker {
     }
 
     /// Launch attempt `attempt` of transaction `tag` into the fabric at
-    /// `at`. The packet uid is derived from tag and attempt (responses
-    /// take `uid | 1`), so identities are shard-count invariant.
+    /// `at`, in a spare packet when the region holds one. The packet uid
+    /// is derived from tag and attempt (responses take `uid | 1`), so
+    /// identities are shard-count invariant.
     fn send_request(
         &mut self,
         at: SimTime,
@@ -585,7 +596,13 @@ impl CampaignWorker {
             issued: at,
             leg: None,
         };
-        let pkt = Packet::new(src, home, MessageClass::Request, 16, tag, uid, at, carried);
+        let pkt = match self.spare.pop() {
+            Some(mut pkt) => {
+                pkt.renew(src, home, MessageClass::Request, 16, tag, uid, at, carried);
+                pkt
+            }
+            None => Packet::new(src, home, MessageClass::Request, 16, tag, uid, at, carried),
+        };
         out.emit(
             self.net.region(),
             at,

@@ -589,6 +589,7 @@ impl<T: Topology> FaultCampaign<T> {
                     obs: drive
                         .observe
                         .map(|o| Box::new(ObsAcc::new(o.window_ps, node_count))),
+                    spare: Vec::new(),
                 }
             })
             .collect();

@@ -369,6 +369,45 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn reads_reuse_their_packets_and_spares_stay_within_the_windows() {
+        // Each completed read leaves its packet to the next request of a
+        // CPU in the same region. After a run no region holds more spares
+        // than its CPUs' windows, and together the regions hold exactly
+        // the packets the priming allocated: no read allocated another.
+        let m = Gs1280::builder().cpus(16).build();
+        let window = 6;
+        for shards in [1, 2, 4] {
+            let cfg = FaultCampaignConfig {
+                outstanding: window,
+                requests_per_cpu: 80,
+                shards,
+                ..Default::default()
+            };
+            let drive = Drive {
+                retry_free: true,
+                ..Drive::default()
+            };
+            let (workers, guide, ..) = gs1280_load_test(&m).campaign.launch(&cfg, drive);
+            assert_eq!(workers.len(), shards);
+            for w in &workers {
+                let owned = guide
+                    .cpus
+                    .iter()
+                    .filter(|&&cpu| guide.master.region_of(cpu) == w.net.region())
+                    .count();
+                assert!(
+                    w.spare.len() <= owned * window,
+                    "{shards} shards: region {} holds {} spares for {owned} CPUs",
+                    w.net.region(),
+                    w.spare.len()
+                );
+            }
+            let spares: usize = workers.iter().map(|w| w.spare.len()).sum();
+            assert_eq!(spares, 16 * window, "{shards} shards");
+        }
+    }
 }
 
 #[cfg(test)]

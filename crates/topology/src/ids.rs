@@ -21,6 +21,7 @@ pub struct NodeId(u32);
 
 impl NodeId {
     /// A node id from its dense index.
+    #[inline]
     pub fn new(index: usize) -> Self {
         NodeId(u32::try_from(index).expect("node index exceeds u32"))
     }

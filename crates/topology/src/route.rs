@@ -208,6 +208,7 @@ impl Routes {
     /// # Panics
     ///
     /// Panics if `dst` is unreachable from `at` under the policy.
+    #[inline]
     pub fn minimal_ports(
         &self,
         at: NodeId,
