@@ -13,11 +13,11 @@
 //! * topology heatmaps — messages delivered per node, outgoing-link
 //!   occupancy per router, and reads served per home Zbox, as P×Q ASCII
 //!   grids;
-//! * the epoch engine profile — per-shard busy event counts,
-//!   the critical shard, and the load-imbalance ratio.
+//! * the epoch engine profile — the epoch count and the events handled
+//!   in each epoch (one epoch per barrier interval).
 //!
 //! `--window-us N` re-windows at N µs (the committed artifact width is
-//! 2 µs). `--wall` additionally measures per-shard wall-clock busy time —
+//! 2 µs). `--wall` additionally measures the engine's wall-clock busy time —
 //! a measurement of the host, printed but never part of the JSON, so sim
 //! results are byte-identical either way. `--json PATH` writes the report
 //! JSON (identical to `results/timeline.json` only at the default width).

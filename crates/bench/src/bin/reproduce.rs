@@ -1,7 +1,7 @@
 //! Regenerate every figure and table of the paper.
 //!
 //! ```text
-//! reproduce [--quick] [--jobs N | --sequential] [--shards N]
+//! reproduce [--quick] [--jobs N | --sequential]
 //!           [--json DIR [--check]] [--trace PATH] [ID ...]
 //! ```
 //!
@@ -9,14 +9,12 @@
 //! ids given) and prints each artifact's text. `--json DIR` writes
 //! `DIR/<id>.json` per artifact and, for a whole sweep, `full_report.txt`
 //! (the printed text) and `BENCH_sweep.json`: wall-clock per artifact and
-//! in total, worker count, each artifact's region count, peak epoch-shard
-//! heap depth, host cores and build profile. `--check` compares every file
-//! but `BENCH_sweep.json` against DIR instead, names the first value or
-//! line that moved, and exits 1 on drift. `--jobs N` pins the artifact
-//! fan-out (`--sequential` = `--jobs 1`) and `--shards N` splits every
-//! fabric run into N torus regions, stepped inline on the artifact's
-//! thread; `ALPHASIM_{JOBS,SHARDS}` are the environment equivalents.
-//! Outputs are byte-identical at any combination. `--trace
+//! in total, worker count, peak event-queue depth, host cores and build
+//! profile. `--check` compares every file but `BENCH_sweep.json` against
+//! DIR instead, names the first value or line that moved, and exits 1 on
+//! drift. `--jobs N` pins the artifact fan-out (`--sequential` =
+//! `--jobs 1`; `ALPHASIM_JOBS` is the environment equivalent). Outputs are
+//! byte-identical at any worker count. `--trace
 //! PATH` re-runs the `telemetry` and `timeline` fixtures traced and writes
 //! Chrome traces (`ui.perfetto.dev`): the telemetry sweep's to PATH, each
 //! timeline section's next to it as `-timeline-<section>`. A bad argument
@@ -30,12 +28,12 @@ use std::time::Instant;
 use alphasim::experiments::timeline::timeline_report;
 use alphasim_bench::args::{host_cores, or_usage, Args};
 use alphasim_bench::{
-    build_timed, check_env, files, jobs, report, set_jobs, set_shards, shards,
-    take_peak_event_depth, telemetry_report, write_or_check, Effort, Entry, ARTIFACTS,
+    build_timed, check_env, files, jobs, report, set_jobs, take_peak_event_depth, telemetry_report,
+    write_or_check, Effort, Entry, ARTIFACTS,
 };
 use serde_json::json;
 
-const USAGE: &str = "usage: reproduce [--quick] [--jobs N | --sequential] [--shards N] \
+const USAGE: &str = "usage: reproduce [--quick] [--jobs N | --sequential] \
                      [--json DIR [--check]] [--trace PATH] [ID ...]";
 
 /// What the command line asks for.
@@ -44,7 +42,6 @@ struct Options {
     effort: Effort,
     check: bool,
     jobs: Option<usize>,
-    shards: Option<usize>,
     json: Option<String>,
     trace: Option<String>,
     ids: Vec<String>,
@@ -61,7 +58,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--check" => o.check = true,
             "--sequential" => o.jobs = Some(1),
             "--jobs" => o.jobs = Some(args.number(arg)?),
-            "--shards" => o.shards = Some(args.number(arg)?),
             "--json" => o.json = Some(args.value(arg)?),
             "--trace" => o.trace = Some(args.value(arg)?),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
@@ -109,9 +105,6 @@ fn main() {
     if let Some(n) = opts.jobs {
         set_jobs(n.max(1));
     }
-    if let Some(n) = opts.shards {
-        set_shards(n.max(1));
-    }
     let whole = opts.ids.is_empty();
     let selected: Vec<&Entry> = ARTIFACTS
         .iter()
@@ -119,9 +112,9 @@ fn main() {
         .collect();
 
     let effort = opts.effort;
-    let (workers, shard_count) = (jobs(), shards());
+    let workers = jobs();
     eprintln!(
-        "regenerating {} artifact(s) ({effort:?}, {workers} worker(s), {shard_count} shard(s)) ...",
+        "regenerating {} artifact(s) ({effort:?}, {workers} worker(s)) ...",
         selected.len()
     );
     take_peak_event_depth(); // start the gauge fresh for this sweep
@@ -143,11 +136,10 @@ fn main() {
             for (entry, secs) in selected.iter().zip(&secs) {
                 per_artifact.push(json!({
                     "id": entry.id, "wall_clock_s": secs, "jobs": jobs_used,
-                    "shards": entry.engine.shape(shard_count),
                 }));
             }
             let sweep = json!({
-                "effort": format!("{effort:?}"), "jobs": jobs_used, "shards": shard_count,
+                "effort": format!("{effort:?}"), "jobs": jobs_used,
                 "total_wall_clock_s": total_secs,
                 "peak_event_queue_depth": peak_depth, "artifacts": per_artifact,
                 "host_cores": host_cores(),
@@ -173,7 +165,7 @@ fn main() {
         eprintln!("check: every regenerated file is byte-identical to disk");
     }
     eprintln!(
-        "done: {} artifacts in {total_secs:.1}s ({jobs_used} worker(s), {shard_count} shard(s), peak event-queue depth {peak_depth})",
+        "done: {} artifacts in {total_secs:.1}s ({jobs_used} worker(s), peak event-queue depth {peak_depth})",
         artifacts.len()
     );
 }
@@ -190,12 +182,11 @@ mod tests {
     #[test]
     fn accepts_every_documented_option() {
         assert_eq!(parse_line("").unwrap(), Options::default());
-        let all = "--quick --jobs 3 --shards 2 --json out --check --trace t.json fig13 timeline";
+        let all = "--quick --jobs 3 --json out --check --trace t.json fig13 timeline";
         let expected = Options {
             effort: Effort::Quick,
             check: true,
             jobs: Some(3),
-            shards: Some(2),
             json: Some("out".into()),
             trace: Some("t.json".into()),
             ids: vec!["fig13".into(), "timeline".into()],
@@ -213,9 +204,10 @@ mod tests {
         ] {
             assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
         }
-        // Removed flags: both fixtures are registry ids now, and fabric
-        // regions step inline, so there is no thread count to set.
-        for removed in ["telemetry", "timeline", "threads"] {
+        // Removed flags: both fixtures are registry ids now, and a run has
+        // one event queue on one thread, so there is no thread or shard
+        // count to set.
+        for removed in ["telemetry", "timeline", "threads", "shards"] {
             let err = parse_line(&format!("--json out --{removed} 2")).unwrap_err();
             assert_eq!(err, format!("unknown flag --{removed}"));
         }
@@ -229,7 +221,6 @@ mod tests {
             ("--trace", "--trace wants a value"),
             ("--jobs --quick", "--jobs wants a value"),
             ("--jobs abc", "--jobs wants a number, got \"abc\""),
-            ("--shards 2x", "--shards wants a number, got \"2x\""),
         ] {
             assert_eq!(parse_line(line).unwrap_err(), why, "{line}");
         }

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use alphasim::experiments::telemetry::TelemetryReport;
-use alphasim::experiments::timeline::{timeline_report, TIMELINE_SHARDS};
+use alphasim::experiments::timeline::timeline_report;
 use alphasim::experiments::{
     ablation, apps, chaos, latency, memory, network, resilience, spec, stream, summary, telemetry,
 };
@@ -28,7 +28,7 @@ use serde_json::Value;
 
 pub mod args;
 
-pub use alphasim::kernel::par::{check_env, jobs, set_jobs, set_shards, shards};
+pub use alphasim::kernel::par::{check_env, jobs, set_jobs};
 pub use alphasim::kernel::take_peak_event_depth;
 
 /// How hard to sweep each experiment.
@@ -128,80 +128,53 @@ impl From<Table> for Artifact {
     }
 }
 
-/// The region count an artifact's sweep runs at, as `BENCH_sweep.json`
-/// records it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Whatever the CLI's `--shards` sets: every fabric run of the sweep
-    /// splits into that many regions, and a sweep with no fabric run
-    /// records it unchanged.
-    Cli,
-    /// A fixture's own region count, whatever the CLI says.
-    Pinned { shards: usize },
-}
-
-impl Engine {
-    /// The region count this engine runs at when the CLI sets `cli_shards`.
-    pub fn shape(self, cli_shards: usize) -> usize {
-        match self {
-            Engine::Cli => cli_shards,
-            Engine::Pinned { shards } => shards,
-        }
-    }
-}
-
 /// One row of [`ARTIFACTS`].
 #[derive(Debug, Clone, Copy)]
 pub struct Entry {
     /// Artifact id; the built [`Artifact`] carries the same one.
     pub id: &'static str,
-    /// The engine shape its sweep runs at.
-    pub engine: Engine,
     /// Build the artifact: a pure function of the effort, with its own
     /// simulator state and deterministic seeds.
     pub build: fn(Effort) -> Artifact,
 }
 
-use Engine::{Cli, Pinned};
-
 /// Every artifact `reproduce` owns, in report order. The two fixtures at
-/// the end ignore [`Effort`] and pin their region count (telemetry: three
-/// campaigns of 2 shards), so `reproduce --check` holds for them at any
-/// `--quick` and `--shards`.
+/// the end ignore [`Effort`], so `reproduce --check` holds for them at
+/// `--quick` too.
 #[rustfmt::skip]
 pub static ARTIFACTS: &[Entry] = &[
-    Entry { id: "fig01", engine: Cli, build: |_| spec::fig01().into() },
-    Entry { id: "fig04", engine: Cli, build: |e| memory::fig04(&e.sizes(), e.max_loads()).into() },
-    Entry { id: "fig05", engine: Cli, build: fig05 },
-    Entry { id: "fig06", engine: Cli, build: |_| stream::fig06().into() },
-    Entry { id: "fig07", engine: Cli, build: |_| stream::fig07().into() },
-    Entry { id: "fig08", engine: Cli, build: |_| spec::ipc_figure(Suite::Fp).into() },
-    Entry { id: "fig09", engine: Cli, build: |_| spec::ipc_figure(Suite::Int).into() },
-    Entry { id: "fig10", engine: Cli, build: |_| spec::utilization_figure(Suite::Fp, 60).into() },
-    Entry { id: "fig11", engine: Cli, build: |_| spec::utilization_figure(Suite::Int, 60).into() },
-    Entry { id: "fig12", engine: Cli, build: |_| latency::fig12().into() },
-    Entry { id: "fig13", engine: Cli, build: |_| fig13_table().into() },
-    Entry { id: "fig14", engine: Cli, build: |_| latency::fig14().into() },
-    Entry { id: "fig15", engine: Cli, build: |e| network::fig15(&e.windows(), e.requests()).into() },
-    Entry { id: "table1", engine: Cli, build: |_| summary::table1().into() },
-    Entry { id: "fig18", engine: Cli, build: |e| network::fig18(&e.windows(), e.requests()).into() },
-    Entry { id: "fig19", engine: Cli, build: |_| apps::fig19().into() },
-    Entry { id: "fig20", engine: Cli, build: |_| apps::fig20(60).into() },
-    Entry { id: "fig21", engine: Cli, build: |_| apps::fig21().into() },
-    Entry { id: "fig22", engine: Cli, build: |_| apps::fig22(60).into() },
-    Entry { id: "fig23", engine: Cli, build: |e| apps::fig23(e.requests()).into() },
-    Entry { id: "fig24", engine: Cli, build: |e| apps::fig24(e.requests()).into() },
-    Entry { id: "fig25", engine: Cli, build: |_| spec::fig25().into() },
-    Entry { id: "fig26", engine: Cli, build: |e| network::fig26(&e.windows(), e.requests()).into() },
-    Entry { id: "fig27", engine: Cli, build: |e| fig27_artifact(e.requests()) },
-    Entry { id: "fig28", engine: Cli, build: |e| summary::fig28(e.requests()).into() },
+    Entry { id: "fig01", build: |_| spec::fig01().into() },
+    Entry { id: "fig04", build: |e| memory::fig04(&e.sizes(), e.max_loads()).into() },
+    Entry { id: "fig05", build: fig05 },
+    Entry { id: "fig06", build: |_| stream::fig06().into() },
+    Entry { id: "fig07", build: |_| stream::fig07().into() },
+    Entry { id: "fig08", build: |_| spec::ipc_figure(Suite::Fp).into() },
+    Entry { id: "fig09", build: |_| spec::ipc_figure(Suite::Int).into() },
+    Entry { id: "fig10", build: |_| spec::utilization_figure(Suite::Fp, 60).into() },
+    Entry { id: "fig11", build: |_| spec::utilization_figure(Suite::Int, 60).into() },
+    Entry { id: "fig12", build: |_| latency::fig12().into() },
+    Entry { id: "fig13", build: |_| fig13_table().into() },
+    Entry { id: "fig14", build: |_| latency::fig14().into() },
+    Entry { id: "fig15", build: |e| network::fig15(&e.windows(), e.requests()).into() },
+    Entry { id: "table1", build: |_| summary::table1().into() },
+    Entry { id: "fig18", build: |e| network::fig18(&e.windows(), e.requests()).into() },
+    Entry { id: "fig19", build: |_| apps::fig19().into() },
+    Entry { id: "fig20", build: |_| apps::fig20(60).into() },
+    Entry { id: "fig21", build: |_| apps::fig21().into() },
+    Entry { id: "fig22", build: |_| apps::fig22(60).into() },
+    Entry { id: "fig23", build: |e| apps::fig23(e.requests()).into() },
+    Entry { id: "fig24", build: |e| apps::fig24(e.requests()).into() },
+    Entry { id: "fig25", build: |_| spec::fig25().into() },
+    Entry { id: "fig26", build: |e| network::fig26(&e.windows(), e.requests()).into() },
+    Entry { id: "fig27", build: |e| fig27_artifact(e.requests()) },
+    Entry { id: "fig28", build: |e| summary::fig28(e.requests()).into() },
     // Beyond the paper: ablations and failure injection (DESIGN.md §2).
-    Entry { id: "ablation-zbox", engine: Cli, build: |e| ablation::controllers_ablation(e.requests()).into() },
-    Entry { id: "ablation-failures", engine: Cli, build: |e| failure_artifact(e.requests()).into() },
-    Entry { id: "resilience", engine: Cli, build: resilience_artifact },
-    Entry { id: "chaos", engine: Cli, build: |e| chaos::chaos(e.chaos_trials()).into() },
-    Entry { id: "telemetry", engine: Pinned { shards: 2 }, build: telemetry_artifact },
-    Entry { id: "timeline", engine: Pinned { shards: TIMELINE_SHARDS }, build: timeline_artifact },
+    Entry { id: "ablation-zbox", build: |e| ablation::controllers_ablation(e.requests()).into() },
+    Entry { id: "ablation-failures", build: |e| failure_artifact(e.requests()).into() },
+    Entry { id: "resilience", build: resilience_artifact },
+    Entry { id: "chaos", build: |e| chaos::chaos(e.chaos_trials()).into() },
+    Entry { id: "telemetry", build: telemetry_artifact },
+    Entry { id: "timeline", build: timeline_artifact },
 ];
 
 /// Build every artifact of the registry, in order.
@@ -449,19 +422,6 @@ mod tests {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
     }
 
-    /// A pinned fixture's region count as the artifact itself records it.
-    fn recorded_shape(a: &Artifact) -> Option<usize> {
-        let shards = match a.id.as_str() {
-            "telemetry" => a
-                .json
-                .get("registry")?
-                .get("gauges")?
-                .get("engine.shards")?,
-            _ => a.json.get("engine")?.get("shards")?,
-        };
-        Some(shards.as_u64()? as usize)
-    }
-
     #[test]
     fn registry_ids_are_the_committed_json_stems() {
         let mut on_disk: Vec<String> = std::fs::read_dir(results_dir())
@@ -485,9 +445,6 @@ mod tests {
             assert_eq!(a.id, entry.id, "entry {} built another artifact", entry.id);
             assert!(!a.text.is_empty(), "{} renders empty", a.id);
             assert!(a.json.is_object(), "{} JSON", a.id);
-            if let Engine::Pinned { shards } = entry.engine {
-                assert_eq!(recorded_shape(a), Some(shards), "{} shape", a.id);
-            }
         }
     }
 
@@ -518,28 +475,6 @@ mod tests {
             "4-thread run diverged from sequential"
         );
         assert_eq!(threaded, threaded_again, "consecutive runs diverged");
-    }
-
-    #[test]
-    fn sweep_is_byte_identical_across_shard_counts() {
-        // Every fabric run orders simultaneous events by tiebreaks derived
-        // from simulation identities, never by region or arrival order, so
-        // every artifact must regenerate byte-for-byte at any region count.
-        let render = || files(&run_all(Effort::Quick), true);
-        set_shards(1);
-        let unsharded = render();
-        let mut sharded = Vec::new();
-        for shards in [2, 4] {
-            set_shards(shards);
-            sharded.push((shards, render()));
-        }
-        set_shards(0);
-        for (shards, rendered) in sharded {
-            assert_eq!(rendered.len(), unsharded.len());
-            for (r, u) in rendered.iter().zip(&unsharded) {
-                assert_eq!(r, u, "{} diverged at {shards} shards", u.0);
-            }
-        }
     }
 
     #[test]

@@ -112,10 +112,6 @@ fn chaos_figure(trials: usize, report: &ChaosReport) -> Figure {
         "CRC retransmits",
         pairs(&|t| t.result.crc_retransmits as f64),
     ))
-    .with_series(Series::from_pairs(
-        "event-queue shards",
-        pairs(&|t| t.shards as f64),
-    ))
 }
 
 #[cfg(test)]
@@ -126,16 +122,12 @@ mod tests {
     fn small_campaign_renders_every_series_and_stays_clean() {
         let fig = chaos(4);
         assert_eq!(fig.id, "chaos");
-        assert_eq!(fig.series.len(), 7);
+        assert_eq!(fig.series.len(), 6);
         for s in &fig.series {
             assert_eq!(s.points.len(), 4, "{}", s.label);
         }
         let completed = fig.series_like("completed reads").unwrap();
         assert!(completed.y_at(0.0).unwrap() > 0.0);
-        // Trials alternate 1 and 2 event-queue shards.
-        let shards = fig.series_like("event-queue shards").unwrap();
-        assert_eq!(shards.y_at(0.0), Some(1.0));
-        assert_eq!(shards.y_at(1.0), Some(2.0));
     }
 
     #[test]

@@ -275,11 +275,10 @@ mod tests {
         // reads the run issues within one retry timeout.
         let links = Torus2D::for_cpus(64).link_count() as u64;
         for failures in [0, 6] {
-            let (campaign, mut cfg) = campaign_setup(64, failures, 200);
-            cfg.shards = 1;
+            let (campaign, cfg) = campaign_setup(64, failures, 200);
             let bound = 64 * (cfg.outstanding as u64 + 1) + links;
             let (_, t) = campaign.run_instrumented(&cfg, false);
-            let peak = t.registry.gauge("engine.shard00.peak_queue_depth");
+            let peak = t.peak_queue_depth;
             assert!(
                 peak > 0 && peak <= bound,
                 "{failures} cuts: peak heap depth {peak}, bound {bound}"

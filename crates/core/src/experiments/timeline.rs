@@ -18,15 +18,13 @@
 //!   brownout, RDRAM channel churn), the windowed view of what each
 //!   wound does to the machine.
 //!
-//! Window boundaries are a pure function of the timestamp and the
-//! per-window merges are commutative, so the artifact regenerates
-//! byte-identically at any `--jobs`/`--shards` setting; the region count
-//! of the campaigns themselves is pinned ([`TIMELINE_SHARDS`]) so the
-//! embedded epoch profile and `engine.*` counters are fixtures too. The window sums
-//! equal the whole-run registry totals exactly (the timeline partitions
-//! the totals — asserted in tests), and [`saturation_knee`] marks the
-//! first window where the latency tail has doubled while delivered
-//! throughput stopped growing.
+//! Window boundaries are a pure function of the timestamp, so the artifact
+//! regenerates byte-identically at any `--jobs` setting, the embedded
+//! epoch profile (epochs and events per epoch, one epoch per barrier
+//! interval) included. The window sums equal the whole-run registry totals
+//! exactly (the timeline partitions the totals — asserted in tests), and
+//! [`saturation_knee`] marks the first window where the latency tail has
+//! doubled while delivered throughput stopped growing.
 //!
 //! [`FaultCampaign::run_observed`]: alphasim_system::FaultCampaign::run_observed
 //! [`FaultKind`]: alphasim_kernel::FaultKind
@@ -48,12 +46,6 @@ use super::resilience::bisection_cuts;
 /// Fixed window width of the artifact's timelines: 2 µs of simulated
 /// time, fine enough to watch each fault land inside a ~30 µs campaign.
 pub const WINDOW_PS: u64 = 2_000_000;
-
-/// Fabric regions of the timeline campaigns. Pinned (rather
-/// than inherited from `--shards`) so the embedded epoch profile and
-/// `engine.*` registry entries — which describe the engine, not the
-/// machine — are the same bytes at any CLI knob setting.
-pub const TIMELINE_SHARDS: usize = 2;
 
 /// One window of a section's timeline, every field an exact integer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,7 +95,7 @@ pub struct SectionTimeline {
     /// The whole-run component registry (the exact-sum reference for the
     /// windowed series).
     pub registry: Registry,
-    /// Chrome trace with per-shard profiler lanes, when requested.
+    /// Chrome trace with the engine's profiler lane, when requested.
     pub trace: Option<TraceSink>,
 }
 
@@ -168,7 +160,7 @@ fn chaos_plan() -> FaultPlan {
 }
 
 /// Shared campaign shape of both sections: a 16P GS1280 under the
-/// resilience sweep's retry policy, engine knobs pinned.
+/// resilience sweep's retry policy.
 fn section_cfg(
     outstanding: usize,
     requests_per_cpu: usize,
@@ -186,7 +178,6 @@ fn section_cfg(
             max_retries: 6,
         },
         watchdog_window: SimDuration::from_us(250.0),
-        shards: TIMELINE_SHARDS,
         ..Default::default()
     }
 }
@@ -274,7 +265,7 @@ fn window_rows(obs: &CampaignObservability) -> Vec<WindowRow> {
 /// Build the full timeline report at the committed window width. Like
 /// `telemetry.json`, the artifact is a fixed-size fixture independent of
 /// the sweep's `--quick`/full effort, so `reproduce --check` holds either
-/// way. `trace` attaches the Chrome trace (per-shard profiler lanes
+/// way. `trace` attaches the Chrome trace (the engine's profiler lane
 /// included) to each section.
 pub fn timeline_report(trace: bool) -> TimelineReport {
     timeline_report_with(WINDOW_PS, trace, false)
@@ -344,11 +335,7 @@ impl SectionTimeline {
         let p = &obs.profile;
         let mut profile = BTreeMap::new();
         profile.insert("epochs".to_owned(), int(p.epochs() as u64));
-        profile.insert("shards".to_owned(), int(p.shard_count() as u64));
-        profile.insert("busy_per_shard".to_owned(), ints(&p.busy_per_shard()));
-        profile.insert("merged_per_shard".to_owned(), ints(&p.merged_per_shard()));
-        profile.insert("critical_shard".to_owned(), int(p.critical_shard() as u64));
-        profile.insert("imbalance_milli".to_owned(), int(p.imbalance_milli()));
+        profile.insert("events_per_epoch".to_owned(), ints(&p.events_per_epoch()));
         let mut totals = BTreeMap::new();
         totals.insert("completed".to_owned(), int(self.result.completed));
         totals.insert("retries".to_owned(), int(self.result.retries));
@@ -426,26 +413,17 @@ impl SectionTimeline {
         }
         let p = &self.observability.profile;
         out.push_str(&format!(
-            "  engine: {} epochs over {} shards, busy {:?} events, critical shard {}, imbalance {}.{:03}x\n",
+            "  engine: {} epochs, events per epoch {:?}\n",
             p.epochs(),
-            p.shard_count(),
-            p.busy_per_shard(),
-            p.critical_shard(),
-            p.imbalance_milli() / 1000,
-            p.imbalance_milli() % 1000,
+            p.events_per_epoch(),
         ));
-        if let Some(wall) = p
-            .samples
-            .iter()
-            .try_fold(vec![0u64; p.shard_count()], |mut acc, s| {
-                let w = s.wall_ns.as_ref()?;
-                for (a, &n) in acc.iter_mut().zip(w) {
-                    *a += n;
-                }
-                Some(acc)
-            })
-        {
-            out.push_str(&format!("  wall-clock busy per shard: {wall:?} ns\n"));
+        if p.wall_clock() {
+            let wall: u64 = p
+                .samples
+                .iter()
+                .flat_map(|s| s.wall_ns.iter().flatten())
+                .sum();
+            out.push_str(&format!("  wall-clock busy: {wall} ns\n"));
         }
         out
     }
@@ -455,18 +433,12 @@ impl TimelineReport {
     /// The JSON artifact (`results/timeline.json`) — all integers, fixed
     /// section order, wall-clock excluded.
     pub fn to_json(&self) -> Value {
-        let mut engine = BTreeMap::new();
-        engine.insert(
-            "shards".to_owned(),
-            Value::Number(Number::PosInt(TIMELINE_SHARDS as u64)),
-        );
         let mut root = BTreeMap::new();
         root.insert("id".to_owned(), Value::String("timeline".to_owned()));
         root.insert(
             "window_ps".to_owned(),
             Value::Number(Number::PosInt(self.window_ps)),
         );
-        root.insert("engine".to_owned(), Value::Object(engine));
         root.insert(
             "sections".to_owned(),
             Value::Array(self.sections.iter().map(|s| s.to_json()).collect()),
@@ -547,9 +519,15 @@ mod tests {
                 "{}: Zbox heatmap mass",
                 s.id
             );
-            // The engine fixture is pinned, not inherited from the CLI.
-            assert_eq!(s.registry.gauge("engine.shards"), TIMELINE_SHARDS as u64);
-            assert_eq!(s.observability.profile.shard_count(), TIMELINE_SHARDS);
+            // The profile's epochs hold every event the run handled.
+            assert_eq!(
+                s.observability
+                    .profile
+                    .events_per_epoch()
+                    .iter()
+                    .sum::<u64>(),
+                s.registry.counter("sim.events_processed")
+            );
         }
     }
 
@@ -599,8 +577,8 @@ mod tests {
             let trace = t.trace.as_ref().expect("trace requested");
             let body = trace.to_json_string();
             assert!(
-                body.contains("epoch shards"),
-                "{}: per-shard profiler lanes missing",
+                body.contains("\"engine: epochs\""),
+                "{}: profiler lane missing",
                 p.id
             );
         }

@@ -11,9 +11,8 @@
 //! one event engine: per-class VC queues with strict-priority output
 //! arbitration, minimal adaptive output selection by backlog,
 //! wormhole-style latency accounting, and calibrated congestion penalties
-//! (see `DESIGN.md` for the fidelity argument), partitioned into torus
-//! row-band regions that the kernel's epoch executor steps in conservative
-//! epochs, one after another on the run's thread. The deadlock-freedom
+//! (see `DESIGN.md` for the fidelity argument), stepped by the kernel's
+//! epoch executor on one event queue. The deadlock-freedom
 //! construction itself is checked as a graph property in
 //! [`alphasim_topology::route`].
 //!
@@ -27,7 +26,7 @@
 //! use alphasim_kernel::SimTime;
 //!
 //! let torus = Torus2D::for_cpus(16);
-//! let tables = FabricTables::new(&torus, LinkTiming::ev7_torus(), RoutePolicy::Minimal, 1);
+//! let tables = FabricTables::new(&torus, LinkTiming::ev7_torus(), RoutePolicy::Minimal);
 //! let mut net = OpenLoop::new(tables);
 //! net.send(SimTime::ZERO, NodeId::new(0), NodeId::new(10),
 //!          MessageClass::Request, 16, 0);
@@ -42,7 +41,6 @@
 pub mod link;
 mod msg;
 pub mod partition;
-pub mod region;
 mod timing;
 
 pub use msg::{Delivery, MessageClass, MessageId};

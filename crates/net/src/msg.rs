@@ -76,7 +76,7 @@ impl MessageClass {
     }
 }
 
-/// A region-local slot of a queued message (link queues hold these).
+/// The slab slot of a queued message (link queues hold these).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -103,7 +103,7 @@ pub struct Delivery {
     pub bytes: u64,
     /// Caller-supplied correlation tag.
     pub tag: u64,
-    /// The packet's shard-invariant identity.
+    /// The packet's identity.
     pub uid: u64,
     /// Injection time.
     pub injected_at: SimTime,

@@ -1,25 +1,20 @@
-//! The partitioned fabric: the one hop-by-hop network engine.
+//! The fabric: the one hop-by-hop network engine.
 //!
 //! Every loaded experiment — the load test, the fault campaigns, and
 //! open-loop batch drains — runs the 21364 router model here, on the
-//! kernel's conservative epoch engine
-//! ([`alphasim_kernel::shard::EpochExecutor`]). The fabric is split into
-//! per-region slices so each torus row band advances its own heap up to a
-//! shared horizon:
+//! kernel's epoch engine ([`alphasim_kernel::shard::EpochExecutor`]):
 //!
 //! * [`FabricTables`] is the **shared, immutable** routing snapshot — the
 //!   topology materialized into plain tables ([`FabricGraph`]), route
-//!   tables over the live fabric, link liveness, drain flags, the
-//!   [`RegionMap`], and the conservative lookahead walked from the live
-//!   links. Workers hold it behind an [`Arc`]; only a barrier coordinator
+//!   tables over the live fabric, link liveness and drain flags. The
+//!   worker holds it behind an [`Arc`]; only a barrier coordinator
 //!   mutates its master copy (fault strikes) and republishes. Between
-//!   barriers the snapshot is constant, which is what makes per-region
-//!   routing decisions safe without locks.
-//! * [`RegionNet`] is one region's **owned, mutable** slice: the [`Link`]
-//!   state (queues, occupancy, degradation, pauses) of every directed link
-//!   whose *sending* node the region owns, plus the packets queued on
-//!   them. A packet in flight between hops lives inside its pending
-//!   `Arrive` event, not in any region — hop handoff is event handoff.
+//!   barriers the snapshot is constant.
+//! * [`RegionNet`] is the fabric's **owned, mutable** state: the [`Link`]
+//!   state (queues, occupancy, degradation, pauses) of every directed
+//!   link, plus the packets queued on them. A packet in flight between
+//!   hops lives inside its pending `Arrive` event — hop handoff is event
+//!   handoff.
 //! * [`OpenLoop`] is the small batch driver: inject messages, run to
 //!   idle, read deliveries and the fabric-wide link reductions
 //!   ([`FabricLinks`]).
@@ -35,10 +30,8 @@
 //! (wormhole pipelining) and router + wire latency per hop, while
 //! occupying each traversed link for its full transfer time.
 //!
-//! Determinism across region counts follows because every event
-//! touches only its own node's links and every simultaneous pair of events
-//! is ordered by a shard-count-invariant tiebreak (see the `tb_*`
-//! constructors).
+//! Simultaneous events are ordered by tiebreaks derived from simulation
+//! identities (see the `tb_*` constructors), so a run is deterministic.
 //!
 //! Link releases are scheduled on demand. A transfer records when its
 //! channel frees up ([`Link::free_at`]) and emits a `LinkFree` event only
@@ -67,7 +60,6 @@ use alphasim_topology::{Coord, Direction, LinkClass, NodeId, Port, Topology};
 
 use crate::link::Link;
 use crate::msg::{Delivery, MessageClass, MessageId};
-use crate::region::{lookahead_by_walk, RegionMap};
 use crate::timing::LinkTiming;
 
 /// Tiebreak kind tag for packet `Arrive` events (low bits: packet uid).
@@ -156,8 +148,8 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// A message travelling the partitioned fabric. A `Packet` is an owned
-/// value: queued packets live in their sending region's slab, in-flight
+/// A message travelling the fabric. A `Packet` is an owned
+/// value: queued packets live in the fabric's slab, in-flight
 /// packets live inside their pending `Arrive` event, and the closed-loop
 /// payload `P` (e.g. a read's issue time, or the served-request telemetry
 /// leg a response carries home) rides along.
@@ -173,7 +165,7 @@ pub struct Packet<P> {
     pub bytes: u64,
     /// Caller correlation tag (the coherence transaction id).
     pub tag: u64,
-    /// Shard-count-invariant identity; also the low bits of the packet's
+    /// Identity; also the low bits of the packet's
     /// `Arrive` tiebreak. Derived from simulation identities (tag, attempt,
     /// direction), never from slots or arrival order.
     pub uid: u64,
@@ -267,13 +259,13 @@ impl<P> Packet<P> {
 }
 
 /// The two fabric events a [`RegionNet`] schedules, expressed in a
-/// worker's own event vocabulary. Arrivals go to the landing node's
-/// region with tiebreak [`tb_arrive`]`(pkt.uid)`; releases stay in the
-/// sending region with tiebreak [`tb_link_free`]`(link)`.
+/// worker's own event vocabulary: arrivals with tiebreak
+/// [`tb_arrive`]`(pkt.uid)`, releases with tiebreak
+/// [`tb_link_free`]`(link)`.
 pub trait FabricEvent<P>: Sized {
     /// A packet lands on `node`.
     fn arrive(node: NodeId, pkt: Box<Packet<P>>) -> Self;
-    /// Owned link `link`'s channel frees up.
+    /// Link `link`'s channel frees up.
     fn link_free(link: usize) -> Self;
 }
 
@@ -283,14 +275,12 @@ pub trait FabricEvent<P>: Sized {
 /// `Arrive` already fired, so nothing is on the wire).
 #[derive(Debug, Clone, Copy)]
 pub struct InFlight {
-    /// The packet's shard-invariant identity.
+    /// The packet's identity.
     pub uid: u64,
     /// Its correlation tag.
     pub tag: u64,
     /// When its pending `Arrive` fires.
     pub arrive_at: SimTime,
-    /// The node it will land on.
-    pub dest: NodeId,
 }
 
 /// A topology materialized into plain tables: name, ports, endpoint flags
@@ -339,11 +329,11 @@ impl Topology for FabricGraph {
     }
 }
 
-/// The shared routing snapshot of a partitioned fabric.
+/// The shared routing snapshot of a fabric.
 ///
-/// Workers read it behind an [`Arc`] and never mutate it; a barrier
+/// The worker reads it behind an [`Arc`] and never mutates it; a barrier
 /// coordinator keeps a master copy, applies fault strikes to that, and
-/// republishes a fresh `Arc` to every region — so a route lookup inside an
+/// republishes a fresh `Arc` to the worker — so a route lookup inside an
 /// epoch always sees the fabric as it stood at the last barrier.
 #[derive(Debug, Clone)]
 pub struct FabricTables {
@@ -358,10 +348,6 @@ pub struct FabricTables {
     link_of: Vec<Vec<usize>>,
     /// `(from, to, class, dir)` per global link id.
     link_meta: Vec<(NodeId, NodeId, LinkClass, Option<Direction>)>,
-    region: RegionMap,
-    /// The cheapest live cross-region hop, walked from `live` whenever it
-    /// or `region` changes.
-    lookahead: Option<SimDuration>,
     alive: Vec<bool>,
     drained: Vec<bool>,
     /// A healthy channel's transfer time for each payload size
@@ -386,13 +372,8 @@ fn penalty_for(timing: &LinkTiming, queued: u32) -> SimDuration {
 }
 
 impl FabricTables {
-    /// Tables over a healthy `topo` partitioned into `regions` row bands.
-    pub fn new<T: Topology + ?Sized>(
-        topo: &T,
-        timing: LinkTiming,
-        policy: RoutePolicy,
-        regions: usize,
-    ) -> Self {
+    /// Tables over a healthy `topo`.
+    pub fn new<T: Topology + ?Sized>(topo: &T, timing: LinkTiming, policy: RoutePolicy) -> Self {
         let graph = FabricGraph::of(topo);
         let routes = Routes::compute(&graph, policy);
         let mut link_meta = Vec::new();
@@ -406,8 +387,6 @@ impl FabricTables {
             }
             link_of.push(ids);
         }
-        let region = RegionMap::bands(&graph, regions);
-        let lookahead = lookahead_by_walk(&graph, &region, &timing);
         // The per-grant timing arithmetic, tabulated with the same `f64`
         // expressions a grant would evaluate, so every picosecond matches.
         let transfer = (0..=TRANSFER_TABLE_BYTES)
@@ -429,16 +408,7 @@ impl FabricTables {
             routes,
             link_of,
             link_meta,
-            region,
-            lookahead,
         }
-    }
-
-    /// Re-partition into `regions` row bands, keeping routes, liveness and
-    /// drain flags (the lookahead is walked over the live fabric).
-    pub fn set_regions(&mut self, regions: usize) {
-        self.region = RegionMap::bands(&self.live, regions);
-        self.lookahead = lookahead_by_walk(&self.live, &self.region, &self.timing);
     }
 
     /// The materialized topology.
@@ -471,16 +441,6 @@ impl FabricTables {
         }
     }
 
-    /// Number of regions.
-    pub fn region_count(&self) -> usize {
-        self.region.shard_count()
-    }
-
-    /// The region owning `node` (and every link it sends on).
-    pub fn region_of(&self, node: NodeId) -> usize {
-        self.region.region_of(node)
-    }
-
     /// Total directed links in the fabric (dead ones included).
     pub fn link_count(&self) -> usize {
         self.link_meta.len()
@@ -511,22 +471,6 @@ impl FabricTables {
         self.drained[node.index()] = drained;
     }
 
-    /// The conservative lookahead: the cheapest hop (router + wire) over
-    /// any live cross-region link, or `None` when no live link crosses a
-    /// region boundary.
-    pub fn conservative_lookahead(&self) -> Option<SimDuration> {
-        self.lookahead
-    }
-
-    /// The epoch horizon to run with: the conservative lookahead, or — when
-    /// no live link crosses a region boundary (a single region, or a fully
-    /// severed cut) — an effectively infinite one, so epochs are bounded
-    /// only by guide barriers.
-    pub fn lookahead(&self) -> SimDuration {
-        self.conservative_lookahead()
-            .unwrap_or(SimDuration::from_ps(1 << 62))
-    }
-
     /// The global ids of both directed channels of the undirected link
     /// `a ↔ b`.
     pub fn link_ids(&self, a: NodeId, b: NodeId) -> Result<[usize; 2], FaultError> {
@@ -551,7 +495,7 @@ impl FabricTables {
     }
 
     /// Fail the undirected link `a ↔ b`: both directed channels go dead
-    /// and routes and the lookahead are recomputed over the survivors. If
+    /// and routes are recomputed over the survivors. If
     /// the failure would partition the fabric the tables are left
     /// untouched and the error returned — worker link state has not been
     /// modified yet, so there is nothing to roll back.
@@ -574,8 +518,7 @@ impl FabricTables {
         Ok(ids)
     }
 
-    /// Bring the dead undirected link `a ↔ b` back and recompute routes and
-    /// the lookahead.
+    /// Bring the dead undirected link `a ↔ b` back and recompute routes.
     /// (Restoring an *alive* but degraded link is a worker-side heal and
     /// never reaches the tables; call sites check liveness first.)
     ///
@@ -603,10 +546,9 @@ impl FabricTables {
             .ok_or(FaultError::NoSuchLink { a: from, b: to })
     }
 
-    /// Recompute the live port views, the minimal-path route tables and the
-    /// lookahead from the current liveness flags; `Err` (with the routes
-    /// and the lookahead unchanged) if any endpoint pair would become
-    /// unreachable.
+    /// Recompute the live port views and the minimal-path route tables
+    /// from the current liveness flags; `Err` (with the routes unchanged)
+    /// if any endpoint pair would become unreachable.
     fn rebuild_routes(&mut self) -> Result<(), FaultError> {
         for n in 0..self.graph.node_count() {
             let lp = &mut self.live.ports[n];
@@ -631,21 +573,13 @@ impl FabricTables {
             }
         }
         self.routes = routes;
-        self.lookahead = lookahead_by_walk(&self.live, &self.region, &self.timing);
         Ok(())
     }
 }
 
-/// Topology-indexed and time-windowed accumulators for one region's share
-/// of the fabric: where traffic lands (per-node) and when (a fixed-width
-/// [`Timeline`]). Where it flows is the links' own meters
-/// ([`Link::busy_time`], [`Link::bytes`]).
-///
-/// Every node is owned by exactly one region, so per-region accumulators
-/// partition the fabric and merging is exact: element-wise add and a
-/// commutative [`Timeline::merge`]. Merged in region order, the result is
-/// byte-identical at any shard count — same argument as the
-/// registries the campaigns already merge.
+/// Topology-indexed and time-windowed accumulators for the fabric: where
+/// traffic lands (per-node) and when (a fixed-width [`Timeline`]). Where it
+/// flows is the links' own meters ([`Link::busy_time`], [`Link::bytes`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetHeat {
     /// Messages delivered at each destination node, indexed by node id.
@@ -663,33 +597,18 @@ impl NetHeat {
             timeline: Timeline::new(window_ps),
         }
     }
-
-    /// Fold another region's accumulators into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sides cover different topologies or window widths.
-    pub fn merge(&mut self, other: &NetHeat) {
-        assert_eq!(self.node_delivered.len(), other.node_delivered.len());
-        for (a, b) in self.node_delivered.iter_mut().zip(&other.node_delivered) {
-            *a += b;
-        }
-        self.timeline.merge(&other.timeline);
-    }
 }
 
-/// One region's owned slice of the fabric: the mutable [`Link`] state of
-/// every directed link whose sending node the region owns, the packets
-/// queued on those links, and the region's share of the Chrome trace.
+/// The fabric's owned, mutable state: the [`Link`] state of every
+/// directed link, the packets queued on them, and the Chrome trace.
 #[derive(Debug)]
 pub struct RegionNet<P> {
-    region: usize,
     tables: Arc<FabricTables>,
-    /// Indexed by global link id; `Some` for owned (region-local) links.
-    links: Vec<Option<Link>>,
-    /// Queued packets, addressed by the region-local [`MessageId`]s living
-    /// in the link queues. Slot numbering is pure bookkeeping — behavior
-    /// never depends on it.
+    /// Indexed by global link id.
+    links: Vec<Link>,
+    /// Queued packets, addressed by the [`MessageId`]s living in the link
+    /// queues. Slot numbering is pure bookkeeping — behavior never depends
+    /// on it.
     slab: Vec<Option<Box<Packet<P>>>>,
     free: Vec<u32>,
     tickets: Vec<Option<InFlight>>,
@@ -698,17 +617,16 @@ pub struct RegionNet<P> {
 }
 
 impl<P> RegionNet<P> {
-    /// The slice of `tables`' fabric owned by `region`.
-    pub fn new(region: usize, tables: Arc<FabricTables>) -> Self {
+    /// Idle links over `tables`' fabric.
+    pub fn new(tables: Arc<FabricTables>) -> Self {
         let links = (0..tables.link_count())
             .map(|id| {
                 let (from, to, class, dir) = tables.link_meta(id);
-                (tables.region_of(from) == region).then(|| Link::new(from, to, class, dir))
+                Link::new(from, to, class, dir)
             })
             .collect();
         let tickets = vec![None; tables.link_count()];
         RegionNet {
-            region,
             tables,
             links,
             slab: Vec::new(),
@@ -717,11 +635,6 @@ impl<P> RegionNet<P> {
             trace: None,
             heat: None,
         }
-    }
-
-    /// This region's id.
-    pub fn region(&self) -> usize {
-        self.region
     }
 
     /// The shared routing snapshot.
@@ -734,13 +647,21 @@ impl<P> RegionNet<P> {
         self.tables = tables;
     }
 
-    /// CRC retransmits across this region's links.
+    /// CRC retransmits across the fabric's links.
     pub fn crc_retransmits(&self) -> u64 {
-        self.links.iter().flatten().map(Link::crc_retransmits).sum()
+        self.links.iter().map(Link::crc_retransmits).sum()
+    }
+
+    /// Every directed link, for the fabric-wide reductions.
+    pub fn links(&self) -> FabricLinks<'_> {
+        FabricLinks {
+            tables: &self.tables,
+            links: &self.links,
+        }
     }
 
     /// Start collecting Chrome-trace events (complete events only; the
-    /// assembler adds lane metadata once, after merging regions).
+    /// assembler adds lane metadata once, after the run).
     pub fn enable_trace(&mut self) {
         self.trace = Some(Box::default());
     }
@@ -757,7 +678,7 @@ impl<P> RegionNet<P> {
     }
 
     /// Start accumulating topology heat and a `window_ps`-wide timeline for
-    /// this region's slice of the fabric.
+    /// the fabric.
     pub fn enable_heat(&mut self, window_ps: u64) {
         self.heat = Some(Box::new(NetHeat::new(
             window_ps,
@@ -770,15 +691,9 @@ impl<P> RegionNet<P> {
         self.heat.take().map(|b| *b)
     }
 
-    /// Exclusive access to an owned link (barrier-time fault mutation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region does not own `id`.
+    /// Exclusive access to link `id` (barrier-time fault mutation).
     pub fn link_mut(&mut self, id: usize) -> &mut Link {
-        self.links[id]
-            .as_mut()
-            .expect("link is owned by this region")
+        &mut self.links[id]
     }
 
     /// Brown out `node`'s router until `until`: its live outbound links
@@ -788,32 +703,27 @@ impl<P> RegionNet<P> {
     /// books the release at `until`.
     pub fn pause_router(&mut self, node: NodeId, until: SimTime) {
         for &id in self.tables.live_links_from(node) {
-            self.links[id]
-                .as_mut()
-                .expect("paused link is owned")
-                .pause(until);
+            self.links[id].pause(until);
         }
     }
 
-    /// The latest instant an owned link frees up (`None` if no link has
-    /// been held since it was last marked released).
+    /// The latest instant a link frees up (`None` if no link has been
+    /// held since it was last marked released).
     pub fn latest_release(&self) -> Option<SimTime> {
-        self.links.iter().flatten().filter_map(Link::free_at).max()
+        self.links.iter().filter_map(Link::free_at).max()
     }
 
-    /// Mark every owned link released: once every event of a run has
-    /// fired, no channel is held, whatever its last release instant.
+    /// Mark every link released: once every event of a run has fired, no
+    /// channel is held, whatever its last release instant.
     pub(crate) fn mark_released(&mut self) {
-        for l in self.links.iter_mut().flatten() {
+        for l in &mut self.links {
             l.mark_released();
         }
     }
 
-    /// Shared access to an owned link.
+    /// Shared access to link `id`.
     pub fn link(&self, id: usize) -> &Link {
-        self.links[id]
-            .as_ref()
-            .expect("link is owned by this region")
+        &self.links[id]
     }
 
     /// The drop-condemnation ticket of the packet last granted on `id`.
@@ -857,7 +767,6 @@ impl<P> RegionNet<P> {
         pkt: Box<Packet<P>>,
         out: &mut Outbox<E>,
     ) -> Option<Box<Packet<P>>> {
-        debug_assert_eq!(self.tables.region_of(node), self.region, "foreign arrive");
         if node == pkt.dst {
             if let Some(h) = self.heat.as_deref_mut() {
                 h.node_delivered[node.index()] += 1;
@@ -885,7 +794,7 @@ impl<P> RegionNet<P> {
             return Some(pkt);
         }
         let link = self.choose_output(node, &pkt, out);
-        let l = self.links[link].as_mut().expect("chosen link is owned");
+        let l = &mut self.links[link];
         let held = held_until(l, link, out);
         if held.is_none() && l.backlog() == 0 {
             // An idle channel with nothing queued: the grant the queue
@@ -896,14 +805,14 @@ impl<P> RegionNet<P> {
         }
         let class = pkt.class;
         let slot = self.alloc_slot(pkt);
-        let l = self.links[link].as_mut().expect("chosen link is owned");
+        let l = &mut self.links[link];
         l.enqueue(class, slot);
         match held {
             None => self.grant_queued(link, now, out),
             Some(free_at) if !l.release_pending() => {
                 // A packet now waits on a held channel: book its release.
                 l.set_release_pending(true);
-                out.emit(self.region, free_at, tb_link_free(link), E::link_free(link));
+                out.emit(free_at, tb_link_free(link), E::link_free(link));
             }
             Some(_) => {}
         }
@@ -919,16 +828,11 @@ impl<P> RegionNet<P> {
         link: usize,
         out: &mut Outbox<E>,
     ) {
-        let l = self.links[link].as_mut().expect("freed link is owned");
+        let l = &mut self.links[link];
         if l.pause_until() > now {
             // Still paused: the release (still booked) moves to the pause
             // horizon.
-            out.emit(
-                self.region,
-                l.pause_until(),
-                tb_link_free(link),
-                E::link_free(link),
-            );
+            out.emit(l.pause_until(), tb_link_free(link), E::link_free(link));
             return;
         }
         debug_assert_eq!(
@@ -953,9 +857,7 @@ impl<P> RegionNet<P> {
         let chosen = if pkt.class.may_route_adaptively() {
             candidates.min_by_key(|&pi| {
                 let id = links[pi];
-                let link = self.links[id]
-                    .as_ref()
-                    .expect("candidate link is owned by the sender's region");
+                let link = &self.links[id];
                 let held = held_until(link, id, out).is_some();
                 (link.backlog() + usize::from(held), pi)
             })
@@ -972,8 +874,7 @@ impl<P> RegionNet<P> {
         now: SimTime,
         out: &mut Outbox<E>,
     ) {
-        let l = self.links[link_id].as_mut().expect("granting owned link");
-        let Some(mid) = l.grant() else {
+        let Some(mid) = self.links[link_id].grant() else {
             return;
         };
         let pkt = self.take_slot(mid);
@@ -990,7 +891,7 @@ impl<P> RegionNet<P> {
         mut pkt: Box<Packet<P>>,
         out: &mut Outbox<E>,
     ) {
-        let l = self.links[link_id].as_mut().expect("granting owned link");
+        let l = &mut self.links[link_id];
         // A degraded link stretches everything paced by the wire — transfer
         // occupancy, serialization, and flight — by a fixed factor (1 when
         // healthy). An armed transient costs one extra transfer + flight:
@@ -1040,7 +941,7 @@ impl<P> RegionNet<P> {
         let arrive_at = now + timing.router_latency + wire + serialization + penalty + resend;
         pkt.enqueued_at = arrive_at;
         let (bytes, tag, uid, msg_class) = (pkt.bytes, pkt.tag, pkt.uid, pkt.class);
-        let l = self.links[link_id].as_mut().expect("granting owned link");
+        let l = &mut self.links[link_id];
         l.account(msg_class, bytes, occupancy);
         l.occupy(now + occupancy);
         l.set_release_pending(backlog > 0);
@@ -1048,7 +949,6 @@ impl<P> RegionNet<P> {
             uid,
             tag,
             arrive_at,
-            dest: to,
         });
         if let Some(h) = self.heat.as_deref_mut() {
             let at = now.as_ps();
@@ -1068,15 +968,9 @@ impl<P> RegionNet<P> {
                 &[("tag", tag), ("backlog", u64::from(backlog))],
             );
         }
-        out.emit(
-            self.tables.region_of(to),
-            arrive_at,
-            tb_arrive(uid),
-            E::arrive(to, pkt),
-        );
+        out.emit(arrive_at, tb_arrive(uid), E::arrive(to, pkt));
         if backlog > 0 {
             out.emit(
-                self.region,
                 now + occupancy,
                 tb_link_free(link_id),
                 E::link_free(link_id),
@@ -1085,7 +979,7 @@ impl<P> RegionNet<P> {
     }
 }
 
-/// When owned link `id` frees up, if its channel is held at the current
+/// When link `id` frees up, if its channel is held at the current
 /// instant: if its release, keyed `(free_at, tb_link_free(id))`, has not
 /// fired — or, where none was booked, would not have fired yet.
 fn held_until<E>(l: &Link, id: usize, out: &Outbox<E>) -> Option<SimTime> {
@@ -1093,37 +987,18 @@ fn held_until<E>(l: &Link, id: usize, out: &Outbox<E>) -> Option<SimTime> {
         .filter(|&free_at| !out.has_passed(free_at, tb_link_free(id)))
 }
 
-/// Every directed link of a partitioned fabric, gathered from its regions
-/// in global link-id order, for the fabric-wide reductions the load test
-/// and the open-loop driver report. Sums run in link-id order, so every
-/// reduction is byte-identical at any region count.
+/// Every directed link of a fabric ([`RegionNet::links`]), in global
+/// link-id order, for the fabric-wide reductions the load test and the
+/// open-loop driver report.
 pub struct FabricLinks<'a> {
     tables: &'a FabricTables,
-    links: Vec<&'a Link>,
+    links: &'a [Link],
 }
 
 impl<'a> FabricLinks<'a> {
-    /// Gather the links of `nets`, which must together cover the fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nets` is empty or leaves a link unowned.
-    pub fn gather<P: 'a>(nets: impl IntoIterator<Item = &'a RegionNet<P>>) -> Self {
-        let nets: Vec<&RegionNet<P>> = nets.into_iter().collect();
-        let tables = &*nets.first().expect("at least one region").tables;
-        let links = (0..tables.link_count())
-            .map(|id| {
-                nets.iter()
-                    .find_map(|n| n.links[id].as_ref())
-                    .expect("every link has an owner region")
-            })
-            .collect();
-        FabricLinks { tables, links }
-    }
-
     /// The links, in global id order.
     pub fn iter(&self) -> impl Iterator<Item = &'a Link> + '_ {
-        self.links.iter().copied()
+        self.links.iter()
     }
 
     /// Mean cumulative busy time over links the tables count *live* whose
@@ -1180,17 +1055,16 @@ impl FabricEvent<()> for OpenEv {
     }
 }
 
-/// One region of an [`OpenLoop`] run: its fabric slice and what landed
-/// there.
-struct OpenRegion {
+/// The worker of an [`OpenLoop`] run: the fabric and what landed.
+struct OpenWorker {
     net: RegionNet<()>,
     delivered: Vec<Delivery>,
-    /// Time of the last event this region handled, or of its latest link
-    /// release if that is later (folded in at each drain).
+    /// Time of the last event handled, or of the latest link release if
+    /// that is later (folded in at each drain).
     now: SimTime,
 }
 
-impl ShardWorker for OpenRegion {
+impl ShardWorker for OpenWorker {
     type Event = OpenEv;
 
     fn handle(&mut self, at: SimTime, ev: OpenEv, out: &mut Outbox<OpenEv>) {
@@ -1217,15 +1091,14 @@ impl ShardWorker for OpenRegion {
     }
 }
 
-/// An open-loop batch driver over the partitioned fabric: inject messages,
+/// An open-loop batch driver over the fabric: inject messages,
 /// [`drain`](Self::drain) to idle, then read the deliveries and the
 /// fabric-wide link statistics.
 ///
 /// It runs on the same engine as every closed loop — one
-/// [`EpochExecutor`] worker per region of its [`FabricTables`], stepped
-/// inline — so message `i` (the `i`-th [`send`](Self::send)) carries uid
-/// `i`, and simultaneous events order by `(time, tb_*)`, never by
-/// insertion.
+/// [`EpochExecutor`] worker over its [`FabricTables`] — so message `i` (the
+/// `i`-th [`send`](Self::send)) carries uid `i`, and simultaneous events
+/// order by `(time, tb_*)`, never by insertion.
 ///
 /// # Examples
 ///
@@ -1240,7 +1113,6 @@ impl ShardWorker for OpenRegion {
 ///     &Torus2D::new(4, 4),
 ///     LinkTiming::ev7_torus(),
 ///     RoutePolicy::Minimal,
-///     1,
 /// );
 /// let mut net = OpenLoop::new(tables);
 /// net.send(SimTime::ZERO, NodeId::new(0), NodeId::new(5), MessageClass::Request, 16, 7);
@@ -1249,41 +1121,33 @@ impl ShardWorker for OpenRegion {
 /// assert_eq!((delivered[0].tag, delivered[0].hops), (7, 2));
 /// ```
 pub struct OpenLoop {
-    exec: EpochExecutor<OpenRegion>,
-    tables: Arc<FabricTables>,
+    exec: EpochExecutor<OpenWorker>,
     sent: u64,
 }
 
 impl OpenLoop {
-    /// A driver over `tables`, with one region worker per region.
+    /// A driver over `tables`.
     pub fn new(tables: FabricTables) -> Self {
-        let tables = Arc::new(tables);
-        let workers = (0..tables.region_count())
-            .map(|r| OpenRegion {
-                net: RegionNet::new(r, tables.clone()),
-                delivered: Vec::new(),
-                now: SimTime::ZERO,
-            })
-            .collect();
+        let worker = OpenWorker {
+            net: RegionNet::new(Arc::new(tables)),
+            delivered: Vec::new(),
+            now: SimTime::ZERO,
+        };
         OpenLoop {
-            exec: EpochExecutor::new(workers, tables.lookahead()),
-            tables,
+            exec: EpochExecutor::new(worker),
             sent: 0,
         }
     }
 
     /// The routing snapshot in force.
     pub fn tables(&self) -> &FabricTables {
-        &self.tables
+        self.exec.worker().net.tables()
     }
 
     /// Time of the last event processed, or of the latest link release if
     /// that is later (zero before the first drain).
     pub fn now(&self) -> SimTime {
-        (0..self.tables.region_count())
-            .map(|r| self.exec.worker(r).now)
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        self.exec.worker().now
     }
 
     /// Inject a message at `at`.
@@ -1300,13 +1164,12 @@ impl OpenLoop {
         bytes: u64,
         tag: u64,
     ) {
-        let nodes = self.tables.topology().node_count();
+        let nodes = self.tables().topology().node_count();
         assert!(src.index() < nodes, "bad source");
         assert!(dst.index() < nodes, "bad destination");
         let uid = self.sent;
         self.sent += 1;
         self.exec.seed(
-            self.tables.region_of(src),
             at,
             tb_arrive(uid),
             OpenEv::Arrive {
@@ -1317,7 +1180,7 @@ impl OpenLoop {
     }
 
     /// Run until no events remain and return the deliveries since the
-    /// last drain, in `(delivered_at, uid)` order.
+    /// last drain, in the order they fired: `(delivered_at, uid)`.
     ///
     /// Once every event has fired no channel is held, so the drain marks
     /// every link released (after folding the latest release into
@@ -1326,37 +1189,29 @@ impl OpenLoop {
     /// idle.
     pub fn drain(&mut self) -> Vec<Delivery> {
         self.exec.run_until_idle();
-        for r in 0..self.tables.region_count() {
-            let w = self.exec.worker_mut(r);
-            w.now = w.now.max(w.net.latest_release().unwrap_or(SimTime::ZERO));
-            w.net.mark_released();
-        }
+        let w = self.exec.worker_mut();
+        w.now = w.now.max(w.net.latest_release().unwrap_or(SimTime::ZERO));
+        w.net.mark_released();
+        let delivered = std::mem::take(&mut w.delivered);
         self.exec.forget_handled();
-        let mut out: Vec<Delivery> = (0..self.tables.region_count())
-            .flat_map(|r| std::mem::take(&mut self.exec.worker_mut(r).delivered))
-            .collect();
-        out.sort_by_key(|d| (d.delivered_at, d.uid));
-        out
+        delivered
     }
 
     /// The fabric's links, for the link-statistic reductions.
     pub fn links(&self) -> FabricLinks<'_> {
-        FabricLinks::gather((0..self.tables.region_count()).map(|r| &self.exec.worker(r).net))
+        self.exec.worker().net.links()
     }
 
     /// Exclusive access to directed link `id` between drains (fault
     /// studies: degrade it, or arm a flit corruption).
     pub fn link_mut(&mut self, id: usize) -> &mut Link {
-        let (from, ..) = self.tables.link_meta(id);
-        let region = self.tables.region_of(from);
-        self.exec.worker_mut(region).net.link_mut(id)
+        self.exec.worker_mut().net.link_mut(id)
     }
 
     /// Brown out `node`'s router between drains: its live outbound links
     /// stall until `until`, then drain their backlogs.
     pub fn pause_router(&mut self, node: NodeId, until: SimTime) {
-        let region = self.tables.region_of(node);
-        self.exec.worker_mut(region).net.pause_router(node, until);
+        self.exec.worker_mut().net.pause_router(node, until);
     }
 }
 
@@ -1367,21 +1222,20 @@ mod tests {
     use alphasim_kernel::DetRng;
     use alphasim_topology::Torus2D;
 
-    fn tables_of(cols: usize, rows: usize, regions: usize) -> FabricTables {
+    fn tables_of(cols: usize, rows: usize) -> FabricTables {
         FabricTables::new(
             &Torus2D::new(cols, rows),
             LinkTiming::ev7_torus(),
             RoutePolicy::Minimal,
-            regions,
         )
     }
 
-    fn tables(regions: usize) -> FabricTables {
-        tables_of(4, 4, regions)
+    fn tables() -> FabricTables {
+        tables_of(4, 4)
     }
 
     fn open4x4() -> OpenLoop {
-        OpenLoop::new(tables(1))
+        OpenLoop::new(tables())
     }
 
     fn send(
@@ -1440,70 +1294,25 @@ mod tests {
         }
     }
 
-    /// `(uid, delivered_ps, hops)` of the batch.
-    fn deliveries_at(regions: usize) -> Vec<(u64, u64, u32)> {
-        let mut net = OpenLoop::new(tables(regions));
-        send_batch(&mut net);
-        let mut done: Vec<_> = net
-            .drain()
-            .iter()
-            .map(|d| (d.uid, d.delivered_at.as_ps(), d.hops))
-            .collect();
-        done.sort_unstable();
-        done
-    }
-
     #[test]
-    fn partitioned_delivery_is_region_count_invariant() {
-        let reference = deliveries_at(1);
-        assert_eq!(reference.len(), 5);
-        for regions in [2, 4] {
-            assert_eq!(
-                deliveries_at(regions),
-                reference,
-                "{regions} regions diverged"
-            );
-        }
-    }
-
-    /// The same batch with heat accumulation on: the region heats merged
-    /// in region order, and the busy picoseconds the link meters hold.
-    fn heat_at(regions: usize) -> (NetHeat, u64) {
-        let mut net = OpenLoop::new(tables(regions));
-        for r in 0..regions {
-            net.exec.worker_mut(r).net.enable_heat(10_000);
-        }
+    fn heat_accumulators_sum_exactly() {
+        let mut net = open4x4();
+        net.exec.worker_mut().net.enable_heat(10_000);
         send_batch(&mut net);
         net.drain();
-        let mut merged = NetHeat::new(10_000, 16);
-        for r in 0..regions {
-            let heat = net.exec.worker_mut(r).net.take_heat();
-            merged.merge(&heat.expect("heat was enabled"));
-        }
-        let busy_ps = net.links().iter().map(|l| l.busy_time().as_ps()).sum();
-        (merged, busy_ps)
-    }
-
-    #[test]
-    fn heat_accumulators_are_region_count_invariant_and_sum_exactly() {
-        let (reference, busy_ps) = heat_at(1);
+        let heat = net.exec.worker_mut().net.take_heat();
+        let heat = heat.expect("heat was enabled");
+        let busy_ps: u64 = net.links().iter().map(|l| l.busy_time().as_ps()).sum();
         // All five messages landed, and only at their destinations.
-        assert_eq!(reference.node_delivered.iter().sum::<u64>(), 5);
-        assert_eq!(reference.node_delivered[15], 1);
+        assert_eq!(heat.node_delivered.iter().sum::<u64>(), 5);
+        assert_eq!(heat.node_delivered[15], 1);
         // The windowed counters partition the same totals (exact-sum), and
         // the windowed link occupancy sums to what the link meters hold.
-        let totals = reference.timeline.totals();
+        let totals = heat.timeline.totals();
         assert_eq!(totals.counter("net.delivered"), 5);
         assert_eq!(totals.counter("net.bytes"), 5 * 64);
         assert!(busy_ps > 0);
         assert_eq!(totals.counter("net.link_busy_ps"), busy_ps);
-        for regions in [2, 4] {
-            assert_eq!(
-                heat_at(regions),
-                (reference.clone(), busy_ps),
-                "{regions} regions diverged"
-            );
-        }
     }
 
     /// Every ordered pair of a torus, one lone packet at a time: the
@@ -1511,7 +1320,7 @@ mod tests {
     /// of the links the packet actually took (read back from the links'
     /// grant counters).
     fn lone_packets_match_unloaded_latency(cols: usize, rows: usize) {
-        let mut net = OpenLoop::new(tables_of(cols, rows, 1));
+        let mut net = OpenLoop::new(tables_of(cols, rows));
         let timing = *net.tables().timing();
         let n = cols * rows;
         let mut granted: Vec<u64> = net.links().iter().map(Link::granted).collect();
@@ -1554,11 +1363,11 @@ mod tests {
         // One arrival per hop plus the delivery: a channel nobody waits
         // for frees up without an event.
         let report = net.exec.run_until_idle();
-        assert_eq!(report.processed.iter().sum::<u64>(), u64::from(hops) + 1);
+        assert_eq!(report.processed, u64::from(hops) + 1);
         // Every hop found its link idle and empty, so it was granted on the
         // spot, once per hop, and never took a slab slot.
         assert_eq!(net.links().total_grants(), u64::from(hops));
-        assert!(net.exec.worker(0).net.slab.is_empty());
+        assert!(net.exec.worker().net.slab.is_empty());
     }
 
     /// Grants on node 0's two minimal ports toward node 2 of the 4x4
@@ -1773,7 +1582,7 @@ mod tests {
     fn dead_links_are_excluded_from_the_gauges() {
         // Cut 0 <-> 1, then load node 0's three surviving links: a dead
         // wire must not average node 0's or the fabric's gauges down.
-        let mut t = tables(1);
+        let mut t = tables();
         let dead = t.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
         let mut net = OpenLoop::new(t);
         for (i, dst) in [3usize, 4, 12].into_iter().cycle().take(30).enumerate() {
@@ -1915,58 +1724,9 @@ mod tests {
         }
     }
 
-    /// The four row 1 -> row 2 links of the 4x4: its band boundary at two
-    /// regions. The row 3 -> row 0 wrap cables cross the bands too.
-    fn band_boundary() -> [(NodeId, NodeId); 4] {
-        [(4, 8), (5, 9), (6, 10), (7, 11)].map(|(a, b)| (NodeId::new(a), NodeId::new(b)))
-    }
-
-    /// The conservative lookahead in nanoseconds.
-    fn lookahead_ns(t: &FabricTables) -> Option<f64> {
-        t.conservative_lookahead().map(SimDuration::as_ns)
-    }
-
-    #[test]
-    fn lookahead_tracks_faults_on_the_live_fabric() {
-        assert_eq!(lookahead_ns(&tables(1)), None, "one region: no horizon");
-        let mut t = tables(2);
-        // The band boundary is North/South Board hops (20.5 ns); the wrap
-        // cables cost 25 ns.
-        assert_eq!(lookahead_ns(&t), Some(20.5));
-        let [(a, b), rest @ ..] = band_boundary();
-        t.fail_link(a, b).unwrap();
-        assert_eq!(
-            lookahead_ns(&t),
-            Some(20.5),
-            "three board links still cross"
-        );
-        for (a, b) in rest {
-            t.fail_link(a, b).unwrap();
-        }
-        assert_eq!(lookahead_ns(&t), Some(25.0), "only the wrap cables cross");
-        t.revive_link(a, b).unwrap();
-        assert_eq!(lookahead_ns(&t), Some(20.5), "one board link is back");
-    }
-
-    #[test]
-    fn set_regions_counts_cross_links_over_the_live_fabric() {
-        // Cut the future band boundary while the fabric is one region:
-        // re-partitioned, only the wrap cables cross.
-        let mut t = tables(1);
-        for (a, b) in band_boundary() {
-            t.fail_link(a, b).unwrap();
-        }
-        assert_eq!(lookahead_ns(&t), None);
-        t.set_regions(2);
-        assert_eq!(t.region_count(), 2);
-        assert_eq!(lookahead_ns(&t), Some(25.0));
-        // The routes stay the wounded fabric's: 4 -> 8 detours over a wrap.
-        assert_eq!(t.routes.distance(NodeId::new(4), 0, NodeId::new(8)), 3);
-    }
-
     #[test]
     fn failing_a_link_reroutes_and_restores() {
-        let mut master = tables(2);
+        let mut master = tables();
         let (a, b) = (NodeId::new(0), NodeId::new(1));
         let ids = master.fail_link(a, b).expect("first failure applies");
         assert!(!master.is_alive(ids[0]));
@@ -1995,7 +1755,7 @@ mod tests {
     fn partitioning_failure_is_rejected_and_rolled_back() {
         // Cut three of node 0's four links, then demand the fourth: that
         // would sever node 0 and must be refused with the tables intact.
-        let mut master = tables(2);
+        let mut master = tables();
         for to in [1usize, 3, 4] {
             master
                 .fail_link(NodeId::new(0), NodeId::new(to))
@@ -2033,12 +1793,11 @@ mod tests {
         assert_eq!(net.links().total_grants(), 2);
         // The ticket names the packet granted last; the slab holds the one
         // slot the queued packet took.
-        let region = &net.exec.worker(0).net;
-        let ticket = region.in_flight_ticket(id).expect("granted");
+        let fabric = &net.exec.worker().net;
+        let ticket = fabric.in_flight_ticket(id).expect("granted");
         assert_eq!((ticket.uid, ticket.tag), (d[1].uid, 43));
         assert_eq!(ticket.arrive_at, d[1].delivered_at);
-        assert_eq!(ticket.dest, NodeId::new(1));
-        assert_eq!(region.slab.len(), 1);
+        assert_eq!(fabric.slab.len(), 1);
     }
 
     #[test]
@@ -2059,7 +1818,7 @@ mod tests {
                 assert_eq!(x.dst.index(), 1 + (x.tag % 15) as usize, "tag {}", x.tag);
             }
         }
-        let slab = net.exec.worker(0).net.slab.len();
+        let slab = net.exec.worker().net.slab.len();
         assert!(slab <= 50, "slab grew to {slab} slots");
     }
 

@@ -5,20 +5,17 @@
 
 use alphasim_kernel::SimTime;
 use alphasim_net::partition::{FabricTables, OpenLoop};
-use alphasim_net::region::{lookahead_by_walk, RegionMap};
-use alphasim_net::{FaultError, LinkTiming, MessageClass};
+use alphasim_net::{LinkTiming, MessageClass};
 use alphasim_topology::route::RoutePolicy;
-use alphasim_topology::{Degraded, NodeId, Topology, Torus2D};
+use alphasim_topology::{NodeId, Torus2D};
 use proptest::prelude::*;
 
-/// An open-loop driver over a `cols` × `rows` EV7 torus in `regions`
-/// row bands.
-fn open(cols: usize, rows: usize, regions: usize) -> OpenLoop {
+/// An open-loop driver over a `cols` × `rows` EV7 torus.
+fn open(cols: usize, rows: usize) -> OpenLoop {
     OpenLoop::new(FabricTables::new(
         &Torus2D::new(cols, rows),
         LinkTiming::ev7_torus(),
         RoutePolicy::Minimal,
-        regions,
     ))
 }
 
@@ -47,7 +44,7 @@ proptest! {
         let n = c * r;
         let torus = Torus2D::new(c, r);
         let timing = LinkTiming::ev7_torus();
-        let mut net = open(c, r, 1);
+        let mut net = open(c, r);
         let mut expected = std::collections::HashMap::new();
         for (i, &(src, dst, bytes, at)) in msgs.iter().enumerate() {
             let (src, dst) = (src % n, dst % n);
@@ -84,7 +81,7 @@ proptest! {
         burst in 1usize..200,
         dst in 1usize..16,
     ) {
-        let mut net = open(4, 4, 1);
+        let mut net = open(4, 4);
         for i in 0..burst {
             net.send(
                 SimTime::ZERO,
@@ -107,71 +104,14 @@ proptest! {
         prop_assert_eq!(links.total_grants(), (burst * hops) as u64);
     }
 
-    /// The conservative-lookahead invariant: the lookahead the fabric
-    /// tables hold after cuts made through their fault API equals the
-    /// minimum latency over live inter-region links, walked over an
-    /// independently built wounded torus, across torus sizes from 4x4 to
-    /// 16x16 and under zero, one, or two link cuts (a cut the tables refuse
-    /// because it would partition the fabric is skipped); and reviving the
-    /// cuts restores the healthy value.
+    /// Replays are identical: same messages, same times, same hops, in
+    /// the same order.
     #[test]
-    fn lookahead_is_min_inter_region_latency_under_cuts(
-        shape in (4usize..=16, 4usize..=16),
-        shards in 2usize..=6,
-        picks in prop::collection::vec((0usize..1024, 0usize..8), 0..3),
-    ) {
-        let (c, r) = shape;
-        let torus = Torus2D::new(c, r);
-        let timing = LinkTiming::ev7_torus();
-        let mut tables = FabricTables::new(&torus, timing, RoutePolicy::Minimal, shards);
-        let map = RegionMap::bands(&torus, shards);
-
-        // Resolve the random picks into distinct undirected links and cut
-        // each one the fabric survives.
-        let mut cuts: Vec<(NodeId, NodeId)> = Vec::new();
-        for &(ni, pi) in &picks {
-            let a = NodeId::new(ni % (c * r));
-            let ports = torus.ports(a);
-            let b = ports[pi % ports.len()].to;
-            let key = if a.index() <= b.index() { (a, b) } else { (b, a) };
-            if cuts.contains(&key) {
-                continue;
-            }
-            match tables.fail_link(key.0, key.1) {
-                Ok(_) => cuts.push(key),
-                Err(FaultError::Partitioned { .. }) => {}
-                Err(e) => prop_assert!(false, "cut {:?} refused: {}", key, e),
-            }
-        }
-        let wounded = Degraded::new(torus.clone(), &cuts);
-        prop_assert_eq!(
-            tables.conservative_lookahead(),
-            lookahead_by_walk(&wounded, &map, &timing),
-            "the tables' lookahead is not the walked minimum on a wounded {}x{}",
-            c,
-            r
-        );
-
-        for &(a, b) in &cuts {
-            tables.revive_link(a, b).unwrap();
-        }
-        prop_assert_eq!(
-            tables.conservative_lookahead(),
-            lookahead_by_walk(&torus, &map, &timing),
-            "revives did not recover the healthy lookahead"
-        );
-    }
-
-    /// Partitioning the fabric must not change a single delivery: same
-    /// messages, same times, same hops at any region count, and replays
-    /// are identical.
-    #[test]
-    fn deliveries_are_region_count_invariant(
+    fn deliveries_replay_identically(
         msgs in prop::collection::vec((0usize..32, 0usize..32, 0u64..20_000), 1..60),
-        regions in 2usize..=5,
     ) {
-        let run = |regions: usize| {
-            let mut net = open(8, 4, regions);
+        let run = || {
+            let mut net = open(8, 4);
             for (i, &(src, dst, at)) in msgs.iter().enumerate() {
                 net.send(
                     SimTime::from_ps(at),
@@ -187,8 +127,6 @@ proptest! {
                 .map(|d| (d.tag, d.delivered_at, d.hops))
                 .collect::<Vec<_>>()
         };
-        let reference = run(1);
-        prop_assert_eq!(&reference, &run(1));
-        prop_assert_eq!(reference, run(regions));
+        prop_assert_eq!(run(), run());
     }
 }

@@ -10,12 +10,11 @@
 //!   and the busy-time meter behind link and Zbox utilizations;
 //! * [`par`] — an ordered [`par::parallel_map`] used to fan independent
 //!   simulations out across OS threads without changing their results;
-//! * [`shard`] — the conservative-lookahead epoch scheduler
-//!   ([`shard::EpochExecutor`]), the one event engine every simulation runs
-//!   on: per-region event queues (a ring of 128 ps time-slot buckets over
-//!   the next 524 ns, in front of a 4-ary heap for the rest) that pop in
-//!   exact `(time, tiebreak)` order, stepped inline and byte-identical at
-//!   any region count;
+//! * [`shard`] — the epoch scheduler ([`shard::EpochExecutor`]), the one
+//!   event engine every simulation runs on: one worker and one event queue
+//!   (a ring of 128 ps time-slot buckets over the next 524 ns, in front of
+//!   a 4-ary heap for the rest) that pops in exact `(time, tiebreak)`
+//!   order, in epochs that end at a guide's barriers;
 //! * [`FaultPlan`] — a seeded, time-sorted schedule of link/node/channel
 //!   failures (and repairs, degradations, transients) for live
 //!   fault-injection runs;
@@ -39,11 +38,11 @@
 //!     }
 //! }
 //!
-//! let mut exec = EpochExecutor::new(vec![Log(Vec::new())], SimDuration::from_ns(1.0));
-//! exec.seed(0, SimTime::ZERO + SimDuration::from_ns(5.0), 0, "late");
-//! exec.seed(0, SimTime::ZERO + SimDuration::from_ns(1.0), 0, "early");
+//! let mut exec = EpochExecutor::new(Log(Vec::new()));
+//! exec.seed(SimTime::ZERO + SimDuration::from_ns(5.0), 0, "late");
+//! exec.seed(SimTime::ZERO + SimDuration::from_ns(1.0), 0, "early");
 //! exec.run_until_idle();
-//! assert_eq!(exec.worker(0).0, ["early", "late"]);
+//! assert_eq!(exec.worker().0, ["early", "late"]);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -17,12 +17,9 @@
 //! and the value; [`check_env`] reports it so a CLI can refuse to start,
 //! and a resolver that meets it panics rather than fall back.
 //!
-//! The fabric regions the epoch engine of [`crate::shard`] steps have a
-//! separate knob, [`shards`], resolved from [`set_shards`] or
-//! `ALPHASIM_SHARDS` and defaulting to 1: partitioning is opt-in per run,
-//! while job fan-out is opt-out. The regions of one run step inline, one
-//! after another, on the caller's thread; only whole artifacts and sweep
-//! points fan out across threads.
+//! One simulation runs on one thread (the epoch engine of
+//! [`crate::shard`] has one worker and one queue); only whole artifacts
+//! and sweep points fan out across threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -30,11 +27,8 @@ use std::sync::Mutex;
 /// Process-wide worker-count override; 0 means "auto-detect".
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-wide shard-count override; 0 means "resolve from environment".
-static SHARDS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 /// The engine knobs the resolvers read from the environment.
-const KNOBS: [&str; 2] = ["ALPHASIM_JOBS", "ALPHASIM_SHARDS"];
+const KNOBS: [&str; 1] = ["ALPHASIM_JOBS"];
 
 /// Parse the value of the engine knob `var`: empty and `0` mean unset
 /// (`None`), any other value must be a non-negative integer. The error
@@ -61,34 +55,10 @@ fn knob(var: &str) -> Option<usize> {
     env_knob(var).unwrap_or_else(|why| panic!("{why}"))
 }
 
-/// Check every `ALPHASIM_*` engine knob ([`jobs`], [`shards`]) so a CLI
-/// can reject a malformed one before any resolver panics on it.
+/// Check every `ALPHASIM_*` engine knob ([`jobs`]) so a CLI can reject a
+/// malformed one before any resolver panics on it.
 pub fn check_env() -> Result<(), String> {
     KNOBS.iter().try_for_each(|var| env_knob(var).map(drop))
-}
-
-/// Force the fabric-region count every partitioned run uses (see
-/// [`shards`]). `0` restores resolution from `ALPHASIM_SHARDS`.
-pub fn set_shards(n: usize) {
-    SHARDS_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// The fabric-region count for intra-run partitioned simulation (load
-/// tests and fault campaigns alike): [`set_shards`],
-/// else `ALPHASIM_SHARDS`, else 1 (unsharded). Unlike [`jobs`] this never
-/// auto-detects from the machine: artifact output is byte-identical at any
-/// shard count, but the shard count is recorded in `BENCH_sweep.json`, so
-/// it defaults to a fixed, machine-independent value.
-///
-/// # Panics
-///
-/// Panics if `ALPHASIM_SHARDS` is malformed (see [`check_env`]).
-pub fn shards() -> usize {
-    let forced = SHARDS_OVERRIDE.load(Ordering::Relaxed);
-    if forced != 0 {
-        return forced;
-    }
-    knob("ALPHASIM_SHARDS").unwrap_or(1)
 }
 
 /// Force the worker count used by [`parallel_map`]. `1` makes every
@@ -213,22 +183,13 @@ mod tests {
     #[test]
     fn knob_parser_rejects_malformed_values_and_names_them() {
         for bad in ["abc", "-1", "2x"] {
-            let why = parse_knob("ALPHASIM_SHARDS", bad).unwrap_err();
-            assert!(why.contains("ALPHASIM_SHARDS"), "{why}");
+            let why = parse_knob("ALPHASIM_JOBS", bad).unwrap_err();
+            assert!(why.contains("ALPHASIM_JOBS"), "{why}");
             assert!(why.contains(bad), "{why}");
         }
         assert_eq!(parse_knob("ALPHASIM_JOBS", "0"), Ok(None));
         assert_eq!(parse_knob("ALPHASIM_JOBS", ""), Ok(None));
-        assert_eq!(parse_knob("ALPHASIM_SHARDS", "4"), Ok(Some(4)));
-    }
-
-    #[test]
-    fn shards_default_to_one_and_respect_override() {
-        set_shards(0);
-        assert_eq!(shards(), 1, "sharding is opt-in");
-        set_shards(4);
-        assert_eq!(shards(), 4);
-        set_shards(0);
+        assert_eq!(parse_knob("ALPHASIM_JOBS", "4"), Ok(Some(4)));
     }
 
     #[test]

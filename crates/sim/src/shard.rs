@@ -1,33 +1,24 @@
-//! The conservative epoch scheduler: the kernel's one discrete-event engine.
+//! The epoch scheduler: the kernel's one discrete-event engine.
 //!
-//! The GS1280 being reproduced is itself a partitioned machine: a 2-D torus
-//! where every hop costs a known, fixed wire latency. This module exploits
-//! the same structure *inside* one simulation run. [`EpochExecutor`] gives
-//! each region ("shard") its own slice of simulation state (a
-//! [`ShardWorker`]) and its own event queue ordered by `(time, tiebreak)`:
-//! a ring of 128 ps time-slot buckets spanning the next 524 ns, in front
-//! of a 4-ary heap for everything else, popped in exact key order whatever
-//! lands where. The queue lives in the shard's [`Outbox`], so an event a
-//! worker emits for its own region goes straight into it: one insert and
-//! one pop per event. Shards advance independently up to a **conservative
-//! lookahead horizon** — the minimum latency of any inter-region link — and
-//! exchange cross-region events at barrier epochs. The lookahead contract
-//! is enforced at every emission: a cross-shard event closer than the
-//! horizon panics, because it could land in a region's past. One shard with
-//! an unbounded lookahead is an ordinary sequential simulation.
+//! [`EpochExecutor`] runs one simulation: one worker (a [`ShardWorker`])
+//! that owns every piece of simulation state, and one event queue ordered
+//! by `(time, tiebreak)`: a ring of 128 ps time-slot buckets spanning the
+//! next 524 ns, in front of a 4-ary heap for everything else, popped in
+//! exact key order whatever lands where. The queue lives in the worker's
+//! [`Outbox`], so an event the worker emits goes straight into it: one
+//! insert and one pop per event.
 //!
-//! Within an epoch the shards step inline, one after another, on the
-//! caller's thread. Determinism across shard counts does not come from
-//! that order: each shard is an **owned value** that shares no mutable
-//! state with its peers or the guide, cross-region events carry
-//! caller-assigned, shard-count-invariant tiebreak ids, and barrier
-//! exchange applies outboxes in ascending region order. The same seeds
-//! therefore produce the same event order — and the same bytes — at 1, 2,
-//! or 4 shards.
+//! A coordinating [`EpochGuide`] names barrier times (fault strikes,
+//! watchdog ticks, samples). The executor pops every event below the next
+//! barrier, then strikes it, handing the guide the stopped worker and its
+//! queue; the span between two barriers is an epoch. Simultaneous events
+//! fire in the order of caller-assigned tiebreaks derived from simulation
+//! identities (node, link, transaction), never from insertion order, so the
+//! same seeds produce the same event order and the same bytes.
 //!
 //! Those bytes rest on a state partition, which the types enforce: a
-//! worker reaches other regions only through [`Outbox::emit`], and a guide
-//! reaches a worker only through the [`EpochControl`] it is handed at a
+//! worker reaches its queue only through [`Outbox::emit`], and a guide
+//! reaches the worker only through the [`EpochControl`] it is handed at a
 //! barrier. [`Outbox`], [`ShardWorker`], [`EpochGuide`] and
 //! [`EpochControl`] each show, as `compile_fail` examples, the violations
 //! they rule out; each example is the program below plus the lines it
@@ -40,47 +31,46 @@
 //! use alphasim_kernel::shard::{Outbox, ShardWorker};
 //! use alphasim_kernel::{SimDuration, SimTime};
 //!
-//! /// A region that counts its pings and bounces each one to the other region.
-//! struct Region { pings: u64, credit: u64 }
+//! /// Counts its pings and passes each one on, 10 ns later, until its hops run out.
+//! struct Pinger { pings: u64, credit: u64 }
 //!
-//! impl ShardWorker for Region {
+//! impl ShardWorker for Pinger {
 //!     type Event = u64;
 //!     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
 //!         self.pings += 1;
 //!         if hops > 0 {
-//!             // A cross-region effect: through the outbox, one lookahead ahead.
-//!             out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1);
+//!             // A follow-up effect: through the outbox, into the queue.
+//!             out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1);
 //!         }
 //!     }
 //! }
 //!
-//! /// Grants region 1 a credit at one barrier.
+//! /// Grants the worker a credit at one barrier.
 //! struct Guide(Option<SimTime>);
 //!
-//! impl EpochGuide<Region> for Guide {
+//! impl EpochGuide<Pinger> for Guide {
 //!     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-//!     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
-//!         ctl.worker_mut(1).credit += 1; // a write into a worker, at a barrier
+//!     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
+//!         ctl.worker_mut().credit += 1; // a write into the worker, at a barrier
 //!         self.0 = None;
 //!         BarrierVerdict::Continue
 //!     }
 //! }
 //!
-//! let regions = (0..2).map(|_| Region { pings: 0, credit: 0 }).collect();
-//! let mut exec = EpochExecutor::new(regions, SimDuration::from_ns(10.0));
-//! exec.seed(0, SimTime::ZERO, 0, 3);
+//! let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
+//! exec.seed(SimTime::ZERO, 0, 3);
 //! exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-//! assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
+//! assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
 //! ```
 //!
-//! Each shard also keeps a **high-water key**: the largest
-//! `(time, tiebreak)` it has handled so far, raised before each
+//! The outbox also keeps a **high-water key**: the largest
+//! `(time, tiebreak)` handled so far, raised before each
 //! [`ShardWorker::handle`]. [`Outbox::has_passed`] compares a key against
 //! it, which tells a worker whether an event it never scheduled *would
 //! already have fired* — so a worker can leave out an event whose only
 //! effect is to mark a state as over (the fabric's idle link releases) and
 //! still read that state exactly. Why this is exact: keys are unique, and
-//! a pending key pops only after every smaller key present in its queue.
+//! a pending key pops only after every smaller key present in the queue.
 //! So before an event keyed `K` fires, every handled key is below `K`;
 //! after it fires, the high-water is at least `K`. A key emitted at the
 //! current instant may sort *below* the key that emitted it (an arrival
@@ -132,8 +122,8 @@ struct Node<E> {
     next: u32,
 }
 
-/// One shard's pending events: a calendar queue (Brown, CACM 1988) with an
-/// exact fallback.
+/// The executor's pending events: a calendar queue (Brown, CACM 1988) with
+/// an exact fallback.
 ///
 /// The **ring** files a key by time slot: bucket `slot % BUCKETS` of a
 /// window of `BUCKETS` slots that starts at `base`. Each bucket is an
@@ -362,12 +352,12 @@ fn heap_pop<E>(heap: &mut Vec<(u128, E)>) -> Option<(u128, E)> {
     Some(entry)
 }
 
-/// The deepest any epoch shard's event queue has been (pending events,
-/// ring and far heap together) since the last
-/// [`take_peak_event_depth`] call (executors contribute when they hand back
-/// their workers or are dropped). Backed by the telemetry registry's
-/// process-wide gauge [`alphasim_telemetry::global::EVENT_QUEUE_PEAK`];
-/// read by the reproduction driver for `BENCH_sweep.json`.
+/// The deepest any executor's event queue has been (pending events, ring
+/// and far heap together) since the last [`take_peak_event_depth`] call
+/// (executors contribute when they hand back their worker or are
+/// dropped). Backed by the telemetry registry's process-wide gauge
+/// [`alphasim_telemetry::global::EVENT_QUEUE_PEAK`]; read by the
+/// reproduction driver for `BENCH_sweep.json`.
 pub fn peak_event_depth() -> u64 {
     EVENT_QUEUE_PEAK.get()
 }
@@ -377,13 +367,12 @@ pub fn take_peak_event_depth() -> u64 {
     EVENT_QUEUE_PEAK.take()
 }
 
-/// One shard's slice of simulation state in a partitioned run.
+/// A simulation's state, stepped by an [`EpochExecutor`].
 ///
-/// The executor owns one worker per region; during an epoch each worker
-/// handles its region's events in `(time, tiebreak)` order and emits
-/// follow-up events through the [`Outbox`]. Each worker is owned by its
-/// shard and never shared, so a worker may freely mutate itself without
-/// any synchronization.
+/// The executor owns the worker; it handles its events in
+/// `(time, tiebreak)` order and emits follow-up events through the
+/// [`Outbox`]. Nothing else holds the worker while it runs, so it may
+/// freely mutate itself without any synchronization.
 ///
 /// `Send + 'static` makes a worker own everything it reads. It cannot
 /// borrow the guide's state (E0478), and it cannot share state through
@@ -393,24 +382,24 @@ pub fn take_peak_event_depth() -> u64 {
 ///
 /// ```compile_fail,E0478
 /// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Region { pings: u64, credit: u64 }
-/// # impl ShardWorker for Region {
+/// # struct Pinger { pings: u64, credit: u64 }
+/// # impl ShardWorker for Pinger {
 /// #     type Event = u64;
 /// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
-/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
 /// #     }
 /// # }
 /// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Region> for Guide {
+/// # impl EpochGuide<Pinger> for Guide {
 /// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
-/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
+/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
-/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
+/// # exec.seed(SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
+/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
 /// struct Planned<'a> { plan: &'a [u64] } // borrows the guide's plan
 /// impl<'a> ShardWorker for Planned<'a> {
 ///     type Event = u64;
@@ -420,24 +409,24 @@ pub fn take_peak_event_depth() -> u64 {
 ///
 /// ```compile_fail,E0277
 /// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Region { pings: u64, credit: u64 }
-/// # impl ShardWorker for Region {
+/// # struct Pinger { pings: u64, credit: u64 }
+/// # impl ShardWorker for Pinger {
 /// #     type Event = u64;
 /// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
-/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
 /// #     }
 /// # }
 /// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Region> for Guide {
+/// # impl EpochGuide<Pinger> for Guide {
 /// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
-/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
+/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
-/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
+/// # exec.seed(SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
+/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
 /// struct Shared(std::rc::Rc<std::cell::RefCell<u64>>); // a count the guide also holds
 /// impl ShardWorker for Shared {
 ///     type Event = u64;
@@ -454,70 +443,62 @@ pub trait ShardWorker: Send + 'static {
 
 /// Where a [`ShardWorker`] emits follow-up events.
 ///
-/// Same-shard emissions may fire at any `at >= now`: the outbox owns the
-/// shard's event queue, so each one is filed there as it is emitted and can
-/// still fire within the current epoch.
-/// Cross-shard emissions must respect the **lookahead contract**:
-/// `at >= now + lookahead`, where the lookahead is the minimum inter-region
-/// link latency. Violations panic immediately, naming the horizon — a
-/// too-close event could land in a peer region's already-executed past.
-///
-/// `tiebreak` orders simultaneous events and must be *shard-count
-/// invariant* (derived from simulation identities like node and per-node
-/// emission counters, never from shard ids or arrival order), or runs at
-/// different shard counts may diverge on ties.
+/// The outbox owns the executor's event queue, so each emission is filed
+/// there as it is emitted and may fire at any `at >= now`, within the
+/// current epoch too. `tiebreak` orders simultaneous events and must be
+/// derived from simulation identities (node, link, per-node emission
+/// counters), never from insertion order.
 ///
 /// Only the executor builds one: `Outbox` has no constructor and no
-/// public field, so every cross-region effect passes [`emit`](Self::emit)'s
-/// lookahead check, and a guide, which holds no outbox, cannot call
-/// [`ShardWorker::handle`] to deliver an event itself (E0599, E0451):
+/// public field, so every effect passes [`emit`](Self::emit)'s check, and a
+/// guide, which holds no outbox, cannot call [`ShardWorker::handle`] to
+/// deliver an event itself (E0599, E0451):
 ///
 /// ```compile_fail,E0599
 /// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Region { pings: u64, credit: u64 }
-/// # impl ShardWorker for Region {
+/// # struct Pinger { pings: u64, credit: u64 }
+/// # impl ShardWorker for Pinger {
 /// #     type Event = u64;
 /// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
-/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
 /// #     }
 /// # }
 /// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Region> for Guide {
+/// # impl EpochGuide<Pinger> for Guide {
 /// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
-/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
+/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
-/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
+/// # exec.seed(SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
-/// exec.worker_mut(0).handle(SimTime::ZERO, 1, &mut Outbox::new(0));
+/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
+/// exec.worker_mut().handle(SimTime::ZERO, 1, &mut Outbox::new());
 /// ```
 ///
 /// ```compile_fail,E0451
 /// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Region { pings: u64, credit: u64 }
-/// # impl ShardWorker for Region {
+/// # struct Pinger { pings: u64, credit: u64 }
+/// # impl ShardWorker for Pinger {
 /// #     type Event = u64;
 /// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
-/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
 /// #     }
 /// # }
 /// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Region> for Guide {
+/// # impl EpochGuide<Pinger> for Guide {
 /// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
-/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
+/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
-/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
+/// # exec.seed(SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
-/// let mut forged = Outbox { home: 0, now: SimTime::ZERO, lookahead: SimDuration::ZERO,
-///     high_water: None, queue: unreachable!(), remote: Vec::new() };
-/// exec.worker_mut(0).handle(SimTime::ZERO, 1, &mut forged);
+/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
+/// let mut forged = Outbox { now: SimTime::ZERO, high_water: None, queue: unreachable!() };
+/// exec.worker_mut().handle(SimTime::ZERO, 1, &mut forged);
 /// ```
 ///
 /// Nor can a worker reach past [`emit`](Self::emit) through a field: each
@@ -531,23 +512,7 @@ pub trait ShardWorker: Send + 'static {
 /// # use alphasim_kernel::{shard::*, SimTime};
 /// # struct Peek;
 /// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
-/// let _ = &out.home;
-/// # } }
-/// ```
-///
-/// ```compile_fail,E0616
-/// # use alphasim_kernel::{shard::*, SimTime};
-/// # struct Peek;
-/// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
 /// let _ = &out.now;
-/// # } }
-/// ```
-///
-/// ```compile_fail,E0616
-/// # use alphasim_kernel::{shard::*, SimTime};
-/// # struct Peek;
-/// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
-/// let _ = &out.lookahead;
 /// # } }
 /// ```
 ///
@@ -566,66 +531,37 @@ pub trait ShardWorker: Send + 'static {
 /// let _ = &out.queue;
 /// # } }
 /// ```
-///
-/// ```compile_fail,E0616
-/// # use alphasim_kernel::{shard::*, SimTime};
-/// # struct Peek;
-/// # impl ShardWorker for Peek { type Event = u64; fn handle(&mut self, _: SimTime, _: u64, out: &mut Outbox<u64>) {
-/// let _ = &out.remote;
-/// # } }
-/// ```
 pub struct Outbox<E> {
-    home: usize,
     now: SimTime,
-    lookahead: SimDuration,
-    /// The largest packed key this shard has handled (`None` before the
-    /// first event).
+    /// The largest packed key handled so far (`None` before the first
+    /// event).
     high_water: Option<u128>,
-    /// The shard's pending events: a same-shard emission is filed here
-    /// directly.
+    /// The pending events: an emission is filed here directly.
     queue: EventQueue<E>,
-    remote: Vec<(usize, SimTime, u64, E)>,
 }
 
 impl<E> Outbox<E> {
-    /// Whether an event keyed `(at, tiebreak)` would already have fired in
-    /// this shard: whether the key sorts at or below the shard's
-    /// high-water key, the largest key handled so far (the event being
-    /// handled included). See the module docs for why this is exact even
-    /// for events emitted at the current instant.
+    /// Whether an event keyed `(at, tiebreak)` would already have fired:
+    /// whether the key sorts at or below the high-water key, the largest
+    /// key handled so far (the event being handled included). See the
+    /// module docs for why this is exact even for events emitted at the
+    /// current instant.
     #[inline]
     pub fn has_passed(&self, at: SimTime, tiebreak: u64) -> bool {
         Some(pack(at, tiebreak)) <= self.high_water
     }
 
-    /// Emit an event for `shard` at absolute time `at`. An event for the
-    /// emitting shard goes straight into its queue; one for a peer waits
-    /// in the outbox for the barrier.
+    /// Emit an event at absolute time `at`, straight into the queue.
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past, or if `shard` is not the emitting
-    /// shard and `at` is closer than the conservative lookahead horizon.
+    /// Panics if `at` is in the past.
     #[inline(always)]
-    pub fn emit(&mut self, shard: usize, at: SimTime, tiebreak: u64, ev: E) {
+    pub fn emit(&mut self, at: SimTime, tiebreak: u64, ev: E) {
         if at < self.now {
             emitted_into_the_past(at, self.now);
         }
-        if shard == self.home {
-            self.queue.push(pack(at, tiebreak), ev);
-        } else {
-            self.emit_remote(shard, at, tiebreak, ev);
-        }
-    }
-
-    /// The cross-shard half of [`emit`](Self::emit): check the lookahead
-    /// contract and hold the event for the barrier.
-    #[inline(never)]
-    fn emit_remote(&mut self, shard: usize, at: SimTime, tiebreak: u64, ev: E) {
-        if at < self.now + self.lookahead {
-            lookahead_violation(self.home, shard, at, self.now, self.lookahead);
-        }
-        self.remote.push((shard, at, tiebreak, ev));
+        self.queue.push(pack(at, tiebreak), ev);
     }
 }
 
@@ -635,83 +571,28 @@ fn emitted_into_the_past(at: SimTime, now: SimTime) -> ! {
     panic!("event emitted into the past: {at} < {now}")
 }
 
-#[cold]
-#[inline(never)]
-fn lookahead_violation(
-    home: usize,
-    shard: usize,
-    at: SimTime,
-    now: SimTime,
-    lookahead: SimDuration,
-) -> ! {
-    panic!(
-        "lookahead violation: region {home} emitted an event for region \
-         {shard} at t={at}, inside the conservative horizon {horizon} \
-         (emitter's now={now} + lookahead {lookahead}); the event could \
-         land in region {shard}'s already-executed past",
-        horizon = now + lookahead,
-    )
-}
-
-/// One shard: its owned worker state, its outbox (which holds the shard's
-/// event queue), and its epoch scratch.
-struct ShardSlot<W: ShardWorker> {
-    worker: W,
-    outbox: Outbox<W::Event>,
-    /// Exclusive processing bound for the current epoch.
-    bound: SimTime,
-    processed: u64,
-    peak: usize,
-    /// Accumulate wall-clock busy time per slot (epoch profiler only).
-    time_wall: bool,
-    wall_ns: u64,
-}
-
-/// Process every local event strictly before the epoch bound. Same-shard
-/// emissions land in the queue as they are emitted, so they can fire
-/// within this epoch.
-fn run_slot<W: ShardWorker>(slot: &mut ShardSlot<W>) {
-    // Wall-clock here is reporting-only (the epoch profiler's optional
-    // overhead view) and never feeds back into simulation decisions; off,
-    // it costs one untaken branch.
-    let t0 = slot.time_wall.then(std::time::Instant::now); // lint-allow: wall-clock
-    let limit = pack(slot.bound, 0);
-    let out = &mut slot.outbox;
-    while let Some((key, ev)) = out.queue.pop_below(limit) {
-        let at = unpack_time(key);
-        out.now = at;
-        out.high_water = out.high_water.max(Some(key));
-        slot.worker.handle(at, ev, out);
-        slot.processed += 1;
-        slot.peak = slot.peak.max(out.queue.len());
-    }
-    if let Some(t0) = t0 {
-        slot.wall_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    }
-}
-
 /// One epoch of one profiled run: the sim-time span the epoch covered and
-/// what every shard did inside it. `processed[s]` / `merged[s]` are
-/// sim-time facts (event counts), identical run to run;
-/// `wall_ns` is the optional measured view and is never part of any
-/// byte-checked artifact.
+/// the events the worker handled inside it. `processed` is a sim-time fact
+/// (an event count), identical run to run; `wall_ns` is the optional
+/// measured view and is never part of any byte-checked artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochSample {
-    /// Global minimum pending event time when the epoch began.
+    /// Earliest pending event time when the epoch began.
     pub start_ps: u64,
-    /// The epoch's exclusive processing bound.
+    /// The epoch's exclusive end: its barrier, or one picosecond past its
+    /// last event when it ran to idle.
     pub end_ps: u64,
-    /// Events each shard processed this epoch, indexed by shard id.
-    pub processed: Vec<u64>,
-    /// Cross-region events merged *into* each shard at the barrier.
-    pub merged: Vec<u64>,
-    /// Wall-clock nanoseconds each shard spent busy, when wall profiling
-    /// was requested.
+    /// Events handled this epoch.
+    pub processed: u64,
+    /// Wall-clock nanoseconds spent handling them, when wall profiling was
+    /// requested: one entry, the one event queue's. A vector because
+    /// gsbench's `campaign-par` workload sums it as one, until a benchmark
+    /// change retires that workload (ROADMAP item 11.11).
     pub wall_ns: Option<Vec<u64>>,
 }
 
-/// The epoch profiler's output: one [`EpochSample`] per barrier
-/// epoch, in execution order. Collected only when
+/// The epoch profiler's output: one [`EpochSample`] per epoch that handled
+/// an event, in execution order. Collected only when
 /// [`EpochExecutor::enable_profile`] was called — the zero-cost-when-off
 /// pattern every other instrumentation site follows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -732,53 +613,28 @@ impl EpochProfile {
         self.samples.len()
     }
 
-    /// Number of shards profiled (0 before the first epoch).
+    /// Events handled in each epoch, in execution order.
+    pub fn events_per_epoch(&self) -> Vec<u64> {
+        self.samples.iter().map(|s| s.processed).collect()
+    }
+
+    /// Event queues profiled: always 1. Kept, with
+    /// [`busy_per_shard`](Self::busy_per_shard) and
+    /// [`merged_per_shard`](Self::merged_per_shard), for gsbench's
+    /// `campaign-par` workload until a benchmark change retires it
+    /// (ROADMAP item 11.11).
     pub fn shard_count(&self) -> usize {
-        self.samples.first().map_or(0, |s| s.processed.len())
+        1
     }
 
-    /// Total events processed per shard across all epochs — the sim-time
-    /// "busy" series behind the load-imbalance metric.
+    /// Events handled across all epochs, as a one-element series.
     pub fn busy_per_shard(&self) -> Vec<u64> {
-        let mut busy = vec![0u64; self.shard_count()];
-        for s in &self.samples {
-            for (b, p) in busy.iter_mut().zip(&s.processed) {
-                *b += p;
-            }
-        }
-        busy
+        vec![self.samples.iter().map(|s| s.processed).sum()]
     }
 
-    /// Total cross-region events merged into each shard at barriers.
+    /// Events merged in from other queues: none, as a one-element series.
     pub fn merged_per_shard(&self) -> Vec<u64> {
-        let mut merged = vec![0u64; self.shard_count()];
-        for s in &self.samples {
-            for (m, v) in merged.iter_mut().zip(&s.merged) {
-                *m += v;
-            }
-        }
-        merged
-    }
-
-    /// The shard that processed the most events overall (lowest id on
-    /// ties) — the critical shard every barrier waits for.
-    pub fn critical_shard(&self) -> usize {
-        let busy = self.busy_per_shard();
-        let max = busy.iter().copied().max().unwrap_or(0);
-        busy.iter().position(|&b| b == max).unwrap_or(0)
-    }
-
-    /// Load imbalance as `max / mean` of per-shard busy event counts, in
-    /// integer milli-units (1000 = perfectly balanced; 0 when no events
-    /// were processed). Integer math keeps it byte-stable in artifacts.
-    pub fn imbalance_milli(&self) -> u64 {
-        let busy = self.busy_per_shard();
-        let total: u64 = busy.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let max = busy.iter().copied().max().unwrap_or(0);
-        max * 1000 * busy.len() as u64 / total
+        vec![0]
     }
 }
 
@@ -787,50 +643,50 @@ impl EpochProfile {
 pub enum BarrierVerdict {
     /// Keep running epochs (the guide may have injected new events).
     Continue,
-    /// Stop the run immediately; pending events stay in their queues.
+    /// Stop the run immediately; pending events stay in the queue.
     Stop,
 }
 
 /// A coordinator hook driving [`EpochExecutor::run_guided`]: the guide
-/// names global barrier times (fault strikes, watchdog ticks) at which the
-/// executor stops every shard, hands the guide exclusive access to all
-/// worker state through an [`EpochControl`], and only then resumes.
+/// names barrier times (fault strikes, watchdog ticks) at which the
+/// executor stops, hands the guide exclusive access to the worker and its
+/// queue through an [`EpochControl`], and only then resumes.
 ///
 /// The executor guarantees that when [`at_barrier`](Self::at_barrier) runs
 /// for time `b`, every event strictly before `b` has been processed and no
 /// event at or after `b` has — so barrier mutations apply before any event
-/// at exactly `b`, in every shard, at every shard count.
+/// at exactly `b`.
 ///
-/// That [`EpochControl`] is a guide's only way into a worker:
+/// That [`EpochControl`] is a guide's only way into the worker:
 /// [`run_guided`](EpochExecutor::run_guided) holds the executor's `&mut`
-/// for the whole run, so a guide that keeps its own, to write a worker
+/// for the whole run, so a guide that keeps its own, to write the worker
 /// between barriers, cannot be passed in (E0499):
 ///
 /// ```compile_fail,E0499
 /// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Region { pings: u64, credit: u64 }
-/// # impl ShardWorker for Region {
+/// # struct Pinger { pings: u64, credit: u64 }
+/// # impl ShardWorker for Pinger {
 /// #     type Event = u64;
 /// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
-/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
 /// #     }
 /// # }
 /// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Region> for Guide {
+/// # impl EpochGuide<Pinger> for Guide {
 /// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
-/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
+/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
-/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
+/// # exec.seed(SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
-/// struct Reacher<'e>(&'e mut EpochExecutor<Region>);
-/// impl EpochGuide<Region> for Reacher<'_> {
+/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
+/// struct Reacher<'e>(&'e mut EpochExecutor<Pinger>);
+/// impl EpochGuide<Pinger> for Reacher<'_> {
 ///     fn next_barrier(&mut self) -> Option<SimTime> { None }
-///     fn at_barrier(&mut self, _: SimTime, _: &mut EpochControl<'_, Region>) -> BarrierVerdict {
-///         self.0.worker_mut(0).credit += 1; // a write around the control
+///     fn at_barrier(&mut self, _: SimTime, _: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
+///         self.0.worker_mut().credit += 1; // a write around the control
 ///         BarrierVerdict::Continue
 ///     }
 /// }
@@ -844,52 +700,52 @@ pub trait EpochGuide<W: ShardWorker> {
     /// strictly beyond `b`.
     fn next_barrier(&mut self) -> Option<SimTime>;
 
-    /// Strike the barrier at `at`: mutate workers, inject or extract
-    /// events, adjust the lookahead. Invoked even when every queue is empty
-    /// — a quiescent simulation can still owe watchdog ticks.
+    /// Strike the barrier at `at`: mutate the worker, inject or extract
+    /// events. Invoked even when the queue is empty — a quiescent
+    /// simulation can still owe watchdog ticks.
     fn at_barrier(&mut self, at: SimTime, ctl: &mut EpochControl<'_, W>) -> BarrierVerdict;
 }
 
-/// The guide's window into a stopped executor: exclusive access to every
-/// worker and event queue while all shards sit at a barrier.
+/// The guide's window into a stopped executor: exclusive access to the
+/// worker and the event queue while the run sits at a barrier.
 ///
 /// A guide gets one only as [`EpochGuide::at_barrier`]'s argument, and it
 /// borrows the stopped executor, so it cannot outlive the barrier: neither
-/// a worker nor a later epoch can hold it. A guide that tries to keep it
+/// the worker nor a later epoch can hold it. A guide that tries to keep it
 /// does not compile ("lifetime may not live long enough"):
 ///
 /// ```compile_fail
 /// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Region { pings: u64, credit: u64 }
-/// # impl ShardWorker for Region {
+/// # struct Pinger { pings: u64, credit: u64 }
+/// # impl ShardWorker for Pinger {
 /// #     type Event = u64;
 /// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
-/// #         self.pings += 1; if hops > 0 { out.emit(hops as usize % 2, at + SimDuration::from_ns(10.0), hops, hops - 1) }
+/// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
 /// #     }
 /// # }
 /// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Region> for Guide {
+/// # impl EpochGuide<Pinger> for Guide {
 /// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
-/// #         ctl.worker_mut(1).credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
+/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new((0..2).map(|_| Region { pings: 0, credit: 0 }).collect(), SimDuration::from_ns(10.0));
-/// # exec.seed(0, SimTime::ZERO, 0, 3);
+/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
+/// # exec.seed(SimTime::ZERO, 0, 3);
 /// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker(0).pings, exec.worker(1).pings, exec.worker(1).credit], [2, 2, 1]);
-/// struct Keeper(Option<&'static mut EpochControl<'static, Region>>);
-/// impl EpochGuide<Region> for Keeper {
+/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
+/// struct Keeper(Option<&'static mut EpochControl<'static, Pinger>>);
+/// impl EpochGuide<Pinger> for Keeper {
 ///     fn next_barrier(&mut self) -> Option<SimTime> { None }
-///     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Region>) -> BarrierVerdict {
+///     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
 ///         self.0 = Some(ctl); // kept past the barrier
 ///         BarrierVerdict::Continue
 ///     }
 /// }
 /// ```
 pub struct EpochControl<'a, W: ShardWorker> {
-    slots: &'a mut Vec<ShardSlot<W>>,
-    lookahead: &'a mut SimDuration,
+    worker: &'a mut W,
+    queue: &'a mut EventQueue<W::Event>,
     now: SimTime,
 }
 
@@ -899,79 +755,51 @@ impl<W: ShardWorker> EpochControl<'_, W> {
         self.now
     }
 
-    /// Number of region shards.
-    pub fn shard_count(&self) -> usize {
-        self.slots.len()
+    /// Shared access to the worker state.
+    pub fn worker(&self) -> &W {
+        self.worker
     }
 
-    /// Shared access to `shard`'s worker state.
-    pub fn worker(&self, shard: usize) -> &W {
-        &self.slots[shard].worker
+    /// Exclusive access to the worker state.
+    pub fn worker_mut(&mut self) -> &mut W {
+        self.worker
     }
 
-    /// Exclusive access to `shard`'s worker state.
-    pub fn worker_mut(&mut self, shard: usize) -> &mut W {
-        &mut self.slots[shard].worker
-    }
-
-    /// Schedule `ev` on `shard` at `at`. Barrier injections bypass the
-    /// lookahead contract: every shard is stopped at the barrier, so
-    /// nothing can land in an already-executed past — only `at >= now`
-    /// (the barrier time) is required.
+    /// Schedule `ev` at `at`, at or after the barrier time.
     ///
     /// # Panics
     ///
     /// Panics if `at` is before the barrier time.
-    pub fn inject(&mut self, shard: usize, at: SimTime, tiebreak: u64, ev: W::Event) {
+    pub fn inject(&mut self, at: SimTime, tiebreak: u64, ev: W::Event) {
         assert!(
             at >= self.now,
             "barrier injection into the past: {at} < barrier {now}",
             now = self.now
         );
-        self.slots[shard].outbox.queue.push(pack(at, tiebreak), ev);
+        self.queue.push(pack(at, tiebreak), ev);
     }
 
-    /// Replace the conservative lookahead for subsequent epochs — e.g.
-    /// after a fault kills or restores the fastest cross-region link.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero horizon (it cannot make progress).
-    pub fn set_lookahead(&mut self, lookahead: SimDuration) {
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "conservative lookahead must be positive"
-        );
-        *self.lookahead = lookahead;
-    }
-
-    /// The conservative lookahead currently in force.
-    pub fn lookahead(&self) -> SimDuration {
-        *self.lookahead
-    }
-
-    /// Whether every shard's queue is empty: nothing is left to fire, so a
-    /// guide's periodic barriers (samplers, watchdogs) can stop.
+    /// Whether the queue is empty: nothing is left to fire, so a guide's
+    /// periodic barriers (samplers, watchdogs) can stop.
     pub fn is_idle(&self) -> bool {
-        self.slots.iter().all(|s| s.outbox.queue.is_empty())
+        self.queue.is_empty()
     }
 
-    /// Remove every pending event on `shard` matching `pred`, returning
-    /// the matches as `(time, tiebreak, event)` in ascending key order.
-    /// Non-matching events keep their keys. Used to condemn in-flight
-    /// work when a barrier fault invalidates it (e.g. a message mid-hop on
-    /// a link that just died).
-    pub fn extract_events<F>(&mut self, shard: usize, mut pred: F) -> Vec<(SimTime, u64, W::Event)>
+    /// Remove every pending event matching `pred`, returning the matches
+    /// as `(time, tiebreak, event)` in ascending key order. Non-matching
+    /// events keep their keys. Used to condemn in-flight work when a
+    /// barrier fault invalidates it (e.g. a message mid-hop on a link that
+    /// just died).
+    pub fn extract_events<F>(&mut self, mut pred: F) -> Vec<(SimTime, u64, W::Event)>
     where
         F: FnMut(SimTime, &W::Event) -> bool,
     {
-        let queue = &mut self.slots[shard].outbox.queue;
         let mut taken = Vec::new();
-        for (key, ev) in queue.take_all() {
+        for (key, ev) in self.queue.take_all() {
             if pred(unpack_time(key), &ev) {
                 taken.push((key, ev));
             } else {
-                queue.push(key, ev);
+                self.queue.push(key, ev);
             }
         }
         taken.sort_unstable_by_key(|&(key, _)| key);
@@ -982,86 +810,73 @@ impl<W: ShardWorker> EpochControl<'_, W> {
     }
 }
 
-/// What one [`EpochExecutor::run_until_idle`] did.
+/// What an executor has done so far, as [`EpochExecutor::run_until_idle`]
+/// and [`EpochExecutor::run_guided`] report it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochReport {
-    /// Barrier epochs executed.
+    /// Epochs that handled at least one event.
     pub epochs: u64,
-    /// Events processed per shard, indexed by shard id.
-    pub processed: Vec<u64>,
-    /// Per-shard event-queue high-water marks: the most events pending in
-    /// a shard's queue at once.
-    pub shard_peaks: Vec<usize>,
+    /// Events handled.
+    pub processed: u64,
+    /// The most events pending in the queue at once.
+    pub peak_queue_depth: usize,
 }
 
-/// The conservative epoch scheduler: per-region workers advancing in
-/// lookahead-bounded epochs, exchanging cross-region events at barriers.
+/// The epoch scheduler: one worker and its event queue, stepped in epochs
+/// that end at a guide's barriers.
 ///
-/// Each epoch the coordinator computes the global minimum next event time
-/// `t` and sets every shard's bound to `t + lookahead`; shards then process
-/// their local events below the bound, one after another on the caller's
-/// thread, and the barrier routes cross-shard emissions into their
-/// destination queues in ascending source-shard order. Safety is the
-/// emission-time assertion in [`Outbox::emit`]: any event a shard emits
-/// for a peer fires at or after every bound the peer could have run to, so
-/// no shard ever receives an event in its past.
+/// Each epoch pops every event below its bound in `(time, tiebreak)`
+/// order and hands it to the worker; an emission lands in the same queue
+/// and fires within the epoch if it is due. [`run_until_idle`] runs one
+/// epoch to an empty queue; [`run_guided`] ends each epoch at the guide's
+/// next barrier and strikes it.
 ///
-/// The order in which shards step within an epoch cannot change a result:
-/// each shard's epoch is a pure function of its owned slot, and the
-/// barrier merge order is fixed.
+/// [`run_until_idle`]: Self::run_until_idle
+/// [`run_guided`]: Self::run_guided
 pub struct EpochExecutor<W: ShardWorker> {
-    slots: Vec<ShardSlot<W>>,
-    lookahead: SimDuration,
+    worker: W,
+    outbox: Outbox<W::Event>,
     epochs: u64,
+    processed: u64,
+    peak: PeakMark,
     profile: Option<EpochProfile>,
 }
 
+/// The most events the queue has held at once. Dropped with its executor
+/// (or when the executor hands back its worker), it publishes the mark to
+/// the process-wide [`EVENT_QUEUE_PEAK`] gauge (reporting only).
+struct PeakMark(usize);
+
+impl Drop for PeakMark {
+    fn drop(&mut self) {
+        if self.0 > 0 {
+            EVENT_QUEUE_PEAK.record_max(self.0 as u64);
+        }
+    }
+}
+
 impl<W: ShardWorker> EpochExecutor<W> {
-    /// An executor over one worker per region, with the given conservative
-    /// `lookahead` (must be positive — a zero horizon cannot make
-    /// progress).
-    pub fn new(workers: Vec<W>, lookahead: SimDuration) -> Self {
-        assert!(!workers.is_empty(), "need at least one shard");
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "conservative lookahead must be positive"
-        );
-        let slots: Vec<ShardSlot<W>> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(i, worker)| ShardSlot {
-                worker,
-                outbox: Outbox {
-                    home: i,
-                    now: SimTime::ZERO,
-                    lookahead,
-                    high_water: None,
-                    queue: EventQueue::new(),
-                    remote: Vec::new(),
-                },
-                bound: SimTime::ZERO,
-                processed: 0,
-                peak: 0,
-                time_wall: false,
-                wall_ns: 0,
-            })
-            .collect();
+    /// An executor over `worker`, with an empty queue.
+    pub fn new(worker: W) -> Self {
         EpochExecutor {
-            slots,
-            lookahead,
+            worker,
+            outbox: Outbox {
+                now: SimTime::ZERO,
+                high_water: None,
+                queue: EventQueue::new(),
+            },
             epochs: 0,
+            processed: 0,
+            peak: PeakMark(0),
             profile: None,
         }
     }
 
-    /// Start collecting an [`EpochProfile`]: one sample per barrier epoch
-    /// from now on. With `wall` set, shards also accumulate wall-clock busy
+    /// Start collecting an [`EpochProfile`]: one sample per epoch from now
+    /// on. With `wall` set, epochs also measure their wall-clock
     /// nanoseconds (measurement only — sim results are unaffected either
     /// way, which the tests assert).
     pub fn enable_profile(&mut self, wall: bool) {
-        for slot in &mut self.slots {
-            slot.time_wall = wall;
-        }
         self.profile = Some(EpochProfile {
             wall,
             samples: Vec::new(),
@@ -1070,158 +885,100 @@ impl<W: ShardWorker> EpochExecutor<W> {
 
     /// Detach the collected profile, stopping further collection.
     pub fn take_profile(&mut self) -> Option<EpochProfile> {
-        for slot in &mut self.slots {
-            slot.time_wall = false;
-        }
         self.profile.take()
     }
 
-    /// Number of region shards.
-    pub fn shard_count(&self) -> usize {
-        self.slots.len()
+    /// Shared access to the worker state (between runs).
+    pub fn worker(&self) -> &W {
+        &self.worker
     }
 
-    /// The conservative lookahead horizon in force.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// Shared access to `shard`'s worker state (between runs).
-    pub fn worker(&self, shard: usize) -> &W {
-        &self.slots[shard].worker
-    }
-
-    /// Exclusive access to `shard`'s worker state (between runs; a running
+    /// Exclusive access to the worker state (between runs; a running
     /// executor is never observable from outside).
-    pub fn worker_mut(&mut self, shard: usize) -> &mut W {
-        &mut self.slots[shard].worker
+    pub fn worker_mut(&mut self) -> &mut W {
+        &mut self.worker
     }
 
-    /// Seed an initial event on `shard` (before or between runs).
-    pub fn seed(&mut self, shard: usize, at: SimTime, tiebreak: u64, ev: W::Event) {
-        self.slots[shard].outbox.queue.push(pack(at, tiebreak), ev);
+    /// Seed an initial event (before or between runs).
+    pub fn seed(&mut self, at: SimTime, tiebreak: u64, ev: W::Event) {
+        self.outbox.queue.push(pack(at, tiebreak), ev);
     }
 
-    /// Return every shard's high-water key to "nothing handled", so
+    /// Return the high-water key to "nothing handled", so
     /// [`Outbox::has_passed`] answers for a fresh run. For a caller that
     /// reseeds an idle executor, possibly before its last event, once its
-    /// workers hold no state keyed to the finished run.
+    /// worker holds no state keyed to the finished run.
     ///
     /// # Panics
     ///
     /// Panics if an event is still pending.
     pub fn forget_handled(&mut self) {
         assert!(
-            self.min_next().is_none(),
+            self.outbox.queue.is_empty(),
             "forget_handled on an executor with events pending"
         );
-        for slot in &mut self.slots {
-            slot.outbox.high_water = None;
-        }
+        self.outbox.high_water = None;
     }
 
-    /// Timestamp of the globally earliest pending event, if any.
-    fn min_next(&self) -> Option<SimTime> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.outbox.queue.peek().map(unpack_time))
-            .min()
-    }
-
-    /// Run one epoch with the given exclusive bound: every shard processes
-    /// its local events strictly below `bound`, then the barrier routes
-    /// cross-shard emissions into their destination queues in ascending
-    /// source-shard order — a fixed, shard-count-independent merge order.
-    fn run_epoch(&mut self, bound: SimTime) {
-        // Snapshot the profiler's "before" view first: the epoch's start is
-        // the global minimum pending event time, its per-shard deltas come
-        // from the monotonic processed / wall counters.
-        let before = self.profile.as_ref().map(|_| {
-            (
-                self.min_next().unwrap_or(bound),
-                self.slots.iter().map(|s| s.processed).collect::<Vec<_>>(),
-                self.slots.iter().map(|s| s.wall_ns).collect::<Vec<_>>(),
-            )
-        });
-        for slot in &mut self.slots {
-            slot.bound = bound;
-            slot.outbox.lookahead = self.lookahead;
-        }
-        for slot in &mut self.slots {
-            run_slot(slot);
-        }
-        let mut merged_in = vec![
-            0u64;
-            if before.is_some() {
-                self.slots.len()
-            } else {
-                0
-            }
-        ];
-        for src in 0..self.slots.len() {
-            let remote = std::mem::take(&mut self.slots[src].outbox.remote);
-            for (dest, at, tb, ev) in remote {
-                debug_assert!(at >= bound, "emit assertion admitted a past event");
-                if let Some(m) = merged_in.get_mut(dest) {
-                    *m += 1;
-                }
-                self.slots[dest].outbox.queue.push(pack(at, tb), ev);
-            }
+    /// Run one epoch: handle every pending event below `bound` (all of
+    /// them when `None`), in key order, emissions included. With no event
+    /// due there is no epoch.
+    fn run_epoch(&mut self, bound: Option<SimTime>) {
+        let limit = bound.map_or(u128::MAX, |b| pack(b, 0));
+        let Some(first) = self.outbox.queue.peek().filter(|&key| key < limit) else {
+            return;
+        };
+        let before = self.processed;
+        // Wall-clock here is reporting-only (the epoch profiler's optional
+        // overhead view) and never feeds back into simulation decisions; off,
+        // it costs one untaken branch.
+        let wall = self.profile.as_ref().is_some_and(|p| p.wall);
+        let t0 = wall.then(std::time::Instant::now); // lint-allow: wall-clock
+        let out = &mut self.outbox;
+        while let Some((key, ev)) = out.queue.pop_below(limit) {
+            let at = unpack_time(key);
+            out.now = at;
+            out.high_water = out.high_water.max(Some(key));
+            self.worker.handle(at, ev, out);
+            self.processed += 1;
+            self.peak.0 = self.peak.0.max(out.queue.len());
         }
         self.epochs += 1;
-        if let Some((start, processed_before, wall_before)) = before {
-            let processed: Vec<u64> = self
-                .slots
-                .iter()
-                .zip(&processed_before)
-                .map(|(s, b)| s.processed - b)
-                .collect();
-            let wall = self.profile.as_ref().is_some_and(|p| p.wall);
-            let wall_ns = wall.then(|| {
-                self.slots
-                    .iter()
-                    .zip(&wall_before)
-                    .map(|(s, b)| s.wall_ns - b)
-                    .collect()
+        if let Some(p) = self.profile.as_mut() {
+            let end = bound.unwrap_or(self.outbox.now + SimDuration::from_ps(1));
+            p.samples.push(EpochSample {
+                start_ps: unpack_time(first).as_ps(),
+                end_ps: end.as_ps(),
+                processed: self.processed - before,
+                wall_ns: t0
+                    .map(|t0| vec![u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)]),
             });
-            if let Some(p) = self.profile.as_mut() {
-                p.samples.push(EpochSample {
-                    start_ps: start.as_ps(),
-                    end_ps: bound.as_ps(),
-                    processed,
-                    merged: merged_in,
-                    wall_ns,
-                });
-            }
         }
     }
 
     fn report(&self) -> EpochReport {
         EpochReport {
             epochs: self.epochs,
-            processed: self.slots.iter().map(|s| s.processed).collect(),
-            shard_peaks: self.slots.iter().map(|s| s.peak).collect(),
+            processed: self.processed,
+            peak_queue_depth: self.peak.0,
         }
     }
 
-    /// Run barrier epochs until every shard's queue is empty.
+    /// Run until the queue is empty: one epoch, if anything is pending.
     pub fn run_until_idle(&mut self) -> EpochReport {
-        while let Some(t) = self.min_next() {
-            self.run_epoch(t + self.lookahead);
-        }
+        self.run_epoch(None);
         self.report()
     }
 
-    /// Run barrier epochs under a coordinating [`EpochGuide`] until every
-    /// queue is empty and the guide has no barriers left (or it votes
+    /// Run epochs under a coordinating [`EpochGuide`] until the queue is
+    /// empty and the guide has no barriers left (or it votes
     /// [`BarrierVerdict::Stop`]).
     ///
-    /// Each iteration the bound is `min(t + lookahead, b)` for global
-    /// minimum event time `t` and next guide barrier `b` — the bound is
-    /// exclusive, so no event at or beyond a barrier fires before the
-    /// guide has struck it. When `b <= t` (or no events remain) the guide
-    /// runs first; its injections and lookahead changes take effect for
-    /// the following epochs.
+    /// Each round asks the guide for its next barrier `b`, handles every
+    /// pending event strictly before `b`, then strikes `b` — so no event at
+    /// or beyond a barrier fires before the guide has struck it, and the
+    /// guide's injections take effect from `b` on. With no barrier left,
+    /// the round drains the queue and the run ends.
     ///
     /// # Panics
     ///
@@ -1230,60 +987,29 @@ impl<W: ShardWorker> EpochExecutor<W> {
     pub fn run_guided<G: EpochGuide<W>>(&mut self, guide: &mut G) -> EpochReport {
         let mut last_struck: Option<SimTime> = None;
         loop {
-            let min_next = self.min_next();
             let barrier = guide.next_barrier();
-            let bound = match (min_next, barrier) {
-                (None, None) => break,
-                (Some(t), Some(b)) if b > t => (t + self.lookahead).min(b),
-                (Some(t), None) => t + self.lookahead,
-                (_, Some(b)) => {
-                    // Every event strictly before `b` has fired (either no
-                    // events remain or the earliest is at/after `b`):
-                    // strike the barrier before anything at exactly `b`.
-                    assert!(
-                        last_struck.is_none_or(|p| b > p),
-                        "EpochGuide barrier did not advance past {b}"
-                    );
-                    last_struck = Some(b);
-                    let mut ctl = EpochControl {
-                        slots: &mut self.slots,
-                        lookahead: &mut self.lookahead,
-                        now: b,
-                    };
-                    match guide.at_barrier(b, &mut ctl) {
-                        BarrierVerdict::Continue => continue,
-                        BarrierVerdict::Stop => break,
-                    }
-                }
+            self.run_epoch(barrier);
+            let Some(b) = barrier else { break };
+            assert!(
+                last_struck.is_none_or(|p| b > p),
+                "EpochGuide barrier did not advance past {b}"
+            );
+            last_struck = Some(b);
+            let mut ctl = EpochControl {
+                worker: &mut self.worker,
+                queue: &mut self.outbox.queue,
+                now: b,
             };
-            self.run_epoch(bound);
+            if guide.at_barrier(b, &mut ctl) == BarrierVerdict::Stop {
+                break;
+            }
         }
         self.report()
     }
 
-    /// Return the workers (and whatever results they accumulated), in shard
-    /// order.
-    pub fn into_workers(mut self) -> Vec<W> {
-        self.flush_peak();
-        self.slots.drain(..).map(|s| s.worker).collect()
-    }
-
-    /// Publish the deepest shard queue seen to the process-wide
-    /// [`EVENT_QUEUE_PEAK`] gauge (reporting only) and reset the marks.
-    fn flush_peak(&mut self) {
-        let peak = self.slots.iter().map(|s| s.peak).max().unwrap_or(0);
-        if peak > 0 {
-            EVENT_QUEUE_PEAK.record_max(peak as u64);
-        }
-        for slot in &mut self.slots {
-            slot.peak = 0;
-        }
-    }
-}
-
-impl<W: ShardWorker> Drop for EpochExecutor<W> {
-    fn drop(&mut self) {
-        self.flush_peak();
+    /// Return the worker (and whatever results it accumulated).
+    pub fn into_worker(self) -> W {
+        self.worker
     }
 }
 
@@ -1291,16 +1017,13 @@ impl<W: ShardWorker> Drop for EpochExecutor<W> {
 mod tests {
     use super::*;
 
-    /// A toy partitioned simulation for executor tests: messages hop around
-    /// a ring of `nodes` nodes, one hop per `HOP_PS`, each shard owning a
-    /// contiguous band of nodes and logging the deliveries that terminate
-    /// in its band.
+    /// A toy simulation for executor tests: messages hop around a ring of
+    /// `nodes` nodes, one hop per `hop_ps`, and the worker logs every
+    /// delivery.
     struct RingWorker {
         nodes: usize,
-        shards: usize,
         hop_ps: u64,
         log: Vec<(u64, u64)>,
-        emitted: u64,
     }
 
     #[derive(Clone)]
@@ -1308,10 +1031,6 @@ mod tests {
         msg: u64,
         node: usize,
         remaining: u32,
-    }
-
-    fn region_of(node: usize, nodes: usize, shards: usize) -> usize {
-        node * shards / nodes
     }
 
     impl ShardWorker for RingWorker {
@@ -1322,174 +1041,95 @@ mod tests {
                 self.log.push((at.as_ps(), ev.msg));
                 return;
             }
-            let next = (ev.node + 1) % self.nodes;
-            let dest = region_of(next, self.nodes, self.shards);
-            // Shard-count-invariant tiebreak: message id and hop countdown.
+            // Identity-derived tiebreak: message id and hop countdown.
             let tb = ev.msg * 1_000 + u64::from(ev.remaining);
-            self.emitted += 1;
             out.emit(
-                dest,
                 at + SimDuration::from_ps(self.hop_ps),
                 tb,
                 Hop {
                     msg: ev.msg,
-                    node: next,
+                    node: (ev.node + 1) % self.nodes,
                     remaining: ev.remaining - 1,
                 },
             );
         }
     }
 
-    fn run_ring(shards: usize, hop_ps: u64, lookahead_ps: u64) -> Vec<(u64, u64)> {
-        let nodes = 16;
-        let workers: Vec<RingWorker> = (0..shards)
-            .map(|_| RingWorker {
-                nodes,
-                shards,
-                hop_ps,
-                log: Vec::new(),
-                emitted: 0,
-            })
-            .collect();
-        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(lookahead_ps));
-        for msg in 0..48u64 {
-            let node = (msg as usize * 5) % nodes;
+    fn ring(nodes: usize, hop_ps: u64) -> EpochExecutor<RingWorker> {
+        EpochExecutor::new(RingWorker {
+            nodes,
+            hop_ps,
+            log: Vec::new(),
+        })
+    }
+
+    /// Seed `msgs` messages of 3–11 hops at staggered instants.
+    fn seed_ring(exec: &mut EpochExecutor<RingWorker>, msgs: u64) {
+        for msg in 0..msgs {
             exec.seed(
-                region_of(node, nodes, shards),
                 SimTime::from_ps(msg % 7),
                 msg,
                 Hop {
                     msg,
-                    node,
+                    node: (msg as usize * 5) % 16,
                     remaining: 3 + (msg % 9) as u32,
                 },
             );
         }
-        let report = exec.run_until_idle();
-        assert!(report.epochs > 0);
-        assert_eq!(report.processed.len(), shards);
-        let mut merged: Vec<(u64, u64)> = exec
-            .into_workers()
-            .into_iter()
-            .flat_map(|w| w.log)
-            .collect();
-        merged.sort_unstable();
-        assert_eq!(merged.len(), 48, "every message delivered exactly once");
-        merged
     }
 
-    #[test]
-    fn executor_is_invariant_across_shard_counts() {
-        let reference = run_ring(1, 50, 50);
-        for shards in [2usize, 4] {
-            assert_eq!(
-                run_ring(shards, 50, 50),
-                reference,
-                "{shards} shards diverged"
-            );
+    /// Deliveries of a 48-message ring run, sorted, with the executor's
+    /// profile (when `profile` asks for one) and report.
+    fn run_ring(profile: Option<bool>) -> (Vec<(u64, u64)>, Option<EpochProfile>, EpochReport) {
+        let mut exec = ring(16, 50);
+        seed_ring(&mut exec, 48);
+        if let Some(wall) = profile {
+            exec.enable_profile(wall);
         }
-    }
-
-    fn run_ring_profiled(
-        shards: usize,
-        wall: bool,
-    ) -> (Vec<(u64, u64)>, EpochProfile, EpochReport) {
-        let nodes = 16;
-        let workers: Vec<RingWorker> = (0..shards)
-            .map(|_| RingWorker {
-                nodes,
-                shards,
-                hop_ps: 50,
-                log: Vec::new(),
-                emitted: 0,
-            })
-            .collect();
-        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(50));
-        for msg in 0..48u64 {
-            let node = (msg as usize * 5) % nodes;
-            exec.seed(
-                region_of(node, nodes, shards),
-                SimTime::from_ps(msg % 7),
-                msg,
-                Hop {
-                    msg,
-                    node,
-                    remaining: 3 + (msg % 9) as u32,
-                },
-            );
-        }
-        exec.enable_profile(wall);
         let report = exec.run_until_idle();
-        let profile = exec.take_profile().expect("profile was enabled");
-        let mut merged: Vec<(u64, u64)> = exec
-            .into_workers()
-            .into_iter()
-            .flat_map(|w| w.log)
-            .collect();
-        merged.sort_unstable();
-        (merged, profile, report)
+        let profile = exec.take_profile();
+        let mut log = exec.into_worker().log;
+        log.sort_unstable();
+        assert_eq!(log.len(), 48, "every message delivered exactly once");
+        (log, profile, report)
     }
 
     #[test]
     fn profiling_does_not_perturb_results_and_busy_sums_match_the_report() {
-        let plain = run_ring(4, 50, 50);
-        let (profiled, profile, report) = run_ring_profiled(4, false);
+        let (plain, none, plain_report) = run_ring(None);
+        assert!(none.is_none());
+        let (profiled, profile, report) = run_ring(Some(false));
         assert_eq!(profiled, plain, "profiling must not change sim results");
+        assert_eq!(report, plain_report);
+        let profile = profile.expect("profile was enabled");
+        // One run to idle is one epoch, spanning the first pending event
+        // to just past the last one handled.
         assert_eq!(profile.epochs() as u64, report.epochs);
-        assert_eq!(profile.shard_count(), 4);
-        assert_eq!(
-            profile.busy_per_shard(),
-            report.processed,
-            "per-epoch processed deltas must sum to the report totals"
-        );
-        // Epoch spans are well-formed, monotone sim-time intervals.
-        let mut prev_end = 0u64;
-        for s in &profile.samples {
-            assert!(s.start_ps < s.end_ps, "epoch span must be non-empty");
-            assert!(s.start_ps >= prev_end.saturating_sub(50), "epochs advance");
-            prev_end = s.end_ps;
-            assert_eq!(s.processed.len(), 4);
-            assert_eq!(s.merged.len(), 4);
-            assert!(s.wall_ns.is_none(), "wall profiling was off");
-        }
-        // The critical shard is the argmax of the busy series, and the
-        // imbalance metric is at least 1000 (max >= mean) once work ran.
-        let busy = profile.busy_per_shard();
-        assert_eq!(busy[profile.critical_shard()], *busy.iter().max().unwrap());
-        assert!(profile.imbalance_milli() >= 1000);
-        // Single-shard runs merge nothing; multi-shard ring traffic must.
-        assert!(profile.merged_per_shard().iter().sum::<u64>() > 0);
+        assert_eq!(profile.epochs(), 1);
+        assert_eq!(profile.events_per_epoch(), [report.processed]);
+        assert_eq!(profile.busy_per_shard(), [report.processed]);
+        assert_eq!(profile.shard_count(), 1);
+        assert_eq!(profile.merged_per_shard(), [0]);
+        let last = plain.iter().map(|&(at, _)| at).max().unwrap();
+        let s = &profile.samples[0];
+        assert_eq!((s.start_ps, s.end_ps), (0, last + 1));
+        assert!(s.wall_ns.is_none(), "wall profiling was off");
+        assert!(report.peak_queue_depth > 0);
     }
 
     #[test]
     fn wall_profiling_records_spans_without_perturbing_sim_time_fields() {
-        let (results, walled, _) = run_ring_profiled(2, true);
+        let (results, walled, _) = run_ring(Some(true));
+        let (reference_results, reference, _) = run_ring(Some(false));
+        assert_eq!(results, reference_results);
+        let (walled, reference) = (walled.unwrap(), reference.unwrap());
         assert!(walled.wall_clock());
-        assert_eq!(results, run_ring(2, 50, 50));
-        let (_, reference, _) = run_ring_profiled(2, false);
         assert_eq!(walled.epochs(), reference.epochs());
         for (w, r) in walled.samples.iter().zip(&reference.samples) {
-            assert_eq!(w.wall_ns.as_ref().map(Vec::len), Some(2));
+            assert_eq!(w.wall_ns.as_ref().map(Vec::len), Some(1));
             assert_eq!((w.start_ps, w.end_ps), (r.start_ps, r.end_ps));
-            assert_eq!(&w.processed, &r.processed);
-            assert_eq!(&w.merged, &r.merged);
+            assert_eq!(w.processed, r.processed);
         }
-    }
-
-    #[test]
-    fn executor_accepts_lookahead_below_actual_link_latency() {
-        // The lookahead only needs to be conservative (<= the true minimum
-        // inter-region latency); a smaller horizon costs epochs, not
-        // correctness.
-        assert_eq!(run_ring(4, 50, 20), run_ring(1, 50, 20));
-    }
-
-    #[test]
-    #[should_panic(expected = "lookahead violation")]
-    fn cross_shard_emission_inside_horizon_panics() {
-        // Claim a horizon larger than the hop latency: the first
-        // cross-region hop violates the contract and must be caught.
-        run_ring(4, 10, 500);
     }
 
     /// A guide for the ring simulation: at each barrier it records the
@@ -1500,8 +1140,6 @@ mod tests {
         struck: Vec<u64>,
         inject_msg: Option<u64>,
         stop_after: usize,
-        nodes: usize,
-        shards: usize,
     }
 
     impl EpochGuide<RingWorker> for RingGuide {
@@ -1517,14 +1155,12 @@ mod tests {
             self.barriers.remove(0);
             self.struck.push(at.as_ps());
             if let Some(msg) = self.inject_msg.take() {
-                let node = 3;
                 ctl.inject(
-                    region_of(node, self.nodes, self.shards),
                     at,
                     msg,
                     Hop {
                         msg,
-                        node,
+                        node: 3,
                         remaining: 4,
                     },
                 );
@@ -1537,78 +1173,46 @@ mod tests {
         }
     }
 
-    fn run_guided_ring(shards: usize) -> (Vec<u64>, Vec<(u64, u64)>) {
-        let nodes = 16;
-        let workers: Vec<RingWorker> = (0..shards)
-            .map(|_| RingWorker {
-                nodes,
-                shards,
-                hop_ps: 50,
-                log: Vec::new(),
-                emitted: 0,
-            })
-            .collect();
-        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(50));
-        for msg in 0..24u64 {
-            let node = (msg as usize * 5) % nodes;
-            exec.seed(
-                region_of(node, nodes, shards),
-                SimTime::from_ps(msg % 7),
-                msg,
-                Hop {
-                    msg,
-                    node,
-                    remaining: 3 + (msg % 9) as u32,
-                },
-            );
-        }
+    #[test]
+    fn guided_run_strikes_every_barrier_and_matches_an_unguided_run() {
+        let mut exec = ring(16, 50);
+        seed_ring(&mut exec, 24);
+        exec.enable_profile(false);
         let mut guide = RingGuide {
             barriers: vec![120, 250, 1_000_000],
             struck: Vec::new(),
             inject_msg: Some(77),
             stop_after: usize::MAX,
-            nodes,
-            shards,
         };
-        exec.run_guided(&mut guide);
-        let mut merged: Vec<(u64, u64)> = exec
-            .into_workers()
-            .into_iter()
-            .flat_map(|w| w.log)
-            .collect();
-        merged.sort_unstable();
-        (guide.struck, merged)
-    }
-
-    #[test]
-    fn guided_run_is_invariant_and_strikes_every_barrier() {
-        let reference = run_guided_ring(1);
-        assert_eq!(reference.0, [120, 250, 1_000_000], "all barriers struck");
+        let report = exec.run_guided(&mut guide);
+        assert_eq!(guide.struck, [120, 250, 1_000_000], "all barriers struck");
+        // Epochs end at the barriers: before 120, before 250, and the rest
+        // (every event fires before the last barrier).
+        let profile = exec.take_profile().unwrap();
+        let ends: Vec<u64> = profile.samples.iter().map(|s| s.end_ps).collect();
+        assert_eq!(ends, [120, 250, 1_000_000]);
+        assert_eq!(report.epochs, 3);
+        let mut log = exec.into_worker().log;
+        log.sort_unstable();
         assert!(
-            reference.1.iter().any(|&(_, msg)| msg == 77),
-            "barrier-injected message delivered"
+            log.iter().any(|&(at, msg)| msg == 77 && at == 120 + 4 * 50),
+            "barrier-injected message delivered from its barrier on"
         );
-        for shards in [2usize, 4] {
-            assert_eq!(
-                run_guided_ring(shards),
-                reference,
-                "{shards} shards diverged under guide"
-            );
-        }
+        // Barriers only stop the run: without the injection, the guided
+        // deliveries are the unguided ones.
+        let mut unguided = ring(16, 50);
+        seed_ring(&mut unguided, 24);
+        unguided.run_until_idle();
+        let mut plain = unguided.into_worker().log;
+        plain.sort_unstable();
+        log.retain(|&(_, msg)| msg != 77);
+        assert_eq!(log, plain);
     }
 
     #[test]
     fn guide_stop_verdict_halts_with_events_pending() {
-        let workers = vec![RingWorker {
-            nodes: 4,
-            shards: 1,
-            hop_ps: 10,
-            log: Vec::new(),
-            emitted: 0,
-        }];
-        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(10));
+        let mut exec = ring(4, 10);
         exec.seed(
-            0,
             SimTime::from_ps(500),
             1,
             Hop {
@@ -1622,27 +1226,49 @@ mod tests {
             struck: Vec::new(),
             inject_msg: None,
             stop_after: 1,
-            nodes: 4,
-            shards: 1,
         };
         let report = exec.run_guided(&mut guide);
         assert_eq!(guide.struck, [100]);
-        assert_eq!(report.processed, [0], "stop fires before the seeded event");
+        assert_eq!(report.processed, 0, "stop fires before the seeded event");
+    }
+
+    #[test]
+    #[should_panic(expected = "barrier did not advance")]
+    fn a_barrier_that_does_not_advance_panics() {
+        let mut exec = ring(4, 10);
+        let mut guide = RingGuide {
+            barriers: vec![100, 100],
+            struck: Vec::new(),
+            inject_msg: None,
+            stop_after: usize::MAX,
+        };
+        exec.run_guided(&mut guide);
+    }
+
+    /// Emits its follow-up 1 ps before the event it handles.
+    struct Backwards;
+
+    impl ShardWorker for Backwards {
+        type Event = ();
+
+        fn handle(&mut self, at: SimTime, (): (), out: &mut Outbox<()>) {
+            out.emit(SimTime::from_ps(at.as_ps() - 1), 0, ());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event emitted into the past")]
+    fn an_emission_into_the_past_panics() {
+        let mut exec = EpochExecutor::new(Backwards);
+        exec.seed(SimTime::from_ps(10), 0, ());
+        exec.run_until_idle();
     }
 
     #[test]
     fn extract_events_removes_matches_and_keeps_order() {
-        let workers = vec![RingWorker {
-            nodes: 4,
-            shards: 1,
-            hop_ps: 10,
-            log: Vec::new(),
-            emitted: 0,
-        }];
-        let mut exec = EpochExecutor::new(workers, SimDuration::from_ps(10));
+        let mut exec = ring(4, 10);
         for msg in 0..6u64 {
             exec.seed(
-                0,
                 SimTime::from_ps(100 + msg),
                 msg,
                 Hop {
@@ -1662,7 +1288,7 @@ mod tests {
                 _at: SimTime,
                 ctl: &mut EpochControl<'_, RingWorker>,
             ) -> BarrierVerdict {
-                let taken = ctl.extract_events(0, |_, ev| ev.msg % 2 == 0);
+                let taken = ctl.extract_events(|_, ev| ev.msg % 2 == 0);
                 self.0 = taken
                     .into_iter()
                     .map(|(at, _, ev)| (at.as_ps(), ev.msg))
@@ -1673,30 +1299,11 @@ mod tests {
         let mut guide = Extractor(Vec::new());
         exec.run_guided(&mut guide);
         assert_eq!(guide.0, [(100, 0), (102, 2), (104, 4)], "ascending order");
-        let delivered: Vec<u64> = exec
-            .into_workers()
-            .remove(0)
-            .log
-            .iter()
-            .map(|l| l.1)
-            .collect();
+        let delivered: Vec<u64> = exec.into_worker().log.iter().map(|l| l.1).collect();
         assert_eq!(delivered, [1, 3, 5], "survivors fire normally");
     }
 
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_lookahead_is_rejected() {
-        let workers = vec![RingWorker {
-            nodes: 4,
-            shards: 1,
-            hop_ps: 10,
-            log: Vec::new(),
-            emitted: 0,
-        }];
-        let _ = EpochExecutor::new(workers, SimDuration::ZERO);
-    }
-
-    /// Fans one seed event out into 100 same-shard follow-ups.
+    /// Fans one seed event out into 100 follow-ups.
     struct Fan;
 
     impl ShardWorker for Fan {
@@ -1705,7 +1312,7 @@ mod tests {
         fn handle(&mut self, at: SimTime, ev: u32, out: &mut Outbox<u32>) {
             if ev == 0 {
                 for i in 1..=100u32 {
-                    out.emit(0, at + SimDuration::from_ps(u64::from(i)), u64::from(i), i);
+                    out.emit(at + SimDuration::from_ps(u64::from(i)), u64::from(i), i);
                 }
             }
         }
@@ -1713,10 +1320,10 @@ mod tests {
 
     #[test]
     fn deepest_heap_reaches_the_process_gauge() {
-        let mut exec = EpochExecutor::new(vec![Fan], SimDuration::from_ps(1 << 40));
-        exec.seed(0, SimTime::ZERO, 0, 0);
-        exec.run_until_idle();
-        drop(exec.into_workers());
+        let mut exec = EpochExecutor::new(Fan);
+        exec.seed(SimTime::ZERO, 0, 0);
+        assert_eq!(exec.run_until_idle().peak_queue_depth, 100);
+        let Fan = exec.into_worker();
         // Other tests only ever raise the gauge, so the floor is exact.
         assert!(peak_event_depth() >= 100, "gauge {}", peak_event_depth());
     }

@@ -32,7 +32,7 @@ impl ShardWorker for Echo {
     fn handle(&mut self, at: SimTime, (tb, next): EchoEv, out: &mut Outbox<EchoEv>) {
         self.0.push((at.as_ps(), tb));
         if let Some((delay, child)) = next {
-            out.emit(0, at + SimDuration::from_ps(delay), child, (child, None));
+            out.emit(at + SimDuration::from_ps(delay), child, (child, None));
         }
     }
 }
@@ -80,7 +80,7 @@ impl ShardWorker for Probe {
             .collect();
         self.seen.push((tb, passed));
         if tb == self.emitter {
-            out.emit(0, at, self.child, self.child);
+            out.emit(at, self.child, self.child);
         }
     }
 }
@@ -89,7 +89,7 @@ proptest! {
     /// `has_passed` answers whether a key would already have fired: at the
     /// emitter and at the same-instant event it emits below itself alike,
     /// a key has passed exactly when it sorts at or below the emitter's,
-    /// the high-water of what the shard has handled. After
+    /// the high-water of what the executor has handled. After
     /// `forget_handled`, a reseeded event sees only its own key and below.
     #[test]
     fn a_backward_emission_sees_the_high_water_of_its_emitter(
@@ -101,9 +101,9 @@ proptest! {
         let child = emitter.saturating_sub(below);
         prop_assume!(child < emitter);
         let probe = Probe { emitter, child, probes: probes.clone(), seen: Vec::new() };
-        let mut exec = EpochExecutor::new(vec![probe], SimDuration::from_ps(1 << 40));
+        let mut exec = EpochExecutor::new(probe);
         let t = SimTime::from_ps(at);
-        exec.seed(0, t, emitter, emitter);
+        exec.seed(t, emitter, emitter);
         exec.run_until_idle();
         // An earlier instant has passed, a later one has not, and at the
         // instant itself the emitter's key is the high-water.
@@ -112,35 +112,35 @@ proptest! {
         };
         let expect = passed(emitter);
         prop_assert_eq!(
-            &exec.worker(0).seen,
+            &exec.worker().seen,
             &vec![(emitter, expect.clone()), (child, expect)]
         );
         exec.forget_handled();
-        exec.seed(0, t, child, child);
+        exec.seed(t, child, child);
         exec.run_until_idle();
-        prop_assert_eq!(&exec.worker(0).seen[2], &(child, passed(child)));
+        prop_assert_eq!(&exec.worker().seen[2], &(child, passed(child)));
     }
 
-    /// A single-shard executor fires events in `(time, tiebreak)` order,
+    /// The executor fires events in `(time, tiebreak)` order,
     /// whatever the seeding order: the event queue pops in exact key order
     /// whether the near-future ring or the far heap holds a key.
     #[test]
     fn executor_fires_in_time_then_tiebreak_order(
         events in prop::collection::vec((queue_times(), 0u64..8), 1..200),
     ) {
-        let mut exec = EpochExecutor::new(vec![Log(Vec::new())], SimDuration::from_ps(1 << 40));
+        let mut exec = EpochExecutor::new(Log(Vec::new()));
         for (i, &(t, tb)) in events.iter().enumerate() {
-            exec.seed(0, SimTime::from_ps(t), (tb << 16) | i as u64, (t, (tb << 16) | i as u64));
+            exec.seed(SimTime::from_ps(t), (tb << 16) | i as u64, (t, (tb << 16) | i as u64));
         }
         exec.run_until_idle();
-        let fired = &exec.worker(0).0;
+        let fired = &exec.worker().0;
         let mut sorted = fired.clone();
         sorted.sort_unstable();
         prop_assert_eq!(fired.len(), events.len());
         prop_assert_eq!(fired, &sorted);
     }
 
-    /// Same-shard follow-ups emitted during a run merge back into the
+    /// Follow-ups emitted during a run merge back into the
     /// queue and fire exactly when a sorted reference pops them: at the
     /// same instant (also below their emitter's key), inside the window
     /// and past it.
@@ -155,14 +155,14 @@ proptest! {
             1..60,
         ),
     ) {
-        let mut exec = EpochExecutor::new(vec![Echo(Vec::new())], SimDuration::from_ps(1 << 40));
+        let mut exec = EpochExecutor::new(Echo(Vec::new()));
         let mut reference = std::collections::BTreeMap::new();
         for (i, &(t, delay, below)) in seeds.iter().enumerate() {
             let i = i as u64;
             // Unique keys; a child tiebreak `i` sorts below its emitter's.
             let child = if below { i } else { (2 << 32) | i };
             let ev = ((1 << 32) | i, Some((delay, child)));
-            exec.seed(0, SimTime::from_ps(t), ev.0, ev);
+            exec.seed(SimTime::from_ps(t), ev.0, ev);
             reference.insert((t, ev.0), ev.1);
         }
         exec.run_until_idle();
@@ -173,7 +173,7 @@ proptest! {
                 reference.insert((t + delay, child), None);
             }
         }
-        let fired = &exec.worker(0).0;
+        let fired = &exec.worker().0;
         prop_assert_eq!(fired.len(), 2 * seeds.len());
         prop_assert_eq!(fired, &expect);
     }

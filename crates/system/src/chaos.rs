@@ -12,11 +12,6 @@
 //! still violates. The minimal schedule is packaged as a [`Reproducer`]:
 //! a self-contained, serializable description that [`replay`] can re-run
 //! bit-for-bit as a regression test.
-//!
-//! Trials alternate between one and two fabric regions so the
-//! conservative-lookahead machinery is fuzzed alongside the fault
-//! handling; the shard count is pinned per trial, so results never depend
-//! on the ambient `ALPHASIM_SHARDS`.
 
 use std::collections::BTreeSet;
 
@@ -97,8 +92,6 @@ impl Default for ChaosOptions {
 pub struct ChaosTrial {
     /// Schedule seed.
     pub seed: u64,
-    /// Fabric regions the trial ran with (pinned, alternating 1/2).
-    pub shards: usize,
     /// Faults that actually struck.
     pub faults_applied: Vec<FaultKind>,
     /// Campaign outcome.
@@ -119,8 +112,6 @@ pub struct Reproducer {
     pub outstanding: usize,
     /// Reads per CPU.
     pub requests_per_cpu: usize,
-    /// Pinned fabric-region count.
-    pub shards: usize,
     /// Retry policy the violating campaign ran under (replayed verbatim —
     /// retry pressure is part of what makes a schedule violate).
     pub retry: RetryPolicy,
@@ -214,7 +205,6 @@ impl Reproducer {
             cpus,
             outstanding,
             requests_per_cpu,
-            shards: usize_field(&root, "shards")?,
             retry,
             mutation,
             violations,
@@ -361,12 +351,10 @@ fn fresh_campaign(cpus: usize) -> FaultCampaign<FabricTopo> {
 }
 
 /// The campaign configuration every chaos trial runs under: the
-/// resilience experiment's loss-tolerant retry policy, with the shard
-/// count pinned explicitly so replays are environment-independent.
+/// resilience experiment's loss-tolerant retry policy.
 fn trial_cfg(
     opts: &ChaosOptions,
     plan: FaultPlan,
-    shards: usize,
     mutation: Option<RecoveryMutation>,
 ) -> FaultCampaignConfig {
     FaultCampaignConfig {
@@ -376,7 +364,6 @@ fn trial_cfg(
         plan,
         retry: opts.retry,
         watchdog_window: SimDuration::from_us(250.0),
-        shards,
         mutation,
         ..Default::default()
     }
@@ -386,11 +373,10 @@ fn trial_cfg(
 fn run_plan(
     opts: &ChaosOptions,
     plan: &FaultPlan,
-    shards: usize,
     mutation: Option<RecoveryMutation>,
 ) -> (CampaignResult, MonitorReport) {
     let campaign = fresh_campaign(opts.cpus);
-    let cfg = trial_cfg(opts, plan.clone(), shards, mutation);
+    let cfg = trial_cfg(opts, plan.clone(), mutation);
     let (result, _telemetry, report) = campaign.run_monitored(&cfg);
     (result, report)
 }
@@ -402,10 +388,9 @@ fn shrink_violating_plan(
     opts: &ChaosOptions,
     catalog: &SiteCatalog,
     mut plan: FaultPlan,
-    shards: usize,
 ) -> (FaultPlan, Vec<String>) {
     let mut spent = 0usize;
-    let mut monitors = run_plan(opts, &plan, shards, opts.mutation)
+    let mut monitors = run_plan(opts, &plan, opts.mutation)
         .1
         .violations
         .into_iter()
@@ -415,7 +400,7 @@ fn shrink_violating_plan(
     'outer: while spent < opts.shrink_budget {
         for cand in shrink_candidates(&plan, catalog) {
             spent += 1;
-            let (_, report) = run_plan(opts, &cand, shards, opts.mutation);
+            let (_, report) = run_plan(opts, &cand, opts.mutation);
             if !report.is_clean() {
                 plan = cand;
                 monitors = report.violations.into_iter().map(|v| v.monitor).collect();
@@ -442,18 +427,15 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     for i in 0..opts.trials {
         let seed = opts.base_seed.wrapping_add(i as u64);
         let plan = opts.config.generate(seed, &catalog);
-        // Alternate shard counts so the lookahead path is fuzzed too.
-        let shards = 1 + (i % 2);
-        let (result, report) = run_plan(opts, &plan, shards, opts.mutation);
+        let (result, report) = run_plan(opts, &plan, opts.mutation);
         if !report.is_clean() {
-            let (minimal, monitors) = shrink_violating_plan(opts, &catalog, plan.clone(), shards);
+            let (minimal, monitors) = shrink_violating_plan(opts, &catalog, plan.clone());
             let tag = opts.mutation.map_or("sim", RecoveryMutation::id);
             reproducers.push(Reproducer {
                 name: format!("chaos-{tag}-seed{seed}"),
                 cpus: opts.cpus,
                 outstanding: opts.outstanding,
                 requests_per_cpu: opts.requests_per_cpu,
-                shards,
                 retry: opts.retry,
                 mutation: opts.mutation.map(|m| m.id().to_string()),
                 violations: monitors,
@@ -462,7 +444,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
         }
         trials.push(ChaosTrial {
             seed,
-            shards,
             faults_applied: result.faults_applied.clone(),
             result,
             report,
@@ -495,7 +476,7 @@ pub fn replay(rep: &Reproducer) -> Result<(CampaignResult, MonitorReport), Strin
         retry: rep.retry,
         ..ChaosOptions::default()
     };
-    Ok(run_plan(&opts, &rep.plan, rep.shards, mutation))
+    Ok(run_plan(&opts, &rep.plan, mutation))
 }
 
 /// Replay a reproducer with its mutation stripped: the same schedule on
@@ -617,7 +598,6 @@ mod tests {
             cpus: 16,
             outstanding: 6,
             requests_per_cpu: 10,
-            shards: 1,
             retry: ChaosOptions::default().retry,
             mutation: Some("no-such-mutation".into()),
             violations: vec![],
@@ -651,7 +631,6 @@ mod tests {
             cpus: 16,
             outstanding: 6,
             requests_per_cpu: 20,
-            shards: 2,
             retry: RetryPolicy {
                 timeout: SimDuration::from_us(1.0),
                 backoff_base: SimDuration::from_ns(250.0),
@@ -709,5 +688,28 @@ mod tests {
         assert!(Reproducer::from_json(truncated)
             .unwrap_err()
             .starts_with("bad JSON"));
+    }
+
+    #[test]
+    fn committed_corpus_files_round_trip_byte_for_byte() {
+        // A field the format no longer has would parse, but not come back
+        // as the same bytes: the corpus cannot drift from the format
+        // unnoticed.
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/chaos-corpus");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&dir).expect("corpus directory") {
+            let path = entry.expect("corpus entry").path();
+            let json = std::fs::read_to_string(&path).expect("corpus file reads");
+            let rep = Reproducer::from_json(&json).expect("corpus file parses");
+            assert_eq!(
+                rep.to_json(),
+                json,
+                "{} drifted from the format",
+                path.display()
+            );
+            files += 1;
+        }
+        assert!(files > 0, "no corpus files under {}", dir.display());
     }
 }

@@ -1,25 +1,23 @@
-//! The partitioned closed-loop engine.
+//! The closed-loop engine.
 //!
 //! Every closed-loop experiment runs here: the load test
 //! ([`crate::loadtest::LoadTest`], Figs. 15, 18 and 23–27) and the fault
 //! campaign ([`crate::faulty::FaultCampaign`], the resilience sweep and the
 //! chaos engine). Every CPU keeps a window of reads outstanding to the
-//! memory sites its [`TrafficPattern`] picks, and the loop is partitioned
-//! by torus row band so the conservative epoch scheduler
-//! ([`EpochExecutor`]) can advance each region up to a shared horizon on
-//! its own heap:
+//! memory sites its [`TrafficPattern`] picks, on the kernel's epoch
+//! scheduler ([`EpochExecutor`]): one worker, one event queue, and a guide
+//! that strikes barriers:
 //!
-//! * [`CampaignWorker`] is one region's slice of everything mutable: the
-//!   [`RegionNet`] link state, a [`Requester`] (pending set and deadline
-//!   queue) per CPU it owns, the [`Zbox`] controllers of the memory sites
-//!   it owns, per-CPU RNGs and issue counters, and the region's share of
-//!   every result stream (latency samples, completions, poisons,
-//!   violations, trace events).
+//! * [`CampaignWorker`] holds everything mutable: the [`RegionNet`] link
+//!   state, a [`Requester`] (pending set and deadline queue) per CPU, the
+//!   [`Zbox`] controller of every memory site, per-CPU RNGs and issue
+//!   counters, and every result stream (latency samples, completions,
+//!   poisons, violations, trace events).
 //! * [`CampaignGuide`] is the barrier coordinator: it holds the master
 //!   [`FabricTables`], strikes fault-plan events, watchdog ticks and
 //!   Fig. 24 samples as epoch barriers, mutates worker link state under
 //!   [`EpochControl`], condemns in-flight packets on dead wires, and
-//!   republishes the routing snapshot plus the conservative lookahead.
+//!   republishes the routing snapshot.
 //!
 //! A run with a retry policy (the campaign) tracks every read in its
 //! CPU's pending set until it completes or is poisoned, queues each
@@ -32,18 +30,19 @@
 //! reads complete.
 //!
 //! Determinism is by construction, not by luck: every event carries a
-//! shard-count-invariant tiebreak (packet uid, link id, transaction tag,
-//! CPU index — never a slot or arrival order), per-CPU RNGs advance only
-//! in the CPU's owning region, and every result stream is merged into a
+//! tiebreak derived from simulation identities (packet uid, link id,
+//! transaction tag, CPU index — never a slot or arrival order), each CPU
+//! draws from its own RNG stream, and every result stream is put into a
 //! canonical order after the run. The same config therefore produces the
-//! same bytes at any `--shards` count — the invariant `reproduce --check`
-//! enforces for every committed artifact.
+//! same bytes — the invariant `reproduce --check` enforces for every
+//! committed artifact.
 //!
 //! The compiler proves the worker/guide state partition: guide state is
 //! not a field of [`CampaignWorker`], and the kernel's shard types keep
-//! the [`EpochControl`] inside barriers and the outbox the only way across
-//! regions (their `compile_fail` examples show how). The determinism lint
-//! (`verify --bin lint`) rejects a shared accumulator field here.
+//! the [`EpochControl`] inside barriers and the outbox the worker's only
+//! way into its queue (their `compile_fail` examples show how). The
+//! determinism lint (`verify --bin lint`) rejects a shared accumulator
+//! field here.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -55,7 +54,7 @@ use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochGuide, Outbox, S
 use alphasim_kernel::{DetRng, FaultEvent, FaultKind, SimDuration, SimTime};
 use alphasim_mem::Zbox;
 use alphasim_net::partition::{
-    tb_arrive, tb_inject, tb_timer, FabricEvent, FabricLinks, FabricTables, Packet, RegionNet,
+    tb_arrive, tb_inject, tb_timer, FabricEvent, FabricTables, Packet, RegionNet,
 };
 use alphasim_net::{FaultError, MessageClass};
 use alphasim_telemetry::trace::PID_MEMORY;
@@ -105,18 +104,15 @@ pub(crate) enum Ev {
         /// The packet in flight.
         pkt: Box<Packet<Carried>>,
     },
-    /// An owned link's channel frees up.
+    /// A link's channel frees up.
     LinkFree {
         /// Global link id.
         link: usize,
     },
-    /// A CPU's retry wake-up, in its region: at most one is armed per
-    /// CPU, at the CPU's earliest live deadline and keyed exactly as that
-    /// attempt's own timer would be (`(deadline, tb_timer(tag))`), so an
-    /// expiry keeps its place among simultaneous events. It is per CPU,
-    /// not per region, because which wake-ups fire then depends only on
-    /// the CPU's own reads, never on which CPUs share its region: the
-    /// event count stays shard-count invariant.
+    /// A CPU's retry wake-up: at most one is armed per CPU, at the CPU's
+    /// earliest live deadline and keyed exactly as that attempt's own
+    /// timer would be (`(deadline, tb_timer(tag))`), so an expiry keeps its
+    /// place among simultaneous events.
     Timer {
         /// Tag of the attempt the wake-up is keyed by.
         tag: u64,
@@ -146,7 +142,7 @@ impl FabricEvent<Carried> for Ev {
     }
 }
 
-/// Immutable campaign parameters shared by every worker.
+/// Immutable campaign parameters, shared by the worker and the guide.
 pub(crate) struct CampaignCfg {
     /// Outstanding reads per CPU.
     pub(crate) outstanding: usize,
@@ -174,9 +170,9 @@ pub(crate) struct CampaignCfg {
 /// A timer key: an attempt's deadline and its transaction tag.
 type Deadline = (SimTime, u64);
 
-/// One requester CPU's retry bookkeeping, held by the region that owns
-/// the CPU: its outstanding reads and the deadline of every attempt it
-/// launched, plus the key of its one armed wake-up.
+/// One requester CPU's retry bookkeeping: its outstanding reads and the
+/// deadline of every attempt it launched, plus the key of its one armed
+/// wake-up.
 ///
 /// An attempt is *live* while its read is pending and has not been retried
 /// to a later deadline; only a live attempt's expiry does anything. A
@@ -277,63 +273,60 @@ fn wake_up((deadline, tag): Deadline) -> (SimTime, u64, Ev) {
     (deadline, tb_timer(tag), Ev::Timer { tag })
 }
 
-/// One region's slice of the closed-loop campaign state.
+/// The closed-loop campaign state.
 pub(crate) struct CampaignWorker {
     /// Shared campaign parameters.
     pub(crate) cfg: Arc<CampaignCfg>,
     /// Every CPU endpoint, indexed by CPU number.
     pub(crate) cpus: Arc<Vec<NodeId>>,
-    /// This region's fabric slice.
+    /// The fabric.
     pub(crate) net: RegionNet<Carried>,
-    /// Per-CPU RNG streams; only owned CPUs ever advance, so the per-CPU
-    /// draw sequence is shard-count invariant.
+    /// Per-CPU RNG streams.
     pub(crate) rngs: Vec<DetRng>,
-    /// Per-CPU issue counters (only owned CPUs are nonzero).
+    /// Per-CPU issue counters.
     pub(crate) issued: Vec<u64>,
-    /// Per-CPU pending sets and deadline queues, indexed by CPU number
-    /// (only the CPUs this region owns ever hold reads).
+    /// Per-CPU pending sets and deadline queues, indexed by CPU number.
     pub(crate) requesters: Vec<Requester>,
     /// Reads abandoned with a named cause.
     pub(crate) poisoned: Vec<PoisonedTx>,
-    /// Highest attempt count any owned transaction reached.
+    /// Highest attempt count any transaction reached.
     pub(crate) max_attempts: u32,
-    /// Raw end-to-end latency samples (merged and folded after the run).
+    /// Raw end-to-end latency samples (folded after the run).
     pub(crate) latency_samples: Vec<SimDuration>,
     /// `(time, tag)` of every completion, for the steady-state bandwidth.
     pub(crate) completions: Vec<(SimTime, u64)>,
-    /// Pending-set occupancy deltas `(time_ps, ±1)`; the global peak is a
-    /// prefix-sum max over the merged logs.
+    /// Pending-set occupancy deltas `(time_ps, ±1)`; the peak is a
+    /// prefix-sum max over the sorted log.
     pub(crate) pending_log: Vec<(u64, i8)>,
     /// Timestamped monitor violations `(time_ps, monitor, detail)`.
     pub(crate) violations: Vec<(u64, String, String)>,
-    /// Time of the last delivery (request or response) in this region.
+    /// Time of the last delivery (request or response).
     pub(crate) last_delivery: SimTime,
-    /// Time of the last event this region handled.
+    /// Time of the last event handled.
     pub(crate) last_event: SimTime,
-    /// Sum of the end-to-end latencies of the reads completed here
-    /// (retry-free runs).
+    /// Sum of the end-to-end latencies of the reads completed (retry-free
+    /// runs).
     pub(crate) total_latency: SimDuration,
-    /// Reads completed here (retry-free runs; a retrying run counts them
-    /// in its pending set).
+    /// Reads completed (retry-free runs; a retrying run counts them in its
+    /// pending set).
     pub(crate) completed: u64,
-    /// Memory controllers of the memory sites this region owns, indexed by
-    /// node id (`None` for foreign nodes and nodes without memory).
+    /// The memory controller of each memory site, indexed by node id
+    /// (`None` for nodes without memory).
     pub(crate) zboxes: Vec<Option<Zbox>>,
     /// Per-CPU: whether the node was ever drained (set at the barrier by
     /// the guide; exempts the CPU from window-refill and issue-quota
     /// checks).
     pub(crate) ever_drained: Vec<bool>,
-    /// Per-region latency attribution, present on collecting runs.
+    /// Latency attribution, present on collecting runs.
     pub(crate) breakdown: Option<BreakdownTable>,
     /// Windowed campaign-plane observability, present on observed runs.
     pub(crate) obs: Option<Box<ObsAcc>>,
-    /// Packets of completed reads, which this region's CPUs' next requests
-    /// are rebuilt in, so a read allocates nothing once the windows are
+    /// Packets of completed reads, which the CPUs' next requests are
+    /// rebuilt in, so a read allocates nothing once the windows are
     /// primed. A request's response comes home in the request's own box,
-    /// to the region that sent it, and the list grows only when a
-    /// completion issues no next read, so it never outgrows the owned
-    /// CPUs' windows. The allocations are what is kept, so the list holds
-    /// boxes.
+    /// and the list grows only when a completion issues no next read, so
+    /// it never outgrows the CPUs' windows. The allocations are what is
+    /// kept, so the list holds boxes.
     #[allow(clippy::vec_box)]
     pub(crate) spare: Vec<Box<Packet<Carried>>>,
 }
@@ -395,7 +388,7 @@ impl CampaignWorker {
                 let served_from = at + self.cfg.directory_overhead;
                 let zbox = self.zboxes[home.index()]
                     .as_mut()
-                    .expect("the memory site's zbox is owned by this region");
+                    .expect("a request's home is a memory site");
                 let acc = zbox.access(served_from, addr, 64);
                 if let Some(sink) = self.net.trace_mut() {
                     sink.complete(
@@ -432,7 +425,6 @@ impl CampaignWorker {
                 };
                 pkt.reply(MessageClass::BlockResponse, 80, uid, acc.completed, carried);
                 out.emit(
-                    self.net.region(),
                     acc.completed,
                     tb_arrive(uid),
                     Ev::Arrive { node: home, pkt },
@@ -499,10 +491,10 @@ impl CampaignWorker {
         self.requesters.iter().map(|r| &r.pending)
     }
 
-    /// Arm a wake-up at `key` in this region.
+    /// Arm a wake-up at `key`.
     fn arm(&self, key: Deadline, out: &mut Outbox<Ev>) {
         let (at, tiebreak, ev) = wake_up(key);
-        out.emit(self.net.region(), at, tiebreak, ev);
+        out.emit(at, tiebreak, ev);
     }
 
     /// Queue `cpu`'s attempt of `tag` that times out at `deadline`, arming
@@ -578,9 +570,8 @@ impl CampaignWorker {
     }
 
     /// Launch attempt `attempt` of transaction `tag` into the fabric at
-    /// `at`, in a spare packet when the region holds one. The packet uid
-    /// is derived from tag and attempt (responses take `uid | 1`), so
-    /// identities are shard-count invariant.
+    /// `at`, in a spare packet when there is one. The packet uid is
+    /// derived from tag and attempt (responses take `uid | 1`).
     fn send_request(
         &mut self,
         at: SimTime,
@@ -603,12 +594,7 @@ impl CampaignWorker {
             }
             None => Packet::new(src, home, MessageClass::Request, 16, tag, uid, at, carried),
         };
-        out.emit(
-            self.net.region(),
-            at,
-            tb_arrive(uid),
-            Ev::Arrive { node: src, pkt },
-        );
+        out.emit(at, tb_arrive(uid), Ev::Arrive { node: src, pkt });
     }
 
     /// A transaction timed out or its packet died with a wire: re-issue
@@ -813,10 +799,10 @@ fn applied<T>(r: Result<T, FaultError>) -> T {
 
 /// The barrier coordinator: owns the master fabric tables and the fault
 /// plan, strikes fault events, watchdog ticks and samples at epoch
-/// barriers, and keeps every worker's routing snapshot and the
-/// conservative lookahead in sync with the wounded fabric.
+/// barriers, and keeps the worker's routing snapshot in sync with the
+/// wounded fabric.
 pub(crate) struct CampaignGuide {
-    /// The master routing snapshot, shared with every worker: a fabric
+    /// The master routing snapshot, shared with the worker: a fabric
     /// mutation copies it on write and republishes the copy.
     pub(crate) master: Arc<FabricTables>,
     /// Every CPU endpoint, indexed by CPU number.
@@ -881,8 +867,7 @@ impl EpochGuide<CampaignWorker> for CampaignGuide {
                 self.dog_next = at + self.window;
             }
             self.live = self.plan_idx < self.plan.len()
-                || (0..ctl.shard_count())
-                    .any(|s| ctl.worker(s).pending_sets().any(|set| !set.is_empty()));
+                || ctl.worker().pending_sets().any(|set| !set.is_empty());
         }
         if self.sampler.as_ref().is_some_and(|s| s.next_at == Some(at)) {
             self.sample(at, ctl);
@@ -894,13 +879,12 @@ impl EpochGuide<CampaignWorker> for CampaignGuide {
 impl CampaignGuide {
     /// Take the sample due at barrier `at` — every event before it has
     /// fired, none at or after it has — or stop sampling once nothing is
-    /// left to happen: every heap is empty and no link frees up at or
+    /// left to happen: the queue is empty and no link frees up at or
     /// after the barrier.
     fn sample(&mut self, at: SimTime, ctl: &EpochControl<'_, CampaignWorker>) {
         let s = self.sampler.as_mut().expect("a sample is due");
-        let done = ctl.is_idle()
-            && (0..ctl.shard_count())
-                .all(|r| ctl.worker(r).net.latest_release().is_none_or(|t| t < at));
+        let worker = ctl.worker();
+        let done = ctl.is_idle() && worker.net.latest_release().is_none_or(|t| t < at);
         if done {
             s.next_at = None;
             return;
@@ -913,13 +897,12 @@ impl CampaignGuide {
         };
         let mut zbox = Vec::with_capacity(self.cfg.homes.len());
         for (&site, prev) in self.cfg.homes.iter().zip(&mut s.prev_zbox_busy) {
-            let owner = self.master.region_of(site);
-            let busy = ctl.worker(owner).zboxes[site.index()]
+            let busy = worker.zboxes[site.index()]
                 .as_ref()
                 .map_or(SimDuration::ZERO, Zbox::busy_time);
             zbox.push(share(busy, prev));
         }
-        let links = FabricLinks::gather((0..ctl.shard_count()).map(|r| &ctl.worker(r).net));
+        let links = worker.net.links();
         let ew = links.mean_busy_where(|d| d.is_some_and(|d| d.is_horizontal()));
         let ns = links.mean_busy_where(|d| d.is_some_and(|d| !d.is_horizontal()));
         let east_west = share(ew, &mut s.prev_ew_busy);
@@ -933,21 +916,10 @@ impl CampaignGuide {
         s.next_at = Some(at + s.every);
     }
 
-    /// Republish the master tables to every worker and bound the next
-    /// epochs by their lookahead, so route lookups inside those epochs see
-    /// the fabric as it stands at this barrier. Killing the fastest cross
-    /// link *grows* the horizon; restoring it shrinks it — both safe, since
-    /// the contract is only checked on new emissions.
+    /// Republish the master tables to the worker, so route lookups in
+    /// the next epochs see the fabric as it stands at this barrier.
     fn republish(&self, ctl: &mut EpochControl<'_, CampaignWorker>) {
-        ctl.set_lookahead(self.master.lookahead());
-        for s in 0..ctl.shard_count() {
-            ctl.worker_mut(s).net.set_tables(self.master.clone());
-        }
-    }
-
-    /// The region that owns (sends on) directed link `id`.
-    fn owner_of(&self, id: usize) -> usize {
-        self.master.region_of(self.master.link_meta(id).0)
+        ctl.worker_mut().net.set_tables(self.master.clone());
     }
 
     /// Apply one fault strike at barrier `b`; an inapplicable fault
@@ -963,35 +935,30 @@ impl CampaignGuide {
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
                 for id in applied(Arc::make_mut(&mut self.master).fail_link(na, nb)) {
                     let from = self.master.link_meta(id).0;
-                    let owner = self.master.region_of(from);
                     // Queued packets are evicted and re-routed from the
                     // sending side over the rebuilt tables.
-                    let evicted = ctl.worker_mut(owner).net.evict_queued(id);
+                    let evicted = ctl.worker_mut().net.evict_queued(id);
                     for pkt in evicted {
                         self.rerouted += 1;
                         let uid = pkt.uid;
-                        ctl.inject(owner, b, tb_arrive(uid), Ev::Arrive { node: from, pkt });
+                        ctl.inject(b, tb_arrive(uid), Ev::Arrive { node: from, pkt });
                     }
                     // Drop-in-flight: condemn the packet on the wire. A
                     // ticket whose arrival already fired is stale.
-                    let Some(ticket) = ctl.worker(owner).net.in_flight_ticket(id) else {
+                    let Some(ticket) = ctl.worker().net.in_flight_ticket(id) else {
                         continue;
                     };
                     if ticket.arrive_at < b {
                         continue;
                     }
-                    let dest_region = self.master.region_of(ticket.dest);
                     let uid = ticket.uid;
-                    let condemned = ctl.extract_events(dest_region, |at, ev| {
+                    let condemned = ctl.extract_events(|at, ev| {
                         at == ticket.arrive_at
                             && matches!(ev, Ev::Arrive { pkt, .. } if pkt.uid == uid)
                     });
                     if !condemned.is_empty() {
                         self.dropped += 1;
-                        let requester = self.cpus[(ticket.tag >> 32) as usize];
-                        let req_region = self.master.region_of(requester);
                         ctl.inject(
-                            req_region,
                             ticket.arrive_at,
                             tb_arrive(uid),
                             Ev::DropNotice { tag: ticket.tag },
@@ -1008,7 +975,7 @@ impl CampaignGuide {
                     // repairing a healthy full-speed link errs.
                     let degraded = ids
                         .iter()
-                        .any(|&id| ctl.worker(self.owner_of(id)).net.link(id).is_degraded());
+                        .any(|&id| ctl.worker().net.link(id).is_degraded());
                     if !degraded {
                         refused(FaultError::AlreadyInState {
                             a: na,
@@ -1021,8 +988,7 @@ impl CampaignGuide {
                     self.republish(ctl);
                 }
                 for id in ids {
-                    let owner = self.owner_of(id);
-                    ctl.worker_mut(owner).net.link_mut(id).set_degrade(1);
+                    ctl.worker_mut().net.link_mut(id).set_degrade(1);
                 }
             }
             FaultKind::LinkDegrade { a, b: other } => {
@@ -1030,12 +996,7 @@ impl CampaignGuide {
                 let ids = applied(self.master.link_ids(na, nb));
                 let what = if !self.master.is_alive(ids[0]) {
                     Some("is dead; cannot degrade")
-                } else if ctl
-                    .worker(self.owner_of(ids[0]))
-                    .net
-                    .link(ids[0])
-                    .is_degraded()
-                {
+                } else if ctl.worker().net.link(ids[0]).is_degraded() {
                     Some("is already degraded")
                 } else {
                     None
@@ -1044,9 +1005,10 @@ impl CampaignGuide {
                     refused(FaultError::BadState { a: na, b: nb, what });
                 }
                 for id in ids {
-                    let owner = self.owner_of(id);
-                    let link = ctl.worker_mut(owner).net.link_mut(id);
-                    link.set_degrade(DEGRADE_FACTOR);
+                    ctl.worker_mut()
+                        .net
+                        .link_mut(id)
+                        .set_degrade(DEGRADE_FACTOR);
                 }
             }
             FaultKind::FlitCorrupt { from, to } => {
@@ -1059,21 +1021,18 @@ impl CampaignGuide {
                         what: "is dead; cannot corrupt a flit",
                     });
                 }
-                let owner = self.master.region_of(nf);
-                ctl.worker_mut(owner).net.link_mut(id).arm_corruption();
+                ctl.worker_mut().net.link_mut(id).arm_corruption();
             }
             FaultKind::RouterPause { node, ps } => {
                 let n = NodeId::new(node);
                 let until = b + SimDuration::from_ps(ps);
-                let region = self.master.region_of(n);
-                ctl.worker_mut(region).net.pause_router(n, until);
+                ctl.worker_mut().net.pause_router(n, until);
             }
             FaultKind::NodeDrain { node } => {
                 let n = NodeId::new(node);
                 Arc::make_mut(&mut self.master).set_drained(n, true);
                 if let Some(cpu) = self.cpus.iter().position(|c| c.index() == node) {
-                    let region = self.master.region_of(n);
-                    ctl.worker_mut(region).ever_drained[cpu] = true;
+                    ctl.worker_mut().ever_drained[cpu] = true;
                 }
                 self.republish(ctl);
             }
@@ -1084,22 +1043,19 @@ impl CampaignGuide {
                 if let Some(cpu) = self.cpus.iter().position(|c| c.index() == node) {
                     // The node resumes service: refill its issue window so
                     // it works toward its quota again.
-                    let region = self.master.region_of(self.cpus[cpu]);
-                    ctl.inject(region, b, tb_inject(cpu), Ev::Inject { cpu });
+                    ctl.inject(b, tb_inject(cpu), Ev::Inject { cpu });
                 }
             }
             FaultKind::ChannelDown { node } => {
-                let region = self.master.region_of(NodeId::new(node));
-                ctl.worker_mut(region).zboxes[node]
+                ctl.worker_mut().zboxes[node]
                     .as_mut()
-                    .expect("home node's zbox is owned by this region")
+                    .expect("a channel fault strikes a memory site")
                     .fail_channel();
             }
             FaultKind::ChannelUp { node } => {
-                let region = self.master.region_of(NodeId::new(node));
-                let zbox = ctl.worker_mut(region).zboxes[node]
+                let zbox = ctl.worker_mut().zboxes[node]
                     .as_mut()
-                    .expect("home node's zbox is owned by this region");
+                    .expect("a channel fault strikes a memory site");
                 // Repair symmetry for the RDRAM channel loss; tolerate a
                 // stray repair on a healthy Zbox.
                 if zbox.failed_channels() > 0 {
@@ -1109,24 +1065,18 @@ impl CampaignGuide {
         }
     }
 
-    /// One watchdog tick at barrier `now`: fold every region's delivery
-    /// progress into the detector, check the merged pending sets, and (on
-    /// monitored runs) escalate after [`STUCK_WINDOW_LIMIT`] consecutive
-    /// silent windows so a broken recovery path cannot hang the harness.
+    /// One watchdog tick at barrier `now`: fold the delivery progress into
+    /// the detector, check every CPU's pending set, and (on monitored runs)
+    /// escalate after [`STUCK_WINDOW_LIMIT`] consecutive silent windows so
+    /// a broken recovery path cannot hang the harness.
     fn dog_tick(
         &mut self,
         now: SimTime,
         ctl: &mut EpochControl<'_, CampaignWorker>,
     ) -> BarrierVerdict {
-        let shard_count = ctl.shard_count();
-        let progress = (0..shard_count)
-            .map(|s| ctl.worker(s).last_delivery)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        self.dog.note_progress(progress);
-        let sets: Vec<&PendingSet> = (0..shard_count)
-            .flat_map(|s| ctl.worker(s).pending_sets())
-            .collect();
+        let worker = ctl.worker();
+        self.dog.note_progress(worker.last_delivery);
+        let sets: Vec<&PendingSet> = worker.pending_sets().collect();
         match self.dog.check_many(now, &sets) {
             Some(report) => {
                 self.reports.push(report);

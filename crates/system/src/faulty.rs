@@ -12,14 +12,12 @@
 //! reports the stuck set if delivery progress ever stops for a whole
 //! window.
 //!
-//! Campaigns execute on the partitioned closed-loop engine
-//! (`crate::epoch`), the one the load test runs on without its retry
-//! machinery: the fabric, the per-CPU pending sets and deadline queues,
-//! and the memory controllers are split into torus row-band regions stepped
-//! inline by [`alphasim_kernel::shard::EpochExecutor`], with fault strikes
-//! and watchdog ticks applied at epoch barriers. Every result stream is
-//! merged into a canonical order after the run, so the outcome is
-//! byte-identical at any `shards` count.
+//! Campaigns execute on the closed-loop engine (`crate::epoch`), the one
+//! the load test runs on without its retry machinery: one worker holds the
+//! fabric, the per-CPU pending sets and deadline queues, and the memory
+//! controllers, stepped by [`alphasim_kernel::shard::EpochExecutor`] with
+//! fault strikes and watchdog ticks applied at epoch barriers. Every
+//! result stream is put into a canonical order after the run.
 //!
 //! [`FaultCampaign::run_monitored`] arms the always-on invariant monitors
 //! on top of the same loop: hung-transaction detection (with watchdog
@@ -150,10 +148,6 @@ pub struct FaultCampaignConfig {
     /// Watchdog no-progress window (should exceed the retry timeout, or
     /// ordinary timeouts read as livelock).
     pub watchdog_window: SimDuration,
-    /// Fabric regions for the run (`0` = resolve via
-    /// [`alphasim_kernel::par::shards`]). Results are byte-identical at
-    /// any value; the region map only repartitions the fabric.
-    pub shards: usize,
     /// Deliberately broken recovery path for mutation testing (`None` =
     /// intact machinery). Only honoured by
     /// [`FaultCampaign::run_monitored`].
@@ -170,7 +164,6 @@ impl Default for FaultCampaignConfig {
             plan: FaultPlan::new(),
             retry: RetryPolicy::gs1280_default(),
             watchdog_window: SimDuration::from_us(200.0),
-            shards: 0,
             mutation: None,
         }
     }
@@ -236,7 +229,8 @@ pub struct CampaignResult {
 
 /// Telemetry gathered by an instrumented campaign run
 /// ([`FaultCampaign::run_instrumented`]): the component counters, the
-/// per-hop latency breakdown, and (when requested) the Chrome trace.
+/// per-hop latency breakdown, the engine's queue depth, and (when
+/// requested) the Chrome trace.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignTelemetry {
     /// Component counters, gauges, and histograms (coherence retry
@@ -244,15 +238,20 @@ pub struct CampaignTelemetry {
     pub registry: Registry,
     /// Where every picosecond of load-to-use latency went, stage by stage.
     pub breakdown: BreakdownTable,
+    /// The most events the run's event queue held at once. A fact about
+    /// the engine, not the machine, so it stays out of
+    /// [`registry`](Self::registry), whose machine counters artifacts
+    /// merge.
+    pub peak_queue_depth: u64,
     /// Chrome-trace sink, present when tracing was enabled.
     pub trace: Option<TraceSink>,
 }
 
 /// Stage names of the load-to-use pipeline, in pipeline order. Every
-/// breakdown table — each worker's and the merged one — is pre-charged
-/// with all of them at zero ([`pipeline_table`]), so the row order never
-/// depends on which transaction happens to finish first (or on which
-/// region it completed in), and a worker charges a stage by its row.
+/// breakdown table is pre-charged with all of them at zero
+/// ([`pipeline_table`]), so the row order never depends on which
+/// transaction happens to finish first, and the worker charges a stage by
+/// its row.
 pub(crate) const PIPELINE_STAGES: [&str; 16] = [
     "request: queue + arbitration",
     "request: router pipeline",
@@ -315,8 +314,7 @@ pub(crate) struct Drive {
 /// link failures lose the packets on their wires, plus the memory sites
 /// behind it.
 pub struct FaultCampaign<T: Topology> {
-    /// The fabric's routing tables, materialized from a `T` (one region;
-    /// each run re-partitions them).
+    /// The fabric's routing tables, materialized from a `T`.
     tables: FabricTables,
     cpus: Vec<NodeId>,
     /// The node holding each CPU's memory, indexed by the CPU's node id.
@@ -356,7 +354,7 @@ impl<T: Topology> FaultCampaign<T> {
             "need a memory site per CPU"
         );
         FaultCampaign {
-            tables: FabricTables::new(fabric, timing, policy, 1),
+            tables: FabricTables::new(fabric, timing, policy),
             cpus,
             site_of_cpu,
             zbox,
@@ -446,14 +444,12 @@ impl<T: Topology> FaultCampaign<T> {
     /// Run the campaign with full time-resolved observability on top of
     /// the instrumented telemetry: fixed-width windowed metric timelines,
     /// P×Q topology heatmaps, per-completion latency pairs, and the
-    /// epoch profiler's per-shard spans (exported as Chrome-trace
-    /// lanes when `opts.trace` is set).
+    /// epoch profiler's spans (exported as a Chrome-trace lane when
+    /// `opts.trace` is set).
     ///
     /// Like every other collector, observability never perturbs the
     /// simulation: the [`CampaignResult`] and every sim-time field are
-    /// byte-identical to a plain [`run`](Self::run), at any `shards`
-    /// count (the epoch profile is the one shard-count-dependent piece,
-    /// since it describes the engine itself rather than the machine).
+    /// byte-identical to a plain [`run`](Self::run).
     pub fn run_observed(
         self,
         cfg: &FaultCampaignConfig,
@@ -473,17 +469,17 @@ impl<T: Topology> FaultCampaign<T> {
         )
     }
 
-    /// Run the closed loop to completion on the epoch engine: partition
-    /// the fabric, the memory sites and the CPUs into regions, prime every
-    /// CPU's window, and step the regions under the guide. Returns the
-    /// workers in region order, the guide, what the executor did, and (on
-    /// observed runs) the epoch profile.
+    /// Run the closed loop to completion on the epoch engine: build the
+    /// worker over the fabric, the memory sites and the CPUs, prime every
+    /// CPU's window, and step it under the guide. Returns the worker, the
+    /// guide, what the executor did, and (on observed runs) the epoch
+    /// profile.
     pub(crate) fn launch(
         self,
         cfg: &FaultCampaignConfig,
         drive: Drive,
     ) -> (
-        Vec<CampaignWorker>,
+        CampaignWorker,
         CampaignGuide,
         EpochReport,
         Option<EpochProfile>,
@@ -510,21 +506,13 @@ impl<T: Topology> FaultCampaign<T> {
             !drive.retry_free || cfg.plan.is_empty(),
             "a retry-free run cannot recover from faults"
         );
-        let shards = if cfg.shards == 0 {
-            alphasim_kernel::par::shards()
-        } else {
-            cfg.shards
-        };
         let partners: Vec<usize> = match cfg.pattern {
             TrafficPattern::Bisection => {
                 (0..ncpus).map(|cpu| self.bisection_partner(cpu)).collect()
             }
             _ => Vec::new(),
         };
-        let mut tables = self.tables;
-        tables.set_regions(shards);
-        let master = Arc::new(tables);
-        let regions = master.region_count();
+        let master = Arc::new(self.tables);
         let node_count = master.topology().node_count();
         let homes = self
             .cpus
@@ -544,68 +532,53 @@ impl<T: Topology> FaultCampaign<T> {
             monitored: drive.monitored,
         });
         let cpus = Arc::new(self.cpus);
-        // One controller per distinct memory site, owned by the site's
-        // region.
-        let mut zparts: Vec<Vec<Option<Zbox>>> = (0..regions)
-            .map(|_| (0..node_count).map(|_| None).collect())
-            .collect();
+        // One controller per distinct memory site.
+        let mut zboxes: Vec<Option<Zbox>> = (0..node_count).map(|_| None).collect();
         for &site in &self.site_of_cpu {
-            zparts[master.region_of(site)][site.index()]
-                .get_or_insert_with(|| Zbox::new(self.zbox));
+            zboxes[site.index()].get_or_insert_with(|| Zbox::new(self.zbox));
         }
-        let workers: Vec<CampaignWorker> = zparts
-            .into_iter()
-            .enumerate()
-            .map(|(region, zboxes)| {
-                let mut net = RegionNet::new(region, master.clone());
-                if drive.trace {
-                    net.enable_trace();
-                }
-                if let Some(o) = drive.observe {
-                    net.enable_heat(o.window_ps);
-                }
-                CampaignWorker {
-                    cfg: ccfg.clone(),
-                    cpus: cpus.clone(),
-                    net,
-                    rngs: (0..ncpus)
-                        .map(|i| DetRng::seeded(cfg.seed).split(i as u64))
-                        .collect(),
-                    issued: vec![0u64; ncpus],
-                    requesters: (0..ncpus).map(|_| Requester::default()).collect(),
-                    poisoned: Vec::new(),
-                    max_attempts: 0,
-                    latency_samples: Vec::new(),
-                    completions: Vec::new(),
-                    pending_log: Vec::new(),
-                    violations: Vec::new(),
-                    last_delivery: SimTime::ZERO,
-                    last_event: SimTime::ZERO,
-                    total_latency: SimDuration::ZERO,
-                    completed: 0,
-                    zboxes,
-                    ever_drained: vec![false; ncpus],
-                    breakdown: drive.collect.then(pipeline_table),
-                    obs: drive
-                        .observe
-                        .map(|o| Box::new(ObsAcc::new(o.window_ps, node_count))),
-                    spare: Vec::new(),
-                }
-            })
-            .collect();
-        let mut exec = EpochExecutor::new(workers, master.lookahead());
+        let mut net = RegionNet::new(master.clone());
+        if drive.trace {
+            net.enable_trace();
+        }
+        if let Some(o) = drive.observe {
+            net.enable_heat(o.window_ps);
+        }
+        let worker = CampaignWorker {
+            cfg: ccfg.clone(),
+            cpus: cpus.clone(),
+            net,
+            rngs: (0..ncpus)
+                .map(|i| DetRng::seeded(cfg.seed).split(i as u64))
+                .collect(),
+            issued: vec![0u64; ncpus],
+            requesters: (0..ncpus).map(|_| Requester::default()).collect(),
+            poisoned: Vec::new(),
+            max_attempts: 0,
+            latency_samples: Vec::new(),
+            completions: Vec::new(),
+            pending_log: Vec::new(),
+            violations: Vec::new(),
+            last_delivery: SimTime::ZERO,
+            last_event: SimTime::ZERO,
+            total_latency: SimDuration::ZERO,
+            completed: 0,
+            zboxes,
+            ever_drained: vec![false; ncpus],
+            breakdown: drive.collect.then(pipeline_table),
+            obs: drive
+                .observe
+                .map(|o| Box::new(ObsAcc::new(o.window_ps, node_count))),
+            spare: Vec::new(),
+        };
+        let mut exec = EpochExecutor::new(worker);
         if let Some(o) = drive.observe {
             exec.enable_profile(o.wall);
         }
         // Prime every CPU's issue window at time zero. Faults scheduled at
         // zero strike first: the guide runs before any event fires.
         for cpu in 0..ncpus {
-            exec.seed(
-                master.region_of(cpus[cpu]),
-                SimTime::ZERO,
-                tb_inject(cpu),
-                Ev::Inject { cpu },
-            );
+            exec.seed(SimTime::ZERO, tb_inject(cpu), Ev::Inject { cpu });
         }
         let mut guide = CampaignGuide {
             master,
@@ -634,7 +607,7 @@ impl<T: Topology> FaultCampaign<T> {
         };
         let report = exec.run_guided(&mut guide);
         let profile = exec.take_profile();
-        (exec.into_workers(), guide, report, profile)
+        (exec.into_worker(), guide, report, profile)
     }
 
     fn run_inner(
@@ -651,57 +624,33 @@ impl<T: Topology> FaultCampaign<T> {
             drive.monitored || cfg.mutation.is_none(),
             "recovery mutations require run_monitored"
         );
-        let (mut workers, mut guide, epoch_report, profile) = self.launch(cfg, drive);
+        let (mut worker, mut guide, epoch_report, profile) = self.launch(cfg, drive);
         let cpus = guide.cpus.clone();
         let ncpus = cpus.len();
-        let node_count = guide.master.topology().node_count();
 
         // ---- canonical aggregation ------------------------------------
-        // Every stream below is merged into an order that is a pure
-        // function of simulation identities (time, tag, node), never of
-        // shard count or stepping order.
-        let completed: u64 = workers
-            .iter()
-            .flat_map(CampaignWorker::pending_sets)
-            .map(PendingSet::completed)
-            .sum();
-        let retries: u64 = workers
-            .iter()
-            .flat_map(CampaignWorker::pending_sets)
-            .map(PendingSet::retries)
-            .sum();
-        let crc_retransmits: u64 = workers.iter().map(|w| w.net.crc_retransmits()).sum();
-        let max_attempts = workers.iter().map(|w| w.max_attempts).max().unwrap_or(0);
-        let last_delivery = workers
-            .iter()
-            .map(|w| w.last_delivery)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let mut poisoned: Vec<PoisonedTx> = workers
-            .iter_mut()
-            .flat_map(|w| w.poisoned.drain(..))
-            .collect();
+        // Every stream below is put into an order that is a pure function
+        // of simulation identities (time, tag, node), never of the order
+        // events happened to fire in.
+        let completed: u64 = worker.pending_sets().map(PendingSet::completed).sum();
+        let retries: u64 = worker.pending_sets().map(PendingSet::retries).sum();
+        let crc_retransmits = worker.net.crc_retransmits();
+        let max_attempts = worker.max_attempts;
+        let last_delivery = worker.last_delivery;
+        let mut poisoned = std::mem::take(&mut worker.poisoned);
         poisoned.sort_by_key(|p| p.tag);
-        let mut completions: Vec<(SimTime, u64)> = workers
-            .iter_mut()
-            .flat_map(|w| w.completions.drain(..))
-            .collect();
+        let mut completions = std::mem::take(&mut worker.completions);
         completions.sort_unstable();
-        // The latency fold sorts its samples, so per-worker concatenation
-        // order cannot leak into the mean/p99.
+        // The latency fold sorts its samples, so their recording order
+        // cannot leak into the mean/p99.
         let mut latencies = MeanP50P99::new();
-        for w in &workers {
-            for &sample in &w.latency_samples {
-                latencies.record(sample);
-            }
+        for &sample in &worker.latency_samples {
+            latencies.record(sample);
         }
-        // Global pending-set peak: prefix-sum max over the merged
-        // occupancy deltas (at equal times a release sorts before an
-        // insert, the conservative reading).
-        let mut deltas: Vec<(u64, i8)> = workers
-            .iter_mut()
-            .flat_map(|w| w.pending_log.drain(..))
-            .collect();
+        // Pending-set peak: prefix-sum max over the sorted occupancy
+        // deltas (at equal times a release sorts before an insert, the
+        // conservative reading).
+        let mut deltas = std::mem::take(&mut worker.pending_log);
         deltas.sort_unstable();
         let mut occupancy = 0i64;
         let mut pending_peak = 0i64;
@@ -709,19 +658,18 @@ impl<T: Topology> FaultCampaign<T> {
             occupancy += i64::from(d);
             pending_peak = pending_peak.max(occupancy);
         }
-        let issued_total: u64 = workers.iter().map(|w| w.issued.iter().sum::<u64>()).sum();
-        let mut pending_tags: Vec<u64> = workers
-            .iter()
-            .flat_map(CampaignWorker::pending_sets)
+        let issued_total: u64 = worker.issued.iter().sum();
+        let mut pending_tags: Vec<u64> = worker
+            .pending_sets()
             .flat_map(|set| set.iter().map(|(tag, _)| tag))
             .collect();
         pending_tags.sort_unstable();
         let pending_total = pending_tags.len();
 
         let mut monitor_violations = drive.monitored.then(|| {
-            let mut timed: Vec<(u64, String, String)> = workers
-                .iter_mut()
-                .flat_map(|w| w.violations.drain(..))
+            let mut timed: Vec<(u64, String, String)> = worker
+                .violations
+                .drain(..)
                 .chain(guide.violations.drain(..))
                 .collect();
             timed.sort_unstable();
@@ -738,9 +686,8 @@ impl<T: Topology> FaultCampaign<T> {
             // Issue quota: a CPU that was never drained must have issued
             // its full budget (a silently shrinking window stalls early).
             for cpu in 0..ncpus {
-                let owner = guide.master.region_of(cpus[cpu]);
-                let issued: u64 = workers.iter().map(|w| w.issued[cpu]).sum();
-                if !workers[owner].ever_drained[cpu]
+                let issued = worker.issued[cpu];
+                if !worker.ever_drained[cpu]
                     && !guide.master.is_drained(cpus[cpu])
                     && issued < cfg.requests_per_cpu as u64
                 {
@@ -798,39 +745,18 @@ impl<T: Topology> FaultCampaign<T> {
             registry.counter_add("coherence.retries", retries);
             registry.gauge_max("coherence.pending_peak", pending_peak as u64);
             guide.dog.export_metrics(&mut registry);
-            for n in 0..node_count {
-                let owner = guide.master.region_of(NodeId::new(n));
-                if let Some(zbox) = workers[owner].zboxes[n].as_ref() {
-                    zbox.export_metrics(&mut registry);
-                }
+            for zbox in worker.zboxes.iter().flatten() {
+                zbox.export_metrics(&mut registry);
             }
             registry.counter_add("net.dropped", guide.dropped);
             registry.counter_add("net.rerouted", guide.rerouted);
             registry.counter_add("campaign.poisoned", poisoned.len() as u64);
             registry.counter_add("campaign.faults_applied", guide.faults_applied.len() as u64);
-            registry.counter_add(
-                "sim.events_processed",
-                epoch_report.processed.iter().sum::<u64>(),
-            );
-            // Engine-shape metrics are registered only when the config
-            // pins the knob: a CLI-resolved shard count must
-            // never leak into byte-checked artifacts. Gauges (max-merge),
-            // so merging same-shape campaign registries stays idempotent.
-            if cfg.shards != 0 {
-                registry.gauge_max("engine.shards", cfg.shards as u64);
-                for (i, &peak) in epoch_report.shard_peaks.iter().enumerate() {
-                    registry
-                        .gauge_max(&format!("engine.shard{i:02}.peak_queue_depth"), peak as u64);
-                }
-            }
-            // Pre-charge the stage rows so the merged table's row order is
-            // the pipeline order, never completion order.
-            let mut breakdown = pipeline_table();
-            for w in &workers {
-                if let Some(bd) = w.breakdown.as_ref() {
-                    breakdown.merge(bd);
-                }
-            }
+            registry.counter_add("sim.events_processed", epoch_report.processed);
+            let breakdown = worker
+                .breakdown
+                .take()
+                .expect("a collecting run charges a breakdown");
             let trace_sink = drive.trace.then(|| {
                 let mut sink = TraceSink::new();
                 sink.name_process(PID_MESSAGES, "network: message lifetimes");
@@ -843,36 +769,24 @@ impl<T: Topology> FaultCampaign<T> {
                     );
                 }
                 sink.name_process(PID_MEMORY, "memory: zbox dram service");
-                for w in workers.iter_mut() {
-                    if let Some(region_sink) = w.net.take_trace() {
-                        sink.merge_from(region_sink);
-                    }
+                if let Some(net_sink) = worker.net.take_trace() {
+                    sink.merge_from(net_sink);
                 }
-                // One profiler lane per shard: each epoch a shard worked
-                // in becomes a complete event spanning the epoch's
-                // sim-time bounds, carrying its event counts.
+                // The profiler lane: each epoch becomes a complete event
+                // spanning its sim-time bounds, carrying its event count.
                 if let Some(p) = profile.as_ref() {
-                    sink.name_process(PID_SHARDS, "engine: epoch shards");
-                    for s in 0..p.shard_count() {
-                        sink.name_thread(PID_SHARDS, s as u32, &format!("shard {s}"));
-                    }
+                    sink.name_process(PID_SHARDS, "engine: epochs");
+                    sink.name_thread(PID_SHARDS, 0, "event queue");
                     for sample in &p.samples {
-                        for (s, (&ev, &mg)) in
-                            sample.processed.iter().zip(&sample.merged).enumerate()
-                        {
-                            if ev == 0 && mg == 0 {
-                                continue;
-                            }
-                            sink.complete(
-                                "epoch",
-                                "shard",
-                                PID_SHARDS,
-                                s as u32,
-                                sample.start_ps,
-                                sample.end_ps.saturating_sub(sample.start_ps),
-                                &[("events", ev), ("merged", mg)],
-                            );
-                        }
+                        sink.complete(
+                            "epoch",
+                            "engine",
+                            PID_SHARDS,
+                            0,
+                            sample.start_ps,
+                            sample.end_ps.saturating_sub(sample.start_ps),
+                            &[("events", sample.processed)],
+                        );
                     }
                 }
                 sink.canonical_sort();
@@ -881,6 +795,7 @@ impl<T: Topology> FaultCampaign<T> {
             CampaignTelemetry {
                 registry,
                 breakdown,
+                peak_queue_depth: epoch_report.peak_queue_depth as u64,
                 trace: trace_sink,
             }
         });
@@ -907,7 +822,7 @@ impl<T: Topology> FaultCampaign<T> {
             assemble(
                 guide.master.topology(),
                 o.window_ps,
-                &mut workers,
+                &mut worker,
                 profile.expect("profiling was enabled"),
                 &deltas,
             )
@@ -1382,7 +1297,7 @@ mod tests {
     /// The observed-run stage: a mid-run cut through bisection traffic, so
     /// drops, retries, reroutes, and (with a short retry budget) poisons
     /// all leave windowed footprints.
-    fn observed_cfg(shards: usize) -> FaultCampaignConfig {
+    fn observed_cfg() -> FaultCampaignConfig {
         let mut plan = FaultPlan::new();
         plan.push(at_us(1.0), FaultKind::LinkDown { a: 0, b: 1 });
         plan.push(at_us(20.0), FaultKind::LinkUp { a: 0, b: 1 });
@@ -1391,14 +1306,13 @@ mod tests {
             requests_per_cpu: 60,
             pattern: CampaignPattern::Bisection,
             plan,
-            shards,
             ..Default::default()
         }
     }
 
     #[test]
     fn observed_run_matches_plain_and_window_sums_equal_registry_totals() {
-        let cfg = observed_cfg(2);
+        let cfg = observed_cfg();
         let plain = campaign16().run(&cfg);
         // A deliberately awkward window width (prime picoseconds, aligned
         // to nothing): windows straddle epoch barriers, fault strikes and
@@ -1436,43 +1350,18 @@ mod tests {
             totals.histogram("campaign.latency_ns").map(|h| h.count()),
             Some(r.completed)
         );
-        // The pinned engine shape is registered, making the registry
-        // authoritative for how the artifact was produced.
-        assert_eq!(t.registry.gauge("engine.shards"), 2);
-        assert!(t.registry.gauge("engine.shard00.peak_queue_depth") > 0);
-        // The profiler's busy totals are the engine's processed totals.
+        // The engine's queue depth stays out of the machine registry.
+        assert!(t.peak_queue_depth > 0);
+        let registry = serde_json::to_string(&t.registry.to_json()).expect("serialises");
+        assert!(!registry.contains("engine."));
+        // The profiler's event counts are the engine's processed total.
         assert_eq!(
-            obs.profile.busy_per_shard().iter().sum::<u64>(),
+            obs.profile.events_per_epoch().iter().sum::<u64>(),
             t.registry.counter("sim.events_processed")
         );
-        assert_eq!(obs.profile.shard_count(), 2);
-        assert!(obs.profile.imbalance_milli() >= 1000);
         // Heat landed where the traffic went.
         assert!(obs.link_busy.total() > 0);
         assert_eq!(obs.zbox_reads.total(), t.registry.counter("zbox.accesses"));
-    }
-
-    #[test]
-    fn observed_windows_are_shard_count_invariant() {
-        let reference =
-            campaign16().run_observed(&observed_cfg(1), ObserveOptions::windowed(20_000_000));
-        for shards in [2usize, 4] {
-            let (r, _, obs) = campaign16()
-                .run_observed(&observed_cfg(shards), ObserveOptions::windowed(20_000_000));
-            assert_eq!(r.completed, reference.0.completed);
-            assert_eq!(r.mean_latency, reference.0.mean_latency);
-            // Every machine-plane observable is byte-identical; only the
-            // profile (which describes the engine itself) differs.
-            assert_eq!(
-                obs.timeline, reference.2.timeline,
-                "{shards}-shard timeline diverged"
-            );
-            assert_eq!(obs.latencies, reference.2.latencies);
-            assert_eq!(obs.node_delivered, reference.2.node_delivered);
-            assert_eq!(obs.link_busy, reference.2.link_busy);
-            assert_eq!(obs.zbox_reads, reference.2.zbox_reads);
-            assert_eq!(obs.zbox_busy, reference.2.zbox_busy);
-        }
     }
 
     #[test]
@@ -1482,23 +1371,35 @@ mod tests {
             trace: true,
             wall: true,
         };
-        let (r, t, obs) = campaign16().run_observed(&observed_cfg(2), opts);
+        let (r, t, obs) = campaign16().run_observed(&observed_cfg(), opts);
         assert_eq!(r.completed + r.poisoned.len() as u64, 16 * 60);
         let trace = t.trace.expect("tracing was requested");
-        assert!(!trace.is_empty());
-        assert!(obs.profile.wall_clock());
-        for s in &obs.profile.samples {
-            assert_eq!(s.wall_ns.as_ref().map(Vec::len), Some(2));
+        assert!(trace.to_json_string().contains("\"engine: epochs\""));
+        let p = &obs.profile;
+        assert!(p.wall_clock());
+        // What gsbench's `campaign-par` workload reads off the profile:
+        // one lane, that lane's event count, nothing merged, and one
+        // wall-clock entry per epoch.
+        assert_eq!(p.shard_count(), 1);
+        assert_eq!(p.merged_per_shard(), [0]);
+        assert_eq!(
+            p.busy_per_shard(),
+            [t.registry.counter("sim.events_processed")]
+        );
+        assert!(p.epochs() > 0);
+        assert_eq!(p.epochs(), p.samples.len());
+        for s in &p.samples {
+            assert_eq!(s.wall_ns.as_ref().map(Vec::len), Some(1));
         }
         // Wall measurement never leaks into sim-time fields: the same run
         // without it produces the identical profile modulo wall_ns.
         let (_, _, plain) =
-            campaign16().run_observed(&observed_cfg(2), ObserveOptions::windowed(20_000_000));
-        assert_eq!(plain.profile.epochs(), obs.profile.epochs());
-        for (a, b) in plain.profile.samples.iter().zip(&obs.profile.samples) {
+            campaign16().run_observed(&observed_cfg(), ObserveOptions::windowed(20_000_000));
+        assert_eq!(plain.profile.epochs(), p.epochs());
+        for (a, b) in plain.profile.samples.iter().zip(&p.samples) {
             assert_eq!((a.start_ps, a.end_ps), (b.start_ps, b.end_ps));
             assert_eq!(a.processed, b.processed);
-            assert_eq!(a.merged, b.merged);
+            assert!(a.wall_ns.is_none());
         }
     }
 

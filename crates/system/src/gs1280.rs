@@ -206,7 +206,7 @@ impl Gs1280 {
     }
 
     /// A fresh open-loop driver over this machine's fabric and routing
-    /// policy, in one region: batch drains and link statistics. The
+    /// policy: batch drains and link statistics. The
     /// closed-loop experiments (Figs. 15, 18, 23–27) run on
     /// [`crate::loadtest`] instead.
     pub fn network(&self) -> OpenLoop {
@@ -214,7 +214,6 @@ impl Gs1280 {
             &self.fabric,
             self.calib.timing,
             self.policy,
-            1,
         ))
     }
 

@@ -67,14 +67,12 @@ impl Gs320 {
         &self.topo
     }
 
-    /// A fresh open-loop driver over the hierarchical switch fabric, in
-    /// one region.
+    /// A fresh open-loop driver over the hierarchical switch fabric.
     pub fn network(&self) -> OpenLoop {
         OpenLoop::new(FabricTables::new(
             &self.topo,
             self.calib.timing,
             RoutePolicy::Minimal,
-            1,
         ))
     }
 

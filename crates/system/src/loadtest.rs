@@ -7,13 +7,11 @@
 //! (Figs. 26–27): they differ only in traffic pattern and window size.
 //!
 //! [`LoadTest`] is a fault-free [`FaultCampaign`] run without retry
-//! machinery: one closed-loop worker (`crate::epoch`) serves both, so a
-//! load test is partitioned by torus row band into regions stepped by the
-//! kernel's epoch executor and is byte-identical at any region count. The
-//! Xmesh sampler strikes at epoch barriers.
+//! machinery: one closed-loop worker (`crate::epoch`) serves both, stepped
+//! by the kernel's epoch executor. The Xmesh sampler strikes at epoch
+//! barriers.
 
 use alphasim_kernel::{SimDuration, SimTime};
-use alphasim_net::partition::FabricLinks;
 use alphasim_telemetry::Heatmap;
 use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{NodeId, Topology};
@@ -122,9 +120,7 @@ impl<T: Topology> From<FaultCampaign<T>> for LoadTest<T> {
 }
 
 impl<T: Topology> LoadTest<T> {
-    /// Run the closed loop to completion on
-    /// [`alphasim_kernel::par::shards`] fabric regions, stepped inline. The
-    /// result is byte-identical at any region count.
+    /// Run the closed loop to completion.
     ///
     /// # Panics
     ///
@@ -143,17 +139,14 @@ impl<T: Topology> LoadTest<T> {
             sample_every: cfg.sample_interval_ns.map(SimDuration::from_ns),
             ..Drive::default()
         };
-        let (workers, guide, ..) = self.campaign.launch(&loop_cfg, drive);
+        let (worker, guide, ..) = self.campaign.launch(&loop_cfg, drive);
         // The run ends at its last event or its last link release,
         // whichever is later.
-        let last = workers
-            .iter()
-            .flat_map(|w| [Some(w.last_event), w.net.latest_release()])
-            .flatten()
-            .max();
-        let elapsed = last.unwrap_or(SimTime::ZERO).since(SimTime::ZERO);
-        let completed: u64 = workers.iter().map(|w| w.completed).sum();
-        let total_latency: SimDuration = workers.iter().map(|w| w.total_latency).sum();
+        let last = worker
+            .last_event
+            .max(worker.net.latest_release().unwrap_or(SimTime::ZERO));
+        let elapsed = last.since(SimTime::ZERO);
+        let (completed, total_latency) = (worker.completed, worker.total_latency);
         let delivered_gbps = if elapsed > SimDuration::ZERO {
             completed as f64 * 64.0 / elapsed.as_secs() / 1e9
         } else {
@@ -161,7 +154,7 @@ impl<T: Topology> LoadTest<T> {
         };
         let tables = &guide.master;
         let topo = tables.topology();
-        let links = FabricLinks::gather(workers.iter().map(|w| &w.net));
+        let links = worker.net.links();
         let link_busy = link_grid(
             topo,
             links
@@ -175,7 +168,7 @@ impl<T: Topology> LoadTest<T> {
             delivered_gbps,
             completed,
             elapsed,
-            zbox_busy: zbox_grid(topo, &workers, |z| z.busy_time().as_ps()),
+            zbox_busy: zbox_grid(topo, &worker, |z| z.busy_time().as_ps()),
             link_busy,
             samples: guide.sampler.map(|s| s.samples).unwrap_or_default(),
         }
@@ -372,41 +365,22 @@ mod tests {
 
     #[test]
     fn reads_reuse_their_packets_and_spares_stay_within_the_windows() {
-        // Each completed read leaves its packet to the next request of a
-        // CPU in the same region. After a run no region holds more spares
-        // than its CPUs' windows, and together the regions hold exactly
-        // the packets the priming allocated: no read allocated another.
+        // Each completed read leaves its packet to the next request. After
+        // a run the worker holds exactly the packets the priming
+        // allocated, one per window slot: no read allocated another.
         let m = Gs1280::builder().cpus(16).build();
         let window = 6;
-        for shards in [1, 2, 4] {
-            let cfg = FaultCampaignConfig {
-                outstanding: window,
-                requests_per_cpu: 80,
-                shards,
-                ..Default::default()
-            };
-            let drive = Drive {
-                retry_free: true,
-                ..Drive::default()
-            };
-            let (workers, guide, ..) = gs1280_load_test(&m).campaign.launch(&cfg, drive);
-            assert_eq!(workers.len(), shards);
-            for w in &workers {
-                let owned = guide
-                    .cpus
-                    .iter()
-                    .filter(|&&cpu| guide.master.region_of(cpu) == w.net.region())
-                    .count();
-                assert!(
-                    w.spare.len() <= owned * window,
-                    "{shards} shards: region {} holds {} spares for {owned} CPUs",
-                    w.net.region(),
-                    w.spare.len()
-                );
-            }
-            let spares: usize = workers.iter().map(|w| w.spare.len()).sum();
-            assert_eq!(spares, 16 * window, "{shards} shards");
-        }
+        let cfg = FaultCampaignConfig {
+            outstanding: window,
+            requests_per_cpu: 80,
+            ..Default::default()
+        };
+        let drive = Drive {
+            retry_free: true,
+            ..Drive::default()
+        };
+        let (worker, ..) = gs1280_load_test(&m).campaign.launch(&cfg, drive);
+        assert_eq!(worker.spare.len(), 16 * window);
     }
 }
 

@@ -1,28 +1,24 @@
 //! Time-resolved observability for fault campaigns.
 //!
-//! [`crate::faulty::FaultCampaign::run_observed`] runs the same
-//! partitioned closed loop as every other entry point while three
-//! zero-cost-when-off collectors ride along:
+//! [`crate::faulty::FaultCampaign::run_observed`] runs the same closed
+//! loop as every other entry point while three zero-cost-when-off
+//! collectors ride along:
 //!
-//! * a per-worker `ObsAcc` — fixed-width sim-time windows
-//!   ([`Timeline`]) of injections, completions, retries, poisons and
-//!   Zbox service, plus DRAM service time per home node;
-//! * the fabric's [`NetHeat`] — per-node deliveries and the fabric's own
-//!   windowed series;
-//! * the executor's [`EpochProfile`] — per-epoch per-shard busy/merge
-//!   spans from the conservative scheduler.
+//! * the worker's `ObsAcc` — fixed-width sim-time windows ([`Timeline`])
+//!   of injections, completions, retries, poisons and Zbox service, plus
+//!   DRAM service time per home node;
+//! * the fabric's [`NetHeat`](alphasim_net::partition::NetHeat) —
+//!   per-node deliveries and the fabric's own windowed series;
+//! * the executor's [`EpochProfile`] — the sim-time span and event count
+//!   of every epoch.
 //!
 //! What the run already meters is read, not re-counted: link occupancy
 //! comes from the links' meters and reads served from the Zboxes' access
-//! counts. Every accumulator is owned by exactly one region and merged in
-//! region (input) order after the run, the same argument that makes the
-//! campaign's registries byte-identical at any `--shards` count.
-//! [`CampaignObservability`] is the merged result: the timeline, the
-//! latency pairs, P×Q topology heatmaps, and the profile.
+//! counts. [`CampaignObservability`] is the assembled result: the
+//! timeline, the latency pairs, P×Q topology heatmaps, and the profile.
 
 use alphasim_kernel::shard::EpochProfile;
 use alphasim_mem::Zbox;
-use alphasim_net::partition::{FabricLinks, NetHeat};
 use alphasim_telemetry::{Heatmap, Timeline};
 use alphasim_topology::{NodeId, Topology};
 
@@ -34,10 +30,10 @@ use crate::epoch::CampaignWorker;
 pub struct ObserveOptions {
     /// Fixed window width of every timeline, in simulated picoseconds.
     pub window_ps: u64,
-    /// Also collect the Chrome trace (message/link/memory lanes plus one
-    /// profiler lane per shard).
+    /// Also collect the Chrome trace (message/link/memory lanes plus the
+    /// engine's profiler lane).
     pub trace: bool,
-    /// Also measure per-shard wall-clock busy time in the epoch profile.
+    /// Also measure each epoch's wall-clock time in the epoch profile.
     /// Measurement only: sim results and every sim-time field are
     /// byte-identical either way, and wall values never reach checked
     /// artifacts.
@@ -55,8 +51,8 @@ impl ObserveOptions {
     }
 }
 
-/// One region's observability accumulators (campaign-plane metrics; the
-/// fabric-plane ones live in [`NetHeat`]).
+/// The worker's observability accumulators (campaign-plane metrics; the
+/// fabric-plane ones live in the fabric's `NetHeat`).
 pub(crate) struct ObsAcc {
     /// Windowed counters `campaign.injected` / `campaign.completed` /
     /// `campaign.retries` / `campaign.poisoned` / `campaign.zbox_reads` /
@@ -103,25 +99,14 @@ impl ObsAcc {
         self.timeline
             .counter_add(at_ps, "campaign.dram_busy_ps", dram_ps);
     }
-
-    /// Fold another region's accumulators into this one (regions partition
-    /// the requesters and home nodes, so adds are exact).
-    pub(crate) fn merge(&mut self, other: &ObsAcc) {
-        self.timeline.merge(&other.timeline);
-        self.latencies.extend_from_slice(&other.latencies);
-        for (a, b) in self.zbox_busy_ps.iter_mut().zip(&other.zbox_busy_ps) {
-            *a += b;
-        }
-    }
 }
 
-/// Everything a `run_observed` campaign measured, merged into canonical
-/// (shard-count-invariant) order.
+/// Everything a `run_observed` campaign measured, in canonical order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignObservability {
     /// Window width of [`timeline`](Self::timeline), in picoseconds.
     pub window_ps: u64,
-    /// The merged windowed metrics: campaign counters (`campaign.*`),
+    /// The windowed metrics: campaign counters (`campaign.*`),
     /// fabric counters (`net.*`), the `campaign.pending_depth` gauge, and
     /// the `campaign.latency_ns` / `net.latency_ns` histograms. The
     /// window sums equal the corresponding registry totals exactly.
@@ -139,8 +124,8 @@ pub struct CampaignObservability {
     pub zbox_reads: Heatmap,
     /// DRAM service picoseconds per home Zbox, as a P×Q grid.
     pub zbox_busy: Heatmap,
-    /// Per-epoch per-shard busy/merge spans from the conservative
-    /// scheduler (plus optional wall-clock, when requested).
+    /// Each epoch's sim-time span and event count (plus optional
+    /// wall-clock, when requested).
     pub profile: EpochProfile,
 }
 
@@ -180,42 +165,42 @@ pub(crate) fn link_grid<T: Topology>(
     node_grid(topo, &by_node)
 }
 
-/// Sum `f` of every memory site's Zbox onto its node and lay the sums on
-/// [`node_grid`]. Each site's controller lives in exactly one region.
+/// Lay `f` of every memory site's Zbox onto its node on [`node_grid`].
 pub(crate) fn zbox_grid<T: Topology>(
     topo: &T,
-    workers: &[CampaignWorker],
+    worker: &CampaignWorker,
     f: impl Fn(&Zbox) -> u64,
 ) -> Heatmap {
-    let mut by_node = vec![0u64; topo.node_count()];
-    for (site, zbox) in workers.iter().flat_map(|w| w.zboxes.iter().enumerate()) {
-        by_node[site] += zbox.as_ref().map_or(0, &f);
-    }
+    let by_node: Vec<u64> = worker
+        .zboxes
+        .iter()
+        .map(|zbox| zbox.as_ref().map_or(0, &f))
+        .collect();
     node_grid(topo, &by_node)
 }
 
-/// Fold the observed run's `workers` into the public result: merge their
-/// accumulators in region order, read link occupancy off the link meters
-/// and reads served off the Zboxes, and lay the per-node values onto
-/// `topo`'s grid. `pending_deltas` is the merged, sorted pending-set
-/// occupancy log, replayed here into the `campaign.pending_depth`
-/// windowed gauge.
+/// Fold the observed run's `worker` into the public result: take its
+/// accumulators, read link occupancy off the link meters and reads served
+/// off the Zboxes, and lay the per-node values onto `topo`'s grid.
+/// `pending_deltas` is the sorted pending-set occupancy log, replayed here
+/// into the `campaign.pending_depth` windowed gauge.
 pub(crate) fn assemble<T: Topology>(
     topo: &T,
     window_ps: u64,
-    workers: &mut [CampaignWorker],
+    worker: &mut CampaignWorker,
     profile: EpochProfile,
     pending_deltas: &[(u64, i8)],
 ) -> CampaignObservability {
-    let nodes = topo.node_count();
-    let mut heat = NetHeat::new(window_ps, nodes);
-    let mut obs = ObsAcc::new(window_ps, nodes);
-    for w in workers.iter_mut() {
-        heat.merge(&w.net.take_heat().expect("heat was enabled"));
-        obs.merge(w.obs.as_deref().expect("observation was enabled"));
-    }
-    let links = FabricLinks::gather(workers.iter().map(|w| &w.net));
-    let link_busy = link_grid(topo, links.iter().map(|l| (l.from, l.busy_time().as_ps())));
+    let heat = worker.net.take_heat().expect("heat was enabled");
+    let mut obs = *worker.obs.take().expect("observation was enabled");
+    let link_busy = link_grid(
+        topo,
+        worker
+            .net
+            .links()
+            .iter()
+            .map(|l| (l.from, l.busy_time().as_ps())),
+    );
     obs.timeline.merge(&heat.timeline);
     let mut occupancy = 0i64;
     for &(at_ps, d) in pending_deltas {
@@ -228,7 +213,7 @@ pub(crate) fn assemble<T: Topology>(
         window_ps,
         node_delivered: node_grid(topo, &heat.node_delivered),
         link_busy,
-        zbox_reads: zbox_grid(topo, workers, Zbox::accesses),
+        zbox_reads: zbox_grid(topo, worker, Zbox::accesses),
         zbox_busy: node_grid(topo, &obs.zbox_busy_ps),
         timeline: obs.timeline,
         latencies: obs.latencies,
@@ -240,34 +225,6 @@ pub(crate) fn assemble<T: Topology>(
 mod tests {
     use super::*;
     use alphasim_topology::Torus2D;
-
-    #[test]
-    fn obs_merge_in_region_order_matches_sequential() {
-        let mut whole = ObsAcc::new(1_000, 4);
-        let mut a = ObsAcc::new(1_000, 4);
-        let mut b = ObsAcc::new(1_000, 4);
-        for i in 0..10u64 {
-            let at = i * 700;
-            whole.note_completion(at, 50 + i);
-            whole.note_zbox_read(at, (i % 4) as usize, 10 * i);
-            let part = if i % 2 == 0 { &mut a } else { &mut b };
-            part.note_completion(at, 50 + i);
-            part.note_zbox_read(at, (i % 4) as usize, 10 * i);
-        }
-        let mut merged = ObsAcc::new(1_000, 4);
-        merged.merge(&a);
-        merged.merge(&b);
-        merged.latencies.sort_unstable();
-        whole.latencies.sort_unstable();
-        assert_eq!(merged.timeline, whole.timeline);
-        assert_eq!(merged.latencies, whole.latencies);
-        assert_eq!(merged.zbox_busy_ps, whole.zbox_busy_ps);
-        assert_eq!(
-            merged.timeline.totals().counter("campaign.completed"),
-            10,
-            "window sums equal the run total"
-        );
-    }
 
     #[test]
     fn node_grid_uses_planar_coords() {

@@ -3,12 +3,7 @@
 // Test/harness code may unwrap freely; the workspace denies it in libraries.
 #![allow(clippy::unwrap_used)]
 
-use alphasim_kernel::chaos::{ChaosConfig, KindSlot};
-use alphasim_kernel::{SimDuration, SimTime};
-use alphasim_system::chaos::catalog_for;
-use alphasim_system::{
-    gs1280_fault_campaign, CampaignPattern, FaultCampaignConfig, Gs1280, Gs320, Reproducer,
-};
+use alphasim_system::{Gs1280, Gs320, Reproducer};
 use alphasim_topology::NodeId;
 use proptest::prelude::*;
 
@@ -76,157 +71,6 @@ proptest! {
             prop_assert!(bw >= last - 1e-12);
             last = bw;
         }
-    }
-}
-
-/// One monitored fault campaign on a `dim`×`dim` torus under `plan`,
-/// rendered to a string that captures every observable output: the full
-/// result, the component counters, the per-stage latency breakdown, and
-/// the monitor report. Returns the rendering and whether the monitors
-/// stayed clean.
-fn campaign_fingerprint(
-    dim: usize,
-    seed: u64,
-    plan: &alphasim_kernel::FaultPlan,
-    shards: usize,
-) -> (String, bool) {
-    let cpus = dim * dim;
-    let campaign = gs1280_fault_campaign(&Gs1280::builder().cpus(cpus).build());
-    let cfg = FaultCampaignConfig {
-        outstanding: 2,
-        requests_per_cpu: 6,
-        pattern: CampaignPattern::UniformRemote,
-        seed,
-        plan: plan.clone(),
-        retry: alphasim_system::ChaosOptions::default().retry,
-        watchdog_window: SimDuration::from_us(250.0),
-        shards,
-        mutation: None,
-    };
-    let (result, telemetry, report) = campaign.run_monitored(&cfg);
-    // Guard against a vacuous identity: every run must move real traffic
-    // and strike real faults.
-    assert!(result.completed > 0, "campaign completed nothing");
-    assert!(!result.faults_applied.is_empty(), "no fault ever struck");
-    let clean = report.is_clean();
-    // The registry's `engine.*` entries record the run's own engine shape
-    // (shard count, per-shard queue peaks) and so differ across shard
-    // counts by construction; redact them so the fingerprint
-    // covers exactly the machine-plane outputs that must be invariant.
-    let registry = redact_engine_plane(telemetry.registry.to_json());
-    let registry = serde_json::to_string(&registry).unwrap();
-    (
-        format!(
-            "{result:?}|{registry}|{:?}|{:?}",
-            telemetry.breakdown, report
-        ),
-        clean,
-    )
-}
-
-/// Drop `engine.*` metrics (shard-count dependent by design) from a
-/// registry JSON snapshot, leaving every machine-plane metric intact.
-fn redact_engine_plane(registry: serde_json::Value) -> serde_json::Value {
-    use serde_json::Value;
-    match registry {
-        Value::Object(sections) => Value::Object(
-            sections
-                .into_iter()
-                .map(|(section, body)| {
-                    let body = match body {
-                        Value::Object(map) => Value::Object(
-                            map.into_iter()
-                                .filter(|(name, _)| !name.starts_with("engine."))
-                                .collect(),
-                        ),
-                        other => other,
-                    };
-                    (section, body)
-                })
-                .collect(),
-        ),
-        other => other,
-    }
-}
-
-/// The full Chrome trace (every message lifetime, link occupancy, and DRAM
-/// service event) of an instrumented campaign — the event-for-event view.
-fn campaign_trace(
-    dim: usize,
-    seed: u64,
-    plan: &alphasim_kernel::FaultPlan,
-    shards: usize,
-) -> String {
-    let cpus = dim * dim;
-    let campaign = gs1280_fault_campaign(&Gs1280::builder().cpus(cpus).build());
-    let cfg = FaultCampaignConfig {
-        outstanding: 2,
-        requests_per_cpu: 6,
-        pattern: CampaignPattern::UniformRemote,
-        seed,
-        plan: plan.clone(),
-        retry: alphasim_system::ChaosOptions::default().retry,
-        watchdog_window: SimDuration::from_us(250.0),
-        shards,
-        mutation: None,
-    };
-    let (_, telemetry) = campaign.run_instrumented(&cfg, true);
-    telemetry.trace.expect("trace requested").to_json_string()
-}
-
-/// A randomized chaos schedule for a `dim`×`dim` torus, biased toward link
-/// cuts and repairs so plans routinely shrink and re-grow the conservative
-/// lookahead horizon mid-run, timed to land inside the campaign's traffic.
-fn chaos_plan(dim: usize, seed: u64) -> alphasim_kernel::FaultPlan {
-    let catalog = catalog_for(dim * dim);
-    let mut config = ChaosConfig {
-        window: (
-            SimTime::ZERO + SimDuration::from_ns(500.0),
-            SimTime::ZERO + SimDuration::from_us(6.0),
-        ),
-        ..ChaosConfig::default()
-    };
-    config.weights[KindSlot::LinkDown as usize] = 10;
-    config.weights[KindSlot::LinkUp as usize] = 8;
-    config.generate(seed, &catalog)
-}
-
-proptest! {
-    // Each case runs several full campaigns, so keep the case count modest;
-    // torus sizes span the satellite's 4×4 → 16×16 range with the bulk of
-    // the sampling on the small fabrics.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The engine's determinism-by-construction claim, attacked with
-    /// randomized chaos schedules: a closed-loop campaign split into 2 or 4
-    /// epoch regions produces byte-identical results to the unsharded run
-    /// — and a 2-region run an identical event-for-event Chrome trace to a
-    /// 4-region one — on tori from 4×4 up to 16×16, with mid-epoch link
-    /// cuts and repairs shrinking and re-growing the lookahead horizon
-    /// while traffic is in flight.
-    #[test]
-    fn epoch_parallel_campaign_matches_sequential(
-        // Duplicates weight the draw toward the cheap small fabrics.
-        dim in prop::sample::select(vec![4usize, 4, 4, 4, 6, 6, 6, 8, 8, 12, 16]),
-        seed in any::<u64>(),
-    ) {
-        let plan = chaos_plan(dim, seed);
-        let (baseline, clean) = campaign_fingerprint(dim, seed, &plan, 1);
-        prop_assert!(clean, "monitors fired on the intact machine: {baseline}");
-        for shards in [2, 4] {
-            let (sharded, clean) = campaign_fingerprint(dim, seed, &plan, shards);
-            prop_assert!(clean, "monitors fired at shards={shards}");
-            prop_assert_eq!(
-                &baseline, &sharded,
-                "shards={} diverged from the unsharded run",
-                shards
-            );
-        }
-        // Event-for-event: the full Chrome trace of a 4-shard run is
-        // identical to the 2-shard one.
-        let two_shard_trace = campaign_trace(dim, seed, &plan, 2);
-        let four_shard_trace = campaign_trace(dim, seed, &plan, 4);
-        prop_assert_eq!(two_shard_trace, four_shard_trace);
     }
 }
 

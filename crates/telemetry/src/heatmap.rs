@@ -3,9 +3,8 @@
 //! The paper's Xmesh tool shows *where* on the torus the machine is busy;
 //! a [`Heatmap`] is the deterministic substrate for that view: one `u64`
 //! cell per node of a `cols × rows` grid, updated by node index and merged
-//! element-wise. Every producer (per-region network slices, per-node Zbox
-//! accounting) owns a disjoint set of cells, so element-wise addition is
-//! an exact merge — the combined grid is identical at any shard count.
+//! element-wise. Producers that own disjoint sets of cells merge exactly
+//! by element-wise addition, whatever the merge order.
 //! This crate knows nothing of topologies; callers map `NodeId` indexes to
 //! cells with the usual row-major `index = y * cols + x` convention.
 //!
@@ -111,9 +110,8 @@ impl Heatmap {
         self.cells.iter().position(|&v| v == peak).unwrap_or(0)
     }
 
-    /// Element-wise addition. Exact when producers own disjoint cells
-    /// (each torus node and each directed link has exactly one owning
-    /// region), which is what makes the merged grid shard-count-invariant.
+    /// Element-wise addition. Exact when producers own disjoint cells,
+    /// which makes the merged grid independent of merge order.
     ///
     /// # Panics
     ///

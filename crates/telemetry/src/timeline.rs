@@ -7,7 +7,7 @@
 //! one registry per window. All three metric types inherit the registry's
 //! commutative merge semantics — counters add, gauges max, log2 histograms
 //! add bucket-wise — so merging per-worker timelines in input order yields
-//! the identical series at any shard or worker count, and folding every
+//! the identical series at any worker count, and folding every
 //! window back together ([`Timeline::totals`]) reproduces the whole-run
 //! registry exactly. That *exact-sum invariant* is what lets a windowed
 //! series be trusted: the timeline is a partition of the totals, not a

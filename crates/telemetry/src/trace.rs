@@ -18,8 +18,8 @@ pub const PID_MESSAGES: u32 = 1;
 pub const PID_LINKS: u32 = 2;
 /// Conventional process id for memory-controller (Zbox) service lanes.
 pub const PID_MEMORY: u32 = 3;
-/// Conventional process id for the epoch engine's per-shard
-/// profiler lanes (one thread row per region shard).
+/// Conventional process id for the epoch engine's profiler lane (one
+/// thread row: its event queue).
 pub const PID_SHARDS: u32 = 4;
 
 /// One complete ("X") duration event.
@@ -105,9 +105,10 @@ impl TraceSink {
     }
 
     /// Append every event (complete and metadata) of `other` to this sink.
-    /// Used by the epoch engine to combine per-region sinks after
-    /// a run; follow with [`canonical_sort`](Self::canonical_sort) so the
-    /// merged order is independent of how regions partitioned the work.
+    /// Used by the closed loop to fold the fabric's sink into the
+    /// campaign's after a run; follow with
+    /// [`canonical_sort`](Self::canonical_sort) so the merged order is a
+    /// pure function of the events.
     pub fn merge_from(&mut self, other: TraceSink) {
         self.events.extend(other.events);
         self.meta.extend(other.meta);

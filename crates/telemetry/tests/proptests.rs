@@ -43,7 +43,7 @@ proptest! {
             apply(&mut sequential, &mut whole, u);
         }
         // Deal updates round-robin to per-worker timelines, then merge in
-        // worker (input) order — exactly how the campaign combines shards.
+        // worker (input) order — exactly how a sweep combines its points.
         let mut parts: Vec<Timeline> = (0..workers).map(|_| Timeline::new(window_ps)).collect();
         let mut scratch = Registry::new();
         for (i, u) in updates.iter().enumerate() {

@@ -6,7 +6,6 @@
 #![allow(clippy::unwrap_used)]
 
 use alphasim::experiments::{apps, latency, memory, network, spec, stream, summary};
-use alphasim::kernel::par;
 use alphasim::system::loadtest::{
     gs1280_load_test, gs320_load_test, LoadTestConfig, LoadTestResult,
 };
@@ -49,13 +48,10 @@ fn gups_and_summary_are_deterministic() {
     assert_eq!(summary::fig28(20), summary::fig28(20));
 }
 
-/// The load test runs on fabric regions stepped in epochs; the region
-/// count may not change a byte of the result, Xmesh samples and the
-/// per-node Zbox and IP-link busy grids included. (The knob is
-/// process-global, so every other test in this binary is region-invariant
-/// too and may run alongside.)
+/// A load test reruns to the same result, Xmesh samples and the per-node
+/// Zbox and IP-link busy grids included.
 #[test]
-fn load_test_is_region_count_invariant() {
+fn load_test_reruns_byte_identically() {
     let cfg = LoadTestConfig {
         outstanding: 8,
         requests_per_cpu: 60,
@@ -70,16 +66,11 @@ fn load_test_is_region_count_invariant() {
             gs320_load_test(&q).run(&cfg),
         ]
     };
-    par::set_shards(1);
     let reference = run();
     assert!(reference.iter().all(|r| !r.samples.is_empty()));
     // Both grids hold traffic, so comparing them is not vacuous.
     assert!(reference
         .iter()
         .all(|r| r.zbox_busy.total() > 0 && r.link_busy.total() > 0));
-    for regions in [1, 2, 4] {
-        par::set_shards(regions);
-        assert_eq!(run(), reference, "{regions} region(s)");
-    }
-    par::set_shards(0);
+    assert_eq!(run(), reference);
 }
