@@ -420,6 +420,10 @@ mod tests {
                 &json.replace("\"requests_per_cpu\": 160", "\"requests_per_cpu\": 0"),
                 "field \"requests_per_cpu\" must be at least 1, got 0",
             ),
+            (
+                &json.replace("\"timeout\": 50000000", "\"timeout\": 300000000"),
+                "field \"timeout\" must be below the 250000000 ps watchdog window",
+            ),
             (&json.replace("\"node\": 0", "\"node\": 99"), "illegal plan"),
         ] {
             let err = replay_text(file, text).unwrap_err();

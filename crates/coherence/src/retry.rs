@@ -53,11 +53,6 @@ impl RetryPolicy {
             .saturating_mul(1u64 << doublings)
             .min(self.backoff_cap)
     }
-
-    /// The deadline for a (re)issue at `now`.
-    pub fn deadline(&self, now: SimTime) -> SimTime {
-        now + self.timeout
-    }
 }
 
 /// One outstanding coherence transaction.
@@ -242,41 +237,14 @@ impl Watchdog {
         self.last_progress = self.last_progress.max(now);
     }
 
-    /// Check for livelock at `now`: `Some` report if nothing has completed
-    /// for a full window while `pending` transactions are outstanding.
-    /// Firing counts as progress, so a still-stuck system re-fires one
-    /// window later rather than on every check.
-    pub fn check(&mut self, now: SimTime, pending: &PendingSet) -> Option<LivelockReport> {
-        if pending.is_empty() || now.since(self.last_progress) < self.window {
-            return None;
-        }
-        self.fired += 1;
-        let report = LivelockReport {
-            at: now,
-            stalled_for: now.since(self.last_progress),
-            stuck: pending
-                .iter()
-                .map(|(tag, tx)| StuckTx {
-                    tag,
-                    src: tx.src,
-                    home: tx.home,
-                    attempts: tx.attempts,
-                    outstanding_for: now.since(tx.first_issued),
-                })
-                .collect(),
-        };
-        self.last_progress = now;
-        Some(report)
-    }
-
-    /// [`check`](Self::check) across several outstanding-transaction
-    /// tables at once — the epoch engine keeps one `PendingSet`
-    /// per requester CPU. Fires when *every* table together has made no
-    /// progress for a full window while any transaction is outstanding; the
-    /// report names the stuck transactions of all tables merged in
-    /// ascending tag order, so the result is independent of how they are
-    /// partitioned.
-    pub fn check_many(&mut self, now: SimTime, pending: &[&PendingSet]) -> Option<LivelockReport> {
+    /// Check for livelock at `now` across `pending`, the
+    /// outstanding-transaction tables (the closed loop keeps one per
+    /// requester CPU): `Some` report if nothing has completed for a full
+    /// window while any transaction is outstanding. The report names the
+    /// stuck transactions of every table in ascending tag order, whatever
+    /// the order of the tables. Firing counts as progress, so a still-stuck
+    /// system re-fires one window later rather than on every check.
+    pub fn check(&mut self, now: SimTime, pending: &[&PendingSet]) -> Option<LivelockReport> {
         let outstanding: usize = pending.iter().map(|set| set.len()).sum();
         if outstanding == 0 || now.since(self.last_progress) < self.window {
             return None;
@@ -448,7 +416,7 @@ mod tests {
         let mut dog = Watchdog::new(SimDuration::from_us(50.0));
         let mut set = PendingSet::new();
         // Nothing outstanding: never fires, however long the silence.
-        assert!(dog.check(t(1000.0), &set).is_none());
+        assert!(dog.check(t(1000.0), &[&set]).is_none());
         set.insert(
             0xdead,
             PendingTx {
@@ -460,8 +428,13 @@ mod tests {
             },
         );
         dog.note_progress(t(1000.0));
-        assert!(dog.check(t(1040.0), &set).is_none(), "window not elapsed");
-        let report = dog.check(t(1050.0), &set).expect("stalled a full window");
+        assert!(
+            dog.check(t(1040.0), &[&set]).is_none(),
+            "window not elapsed"
+        );
+        let report = dog
+            .check(t(1050.0), &[&set])
+            .expect("stalled a full window");
         assert_eq!(report.stuck.len(), 1);
         assert_eq!(report.stuck[0].tag, 0xdead);
         assert_eq!(report.stuck[0].attempts, 2);
@@ -470,7 +443,7 @@ mod tests {
         assert!(text.contains("0xdead"), "{text}");
         assert!(text.contains("cpu 3 -> home 4"), "{text}");
         // Firing re-arms rather than re-firing every check.
-        assert!(dog.check(t(1051.0), &set).is_none());
+        assert!(dog.check(t(1051.0), &[&set]).is_none());
         assert_eq!(dog.fired(), 1);
         let mut registry = Registry::default();
         dog.export_metrics(&mut registry);
@@ -487,33 +460,33 @@ mod tests {
             deadline: t(1010.0),
             attempts: 1,
         };
-        let mut region_a = PendingSet::new();
-        let mut region_b = PendingSet::new();
-        region_a.insert(9, tx(0));
-        region_b.insert(2, tx(4));
-        region_b.insert(5, tx(6));
+        let mut cpu_a = PendingSet::new();
+        let mut cpu_b = PendingSet::new();
+        cpu_a.insert(9, tx(0));
+        cpu_b.insert(2, tx(4));
+        cpu_b.insert(5, tx(6));
         dog.note_progress(t(1000.0));
-        // Empty slice / no outstanding work: silent, like `check`.
-        assert!(dog.check_many(t(2000.0), &[]).is_none());
-        assert!(dog.check_many(t(2000.0), &[&PendingSet::new()]).is_none());
+        // No table / no outstanding work: silent.
+        assert!(dog.check(t(2000.0), &[]).is_none());
+        assert!(dog.check(t(2000.0), &[&PendingSet::new()]).is_none());
         assert!(
-            dog.check_many(t(1040.0), &[&region_a, &region_b]).is_none(),
+            dog.check(t(1040.0), &[&cpu_a, &cpu_b]).is_none(),
             "window not elapsed"
         );
         let report = dog
-            .check_many(t(1050.0), &[&region_a, &region_b])
+            .check(t(1050.0), &[&cpu_a, &cpu_b])
             .expect("stalled a full window");
         let tags: Vec<u64> = report.stuck.iter().map(|s| s.tag).collect();
-        assert_eq!(tags, vec![2, 5, 9], "merged ascending regardless of region");
-        // Same merge, regions swapped: identical report.
+        assert_eq!(tags, vec![2, 5, 9], "merged ascending regardless of table");
+        // Same merge, tables swapped: identical report.
         let mut dog2 = Watchdog::new(SimDuration::from_us(50.0));
         dog2.note_progress(t(1000.0));
         let swapped = dog2
-            .check_many(t(1050.0), &[&region_b, &region_a])
+            .check(t(1050.0), &[&cpu_b, &cpu_a])
             .expect("fires identically");
         assert_eq!(report, swapped);
         // Firing re-arms.
-        assert!(dog.check_many(t(1051.0), &[&region_a]).is_none());
+        assert!(dog.check(t(1051.0), &[&cpu_a]).is_none());
         assert_eq!(dog.fired(), 1);
     }
 }

@@ -4,17 +4,17 @@
 //! open-loop batch drains — runs the 21364 router model here, on the
 //! kernel's epoch engine ([`alphasim_kernel::shard::EpochExecutor`]):
 //!
-//! * [`FabricTables`] is the **shared, immutable** routing snapshot — the
-//!   topology materialized into plain tables ([`FabricGraph`]), route
-//!   tables over the live fabric, link liveness and drain flags. The
-//!   worker holds it behind an [`Arc`]; only a barrier coordinator
-//!   mutates its master copy (fault strikes) and republishes. Between
-//!   barriers the snapshot is constant.
-//! * [`RegionNet`] is the fabric's **owned, mutable** state: the [`Link`]
-//!   state (queues, occupancy, degradation, pauses) of every directed
-//!   link, plus the packets queued on them. A packet in flight between
-//!   hops lives inside its pending `Arrive` event — hop handoff is event
-//!   handoff.
+//! * [`FabricTables`] is the fabric's **routing state** — the topology
+//!   materialized into plain tables ([`FabricGraph`]), route tables over
+//!   the live fabric, link liveness and drain flags. Its [`RegionNet`]
+//!   owns it; events only read it, and a barrier coordinator's fault
+//!   strikes change it in place ([`RegionNet::tables_mut`]), so between
+//!   barriers it is constant.
+//! * [`RegionNet`] is the fabric's **owned** state: those tables, the
+//!   [`Link`] state (queues, occupancy, degradation, pauses) of every
+//!   directed link, and the packets queued on them. A packet in flight
+//!   between hops lives inside its pending `Arrive` event — hop handoff is
+//!   event handoff.
 //! * [`OpenLoop`] is the small batch driver: inject messages, run to
 //!   idle, read deliveries and the fabric-wide link reductions
 //!   ([`FabricLinks`]).
@@ -48,8 +48,6 @@
 //! a slab slot: that is the grant the queue would have made at once, so
 //! the same `Arrive` and `LinkFree` events, ticket, occupancy and grant
 //! count follow. Most hops of a closed-loop run take this path.
-
-use std::sync::Arc;
 
 use alphasim_kernel::shard::{EpochExecutor, Outbox, ShardWorker};
 use alphasim_kernel::{SimDuration, SimTime};
@@ -329,13 +327,12 @@ impl Topology for FabricGraph {
     }
 }
 
-/// The shared routing snapshot of a fabric.
+/// The routing state of a fabric, owned by its [`RegionNet`].
 ///
-/// The worker reads it behind an [`Arc`] and never mutates it; a barrier
-/// coordinator keeps a master copy, applies fault strikes to that, and
-/// republishes a fresh `Arc` to the worker — so a route lookup inside an
-/// epoch always sees the fabric as it stood at the last barrier.
-#[derive(Debug, Clone)]
+/// Event handling only reads it; fault strikes change it in place, and
+/// only at barriers — so a route lookup inside an epoch always sees the
+/// fabric as it stood at the last barrier.
+#[derive(Debug)]
 pub struct FabricTables {
     graph: FabricGraph,
     policy: RoutePolicy,
@@ -603,7 +600,7 @@ impl NetHeat {
 /// directed link, the packets queued on them, and the Chrome trace.
 #[derive(Debug)]
 pub struct RegionNet<P> {
-    tables: Arc<FabricTables>,
+    tables: FabricTables,
     /// Indexed by global link id.
     links: Vec<Link>,
     /// Queued packets, addressed by the [`MessageId`]s living in the link
@@ -618,7 +615,7 @@ pub struct RegionNet<P> {
 
 impl<P> RegionNet<P> {
     /// Idle links over `tables`' fabric.
-    pub fn new(tables: Arc<FabricTables>) -> Self {
+    pub fn new(tables: FabricTables) -> Self {
         let links = (0..tables.link_count())
             .map(|id| {
                 let (from, to, class, dir) = tables.link_meta(id);
@@ -637,14 +634,15 @@ impl<P> RegionNet<P> {
         }
     }
 
-    /// The shared routing snapshot.
+    /// The routing tables.
     pub fn tables(&self) -> &FabricTables {
         &self.tables
     }
 
-    /// Install a fresh routing snapshot (barrier republish).
-    pub fn set_tables(&mut self, tables: Arc<FabricTables>) {
-        self.tables = tables;
+    /// Exclusive access to the routing tables (barrier-time fault
+    /// strikes).
+    pub fn tables_mut(&mut self) -> &mut FabricTables {
+        &mut self.tables
     }
 
     /// CRC retransmits across the fabric's links.
@@ -851,7 +849,7 @@ impl<P> RegionNet<P> {
     /// for adaptive classes (ties to the lowest port index), the first
     /// minimal port for I/O.
     fn choose_output<E>(&self, node: NodeId, pkt: &Packet<P>, out: &Outbox<E>) -> usize {
-        let t = &*self.tables;
+        let t = &self.tables;
         let links = &t.live_link_of[node.index()];
         let mut candidates = t.routes.minimal_ports(node, pkt.hops, pkt.dst);
         let chosen = if pkt.class.may_route_adaptively() {
@@ -901,7 +899,7 @@ impl<P> RegionNet<P> {
         let backlog = l.backlog() as u32;
         let link_class = l.class;
         let to = l.to;
-        let tables = &*self.tables;
+        let tables = &self.tables;
         let timing = &tables.timing;
         let transfer = tables.transfer_time(pkt.bytes).saturating_mul(stretch);
         let penalty = tables.congestion_penalty(backlog);
@@ -1129,7 +1127,7 @@ impl OpenLoop {
     /// A driver over `tables`.
     pub fn new(tables: FabricTables) -> Self {
         let worker = OpenWorker {
-            net: RegionNet::new(Arc::new(tables)),
+            net: RegionNet::new(tables),
             delivered: Vec::new(),
             now: SimTime::ZERO,
         };
@@ -1139,7 +1137,7 @@ impl OpenLoop {
         }
     }
 
-    /// The routing snapshot in force.
+    /// The routing tables in force.
     pub fn tables(&self) -> &FabricTables {
         self.exec.worker().net.tables()
     }
@@ -1726,24 +1724,24 @@ mod tests {
 
     #[test]
     fn failing_a_link_reroutes_and_restores() {
-        let mut master = tables();
+        let mut t = tables();
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let ids = master.fail_link(a, b).expect("first failure applies");
-        assert!(!master.is_alive(ids[0]));
-        assert_eq!(master.routes.distance(a, 0, b), 3, "0 -> 1 detours");
+        let ids = t.fail_link(a, b).expect("first failure applies");
+        assert!(!t.is_alive(ids[0]));
+        assert_eq!(t.routes.distance(a, 0, b), 3, "0 -> 1 detours");
         assert_eq!(
-            master.fail_link(a, b),
+            t.fail_link(a, b),
             Err(FaultError::AlreadyInState { a, b, alive: false })
         );
-        master.revive_link(a, b).expect("revive applies");
-        assert!(master.is_alive(ids[0]));
-        assert_eq!(master.routes.distance(a, 0, b), 1);
+        t.revive_link(a, b).expect("revive applies");
+        assert!(t.is_alive(ids[0]));
+        assert_eq!(t.routes.distance(a, 0, b), 1);
         assert_eq!(
-            master.revive_link(a, b),
+            t.revive_link(a, b),
             Err(FaultError::AlreadyInState { a, b, alive: true })
         );
         assert_eq!(
-            master.fail_link(a, NodeId::new(10)),
+            t.fail_link(a, NodeId::new(10)),
             Err(FaultError::NoSuchLink {
                 a,
                 b: NodeId::new(10)
@@ -1755,21 +1753,20 @@ mod tests {
     fn partitioning_failure_is_rejected_and_rolled_back() {
         // Cut three of node 0's four links, then demand the fourth: that
         // would sever node 0 and must be refused with the tables intact.
-        let mut master = tables();
+        let mut t = tables();
         for to in [1usize, 3, 4] {
-            master
-                .fail_link(NodeId::new(0), NodeId::new(to))
+            t.fail_link(NodeId::new(0), NodeId::new(to))
                 .expect("fabric survives");
         }
         assert!(matches!(
-            master.fail_link(NodeId::new(0), NodeId::new(12)),
+            t.fail_link(NodeId::new(0), NodeId::new(12)),
             Err(FaultError::Partitioned { .. })
         ));
         // The rollback leaves the last link routable: node 0 still sends,
         // detouring through node 12.
-        let ids = master.link_ids(NodeId::new(0), NodeId::new(12)).unwrap();
-        assert!(master.is_alive(ids[0]) && master.is_alive(ids[1]));
-        let mut net = OpenLoop::new(master);
+        let ids = t.link_ids(NodeId::new(0), NodeId::new(12)).unwrap();
+        assert!(t.is_alive(ids[0]) && t.is_alive(ids[1]));
+        let mut net = OpenLoop::new(t);
         send(&mut net, SimTime::ZERO, 0, 5, MessageClass::Request, 7);
         assert!(net.drain()[0].hops >= 3, "must detour through node 12");
     }

@@ -16,15 +16,17 @@
 //! identities (node, link, transaction), never from insertion order, so the
 //! same seeds produce the same event order and the same bytes.
 //!
-//! Those bytes rest on a state partition, which the types enforce: a
-//! worker reaches its queue only through [`Outbox::emit`], and a guide
-//! reaches the worker only through the [`EpochControl`] it is handed at a
-//! barrier. [`Outbox`], [`ShardWorker`], [`EpochGuide`] and
-//! [`EpochControl`] each show, as `compile_fail` examples, the violations
-//! they rule out; each example is the program below plus the lines it
-//! shows (`Outbox`'s per-field examples are a bare worker). A shared
-//! `Arc<Mutex<…>>` is `Send + 'static`, so the compiler admits it; the
-//! determinism lint (`verify --bin lint`) rejects it.
+//! Those bytes rest on a hand-off the types enforce: a worker reaches its
+//! queue only through [`Outbox::emit`], and a guide reaches the worker
+//! only through the [`EpochControl`] it is handed at a barrier, so every
+//! write a guide makes lands between two epochs. [`Outbox`],
+//! [`EpochGuide`] and [`EpochControl`] each show, as `compile_fail`
+//! examples, the violations they rule out; each example is the program
+//! below plus the lines it shows (`Outbox`'s per-field examples are a bare
+//! worker). The executor steps its worker on the caller's thread, so a
+//! worker type carries no bound beyond its event type; a shared
+//! `Arc<Mutex<…>>` compiles, and the determinism lint
+//! (`verify --bin lint`) rejects it.
 //!
 //! ```
 //! use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochExecutor, EpochGuide};
@@ -374,68 +376,12 @@ pub fn take_peak_event_depth() -> u64 {
 /// [`Outbox`]. Nothing else holds the worker while it runs, so it may
 /// freely mutate itself without any synchronization.
 ///
-/// `Send + 'static` makes a worker own everything it reads. It cannot
-/// borrow the guide's state (E0478), and it cannot share state through
-/// `Rc<RefCell<…>>` (E0277). Guide-only state, such as a fault plan's
-/// cursor, is simply not a field of the worker, so a worker method that
-/// names it does not compile either (E0609).
-///
-/// ```compile_fail,E0478
-/// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Pinger { pings: u64, credit: u64 }
-/// # impl ShardWorker for Pinger {
-/// #     type Event = u64;
-/// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
-/// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
-/// #     }
-/// # }
-/// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Pinger> for Guide {
-/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
-/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
-/// #     }
-/// # }
-/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
-/// # exec.seed(SimTime::ZERO, 0, 3);
-/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
-/// struct Planned<'a> { plan: &'a [u64] } // borrows the guide's plan
-/// impl<'a> ShardWorker for Planned<'a> {
-///     type Event = u64;
-///     fn handle(&mut self, _: SimTime, _: u64, _: &mut Outbox<u64>) {}
-/// }
-/// ```
-///
-/// ```compile_fail,E0277
-/// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Pinger { pings: u64, credit: u64 }
-/// # impl ShardWorker for Pinger {
-/// #     type Event = u64;
-/// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
-/// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
-/// #     }
-/// # }
-/// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Pinger> for Guide {
-/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
-/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
-/// #     }
-/// # }
-/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
-/// # exec.seed(SimTime::ZERO, 0, 3);
-/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
-/// struct Shared(std::rc::Rc<std::cell::RefCell<u64>>); // a count the guide also holds
-/// impl ShardWorker for Shared {
-///     type Event = u64;
-///     fn handle(&mut self, _: SimTime, _: u64, _: &mut Outbox<u64>) { *self.0.borrow_mut() += 1 }
-/// }
-/// ```
-pub trait ShardWorker: Send + 'static {
+/// Guide-only state, such as a fault plan's cursor, is simply not a field
+/// of the worker, so a worker method that names it does not compile
+/// (E0609).
+pub trait ShardWorker {
     /// The event type this simulation processes.
-    type Event: Send + 'static;
+    type Event;
 
     /// Handle one event firing at `at`, emitting follow-ups via `out`.
     fn handle(&mut self, at: SimTime, ev: Self::Event, out: &mut Outbox<Self::Event>);

@@ -29,6 +29,11 @@ use crate::faulty::{
 use crate::gs1280::FabricTopo;
 use crate::Gs1280;
 
+/// The watchdog no-progress window of every chaos trial: 250 µs. A
+/// campaign needs it to exceed the retry timeout, so a reproducer's
+/// timeout must stay below it.
+const TRIAL_WATCHDOG_WINDOW: SimDuration = SimDuration::from_ps(250_000_000);
+
 /// Parameters of one chaos campaign.
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
@@ -142,8 +147,9 @@ impl Reproducer {
     ///
     /// Bad JSON, a missing or mistyped field, an unknown fault kind, and
     /// values no campaign can run: a machine size other than
-    /// [`Torus2D::SIZES`], no outstanding reads, no reads per CPU, or a
-    /// retry budget beyond `u32`. Each names the field and the value.
+    /// [`Torus2D::SIZES`], no outstanding reads, no reads per CPU, a retry
+    /// budget beyond `u32`, or a retry timeout at or above the trials'
+    /// watchdog window. Each names the field and the value.
     pub fn from_json(text: &str) -> Result<Reproducer, String> {
         let root = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e}"))?;
         let mutation = match get(&root, "mutation")? {
@@ -185,6 +191,13 @@ impl Reproducer {
                 format!("field \"max_retries\" must fit in 32 bits, got {max_retries}")
             })?,
         };
+        if retry.timeout >= TRIAL_WATCHDOG_WINDOW {
+            return Err(format!(
+                "field \"timeout\" must be below the {} ps watchdog window, got {}",
+                TRIAL_WATCHDOG_WINDOW.as_ps(),
+                retry.timeout.as_ps()
+            ));
+        }
         let cpus = usize_field(&root, "cpus")?;
         if Torus2D::shape_for(cpus).is_none() {
             let sizes = Torus2D::SIZES.map(|(n, _, _)| n);
@@ -363,7 +376,7 @@ fn trial_cfg(
         pattern: CampaignPattern::UniformRemote,
         plan,
         retry: opts.retry,
-        watchdog_window: SimDuration::from_us(250.0),
+        watchdog_window: TRIAL_WATCHDOG_WINDOW,
         mutation,
         ..Default::default()
     }
@@ -678,6 +691,11 @@ mod tests {
                 "\"max_retries\": 6",
                 "\"max_retries\": 4294967296",
                 "field \"max_retries\" must fit in 32 bits, got 4294967296",
+            ),
+            (
+                "\"timeout\": 50000000",
+                "\"timeout\": 300000000",
+                "field \"timeout\" must be below the 250000000 ps watchdog window, got 300000000",
             ),
         ] {
             assert!(json.contains(from), "corpus file drifted: {from}");

@@ -8,16 +8,18 @@
 //! scheduler ([`EpochExecutor`]): one worker, one event queue, and a guide
 //! that strikes barriers:
 //!
-//! * [`CampaignWorker`] holds everything mutable: the [`RegionNet`] link
-//!   state, a [`Requester`] (pending set and deadline queue) per CPU, the
-//!   [`Zbox`] controller of every memory site, per-CPU RNGs and issue
-//!   counters, and every result stream (latency samples, completions,
-//!   poisons, violations, trace events).
-//! * [`CampaignGuide`] is the barrier coordinator: it holds the master
-//!   [`FabricTables`], strikes fault-plan events, watchdog ticks and
-//!   Fig. 24 samples as epoch barriers, mutates worker link state under
-//!   [`EpochControl`], condemns in-flight packets on dead wires, and
-//!   republishes the routing snapshot.
+//! * [`CampaignWorker`] owns the run: its [`CampaignCfg`] and CPU list,
+//!   the [`RegionNet`] (routing tables and link state), a [`Requester`]
+//!   (pending set and deadline queue) per CPU, the [`Zbox`] controller of
+//!   every memory site, per-CPU RNGs and issue counters, and every result
+//!   stream (latency samples, completions, poisons, monitor violations,
+//!   trace events).
+//! * [`CampaignGuide`] is the barrier coordinator and keeps only barrier
+//!   state: the fault-plan cursor, the watchdog, the Fig. 24 sampler, the
+//!   fault counters and the livelock reports. It strikes fault-plan
+//!   events, watchdog ticks and samples as epoch barriers, changing the
+//!   worker's routing tables and link state in place under
+//!   [`EpochControl`], and condemns in-flight packets on dead wires.
 //!
 //! A run with a retry policy (the campaign) tracks every read in its
 //! CPU's pending set until it completes or is poisoned, queues each
@@ -45,7 +47,6 @@
 //! field here.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use alphasim_cache::Addr;
 use alphasim_coherence::{PendingSet, PendingTx, RetryPolicy, Watchdog};
@@ -53,9 +54,7 @@ use alphasim_kernel::fault::DEGRADE_FACTOR;
 use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochGuide, Outbox, ShardWorker};
 use alphasim_kernel::{DetRng, FaultEvent, FaultKind, SimDuration, SimTime};
 use alphasim_mem::Zbox;
-use alphasim_net::partition::{
-    tb_arrive, tb_inject, tb_timer, FabricEvent, FabricTables, Packet, RegionNet,
-};
+use alphasim_net::partition::{tb_arrive, tb_inject, tb_timer, FabricEvent, Packet, RegionNet};
 use alphasim_net::{FaultError, MessageClass};
 use alphasim_telemetry::trace::PID_MEMORY;
 use alphasim_telemetry::{BreakdownTable, HopBreakdown};
@@ -142,7 +141,8 @@ impl FabricEvent<Carried> for Ev {
     }
 }
 
-/// Immutable campaign parameters, shared by the worker and the guide.
+/// The run's fixed parameters, owned by the worker; the guide reads them
+/// at barriers through [`EpochControl::worker`].
 pub(crate) struct CampaignCfg {
     /// Outstanding reads per CPU.
     pub(crate) outstanding: usize,
@@ -275,11 +275,11 @@ fn wake_up((deadline, tag): Deadline) -> (SimTime, u64, Ev) {
 
 /// The closed-loop campaign state.
 pub(crate) struct CampaignWorker {
-    /// Shared campaign parameters.
-    pub(crate) cfg: Arc<CampaignCfg>,
+    /// The run's parameters.
+    pub(crate) cfg: CampaignCfg,
     /// Every CPU endpoint, indexed by CPU number.
-    pub(crate) cpus: Arc<Vec<NodeId>>,
-    /// The fabric.
+    pub(crate) cpus: Vec<NodeId>,
+    /// The fabric: routing tables, links and queued packets.
     pub(crate) net: RegionNet<Carried>,
     /// Per-CPU RNG streams.
     pub(crate) rngs: Vec<DetRng>,
@@ -298,7 +298,9 @@ pub(crate) struct CampaignWorker {
     /// Pending-set occupancy deltas `(time_ps, ±1)`; the peak is a
     /// prefix-sum max over the sorted log.
     pub(crate) pending_log: Vec<(u64, i8)>,
-    /// Timestamped monitor violations `(time_ps, monitor, detail)`.
+    /// Timestamped monitor violations `(time_ps, monitor, detail)`: the
+    /// run's only list, which the guide's hung-transaction escalation
+    /// joins.
     pub(crate) violations: Vec<(u64, String, String)>,
     /// Time of the last delivery (request or response).
     pub(crate) last_delivery: SimTime,
@@ -797,25 +799,16 @@ fn applied<T>(r: Result<T, FaultError>) -> T {
     r.unwrap_or_else(|e| refused(e))
 }
 
-/// The barrier coordinator: owns the master fabric tables and the fault
-/// plan, strikes fault events, watchdog ticks and samples at epoch
-/// barriers, and keeps the worker's routing snapshot in sync with the
-/// wounded fabric.
+/// The barrier coordinator: strikes fault events, watchdog ticks and
+/// samples at epoch barriers. It keeps only barrier state; everything it
+/// reads or changes about the run (tables, links, config, CPUs,
+/// violations) is the worker's, reached through [`EpochControl`].
 pub(crate) struct CampaignGuide {
-    /// The master routing snapshot, shared with the worker: a fabric
-    /// mutation copies it on write and republishes the copy.
-    pub(crate) master: Arc<FabricTables>,
-    /// Every CPU endpoint, indexed by CPU number.
-    pub(crate) cpus: Arc<Vec<NodeId>>,
-    /// The run's shared parameters.
-    pub(crate) cfg: Arc<CampaignCfg>,
     /// The fault schedule, sorted by strike time.
     pub(crate) plan: Vec<FaultEvent>,
     /// Next unstruck plan entry.
     pub(crate) plan_idx: usize,
-    /// Watchdog no-progress window (also the barrier grid pitch).
-    pub(crate) window: SimDuration,
-    /// The livelock detector.
+    /// The livelock detector; its window is also the barrier grid pitch.
     pub(crate) dog: Watchdog,
     /// Next watchdog barrier on the fixed grid.
     pub(crate) dog_next: SimTime,
@@ -829,8 +822,6 @@ pub(crate) struct CampaignGuide {
     pub(crate) faults_applied: Vec<FaultKind>,
     /// Livelock reports, in firing order.
     pub(crate) reports: Vec<alphasim_coherence::LivelockReport>,
-    /// Timestamped monitor violations `(time_ps, monitor, detail)`.
-    pub(crate) violations: Vec<(u64, String, String)>,
     /// Packets lost with failed wires.
     pub(crate) dropped: u64,
     /// Queued packets evicted from failing links and re-routed.
@@ -864,7 +855,7 @@ impl EpochGuide<CampaignWorker> for CampaignGuide {
                 if self.dog_tick(at, ctl) == BarrierVerdict::Stop {
                     verdict = BarrierVerdict::Stop;
                 }
-                self.dog_next = at + self.window;
+                self.dog_next = at + self.dog.window();
             }
             self.live = self.plan_idx < self.plan.len()
                 || ctl.worker().pending_sets().any(|set| !set.is_empty());
@@ -895,8 +886,8 @@ impl CampaignGuide {
             *prev = busy;
             (delta.as_ps() as f64 / window).min(1.0)
         };
-        let mut zbox = Vec::with_capacity(self.cfg.homes.len());
-        for (&site, prev) in self.cfg.homes.iter().zip(&mut s.prev_zbox_busy) {
+        let mut zbox = Vec::with_capacity(worker.cfg.homes.len());
+        for (&site, prev) in worker.cfg.homes.iter().zip(&mut s.prev_zbox_busy) {
             let busy = worker.zboxes[site.index()]
                 .as_ref()
                 .map_or(SimDuration::ZERO, Zbox::busy_time);
@@ -916,12 +907,6 @@ impl CampaignGuide {
         s.next_at = Some(at + s.every);
     }
 
-    /// Republish the master tables to the worker, so route lookups in
-    /// the next epochs see the fabric as it stands at this barrier.
-    fn republish(&self, ctl: &mut EpochControl<'_, CampaignWorker>) {
-        ctl.worker_mut().net.set_tables(self.master.clone());
-    }
-
     /// Apply one fault strike at barrier `b`; an inapplicable fault
     /// panics ([`refused`]).
     fn apply_fault(
@@ -933,8 +918,8 @@ impl CampaignGuide {
         match kind {
             FaultKind::LinkDown { a, b: other } => {
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                for id in applied(Arc::make_mut(&mut self.master).fail_link(na, nb)) {
-                    let from = self.master.link_meta(id).0;
+                for id in applied(ctl.worker_mut().net.tables_mut().fail_link(na, nb)) {
+                    let from = ctl.worker().net.tables().link_meta(id).0;
                     // Queued packets are evicted and re-routed from the
                     // sending side over the rebuilt tables.
                     let evicted = ctl.worker_mut().net.evict_queued(id);
@@ -965,12 +950,12 @@ impl CampaignGuide {
                         );
                     }
                 }
-                self.republish(ctl);
             }
             FaultKind::LinkUp { a, b: other } => {
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                let ids = applied(self.master.link_ids(na, nb));
-                if self.master.is_alive(ids[0]) {
+                let tables = ctl.worker().net.tables();
+                let ids = applied(tables.link_ids(na, nb));
+                if tables.is_alive(ids[0]) {
                     // An alive link only heals if it was degraded;
                     // repairing a healthy full-speed link errs.
                     let degraded = ids
@@ -984,8 +969,7 @@ impl CampaignGuide {
                         });
                     }
                 } else {
-                    applied(Arc::make_mut(&mut self.master).revive_link(na, nb));
-                    self.republish(ctl);
+                    applied(ctl.worker_mut().net.tables_mut().revive_link(na, nb));
                 }
                 for id in ids {
                     ctl.worker_mut().net.link_mut(id).set_degrade(1);
@@ -993,10 +977,11 @@ impl CampaignGuide {
             }
             FaultKind::LinkDegrade { a, b: other } => {
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                let ids = applied(self.master.link_ids(na, nb));
-                let what = if !self.master.is_alive(ids[0]) {
+                let net = &ctl.worker().net;
+                let ids = applied(net.tables().link_ids(na, nb));
+                let what = if !net.tables().is_alive(ids[0]) {
                     Some("is dead; cannot degrade")
-                } else if ctl.worker().net.link(ids[0]).is_degraded() {
+                } else if net.link(ids[0]).is_degraded() {
                     Some("is already degraded")
                 } else {
                     None
@@ -1013,8 +998,9 @@ impl CampaignGuide {
             }
             FaultKind::FlitCorrupt { from, to } => {
                 let (nf, nt) = (NodeId::new(from), NodeId::new(to));
-                let id = applied(self.master.directed_link(nf, nt));
-                if !self.master.is_alive(id) {
+                let tables = ctl.worker().net.tables();
+                let id = applied(tables.directed_link(nf, nt));
+                if !tables.is_alive(id) {
                     refused(FaultError::BadState {
                         a: nf,
                         b: nt,
@@ -1029,18 +1015,16 @@ impl CampaignGuide {
                 ctl.worker_mut().net.pause_router(n, until);
             }
             FaultKind::NodeDrain { node } => {
-                let n = NodeId::new(node);
-                Arc::make_mut(&mut self.master).set_drained(n, true);
-                if let Some(cpu) = self.cpus.iter().position(|c| c.index() == node) {
-                    ctl.worker_mut().ever_drained[cpu] = true;
+                let w = ctl.worker_mut();
+                w.net.tables_mut().set_drained(NodeId::new(node), true);
+                if let Some(cpu) = w.cpus.iter().position(|c| c.index() == node) {
+                    w.ever_drained[cpu] = true;
                 }
-                self.republish(ctl);
             }
             FaultKind::NodeUndrain { node } => {
-                let n = NodeId::new(node);
-                Arc::make_mut(&mut self.master).set_drained(n, false);
-                self.republish(ctl);
-                if let Some(cpu) = self.cpus.iter().position(|c| c.index() == node) {
+                let w = ctl.worker_mut();
+                w.net.tables_mut().set_drained(NodeId::new(node), false);
+                if let Some(cpu) = w.cpus.iter().position(|c| c.index() == node) {
                     // The node resumes service: refill its issue window so
                     // it works toward its quota again.
                     ctl.inject(b, tb_inject(cpu), Ev::Inject { cpu });
@@ -1077,10 +1061,10 @@ impl CampaignGuide {
         let worker = ctl.worker();
         self.dog.note_progress(worker.last_delivery);
         let sets: Vec<&PendingSet> = worker.pending_sets().collect();
-        match self.dog.check_many(now, &sets) {
+        match self.dog.check(now, &sets) {
             Some(report) => {
                 self.reports.push(report);
-                if self.cfg.monitored {
+                if worker.cfg.monitored {
                     self.consecutive_stuck += 1;
                     if self.consecutive_stuck >= STUCK_WINDOW_LIMIT {
                         let mut tags: Vec<u64> = sets
@@ -1088,7 +1072,7 @@ impl CampaignGuide {
                             .flat_map(|set| set.iter().map(|(tag, _)| tag))
                             .collect();
                         tags.sort_unstable();
-                        self.violations.push((
+                        ctl.worker_mut().violations.push((
                             now.as_ps(),
                             "hung-transactions".to_string(),
                             format!(

@@ -41,7 +41,6 @@ use alphasim_topology::route::RoutePolicy;
 use alphasim_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use crate::epoch::{CampaignCfg, CampaignGuide, CampaignWorker, Ev, Requester, Sampler};
 use crate::loadtest::TrafficPattern;
@@ -512,14 +511,13 @@ impl<T: Topology> FaultCampaign<T> {
             }
             _ => Vec::new(),
         };
-        let master = Arc::new(self.tables);
-        let node_count = master.topology().node_count();
+        let node_count = self.tables.topology().node_count();
         let homes = self
             .cpus
             .iter()
             .map(|cpu| self.site_of_cpu[cpu.index()])
             .collect();
-        let ccfg = Arc::new(CampaignCfg {
+        let ccfg = CampaignCfg {
             outstanding: cfg.outstanding,
             requests_per_cpu: cfg.requests_per_cpu as u64,
             retry: (!drive.retry_free).then_some(cfg.retry),
@@ -530,14 +528,13 @@ impl<T: Topology> FaultCampaign<T> {
             front_overhead: self.front_overhead,
             directory_overhead: self.directory_overhead,
             monitored: drive.monitored,
-        });
-        let cpus = Arc::new(self.cpus);
+        };
         // One controller per distinct memory site.
         let mut zboxes: Vec<Option<Zbox>> = (0..node_count).map(|_| None).collect();
         for &site in &self.site_of_cpu {
             zboxes[site.index()].get_or_insert_with(|| Zbox::new(self.zbox));
         }
-        let mut net = RegionNet::new(master.clone());
+        let mut net = RegionNet::new(self.tables);
         if drive.trace {
             net.enable_trace();
         }
@@ -545,8 +542,8 @@ impl<T: Topology> FaultCampaign<T> {
             net.enable_heat(o.window_ps);
         }
         let worker = CampaignWorker {
-            cfg: ccfg.clone(),
-            cpus: cpus.clone(),
+            cfg: ccfg,
+            cpus: self.cpus,
             net,
             rngs: (0..ncpus)
                 .map(|i| DetRng::seeded(cfg.seed).split(i as u64))
@@ -581,19 +578,14 @@ impl<T: Topology> FaultCampaign<T> {
             exec.seed(SimTime::ZERO, tb_inject(cpu), Ev::Inject { cpu });
         }
         let mut guide = CampaignGuide {
-            master,
-            cpus,
-            cfg: ccfg,
             plan: cfg.plan.events().to_vec(),
             plan_idx: 0,
-            window: cfg.watchdog_window,
             dog: Watchdog::new(cfg.watchdog_window),
             dog_next: SimTime::ZERO + cfg.watchdog_window,
             live: !drive.retry_free,
             consecutive_stuck: 0,
             faults_applied: Vec::new(),
             reports: Vec::new(),
-            violations: Vec::new(),
             dropped: 0,
             rerouted: 0,
             sampler: drive.sample_every.map(|every| Sampler {
@@ -624,9 +616,8 @@ impl<T: Topology> FaultCampaign<T> {
             drive.monitored || cfg.mutation.is_none(),
             "recovery mutations require run_monitored"
         );
-        let (mut worker, mut guide, epoch_report, profile) = self.launch(cfg, drive);
-        let cpus = guide.cpus.clone();
-        let ncpus = cpus.len();
+        let (mut worker, guide, epoch_report, profile) = self.launch(cfg, drive);
+        let ncpus = worker.cpus.len();
 
         // ---- canonical aggregation ------------------------------------
         // Every stream below is put into an order that is a pure function
@@ -667,11 +658,7 @@ impl<T: Topology> FaultCampaign<T> {
         let pending_total = pending_tags.len();
 
         let mut monitor_violations = drive.monitored.then(|| {
-            let mut timed: Vec<(u64, String, String)> = worker
-                .violations
-                .drain(..)
-                .chain(guide.violations.drain(..))
-                .collect();
+            let mut timed = std::mem::take(&mut worker.violations);
             timed.sort_unstable();
             let mut violations: Vec<Violation> = timed
                 .into_iter()
@@ -688,7 +675,7 @@ impl<T: Topology> FaultCampaign<T> {
             for cpu in 0..ncpus {
                 let issued = worker.issued[cpu];
                 if !worker.ever_drained[cpu]
-                    && !guide.master.is_drained(cpus[cpu])
+                    && !worker.net.tables().is_drained(worker.cpus[cpu])
                     && issued < cfg.requests_per_cpu as u64
                 {
                     violations.push(Violation {
@@ -761,7 +748,7 @@ impl<T: Topology> FaultCampaign<T> {
                 let mut sink = TraceSink::new();
                 sink.name_process(PID_MESSAGES, "network: message lifetimes");
                 sink.name_process(PID_LINKS, "network: link occupancy");
-                for cpu in cpus.iter() {
+                for cpu in &worker.cpus {
                     sink.name_thread(
                         PID_MESSAGES,
                         cpu.index() as u32,
@@ -820,7 +807,6 @@ impl<T: Topology> FaultCampaign<T> {
         });
         let observability = drive.observe.map(|o| {
             assemble(
-                guide.master.topology(),
                 o.window_ps,
                 &mut worker,
                 profile.expect("profiling was enabled"),

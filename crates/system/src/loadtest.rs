@@ -18,7 +18,7 @@ use alphasim_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::faulty::{Drive, FaultCampaign, FaultCampaignConfig};
-use crate::obs::{link_grid, zbox_grid};
+use crate::obs::{link_busy_grid, zbox_grid};
 
 /// How CPUs pick the home of each request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -152,24 +152,13 @@ impl<T: Topology> LoadTest<T> {
         } else {
             0.0
         };
-        let tables = &guide.master;
-        let topo = tables.topology();
-        let links = worker.net.links();
-        let link_busy = link_grid(
-            topo,
-            links
-                .iter()
-                .enumerate()
-                .filter(|&(id, _)| tables.is_alive(id))
-                .map(|(_, l)| (l.from, l.busy_time().as_ps())),
-        );
         LoadTestResult {
             mean_latency: total_latency / completed.max(1),
             delivered_gbps,
             completed,
             elapsed,
-            zbox_busy: zbox_grid(topo, &worker, |z| z.busy_time().as_ps()),
-            link_busy,
+            zbox_busy: zbox_grid(&worker, |z| z.busy_time().as_ps()),
+            link_busy: link_busy_grid(&worker),
             samples: guide.sampler.map(|s| s.samples).unwrap_or_default(),
         }
     }

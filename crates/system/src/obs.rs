@@ -165,27 +165,35 @@ pub(crate) fn link_grid<T: Topology>(
     node_grid(topo, &by_node)
 }
 
+/// The busy picoseconds of `worker`'s links on [`link_grid`]: Xmesh's
+/// IP-link panel.
+pub(crate) fn link_busy_grid(worker: &CampaignWorker) -> Heatmap {
+    link_grid(
+        worker.net.tables().topology(),
+        worker
+            .net
+            .links()
+            .iter()
+            .map(|l| (l.from, l.busy_time().as_ps())),
+    )
+}
+
 /// Lay `f` of every memory site's Zbox onto its node on [`node_grid`].
-pub(crate) fn zbox_grid<T: Topology>(
-    topo: &T,
-    worker: &CampaignWorker,
-    f: impl Fn(&Zbox) -> u64,
-) -> Heatmap {
+pub(crate) fn zbox_grid(worker: &CampaignWorker, f: impl Fn(&Zbox) -> u64) -> Heatmap {
     let by_node: Vec<u64> = worker
         .zboxes
         .iter()
         .map(|zbox| zbox.as_ref().map_or(0, &f))
         .collect();
-    node_grid(topo, &by_node)
+    node_grid(worker.net.tables().topology(), &by_node)
 }
 
 /// Fold the observed run's `worker` into the public result: take its
 /// accumulators, read link occupancy off the link meters and reads served
-/// off the Zboxes, and lay the per-node values onto `topo`'s grid.
+/// off the Zboxes, and lay the per-node values onto its fabric's grid.
 /// `pending_deltas` is the sorted pending-set occupancy log, replayed here
 /// into the `campaign.pending_depth` windowed gauge.
-pub(crate) fn assemble<T: Topology>(
-    topo: &T,
+pub(crate) fn assemble(
     window_ps: u64,
     worker: &mut CampaignWorker,
     profile: EpochProfile,
@@ -193,14 +201,7 @@ pub(crate) fn assemble<T: Topology>(
 ) -> CampaignObservability {
     let heat = worker.net.take_heat().expect("heat was enabled");
     let mut obs = *worker.obs.take().expect("observation was enabled");
-    let link_busy = link_grid(
-        topo,
-        worker
-            .net
-            .links()
-            .iter()
-            .map(|l| (l.from, l.busy_time().as_ps())),
-    );
+    let topo = worker.net.tables().topology();
     obs.timeline.merge(&heat.timeline);
     let mut occupancy = 0i64;
     for &(at_ps, d) in pending_deltas {
@@ -212,8 +213,8 @@ pub(crate) fn assemble<T: Topology>(
     CampaignObservability {
         window_ps,
         node_delivered: node_grid(topo, &heat.node_delivered),
-        link_busy,
-        zbox_reads: zbox_grid(topo, worker, Zbox::accesses),
+        link_busy: link_busy_grid(worker),
+        zbox_reads: zbox_grid(worker, Zbox::accesses),
         zbox_busy: node_grid(topo, &obs.zbox_busy_ps),
         timeline: obs.timeline,
         latencies: obs.latencies,

@@ -2,9 +2,7 @@
 //!
 //! The paper's Xmesh tool shows *where* on the torus the machine is busy;
 //! a [`Heatmap`] is the deterministic substrate for that view: one `u64`
-//! cell per node of a `cols × rows` grid, updated by node index and merged
-//! element-wise. Producers that own disjoint sets of cells merge exactly
-//! by element-wise addition, whatever the merge order.
+//! cell per node of a `cols × rows` grid, updated by node index.
 //! This crate knows nothing of topologies; callers map `NodeId` indexes to
 //! cells with the usual row-major `index = y * cols + x` convention.
 //!
@@ -108,23 +106,6 @@ impl Heatmap {
     pub fn peak_cell(&self) -> usize {
         let peak = self.peak();
         self.cells.iter().position(|&v| v == peak).unwrap_or(0)
-    }
-
-    /// Element-wise addition. Exact when producers own disjoint cells,
-    /// which makes the merged grid independent of merge order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grids have different dimensions.
-    pub fn merge(&mut self, other: &Heatmap) {
-        assert_eq!(
-            (self.cols, self.rows),
-            (other.cols, other.rows),
-            "merging heatmaps of different dimensions"
-        );
-        for (c, o) in self.cells.iter_mut().zip(&other.cells) {
-            *c += o;
-        }
     }
 
     /// JSON snapshot: dimensions plus the grid as an array of rows (each
@@ -278,27 +259,6 @@ mod tests {
         assert_eq!(h.total(), 12);
         assert_eq!(h.peak(), 7);
         assert_eq!(h.peak_cell(), 5);
-    }
-
-    #[test]
-    fn merge_is_element_wise_and_commutative() {
-        let a = Heatmap::from_values(2, 2, &[1, 2, 3, 4]);
-        let b = Heatmap::from_values(2, 2, &[10, 0, 0, 40]);
-        let mut ab = Heatmap::new(2, 2);
-        ab.merge(&a);
-        ab.merge(&b);
-        let mut ba = Heatmap::new(2, 2);
-        ba.merge(&b);
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab, Heatmap::from_values(2, 2, &[11, 2, 3, 44]));
-    }
-
-    #[test]
-    #[should_panic(expected = "different dimensions")]
-    fn mismatched_merge_is_rejected() {
-        let mut a = Heatmap::new(2, 2);
-        a.merge(&Heatmap::new(4, 4));
     }
 
     #[test]

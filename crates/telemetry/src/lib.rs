@@ -16,7 +16,7 @@
 //!   event trace of message lifetimes and router occupancy.
 //! * [`Timeline`] / [`Heatmap`] — the time axis and the space axis:
 //!   fixed-width sim-time-windowed registries with the same commutative
-//!   merge, and P×Q topology grids merged element-wise, so *when* and
+//!   merge, and P×Q topology grids indexed by node, so *when* and
 //!   *where* are as byte-reproducible as *how much*. A grid of busy time
 //!   also renders as the paper's Xmesh percent panel and carries its §6
 //!   hot-spot rule ([`HotSpotReport`]).

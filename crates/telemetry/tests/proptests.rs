@@ -5,7 +5,7 @@
 // Test/harness code may unwrap freely; the workspace denies it in libraries.
 #![allow(clippy::unwrap_used)]
 
-use alphasim_telemetry::{Heatmap, Registry, Timeline};
+use alphasim_telemetry::{Registry, Timeline};
 use proptest::prelude::*;
 
 /// One synthetic metric update: a timestamp and an operation.
@@ -81,36 +81,5 @@ proptest! {
         prop_assert_eq!(a.counter_series("c").iter().sum::<u64>(), total);
         prop_assert_eq!(b.counter_series("c").iter().sum::<u64>(), total);
         prop_assert_eq!(a.totals().counter("c"), b.totals().counter("c"));
-    }
-
-    /// Heatmaps merge element-wise in any order; the grid total is the
-    /// sum of contributions.
-    #[test]
-    fn heatmap_merge_any_order(
-        hits in prop::collection::vec((0usize..16, 1u64..100), 0..100),
-        split in 0usize..100,
-    ) {
-        let split = if hits.is_empty() { 0 } else { split % (hits.len() + 1) };
-        let mut whole = Heatmap::new(4, 4);
-        for &(n, v) in &hits {
-            whole.add(n, v);
-        }
-        let mut a = Heatmap::new(4, 4);
-        let mut b = Heatmap::new(4, 4);
-        for &(n, v) in &hits[..split] {
-            a.add(n, v);
-        }
-        for &(n, v) in &hits[split..] {
-            b.add(n, v);
-        }
-        let mut ab = Heatmap::new(4, 4);
-        ab.merge(&a);
-        ab.merge(&b);
-        let mut ba = Heatmap::new(4, 4);
-        ba.merge(&b);
-        ba.merge(&a);
-        prop_assert_eq!(&ab, &ba);
-        prop_assert_eq!(&ab, &whole);
-        prop_assert_eq!(ab.total(), hits.iter().map(|&(_, v)| v).sum::<u64>());
     }
 }

@@ -450,9 +450,9 @@ mod tests {
         assert_eq!(outside.findings.len(), 2, "exemption is par.rs-only");
     }
 
-    /// The epoch engine's workers merge at barriers: a shared accumulator
-    /// seeded into `CampaignWorker` is flagged on its own line, and the
-    /// shipped file is clean.
+    /// The epoch engine's one worker owns every result stream outright: a
+    /// shared accumulator seeded into `CampaignWorker` is flagged on its
+    /// own line, and the shipped file is clean.
     #[test]
     fn an_unmerged_shared_accumulator_is_flagged() {
         let rel = Path::new("crates/system/src/epoch.rs");
