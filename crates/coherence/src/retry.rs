@@ -17,7 +17,6 @@
 use alphasim_kernel::{SimDuration, SimTime};
 use alphasim_telemetry::Registry;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// When and how often a lost transaction is retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,12 +71,15 @@ pub struct PendingTx {
 }
 
 /// The outstanding-transaction table, keyed by the caller's correlation
-/// tag. A `BTreeMap` keeps iteration in ascending tag order, so what is
-/// read out of it (the watchdog's stuck list, a hung-transaction report)
-/// replays identically.
+/// tag. It is a flat vector of `(tag, record)` pairs kept in ascending tag
+/// order, so what is read out of it (the watchdog's stuck list, a
+/// hung-transaction report) replays identically. A table holds one CPU's
+/// few outstanding reads (the EV7 allows 16 misses in flight), whose tags
+/// ascend as they are issued, so an insert appends and a lookup is a
+/// binary search over a few hundred bytes.
 #[derive(Debug, Clone, Default)]
 pub struct PendingSet {
-    txs: BTreeMap<u64, PendingTx>,
+    txs: Vec<(u64, PendingTx)>,
     completed: u64,
     retries: u64,
 }
@@ -88,6 +90,12 @@ impl PendingSet {
         PendingSet::default()
     }
 
+    /// Where `tag` is (`Ok`) or would go (`Err`) in the table.
+    #[inline]
+    fn find(&self, tag: u64) -> Result<usize, usize> {
+        self.txs.binary_search_by_key(&tag, |&(t, _)| t)
+    }
+
     /// Track a newly issued transaction.
     ///
     /// # Panics
@@ -95,15 +103,21 @@ impl PendingSet {
     /// Panics if `tag` is already outstanding.
     #[inline]
     pub fn insert(&mut self, tag: u64, tx: PendingTx) {
-        let prev = self.txs.insert(tag, tx);
-        assert!(prev.is_none(), "tag {tag:#x} already outstanding");
+        if self.txs.last().is_none_or(|&(last, _)| last < tag) {
+            self.txs.push((tag, tx));
+            return;
+        }
+        match self.find(tag) {
+            Ok(_) => panic!("tag {tag:#x} already outstanding"),
+            Err(at) => self.txs.insert(at, (tag, tx)),
+        }
     }
 
     /// Complete `tag`, returning its record — or `None` if it is unknown
     /// (a duplicate response from a retried transaction; callers ignore it).
     #[inline]
     pub fn complete(&mut self, tag: u64) -> Option<PendingTx> {
-        let tx = self.txs.remove(&tag);
+        let tx = self.poison(tag);
         if tx.is_some() {
             self.completed += 1;
         }
@@ -113,7 +127,7 @@ impl PendingSet {
     /// The record for `tag`, if outstanding.
     #[inline]
     pub fn get(&self, tag: u64) -> Option<&PendingTx> {
-        self.txs.get(&tag)
+        self.find(tag).ok().map(|at| &self.txs[at].1)
     }
 
     /// Record a retry of `tag`: bump its attempt count and give it a fresh
@@ -124,7 +138,10 @@ impl PendingSet {
     /// Panics if `tag` is not outstanding.
     #[inline]
     pub fn retry(&mut self, tag: u64, deadline: SimTime) -> u32 {
-        let tx = self.txs.get_mut(&tag).expect("retry of unknown tag");
+        let Ok(at) = self.find(tag) else {
+            panic!("retry of unknown tag")
+        };
+        let tx = &mut self.txs[at].1;
         tx.attempts += 1;
         tx.deadline = deadline;
         self.retries += 1;
@@ -135,12 +152,13 @@ impl PendingSet {
     /// path). Returns its record.
     #[inline]
     pub fn poison(&mut self, tag: u64) -> Option<PendingTx> {
-        self.txs.remove(&tag)
+        let at = self.find(tag).ok()?;
+        Some(self.txs.remove(at).1)
     }
 
     /// Outstanding transactions, in ascending tag order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &PendingTx)> {
-        self.txs.iter().map(|(&tag, tx)| (tag, tx))
+        self.txs.iter().map(|(tag, tx)| (*tag, tx))
     }
 
     /// Outstanding transaction count.
@@ -285,6 +303,11 @@ impl Watchdog {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn t(us: f64) -> SimTime {
@@ -488,5 +511,71 @@ mod tests {
         // Firing re-arms.
         assert!(dog.check(t(1051.0), &[&cpu_a]).is_none());
         assert_eq!(dog.fired(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "retry of unknown tag")]
+    fn retrying_an_unknown_tag_panics() {
+        PendingSet::new().retry(4, t(1.0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat table behaves exactly like a `BTreeMap` keyed by tag
+        /// under random inserts (tags in any order), completions, poisons,
+        /// retries and lookups, and a duplicate insert panics with the
+        /// message it always had, wherever the tag sits in the table.
+        #[test]
+        fn pending_set_matches_a_btreemap_reference(
+            steps in prop::collection::vec((0u8..6, 0u64..24), 1..200),
+        ) {
+            let mut set = PendingSet::new();
+            let mut reference: BTreeMap<u64, PendingTx> = BTreeMap::new();
+            let (mut completed, mut retries) = (0u64, 0u64);
+            for (i, (op, tag)) in steps.into_iter().enumerate() {
+                let now = t(i as f64);
+                match op {
+                    0 | 1 if reference.contains_key(&tag) => {
+                        let mut copy = set.clone();
+                        let tx = reference[&tag];
+                        let panic = catch_unwind(AssertUnwindSafe(move || copy.insert(tag, tx)))
+                            .expect_err("a duplicate insert panics");
+                        let message = panic.downcast_ref::<String>().cloned();
+                        prop_assert_eq!(message, Some(format!("tag {tag:#x} already outstanding")));
+                    }
+                    0 | 1 => {
+                        let tx = PendingTx {
+                            src: i,
+                            home: tag as usize,
+                            first_issued: now,
+                            deadline: now,
+                            attempts: 1,
+                        };
+                        set.insert(tag, tx);
+                        reference.insert(tag, tx);
+                    }
+                    2 => {
+                        let want = reference.remove(&tag);
+                        completed += u64::from(want.is_some());
+                        prop_assert_eq!(set.complete(tag), want);
+                    }
+                    3 => prop_assert_eq!(set.poison(tag), reference.remove(&tag)),
+                    4 => {
+                        if let Some(tx) = reference.get_mut(&tag) {
+                            tx.attempts += 1;
+                            tx.deadline = now;
+                            retries += 1;
+                            prop_assert_eq!(set.retry(tag, now), tx.attempts);
+                        }
+                    }
+                    _ => prop_assert_eq!(set.get(tag), reference.get(&tag)),
+                }
+                prop_assert!(set.iter().eq(reference.iter().map(|(&tag, tx)| (tag, tx))));
+                prop_assert_eq!(set.len(), reference.len());
+                prop_assert_eq!(set.is_empty(), reference.is_empty());
+                prop_assert_eq!((set.completed(), set.retries()), (completed, retries));
+            }
+        }
     }
 }

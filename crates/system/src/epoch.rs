@@ -33,11 +33,14 @@
 //!
 //! Determinism is by construction, not by luck: every event carries a
 //! tiebreak derived from simulation identities (packet uid, link id,
-//! transaction tag, CPU index — never a slot or arrival order), each CPU
-//! draws from its own RNG stream, and every result stream is put into a
-//! canonical order after the run. The same config therefore produces the
-//! same bytes — the invariant `reproduce --check` enforces for every
-//! committed artifact.
+//! transaction tag, CPU index — never a slot or arrival order) and each CPU
+//! draws from its own RNG stream, so events fire in an order the config
+//! alone fixes. The per-read streams are kept in that order or folded as
+//! they happen (latency samples, completion times, the pending-set depth,
+//! whose fold reads the same whatever order same-instant events fire in),
+//! and the rest (poisons, violations) is put into a canonical order after
+//! the run. The same config therefore produces the same bytes — the
+//! invariant `reproduce --check` enforces for every committed artifact.
 //!
 //! The compiler proves the worker/guide state partition: guide state is
 //! not a field of [`CampaignWorker`], and the kernel's shard types keep
@@ -52,6 +55,7 @@ use alphasim_cache::Addr;
 use alphasim_coherence::{PendingSet, PendingTx, RetryPolicy, Watchdog};
 use alphasim_kernel::fault::DEGRADE_FACTOR;
 use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochGuide, Outbox, ShardWorker};
+use alphasim_kernel::stats::MeanP50P99;
 use alphasim_kernel::{DetRng, FaultEvent, FaultKind, SimDuration, SimTime};
 use alphasim_mem::Zbox;
 use alphasim_net::partition::{tb_arrive, tb_inject, tb_timer, FabricEvent, Packet, RegionNet};
@@ -273,6 +277,68 @@ fn wake_up((deadline, tag): Deadline) -> (SimTime, u64, Ev) {
     (deadline, tb_timer(tag), Ev::Timer { tag })
 }
 
+/// The pending sets' total occupancy, folded change by change as the run
+/// makes them. Changes come in firing order, whose times never decrease,
+/// and at one instant the fold counts every release before every insert,
+/// as a `(time, ±1)` log sorted after the run would: neither the peak nor
+/// an instant's depth depends on the order same-instant events fire in.
+#[derive(Debug, Default)]
+pub(crate) struct PendingDepth {
+    /// Occupancy after every change so far.
+    occupancy: i64,
+    /// The largest occupancy at the end of any closed instant.
+    peak: i64,
+    /// The open instant: its time in picoseconds, its occupancy before its
+    /// first change, and whether it released anything.
+    open: Option<(u64, i64, bool)>,
+}
+
+impl PendingDepth {
+    /// Fold a change of `delta` at `at_ps`, which is never earlier than the
+    /// latest change. Returns the instant this change closes by opening a
+    /// later one, as [`close`](Self::close) does.
+    pub(crate) fn change(&mut self, at_ps: u64, delta: i64) -> Option<(u64, u64)> {
+        let closed = match self.open {
+            Some((open_ps, ..)) if open_ps == at_ps => None,
+            _ => self.close(),
+        };
+        if let Some((closed_ps, _)) = closed {
+            debug_assert!(
+                closed_ps < at_ps,
+                "pending-set change at {at_ps} ps after one at {closed_ps} ps"
+            );
+        }
+        let before = self.occupancy;
+        let open = self.open.get_or_insert((at_ps, before, false));
+        open.2 |= delta < 0;
+        self.occupancy += delta;
+        closed
+    }
+
+    /// Close the open instant, if any, after which only a later change may
+    /// come. Folds its final occupancy into the peak and returns `(time_ps,
+    /// depth)`, where `depth` is the most the sorted log held at that
+    /// instant: the final occupancy or, if the instant released anything,
+    /// one below its starting occupancy (after its first release),
+    /// whichever is more, and never below zero.
+    pub(crate) fn close(&mut self) -> Option<(u64, u64)> {
+        let (at_ps, before, released) = self.open.take()?;
+        self.peak = self.peak.max(self.occupancy);
+        let depth = if released {
+            self.occupancy.max(before - 1)
+        } else {
+            self.occupancy
+        };
+        Some((at_ps, depth.max(0) as u64))
+    }
+
+    /// The largest occupancy at the end of any closed instant (zero before
+    /// any).
+    pub(crate) fn peak(&self) -> u64 {
+        self.peak as u64
+    }
+}
+
 /// The closed-loop campaign state.
 pub(crate) struct CampaignWorker {
     /// The run's parameters.
@@ -291,13 +357,15 @@ pub(crate) struct CampaignWorker {
     pub(crate) poisoned: Vec<PoisonedTx>,
     /// Highest attempt count any transaction reached.
     pub(crate) max_attempts: u32,
-    /// Raw end-to-end latency samples (folded after the run).
-    pub(crate) latency_samples: Vec<SimDuration>,
-    /// `(time, tag)` of every completion, for the steady-state bandwidth.
-    pub(crate) completions: Vec<(SimTime, u64)>,
-    /// Pending-set occupancy deltas `(time_ps, ±1)`; the peak is a
-    /// prefix-sum max over the sorted log.
-    pub(crate) pending_log: Vec<(u64, i8)>,
+    /// End-to-end latency of every completed read, recorded as it
+    /// completes into the summary the run reports (which sorts its
+    /// samples once, when it is finished).
+    pub(crate) latency_samples: MeanP50P99,
+    /// Time of every completion in firing order, so never decreasing, for
+    /// the steady-state bandwidth.
+    pub(crate) completions: Vec<SimTime>,
+    /// The pending sets' total occupancy, folded as it changes.
+    pub(crate) depth: PendingDepth,
     /// Timestamped monitor violations `(time_ps, monitor, detail)`: the
     /// run's only list, which the guide's hung-transaction escalation
     /// joins.
@@ -331,6 +399,11 @@ pub(crate) struct CampaignWorker {
     /// kept, so the list holds boxes.
     #[allow(clippy::vec_box)]
     pub(crate) spare: Vec<Box<Packet<Carried>>>,
+    /// Served legs of completed reads, which the next responses' legs are
+    /// written into, so a collecting run allocates no leg once the windows
+    /// are primed; like [`spare`](Self::spare), the list holds boxes.
+    #[allow(clippy::vec_box)]
+    pub(crate) spare_legs: Vec<Box<ServedLeg>>,
 }
 
 impl ShardWorker for CampaignWorker {
@@ -413,12 +486,19 @@ impl CampaignWorker {
                 // The leg rides the response only where a breakdown is
                 // charged; a payload never changes what is scheduled.
                 let leg = self.breakdown.is_some().then(|| {
-                    Box::new(ServedLeg {
+                    let leg = ServedLeg {
                         request: pkt.acc,
                         zbox_queue_ps: acc.started.since(served_from).as_ps(),
                         dram_ps: acc.completed.since(acc.started).as_ps(),
                         page_hit: acc.page_hit,
-                    })
+                    };
+                    match self.spare_legs.pop() {
+                        Some(mut spare) => {
+                            *spare = leg;
+                            spare
+                        }
+                        None => Box::new(leg),
+                    }
                 });
                 let uid = pkt.uid | 1;
                 let carried = Carried {
@@ -439,10 +519,10 @@ impl CampaignWorker {
                     let Some(tx) = self.requesters[cpu].pending.complete(tag) else {
                         return; // duplicate response from a retry
                     };
-                    self.pending_log.push((at.as_ps(), -1));
+                    self.note_pending(at, -1);
                     let e2e = at.since(tx.first_issued) + self.cfg.front_overhead;
-                    self.latency_samples.push(e2e);
-                    self.completions.push((at, tag));
+                    self.latency_samples.record(e2e);
+                    self.completions.push(at);
                     e2e
                 } else {
                     // Retry-free: the one attempt's issue time rode the
@@ -464,6 +544,9 @@ impl CampaignWorker {
                         self.cfg.front_overhead.as_ps(),
                         e2e.as_ps(),
                     );
+                }
+                if let Some(leg) = pkt.payload.leg.take() {
+                    self.spare_legs.push(leg);
                 }
                 self.spare.push(pkt);
                 self.inject_next(at, cpu, out);
@@ -491,6 +574,27 @@ impl CampaignWorker {
     /// Every CPU's pending set, in CPU order.
     pub(crate) fn pending_sets(&self) -> impl Iterator<Item = &PendingSet> {
         self.requesters.iter().map(|r| &r.pending)
+    }
+
+    /// Fold a pending-set change of `delta` reads at `at` into the depth.
+    fn note_pending(&mut self, at: SimTime, delta: i64) {
+        let closed = self.depth.change(at.as_ps(), delta);
+        self.gauge_depth(closed);
+    }
+
+    /// Close the pending-set depth once the run is over and return its
+    /// peak.
+    pub(crate) fn finish_depth(&mut self) -> u64 {
+        let closed = self.depth.close();
+        self.gauge_depth(closed);
+        self.depth.peak()
+    }
+
+    /// Record an instant the depth closed on an observed run.
+    fn gauge_depth(&mut self, closed: Option<(u64, u64)>) {
+        if let (Some((at_ps, depth)), Some(o)) = (closed, self.obs.as_deref_mut()) {
+            o.note_pending_depth(at_ps, depth);
+        }
     }
 
     /// Arm a wake-up at `key`.
@@ -566,7 +670,7 @@ impl CampaignWorker {
                     attempts: 1,
                 },
             );
-            self.pending_log.push((at.as_ps(), 1));
+            self.note_pending(at, 1);
             self.queue_deadline(cpu, deadline, tag, out);
         }
     }
@@ -638,7 +742,7 @@ impl CampaignWorker {
                     .pending
                     .poison(tag)
                     .expect("checked above");
-                self.pending_log.push((now.as_ps(), -1));
+                self.note_pending(now, -1);
             }
             if self.cfg.monitored && self.requesters[cpu].pending.get(tag).is_some() {
                 self.violations.push((
@@ -810,8 +914,9 @@ pub(crate) struct CampaignGuide {
     pub(crate) plan_idx: usize,
     /// The livelock detector; its window is also the barrier grid pitch.
     pub(crate) dog: Watchdog,
-    /// Next watchdog barrier on the fixed grid.
-    pub(crate) dog_next: SimTime,
+    /// Next watchdog barrier on the fixed grid; `None` once that time
+    /// would not fit in `u64` picoseconds.
+    pub(crate) dog_next: Option<SimTime>,
     /// Whether watchdog barriers keep coming (a retrying run with plan
     /// remaining or any transaction outstanding).
     pub(crate) live: bool,
@@ -833,7 +938,7 @@ pub(crate) struct CampaignGuide {
 impl EpochGuide<CampaignWorker> for CampaignGuide {
     fn next_barrier(&mut self) -> Option<SimTime> {
         let fault = self.plan.get(self.plan_idx).map(|e| e.at);
-        let dog = self.live.then_some(self.dog_next);
+        let dog = self.dog_next.filter(|_| self.live);
         let sample = self.sampler.as_ref().and_then(|s| s.next_at);
         [fault, dog, sample].into_iter().flatten().min()
     }
@@ -851,14 +956,26 @@ impl EpochGuide<CampaignWorker> for CampaignGuide {
             self.faults_applied.push(kind);
         }
         if self.live {
-            if at == self.dog_next {
+            if self.dog_next == Some(at) {
                 if self.dog_tick(at, ctl) == BarrierVerdict::Stop {
                     verdict = BarrierVerdict::Stop;
                 }
-                self.dog_next = at + self.dog.window();
+                self.dog_next = self.tick_after(at, 1);
             }
-            self.live = self.plan_idx < self.plan.len()
-                || ctl.worker().pending_sets().any(|set| !set.is_empty());
+            let outstanding = ctl.worker().pending_sets().any(|set| !set.is_empty());
+            let strike = self.plan.get(self.plan_idx).map(|e| e.at);
+            self.live = strike.is_some() || outstanding;
+            if let (Some(strike), Some(tick)) = (strike, self.dog_next) {
+                if tick < strike && !outstanding && ctl.is_idle() {
+                    // Nothing is queued or outstanding until the strike, so
+                    // every tick before it would check nothing and clear
+                    // the stuck count: clear it and skip those ticks.
+                    self.consecutive_stuck = 0;
+                    let window = self.dog.window().as_ps();
+                    let ticks = (strike.as_ps() - tick.as_ps()).div_ceil(window);
+                    self.dog_next = self.tick_after(tick, ticks);
+                }
+            }
         }
         if self.sampler.as_ref().is_some_and(|s| s.next_at == Some(at)) {
             self.sample(at, ctl);
@@ -868,6 +985,15 @@ impl EpochGuide<CampaignWorker> for CampaignGuide {
 }
 
 impl CampaignGuide {
+    /// The watchdog barrier `ticks` windows after `from`, or `None` when its
+    /// time would not fit in `u64` picoseconds, which stops the ticking.
+    fn tick_after(&self, from: SimTime, ticks: u64) -> Option<SimTime> {
+        ticks
+            .checked_mul(self.dog.window().as_ps())
+            .and_then(|d| from.as_ps().checked_add(d))
+            .map(SimTime::from_ps)
+    }
+
     /// Take the sample due at barrier `at` — every event before it has
     /// fired, none at or after it has — or stop sampling once nothing is
     /// left to happen: the queue is empty and no link frees up at or
@@ -1095,6 +1221,7 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
+    use alphasim_telemetry::Timeline;
     use proptest::prelude::*;
 
     use super::*;
@@ -1309,6 +1436,103 @@ mod tests {
             h.run_until(SimTime::from_ps(u64::MAX))?;
             let stranded = h.book.deadlines.iter().find(|&&k| Requester::is_live(&h.book.pending, k));
             prop_assert!(stranded.is_none(), "live attempt {:?} never expired", stranded);
+        }
+    }
+
+    /// The gauge the depth feeds on observed runs.
+    const DEPTH: &str = "campaign.pending_depth";
+
+    /// The reference for [`PendingDepth`]: log every change as `(time_ps,
+    /// ±1)`, sort the log after the run (at one instant a release sorts
+    /// before an insert), take the prefix-sum peak, and replay the log into
+    /// the windowed gauge.
+    fn sorted_log_fold(log: &[(u64, i8)], window_ps: u64) -> (u64, Timeline) {
+        let mut deltas = log.to_vec();
+        deltas.sort_unstable();
+        let mut gauge = Timeline::new(window_ps);
+        let (mut occupancy, mut peak) = (0i64, 0i64);
+        for &(at_ps, d) in &deltas {
+            occupancy += i64::from(d);
+            peak = peak.max(occupancy);
+            gauge.gauge_max(at_ps, DEPTH, occupancy.max(0) as u64);
+        }
+        (peak as u64, gauge)
+    }
+
+    /// [`PendingDepth`] fed the same log in firing order, as the worker
+    /// feeds it.
+    fn streamed_fold(log: &[(u64, i8)], window_ps: u64) -> (u64, Timeline) {
+        let mut depth = PendingDepth::default();
+        let mut gauge = Timeline::new(window_ps);
+        for &(at_ps, d) in log {
+            if let Some((at_ps, v)) = depth.change(at_ps, i64::from(d)) {
+                gauge.gauge_max(at_ps, DEPTH, v);
+            }
+        }
+        if let Some((at_ps, v)) = depth.close() {
+            gauge.gauge_max(at_ps, DEPTH, v);
+        }
+        (depth.peak(), gauge)
+    }
+
+    #[test]
+    fn depth_counts_an_instant_as_releases_before_inserts() {
+        // Three reads out, then at one instant an insert fires before a
+        // release: the sorted log dips to 2 and ends at 3, so the instant
+        // reads 3 and the peak stays 3, not the 4 the firing order passed.
+        let log = [(0, 1), (0, 1), (0, 1), (5, 1), (5, -1), (7, -1), (7, -1)];
+        let (peak, gauge) = streamed_fold(&log, 4);
+        assert_eq!(peak, 3);
+        // Window 1 holds instant 5 (depth 3) and instant 7, whose two
+        // releases read one below its starting 3.
+        assert_eq!(gauge.gauge_series(DEPTH), [3, 3]);
+        assert_eq!((peak, gauge), sorted_log_fold(&log, 4));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pending-set change at 4 ps after one at 9 ps")]
+    fn depth_refuses_a_change_back_in_time() {
+        let mut depth = PendingDepth::default();
+        depth.change(9, 1);
+        depth.change(4, -1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Folding pending-set changes as they fire gives the peak and the
+        /// per-window `campaign.pending_depth` gauge of sorting the whole
+        /// log after the run. Times never decrease and often repeat, so
+        /// instants mix inserts and releases in any order; narrow windows
+        /// put window edges between neighbouring instants; and some reads
+        /// leak (poisoned but left pending), so their release never comes.
+        #[test]
+        fn streamed_depth_matches_the_sorted_log(
+            steps in prop::collection::vec((0u64..3, 0u8..5), 1..300),
+            window_ps in 1u64..24,
+        ) {
+            let (mut at_ps, mut releasable) = (0u64, 0u32);
+            let mut log = Vec::new();
+            for (dt, op) in steps {
+                at_ps += dt;
+                match op {
+                    0 | 1 => {
+                        releasable += 1;
+                        log.push((at_ps, 1));
+                    }
+                    2 | 3 if releasable > 0 => {
+                        releasable -= 1;
+                        log.push((at_ps, -1));
+                    }
+                    4 if releasable > 0 => releasable -= 1, // leaked
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(
+                streamed_fold(&log, window_ps),
+                sorted_log_fold(&log, window_ps)
+            );
         }
     }
 }

@@ -16,8 +16,10 @@
 //! the load test runs on without its retry machinery: one worker holds the
 //! fabric, the per-CPU pending sets and deadline queues, and the memory
 //! controllers, stepped by [`alphasim_kernel::shard::EpochExecutor`] with
-//! fault strikes and watchdog ticks applied at epoch barriers. Every
-//! result stream is put into a canonical order after the run.
+//! fault strikes and watchdog ticks applied at epoch barriers. Events
+//! fire in an order the config alone fixes; the worker folds its per-read
+//! streams as they fire, and the rest is put into a canonical order after
+//! the run.
 //!
 //! [`FaultCampaign::run_monitored`] arms the always-on invariant monitors
 //! on top of the same loop: hung-transaction detection (with watchdog
@@ -42,7 +44,9 @@ use alphasim_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::marker::PhantomData;
 
-use crate::epoch::{CampaignCfg, CampaignGuide, CampaignWorker, Ev, Requester, Sampler};
+use crate::epoch::{
+    CampaignCfg, CampaignGuide, CampaignWorker, Ev, PendingDepth, Requester, Sampler,
+};
 use crate::loadtest::TrafficPattern;
 use crate::obs::{assemble, CampaignObservability, ObsAcc, ObserveOptions};
 
@@ -552,9 +556,9 @@ impl<T: Topology> FaultCampaign<T> {
             requesters: (0..ncpus).map(|_| Requester::default()).collect(),
             poisoned: Vec::new(),
             max_attempts: 0,
-            latency_samples: Vec::new(),
+            latency_samples: MeanP50P99::new(),
             completions: Vec::new(),
-            pending_log: Vec::new(),
+            depth: PendingDepth::default(),
             violations: Vec::new(),
             last_delivery: SimTime::ZERO,
             last_event: SimTime::ZERO,
@@ -567,6 +571,7 @@ impl<T: Topology> FaultCampaign<T> {
                 .observe
                 .map(|o| Box::new(ObsAcc::new(o.window_ps, node_count))),
             spare: Vec::new(),
+            spare_legs: Vec::new(),
         };
         let mut exec = EpochExecutor::new(worker);
         if let Some(o) = drive.observe {
@@ -581,7 +586,7 @@ impl<T: Topology> FaultCampaign<T> {
             plan: cfg.plan.events().to_vec(),
             plan_idx: 0,
             dog: Watchdog::new(cfg.watchdog_window),
-            dog_next: SimTime::ZERO + cfg.watchdog_window,
+            dog_next: Some(SimTime::ZERO + cfg.watchdog_window),
             live: !drive.retry_free,
             consecutive_stuck: 0,
             faults_applied: Vec::new(),
@@ -620,9 +625,13 @@ impl<T: Topology> FaultCampaign<T> {
         let ncpus = worker.cpus.len();
 
         // ---- canonical aggregation ------------------------------------
-        // Every stream below is put into an order that is a pure function
-        // of simulation identities (time, tag, node), never of the order
-        // events happened to fire in.
+        // Events fire in an order the config alone fixes, and the worker
+        // folded its per-read streams as they fired: completion times in
+        // firing order, latency samples into the summary (which sorts them,
+        // so their recording order cannot leak into the mean/p50/p99), and
+        // the pending-set depth (at one instant, releases before inserts).
+        // What is left is put into an order that is a pure function of
+        // simulation identities (tag, time, node).
         let completed: u64 = worker.pending_sets().map(PendingSet::completed).sum();
         let retries: u64 = worker.pending_sets().map(PendingSet::retries).sum();
         let crc_retransmits = worker.net.crc_retransmits();
@@ -630,25 +639,9 @@ impl<T: Topology> FaultCampaign<T> {
         let last_delivery = worker.last_delivery;
         let mut poisoned = std::mem::take(&mut worker.poisoned);
         poisoned.sort_by_key(|p| p.tag);
-        let mut completions = std::mem::take(&mut worker.completions);
-        completions.sort_unstable();
-        // The latency fold sorts its samples, so their recording order
-        // cannot leak into the mean/p99.
-        let mut latencies = MeanP50P99::new();
-        for &sample in &worker.latency_samples {
-            latencies.record(sample);
-        }
-        // Pending-set peak: prefix-sum max over the sorted occupancy
-        // deltas (at equal times a release sorts before an insert, the
-        // conservative reading).
-        let mut deltas = std::mem::take(&mut worker.pending_log);
-        deltas.sort_unstable();
-        let mut occupancy = 0i64;
-        let mut pending_peak = 0i64;
-        for &(_, d) in &deltas {
-            occupancy += i64::from(d);
-            pending_peak = pending_peak.max(occupancy);
-        }
+        let completions = std::mem::take(&mut worker.completions);
+        let latencies = std::mem::take(&mut worker.latency_samples);
+        let pending_peak = worker.finish_depth();
         let issued_total: u64 = worker.issued.iter().sum();
         let mut pending_tags: Vec<u64> = worker
             .pending_sets()
@@ -718,7 +711,7 @@ impl<T: Topology> FaultCampaign<T> {
             0 => 0.0,
             n => {
                 let idx = ((n * 9) / 10).min(n - 1);
-                let t = completions[idx].0.since(SimTime::ZERO);
+                let t = completions[idx].since(SimTime::ZERO);
                 if t > SimDuration::ZERO {
                     (idx + 1) as f64 * 64.0 / t.as_secs() / 1e9
                 } else {
@@ -730,7 +723,7 @@ impl<T: Topology> FaultCampaign<T> {
             let mut registry = Registry::default();
             registry.counter_add("coherence.completed", completed);
             registry.counter_add("coherence.retries", retries);
-            registry.gauge_max("coherence.pending_peak", pending_peak as u64);
+            registry.gauge_max("coherence.pending_peak", pending_peak);
             guide.dog.export_metrics(&mut registry);
             for zbox in worker.zboxes.iter().flatten() {
                 zbox.export_metrics(&mut registry);
@@ -810,7 +803,6 @@ impl<T: Topology> FaultCampaign<T> {
                 o.window_ps,
                 &mut worker,
                 profile.expect("profiling was enabled"),
-                &deltas,
             )
         });
         let result = CampaignResult {
@@ -1482,6 +1474,74 @@ mod tests {
         assert!(
             r.completed < 16 * 60,
             "wedged windows keep some quota unfinished"
+        );
+    }
+
+    #[test]
+    fn a_strike_past_the_run_skips_the_idle_watchdog_ticks() {
+        // A drain that strikes long after every read completed. Every
+        // watchdog tick before it would find nothing queued and nothing
+        // outstanding, so the guide moves straight to the first tick at or
+        // after the strike; a strike so late that no such tick fits in
+        // `u64` picoseconds stops the ticking instead. Both runs end as
+        // ticking through the idle windows would: the strike lands and
+        // changes nothing.
+        let run = |at: u64| {
+            let mut plan = FaultPlan::new();
+            plan.push(SimTime::from_ps(at), FaultKind::NodeDrain { node: 0 });
+            let cfg = FaultCampaignConfig {
+                requests_per_cpu: 20,
+                plan,
+                ..Default::default()
+            };
+            let (_, guide, ..) = campaign16().launch(&cfg, Drive::default());
+            (guide, campaign16().run_monitored(&cfg))
+        };
+        let near = 1_000_000_000_001; // 5,000 idle windows, and 1 ps
+        let (near_guide, (near_r, near_t, near_report)) = run(near);
+        let (far_guide, (far_r, far_t, far_report)) = run(u64::MAX);
+        let window = FaultCampaignConfig::default().watchdog_window.as_ps();
+        assert_eq!(
+            near_guide.dog_next,
+            Some(SimTime::from_ps(near.div_ceil(window) * window))
+        );
+        assert_eq!(far_guide.dog_next, None, "the tick past u64::MAX stops");
+        for guide in [&near_guide, &far_guide] {
+            assert_eq!(guide.faults_applied, [FaultKind::NodeDrain { node: 0 }]);
+            assert_eq!(guide.consecutive_stuck, 0);
+            assert!(guide.reports.is_empty());
+        }
+        assert_eq!(near_r.completed, 16 * 20);
+        assert_eq!(near_r.completed, far_r.completed);
+        assert_eq!(near_r.elapsed, far_r.elapsed);
+        assert_eq!(near_r.p99_latency, far_r.p99_latency);
+        assert_eq!(near_t.registry, far_t.registry);
+        assert!(near_report.is_clean());
+        assert_eq!(near_report, far_report);
+    }
+
+    #[test]
+    fn collecting_reads_reuse_their_packets_and_served_legs() {
+        // Each completed read leaves its packet to the next request and
+        // its served leg to the next response, so after a fault-free
+        // collecting run the worker holds one packet per window slot and
+        // no more legs than that: no read allocated either.
+        let window = 6;
+        let cfg = FaultCampaignConfig {
+            outstanding: window,
+            requests_per_cpu: 80,
+            ..Default::default()
+        };
+        let drive = Drive {
+            collect: true,
+            ..Drive::default()
+        };
+        let (worker, ..) = campaign16().launch(&cfg, drive);
+        assert_eq!(worker.spare.len(), 16 * window);
+        assert!(
+            (1..=16 * window).contains(&worker.spare_legs.len()),
+            "{} spare legs",
+            worker.spare_legs.len()
         );
     }
 }

@@ -5,8 +5,8 @@
 //! collectors ride along:
 //!
 //! * the worker's `ObsAcc` — fixed-width sim-time windows ([`Timeline`])
-//!   of injections, completions, retries, poisons and Zbox service, plus
-//!   DRAM service time per home node;
+//!   of injections, completions, retries, poisons, the pending-set depth
+//!   and Zbox service, plus DRAM service time per home node;
 //! * the fabric's [`NetHeat`](alphasim_net::partition::NetHeat) —
 //!   per-node deliveries and the fabric's own windowed series;
 //! * the executor's [`EpochProfile`] — the sim-time span and event count
@@ -56,7 +56,8 @@ impl ObserveOptions {
 pub(crate) struct ObsAcc {
     /// Windowed counters `campaign.injected` / `campaign.completed` /
     /// `campaign.retries` / `campaign.poisoned` / `campaign.zbox_reads` /
-    /// `campaign.dram_busy_ps`, histogram `campaign.latency_ns`.
+    /// `campaign.dram_busy_ps`, gauge `campaign.pending_depth`, histogram
+    /// `campaign.latency_ns`.
     pub(crate) timeline: Timeline,
     /// `(completed_at_ps, e2e_ps)` per completion, for exact windowed
     /// latency quantiles.
@@ -91,6 +92,12 @@ impl ObsAcc {
 
     pub(crate) fn note_poisoned(&mut self, at_ps: u64) {
         self.timeline.counter_add(at_ps, "campaign.poisoned", 1);
+    }
+
+    /// The pending sets held `depth` reads at most at instant `at_ps`.
+    pub(crate) fn note_pending_depth(&mut self, at_ps: u64, depth: u64) {
+        self.timeline
+            .gauge_max(at_ps, "campaign.pending_depth", depth);
     }
 
     pub(crate) fn note_zbox_read(&mut self, at_ps: u64, node: usize, dram_ps: u64) {
@@ -191,24 +198,15 @@ pub(crate) fn zbox_grid(worker: &CampaignWorker, f: impl Fn(&Zbox) -> u64) -> He
 /// Fold the observed run's `worker` into the public result: take its
 /// accumulators, read link occupancy off the link meters and reads served
 /// off the Zboxes, and lay the per-node values onto its fabric's grid.
-/// `pending_deltas` is the sorted pending-set occupancy log, replayed here
-/// into the `campaign.pending_depth` windowed gauge.
 pub(crate) fn assemble(
     window_ps: u64,
     worker: &mut CampaignWorker,
     profile: EpochProfile,
-    pending_deltas: &[(u64, i8)],
 ) -> CampaignObservability {
     let heat = worker.net.take_heat().expect("heat was enabled");
     let mut obs = *worker.obs.take().expect("observation was enabled");
     let topo = worker.net.tables().topology();
     obs.timeline.merge(&heat.timeline);
-    let mut occupancy = 0i64;
-    for &(at_ps, d) in pending_deltas {
-        occupancy += i64::from(d);
-        obs.timeline
-            .gauge_max(at_ps, "campaign.pending_depth", occupancy.max(0) as u64);
-    }
     obs.latencies.sort_unstable();
     CampaignObservability {
         window_ps,
