@@ -425,6 +425,13 @@ mod tests {
                 "field \"timeout\" must be below the 250000000 ps watchdog window",
             ),
             (&json.replace("\"node\": 0", "\"node\": 99"), "illegal plan"),
+            (
+                &json.replace(
+                    "\"events\": [",
+                    "\"events\": [{\"at\": 18446744073709551615, \"kind\": {\"NodeUndrain\": {\"node\": 0}}},",
+                ),
+                "field \"at\" must leave a NodeUndrain's reads their retry budget",
+            ),
         ] {
             let err = replay_text(file, text).unwrap_err();
             assert!(err.starts_with("corpus/damaged.json: "), "{err}");

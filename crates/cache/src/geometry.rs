@@ -78,7 +78,10 @@ impl CacheGeometry {
     ///
     /// Panics unless `line_bytes` is a power of two, `ways >= 1`, and
     /// `size_bytes` is an exact multiple of `ways * line_bytes` with a
-    /// power-of-two set count.
+    /// power-of-two set count. Also panics on a single set of 1-byte
+    /// lines: there every address is its own tag, which leaves no tag
+    /// value for [`SetAssocCache`](crate::SetAssocCache) to mark an empty
+    /// way with.
     pub fn new(size_bytes: u64, line_bytes: u64, ways: u32) -> Self {
         assert!(line_bytes.is_power_of_two(), "line size must be 2^k");
         assert!(ways >= 1, "need at least one way");
@@ -89,6 +92,10 @@ impl CacheGeometry {
         );
         let sets = size_bytes / way_bytes;
         assert!(sets.is_power_of_two(), "set count must be 2^k, got {sets}");
+        assert!(
+            sets > 1 || line_bytes > 1,
+            "one set of 1-byte lines makes every u64 a tag"
+        );
         CacheGeometry {
             size_bytes,
             line_bytes,
@@ -195,6 +202,12 @@ mod tests {
     #[should_panic(expected = "set count must be 2^k")]
     fn rejects_non_power_of_two_sets() {
         let _ = CacheGeometry::new(3 * 64 * 5, 64, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one set of 1-byte lines makes every u64 a tag")]
+    fn rejects_one_set_of_byte_lines() {
+        let _ = CacheGeometry::new(4, 1, 4);
     }
 
     #[test]

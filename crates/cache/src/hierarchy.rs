@@ -1,10 +1,10 @@
 //! A two-level cache hierarchy that assigns a latency to every load.
 //!
 //! This is the engine behind the dependent-load figures (Figs. 4–5): a load
-//! probes L1, then L2, and on an L2 miss is charged the caller-supplied
-//! memory latency. The caller (the machine model in `alphasim-system`)
-//! decides what "memory" costs — local open/closed page, or a remote
-//! coherence transaction.
+//! probes L1, then L2, and only on an L2 miss asks the caller what memory
+//! costs. The caller (the machine model in `alphasim-system`) decides
+//! that — local open/closed page, or a remote coherence transaction — and,
+//! like a Zbox, sees no load that a cache served.
 
 use alphasim_kernel::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -82,9 +82,10 @@ impl HierarchyConfig {
 ///
 /// let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
 /// let mem = SimDuration::from_ns(83.0); // local open-page RDRAM
-/// let first = h.load(Addr::new(0x40), mem);
+/// let first = h.load(Addr::new(0x40), |_| mem);
 /// assert_eq!(first.level, HitLevel::Memory);
-/// let second = h.load(Addr::new(0x40), mem);
+/// // A hit never asks what memory would cost.
+/// let second = h.load(Addr::new(0x40), |_| unreachable!());
 /// assert_eq!(second.level, HitLevel::L1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -111,9 +112,15 @@ impl CacheHierarchy {
         &self.config
     }
 
-    /// Perform a load; a miss in both levels costs `memory_latency` and
-    /// fills both levels.
-    pub fn load(&mut self, addr: Addr, memory_latency: SimDuration) -> LoadOutcome {
+    /// Perform a load. A miss in both levels fills both levels and costs
+    /// `memory_latency(addr)`, which is asked only then: a load that hits
+    /// either level never reaches memory, so a stateful memory model (an
+    /// open-page table) sees exactly the loads a Zbox would.
+    pub fn load(
+        &mut self,
+        addr: Addr,
+        memory_latency: impl FnOnce(Addr) -> SimDuration,
+    ) -> LoadOutcome {
         if self.l1.access(addr) {
             return LoadOutcome {
                 level: HitLevel::L1,
@@ -129,26 +136,35 @@ impl CacheHierarchy {
         self.memory_loads += 1;
         LoadOutcome {
             level: HitLevel::Memory,
-            latency: memory_latency,
+            latency: memory_latency(addr),
         }
     }
 
     /// Perform `count` loads at `first`, `first + stride`, `first +
     /// 2 * stride`, …: exactly the state and counters that many [`load`]
-    /// calls leave, with the outcomes discarded.
+    /// calls leave, with the outcomes discarded. `memory_load` is called
+    /// once for each of those loads that reaches memory, at its address,
+    /// in load order, just as [`load`] would ask for its latency.
     ///
-    /// On a cold hierarchy (no access since construction) the end state is
-    /// built directly, in time bounded by the cache capacity rather than
-    /// `count`. A monotone sweep visits each line in one contiguous run, so
-    /// each line's first load misses both levels, every other load hits L1,
-    /// and every set ends up holding the newest `ways` distinct lines that
-    /// map to it, oldest in LRU position. A warm hierarchy, where earlier
-    /// residents break that closed form, falls back to the [`load`] loop;
-    /// so does a sweep that runs past the top of the address space or an
-    /// L1 line longer than an L2 line.
+    /// On a cold hierarchy (no access since construction) no load is
+    /// simulated. A monotone sweep visits each line in one contiguous run,
+    /// so each L2 line's first load misses both levels, every other load
+    /// hits a cache, and every set ends up holding the newest `ways`
+    /// distinct lines that map to it, oldest in LRU position. The end state
+    /// is built directly, in time bounded by the cache capacity, and the
+    /// memory loads are enumerated one per L2 line, not per load. A warm
+    /// hierarchy, where earlier residents break that closed form, falls
+    /// back to the [`load`] loop; so does a sweep that runs past the top of
+    /// the address space or an L1 line longer than an L2 line.
     ///
     /// [`load`]: Self::load
-    pub fn load_sweep(&mut self, first: Addr, stride: u64, count: u64) {
+    pub fn load_sweep(
+        &mut self,
+        first: Addr,
+        stride: u64,
+        count: u64,
+        mut memory_load: impl FnMut(Addr),
+    ) {
         let sweep = Sweep {
             first: first.get(),
             stride,
@@ -161,7 +177,10 @@ impl CacheHierarchy {
             _ => {
                 let mut a = first;
                 for _ in 0..count {
-                    self.load(a, SimDuration::ZERO);
+                    self.load(a, |a| {
+                        memory_load(a);
+                        SimDuration::ZERO
+                    });
                     a = a.offset(stride);
                 }
                 return;
@@ -172,9 +191,11 @@ impl CacheHierarchy {
         // L2 sees each L1 line's first load; with L1 lines nested in L2
         // lines, that is every L2 line's first load and d1 - d2 repeats.
         self.l1
-            .fill_cold(sweep.lines_newest_first(g1), count - d1, d1);
-        self.l2.fill_cold(sweep.lines_newest_first(g2), d1 - d2, d2);
+            .fill_cold(sweep.lines_newest_first(g1, last), count - d1, d1);
+        self.l2
+            .fill_cold(sweep.lines_newest_first(g2, last), d1 - d2, d2);
         self.memory_loads = d2;
+        sweep.first_loads(g2.line_bytes(), last, |a| memory_load(Addr::new(a)));
     }
 
     /// Loads that reached memory since construction.
@@ -231,25 +252,54 @@ impl Sweep {
     /// Addresses modulo the set span `sets * line_bytes` repeat with
     /// period `p = span / gcd(stride, span)` loads, and the `ways` newest
     /// periods give every reachable set `ways` distinct lines, so no older
-    /// line is kept.
-    fn lines_newest_first(self, geometry: CacheGeometry) -> impl Iterator<Item = u64> {
+    /// line is kept. A stride of a line or more puts each load in a line
+    /// of its own; a shorter one touches every line in between, so the
+    /// lines count down one by one.
+    fn lines_newest_first(self, geometry: CacheGeometry, last: u64) -> impl Iterator<Item = u64> {
         let line_bytes = geometry.line_bytes();
+        let shift = line_bytes.trailing_zeros();
         let span = geometry.sets() * line_bytes;
         let period = span / gcd(self.stride, span);
-        let oldest_kept = self
+        let kept = self
             .count
-            .saturating_sub(period.saturating_mul(u64::from(geometry.ways())));
-        let mut next = self.count.checked_sub(1);
-        std::iter::from_fn(move || {
-            let i = next?;
-            let line = (self.first + i * self.stride) / line_bytes;
-            let start = line * line_bytes;
-            // The last load of the line below, if the sweep reaches it.
-            next = (start > self.first)
-                .then(|| (start - 1 - self.first) / self.stride)
-                .filter(|&prev| prev >= oldest_kept);
-            Some(line)
-        })
+            .min(period.saturating_mul(u64::from(geometry.ways())));
+        let (step, lines) = if self.stride >= line_bytes {
+            (self.stride, kept)
+        } else {
+            let oldest = last - (kept - 1) * self.stride;
+            (line_bytes, (last >> shift) - (oldest >> shift) + 1)
+        };
+        (0..lines).map(move |k| (last - k * step) >> shift)
+    }
+
+    /// Call `report` with the first load of each `line_bytes` line the
+    /// sweep touches, in load order. A stride of a line or more puts each
+    /// load in a line of its own. A shorter one touches every line from
+    /// the first load's to `last`'s, and past the first line, a line's
+    /// first load lies less than a stride into it. With `line_bytes = q *
+    /// stride + r`, the next line's first load is then `q` strides on, or
+    /// `q + 1` when the current one lies fewer than `r` bytes in.
+    fn first_loads(self, line_bytes: u64, last: u64, mut report: impl FnMut(u64)) {
+        let stride = self.stride;
+        if stride >= line_bytes {
+            (0..self.count).for_each(|i| report(self.first + i * stride));
+            return;
+        }
+        let shift = line_bytes.trailing_zeros();
+        let into = |a: u64| a & (line_bytes - 1);
+        let mut a = self.first;
+        report(a);
+        let lines = (last >> shift) - (a >> shift);
+        if lines == 0 {
+            return;
+        }
+        a += (line_bytes - into(a)).div_ceil(stride) * stride;
+        report(a);
+        let (q, r) = (line_bytes / stride, line_bytes % stride);
+        for _ in 1..lines {
+            a += (q + u64::from(into(a) < r)) * stride;
+            report(a);
+        }
     }
 }
 
@@ -272,10 +322,10 @@ mod tests {
     fn load_walks_down_the_hierarchy() {
         let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
         let a = Addr::new(0x1000);
-        let first = h.load(a, mem());
+        let first = h.load(a, |_| mem());
         assert_eq!(first.level, HitLevel::Memory);
         assert_eq!(first.latency, mem());
-        assert_eq!(h.load(a, mem()).level, HitLevel::L1);
+        assert_eq!(h.load(a, |_| mem()).level, HitLevel::L1);
         assert_eq!(h.memory_loads(), 1);
     }
 
@@ -283,13 +333,13 @@ mod tests {
     fn l2_hit_after_l1_eviction() {
         let mut h = CacheHierarchy::new(HierarchyConfig::ev7());
         let a = Addr::new(0);
-        h.load(a, mem());
+        h.load(a, |_| mem());
         // Evict `a` from L1 by filling its set (2-way, 512 sets, 64B lines):
         // lines 512 and 1024 map to set 0 like line 0.
         let l1_sets = h.config().l1.sets();
-        h.load(Addr::new(l1_sets * 64), mem());
-        h.load(Addr::new(2 * l1_sets * 64), mem());
-        let back = h.load(a, mem());
+        h.load(Addr::new(l1_sets * 64), |_| mem());
+        h.load(Addr::new(2 * l1_sets * 64), |_| mem());
+        let back = h.load(a, |_| mem());
         assert_eq!(back.level, HitLevel::L2);
         assert_eq!(back.latency, h.config().l2_latency);
     }
@@ -307,11 +357,11 @@ mod tests {
             let lines = bytes / 64;
             for _ in 0..2 {
                 for i in 0..lines {
-                    h.load(Addr::new(i * 64), mem());
+                    h.load(Addr::new(i * 64), |_| mem());
                 }
             }
             // Sample the second sweep's outcome via a fresh pass probe.
-            let outcome = h.load(Addr::new(0), mem());
+            let outcome = h.load(Addr::new(0), |_| mem());
             assert_eq!(outcome.level, expected, "{bytes} B working set");
         }
     }
@@ -339,16 +389,23 @@ mod tests {
             (0, 4, 100_000),
             (40, 96, 30_000),
             (8, 128, 20_000),
+            (40, 24, 50_000),
         ];
         for config in [HierarchyConfig::ev7(), HierarchyConfig::ev68()] {
             for (first, stride, count) in sweeps {
+                let (mut reported, mut asked) = (Vec::new(), Vec::new());
                 let mut swept = CacheHierarchy::new(config);
                 let mut looped = swept.clone();
-                swept.load_sweep(Addr::new(first), stride, count);
+                swept.load_sweep(Addr::new(first), stride, count, |a| reported.push(a));
                 for i in 0..count {
-                    looped.load(Addr::new(first + i * stride), mem());
+                    looped.load(Addr::new(first + i * stride), |a| {
+                        asked.push(a);
+                        mem()
+                    });
                 }
                 assert!(swept == looped, "{first} + i * {stride}, {count} loads");
+                assert!(reported == asked, "{first} + i * {stride}: memory loads");
+                assert_eq!(reported.len() as u64, swept.memory_loads());
             }
         }
     }

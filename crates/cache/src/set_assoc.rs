@@ -9,7 +9,10 @@ use crate::geometry::{Addr, CacheGeometry};
 /// data).
 ///
 /// Loads allocate on a miss. The tags live in one flat array, `ways` slots
-/// per set, indexed by shift and mask.
+/// per set, indexed by shift and mask; a slot holds its line's tag plus
+/// one, and 0 while empty. No tag is `u64::MAX`, since
+/// [`CacheGeometry::new`] refuses a single set of 1-byte lines, so 0 never
+/// names a line and a set needs no count of its resident lines.
 ///
 /// # Examples
 ///
@@ -29,12 +32,10 @@ pub struct SetAssocCache {
     /// log2 of the set count: a line's set is its low `set_bits` bits, its
     /// tag the bits above.
     set_bits: u32,
-    /// `ways` slots per set, set after set. A set's first `fill[set]` slots
-    /// hold its resident tags in LRU order, most recently used last; the
-    /// rest stay zero.
-    tags: Vec<u64>,
-    /// Resident lines per set.
-    fill: Vec<u32>,
+    /// `ways` slots per set, set after set, each `tag + 1` or 0 (empty). A
+    /// set's empty slots come first, then its resident tags in LRU order,
+    /// most recently used last.
+    slots: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -42,13 +43,11 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// An empty cache of the given geometry.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let sets = geometry.sets() as usize;
         SetAssocCache {
             geometry,
             line_shift: geometry.line_bytes().trailing_zeros(),
             set_bits: geometry.sets().trailing_zeros(),
-            tags: vec![0; sets * geometry.ways() as usize],
-            fill: vec![0; sets],
+            slots: vec![0; (geometry.sets() * u64::from(geometry.ways())) as usize],
             hits: 0,
             misses: 0,
         }
@@ -62,29 +61,25 @@ impl SetAssocCache {
     /// Load `addr`, allocating its line on a miss; returns whether it hit.
     pub fn access(&mut self, addr: Addr) -> bool {
         let line = addr.get() >> self.line_shift;
-        let set = self.set_of_line(line);
-        let tag = line >> self.set_bits;
-        let ways = self.geometry.ways() as usize;
-        let slots = &mut self.tags[set * ways..][..ways];
-        let fill = &mut self.fill[set];
-        let resident = &mut slots[..*fill as usize];
-        if let Some(pos) = resident.iter().position(|&t| t == tag) {
-            resident[pos..].rotate_left(1);
+        let key = (line >> self.set_bits) + 1;
+        let set = self.set_mut(line);
+        if let Some(pos) = set.iter().rposition(|&k| k == key) {
+            set[pos..].rotate_left(1);
             self.hits += 1;
             return true;
         }
+        // Evict the LRU slot (an empty one while the set has any).
+        set.copy_within(1.., 0);
+        set[set.len() - 1] = key;
         self.misses += 1;
-        if resident.len() == ways {
-            slots.copy_within(1.., 0);
-        } else {
-            *fill += 1;
-        }
-        slots[*fill as usize - 1] = tag;
         false
     }
 
-    fn set_of_line(&self, line: u64) -> usize {
-        (line & ((1 << self.set_bits) - 1)) as usize
+    /// The slots of `line`'s set.
+    fn set_mut(&mut self, line: u64) -> &mut [u64] {
+        let ways = self.geometry.ways() as usize;
+        let set = (line & ((1 << self.set_bits) - 1)) as usize;
+        &mut self.slots[set * ways..][..ways]
     }
 
     /// Whether the cache has seen no access since construction.
@@ -95,7 +90,7 @@ impl SetAssocCache {
     /// Install the end state of a monotone load sweep into a cold cache.
     /// `lines` are the distinct line numbers the sweep touched, newest
     /// first; each set keeps its newest `ways` of them, the oldest in LRU
-    /// position. `lines` is read only until every set is full.
+    /// position, and ignores the rest.
     pub(crate) fn fill_cold(
         &mut self,
         lines: impl IntoIterator<Item = u64>,
@@ -103,23 +98,12 @@ impl SetAssocCache {
         misses: u64,
     ) {
         debug_assert!(self.is_cold(), "fill_cold needs a cold cache");
-        let ways = self.geometry.ways();
-        let mut unfilled = self.fill.len();
         for line in lines {
-            let set = self.set_of_line(line);
-            let fill = &mut self.fill[set];
-            if *fill < ways {
-                // Older lines arrive later and go in front of the newer ones.
-                let slots = &mut self.tags[set * ways as usize..][..ways as usize];
-                slots.copy_within(..*fill as usize, 1);
-                slots[0] = line >> self.set_bits;
-                *fill += 1;
-                if *fill == ways {
-                    unfilled -= 1;
-                    if unfilled == 0 {
-                        break;
-                    }
-                }
+            let key = (line >> self.set_bits) + 1;
+            let set = self.set_mut(line);
+            // Older lines arrive later and go in front of the newer ones.
+            if let Some(slot) = set.iter().rposition(|&k| k == 0) {
+                set[slot] = key;
             }
         }
         self.hits = hits;
@@ -128,7 +112,7 @@ impl SetAssocCache {
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.fill.iter().map(|&f| f as usize).sum()
+        self.slots.iter().filter(|&&k| k != 0).count()
     }
 
     /// Hits since construction.
@@ -163,9 +147,16 @@ mod tests {
     }
 
     /// `set`'s resident tags, least recently used first.
-    fn set_tags(c: &SetAssocCache, set: usize) -> &[u64] {
+    fn set_tags(c: &SetAssocCache, set: usize) -> Vec<u64> {
         let ways = c.geometry.ways() as usize;
-        &c.tags[set * ways..][..c.fill[set] as usize]
+        let slots = &c.slots[set * ways..][..ways];
+        let empty = slots.iter().take_while(|&&k| k == 0).count();
+        let resident = &slots[empty..];
+        assert!(
+            !resident.contains(&0),
+            "set {set}: empty slot after a resident one"
+        );
+        resident.iter().map(|&k| k - 1).collect()
     }
 
     /// Whether `addr`'s line is resident (no LRU update, no fill).
@@ -261,6 +252,27 @@ mod tests {
         assert!((c.miss_ratio() - 1.0).abs() < 1e-12);
     }
 
+    #[test]
+    fn the_largest_tags_never_read_as_empty_slots() {
+        // Two sets of 1-byte lines and one set of 2-byte lines: the largest
+        // tag is u64::MAX >> 1, the smallest 0. Neither may hit a cold
+        // slot, and both must survive as residents.
+        for g in [CacheGeometry::new(4, 1, 2), CacheGeometry::new(4, 2, 2)] {
+            let mut c = SetAssocCache::new(g);
+            let (top, low) = (Addr::new(u64::MAX), Addr::new(0));
+            assert_eq!(g.tag_of(top), u64::MAX >> 1);
+            assert!(!c.access(top), "{g:?}: a cold cache hit the top tag");
+            assert!(!c.access(low), "{g:?}: a cold set hit tag 0");
+            assert!(c.access(low) && c.access(top), "{g:?}");
+            let set = g.set_of(top) as usize;
+            assert!(set_tags(&c, set).ends_with(&[u64::MAX >> 1]), "{g:?}");
+            // A neighbour of the top tag evicts the LRU line, not `top`.
+            assert!(!c.access(Addr::new(u64::MAX - 2)), "{g:?}");
+            assert!(resident(&c, top) && resident(&c, Addr::new(u64::MAX - 2)));
+            assert_eq!((c.hits(), c.misses()), (2, 3));
+        }
+    }
+
     /// True LRU the plain way: per set, its resident tags least recently
     /// used first, found by division. Returns whether `addr` hit.
     fn reference_access(sets: &mut [Vec<u64>], g: CacheGeometry, addr: Addr) -> bool {
@@ -280,12 +292,15 @@ mod tests {
         false
     }
 
-    /// 1–64 sets, 1–8 ways, 16–128 B lines.
+    /// 1–64 sets, 1–8 ways, 1–128 B lines, but not one set of 1-byte
+    /// lines, which `CacheGeometry::new` refuses.
     fn geometries() -> impl Strategy<Value = CacheGeometry> {
-        (0u32..7, 1u32..=8, 4u32..8).prop_map(|(s, w, l)| {
-            let line = 1u64 << l;
-            CacheGeometry::new((1u64 << s) * u64::from(w) * line, line, w)
-        })
+        (0u32..7, 1u32..=8, 0u32..8)
+            .prop_filter("one set of 1-byte lines", |&(s, _, l)| s + l > 0)
+            .prop_map(|(s, w, l)| {
+                let line = 1u64 << l;
+                CacheGeometry::new((1u64 << s) * u64::from(w) * line, line, w)
+            })
     }
 
     /// Loads over a few times the largest cache, plus a sprinkling of
@@ -310,7 +325,7 @@ mod tests {
                 let hit = c.access(a);
                 prop_assert_eq!(hit, reference_access(&mut reference, g, a), "load {}", i);
                 for (set, lru) in reference.iter().enumerate() {
-                    prop_assert_eq!(set_tags(&c, set), lru.as_slice(), "set {} after load {}", set, i);
+                    prop_assert_eq!(&set_tags(&c, set), lru, "set {} after load {}", set, i);
                 }
             }
             let resident: usize = reference.iter().map(Vec::len).sum();

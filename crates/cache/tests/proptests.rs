@@ -110,7 +110,7 @@ proptest! {
         let mut h = CacheHierarchy::new(cfg);
         let mem = SimDuration::from_ns(83.0);
         for &a in &addrs {
-            let out = h.load(Addr::new(a), mem);
+            let out = h.load(Addr::new(a), |_| mem);
             let l = out.latency;
             prop_assert!(l == cfg.l1_latency || l == cfg.l2_latency || l == mem);
         }
@@ -119,35 +119,57 @@ proptest! {
     }
 
     /// `load_sweep` is `count` loads: same counters, same lines in the
-    /// same LRU order, whether it builds a cold hierarchy's end state
-    /// directly or falls back on a warm one (earlier loads). A follow-up
-    /// run of loads over the sweep's tail must then see identical
-    /// outcomes.
+    /// same LRU order and the same loads reported to memory, in the same
+    /// order, whether it builds a cold hierarchy's end state directly or
+    /// falls back on a warm one (earlier loads). Half the sweeps start
+    /// within half their span of `u64::MAX`, so many wrap past it. A
+    /// follow-up run of loads over the sweep's tail must then see
+    /// identical outcomes and memory loads.
     #[test]
     fn load_sweep_matches_load_loop(
         config in small_hierarchy(),
         warm in warm_start(),
-        first in 0u64..10_000,
+        start in (any::<bool>(), 0u64..10_000),
         stride in prop::sample::select(vec![0u64, 1, 4, 24, 64, 96, 128, 4096, 4160]),
         count in prop::sample::select(vec![0u64, 1, 2, 5, 64, 300, 2000]),
         after in prop::collection::vec(0u64..512, 0..48),
     ) {
+        let (near_top, offset) = start;
+        let first = if near_top {
+            (count * stride / 2 + offset).wrapping_neg()
+        } else {
+            offset
+        };
         let mem = SimDuration::from_ns(83.0);
         let mut swept = CacheHierarchy::new(config);
         for &a in &warm {
-            swept.load(Addr::new(a), mem);
+            swept.load(Addr::new(a), |_| mem);
         }
         let mut looped = swept.clone();
-        swept.load_sweep(Addr::new(first), stride, count);
+        let (mut reported, mut asked) = (Vec::new(), Vec::new());
+        swept.load_sweep(Addr::new(first), stride, count, |a| reported.push(a));
         for i in 0..count {
-            looped.load(Addr::new(first + i * stride), mem);
+            looped.load(Addr::new(first.wrapping_add(i * stride)), |a| {
+                asked.push(a);
+                mem
+            });
         }
+        prop_assert_eq!(&reported, &asked);
         prop_assert_eq!(counters(&swept), counters(&looped));
         prop_assert!(swept == looped, "state differs: {swept:?} vs {looped:?}");
-        let tail = first + count.saturating_sub(1) * stride;
+        let tail = first.wrapping_add(count.saturating_sub(1) * stride);
         for &back in &after {
-            let a = Addr::new(tail.saturating_sub(back * 32));
-            prop_assert_eq!(swept.load(a, mem), looped.load(a, mem));
+            let a = Addr::new(tail.wrapping_sub(back * 32));
+            let (mut s, mut l) = (None, None);
+            let out = swept.load(a, |a| {
+                s = Some(a);
+                mem
+            });
+            prop_assert_eq!(out, looped.load(a, |a| {
+                l = Some(a);
+                mem
+            }));
+            prop_assert_eq!(s, l);
         }
         prop_assert_eq!(counters(&swept), counters(&looped));
     }

@@ -148,8 +148,11 @@ impl Reproducer {
     /// Bad JSON, a missing or mistyped field, an unknown fault kind, and
     /// values no campaign can run: a machine size other than
     /// [`Torus2D::SIZES`], no outstanding reads, no reads per CPU, a retry
-    /// budget beyond `u32`, or a retry timeout at or above the trials'
-    /// watchdog window. Each names the field and the value.
+    /// budget beyond `u32`, a retry timeout at or above the trials'
+    /// watchdog window, or an undrain so close to the end of time that a
+    /// read it issues could overrun `u64` picoseconds within its retry
+    /// budget, `(max_retries + 1) × (timeout + backoff_cap)`. Each names
+    /// the field and the value.
     pub fn from_json(text: &str) -> Result<Reproducer, String> {
         let root = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e}"))?;
         let mutation = match get(&root, "mutation")? {
@@ -197,6 +200,28 @@ impl Reproducer {
                 TRIAL_WATCHDOG_WINDOW.as_ps(),
                 retry.timeout.as_ps()
             ));
+        }
+        // An undrain refills the node's window, so a read issued at its
+        // strike must be able to run its whole retry budget before time
+        // runs out of `u64` picoseconds. A drain or a link strike issues
+        // no reads.
+        let budget = retry
+            .timeout
+            .as_ps()
+            .checked_add(retry.backoff_cap.as_ps())
+            .and_then(|attempt| attempt.checked_mul(u64::from(retry.max_retries) + 1));
+        for ev in &events {
+            let at = ev.at.as_ps();
+            if matches!(ev.kind, FaultKind::NodeUndrain { .. })
+                && budget.and_then(|b| at.checked_add(b)).is_none()
+            {
+                let budget = budget.map_or("more than u64::MAX".into(), |b| b.to_string());
+                return Err(format!(
+                    "field \"at\" must leave a NodeUndrain's reads their retry budget, \
+                     (max_retries + 1) x (timeout + backoff_cap) = {budget} ps, \
+                     before u64::MAX ps, got {at}"
+                ));
+            }
         }
         let cpus = usize_field(&root, "cpus")?;
         if Torus2D::shape_for(cpus).is_none() {
@@ -697,10 +722,43 @@ mod tests {
                 "\"timeout\": 300000000",
                 "field \"timeout\" must be below the 250000000 ps watchdog window, got 300000000",
             ),
+            (
+                "\"events\": [",
+                "\"events\": [{\"at\": 18446744073709551615, \"kind\": {\"NodeUndrain\": {\"node\": 0}}},",
+                "field \"at\" must leave a NodeUndrain's reads their retry budget, (max_retries + 1) \
+                 x (timeout + backoff_cap) = 574000000 ps, before u64::MAX ps, got 18446744073709551615",
+            ),
+            (
+                "\"events\": [",
+                "\"events\": [{\"at\": 18446744073709551000, \"kind\": {\"NodeUndrain\": {\"node\": 0}}},",
+                "field \"at\" must leave a NodeUndrain's reads their retry budget, (max_retries + 1) \
+                 x (timeout + backoff_cap) = 574000000 ps, before u64::MAX ps, got 18446744073709551000",
+            ),
         ] {
             assert!(json.contains(from), "corpus file drifted: {from}");
             let doctored = json.replace(from, to);
             assert_eq!(Reproducer::from_json(&doctored).unwrap_err(), why);
+        }
+        // A budget past u64::MAX leaves no undrain room at any instant.
+        let endless = json
+            .replace(
+                "\"backoff_cap\": 32000000",
+                "\"backoff_cap\": 18446744073709551615",
+            )
+            .replace("NodeDrain", "NodeUndrain");
+        assert_eq!(
+            Reproducer::from_json(&endless).unwrap_err(),
+            "field \"at\" must leave a NodeUndrain's reads their retry budget, (max_retries + 1) \
+             x (timeout + backoff_cap) = more than u64::MAX ps, before u64::MAX ps, got 1626431"
+        );
+        // Reads issued at the last instant that leaves the whole budget
+        // can still finish, and a drain issues none, so both parse.
+        let budget = 7 * (50_000_000 + 32_000_000);
+        for (kind, at) in [("NodeUndrain", u64::MAX - budget), ("NodeDrain", u64::MAX)] {
+            let doctored = json
+                .replace("\"at\": 1626431", &format!("\"at\": {at}"))
+                .replace("NodeDrain", kind);
+            assert!(Reproducer::from_json(&doctored).is_ok(), "{kind} at {at}");
         }
         let truncated = &json[..json.len() / 2];
         assert!(Reproducer::from_json(truncated)

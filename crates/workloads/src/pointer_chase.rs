@@ -53,12 +53,14 @@ impl PointerChase {
     /// miss for each address (e.g. open- vs. closed-page from a Zbox
     /// model).
     ///
-    /// `memory_latency` is called exactly once per load, as if every load
-    /// went through [`CacheHierarchy::load`]: first once for each element
-    /// in address order (the warm-up pass), then once for each measured
-    /// load `i`, at [`address(i)`](Self::address). A stateful closure, such
-    /// as one driving an open-page table, therefore sees the same address
-    /// sequence however the hierarchy takes the warm-up.
+    /// `memory_latency` is called once per load that misses both cache
+    /// levels, exactly as [`CacheHierarchy::load`] asks for it, and for no
+    /// other load: first for the warm-up pass's memory loads (the warm-up
+    /// visits each element in address order), then for those of the
+    /// measured loads `i`, at [`address(i)`](Self::address), all in load
+    /// order. So it is called [`CacheHierarchy::memory_loads`] times. A
+    /// stateful closure, such as one driving an open-page table, sees what
+    /// a Zbox would see, however the hierarchy takes the warm-up.
     pub fn run(
         &self,
         hierarchy: &mut CacheHierarchy,
@@ -67,19 +69,21 @@ impl PointerChase {
     ) -> SimDuration {
         assert!(loads > 0, "need at least one measured load");
         // Warm-up pass: its latencies are discarded, so the caches take it
-        // as one sweep while the closure still sees every address.
-        let first = Addr::new(self.base);
-        let mut a = first;
-        for _ in 0..self.elements() {
+        // as one sweep that reports only its memory loads.
+        let (first, elements) = (Addr::new(self.base), self.elements());
+        hierarchy.load_sweep(first, self.stride, elements, |a| {
             memory_latency(a);
-            a = a.offset(self.stride);
-        }
-        hierarchy.load_sweep(first, self.stride, self.elements());
+        });
         let mut total = SimDuration::ZERO;
-        for i in 0..loads {
-            let a = self.address(i);
-            let ml = memory_latency(a);
-            total += hierarchy.load(a, ml).latency;
+        let (mut a, mut i) = (first, 0);
+        for _ in 0..loads {
+            total += hierarchy.load(a, &mut memory_latency).latency;
+            i += 1;
+            if i == elements {
+                (a, i) = (first, 0);
+            } else {
+                a = a.offset(self.stride);
+            }
         }
         total / loads
     }
@@ -90,6 +94,7 @@ mod tests {
     use super::*;
     use alphasim_cache::HierarchyConfig;
     use alphasim_mem::OpenPageTable;
+    use alphasim_system::{Calibration, Gs1280, Gs320};
 
     fn mem(_a: Addr) -> SimDuration {
         SimDuration::from_ns(83.0)
@@ -141,8 +146,11 @@ mod tests {
         assert!(l68 < l7, "EV68 {l68} should beat EV7 {l7} at 8 MB");
     }
 
-    /// `run` with the per-load warm-up it had before
-    /// [`CacheHierarchy::load_sweep`]: one `load` per element.
+    /// `run` as it was under the every-load contract: `memory_latency` is
+    /// called for every load, the warm-up pass's in address order and then
+    /// each measured load's, and the hierarchy takes the warm-up as a sweep
+    /// that reports nothing ([`CacheHierarchy::load_sweep`] is checked
+    /// against a plain `load` loop on its own).
     fn reference_run(
         pc: &PointerChase,
         hierarchy: &mut CacheHierarchy,
@@ -150,38 +158,110 @@ mod tests {
         loads: u64,
     ) -> SimDuration {
         for i in 0..pc.elements() {
-            let a = pc.address(i);
-            let ml = memory_latency(a);
-            hierarchy.load(a, ml);
+            memory_latency(pc.address(i));
         }
+        hierarchy.load_sweep(pc.address(0), pc.stride, pc.elements(), |_| {});
         let mut total = SimDuration::ZERO;
         for i in 0..loads {
             let a = pc.address(i);
             let ml = memory_latency(a);
-            total += hierarchy.load(a, ml).latency;
+            total += hierarchy.load(a, |_| ml).latency;
         }
         total / loads
     }
 
-    /// A recording open/closed-page memory, like `dependent_load_ns`'s.
-    fn paged_memory(seen: &mut Vec<Addr>) -> impl FnMut(Addr) -> SimDuration + '_ {
-        let mut pages = OpenPageTable::new(2, 2048);
+    /// An open/closed-page memory like `dependent_load_ns`'s that tells
+    /// `asked` each address it is asked about.
+    fn paged_memory(
+        (page_kib, banks): (u64, usize),
+        [open, closed]: [SimDuration; 2],
+        mut asked: impl FnMut(Addr),
+    ) -> impl FnMut(Addr) -> SimDuration {
+        let mut pages = OpenPageTable::new(page_kib, banks);
         move |a| {
-            seen.push(a);
+            asked(a);
             if pages.touch(pages.page_of(a.get())) {
-                SimDuration::from_ns(83.0)
+                open
             } else {
-                SimDuration::from_ns(130.0)
+                closed
             }
         }
     }
 
+    /// A Figs. 4–5 machine as `LatencyMachine` reads it from its model:
+    /// hierarchy, page size and open-page banks, and local open- and
+    /// closed-page latency.
+    struct Machine {
+        hierarchy: HierarchyConfig,
+        pages: (u64, usize),
+        latency: [SimDuration; 2],
+    }
+
+    /// The GS1280 (both Zboxes' open pages), the ES45 and the GS320 (one
+    /// QBB's memory).
+    fn machines() -> [Machine; 3] {
+        let (g, e) = (Calibration::gs1280(), Calibration::es45());
+        let qbb = Gs320::new(Calibration::gs320().cpus_per_mem_site);
+        let q = qbb.calibration();
+        let both = |f: &dyn Fn(bool) -> SimDuration| [f(true), f(false)];
+        [
+            Machine {
+                hierarchy: g.hierarchy,
+                pages: (g.zbox.page_kib, g.zbox.open_pages * Gs1280::ZBOXES_PER_NODE),
+                latency: both(&|hit| g.local_latency(hit)),
+            },
+            Machine {
+                hierarchy: e.hierarchy,
+                pages: (e.zbox.page_kib, e.zbox.open_pages),
+                latency: both(&|hit| e.local_latency(hit)),
+            },
+            Machine {
+                hierarchy: q.hierarchy,
+                pages: (q.zbox.page_kib, q.zbox.open_pages),
+                latency: both(&|hit| qbb.local_latency(hit)),
+            },
+        ]
+    }
+
     #[test]
-    fn run_matches_the_per_load_warm_up_and_shows_every_address() {
+    fn run_matches_the_every_load_oracle_at_every_figure_point() {
+        // Fig. 4: every machine at a 64 B stride over 4 KB .. 128 MB;
+        // Fig. 5: the GS1280 at every stride over the sizes it spans.
+        let sizes: Vec<u64> = (12..=27).map(|p| 1u64 << p).collect();
+        let [gs1280, es45, gs320] = machines();
+        let mut points = Vec::new();
+        for m in [&gs1280, &es45, &gs320] {
+            points.extend(sizes.iter().map(|&size| (m, 64, size)));
+        }
+        for stride in [4, 16, 64, 256, 1024, 4096, 16_384] {
+            let spanned = sizes.iter().filter(|&&size| size >= stride);
+            points.extend(spanned.map(|&size| (&gs1280, stride, size)));
+        }
+        assert_eq!(points.len(), 3 * 16 + 6 * 16 + 14);
+        for (m, stride, size) in points {
+            let pc = PointerChase::new(size, stride);
+            let loads = pc.elements().clamp(1, 500);
+            let (mut asked, mut every) = (0, 0);
+            let mut h = CacheHierarchy::new(m.hierarchy);
+            let memory = paged_memory(m.pages, m.latency, |_| asked += 1);
+            let lat = pc.run(&mut h, memory, loads);
+            let memory = paged_memory(m.pages, m.latency, |_| every += 1);
+            let reference =
+                reference_run(&pc, &mut CacheHierarchy::new(m.hierarchy), memory, loads);
+            assert_eq!(lat, reference, "{size} B at stride {stride}");
+            assert_eq!(asked, h.memory_loads(), "{size} B at stride {stride}");
+            assert_eq!(every, pc.elements() + loads);
+        }
+    }
+
+    #[test]
+    fn run_asks_memory_only_about_the_loads_that_reach_it() {
+        let gs1280 = &machines()[0];
         for (config, size, stride, loads) in [
             (HierarchyConfig::ev7(), 4 << 20, 64, 3000),
             (HierarchyConfig::ev7(), 1 << 20, 4, 3000),
             (HierarchyConfig::ev7(), 8 << 20, 16_384, 3000),
+            (HierarchyConfig::ev7(), 64 * 1024, 24, 9000),
             (HierarchyConfig::ev68(), 32 << 20, 1024, 5000),
             (HierarchyConfig::ev68(), 64 * 1024, 96, 100),
         ] {
@@ -191,19 +271,26 @@ mod tests {
             };
             let mut seen = Vec::new();
             let mut h = CacheHierarchy::new(config);
-            let lat = pc.run(&mut h, paged_memory(&mut seen), loads);
-            let order: Vec<Addr> = (0..pc.elements())
-                .chain(0..loads)
-                .map(|i| pc.address(i))
-                .collect();
-            assert!(seen == order, "{size} B at stride {stride}: closure calls");
+            let memory = paged_memory(gs1280.pages, gs1280.latency, |a| seen.push(a));
+            let lat = pc.run(&mut h, memory, loads);
 
-            let mut ref_seen = Vec::new();
-            let mut reference = CacheHierarchy::new(config);
-            let ref_lat = reference_run(&pc, &mut reference, paged_memory(&mut ref_seen), loads);
+            // A plain load loop over the same loads, recording what it
+            // sends to memory.
+            let mut sent = Vec::new();
+            let mut looped = CacheHierarchy::new(config);
+            for i in (0..pc.elements()).chain(0..loads) {
+                looped.load(pc.address(i), |a| {
+                    sent.push(a);
+                    SimDuration::ZERO
+                });
+            }
+            assert!(seen == sent, "{size} B at stride {stride}: closure calls");
+            assert_eq!(seen.len() as u64, h.memory_loads());
+            assert!(h == looped, "{size} B at stride {stride}: cache state");
+
+            let memory = paged_memory(gs1280.pages, gs1280.latency, |_| {});
+            let ref_lat = reference_run(&pc, &mut CacheHierarchy::new(config), memory, loads);
             assert_eq!(lat, ref_lat, "{size} B at stride {stride}");
-            assert_eq!(h.memory_loads(), reference.memory_loads());
-            assert!(h == reference, "{size} B at stride {stride}: cache state");
         }
     }
 
