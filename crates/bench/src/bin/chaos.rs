@@ -432,6 +432,19 @@ mod tests {
                 ),
                 "field \"at\" must leave a NodeUndrain's reads their retry budget",
             ),
+            (
+                // A repair heals a degraded, then cut, link at once, so a
+                // second repair is illegal.
+                &json.replace(
+                    "\"events\": [",
+                    "\"events\": [\
+                     {\"at\": 1000000, \"kind\": {\"LinkDegrade\": {\"a\": 0, \"b\": 1}}},\
+                     {\"at\": 1100000, \"kind\": {\"LinkDown\": {\"a\": 0, \"b\": 1}}},\
+                     {\"at\": 1200000, \"kind\": {\"LinkUp\": {\"a\": 0, \"b\": 1}}},\
+                     {\"at\": 1300000, \"kind\": {\"LinkUp\": {\"a\": 0, \"b\": 1}}},",
+                ),
+                "at 1300.000ns: link 0<->1 is already healthy",
+            ),
         ] {
             let err = replay_text(file, text).unwrap_err();
             assert!(err.starts_with("corpus/damaged.json: "), "{err}");

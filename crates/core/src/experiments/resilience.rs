@@ -20,8 +20,7 @@ use alphasim_system::{
     FaultCampaign, FaultCampaignConfig,
 };
 use alphasim_telemetry::Registry;
-use alphasim_topology::graph::DistanceMatrix;
-use alphasim_topology::{Degraded, NodeId, Torus2D};
+use alphasim_topology::Torus2D;
 
 use crate::types::{Figure, Series};
 
@@ -44,21 +43,17 @@ pub fn bisection_cuts(cpus: usize, count: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Sanity-check a cut set before simulating it: the links must exist and
-/// the wounded torus must stay connected. Panics loudly otherwise — a
-/// partitioned sweep point would silently report zeros.
-fn assert_survivable(cpus: usize, cuts: &[(usize, usize)]) {
-    let torus = Torus2D::for_cpus(cpus);
-    let failed: Vec<(NodeId, NodeId)> = cuts
-        .iter()
-        .map(|&(a, b)| (NodeId::new(a), NodeId::new(b)))
-        .collect();
-    let wounded = Degraded::try_new(torus, &failed).expect("cut links exist");
-    let dist = DistanceMatrix::compute(&wounded);
-    assert!(
-        dist.is_connected(),
-        "cut set {cuts:?} partitions the {cpus}-node torus"
-    );
+/// The sweep point's fault plan: `failures` bisection cuts, staggered
+/// through the early run so each lands on live traffic and the router
+/// re-adapts repeatedly. The campaign refuses it before the run should it
+/// ever partition the torus.
+fn cut_plan(cpus: usize, failures: usize) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    for (i, &(a, b)) in bisection_cuts(cpus, failures).iter().enumerate() {
+        let at = SimTime::ZERO + SimDuration::from_us(2.0) + SimDuration::from_us(1.0) * i as u64;
+        plan.push(at, FaultKind::LinkDown { a, b });
+    }
+    plan
 }
 
 /// The campaign and its configuration for one sweep point, shared by the
@@ -68,21 +63,12 @@ fn campaign_setup(
     failures: usize,
     requests_per_cpu: usize,
 ) -> (FaultCampaign<FabricTopo>, FaultCampaignConfig) {
-    let cuts = bisection_cuts(cpus, failures);
-    assert_survivable(cpus, &cuts);
-    let mut plan = FaultPlan::new();
-    for (i, &(a, b)) in cuts.iter().enumerate() {
-        // Stagger the strikes through the early run, so each lands on
-        // live traffic and the router re-adapts repeatedly.
-        let at = SimTime::ZERO + SimDuration::from_us(2.0) + SimDuration::from_us(1.0) * i as u64;
-        plan.push(at, FaultKind::LinkDown { a, b });
-    }
     let machine = Gs1280::builder().cpus(cpus).build();
     let cfg = FaultCampaignConfig {
         outstanding: 8,
         requests_per_cpu,
         pattern: CampaignPattern::Bisection,
-        plan,
+        plan: cut_plan(cpus, failures),
         // Packets lost with a wire are retried immediately from the drop
         // report, so the timeout is purely a lost-response safety net. Keep
         // it well above the wounded machine's congested tail latency —
@@ -188,6 +174,14 @@ fn resilience_figure(cpus: usize, results: &[(usize, CampaignResult)]) -> Figure
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alphasim_kernel::chaos::validate_plan;
+    use alphasim_system::catalog_for;
+
+    /// Whether the campaign will accept `failures` bisection cuts on
+    /// `cpus` nodes.
+    fn survivable(cpus: usize, failures: usize) -> Result<(), String> {
+        validate_plan(&catalog_for(cpus), &cut_plan(cpus, failures))
+    }
 
     #[test]
     fn bisection_cuts_are_distinct_rows_and_survivable() {
@@ -198,8 +192,8 @@ mod tests {
             assert_eq!(a, row * 8 + 3);
             assert_eq!(b, row * 8 + 4);
         }
-        assert_survivable(64, &cuts);
-        assert_survivable(16, &bisection_cuts(16, 2));
+        assert_eq!(survivable(64, 6), Ok(()));
+        assert_eq!(survivable(16, 2), Ok(()));
     }
 
     #[test]
@@ -218,7 +212,7 @@ mod tests {
             assert_eq!(a, row * 16 + 7);
             assert_eq!(b, row * 16 + 8);
         }
-        assert_survivable(256, &cuts);
+        assert_eq!(survivable(256, 3), Ok(()));
         let small = campaign_at(16, 1, 12);
         let large = campaign_at(256, 1, 4);
         assert_eq!(small.completed + small.poisoned.len() as u64, 16 * 12);

@@ -242,7 +242,7 @@ fn window_rows(obs: &CampaignObservability) -> Vec<WindowRow> {
         .into_iter()
         .enumerate()
         .map(|(i, q)| {
-            let (mean, p50, p99) = q.finish_full();
+            let (mean, p50, p99) = q.finish();
             let b = get(&bytes, i);
             WindowRow {
                 index: i as u64,

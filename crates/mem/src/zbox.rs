@@ -175,11 +175,6 @@ impl Zbox {
         self.failed_channels -= 1;
     }
 
-    /// Channels currently failed.
-    pub fn failed_channels(&self) -> u32 {
-        self.failed_channels
-    }
-
     /// Bandwidth the controller can deliver right now, after sparing.
     pub fn effective_bandwidth_gbps(&self) -> f64 {
         self.config.degraded_bandwidth_gbps(self.failed_channels)
@@ -428,7 +423,6 @@ mod channel_tests {
         let healthy_occ = z.next_free().since(healthy.started);
         // First live failure: spared by the redundant channel, no slowdown.
         z.fail_channel();
-        assert_eq!(z.failed_channels(), 1);
         assert_eq!(z.effective_bandwidth_gbps(), z.config().bandwidth_gbps);
         // Second failure sheds real bandwidth: same access occupies longer.
         z.fail_channel();

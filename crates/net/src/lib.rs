@@ -44,5 +44,4 @@ pub mod partition;
 mod timing;
 
 pub use msg::{Delivery, MessageClass, MessageId};
-pub use partition::FaultError;
 pub use timing::LinkTiming;

@@ -192,11 +192,6 @@ impl Link {
         self.degrade
     }
 
-    /// Whether the channel is degraded (slowed, not dead).
-    pub fn is_degraded(&self) -> bool {
-        self.degrade > 1
-    }
-
     /// Set the latency stretch factor (`1` restores full speed).
     ///
     /// # Panics
@@ -317,11 +312,10 @@ mod tests {
     fn degrade_and_heal() {
         let mut l = link();
         assert_eq!(l.degrade_factor(), 1);
-        assert!(!l.is_degraded());
         l.set_degrade(4);
-        assert!(l.is_degraded());
+        assert_eq!(l.degrade_factor(), 4);
         l.set_degrade(1);
-        assert!(!l.is_degraded());
+        assert_eq!(l.degrade_factor(), 1);
     }
 
     #[test]

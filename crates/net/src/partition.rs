@@ -84,68 +84,6 @@ pub fn tb_inject(cpu: usize) -> u64 {
     (4 << 61) | cpu as u64
 }
 
-/// Why a live fault could not be applied (or survived).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultError {
-    /// No such link exists in the underlying topology.
-    NoSuchLink {
-        /// One claimed end of the link.
-        a: NodeId,
-        /// The other claimed end.
-        b: NodeId,
-    },
-    /// The link is already in the requested liveness state.
-    AlreadyInState {
-        /// One end of the link.
-        a: NodeId,
-        /// The other end.
-        b: NodeId,
-        /// The state it is already in.
-        alive: bool,
-    },
-    /// Failing the link would disconnect at least one endpoint pair; the
-    /// failure was rolled back and the fabric left routable.
-    Partitioned {
-        /// An endpoint that would lose reachability.
-        from: NodeId,
-        /// The endpoint it could no longer reach.
-        to: NodeId,
-    },
-    /// The link is in a state that rejects the requested transition (e.g.
-    /// degrading a dead link, or corrupting a flit on one).
-    BadState {
-        /// One end of the link.
-        a: NodeId,
-        /// The other end.
-        b: NodeId,
-        /// Why the transition is rejected.
-        what: &'static str,
-    },
-}
-
-impl std::fmt::Display for FaultError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultError::NoSuchLink { a, b } => write!(f, "no link {a}<->{b} in the fabric"),
-            FaultError::AlreadyInState { a, b, alive } => {
-                let state = if *alive { "alive" } else { "dead" };
-                write!(f, "link {a}<->{b} is already {state}")
-            }
-            FaultError::Partitioned { from, to } => {
-                write!(
-                    f,
-                    "failure would partition the fabric: {from} cannot reach {to}"
-                )
-            }
-            FaultError::BadState { a, b, what } => {
-                write!(f, "link {a}<->{b} {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FaultError {}
-
 /// A message travelling the fabric. A `Packet` is an owned
 /// value: queued packets live in the fabric's slab, in-flight
 /// packets live inside their pending `Arrive` event, and the closed-loop
@@ -470,83 +408,79 @@ impl FabricTables {
 
     /// The global ids of both directed channels of the undirected link
     /// `a ↔ b`.
-    pub fn link_ids(&self, a: NodeId, b: NodeId) -> Result<[usize; 2], FaultError> {
-        let la = self
-            .directed_link_id(a, b)
-            .ok_or(FaultError::NoSuchLink { a, b })?;
-        let lb = self
-            .directed_link_id(b, a)
-            .ok_or(FaultError::NoSuchLink { a, b })?;
-        Ok([la, lb])
-    }
-
-    fn directed_link_id(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        if from.index() >= self.graph.node_count() {
-            return None;
-        }
-        self.graph
-            .ports(from)
-            .iter()
-            .position(|p| p.to == to)
-            .map(|pi| self.link_of[from.index()][pi])
-    }
-
-    /// Fail the undirected link `a ↔ b`: both directed channels go dead
-    /// and routes are recomputed over the survivors. If
-    /// the failure would partition the fabric the tables are left
-    /// untouched and the error returned — worker link state has not been
-    /// modified yet, so there is nothing to roll back.
-    pub fn fail_link(&mut self, a: NodeId, b: NodeId) -> Result<[usize; 2], FaultError> {
-        let ids = self.link_ids(a, b)?;
-        if !self.alive[ids[0]] {
-            return Err(FaultError::AlreadyInState { a, b, alive: false });
-        }
-        for id in ids {
-            self.alive[id] = false;
-        }
-        if let Err(e) = self.rebuild_routes() {
-            for id in ids {
-                self.alive[id] = true;
-            }
-            self.rebuild_routes()
-                .expect("rollback restores a routable fabric");
-            return Err(e);
-        }
-        Ok(ids)
-    }
-
-    /// Bring the dead undirected link `a ↔ b` back and recompute routes.
-    /// (Restoring an *alive* but degraded link is a worker-side heal and
-    /// never reaches the tables; call sites check liveness first.)
     ///
     /// # Panics
     ///
-    /// Panics if restoring somehow partitions the fabric — adding a link
-    /// cannot disconnect anything.
-    pub fn revive_link(&mut self, a: NodeId, b: NodeId) -> Result<[usize; 2], FaultError> {
-        let ids = self.link_ids(a, b)?;
-        if self.alive[ids[0]] {
-            return Err(FaultError::AlreadyInState { a, b, alive: true });
+    /// Panics if the fabric has no link `a ↔ b`.
+    pub fn link_ids(&self, a: NodeId, b: NodeId) -> [usize; 2] {
+        [self.directed_link(a, b), self.directed_link(b, a)]
+    }
+
+    /// The global id of the directed link `from -> to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fabric has no link `from -> to`.
+    pub fn directed_link(&self, from: NodeId, to: NodeId) -> usize {
+        let pi = self
+            .graph
+            .ports
+            .get(from.index())
+            .and_then(|ports| ports.iter().position(|p| p.to == to))
+            .unwrap_or_else(|| panic!("no link {from} -> {to} in the fabric"));
+        self.link_of[from.index()][pi]
+    }
+
+    /// Fail the undirected link `a ↔ b`: both directed channels go dead
+    /// and routes are recomputed over the survivors. Returns the two
+    /// channel ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link does not exist or is already dead, and, naming
+    /// the pair, if the cut leaves an endpoint unable to reach another
+    /// under the routing policy. A fault campaign checks its plan with
+    /// [`validate_plan`](alphasim_kernel::chaos::validate_plan) before the
+    /// run, so its strikes meet the preconditions and never cut the
+    /// fabric in two.
+    pub fn fail_link(&mut self, a: NodeId, b: NodeId) -> [usize; 2] {
+        let ids = self.link_ids(a, b);
+        assert!(self.alive[ids[0]], "link {a}<->{b} is already dead");
+        for id in ids {
+            self.alive[id] = false;
         }
+        self.rebuild_routes();
+        ids
+    }
+
+    /// Bring the dead undirected link `a ↔ b` back and recompute routes.
+    /// Returns the two channel ids. (Healing an *alive* but degraded link
+    /// is a link-state change and never reaches the tables.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link does not exist or is alive.
+    pub fn revive_link(&mut self, a: NodeId, b: NodeId) -> [usize; 2] {
+        let ids = self.link_ids(a, b);
+        assert!(!self.alive[ids[0]], "link {a}<->{b} is already alive");
         for id in ids {
             self.alive[id] = true;
         }
-        self.rebuild_routes()
-            .expect("restoring a link cannot partition the fabric");
-        Ok(ids)
-    }
-
-    /// The global id of the directed link `from -> to`, with the same
-    /// error shape the flit-corruption fault path expects.
-    pub fn directed_link(&self, from: NodeId, to: NodeId) -> Result<usize, FaultError> {
-        self.directed_link_id(from, to)
-            .ok_or(FaultError::NoSuchLink { a: from, b: to })
+        self.rebuild_routes();
+        ids
     }
 
     /// Recompute the live port views and the minimal-path route tables
-    /// from the current liveness flags; `Err` (with the routes unchanged)
-    /// if any endpoint pair would become unreachable.
-    fn rebuild_routes(&mut self) -> Result<(), FaultError> {
+    /// from the current liveness flags.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the pair, if an endpoint can no longer reach another.
+    /// A plan that [`validate_plan`](alphasim_kernel::chaos::validate_plan)
+    /// accepts keeps the fabric connected, but a shuffle fabric's
+    /// restricted [`RoutePolicy`] can strand a pair that connectivity alone
+    /// does not.
+    fn rebuild_routes(&mut self) {
         for n in 0..self.graph.node_count() {
             let lp = &mut self.live.ports[n];
             let ll = &mut self.live_link_of[n];
@@ -564,13 +498,13 @@ impl FabricTables {
         let eps = self.graph.endpoints();
         for &from in &eps {
             for &to in &eps {
-                if from != to && routes.distance(from, 0, to) == Routes::UNREACHABLE {
-                    return Err(FaultError::Partitioned { from, to });
-                }
+                assert!(
+                    from == to || routes.distance(from, 0, to) != Routes::UNREACHABLE,
+                    "the fabric is partitioned: {from} cannot reach {to}"
+                );
             }
         }
         self.routes = routes;
-        Ok(())
     }
 }
 
@@ -717,11 +651,6 @@ impl<P> RegionNet<P> {
         for l in &mut self.links {
             l.mark_released();
         }
-    }
-
-    /// Shared access to link `id`.
-    pub fn link(&self, id: usize) -> &Link {
-        &self.links[id]
     }
 
     /// The drop-condemnation ticket of the packet last granted on `id`.
@@ -1495,8 +1424,7 @@ mod tests {
     fn link_bytes(net: &OpenLoop, from: usize, to: usize) -> u64 {
         let id = net
             .tables()
-            .directed_link(NodeId::new(from), NodeId::new(to))
-            .unwrap();
+            .directed_link(NodeId::new(from), NodeId::new(to));
         net.links().links[id].bytes()
     }
 
@@ -1581,7 +1509,7 @@ mod tests {
         // Cut 0 <-> 1, then load node 0's three surviving links: a dead
         // wire must not average node 0's or the fabric's gauges down.
         let mut t = tables();
-        let dead = t.fail_link(NodeId::new(0), NodeId::new(1)).unwrap();
+        let dead = t.fail_link(NodeId::new(0), NodeId::new(1));
         let mut net = OpenLoop::new(t);
         for (i, dst) in [3usize, 4, 12].into_iter().cycle().take(30).enumerate() {
             send(
@@ -1667,10 +1595,7 @@ mod tests {
         let timing = LinkTiming::ev7_torus();
         let healthy = one_hop(&mut open4x4()).latency();
         let mut net = open4x4();
-        let id = net
-            .tables()
-            .directed_link(NodeId::new(0), NodeId::new(1))
-            .unwrap();
+        let id = net.tables().directed_link(NodeId::new(0), NodeId::new(1));
         net.link_mut(id).set_degrade(DEGRADE_FACTOR);
         let d = one_hop(&mut net);
         let expect = timing.router_latency
@@ -1687,10 +1612,7 @@ mod tests {
         let timing = LinkTiming::ev7_torus();
         let healthy = one_hop(&mut open4x4()).latency();
         let mut net = open4x4();
-        let id = net
-            .tables()
-            .directed_link(NodeId::new(0), NodeId::new(1))
-            .unwrap();
+        let id = net.tables().directed_link(NodeId::new(0), NodeId::new(1));
         net.link_mut(id).arm_corruption();
         let d = one_hop(&mut net);
         // Resend = transfer + wire = healthy minus the router pipeline.
@@ -1726,49 +1648,23 @@ mod tests {
     fn failing_a_link_reroutes_and_restores() {
         let mut t = tables();
         let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let ids = t.fail_link(a, b).expect("first failure applies");
-        assert!(!t.is_alive(ids[0]));
+        let ids = t.fail_link(a, b);
+        assert!(!t.is_alive(ids[0]) && !t.is_alive(ids[1]));
         assert_eq!(t.routes.distance(a, 0, b), 3, "0 -> 1 detours");
-        assert_eq!(
-            t.fail_link(a, b),
-            Err(FaultError::AlreadyInState { a, b, alive: false })
-        );
-        t.revive_link(a, b).expect("revive applies");
-        assert!(t.is_alive(ids[0]));
+        assert_eq!(t.revive_link(a, b), ids);
+        assert!(t.is_alive(ids[0]) && t.is_alive(ids[1]));
         assert_eq!(t.routes.distance(a, 0, b), 1);
-        assert_eq!(
-            t.revive_link(a, b),
-            Err(FaultError::AlreadyInState { a, b, alive: true })
-        );
-        assert_eq!(
-            t.fail_link(a, NodeId::new(10)),
-            Err(FaultError::NoSuchLink {
-                a,
-                b: NodeId::new(10)
-            })
-        );
     }
 
     #[test]
-    fn partitioning_failure_is_rejected_and_rolled_back() {
-        // Cut three of node 0's four links, then demand the fourth: that
-        // would sever node 0 and must be refused with the tables intact.
+    #[should_panic(expected = "the fabric is partitioned: n0 cannot reach n1")]
+    fn a_partitioning_failure_panics_naming_the_stranded_pair() {
+        // Cut all four of node 0's links: the last cut strands node 0, and
+        // the tables panic naming the first pair it cannot route.
         let mut t = tables();
-        for to in [1usize, 3, 4] {
-            t.fail_link(NodeId::new(0), NodeId::new(to))
-                .expect("fabric survives");
+        for to in [1usize, 3, 4, 12] {
+            t.fail_link(NodeId::new(0), NodeId::new(to));
         }
-        assert!(matches!(
-            t.fail_link(NodeId::new(0), NodeId::new(12)),
-            Err(FaultError::Partitioned { .. })
-        ));
-        // The rollback leaves the last link routable: node 0 still sends,
-        // detouring through node 12.
-        let ids = t.link_ids(NodeId::new(0), NodeId::new(12)).unwrap();
-        assert!(t.is_alive(ids[0]) && t.is_alive(ids[1]));
-        let mut net = OpenLoop::new(t);
-        send(&mut net, SimTime::ZERO, 0, 5, MessageClass::Request, 7);
-        assert!(net.drain()[0].hops >= 3, "must detour through node 12");
     }
 
     #[test]
@@ -1780,10 +1676,7 @@ mod tests {
         send(&mut net, SimTime::ZERO, 0, 1, MessageClass::Request, 42);
         send(&mut net, SimTime::ZERO, 0, 1, MessageClass::Request, 43);
         let d = net.drain();
-        let id = net
-            .tables()
-            .directed_link(NodeId::new(0), NodeId::new(1))
-            .unwrap();
+        let id = net.tables().directed_link(NodeId::new(0), NodeId::new(1));
         let transfer = SimDuration::transfer_time(64, net.tables().timing().bandwidth_gbps);
         assert_eq!([d[0].tag, d[1].tag], [42, 43], "granted in arrival order");
         assert_eq!(d[1].delivered_at, d[0].delivered_at + transfer);

@@ -12,8 +12,10 @@
 //!   strike window, burst structure, per-kind weights);
 //! * [`ChaosConfig::generate`] — a seeded generator that only emits *legal*
 //!   schedules (no double-kills, no partitions, repairs only after damage);
-//! * [`validate_plan`] — the same legality rules as a checker, used to
-//!   filter shrink candidates and to vet reproducers loaded from disk;
+//! * [`validate_plan`] — the same legality rules as a checker: the one
+//!   rule book every fault campaign checks its plan against before the
+//!   first event, and the filter for shrink candidates and reproducers
+//!   loaded from disk;
 //! * [`shrink_candidates`] — the QuickCheck-style transformations (drop
 //!   faults, merge/advance times, shrink sites) the shrinker searches when
 //!   minimizing a violating schedule.
@@ -30,9 +32,9 @@ use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
-/// Maximum RDRAM channels the generator will fail at one node — the Zbox
-/// models a redundant channel plus head-room, and the campaign layer panics
-/// if a plan strips a node bare, so the schedule algebra stays below that.
+/// Maximum RDRAM channels a plan may have failed at one node at a time —
+/// the Zbox models a redundant channel plus head-room, and
+/// [`validate_plan`] refuses a plan that would strip a node bare.
 pub const MAX_CHANNEL_FAULTS_PER_NODE: u32 = 2;
 
 /// The fault sites of one machine: which node indices exist and which
@@ -219,7 +221,9 @@ impl<'a> SiteState<'a> {
                 let i = self
                     .link_index(a, b)
                     .ok_or_else(|| format!("no such link {a}<->{b}"))?;
-                if self.dead.remove(&i) || self.degraded.remove(&i) {
+                // A repair heals the cut and the degradation alike.
+                let (was_dead, was_degraded) = (self.dead.remove(&i), self.degraded.remove(&i));
+                if was_dead || was_degraded {
                     Ok(())
                 } else {
                     Err(format!("link {a}<->{b} is already healthy"))
@@ -476,9 +480,22 @@ impl ChaosConfig {
 
 /// Check a plan against the same legality rules the generator obeys.
 ///
-/// Used to filter shrink candidates and to vet reproducers loaded from
-/// disk before they are replayed into a live campaign (where an illegal
-/// schedule would panic the simulator instead of reporting).
+/// This is the simulator's only fault rule book. Every fault campaign
+/// checks its plan here before the first event and refuses an illegal one
+/// with the rule's message, so every strike that reaches the engine is
+/// legal by construction. The chaos engine also filters shrink candidates
+/// with it, and vets reproducers loaded from disk before it builds a
+/// campaign, so a damaged file is an error rather than a panic.
+///
+/// # Errors
+///
+/// The first rule a strike breaks, prefixed with its time: a plan out of
+/// time order, a site the catalog lacks, a cut of a dead link or one that
+/// would partition the fabric, a repair of a healthy link or channel, a
+/// degradation of a dead or degraded link, a flit corruption on a dead
+/// link, a second drain of a node or a drain of more than half the nodes,
+/// an undrain of a node that is not drained, a zero-length router pause,
+/// or a channel loss beyond [`MAX_CHANNEL_FAULTS_PER_NODE`].
 pub fn validate_plan(catalog: &SiteCatalog, plan: &FaultPlan) -> Result<(), String> {
     let mut st = SiteState::new(catalog);
     let mut last: Option<SimTime> = None;
@@ -669,6 +686,22 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.push(t0, FaultKind::NodeDrain { node: 99 });
         assert!(validate_plan(&cat, &plan).is_err());
+        // Heal twice: a repair of a degraded, then cut, link heals both
+        // at once, so a second repair finds it healthy.
+        let ns = |n: u64| t0 + SimDuration::from_ns(100.0) * n;
+        let mut plan = FaultPlan::new();
+        plan.push(ns(0), FaultKind::LinkDegrade { a: 0, b: 1 });
+        plan.push(ns(1), FaultKind::LinkDown { a: 0, b: 1 });
+        plan.push(ns(2), FaultKind::LinkUp { a: 0, b: 1 });
+        let mut twice = plan.clone();
+        twice.push(ns(3), FaultKind::LinkUp { a: 0, b: 1 });
+        assert_eq!(
+            validate_plan(&cat, &twice),
+            Err(format!("at {}: link 0<->1 is already healthy", ns(3)))
+        );
+        // ...and the healed link may degrade again.
+        plan.push(ns(3), FaultKind::LinkDegrade { a: 0, b: 1 });
+        assert_eq!(validate_plan(&cat, &plan), Ok(()));
         // Partition: cut the chord and three ring links so node 3 isolates.
         let mut plan = FaultPlan::new();
         for (i, (a, b)) in [(0, 2), (2, 3), (0, 3)].into_iter().enumerate() {

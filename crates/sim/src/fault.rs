@@ -98,6 +98,22 @@ pub enum FaultKind {
 pub const DEGRADE_FACTOR: u64 = 4;
 
 impl FaultKind {
+    /// The variant's name (`"LinkDown"`, …, `"ChannelUp"`): the tag of its
+    /// JSON encoding, and the key the chaos report counts struck kinds by.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FaultKind::LinkDown { .. } => "LinkDown",
+            FaultKind::LinkUp { .. } => "LinkUp",
+            FaultKind::LinkDegrade { .. } => "LinkDegrade",
+            FaultKind::FlitCorrupt { .. } => "FlitCorrupt",
+            FaultKind::NodeDrain { .. } => "NodeDrain",
+            FaultKind::NodeUndrain { .. } => "NodeUndrain",
+            FaultKind::RouterPause { .. } => "RouterPause",
+            FaultKind::ChannelDown { .. } => "ChannelDown",
+            FaultKind::ChannelUp { .. } => "ChannelUp",
+        }
+    }
+
     /// Short human-readable description, used by watchdog reports and logs.
     pub fn describe(&self) -> String {
         match self {
@@ -268,9 +284,12 @@ mod tests {
             FaultKind::ChannelUp { node: 4 },
         ];
         let mut seen = std::collections::BTreeSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for kind in kinds {
             assert!(!kind.describe().is_empty());
             assert!(seen.insert(kind.describe()), "descriptions must differ");
+            assert!(names.insert(kind.name()), "names must differ");
         }
+        assert_eq!(names.len(), crate::chaos::CHAOS_KINDS);
     }
 }

@@ -11,11 +11,10 @@ use crate::time::{SimDuration, SimTime};
 /// The mean streams (running sum); the quantiles are the nearest-rank-below
 /// rule `sorted[(n - 1) * p / 100]`, which needs the sample order, so
 /// samples are kept and sorted once when the accumulator is consumed by
-/// [`finish`](Self::finish) or [`finish_full`](Self::finish_full). This is
-/// the one shared implementation behind every latency summary — the
-/// fault-campaign resilience sweep, the telemetry experiment, and the
-/// per-window latency series of the timeline artifact all report exactly
-/// these numbers.
+/// [`finish`](Self::finish). This is the one shared implementation behind
+/// every latency summary — the fault-campaign resilience sweep, the
+/// telemetry experiment, and the per-window latency series of the timeline
+/// artifact all report exactly these numbers.
 ///
 /// # Examples
 ///
@@ -27,7 +26,7 @@ use crate::time::{SimDuration, SimTime};
 /// for ns in [10.0, 20.0, 30.0] {
 ///     q.record(SimDuration::from_ns(ns));
 /// }
-/// let (mean, p50, p99) = q.finish_full();
+/// let (mean, p50, p99) = q.finish();
 /// assert_eq!(mean, SimDuration::from_ns(20.0));
 /// assert_eq!(p50, SimDuration::from_ns(20.0)); // rank (3-1)*50/100 = 1
 /// assert_eq!(p99, SimDuration::from_ns(20.0)); // rank (3-1)*99/100 = 1
@@ -41,13 +40,6 @@ impl MeanP50P99 {
     /// An empty accumulator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty accumulator with room for `cap` samples.
-    pub fn with_capacity(cap: usize) -> Self {
-        MeanP50P99 {
-            samples: Vec::with_capacity(cap),
-        }
     }
 
     /// Add one sample.
@@ -65,19 +57,10 @@ impl MeanP50P99 {
         self.samples.is_empty()
     }
 
-    /// Consume the accumulator, returning `(mean, p99)` — both
-    /// [`SimDuration::ZERO`] when empty. The historical two-value summary;
-    /// byte-compatible with every committed artifact.
-    pub fn finish(self) -> (SimDuration, SimDuration) {
-        let (mean, _, p99) = self.finish_full();
-        (mean, p99)
-    }
-
     /// Consume the accumulator, returning `(mean, p50, p99)` — all
-    /// [`SimDuration::ZERO`] when empty. The quantiles share the
-    /// nearest-rank-below rule, so the p99 is bit-identical to what
-    /// [`finish`](Self::finish) has always reported.
-    pub fn finish_full(mut self) -> (SimDuration, SimDuration, SimDuration) {
+    /// [`SimDuration::ZERO`] when empty. Both quantiles follow the
+    /// nearest-rank-below rule.
+    pub fn finish(mut self) -> (SimDuration, SimDuration, SimDuration) {
         self.samples.sort_unstable();
         let mean = if self.samples.is_empty() {
             SimDuration::ZERO
@@ -165,14 +148,15 @@ mod tests {
     fn mean_p99_empty_is_zero() {
         let q = MeanP50P99::new();
         assert!(q.is_empty());
-        assert_eq!(q.finish(), (SimDuration::ZERO, SimDuration::ZERO));
+        let (mean, _, p99) = q.finish();
+        assert_eq!((mean, p99), (SimDuration::ZERO, SimDuration::ZERO));
     }
 
     #[test]
     fn mean_p99_matches_sort_based_reference() {
         // The nearest-rank-below rule the resilience sweep has always used:
         // sorted[(n - 1) * 99 / 100].
-        let mut q = MeanP50P99::with_capacity(200);
+        let mut q = MeanP50P99::new();
         let mut reference: Vec<SimDuration> = Vec::new();
         let mut x = 7u64;
         for _ in 0..200 {
@@ -187,14 +171,16 @@ mod tests {
         reference.sort_unstable();
         let want_mean = reference.iter().copied().sum::<SimDuration>() / reference.len() as u64;
         let want_p99 = reference[(reference.len() - 1) * 99 / 100];
-        assert_eq!(q.finish(), (want_mean, want_p99));
+        let (mean, _, p99) = q.finish();
+        assert_eq!((mean, p99), (want_mean, want_p99));
     }
 
     #[test]
     fn p50_uses_the_same_rank_rule_and_leaves_p99_untouched() {
-        // The satellite's contract: adding the median must not move the
-        // two historically committed numbers by a single bit.
-        let mut q = MeanP50P99::with_capacity(101);
+        // The median follows the p99's nearest-rank-below rule,
+        // sorted[(n - 1) * p / 100], and reporting it moves neither the
+        // mean nor the p99.
+        let mut q = MeanP50P99::new();
         let mut reference: Vec<SimDuration> = Vec::new();
         let mut x = 99u64;
         for _ in 0..101 {
@@ -205,18 +191,19 @@ mod tests {
             q.record(d);
             reference.push(d);
         }
-        let legacy = q.clone().finish();
-        let (mean, p50, p99) = q.finish_full();
-        assert_eq!((mean, p99), legacy, "finish() must be unchanged");
         reference.sort_unstable();
-        assert_eq!(p50, reference[(reference.len() - 1) * 50 / 100]);
+        let want_mean = reference.iter().copied().sum::<SimDuration>() / reference.len() as u64;
+        let rank = |p: usize| reference[(reference.len() - 1) * p / 100];
+        let (mean, p50, p99) = q.finish();
+        assert_eq!((mean, p99), (want_mean, rank(99)), "mean and p99 unchanged");
+        assert_eq!(p50, rank(50));
         assert!(p50 <= p99, "quantiles must be monotone");
     }
 
     #[test]
     fn finish_full_empty_is_all_zero() {
         assert_eq!(
-            MeanP50P99::new().finish_full(),
+            MeanP50P99::new().finish(),
             (SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO)
         );
     }

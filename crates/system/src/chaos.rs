@@ -18,13 +18,13 @@ use std::collections::BTreeSet;
 use alphasim_coherence::RetryPolicy;
 use alphasim_kernel::chaos::{shrink_candidates, validate_plan, ChaosConfig, SiteCatalog};
 use alphasim_kernel::{FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime};
-use alphasim_topology::{Topology, Torus2D};
+use alphasim_topology::Torus2D;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::faulty::{
-    gs1280_fault_campaign, CampaignPattern, CampaignResult, FaultCampaign, FaultCampaignConfig,
-    MonitorReport, RecoveryMutation,
+    gs1280_fault_campaign, site_catalog, CampaignPattern, CampaignResult, FaultCampaign,
+    FaultCampaignConfig, MonitorReport, RecoveryMutation,
 };
 use crate::gs1280::FabricTopo;
 use crate::Gs1280;
@@ -341,47 +341,24 @@ impl ChaosReport {
     }
 
     /// Distinct fault kinds that struck across all trials, by
-    /// [`FaultKind::describe`]-stable discriminant name.
+    /// [`FaultKind::name`].
     pub fn kinds_struck(&self) -> BTreeSet<&'static str> {
         self.trials
             .iter()
             .flat_map(|t| t.faults_applied.iter())
-            .map(|k| kind_name(*k))
+            .map(FaultKind::name)
             .collect()
     }
 }
 
-/// Stable discriminant name of a fault kind.
-pub fn kind_name(kind: FaultKind) -> &'static str {
-    match kind {
-        FaultKind::LinkDown { .. } => "LinkDown",
-        FaultKind::LinkUp { .. } => "LinkUp",
-        FaultKind::LinkDegrade { .. } => "LinkDegrade",
-        FaultKind::FlitCorrupt { .. } => "FlitCorrupt",
-        FaultKind::NodeDrain { .. } => "NodeDrain",
-        FaultKind::NodeUndrain { .. } => "NodeUndrain",
-        FaultKind::RouterPause { .. } => "RouterPause",
-        FaultKind::ChannelDown { .. } => "ChannelDown",
-        FaultKind::ChannelUp { .. } => "ChannelUp",
-    }
-}
-
-/// The fault-site catalog of a GS1280 fabric: every node and every
-/// undirected link, as the kernel's schedule algebra sees them.
+/// The fault-site catalog of a `cpus`-node GS1280 torus: every node and
+/// every undirected link, as the kernel's schedule algebra sees them.
+///
+/// # Panics
+///
+/// Panics if `cpus` is not a GS1280 size ([`Torus2D::SIZES`]).
 pub fn catalog_for(cpus: usize) -> SiteCatalog {
-    let machine = Gs1280::builder().cpus(cpus).build();
-    let topo = machine.fabric();
-    let nodes: Vec<usize> = (0..topo.node_count()).collect();
-    let mut links = Vec::new();
-    for n in 0..topo.node_count() {
-        for port in topo.ports(alphasim_topology::NodeId::new(n)) {
-            let m = port.to.index();
-            if n < m {
-                links.push((n, m));
-            }
-        }
-    }
-    SiteCatalog::new(nodes, links)
+    site_catalog(&Torus2D::for_cpus(cpus))
 }
 
 fn fresh_campaign(cpus: usize) -> FaultCampaign<FabricTopo> {

@@ -59,7 +59,7 @@ use alphasim_kernel::stats::MeanP50P99;
 use alphasim_kernel::{DetRng, FaultEvent, FaultKind, SimDuration, SimTime};
 use alphasim_mem::Zbox;
 use alphasim_net::partition::{tb_arrive, tb_inject, tb_timer, FabricEvent, Packet, RegionNet};
-use alphasim_net::{FaultError, MessageClass};
+use alphasim_net::MessageClass;
 use alphasim_telemetry::trace::PID_MEMORY;
 use alphasim_telemetry::{BreakdownTable, HopBreakdown};
 use alphasim_topology::NodeId;
@@ -893,16 +893,6 @@ pub(crate) struct Sampler {
     pub(crate) samples: Vec<UtilSample>,
 }
 
-/// A fault the plan cannot apply panics, loudly and by design.
-fn refused(e: FaultError) -> ! {
-    panic!("fault plan could not be applied: {e}")
-}
-
-/// The fabric mutation's result, or [`refused`].
-fn applied<T>(r: Result<T, FaultError>) -> T {
-    r.unwrap_or_else(|e| refused(e))
-}
-
 /// The barrier coordinator: strikes fault events, watchdog ticks and
 /// samples at epoch barriers. It keeps only barrier state; everything it
 /// reads or changes about the run (tables, links, config, CPUs,
@@ -1033,8 +1023,10 @@ impl CampaignGuide {
         s.next_at = Some(at + s.every);
     }
 
-    /// Apply one fault strike at barrier `b`; an inapplicable fault
-    /// panics ([`refused`]).
+    /// Apply one fault strike at barrier `b`. The campaign checked its
+    /// plan with the kernel's `validate_plan` before the first event, so
+    /// the strike is legal by construction: a cut finds its link alive, a
+    /// repair finds damage, a channel loss leaves the Zbox a channel.
     fn apply_fault(
         &mut self,
         b: SimTime,
@@ -1044,7 +1036,7 @@ impl CampaignGuide {
         match kind {
             FaultKind::LinkDown { a, b: other } => {
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                for id in applied(ctl.worker_mut().net.tables_mut().fail_link(na, nb)) {
+                for id in ctl.worker_mut().net.tables_mut().fail_link(na, nb) {
                     let from = ctl.worker().net.tables().link_meta(id).0;
                     // Queued packets are evicted and re-routed from the
                     // sending side over the rebuilt tables.
@@ -1078,62 +1070,29 @@ impl CampaignGuide {
                 }
             }
             FaultKind::LinkUp { a, b: other } => {
+                // A repair heals the cut and the degradation alike.
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                let tables = ctl.worker().net.tables();
-                let ids = applied(tables.link_ids(na, nb));
-                if tables.is_alive(ids[0]) {
-                    // An alive link only heals if it was degraded;
-                    // repairing a healthy full-speed link errs.
-                    let degraded = ids
-                        .iter()
-                        .any(|&id| ctl.worker().net.link(id).is_degraded());
-                    if !degraded {
-                        refused(FaultError::AlreadyInState {
-                            a: na,
-                            b: nb,
-                            alive: true,
-                        });
-                    }
-                } else {
-                    applied(ctl.worker_mut().net.tables_mut().revive_link(na, nb));
+                let net = &mut ctl.worker_mut().net;
+                let ids = net.tables().link_ids(na, nb);
+                if !net.tables().is_alive(ids[0]) {
+                    net.tables_mut().revive_link(na, nb);
                 }
                 for id in ids {
-                    ctl.worker_mut().net.link_mut(id).set_degrade(1);
+                    net.link_mut(id).set_degrade(1);
                 }
             }
             FaultKind::LinkDegrade { a, b: other } => {
-                let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                let net = &ctl.worker().net;
-                let ids = applied(net.tables().link_ids(na, nb));
-                let what = if !net.tables().is_alive(ids[0]) {
-                    Some("is dead; cannot degrade")
-                } else if net.link(ids[0]).is_degraded() {
-                    Some("is already degraded")
-                } else {
-                    None
-                };
-                if let Some(what) = what {
-                    refused(FaultError::BadState { a: na, b: nb, what });
-                }
-                for id in ids {
-                    ctl.worker_mut()
-                        .net
-                        .link_mut(id)
-                        .set_degrade(DEGRADE_FACTOR);
+                let net = &mut ctl.worker_mut().net;
+                for id in net.tables().link_ids(NodeId::new(a), NodeId::new(other)) {
+                    net.link_mut(id).set_degrade(DEGRADE_FACTOR);
                 }
             }
             FaultKind::FlitCorrupt { from, to } => {
-                let (nf, nt) = (NodeId::new(from), NodeId::new(to));
-                let tables = ctl.worker().net.tables();
-                let id = applied(tables.directed_link(nf, nt));
-                if !tables.is_alive(id) {
-                    refused(FaultError::BadState {
-                        a: nf,
-                        b: nt,
-                        what: "is dead; cannot corrupt a flit",
-                    });
-                }
-                ctl.worker_mut().net.link_mut(id).arm_corruption();
+                let net = &mut ctl.worker_mut().net;
+                let id = net
+                    .tables()
+                    .directed_link(NodeId::new(from), NodeId::new(to));
+                net.link_mut(id).arm_corruption();
             }
             FaultKind::RouterPause { node, ps } => {
                 let n = NodeId::new(node);
@@ -1163,14 +1122,10 @@ impl CampaignGuide {
                     .fail_channel();
             }
             FaultKind::ChannelUp { node } => {
-                let zbox = ctl.worker_mut().zboxes[node]
+                ctl.worker_mut().zboxes[node]
                     .as_mut()
-                    .expect("a channel fault strikes a memory site");
-                // Repair symmetry for the RDRAM channel loss; tolerate a
-                // stray repair on a healthy Zbox.
-                if zbox.failed_channels() > 0 {
-                    zbox.restore_channel();
-                }
+                    .expect("a channel fault strikes a memory site")
+                    .restore_channel();
             }
         }
     }

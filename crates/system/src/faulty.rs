@@ -31,6 +31,7 @@
 //! minimizes the schedule that exposed them.
 
 use alphasim_coherence::{LivelockReport, PendingSet, RetryPolicy, Watchdog};
+use alphasim_kernel::chaos::{validate_plan, SiteCatalog};
 use alphasim_kernel::shard::{EpochExecutor, EpochProfile, EpochReport};
 use alphasim_kernel::stats::MeanP50P99;
 use alphasim_kernel::{DetRng, FaultKind, FaultPlan, SimDuration, SimTime};
@@ -144,7 +145,9 @@ pub struct FaultCampaignConfig {
     pub pattern: CampaignPattern,
     /// RNG seed.
     pub seed: u64,
-    /// The fault schedule (empty plan = healthy baseline run).
+    /// The fault schedule (empty plan = healthy baseline run). It must
+    /// pass [`validate_plan`] over the fabric's sites; the run refuses an
+    /// illegal plan before the first event.
     pub plan: FaultPlan,
     /// Timeout / backoff / poison policy for lost transactions.
     pub retry: RetryPolicy,
@@ -391,12 +394,19 @@ impl<T: Topology> FaultCampaign<T> {
             .expect("mirror CPU exists")
     }
 
-    /// Run the campaign to completion. Panics (loudly, by design) if the
-    /// fault plan would partition the fabric, if the traffic pattern names
-    /// a CPU the machine does not have, or if `cfg` carries a
-    /// [`RecoveryMutation`] — a broken recovery path can hang an
+    /// Run the campaign to completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first event if the fault plan breaks a rule of
+    /// [`validate_plan`] over the fabric's sites (the message names the
+    /// strike and the rule, e.g. `fault plan is illegal: at 2000.000ns:
+    /// cutting link 0<->12 would partition the fabric`), if the traffic
+    /// pattern names a CPU the machine does not have, or if `cfg` carries
+    /// a [`RecoveryMutation`] — a broken recovery path can hang an
     /// unmonitored run, so mutations require
-    /// [`run_monitored`](Self::run_monitored).
+    /// [`run_monitored`](Self::run_monitored). Every other entry point
+    /// panics on the same plans.
     pub fn run(self, cfg: &FaultCampaignConfig) -> CampaignResult {
         self.run_inner(cfg, Drive::default()).0
     }
@@ -472,11 +482,12 @@ impl<T: Topology> FaultCampaign<T> {
         )
     }
 
-    /// Run the closed loop to completion on the epoch engine: build the
-    /// worker over the fabric, the memory sites and the CPUs, prime every
-    /// CPU's window, and step it under the guide. Returns the worker, the
-    /// guide, what the executor did, and (on observed runs) the epoch
-    /// profile.
+    /// Run the closed loop to completion on the epoch engine: check the
+    /// fault plan against [`validate_plan`] over the fabric's sites, build
+    /// the worker over the fabric, the memory sites and the CPUs, prime
+    /// every CPU's window, and step it under the guide. Returns the
+    /// worker, the guide, what the executor did, and (on observed runs)
+    /// the epoch profile.
     pub(crate) fn launch(
         self,
         cfg: &FaultCampaignConfig,
@@ -509,6 +520,11 @@ impl<T: Topology> FaultCampaign<T> {
             !drive.retry_free || cfg.plan.is_empty(),
             "a retry-free run cannot recover from faults"
         );
+        if !cfg.plan.is_empty() {
+            if let Err(why) = validate_plan(&site_catalog(self.tables.topology()), &cfg.plan) {
+                panic!("fault plan is illegal: {why}");
+            }
+        }
         let partners: Vec<usize> = match cfg.pattern {
             TrafficPattern::Bisection => {
                 (0..ncpus).map(|cpu| self.bisection_partner(cpu)).collect()
@@ -700,7 +716,7 @@ impl<T: Topology> FaultCampaign<T> {
             );
         }
 
-        let (mean_latency, p50_latency, p99_latency) = latencies.finish_full();
+        let (mean_latency, p50_latency, p99_latency) = latencies.finish();
         let elapsed = last_delivery.since(SimTime::ZERO);
         let delivered_gbps = if elapsed > SimDuration::ZERO {
             completed as f64 * 64.0 / elapsed.as_secs() / 1e9
@@ -823,6 +839,22 @@ impl<T: Topology> FaultCampaign<T> {
         };
         (result, telemetry, report, observability)
     }
+}
+
+/// The fault sites of `topo`: every node and every undirected link, as
+/// the kernel's schedule algebra sees them.
+pub(crate) fn site_catalog<T: Topology + ?Sized>(topo: &T) -> SiteCatalog {
+    let nodes: Vec<usize> = (0..topo.node_count()).collect();
+    let links = nodes
+        .iter()
+        .flat_map(|&n| {
+            topo.ports(NodeId::new(n))
+                .iter()
+                .map(move |p| (n, p.to.index()))
+        })
+        .filter(|&(n, m)| n < m)
+        .collect();
+    SiteCatalog::new(nodes, links)
 }
 
 /// Convenience: a fault campaign over a GS1280's own fabric, each node's
@@ -1518,6 +1550,87 @@ mod tests {
         assert_eq!(near_t.registry, far_t.registry);
         assert!(near_report.is_clean());
         assert_eq!(near_report, far_report);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "fault plan is illegal: at 2000.000ns: cutting link 0<->12 would partition the fabric"
+    )]
+    fn a_plan_that_isolates_a_node_is_refused_before_the_run() {
+        let mut plan = FaultPlan::new();
+        for (i, b) in [1, 3, 4, 12].into_iter().enumerate() {
+            plan.push(at_us(0.5 * (i + 1) as f64), FaultKind::LinkDown { a: 0, b });
+        }
+        campaign16().run(&FaultCampaignConfig {
+            plan,
+            ..Default::default()
+        });
+    }
+
+    /// Every sequence of 1 to `len` strikes drawn from `kinds`, 200 ns
+    /// apart from 200 ns.
+    fn strike_sequences(kinds: &[FaultKind], len: u32) -> Vec<FaultPlan> {
+        let mut plans = Vec::new();
+        for n in 1..=len {
+            for code in 0..kinds.len().pow(n) {
+                let mut plan = FaultPlan::new();
+                let mut rest = code;
+                for i in 1..=u64::from(n) {
+                    plan.push(
+                        SimTime::ZERO + SimDuration::from_ns(200.0) * i,
+                        kinds[rest % kinds.len()],
+                    );
+                    rest /= kinds.len();
+                }
+                plans.push(plan);
+            }
+        }
+        plans
+    }
+
+    #[test]
+    fn the_engine_runs_every_plan_the_rule_book_accepts() {
+        // Every sequence of strikes on one link (up to 4) and on one node
+        // (up to 3) that `validate_plan` accepts is applied, strike for
+        // strike. The engine keeps no rules of its own, so a plan the rule
+        // book wrongly accepts trips an assert of the routing tables or
+        // the Zbox here.
+        let (a, b, node) = (0, 1, 0);
+        let link = [
+            FaultKind::LinkDown { a, b },
+            FaultKind::LinkUp { a, b },
+            FaultKind::LinkDegrade { a, b },
+            FaultKind::FlitCorrupt { from: a, to: b },
+        ];
+        let site = [
+            FaultKind::NodeDrain { node },
+            FaultKind::NodeUndrain { node },
+            FaultKind::RouterPause { node, ps: 100_000 },
+            FaultKind::ChannelDown { node },
+            FaultKind::ChannelUp { node },
+        ];
+        let machine = Gs1280::builder().cpus(16).build();
+        let catalog = crate::chaos::catalog_for(16);
+        let cfg = |plan| FaultCampaignConfig {
+            requests_per_cpu: 16,
+            plan,
+            ..Default::default()
+        };
+        // The strikes land on live traffic: a healthy run outlasts the
+        // last of them.
+        let healthy = gs1280_fault_campaign(&machine).run(&cfg(FaultPlan::new()));
+        assert!(healthy.elapsed > SimDuration::from_ns(800.0));
+        let mut legal = 0;
+        let plans = strike_sequences(&link, 4)
+            .into_iter()
+            .chain(strike_sequences(&site, 3));
+        for plan in plans.filter(|plan| validate_plan(&catalog, plan).is_ok()) {
+            let struck: Vec<FaultKind> = plan.events().iter().map(|e| e.kind).collect();
+            let r = gs1280_fault_campaign(&machine).run(&cfg(plan));
+            assert_eq!(r.faults_applied, struck);
+            legal += 1;
+        }
+        assert!(legal > 100, "only {legal} legal plans");
     }
 
     #[test]

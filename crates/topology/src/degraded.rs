@@ -11,30 +11,6 @@ use serde::{Deserialize, Serialize};
 use crate::ids::{Coord, NodeId, Port};
 use crate::Topology;
 
-/// Why a set of link failures could not be applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradedError {
-    /// The named link does not exist in the underlying topology.
-    NoSuchLink {
-        /// Claimed source of the link.
-        from: NodeId,
-        /// Claimed destination.
-        to: NodeId,
-    },
-}
-
-impl std::fmt::Display for DegradedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DegradedError::NoSuchLink { from, to } => {
-                write!(f, "no link {from} -> {to} to fail")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DegradedError {}
-
 /// A wrapper that hides failed links of an underlying topology.
 ///
 /// Failures are *undirected*: failing `a ↔ b` removes both directed ports.
@@ -63,24 +39,14 @@ impl<T: Topology> Degraded<T> {
     ///
     /// # Panics
     ///
-    /// Panics if a named link does not exist in `inner`; fault-injection
-    /// callers working from a generated plan should prefer
-    /// [`try_new`](Self::try_new) and handle the error.
+    /// Panics, naming the link, if a link in `failed` does not exist in
+    /// `inner`.
     pub fn new(inner: T, failed: &[(NodeId, NodeId)]) -> Self {
-        match Self::try_new(inner, failed) {
-            Ok(degraded) => degraded,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`new`](Self::new): `inner` with every link in `failed`
-    /// removed, or a [`DegradedError`] naming the first link that does not
-    /// exist (rather than aborting mid-campaign).
-    pub fn try_new(inner: T, failed: &[(NodeId, NodeId)]) -> Result<Self, DegradedError> {
         for &(a, b) in failed {
-            if a.index() >= inner.node_count() || !inner.ports(a).iter().any(|p| p.to == b) {
-                return Err(DegradedError::NoSuchLink { from: a, to: b });
-            }
+            assert!(
+                a.index() < inner.node_count() && inner.ports(a).iter().any(|p| p.to == b),
+                "no link {a} -> {b} to fail"
+            );
         }
         let is_failed = |from: NodeId, to: NodeId| {
             failed
@@ -98,11 +64,11 @@ impl<T: Topology> Degraded<T> {
                     .collect()
             })
             .collect();
-        Ok(Degraded {
+        Degraded {
             inner,
             failed: failed.to_vec(),
             ports,
-        })
+        }
     }
 
     /// The healthy topology underneath.
@@ -198,31 +164,5 @@ mod tests {
     #[should_panic(expected = "no link")]
     fn rejects_nonexistent_link() {
         let _ = Degraded::new(Torus2D::new(4, 4), &[(NodeId::new(0), NodeId::new(10))]);
-    }
-
-    #[test]
-    fn try_new_reports_bad_links_instead_of_panicking() {
-        let err = Degraded::try_new(Torus2D::new(4, 4), &[(NodeId::new(0), NodeId::new(10))])
-            .unwrap_err();
-        assert_eq!(
-            err,
-            DegradedError::NoSuchLink {
-                from: NodeId::new(0),
-                to: NodeId::new(10),
-            }
-        );
-        assert!(err.to_string().contains("no link"));
-        // Out-of-range endpoints error rather than panic too.
-        let oob = Degraded::try_new(Torus2D::new(2, 2), &[(NodeId::new(99), NodeId::new(0))]);
-        assert!(oob.is_err());
-    }
-
-    #[test]
-    fn try_new_matches_new_on_valid_input() {
-        let cuts = [(NodeId::new(0), NodeId::new(1))];
-        let a = Degraded::new(Torus2D::new(4, 4), &cuts);
-        let b = Degraded::try_new(Torus2D::new(4, 4), &cuts).unwrap();
-        assert_eq!(a.failed, b.failed);
-        assert_eq!(a.ports(NodeId::new(0)), b.ports(NodeId::new(0)));
     }
 }

@@ -38,7 +38,7 @@ pub mod table1;
 mod torus;
 pub mod updown;
 
-pub use degraded::{Degraded, DegradedError};
+pub use degraded::Degraded;
 pub use hier::{QbbTree, StarCluster};
 pub use ids::{Coord, Direction, LinkClass, NodeId, Port};
 pub use shuffle::ShuffleTorus;
