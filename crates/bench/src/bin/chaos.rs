@@ -137,7 +137,11 @@ fn cmd_run(trials: usize, seed: u64) -> ExitCode {
     );
     let report = run_chaos(&opts);
     let struck = report.kinds_struck();
-    let faults: usize = report.trials.iter().map(|t| t.faults_applied.len()).sum();
+    let faults: usize = report
+        .trials
+        .iter()
+        .map(|t| t.result.faults_applied.len())
+        .sum();
     println!(
         "{} trials, {} faults struck, {} fault kinds seen: {:?}",
         report.trials.len(),

@@ -83,7 +83,7 @@ fn chaos_figure(trials: usize, report: &ChaosReport) -> Figure {
     ))
     .with_series(Series::from_pairs(
         "faults struck",
-        pairs(&|t| t.faults_applied.len() as f64),
+        pairs(&|t| t.result.faults_applied.len() as f64),
     ))
     .with_series(Series::from_pairs(
         "mean read latency (ns)",

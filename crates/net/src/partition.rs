@@ -7,14 +7,16 @@
 //! * [`FabricTables`] is the fabric's **routing state** — the topology
 //!   materialized into plain tables ([`FabricGraph`]), route tables over
 //!   the live fabric, link liveness and drain flags. Its [`RegionNet`]
-//!   owns it; events only read it, and a barrier coordinator's fault
-//!   strikes change it in place ([`RegionNet::tables_mut`]), so between
-//!   barriers it is constant.
+//!   owns it; events only read it, and a worker's fault strikes change it
+//!   in place at barriers ([`RegionNet::tables_mut`],
+//!   [`RegionNet::cut_link`]), so between barriers it is constant.
 //! * [`RegionNet`] is the fabric's **owned** state: those tables, the
 //!   [`Link`] state (queues, occupancy, degradation, pauses) of every
 //!   directed link, and the packets queued on them. A packet in flight
 //!   between hops lives inside its pending `Arrive` event — hop handoff is
-//!   event handoff.
+//!   event handoff. A cut wire loses its packet at that packet's own
+//!   arrival, which [`RegionNet::handle_arrive`] reports as
+//!   [`Arrival::Lost`].
 //! * [`OpenLoop`] is the small batch driver: inject messages, run to
 //!   idle, read deliveries and the fabric-wide link reductions
 //!   ([`FabricLinks`]).
@@ -205,19 +207,22 @@ pub trait FabricEvent<P>: Sized {
     fn link_free(link: usize) -> Self;
 }
 
-/// The packet most recently granted onto a link, for barrier-time drop
-/// condemnation. The ticket is *not* cleared on arrival — the coordinator
-/// treats a ticket whose `arrive_at` is before the barrier as stale (its
-/// `Arrive` already fired, so nothing is on the wire).
-#[derive(Debug, Clone, Copy)]
-pub struct InFlight {
-    /// The packet's identity.
-    pub uid: u64,
-    /// Its correlation tag.
-    pub tag: u64,
-    /// When its pending `Arrive` fires.
-    pub arrive_at: SimTime,
+/// What became of a packet that landed on a node
+/// ([`RegionNet::handle_arrive`]).
+#[derive(Debug)]
+pub enum Arrival<P> {
+    /// It went on toward its destination.
+    Routed,
+    /// It reached its destination.
+    Delivered(Box<Packet<P>>),
+    /// A cut killed the wire it flew on: it is lost here, at the instant
+    /// it would have landed.
+    Lost(Box<Packet<P>>),
 }
+
+/// A packet on a wire, by the key of its pending `Arrive`: when it lands
+/// and its uid.
+type OnWire = (SimTime, u64);
 
 /// A topology materialized into plain tables: name, ports, endpoint flags
 /// and planar coordinates. Building one from any [`Topology`] frees the
@@ -406,14 +411,26 @@ impl FabricTables {
         self.drained[node.index()] = drained;
     }
 
-    /// The global ids of both directed channels of the undirected link
-    /// `a ↔ b`.
+    /// The global ids of every directed channel of the undirected link
+    /// `a ↔ b`: the `a -> b` channels, then the `b -> a` ones, each in port
+    /// order. A torus dimension two nodes wide joins its pairs with two
+    /// cables, so there the link is four channels.
     ///
     /// # Panics
     ///
     /// Panics if the fabric has no link `a ↔ b`.
-    pub fn link_ids(&self, a: NodeId, b: NodeId) -> [usize; 2] {
-        [self.directed_link(a, b), self.directed_link(b, a)]
+    pub fn link_ids(&self, a: NodeId, b: NodeId) -> Vec<usize> {
+        let channels = |from: NodeId, to: NodeId| {
+            let ports = self.graph.ports.get(from.index()).into_iter().flatten();
+            let ids = self.link_of.get(from.index()).into_iter().flatten();
+            ports
+                .zip(ids)
+                .filter(move |(p, _)| p.to == to)
+                .map(|(_, &id)| id)
+        };
+        let ids: Vec<usize> = channels(a, b).chain(channels(b, a)).collect();
+        assert!(!ids.is_empty(), "no link {a} <-> {b} in the fabric");
+        ids
     }
 
     /// The global id of the directed link `from -> to`.
@@ -431,9 +448,9 @@ impl FabricTables {
         self.link_of[from.index()][pi]
     }
 
-    /// Fail the undirected link `a ↔ b`: both directed channels go dead
-    /// and routes are recomputed over the survivors. Returns the two
-    /// channel ids.
+    /// Fail the undirected link `a ↔ b`: every channel of it
+    /// ([`link_ids`](Self::link_ids)) goes dead and routes are recomputed
+    /// over the survivors. Returns the channel ids.
     ///
     /// # Panics
     ///
@@ -443,27 +460,27 @@ impl FabricTables {
     /// [`validate_plan`](alphasim_kernel::chaos::validate_plan) before the
     /// run, so its strikes meet the preconditions and never cut the
     /// fabric in two.
-    pub fn fail_link(&mut self, a: NodeId, b: NodeId) -> [usize; 2] {
+    pub fn fail_link(&mut self, a: NodeId, b: NodeId) -> Vec<usize> {
         let ids = self.link_ids(a, b);
         assert!(self.alive[ids[0]], "link {a}<->{b} is already dead");
-        for id in ids {
+        for &id in &ids {
             self.alive[id] = false;
         }
         self.rebuild_routes();
         ids
     }
 
-    /// Bring the dead undirected link `a ↔ b` back and recompute routes.
-    /// Returns the two channel ids. (Healing an *alive* but degraded link
-    /// is a link-state change and never reaches the tables.)
+    /// Bring every channel of the dead undirected link `a ↔ b` back and
+    /// recompute routes. Returns the channel ids. (Healing an *alive* but
+    /// degraded link is a link-state change and never reaches the tables.)
     ///
     /// # Panics
     ///
     /// Panics if the link does not exist or is alive.
-    pub fn revive_link(&mut self, a: NodeId, b: NodeId) -> [usize; 2] {
+    pub fn revive_link(&mut self, a: NodeId, b: NodeId) -> Vec<usize> {
         let ids = self.link_ids(a, b);
         assert!(!self.alive[ids[0]], "link {a}<->{b} is already alive");
-        for id in ids {
+        for &id in &ids {
             self.alive[id] = true;
         }
         self.rebuild_routes();
@@ -531,7 +548,8 @@ impl NetHeat {
 }
 
 /// The fabric's owned, mutable state: the [`Link`] state of every
-/// directed link, the packets queued on them, and the Chrome trace.
+/// directed link, the packets queued on them and on their wires, and the
+/// Chrome trace.
 #[derive(Debug)]
 pub struct RegionNet<P> {
     tables: FabricTables,
@@ -542,7 +560,13 @@ pub struct RegionNet<P> {
     /// on it.
     slab: Vec<Option<Box<Packet<P>>>>,
     free: Vec<u32>,
-    tickets: Vec<Option<InFlight>>,
+    /// The packet last granted on each link, indexed by global link id.
+    /// Not cleared when it lands: a cut reads a ticket whose arrival lies
+    /// before the cut as stale, since nothing is on that wire.
+    tickets: Vec<Option<OnWire>>,
+    /// Packets whose wire was cut while they flew, until they land. Empty,
+    /// and unallocated, on a run no cut has struck.
+    lost: Vec<OnWire>,
     trace: Option<Box<TraceSink>>,
     heat: Option<Box<NetHeat>>,
 }
@@ -563,6 +587,7 @@ impl<P> RegionNet<P> {
             slab: Vec::new(),
             free: Vec::new(),
             tickets,
+            lost: Vec::new(),
             trace: None,
             heat: None,
         }
@@ -653,16 +678,52 @@ impl<P> RegionNet<P> {
         }
     }
 
-    /// The drop-condemnation ticket of the packet last granted on `id`.
-    pub fn in_flight_ticket(&self, id: usize) -> Option<InFlight> {
-        self.tickets[id]
+    /// Cut the undirected link `a ↔ b` at barrier time `now`: every
+    /// channel of it dies and routes are rebuilt
+    /// ([`FabricTables::fail_link`]). The packets queued on a dead channel
+    /// (highest priority first) land back on its sending node at `now`, to
+    /// be re-routed over the rebuilt tables. The packet on its wire, if it
+    /// has not landed, is lost: its arrival reports it
+    /// ([`Arrival::Lost`]), at its own key, however often the link is cut
+    /// before it lands. Returns how many packets were re-routed and how
+    /// many this cut lost.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`FabricTables::fail_link`] does.
+    pub fn cut_link<E: FabricEvent<P>>(
+        &mut self,
+        now: SimTime,
+        a: NodeId,
+        b: NodeId,
+        out: &mut Outbox<E>,
+    ) -> (u64, u64) {
+        let (mut rerouted, mut lost) = (0, 0);
+        for id in self.tables.fail_link(a, b) {
+            let from = self.tables.link_meta(id).0;
+            for mid in self.links[id].drain_queued() {
+                let pkt = self.take_slot(mid);
+                rerouted += 1;
+                out.emit(now, tb_arrive(pkt.uid), E::arrive(from, pkt));
+            }
+            let on_wire = self.tickets[id].filter(|&(arrive_at, _)| arrive_at >= now);
+            if let Some(wire) = on_wire.filter(|wire| !self.lost.contains(wire)) {
+                self.lost.push(wire);
+                lost += 1;
+            }
+        }
+        (rerouted, lost)
     }
 
-    /// Evict every queued packet from link `id` (highest priority first),
-    /// returning the owned packets for barrier-time re-routing.
-    pub fn evict_queued(&mut self, id: usize) -> Vec<Box<Packet<P>>> {
-        let drained = self.link_mut(id).drain_queued();
-        drained.into_iter().map(|mid| self.take_slot(mid)).collect()
+    /// Whether the packet landing at `now` with `uid` was lost with its
+    /// wire; if so it is struck off the list.
+    #[cold]
+    fn take_lost(&mut self, now: SimTime, uid: u64) -> bool {
+        let Some(i) = self.lost.iter().position(|&wire| wire == (now, uid)) else {
+            return false;
+        };
+        self.lost.swap_remove(i);
+        true
     }
 
     fn alloc_slot(&mut self, pkt: Box<Packet<P>>) -> MessageId {
@@ -682,18 +743,22 @@ impl<P> RegionNet<P> {
         pkt
     }
 
-    /// Process a packet arriving on `node` at `now`: hand it back if
-    /// `node` is its destination, or route it onto the next output link
-    /// (granting it at once if the link is idle with nothing queued, else
-    /// queuing it and booking the link's release if none is booked),
-    /// emitting the follow-up events through `out`.
+    /// Process a packet arriving on `node` at `now`: report it lost if a
+    /// cut killed its wire (before any heat, trace or routing work), hand
+    /// it back if `node` is its destination, or route it onto the next
+    /// output link (granting it at once if the link is idle with nothing
+    /// queued, else queuing it and booking the link's release if none is
+    /// booked), emitting the follow-up events through `out`.
     pub fn handle_arrive<E: FabricEvent<P>>(
         &mut self,
         now: SimTime,
         node: NodeId,
         pkt: Box<Packet<P>>,
         out: &mut Outbox<E>,
-    ) -> Option<Box<Packet<P>>> {
+    ) -> Arrival<P> {
+        if !self.lost.is_empty() && self.take_lost(now, pkt.uid) {
+            return Arrival::Lost(pkt);
+        }
         if node == pkt.dst {
             if let Some(h) = self.heat.as_deref_mut() {
                 h.node_delivered[node.index()] += 1;
@@ -718,7 +783,7 @@ impl<P> RegionNet<P> {
                     ],
                 );
             }
-            return Some(pkt);
+            return Arrival::Delivered(pkt);
         }
         let link = self.choose_output(node, &pkt, out);
         let l = &mut self.links[link];
@@ -728,7 +793,7 @@ impl<P> RegionNet<P> {
             // would make at once, without the queue.
             l.grant_unqueued();
             self.transfer(link, now, pkt, out);
-            return None;
+            return Arrival::Routed;
         }
         let class = pkt.class;
         let slot = self.alloc_slot(pkt);
@@ -743,7 +808,7 @@ impl<P> RegionNet<P> {
             }
             Some(_) => {}
         }
-        None
+        Arrival::Routed
     }
 
     /// Process a booked release of `link` at `now`: move it to the pause
@@ -872,11 +937,7 @@ impl<P> RegionNet<P> {
         l.account(msg_class, bytes, occupancy);
         l.occupy(now + occupancy);
         l.set_release_pending(backlog > 0);
-        self.tickets[link_id] = Some(InFlight {
-            uid,
-            tag,
-            arrive_at,
-        });
+        self.tickets[link_id] = Some((arrive_at, uid));
         if let Some(h) = self.heat.as_deref_mut() {
             let at = now.as_ps();
             h.timeline
@@ -998,7 +1059,8 @@ impl ShardWorker for OpenWorker {
         self.now = at;
         match ev {
             OpenEv::Arrive { node, pkt } => {
-                if let Some(pkt) = self.net.handle_arrive(at, node, pkt, out) {
+                // No cut strikes an open loop mid-run, so nothing is lost.
+                if let Arrival::Delivered(pkt) = self.net.handle_arrive(at, node, pkt, out) {
                     self.delivered.push(Delivery {
                         src: pkt.src,
                         dst: pkt.dst,
@@ -1148,6 +1210,7 @@ mod tests {
     use alphasim_kernel::fault::DEGRADE_FACTOR;
     use alphasim_kernel::DetRng;
     use alphasim_topology::Torus2D;
+    use std::ops::ControlFlow;
 
     fn tables_of(cols: usize, rows: usize) -> FabricTables {
         FabricTables::new(
@@ -1646,14 +1709,29 @@ mod tests {
 
     #[test]
     fn failing_a_link_reroutes_and_restores() {
-        let mut t = tables();
-        let (a, b) = (NodeId::new(0), NodeId::new(1));
-        let ids = t.fail_link(a, b);
-        assert!(!t.is_alive(ids[0]) && !t.is_alive(ids[1]));
-        assert_eq!(t.routes.distance(a, 0, b), 3, "0 -> 1 detours");
-        assert_eq!(t.revive_link(a, b), ids);
-        assert!(t.is_alive(ids[0]) && t.is_alive(ids[1]));
-        assert_eq!(t.routes.distance(a, 0, b), 1);
+        // One cable joins 0 and 1 on the 4x4 torus; two (North and South)
+        // join 0 and 4 on the 4x2 torus, and the link is all of them.
+        for (cols, rows, other, channels) in [(4, 4, 1, 2), (4, 2, 4, 4)] {
+            let mut t = tables_of(cols, rows);
+            let (a, b) = (NodeId::new(0), NodeId::new(other));
+            let ids = t.fail_link(a, b);
+            let between: Vec<usize> = (0..t.link_count())
+                .filter(|&id| {
+                    let (from, to, ..) = t.link_meta(id);
+                    (from, to) == (a, b) || (from, to) == (b, a)
+                })
+                .collect();
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, between, "{cols}x{rows}: every channel, both ways");
+            assert_eq!(ids.len(), channels);
+            assert!(ids.iter().all(|&id| !t.is_alive(id)));
+            assert_eq!(t.routes.distance(a, 0, b), 3, "{a} -> {b} detours");
+            assert_eq!(t.routes.distance(b, 0, a), 3, "{b} -> {a} detours");
+            assert_eq!(t.revive_link(a, b), ids);
+            assert!(ids.iter().all(|&id| t.is_alive(id)));
+            assert_eq!(t.routes.distance(a, 0, b), 1);
+        }
     }
 
     #[test]
@@ -1681,13 +1759,141 @@ mod tests {
         assert_eq!([d[0].tag, d[1].tag], [42, 43], "granted in arrival order");
         assert_eq!(d[1].delivered_at, d[0].delivered_at + transfer);
         assert_eq!(net.links().total_grants(), 2);
-        // The ticket names the packet granted last; the slab holds the one
-        // slot the queued packet took.
+        // The ticket names the packet granted last by its arrival key; the
+        // slab holds the one slot the queued packet took.
         let fabric = &net.exec.worker().net;
-        let ticket = fabric.in_flight_ticket(id).expect("granted");
-        assert_eq!((ticket.uid, ticket.tag), (d[1].uid, 43));
-        assert_eq!(ticket.arrive_at, d[1].delivered_at);
+        assert_eq!(fabric.tickets[id], Some((d[1].delivered_at, d[1].uid)));
         assert_eq!(fabric.slab.len(), 1);
+        assert!(fabric.lost.is_empty() && fabric.lost.capacity() == 0);
+    }
+
+    /// An open-loop fabric under a campaign's strikes on link 0 <-> 1, at
+    /// barriers: a cut (`true`) or a repair. It keeps what landed and what
+    /// was lost, and how many packets the cuts lost.
+    struct Striker {
+        net: RegionNet<()>,
+        /// `(at_ps, cut)` strikes still to come, ascending.
+        strikes: Vec<(u64, bool)>,
+        delivered: Vec<u64>,
+        /// `(at_ps, uid)` of every loss reported.
+        lost: Vec<(u64, u64)>,
+        cut_lost: u64,
+        handled: u64,
+    }
+
+    impl ShardWorker for Striker {
+        type Event = OpenEv;
+
+        fn handle(&mut self, at: SimTime, ev: OpenEv, out: &mut Outbox<OpenEv>) {
+            self.handled += 1;
+            match ev {
+                OpenEv::Arrive { node, pkt } => match self.net.handle_arrive(at, node, pkt, out) {
+                    Arrival::Routed => {}
+                    Arrival::Delivered(pkt) => self.delivered.push(pkt.uid),
+                    Arrival::Lost(pkt) => self.lost.push((at.as_ps(), pkt.uid)),
+                },
+                OpenEv::LinkFree { link } => self.net.handle_link_free(at, link, out),
+            }
+        }
+
+        fn next_barrier(&self) -> Option<SimTime> {
+            self.strikes.first().map(|&(at, _)| SimTime::from_ps(at))
+        }
+
+        fn at_barrier(&mut self, at: SimTime, out: &mut Outbox<OpenEv>) -> ControlFlow<()> {
+            let (_, cut) = self.strikes.remove(0);
+            let (a, b) = (NodeId::new(0), NodeId::new(1));
+            if cut {
+                self.cut_lost += self.net.cut_link(at, a, b, out).1;
+            } else {
+                self.net.tables_mut().revive_link(a, b);
+            }
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// One request from node 0 to node 2 of a traced, heat-counting 4x4
+    /// torus, under `strikes`: its first hop crosses the wire 0 -> 1.
+    fn strike_one_packet(strikes: Vec<(u64, bool)>) -> Striker {
+        let mut net = RegionNet::new(tables());
+        net.enable_heat(1_000_000);
+        net.enable_trace();
+        let (src, dst) = (NodeId::new(0), NodeId::new(2));
+        let pkt = Packet::new(src, dst, MessageClass::Request, 64, 7, 0, SimTime::ZERO, ());
+        let mut exec = EpochExecutor::new(Striker {
+            net,
+            strikes,
+            delivered: Vec::new(),
+            lost: Vec::new(),
+            cut_lost: 0,
+            handled: 0,
+        });
+        exec.seed(
+            SimTime::ZERO,
+            tb_arrive(0),
+            OpenEv::Arrive { node: src, pkt },
+        );
+        exec.run_until_idle();
+        exec.into_worker()
+    }
+
+    #[test]
+    fn a_cut_loses_the_packet_on_its_wire_at_the_packet_s_arrival() {
+        let healthy = strike_one_packet(Vec::new());
+        assert_eq!(
+            (healthy.delivered.as_slice(), healthy.handled),
+            (&[0][..], 3)
+        );
+        let tables = healthy.net.tables();
+        let wire = tables.directed_link(NodeId::new(0), NodeId::new(1));
+        assert_eq!(
+            healthy.net.links[wire].granted(),
+            1,
+            "the first hop crosses 0 -> 1"
+        );
+        // It lands on node 1 one lone hop after it left node 0.
+        let class = tables.link_meta(wire).2;
+        let landing = tables.timing().unloaded_latency(&[class], 64).as_ps();
+        assert!(landing > 3);
+        // Cut at 1 ps, while it flies: the cut marks it, and its own
+        // arrival (the same event, at the same key) reports it lost before
+        // any heat, trace or routing work.
+        let mut cut = strike_one_packet(vec![(1, true)]);
+        assert_eq!(cut.cut_lost, 1);
+        assert_eq!(cut.lost, [(landing, 0)]);
+        assert!(cut.delivered.is_empty());
+        assert_eq!(cut.handled, 2, "the arrivals on nodes 0 and 1");
+        assert!(cut.net.lost.is_empty(), "struck off once reported");
+        assert_eq!(cut.net.links().total_grants(), 1, "never routed on");
+        let heat = cut.net.take_heat().expect("heat was enabled");
+        assert!(heat.node_delivered.iter().all(|&n| n == 0));
+        let totals = heat.timeline.totals();
+        assert_eq!(totals.counter("net.delivered"), 0);
+        assert_eq!(
+            totals.counter("net.link_busy_ps"),
+            healthy.net.links[wire].busy_time().as_ps()
+        );
+        let trace = cut
+            .net
+            .take_trace()
+            .expect("tracing was enabled")
+            .to_json_string();
+        assert!(
+            trace.contains("\"link\"") && !trace.contains("\"msg\""),
+            "{trace}"
+        );
+        // Cut, repaired and cut again before it lands: lost once.
+        let flapped = strike_one_packet(vec![(1, true), (2, false), (3, true)]);
+        assert_eq!((flapped.cut_lost, flapped.lost), (1, vec![(landing, 0)]));
+        // A cut at its landing instant still comes first; one a picosecond
+        // later finds the wire empty.
+        assert_eq!(
+            strike_one_packet(vec![(landing, true)]).lost,
+            [(landing, 0)]
+        );
+        let late = strike_one_packet(vec![(landing + 1, true)]);
+        assert_eq!((late.cut_lost, late.lost.len()), (0, 0));
+        assert_eq!(late.delivered, [0]);
     }
 
     #[test]

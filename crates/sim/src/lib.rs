@@ -14,7 +14,7 @@
 //!   event engine every simulation runs on: one worker and one event queue
 //!   (a ring of 128 ps time-slot buckets over the next 524 ns, in front of
 //!   a 4-ary heap for the rest) that pops in exact `(time, tiebreak)`
-//!   order, in epochs that end at a guide's barriers;
+//!   order, in epochs that end at the worker's own barriers;
 //! * [`FaultPlan`] — a seeded, time-sorted schedule of link/node/channel
 //!   failures (and repairs, degradations, transients) for live
 //!   fault-injection runs;

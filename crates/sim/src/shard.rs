@@ -8,33 +8,35 @@
 //! [`Outbox`], so an event the worker emits goes straight into it: one
 //! insert and one pop per event.
 //!
-//! A coordinating [`EpochGuide`] names barrier times (fault strikes,
-//! watchdog ticks, samples). The executor pops every event below the next
-//! barrier, then strikes it, handing the guide the stopped worker and its
-//! queue; the span between two barriers is an epoch. Simultaneous events
-//! fire in the order of caller-assigned tiebreaks derived from simulation
-//! identities (node, link, transaction), never from insertion order, so the
-//! same seeds produce the same event order and the same bytes.
+//! The worker also names its own barrier times (fault strikes, watchdog
+//! ticks, samples). The executor pops every event below the next barrier,
+//! then strikes it, handing the worker its outbox with the clock at the
+//! barrier; the span between two barriers is an epoch. A barrier is not an
+//! event: it raises no high-water key and counts toward no event total.
+//! Simultaneous events fire in the order of caller-assigned tiebreaks
+//! derived from simulation identities (node, link, transaction), never
+//! from insertion order, so the same seeds produce the same event order
+//! and the same bytes.
 //!
 //! Those bytes rest on a hand-off the types enforce: a worker reaches its
-//! queue only through [`Outbox::emit`], and a guide reaches the worker
-//! only through the [`EpochControl`] it is handed at a barrier, so every
-//! write a guide makes lands between two epochs. [`Outbox`],
-//! [`EpochGuide`] and [`EpochControl`] each show, as `compile_fail`
-//! examples, the violations they rule out; each example is the program
-//! below plus the lines it shows (`Outbox`'s per-field examples are a bare
-//! worker). The executor steps its worker on the caller's thread, so a
-//! worker type carries no bound beyond its event type; a shared
-//! `Arc<Mutex<…>>` compiles, and the determinism lint
-//! (`verify --bin lint`) rejects it.
+//! queue only through [`Outbox::emit`], and only the executor builds an
+//! outbox, so only the executor delivers an event or strikes a barrier.
+//! [`Outbox`] shows, as `compile_fail` examples, the violations it rules
+//! out; each example is the program below plus the lines it shows (the
+//! per-field examples are a bare worker). The executor steps its worker
+//! on the caller's thread, so a worker type carries no bound beyond its
+//! event type; a shared `Arc<Mutex<…>>` compiles, and the determinism
+//! lint (`verify --bin lint`) rejects it.
 //!
 //! ```
-//! use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochExecutor, EpochGuide};
-//! use alphasim_kernel::shard::{Outbox, ShardWorker};
+//! use std::ops::ControlFlow;
+//!
+//! use alphasim_kernel::shard::{EpochExecutor, Outbox, ShardWorker};
 //! use alphasim_kernel::{SimDuration, SimTime};
 //!
-//! /// Counts its pings and passes each one on, 10 ns later, until its hops run out.
-//! struct Pinger { pings: u64, credit: u64 }
+//! /// Counts its pings and passes each one on, 10 ns later, until its hops
+//! /// run out; at its one barrier it notes the pings so far.
+//! struct Pinger { pings: u64, barrier: Option<SimTime>, seen: u64 }
 //!
 //! impl ShardWorker for Pinger {
 //!     type Event = u64;
@@ -45,24 +47,19 @@
 //!             out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1);
 //!         }
 //!     }
-//! }
-//!
-//! /// Grants the worker a credit at one barrier.
-//! struct Guide(Option<SimTime>);
-//!
-//! impl EpochGuide<Pinger> for Guide {
-//!     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-//!     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
-//!         ctl.worker_mut().credit += 1; // a write into the worker, at a barrier
-//!         self.0 = None;
-//!         BarrierVerdict::Continue
+//!     fn next_barrier(&self) -> Option<SimTime> { self.barrier }
+//!     fn at_barrier(&mut self, _: SimTime, _: &mut Outbox<u64>) -> ControlFlow<()> {
+//!         self.seen = self.pings; // after the pings at 0 and 10 ns, before 20 ns
+//!         self.barrier = None;
+//!         ControlFlow::Continue(())
 //!     }
 //! }
 //!
-//! let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
+//! let barrier = Some(SimTime::from_ps(15_000));
+//! let mut exec = EpochExecutor::new(Pinger { pings: 0, barrier, seen: 0 });
 //! exec.seed(SimTime::ZERO, 0, 3);
-//! exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-//! assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
+//! exec.run_until_idle();
+//! assert_eq!([exec.worker().pings, exec.worker().seen], [4, 2]);
 //! ```
 //!
 //! The outbox also keeps a **high-water key**: the largest
@@ -79,6 +76,8 @@
 //! emitted by a later-tiebreak event); it still fires after every key
 //! handled so far, which is why the comparison is against the high-water
 //! and not against the key being handled.
+
+use std::ops::ControlFlow;
 
 use alphasim_telemetry::global::EVENT_QUEUE_PEAK;
 
@@ -285,23 +284,6 @@ impl<E> EventQueue<E> {
         }
         Some((key, ev))
     }
-
-    /// Remove every pending event, in no particular order, leaving the
-    /// ring empty.
-    fn take_all(&mut self) -> Vec<(u128, E)> {
-        let mut all = std::mem::take(&mut self.far);
-        all.extend(
-            self.nodes
-                .drain(..)
-                .filter_map(|n| n.ev.map(|ev| (n.key, ev))),
-        );
-        self.heads.fill(NIL);
-        self.counts.fill(0);
-        self.occupied = [0; WORDS];
-        self.ring_len = 0;
-        self.free = NIL;
-        all
-    }
 }
 
 /// Push onto a 4-ary implicit min-heap (children of `i` at `4i+1..=4i+4`).
@@ -376,15 +358,33 @@ pub fn take_peak_event_depth() -> u64 {
 /// [`Outbox`]. Nothing else holds the worker while it runs, so it may
 /// freely mutate itself without any synchronization.
 ///
-/// Guide-only state, such as a fault plan's cursor, is simply not a field
-/// of the worker, so a worker method that names it does not compile
-/// (E0609).
+/// A worker may also name barriers, instants at which the executor stops
+/// between two events and strikes them (fault strikes, watchdog ticks,
+/// samples). What a barrier needs, such as a fault plan's cursor, is the
+/// worker's own state like the rest of the run. By default a worker names
+/// none.
 pub trait ShardWorker {
     /// The event type this simulation processes.
     type Event;
 
     /// Handle one event firing at `at`, emitting follow-ups via `out`.
     fn handle(&mut self, at: SimTime, ev: Self::Event, out: &mut Outbox<Self::Event>);
+
+    /// The next barrier time, if any. Asked before each epoch; the time
+    /// must not be in the executor's past, and once the barrier at `b` is
+    /// struck the next one must lie strictly beyond `b`.
+    fn next_barrier(&self) -> Option<SimTime> {
+        None
+    }
+
+    /// Strike the barrier at `at`. Every event before `at` has fired and
+    /// none at or after it has, and `out`'s clock reads `at`, so what the
+    /// worker emits here fires from `at` on. Invoked even when the queue is
+    /// empty: a quiescent simulation can still owe watchdog ticks.
+    /// [`ControlFlow::Break`] ends the run with its events still pending.
+    fn at_barrier(&mut self, _at: SimTime, _out: &mut Outbox<Self::Event>) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
 }
 
 /// Where a [`ShardWorker`] emits follow-up events.
@@ -396,53 +396,52 @@ pub trait ShardWorker {
 /// counters), never from insertion order.
 ///
 /// Only the executor builds one: `Outbox` has no constructor and no
-/// public field, so every effect passes [`emit`](Self::emit)'s check, and a
-/// guide, which holds no outbox, cannot call [`ShardWorker::handle`] to
-/// deliver an event itself (E0599, E0451):
+/// public field, so every effect passes [`emit`](Self::emit)'s check, and
+/// a caller between runs, which holds no outbox, cannot call
+/// [`ShardWorker::handle`] (or [`ShardWorker::at_barrier`]) to deliver an
+/// event or strike a barrier itself (E0599, E0451):
 ///
 /// ```compile_fail,E0599
+/// # use std::ops::ControlFlow;
 /// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Pinger { pings: u64, credit: u64 }
+/// # struct Pinger { pings: u64, barrier: Option<SimTime>, seen: u64 }
 /// # impl ShardWorker for Pinger {
 /// #     type Event = u64;
 /// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
 /// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
 /// #     }
-/// # }
-/// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Pinger> for Guide {
-/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
-/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     fn next_barrier(&self) -> Option<SimTime> { self.barrier }
+/// #     fn at_barrier(&mut self, _: SimTime, _: &mut Outbox<u64>) -> ControlFlow<()> {
+/// #         self.seen = self.pings; self.barrier = None; ControlFlow::Continue(())
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
+/// # let barrier = Some(SimTime::from_ps(15_000));
+/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, barrier, seen: 0 });
 /// # exec.seed(SimTime::ZERO, 0, 3);
-/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
+/// # exec.run_until_idle();
+/// # assert_eq!([exec.worker().pings, exec.worker().seen], [4, 2]);
 /// exec.worker_mut().handle(SimTime::ZERO, 1, &mut Outbox::new());
 /// ```
 ///
 /// ```compile_fail,E0451
+/// # use std::ops::ControlFlow;
 /// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Pinger { pings: u64, credit: u64 }
+/// # struct Pinger { pings: u64, barrier: Option<SimTime>, seen: u64 }
 /// # impl ShardWorker for Pinger {
 /// #     type Event = u64;
 /// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
 /// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
 /// #     }
-/// # }
-/// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Pinger> for Guide {
-/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
-/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
+/// #     fn next_barrier(&self) -> Option<SimTime> { self.barrier }
+/// #     fn at_barrier(&mut self, _: SimTime, _: &mut Outbox<u64>) -> ControlFlow<()> {
+/// #         self.seen = self.pings; self.barrier = None; ControlFlow::Continue(())
 /// #     }
 /// # }
-/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
+/// # let barrier = Some(SimTime::from_ps(15_000));
+/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, barrier, seen: 0 });
 /// # exec.seed(SimTime::ZERO, 0, 3);
-/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
+/// # exec.run_until_idle();
+/// # assert_eq!([exec.worker().pings, exec.worker().seen], [4, 2]);
 /// let mut forged = Outbox { now: SimTime::ZERO, high_water: None, queue: unreachable!() };
 /// exec.worker_mut().handle(SimTime::ZERO, 1, &mut forged);
 /// ```
@@ -495,6 +494,12 @@ impl<E> Outbox<E> {
     #[inline]
     pub fn has_passed(&self, at: SimTime, tiebreak: u64) -> bool {
         Some(pack(at, tiebreak)) <= self.high_water
+    }
+
+    /// Whether nothing is pending: no event is left to fire, so a worker's
+    /// periodic barriers (samplers, watchdogs) can stop.
+    pub fn is_idle(&self) -> bool {
+        self.queue.is_empty()
     }
 
     /// Emit an event at absolute time `at`, straight into the queue.
@@ -584,184 +589,10 @@ impl EpochProfile {
     }
 }
 
-/// What a guide decides at a barrier it requested (see [`EpochGuide`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BarrierVerdict {
-    /// Keep running epochs (the guide may have injected new events).
-    Continue,
-    /// Stop the run immediately; pending events stay in the queue.
-    Stop,
-}
-
-/// A coordinator hook driving [`EpochExecutor::run_guided`]: the guide
-/// names barrier times (fault strikes, watchdog ticks) at which the
-/// executor stops, hands the guide exclusive access to the worker and its
-/// queue through an [`EpochControl`], and only then resumes.
-///
-/// The executor guarantees that when [`at_barrier`](Self::at_barrier) runs
-/// for time `b`, every event strictly before `b` has been processed and no
-/// event at or after `b` has — so barrier mutations apply before any event
-/// at exactly `b`.
-///
-/// That [`EpochControl`] is a guide's only way into the worker:
-/// [`run_guided`](EpochExecutor::run_guided) holds the executor's `&mut`
-/// for the whole run, so a guide that keeps its own, to write the worker
-/// between barriers, cannot be passed in (E0499):
-///
-/// ```compile_fail,E0499
-/// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Pinger { pings: u64, credit: u64 }
-/// # impl ShardWorker for Pinger {
-/// #     type Event = u64;
-/// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
-/// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
-/// #     }
-/// # }
-/// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Pinger> for Guide {
-/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
-/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
-/// #     }
-/// # }
-/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
-/// # exec.seed(SimTime::ZERO, 0, 3);
-/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
-/// struct Reacher<'e>(&'e mut EpochExecutor<Pinger>);
-/// impl EpochGuide<Pinger> for Reacher<'_> {
-///     fn next_barrier(&mut self) -> Option<SimTime> { None }
-///     fn at_barrier(&mut self, _: SimTime, _: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
-///         self.0.worker_mut().credit += 1; // a write around the control
-///         BarrierVerdict::Continue
-///     }
-/// }
-/// let mut reacher = Reacher(&mut exec);
-/// exec.run_guided(&mut reacher);
-/// ```
-pub trait EpochGuide<W: ShardWorker> {
-    /// The next barrier time, if any. Called before each epoch; the
-    /// returned time must not be in the executor's past, and after
-    /// [`at_barrier`](Self::at_barrier) for time `b` it must advance
-    /// strictly beyond `b`.
-    fn next_barrier(&mut self) -> Option<SimTime>;
-
-    /// Strike the barrier at `at`: mutate the worker, inject or extract
-    /// events. Invoked even when the queue is empty — a quiescent
-    /// simulation can still owe watchdog ticks.
-    fn at_barrier(&mut self, at: SimTime, ctl: &mut EpochControl<'_, W>) -> BarrierVerdict;
-}
-
-/// The guide's window into a stopped executor: exclusive access to the
-/// worker and the event queue while the run sits at a barrier.
-///
-/// A guide gets one only as [`EpochGuide::at_barrier`]'s argument, and it
-/// borrows the stopped executor, so it cannot outlive the barrier: neither
-/// the worker nor a later epoch can hold it. A guide that tries to keep it
-/// does not compile ("lifetime may not live long enough"):
-///
-/// ```compile_fail
-/// # use alphasim_kernel::{shard::*, SimDuration, SimTime};
-/// # struct Pinger { pings: u64, credit: u64 }
-/// # impl ShardWorker for Pinger {
-/// #     type Event = u64;
-/// #     fn handle(&mut self, at: SimTime, hops: u64, out: &mut Outbox<u64>) {
-/// #         self.pings += 1; if hops > 0 { out.emit(at + SimDuration::from_ns(10.0), hops, hops - 1) }
-/// #     }
-/// # }
-/// # struct Guide(Option<SimTime>);
-/// # impl EpochGuide<Pinger> for Guide {
-/// #     fn next_barrier(&mut self) -> Option<SimTime> { self.0 }
-/// #     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
-/// #         ctl.worker_mut().credit += 1; self.0 = None; BarrierVerdict::Continue
-/// #     }
-/// # }
-/// # let mut exec = EpochExecutor::new(Pinger { pings: 0, credit: 0 });
-/// # exec.seed(SimTime::ZERO, 0, 3);
-/// # exec.run_guided(&mut Guide(Some(SimTime::from_ps(15_000))));
-/// # assert_eq!([exec.worker().pings, exec.worker().credit], [4, 1]);
-/// struct Keeper(Option<&'static mut EpochControl<'static, Pinger>>);
-/// impl EpochGuide<Pinger> for Keeper {
-///     fn next_barrier(&mut self) -> Option<SimTime> { None }
-///     fn at_barrier(&mut self, _: SimTime, ctl: &mut EpochControl<'_, Pinger>) -> BarrierVerdict {
-///         self.0 = Some(ctl); // kept past the barrier
-///         BarrierVerdict::Continue
-///     }
-/// }
-/// ```
-pub struct EpochControl<'a, W: ShardWorker> {
-    worker: &'a mut W,
-    queue: &'a mut EventQueue<W::Event>,
-    now: SimTime,
-}
-
-impl<W: ShardWorker> EpochControl<'_, W> {
-    /// The barrier time being struck.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Shared access to the worker state.
-    pub fn worker(&self) -> &W {
-        self.worker
-    }
-
-    /// Exclusive access to the worker state.
-    pub fn worker_mut(&mut self) -> &mut W {
-        self.worker
-    }
-
-    /// Schedule `ev` at `at`, at or after the barrier time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the barrier time.
-    pub fn inject(&mut self, at: SimTime, tiebreak: u64, ev: W::Event) {
-        assert!(
-            at >= self.now,
-            "barrier injection into the past: {at} < barrier {now}",
-            now = self.now
-        );
-        self.queue.push(pack(at, tiebreak), ev);
-    }
-
-    /// Whether the queue is empty: nothing is left to fire, so a guide's
-    /// periodic barriers (samplers, watchdogs) can stop.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Remove every pending event matching `pred`, returning the matches
-    /// as `(time, tiebreak, event)` in ascending key order. Non-matching
-    /// events keep their keys. Used to condemn in-flight work when a
-    /// barrier fault invalidates it (e.g. a message mid-hop on a link that
-    /// just died).
-    pub fn extract_events<F>(&mut self, mut pred: F) -> Vec<(SimTime, u64, W::Event)>
-    where
-        F: FnMut(SimTime, &W::Event) -> bool,
-    {
-        let mut taken = Vec::new();
-        for (key, ev) in self.queue.take_all() {
-            if pred(unpack_time(key), &ev) {
-                taken.push((key, ev));
-            } else {
-                self.queue.push(key, ev);
-            }
-        }
-        taken.sort_unstable_by_key(|&(key, _)| key);
-        taken
-            .into_iter()
-            .map(|(key, ev)| (unpack_time(key), key as u64, ev))
-            .collect()
-    }
-}
-
-/// What an executor has done so far, as [`EpochExecutor::run_until_idle`]
-/// and [`EpochExecutor::run_guided`] report it.
+/// What an executor has done so far, as
+/// [`EpochExecutor::run_until_idle`] reports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochReport {
-    /// Epochs that handled at least one event.
-    pub epochs: u64,
     /// Events handled.
     pub processed: u64,
     /// The most events pending in the queue at once.
@@ -769,20 +600,16 @@ pub struct EpochReport {
 }
 
 /// The epoch scheduler: one worker and its event queue, stepped in epochs
-/// that end at a guide's barriers.
+/// that end at the worker's barriers.
 ///
-/// Each epoch pops every event below its bound in `(time, tiebreak)`
-/// order and hands it to the worker; an emission lands in the same queue
-/// and fires within the epoch if it is due. [`run_until_idle`] runs one
-/// epoch to an empty queue; [`run_guided`] ends each epoch at the guide's
-/// next barrier and strikes it.
-///
-/// [`run_until_idle`]: Self::run_until_idle
-/// [`run_guided`]: Self::run_guided
+/// Each epoch pops every event below the worker's next barrier in
+/// `(time, tiebreak)` order and hands it to the worker; an emission lands
+/// in the same queue and fires within the epoch if it is due.
+/// [`run_until_idle`](Self::run_until_idle) strikes each barrier between
+/// two epochs.
 pub struct EpochExecutor<W: ShardWorker> {
     worker: W,
     outbox: Outbox<W::Event>,
-    epochs: u64,
     processed: u64,
     peak: PeakMark,
     profile: Option<EpochProfile>,
@@ -811,7 +638,6 @@ impl<W: ShardWorker> EpochExecutor<W> {
                 high_water: None,
                 queue: EventQueue::new(),
             },
-            epochs: 0,
             processed: 0,
             peak: PeakMark(0),
             profile: None,
@@ -889,7 +715,6 @@ impl<W: ShardWorker> EpochExecutor<W> {
             self.processed += 1;
             self.peak.0 = self.peak.0.max(out.queue.len());
         }
-        self.epochs += 1;
         if let Some(p) = self.profile.as_mut() {
             let end = bound.unwrap_or(self.outbox.now + SimDuration::from_ps(1));
             p.samples.push(EpochSample {
@@ -904,49 +729,39 @@ impl<W: ShardWorker> EpochExecutor<W> {
 
     fn report(&self) -> EpochReport {
         EpochReport {
-            epochs: self.epochs,
             processed: self.processed,
             peak_queue_depth: self.peak.0,
         }
     }
 
-    /// Run until the queue is empty: one epoch, if anything is pending.
-    pub fn run_until_idle(&mut self) -> EpochReport {
-        self.run_epoch(None);
-        self.report()
-    }
-
-    /// Run epochs under a coordinating [`EpochGuide`] until the queue is
-    /// empty and the guide has no barriers left (or it votes
-    /// [`BarrierVerdict::Stop`]).
+    /// Run epochs until the queue is empty and the worker names no
+    /// barrier, or until a barrier returns [`ControlFlow::Break`].
     ///
-    /// Each round asks the guide for its next barrier `b`, handles every
-    /// pending event strictly before `b`, then strikes `b` — so no event at
-    /// or beyond a barrier fires before the guide has struck it, and the
-    /// guide's injections take effect from `b` on. With no barrier left,
-    /// the round drains the queue and the run ends.
+    /// Each round asks the worker for its next barrier `b`, handles every
+    /// pending event strictly before `b`, then strikes `b` with the
+    /// outbox's clock at `b`: no event at or beyond a barrier fires before
+    /// it is struck, and what the worker emits there fires from `b` on.
+    /// With no barrier left, the round drains the queue and the run ends.
+    /// A barrier is not an event: it raises no high-water key, and neither
+    /// the report nor the profile counts it.
     ///
     /// # Panics
     ///
-    /// Panics if the guide returns a barrier that fails to advance after
-    /// being struck — the run could otherwise spin forever.
-    pub fn run_guided<G: EpochGuide<W>>(&mut self, guide: &mut G) -> EpochReport {
-        let mut last_struck: Option<SimTime> = None;
+    /// Panics if a barrier fails to advance past the one struck before it:
+    /// the run could otherwise spin forever.
+    pub fn run_until_idle(&mut self) -> EpochReport {
+        let mut struck: Option<SimTime> = None;
         loop {
-            let barrier = guide.next_barrier();
+            let barrier = self.worker.next_barrier();
             self.run_epoch(barrier);
             let Some(b) = barrier else { break };
             assert!(
-                last_struck.is_none_or(|p| b > p),
-                "EpochGuide barrier did not advance past {b}"
+                struck.is_none_or(|p| b > p),
+                "barrier did not advance past {b}"
             );
-            last_struck = Some(b);
-            let mut ctl = EpochControl {
-                worker: &mut self.worker,
-                queue: &mut self.outbox.queue,
-                now: b,
-            };
-            if guide.at_barrier(b, &mut ctl) == BarrierVerdict::Stop {
+            struck = Some(b);
+            self.outbox.now = b;
+            if self.worker.at_barrier(b, &mut self.outbox).is_break() {
                 break;
             }
         }
@@ -965,11 +780,22 @@ mod tests {
 
     /// A toy simulation for executor tests: messages hop around a ring of
     /// `nodes` nodes, one hop per `hop_ps`, and the worker logs every
-    /// delivery.
+    /// delivery. It strikes the barriers it is given, noting each with the
+    /// deliveries logged before it, optionally sends one fresh message from
+    /// the first, and breaks the run after a configured number of strikes.
     struct RingWorker {
         nodes: usize,
         hop_ps: u64,
         log: Vec<(u64, u64)>,
+        /// Barriers still to strike, ascending, in picoseconds.
+        barriers: Vec<u64>,
+        /// `(barrier_ps, deliveries before it)` per strike.
+        struck: Vec<(u64, usize)>,
+        /// A message to deliver at the first barrier's instant, after
+        /// `inject_hops` hops.
+        inject_msg: Option<u64>,
+        inject_hops: u32,
+        stop_after: usize,
     }
 
     #[derive(Clone)]
@@ -999,6 +825,28 @@ mod tests {
                 },
             );
         }
+
+        fn next_barrier(&self) -> Option<SimTime> {
+            self.barriers.first().map(|&b| SimTime::from_ps(b))
+        }
+
+        fn at_barrier(&mut self, at: SimTime, out: &mut Outbox<Hop>) -> ControlFlow<()> {
+            self.barriers.remove(0);
+            self.struck.push((at.as_ps(), self.log.len()));
+            if let Some(msg) = self.inject_msg.take() {
+                let hop = Hop {
+                    msg,
+                    node: 3,
+                    remaining: self.inject_hops,
+                };
+                out.emit(at, msg, hop);
+            }
+            if self.struck.len() >= self.stop_after {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        }
     }
 
     fn ring(nodes: usize, hop_ps: u64) -> EpochExecutor<RingWorker> {
@@ -1006,6 +854,11 @@ mod tests {
             nodes,
             hop_ps,
             log: Vec::new(),
+            barriers: Vec::new(),
+            struck: Vec::new(),
+            inject_msg: None,
+            inject_hops: 0,
+            stop_after: usize::MAX,
         })
     }
 
@@ -1050,7 +903,6 @@ mod tests {
         let profile = profile.expect("profile was enabled");
         // One run to idle is one epoch, spanning the first pending event
         // to just past the last one handled.
-        assert_eq!(profile.epochs() as u64, report.epochs);
         assert_eq!(profile.epochs(), 1);
         assert_eq!(profile.events_per_epoch(), [report.processed]);
         assert_eq!(profile.busy_per_shard(), [report.processed]);
@@ -1078,85 +930,94 @@ mod tests {
         }
     }
 
-    /// A guide for the ring simulation: at each barrier it records the
-    /// strike, optionally injects one fresh message, and stops after a
-    /// configured number of strikes.
-    struct RingGuide {
-        barriers: Vec<u64>,
-        struck: Vec<u64>,
-        inject_msg: Option<u64>,
-        stop_after: usize,
-    }
-
-    impl EpochGuide<RingWorker> for RingGuide {
-        fn next_barrier(&mut self) -> Option<SimTime> {
-            self.barriers.first().map(|&b| SimTime::from_ps(b))
-        }
-
-        fn at_barrier(
-            &mut self,
-            at: SimTime,
-            ctl: &mut EpochControl<'_, RingWorker>,
-        ) -> BarrierVerdict {
-            self.barriers.remove(0);
-            self.struck.push(at.as_ps());
-            if let Some(msg) = self.inject_msg.take() {
-                ctl.inject(
-                    at,
-                    msg,
-                    Hop {
-                        msg,
-                        node: 3,
-                        remaining: 4,
-                    },
-                );
-            }
-            if self.struck.len() >= self.stop_after {
-                BarrierVerdict::Stop
-            } else {
-                BarrierVerdict::Continue
-            }
-        }
-    }
-
     #[test]
-    fn guided_run_strikes_every_barrier_and_matches_an_unguided_run() {
+    fn barriers_end_epochs_and_their_emissions_fire_from_the_barrier_on() {
         let mut exec = ring(16, 50);
         seed_ring(&mut exec, 24);
         exec.enable_profile(false);
-        let mut guide = RingGuide {
-            barriers: vec![120, 250, 1_000_000],
-            struck: Vec::new(),
-            inject_msg: Some(77),
-            stop_after: usize::MAX,
-        };
-        let report = exec.run_guided(&mut guide);
-        assert_eq!(guide.struck, [120, 250, 1_000_000], "all barriers struck");
+        let w = exec.worker_mut();
+        w.barriers = vec![120, 250, 1_000_000];
+        (w.inject_msg, w.inject_hops) = (Some(77), 4);
+        exec.run_until_idle();
+        let struck: Vec<u64> = exec.worker().struck.iter().map(|s| s.0).collect();
+        assert_eq!(struck, [120, 250, 1_000_000], "all barriers struck");
         // Epochs end at the barriers: before 120, before 250, and the rest
         // (every event fires before the last barrier).
         let profile = exec.take_profile().unwrap();
         let ends: Vec<u64> = profile.samples.iter().map(|s| s.end_ps).collect();
         assert_eq!(ends, [120, 250, 1_000_000]);
-        assert_eq!(report.epochs, 3);
+        assert_eq!(profile.epochs(), 3);
         let mut log = exec.into_worker().log;
         log.sort_unstable();
         assert!(
             log.iter().any(|&(at, msg)| msg == 77 && at == 120 + 4 * 50),
-            "barrier-injected message delivered from its barrier on"
+            "the barrier's message delivered from its barrier on"
         );
-        // Barriers only stop the run: without the injection, the guided
-        // deliveries are the unguided ones.
-        let mut unguided = ring(16, 50);
-        seed_ring(&mut unguided, 24);
-        unguided.run_until_idle();
-        let mut plain = unguided.into_worker().log;
+        // Barriers only stop the run: without the injection, the
+        // deliveries are those of a run without barriers.
+        let mut plain = ring(16, 50);
+        seed_ring(&mut plain, 24);
+        plain.run_until_idle();
+        let mut plain = plain.into_worker().log;
         plain.sort_unstable();
         log.retain(|&(_, msg)| msg != 77);
         assert_eq!(log, plain);
     }
 
     #[test]
-    fn guide_stop_verdict_halts_with_events_pending() {
+    fn a_barrier_is_not_an_event() {
+        // The same run with and without barriers that emit nothing: the
+        // same events handled, the same queue peak, and a profile whose
+        // epochs add up to the events alone.
+        let run = |barriers: Vec<u64>| {
+            let mut exec = ring(16, 50);
+            seed_ring(&mut exec, 48);
+            exec.enable_profile(false);
+            exec.worker_mut().barriers = barriers;
+            let report = exec.run_until_idle();
+            let profile = exec.take_profile().unwrap();
+            (report, profile.busy_per_shard(), exec.into_worker())
+        };
+        let (plain, plain_busy, _) = run(Vec::new());
+        let (barred, busy, w) = run(vec![1, 120, 121, 400, 5_000]);
+        assert_eq!(w.struck.len(), 5);
+        assert_eq!(barred, plain);
+        assert_eq!(busy, plain_busy);
+        assert_eq!(busy, [plain.processed]);
+    }
+
+    #[test]
+    fn a_barrier_strikes_between_the_events_before_it_and_those_at_it() {
+        // Deliveries at 99, 100 (two) and 101 ps, a barrier at 100 ps that
+        // sends a message delivered on the spot, keyed between the two.
+        let mut exec = ring(4, 10);
+        for (at, msg) in [(99, 1), (100, 2), (100, 200), (101, 3)] {
+            let hop = Hop {
+                msg,
+                node: 0,
+                remaining: 0,
+            };
+            exec.seed(SimTime::from_ps(at), msg, hop);
+        }
+        let w = exec.worker_mut();
+        w.barriers = vec![100];
+        w.inject_msg = Some(77);
+        exec.run_until_idle();
+        let w = exec.into_worker();
+        assert_eq!(
+            w.struck,
+            [(100, 1)],
+            "only the delivery at 99 ps came first"
+        );
+        assert_eq!(
+            w.log,
+            [(99, 1), (100, 2), (100, 77), (100, 200), (101, 3)],
+            "the barrier's emission fires at its key among the events at 100 ps"
+        );
+    }
+
+    #[test]
+    fn a_break_at_a_barrier_halts_with_events_pending() {
         let mut exec = ring(4, 10);
         exec.seed(
             SimTime::from_ps(500),
@@ -1167,28 +1028,25 @@ mod tests {
                 remaining: 2,
             },
         );
-        let mut guide = RingGuide {
-            barriers: vec![100],
-            struck: Vec::new(),
-            inject_msg: None,
-            stop_after: 1,
-        };
-        let report = exec.run_guided(&mut guide);
-        assert_eq!(guide.struck, [100]);
-        assert_eq!(report.processed, 0, "stop fires before the seeded event");
+        let w = exec.worker_mut();
+        (w.barriers, w.stop_after) = (vec![100], 1);
+        let report = exec.run_until_idle();
+        assert_eq!(exec.worker().struck, [(100, 0)]);
+        assert_eq!(
+            report.processed, 0,
+            "the break comes before the seeded event"
+        );
+        // The seeded message is still pending: the next run delivers it.
+        assert_eq!(exec.run_until_idle().processed, 3);
+        assert_eq!(exec.worker().log, [(520, 1)]);
     }
 
     #[test]
-    #[should_panic(expected = "barrier did not advance")]
+    #[should_panic(expected = "barrier did not advance past 0.100ns")]
     fn a_barrier_that_does_not_advance_panics() {
         let mut exec = ring(4, 10);
-        let mut guide = RingGuide {
-            barriers: vec![100, 100],
-            struck: Vec::new(),
-            inject_msg: None,
-            stop_after: usize::MAX,
-        };
-        exec.run_guided(&mut guide);
+        exec.worker_mut().barriers = vec![100, 100];
+        exec.run_until_idle();
     }
 
     /// Emits its follow-up 1 ps before the event it handles.
@@ -1208,45 +1066,6 @@ mod tests {
         let mut exec = EpochExecutor::new(Backwards);
         exec.seed(SimTime::from_ps(10), 0, ());
         exec.run_until_idle();
-    }
-
-    #[test]
-    fn extract_events_removes_matches_and_keeps_order() {
-        let mut exec = ring(4, 10);
-        for msg in 0..6u64 {
-            exec.seed(
-                SimTime::from_ps(100 + msg),
-                msg,
-                Hop {
-                    msg,
-                    node: 0,
-                    remaining: 0,
-                },
-            );
-        }
-        struct Extractor(Vec<(u64, u64)>);
-        impl EpochGuide<RingWorker> for Extractor {
-            fn next_barrier(&mut self) -> Option<SimTime> {
-                self.0.is_empty().then_some(SimTime::from_ps(50))
-            }
-            fn at_barrier(
-                &mut self,
-                _at: SimTime,
-                ctl: &mut EpochControl<'_, RingWorker>,
-            ) -> BarrierVerdict {
-                let taken = ctl.extract_events(|_, ev| ev.msg % 2 == 0);
-                self.0 = taken
-                    .into_iter()
-                    .map(|(at, _, ev)| (at.as_ps(), ev.msg))
-                    .collect();
-                BarrierVerdict::Continue
-            }
-        }
-        let mut guide = Extractor(Vec::new());
-        exec.run_guided(&mut guide);
-        assert_eq!(guide.0, [(100, 0), (102, 2), (104, 4)], "ascending order");
-        let delivered: Vec<u64> = exec.into_worker().log.iter().map(|l| l.1).collect();
-        assert_eq!(delivered, [1, 3, 5], "survivors fire normally");
     }
 
     /// Fans one seed event out into 100 follow-ups.
@@ -1322,7 +1141,7 @@ mod tests {
 
         fn step(&mut self) {
             let last_tb = self.last as u64;
-            match self.rng.index(9) {
+            match self.rng.index(8) {
                 0..=2 => {
                     let (at, tb) = (self.ahead(), self.rng.bits() % (1 << 20));
                     self.push(at, tb);
@@ -1347,22 +1166,6 @@ mod tests {
                     }
                     let limit = self.last + u128::from(self.rng.bits() % 2) * (1 << 70);
                     self.pop(limit);
-                }
-                // `extract_events`: take everything, keep what survives.
-                7 => {
-                    let mut all = self.queue.take_all();
-                    all.sort_unstable();
-                    let want: Vec<(u128, u64)> =
-                        self.reference.iter().map(|(&k, &v)| (k, v)).collect();
-                    assert_eq!(all, want, "take_all returns every pending event");
-                    let condemned = self.rng.bits() % 4;
-                    for (key, id) in all {
-                        if id % 4 == condemned {
-                            self.reference.remove(&key);
-                        } else {
-                            self.queue.push(key, id);
-                        }
-                    }
                 }
                 // Drain, then reseed below the window's base (an open-loop
                 // drain followed by a send at an earlier instant), with keys

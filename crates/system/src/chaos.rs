@@ -97,9 +97,7 @@ impl Default for ChaosOptions {
 pub struct ChaosTrial {
     /// Schedule seed.
     pub seed: u64,
-    /// Faults that actually struck.
-    pub faults_applied: Vec<FaultKind>,
-    /// Campaign outcome.
+    /// Campaign outcome, the faults that actually struck included.
     pub result: CampaignResult,
     /// What the monitors saw.
     pub report: MonitorReport,
@@ -345,7 +343,7 @@ impl ChaosReport {
     pub fn kinds_struck(&self) -> BTreeSet<&'static str> {
         self.trials
             .iter()
-            .flat_map(|t| t.faults_applied.iter())
+            .flat_map(|t| t.result.faults_applied.iter())
             .map(FaultKind::name)
             .collect()
     }
@@ -459,7 +457,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
         }
         trials.push(ChaosTrial {
             seed,
-            faults_applied: result.faults_applied.clone(),
             result,
             report,
         });
@@ -549,7 +546,7 @@ mod tests {
                 assert_eq!(ta.seed, tb.seed);
                 assert_eq!(ta.result.completed, tb.result.completed);
                 assert_eq!(ta.result.mean_latency, tb.result.mean_latency);
-                assert_eq!(ta.faults_applied, tb.faults_applied);
+                assert_eq!(ta.result.faults_applied, tb.result.faults_applied);
                 assert!(
                     ta.report.is_clean(),
                     "seed {} violated: {:?}",

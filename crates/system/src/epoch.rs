@@ -5,21 +5,18 @@
 //! campaign ([`crate::faulty::FaultCampaign`], the resilience sweep and the
 //! chaos engine). Every CPU keeps a window of reads outstanding to the
 //! memory sites its [`TrafficPattern`] picks, on the kernel's epoch
-//! scheduler ([`EpochExecutor`]): one worker, one event queue, and a guide
-//! that strikes barriers:
-//!
-//! * [`CampaignWorker`] owns the run: its [`CampaignCfg`] and CPU list,
-//!   the [`RegionNet`] (routing tables and link state), a [`Requester`]
-//!   (pending set and deadline queue) per CPU, the [`Zbox`] controller of
-//!   every memory site, per-CPU RNGs and issue counters, and every result
-//!   stream (latency samples, completions, poisons, monitor violations,
-//!   trace events).
-//! * [`CampaignGuide`] is the barrier coordinator and keeps only barrier
-//!   state: the fault-plan cursor, the watchdog, the Fig. 24 sampler, the
-//!   fault counters and the livelock reports. It strikes fault-plan
-//!   events, watchdog ticks and samples as epoch barriers, changing the
-//!   worker's routing tables and link state in place under
-//!   [`EpochControl`], and condemns in-flight packets on dead wires.
+//! scheduler ([`EpochExecutor`]): one worker on one event queue.
+//! [`CampaignWorker`] owns the whole run: its [`CampaignCfg`] and CPU
+//! list, the [`RegionNet`] (routing tables and link state), a
+//! [`Requester`] (pending set and deadline queue) per CPU, the [`Zbox`]
+//! controller of every memory site, per-CPU RNGs and issue counters, every
+//! result stream (latency samples, completions, poisons, monitor
+//! violations, trace events) and its barrier state: the fault-plan cursor,
+//! the watchdog, the Fig. 24 sampler, the fault counters and the livelock
+//! reports. It strikes fault-plan events, watchdog ticks and samples as
+//! its own epoch barriers, changing its routing tables and link state in
+//! place. A packet whose wire is cut is lost at its own arrival, which the
+//! fabric reports.
 //!
 //! A run with a retry policy (the campaign) tracks every read in its
 //! CPU's pending set until it completes or is poisoned, queues each
@@ -42,23 +39,25 @@
 //! the run. The same config therefore produces the same bytes — the
 //! invariant `reproduce --check` enforces for every committed artifact.
 //!
-//! The compiler proves the worker/guide state partition: guide state is
-//! not a field of [`CampaignWorker`], and the kernel's shard types keep
-//! the [`EpochControl`] inside barriers and the outbox the worker's only
-//! way into its queue (their `compile_fail` examples show how). The
-//! determinism lint (`verify --bin lint`) rejects a shared accumulator
-//! field here.
+//! The compiler proves the outbox hand-off: the kernel's [`Outbox`] is the
+//! worker's only way into its queue and only the executor builds one, so
+//! only the executor delivers an event or strikes a barrier (its
+//! `compile_fail` examples show how). The determinism lint
+//! (`verify --bin lint`) rejects a shared accumulator field here.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 use alphasim_cache::Addr;
-use alphasim_coherence::{PendingSet, PendingTx, RetryPolicy, Watchdog};
+use alphasim_coherence::{LivelockReport, PendingSet, PendingTx, RetryPolicy, Watchdog};
 use alphasim_kernel::fault::DEGRADE_FACTOR;
-use alphasim_kernel::shard::{BarrierVerdict, EpochControl, EpochGuide, Outbox, ShardWorker};
+use alphasim_kernel::shard::{Outbox, ShardWorker};
 use alphasim_kernel::stats::MeanP50P99;
 use alphasim_kernel::{DetRng, FaultEvent, FaultKind, SimDuration, SimTime};
 use alphasim_mem::Zbox;
-use alphasim_net::partition::{tb_arrive, tb_inject, tb_timer, FabricEvent, Packet, RegionNet};
+use alphasim_net::partition::{
+    tb_arrive, tb_inject, tb_timer, Arrival, FabricEvent, Packet, RegionNet,
+};
 use alphasim_net::MessageClass;
 use alphasim_telemetry::trace::PID_MEMORY;
 use alphasim_telemetry::{BreakdownTable, HopBreakdown};
@@ -120,12 +119,6 @@ pub(crate) enum Ev {
         /// Tag of the attempt the wake-up is keyed by.
         tag: u64,
     },
-    /// A packet died with its wire; the requester reacts at the instant
-    /// the packet would have arrived (drop-at-arrival semantics).
-    DropNotice {
-        /// Transaction tag of the condemned packet.
-        tag: u64,
-    },
     /// Top the CPU's issue window back up (priming and undrain refill).
     /// Idempotent: it refills to `outstanding`, however many are in
     /// flight.
@@ -145,8 +138,7 @@ impl FabricEvent<Carried> for Ev {
     }
 }
 
-/// The run's fixed parameters, owned by the worker; the guide reads them
-/// at barriers through [`EpochControl::worker`].
+/// The run's fixed parameters.
 pub(crate) struct CampaignCfg {
     /// Outstanding reads per CPU.
     pub(crate) outstanding: usize,
@@ -367,7 +359,7 @@ pub(crate) struct CampaignWorker {
     /// The pending sets' total occupancy, folded as it changes.
     pub(crate) depth: PendingDepth,
     /// Timestamped monitor violations `(time_ps, monitor, detail)`: the
-    /// run's only list, which the guide's hung-transaction escalation
+    /// run's only list, which the watchdog's hung-transaction escalation
     /// joins.
     pub(crate) violations: Vec<(u64, String, String)>,
     /// Time of the last delivery (request or response).
@@ -383,8 +375,8 @@ pub(crate) struct CampaignWorker {
     /// The memory controller of each memory site, indexed by node id
     /// (`None` for nodes without memory).
     pub(crate) zboxes: Vec<Option<Zbox>>,
-    /// Per-CPU: whether the node was ever drained (set at the barrier by
-    /// the guide; exempts the CPU from window-refill and issue-quota
+    /// Per-CPU: whether the node was ever drained (set when a drain
+    /// strikes; exempts the CPU from window-refill and issue-quota
     /// checks).
     pub(crate) ever_drained: Vec<bool>,
     /// Latency attribution, present on collecting runs.
@@ -404,6 +396,32 @@ pub(crate) struct CampaignWorker {
     /// are primed; like [`spare`](Self::spare), the list holds boxes.
     #[allow(clippy::vec_box)]
     pub(crate) spare_legs: Vec<Box<ServedLeg>>,
+    /// The fault schedule, sorted by strike time.
+    pub(crate) plan: Vec<FaultEvent>,
+    /// Next unstruck plan entry.
+    pub(crate) plan_idx: usize,
+    /// The livelock detector; its window is also the watchdog barriers'
+    /// pitch.
+    pub(crate) dog: Watchdog,
+    /// Next watchdog barrier on the fixed grid; `None` once that time
+    /// would not fit in `u64` picoseconds.
+    pub(crate) dog_next: Option<SimTime>,
+    /// Whether watchdog barriers keep coming (a retrying run with plan
+    /// remaining or any transaction outstanding).
+    pub(crate) live: bool,
+    /// Consecutive no-progress windows (monitored runs escalate at
+    /// [`STUCK_WINDOW_LIMIT`]).
+    pub(crate) consecutive_stuck: u32,
+    /// Faults that actually struck, in strike order.
+    pub(crate) faults_applied: Vec<FaultKind>,
+    /// Livelock reports, in firing order.
+    pub(crate) reports: Vec<LivelockReport>,
+    /// Packets lost with failed wires.
+    pub(crate) dropped: u64,
+    /// Queued packets evicted from failing links and re-routed.
+    pub(crate) rerouted: u64,
+    /// The Fig. 24 sampler, on sampled runs.
+    pub(crate) sampler: Option<Sampler>,
 }
 
 impl ShardWorker for CampaignWorker {
@@ -412,11 +430,13 @@ impl ShardWorker for CampaignWorker {
     fn handle(&mut self, at: SimTime, ev: Ev, out: &mut Outbox<Ev>) {
         self.last_event = at;
         match ev {
-            Ev::Arrive { node, pkt } => {
-                if let Some(pkt) = self.net.handle_arrive(at, node, pkt, out) {
-                    self.deliver(at, pkt, out);
-                }
-            }
+            Ev::Arrive { node, pkt } => match self.net.handle_arrive(at, node, pkt, out) {
+                Arrival::Routed => {}
+                Arrival::Delivered(pkt) => self.deliver(at, pkt, out),
+                // The packet died with its wire: its requester reacts at
+                // the instant it would have landed.
+                Arrival::Lost(pkt) => self.retry_or_poison(at, pkt.tag, out),
+            },
             Ev::LinkFree { link } => self.net.handle_link_free(at, link, out),
             Ev::Timer { tag } => {
                 let cpu = (tag >> 32) as usize;
@@ -435,9 +455,50 @@ impl ShardWorker for CampaignWorker {
                     self.arm(key, out);
                 }
             }
-            Ev::DropNotice { tag } => self.retry_or_poison(at, tag, out),
             Ev::Inject { cpu } => self.top_up(at, cpu, out),
         }
+    }
+
+    fn next_barrier(&self) -> Option<SimTime> {
+        let fault = self.plan.get(self.plan_idx).map(|e| e.at);
+        let dog = self.dog_next.filter(|_| self.live);
+        let sample = self.sampler.as_ref().and_then(|s| s.next_at);
+        [fault, dog, sample].into_iter().flatten().min()
+    }
+
+    /// Strike the fault-plan events, watchdog tick and sample due at `at`.
+    fn at_barrier(&mut self, at: SimTime, out: &mut Outbox<Ev>) -> ControlFlow<()> {
+        let mut flow = ControlFlow::Continue(());
+        while self.plan_idx < self.plan.len() && self.plan[self.plan_idx].at == at {
+            let kind = self.plan[self.plan_idx].kind;
+            self.plan_idx += 1;
+            self.apply_fault(at, kind, out);
+            self.faults_applied.push(kind);
+        }
+        if self.live {
+            if self.dog_next == Some(at) {
+                flow = self.dog_tick(at);
+                self.dog_next = self.tick_after(at, 1);
+            }
+            let outstanding = self.pending_sets().any(|set| !set.is_empty());
+            let strike = self.plan.get(self.plan_idx).map(|e| e.at);
+            self.live = strike.is_some() || outstanding;
+            if let (Some(strike), Some(tick)) = (strike, self.dog_next) {
+                if tick < strike && !outstanding && out.is_idle() {
+                    // Nothing is queued or outstanding until the strike, so
+                    // every tick before it would check nothing and clear
+                    // the stuck count: clear it and skip those ticks.
+                    self.consecutive_stuck = 0;
+                    let window = self.dog.window().as_ps();
+                    let ticks = (strike.as_ps() - tick.as_ps()).div_ceil(window);
+                    self.dog_next = self.tick_after(tick, ticks);
+                }
+            }
+        }
+        if self.sampler.as_ref().is_some_and(|s| s.next_at == Some(at)) {
+            self.sample(at, out);
+        }
+        flow
     }
 }
 
@@ -893,88 +954,7 @@ pub(crate) struct Sampler {
     pub(crate) samples: Vec<UtilSample>,
 }
 
-/// The barrier coordinator: strikes fault events, watchdog ticks and
-/// samples at epoch barriers. It keeps only barrier state; everything it
-/// reads or changes about the run (tables, links, config, CPUs,
-/// violations) is the worker's, reached through [`EpochControl`].
-pub(crate) struct CampaignGuide {
-    /// The fault schedule, sorted by strike time.
-    pub(crate) plan: Vec<FaultEvent>,
-    /// Next unstruck plan entry.
-    pub(crate) plan_idx: usize,
-    /// The livelock detector; its window is also the barrier grid pitch.
-    pub(crate) dog: Watchdog,
-    /// Next watchdog barrier on the fixed grid; `None` once that time
-    /// would not fit in `u64` picoseconds.
-    pub(crate) dog_next: Option<SimTime>,
-    /// Whether watchdog barriers keep coming (a retrying run with plan
-    /// remaining or any transaction outstanding).
-    pub(crate) live: bool,
-    /// Consecutive no-progress windows (monitored runs escalate at
-    /// [`STUCK_WINDOW_LIMIT`]).
-    pub(crate) consecutive_stuck: u32,
-    /// Faults that actually struck, in strike order.
-    pub(crate) faults_applied: Vec<FaultKind>,
-    /// Livelock reports, in firing order.
-    pub(crate) reports: Vec<alphasim_coherence::LivelockReport>,
-    /// Packets lost with failed wires.
-    pub(crate) dropped: u64,
-    /// Queued packets evicted from failing links and re-routed.
-    pub(crate) rerouted: u64,
-    /// The Fig. 24 sampler, on sampled runs.
-    pub(crate) sampler: Option<Sampler>,
-}
-
-impl EpochGuide<CampaignWorker> for CampaignGuide {
-    fn next_barrier(&mut self) -> Option<SimTime> {
-        let fault = self.plan.get(self.plan_idx).map(|e| e.at);
-        let dog = self.dog_next.filter(|_| self.live);
-        let sample = self.sampler.as_ref().and_then(|s| s.next_at);
-        [fault, dog, sample].into_iter().flatten().min()
-    }
-
-    fn at_barrier(
-        &mut self,
-        at: SimTime,
-        ctl: &mut EpochControl<'_, CampaignWorker>,
-    ) -> BarrierVerdict {
-        let mut verdict = BarrierVerdict::Continue;
-        while self.plan_idx < self.plan.len() && self.plan[self.plan_idx].at == at {
-            let kind = self.plan[self.plan_idx].kind;
-            self.plan_idx += 1;
-            self.apply_fault(at, kind, ctl);
-            self.faults_applied.push(kind);
-        }
-        if self.live {
-            if self.dog_next == Some(at) {
-                if self.dog_tick(at, ctl) == BarrierVerdict::Stop {
-                    verdict = BarrierVerdict::Stop;
-                }
-                self.dog_next = self.tick_after(at, 1);
-            }
-            let outstanding = ctl.worker().pending_sets().any(|set| !set.is_empty());
-            let strike = self.plan.get(self.plan_idx).map(|e| e.at);
-            self.live = strike.is_some() || outstanding;
-            if let (Some(strike), Some(tick)) = (strike, self.dog_next) {
-                if tick < strike && !outstanding && ctl.is_idle() {
-                    // Nothing is queued or outstanding until the strike, so
-                    // every tick before it would check nothing and clear
-                    // the stuck count: clear it and skip those ticks.
-                    self.consecutive_stuck = 0;
-                    let window = self.dog.window().as_ps();
-                    let ticks = (strike.as_ps() - tick.as_ps()).div_ceil(window);
-                    self.dog_next = self.tick_after(tick, ticks);
-                }
-            }
-        }
-        if self.sampler.as_ref().is_some_and(|s| s.next_at == Some(at)) {
-            self.sample(at, ctl);
-        }
-        verdict
-    }
-}
-
-impl CampaignGuide {
+impl CampaignWorker {
     /// The watchdog barrier `ticks` windows after `from`, or `None` when its
     /// time would not fit in `u64` picoseconds, which stops the ticking.
     fn tick_after(&self, from: SimTime, ticks: u64) -> Option<SimTime> {
@@ -988,10 +968,9 @@ impl CampaignGuide {
     /// fired, none at or after it has — or stop sampling once nothing is
     /// left to happen: the queue is empty and no link frees up at or
     /// after the barrier.
-    fn sample(&mut self, at: SimTime, ctl: &EpochControl<'_, CampaignWorker>) {
+    fn sample(&mut self, at: SimTime, out: &Outbox<Ev>) {
         let s = self.sampler.as_mut().expect("a sample is due");
-        let worker = ctl.worker();
-        let done = ctl.is_idle() && worker.net.latest_release().is_none_or(|t| t < at);
+        let done = out.is_idle() && self.net.latest_release().is_none_or(|t| t < at);
         if done {
             s.next_at = None;
             return;
@@ -1002,14 +981,14 @@ impl CampaignGuide {
             *prev = busy;
             (delta.as_ps() as f64 / window).min(1.0)
         };
-        let mut zbox = Vec::with_capacity(worker.cfg.homes.len());
-        for (&site, prev) in worker.cfg.homes.iter().zip(&mut s.prev_zbox_busy) {
-            let busy = worker.zboxes[site.index()]
+        let mut zbox = Vec::with_capacity(self.cfg.homes.len());
+        for (&site, prev) in self.cfg.homes.iter().zip(&mut s.prev_zbox_busy) {
+            let busy = self.zboxes[site.index()]
                 .as_ref()
                 .map_or(SimDuration::ZERO, Zbox::busy_time);
             zbox.push(share(busy, prev));
         }
-        let links = worker.net.links();
+        let links = self.net.links();
         let ew = links.mean_busy_where(|d| d.is_some_and(|d| d.is_horizontal()));
         let ns = links.mean_busy_where(|d| d.is_some_and(|d| !d.is_horizontal()));
         let east_west = share(ew, &mut s.prev_ew_busy);
@@ -1027,102 +1006,69 @@ impl CampaignGuide {
     /// plan with the kernel's `validate_plan` before the first event, so
     /// the strike is legal by construction: a cut finds its link alive, a
     /// repair finds damage, a channel loss leaves the Zbox a channel.
-    fn apply_fault(
-        &mut self,
-        b: SimTime,
-        kind: FaultKind,
-        ctl: &mut EpochControl<'_, CampaignWorker>,
-    ) {
+    fn apply_fault(&mut self, b: SimTime, kind: FaultKind, out: &mut Outbox<Ev>) {
         match kind {
             FaultKind::LinkDown { a, b: other } => {
+                // Queued packets re-route from the sending side over the
+                // rebuilt tables; the ones on the wires are lost.
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                for id in ctl.worker_mut().net.tables_mut().fail_link(na, nb) {
-                    let from = ctl.worker().net.tables().link_meta(id).0;
-                    // Queued packets are evicted and re-routed from the
-                    // sending side over the rebuilt tables.
-                    let evicted = ctl.worker_mut().net.evict_queued(id);
-                    for pkt in evicted {
-                        self.rerouted += 1;
-                        let uid = pkt.uid;
-                        ctl.inject(b, tb_arrive(uid), Ev::Arrive { node: from, pkt });
-                    }
-                    // Drop-in-flight: condemn the packet on the wire. A
-                    // ticket whose arrival already fired is stale.
-                    let Some(ticket) = ctl.worker().net.in_flight_ticket(id) else {
-                        continue;
-                    };
-                    if ticket.arrive_at < b {
-                        continue;
-                    }
-                    let uid = ticket.uid;
-                    let condemned = ctl.extract_events(|at, ev| {
-                        at == ticket.arrive_at
-                            && matches!(ev, Ev::Arrive { pkt, .. } if pkt.uid == uid)
-                    });
-                    if !condemned.is_empty() {
-                        self.dropped += 1;
-                        ctl.inject(
-                            ticket.arrive_at,
-                            tb_arrive(uid),
-                            Ev::DropNotice { tag: ticket.tag },
-                        );
-                    }
-                }
+                let (rerouted, dropped) = self.net.cut_link(b, na, nb, out);
+                self.rerouted += rerouted;
+                self.dropped += dropped;
             }
             FaultKind::LinkUp { a, b: other } => {
                 // A repair heals the cut and the degradation alike.
                 let (na, nb) = (NodeId::new(a), NodeId::new(other));
-                let net = &mut ctl.worker_mut().net;
-                let ids = net.tables().link_ids(na, nb);
-                if !net.tables().is_alive(ids[0]) {
-                    net.tables_mut().revive_link(na, nb);
+                let ids = self.net.tables().link_ids(na, nb);
+                if !self.net.tables().is_alive(ids[0]) {
+                    self.net.tables_mut().revive_link(na, nb);
                 }
                 for id in ids {
-                    net.link_mut(id).set_degrade(1);
+                    self.net.link_mut(id).set_degrade(1);
                 }
             }
             FaultKind::LinkDegrade { a, b: other } => {
-                let net = &mut ctl.worker_mut().net;
-                for id in net.tables().link_ids(NodeId::new(a), NodeId::new(other)) {
-                    net.link_mut(id).set_degrade(DEGRADE_FACTOR);
+                for id in self
+                    .net
+                    .tables()
+                    .link_ids(NodeId::new(a), NodeId::new(other))
+                {
+                    self.net.link_mut(id).set_degrade(DEGRADE_FACTOR);
                 }
             }
             FaultKind::FlitCorrupt { from, to } => {
-                let net = &mut ctl.worker_mut().net;
-                let id = net
+                let id = self
+                    .net
                     .tables()
                     .directed_link(NodeId::new(from), NodeId::new(to));
-                net.link_mut(id).arm_corruption();
+                self.net.link_mut(id).arm_corruption();
             }
             FaultKind::RouterPause { node, ps } => {
-                let n = NodeId::new(node);
                 let until = b + SimDuration::from_ps(ps);
-                ctl.worker_mut().net.pause_router(n, until);
+                self.net.pause_router(NodeId::new(node), until);
             }
             FaultKind::NodeDrain { node } => {
-                let w = ctl.worker_mut();
-                w.net.tables_mut().set_drained(NodeId::new(node), true);
-                if let Some(cpu) = w.cpus.iter().position(|c| c.index() == node) {
-                    w.ever_drained[cpu] = true;
+                self.net.tables_mut().set_drained(NodeId::new(node), true);
+                if let Some(cpu) = self.cpus.iter().position(|c| c.index() == node) {
+                    self.ever_drained[cpu] = true;
                 }
             }
             FaultKind::NodeUndrain { node } => {
-                let w = ctl.worker_mut();
-                w.net.tables_mut().set_drained(NodeId::new(node), false);
-                if let Some(cpu) = w.cpus.iter().position(|c| c.index() == node) {
+                self.net.tables_mut().set_drained(NodeId::new(node), false);
+                if let Some(cpu) = self.cpus.iter().position(|c| c.index() == node) {
                     // The node resumes service: refill its issue window so
                     // it works toward its quota again.
-                    ctl.inject(b, tb_inject(cpu), Ev::Inject { cpu });
+                    out.emit(b, tb_inject(cpu), Ev::Inject { cpu });
                 }
             }
             FaultKind::ChannelDown { node } => {
-                ctl.worker_mut().zboxes[node]
+                self.zboxes[node]
                     .as_mut()
                     .expect("a channel fault strikes a memory site")
                     .fail_channel();
             }
             FaultKind::ChannelUp { node } => {
-                ctl.worker_mut().zboxes[node]
+                self.zboxes[node]
                     .as_mut()
                     .expect("a channel fault strikes a memory site")
                     .restore_channel();
@@ -1134,18 +1080,13 @@ impl CampaignGuide {
     /// the detector, check every CPU's pending set, and (on monitored runs)
     /// escalate after [`STUCK_WINDOW_LIMIT`] consecutive silent windows so
     /// a broken recovery path cannot hang the harness.
-    fn dog_tick(
-        &mut self,
-        now: SimTime,
-        ctl: &mut EpochControl<'_, CampaignWorker>,
-    ) -> BarrierVerdict {
-        let worker = ctl.worker();
-        self.dog.note_progress(worker.last_delivery);
-        let sets: Vec<&PendingSet> = worker.pending_sets().collect();
+    fn dog_tick(&mut self, now: SimTime) -> ControlFlow<()> {
+        self.dog.note_progress(self.last_delivery);
+        let sets: Vec<&PendingSet> = self.requesters.iter().map(|r| &r.pending).collect();
         match self.dog.check(now, &sets) {
             Some(report) => {
                 self.reports.push(report);
-                if worker.cfg.monitored {
+                if self.cfg.monitored {
                     self.consecutive_stuck += 1;
                     if self.consecutive_stuck >= STUCK_WINDOW_LIMIT {
                         let mut tags: Vec<u64> = sets
@@ -1153,7 +1094,7 @@ impl CampaignGuide {
                             .flat_map(|set| set.iter().map(|(tag, _)| tag))
                             .collect();
                         tags.sort_unstable();
-                        ctl.worker_mut().violations.push((
+                        self.violations.push((
                             now.as_ps(),
                             "hung-transactions".to_string(),
                             format!(
@@ -1161,13 +1102,13 @@ impl CampaignGuide {
                                  stuck tags {tags:x?}"
                             ),
                         ));
-                        return BarrierVerdict::Stop;
+                        return ControlFlow::Break(());
                     }
                 }
             }
             None => self.consecutive_stuck = 0,
         }
-        BarrierVerdict::Continue
+        ControlFlow::Continue(())
     }
 }
 

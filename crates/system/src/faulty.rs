@@ -14,9 +14,10 @@
 //!
 //! Campaigns execute on the closed-loop engine (`crate::epoch`), the one
 //! the load test runs on without its retry machinery: one worker holds the
-//! fabric, the per-CPU pending sets and deadline queues, and the memory
-//! controllers, stepped by [`alphasim_kernel::shard::EpochExecutor`] with
-//! fault strikes and watchdog ticks applied at epoch barriers. Events
+//! fabric, the per-CPU pending sets and deadline queues, the memory
+//! controllers and the fault plan, stepped by
+//! [`alphasim_kernel::shard::EpochExecutor`], and strikes its faults and
+//! watchdog ticks at its own epoch barriers. Events
 //! fire in an order the config alone fixes; the worker folds its per-read
 //! streams as they fire, and the rest is put into a canonical order after
 //! the run.
@@ -45,9 +46,7 @@ use alphasim_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::marker::PhantomData;
 
-use crate::epoch::{
-    CampaignCfg, CampaignGuide, CampaignWorker, Ev, PendingDepth, Requester, Sampler,
-};
+use crate::epoch::{CampaignCfg, CampaignWorker, Ev, PendingDepth, Requester, Sampler};
 use crate::loadtest::TrafficPattern;
 use crate::obs::{assemble, CampaignObservability, ObsAcc, ObserveOptions};
 
@@ -484,20 +483,15 @@ impl<T: Topology> FaultCampaign<T> {
 
     /// Run the closed loop to completion on the epoch engine: check the
     /// fault plan against [`validate_plan`] over the fabric's sites, build
-    /// the worker over the fabric, the memory sites and the CPUs, prime
-    /// every CPU's window, and step it under the guide. Returns the
-    /// worker, the guide, what the executor did, and (on observed runs)
+    /// the worker over the fabric, the memory sites, the CPUs and the
+    /// plan, prime every CPU's window, and step it through its barriers.
+    /// Returns the worker, what the executor did, and (on observed runs)
     /// the epoch profile.
     pub(crate) fn launch(
         self,
         cfg: &FaultCampaignConfig,
         drive: Drive,
-    ) -> (
-        CampaignWorker,
-        CampaignGuide,
-        EpochReport,
-        Option<EpochProfile>,
-    ) {
+    ) -> (CampaignWorker, EpochReport, Option<EpochProfile>) {
         assert!(cfg.outstanding >= 1, "need at least one outstanding read");
         let ncpus = self.cpus.len();
         let named = match cfg.pattern {
@@ -588,17 +582,6 @@ impl<T: Topology> FaultCampaign<T> {
                 .map(|o| Box::new(ObsAcc::new(o.window_ps, node_count))),
             spare: Vec::new(),
             spare_legs: Vec::new(),
-        };
-        let mut exec = EpochExecutor::new(worker);
-        if let Some(o) = drive.observe {
-            exec.enable_profile(o.wall);
-        }
-        // Prime every CPU's issue window at time zero. Faults scheduled at
-        // zero strike first: the guide runs before any event fires.
-        for cpu in 0..ncpus {
-            exec.seed(SimTime::ZERO, tb_inject(cpu), Ev::Inject { cpu });
-        }
-        let mut guide = CampaignGuide {
             plan: cfg.plan.events().to_vec(),
             plan_idx: 0,
             dog: Watchdog::new(cfg.watchdog_window),
@@ -618,9 +601,19 @@ impl<T: Topology> FaultCampaign<T> {
                 samples: Vec::new(),
             }),
         };
-        let report = exec.run_guided(&mut guide);
+        let mut exec = EpochExecutor::new(worker);
+        if let Some(o) = drive.observe {
+            exec.enable_profile(o.wall);
+        }
+        // Prime every CPU's issue window at time zero. Faults scheduled at
+        // zero strike first: a barrier strikes before any event at its
+        // instant fires.
+        for cpu in 0..ncpus {
+            exec.seed(SimTime::ZERO, tb_inject(cpu), Ev::Inject { cpu });
+        }
+        let report = exec.run_until_idle();
         let profile = exec.take_profile();
-        (exec.into_worker(), guide, report, profile)
+        (exec.into_worker(), report, profile)
     }
 
     fn run_inner(
@@ -637,7 +630,7 @@ impl<T: Topology> FaultCampaign<T> {
             drive.monitored || cfg.mutation.is_none(),
             "recovery mutations require run_monitored"
         );
-        let (mut worker, guide, epoch_report, profile) = self.launch(cfg, drive);
+        let (mut worker, epoch_report, profile) = self.launch(cfg, drive);
         let ncpus = worker.cpus.len();
 
         // ---- canonical aggregation ------------------------------------
@@ -673,7 +666,7 @@ impl<T: Topology> FaultCampaign<T> {
                 .into_iter()
                 .map(|(_, monitor, detail)| Violation { monitor, detail })
                 .collect();
-            if pending_total > 0 && guide.consecutive_stuck < STUCK_WINDOW_LIMIT {
+            if pending_total > 0 && worker.consecutive_stuck < STUCK_WINDOW_LIMIT {
                 violations.push(Violation {
                     monitor: "hung-transactions".to_string(),
                     detail: format!("survived the drain: tags {pending_tags:x?}"),
@@ -740,14 +733,17 @@ impl<T: Topology> FaultCampaign<T> {
             registry.counter_add("coherence.completed", completed);
             registry.counter_add("coherence.retries", retries);
             registry.gauge_max("coherence.pending_peak", pending_peak);
-            guide.dog.export_metrics(&mut registry);
+            worker.dog.export_metrics(&mut registry);
             for zbox in worker.zboxes.iter().flatten() {
                 zbox.export_metrics(&mut registry);
             }
-            registry.counter_add("net.dropped", guide.dropped);
-            registry.counter_add("net.rerouted", guide.rerouted);
+            registry.counter_add("net.dropped", worker.dropped);
+            registry.counter_add("net.rerouted", worker.rerouted);
             registry.counter_add("campaign.poisoned", poisoned.len() as u64);
-            registry.counter_add("campaign.faults_applied", guide.faults_applied.len() as u64);
+            registry.counter_add(
+                "campaign.faults_applied",
+                worker.faults_applied.len() as u64,
+            );
             registry.counter_add("sim.events_processed", epoch_report.processed);
             let breakdown = worker
                 .breakdown
@@ -824,11 +820,11 @@ impl<T: Topology> FaultCampaign<T> {
         let result = CampaignResult {
             completed,
             retries,
-            dropped: guide.dropped,
-            rerouted: guide.rerouted,
+            dropped: worker.dropped,
+            rerouted: worker.rerouted,
             poisoned,
-            watchdog_reports: guide.reports,
-            faults_applied: guide.faults_applied,
+            watchdog_reports: worker.reports,
+            faults_applied: worker.faults_applied,
             crc_retransmits,
             mean_latency,
             p50_latency,
@@ -1513,7 +1509,7 @@ mod tests {
     fn a_strike_past_the_run_skips_the_idle_watchdog_ticks() {
         // A drain that strikes long after every read completed. Every
         // watchdog tick before it would find nothing queued and nothing
-        // outstanding, so the guide moves straight to the first tick at or
+        // outstanding, so the worker moves straight to the first tick at or
         // after the strike; a strike so late that no such tick fits in
         // `u64` picoseconds stops the ticking instead. Both runs end as
         // ticking through the idle windows would: the strike lands and
@@ -1526,22 +1522,22 @@ mod tests {
                 plan,
                 ..Default::default()
             };
-            let (_, guide, ..) = campaign16().launch(&cfg, Drive::default());
-            (guide, campaign16().run_monitored(&cfg))
+            let (worker, ..) = campaign16().launch(&cfg, Drive::default());
+            (worker, campaign16().run_monitored(&cfg))
         };
         let near = 1_000_000_000_001; // 5,000 idle windows, and 1 ps
-        let (near_guide, (near_r, near_t, near_report)) = run(near);
-        let (far_guide, (far_r, far_t, far_report)) = run(u64::MAX);
+        let (near_worker, (near_r, near_t, near_report)) = run(near);
+        let (far_worker, (far_r, far_t, far_report)) = run(u64::MAX);
         let window = FaultCampaignConfig::default().watchdog_window.as_ps();
         assert_eq!(
-            near_guide.dog_next,
+            near_worker.dog_next,
             Some(SimTime::from_ps(near.div_ceil(window) * window))
         );
-        assert_eq!(far_guide.dog_next, None, "the tick past u64::MAX stops");
-        for guide in [&near_guide, &far_guide] {
-            assert_eq!(guide.faults_applied, [FaultKind::NodeDrain { node: 0 }]);
-            assert_eq!(guide.consecutive_stuck, 0);
-            assert!(guide.reports.is_empty());
+        assert_eq!(far_worker.dog_next, None, "the tick past u64::MAX stops");
+        for worker in [&near_worker, &far_worker] {
+            assert_eq!(worker.faults_applied, [FaultKind::NodeDrain { node: 0 }]);
+            assert_eq!(worker.consecutive_stuck, 0);
+            assert!(worker.reports.is_empty());
         }
         assert_eq!(near_r.completed, 16 * 20);
         assert_eq!(near_r.completed, far_r.completed);
@@ -1594,14 +1590,9 @@ mod tests {
         // (up to 3) that `validate_plan` accepts is applied, strike for
         // strike. The engine keeps no rules of its own, so a plan the rule
         // book wrongly accepts trips an assert of the routing tables or
-        // the Zbox here.
-        let (a, b, node) = (0, 1, 0);
-        let link = [
-            FaultKind::LinkDown { a, b },
-            FaultKind::LinkUp { a, b },
-            FaultKind::LinkDegrade { a, b },
-            FaultKind::FlitCorrupt { from: a, to: b },
-        ];
+        // the Zbox here. Link 0-4 of the 8P torus is two cables (North and
+        // South), which the rule book counts as one link.
+        let node = 0;
         let site = [
             FaultKind::NodeDrain { node },
             FaultKind::NodeUndrain { node },
@@ -1609,28 +1600,40 @@ mod tests {
             FaultKind::ChannelDown { node },
             FaultKind::ChannelUp { node },
         ];
-        let machine = Gs1280::builder().cpus(16).build();
-        let catalog = crate::chaos::catalog_for(16);
-        let cfg = |plan| FaultCampaignConfig {
-            requests_per_cpu: 16,
-            plan,
-            ..Default::default()
-        };
-        // The strikes land on live traffic: a healthy run outlasts the
-        // last of them.
-        let healthy = gs1280_fault_campaign(&machine).run(&cfg(FaultPlan::new()));
-        assert!(healthy.elapsed > SimDuration::from_ns(800.0));
-        let mut legal = 0;
-        let plans = strike_sequences(&link, 4)
-            .into_iter()
-            .chain(strike_sequences(&site, 3));
-        for plan in plans.filter(|plan| validate_plan(&catalog, plan).is_ok()) {
-            let struck: Vec<FaultKind> = plan.events().iter().map(|e| e.kind).collect();
-            let r = gs1280_fault_campaign(&machine).run(&cfg(plan));
-            assert_eq!(r.faults_applied, struck);
-            legal += 1;
+        for (cpus, (a, b), at_least) in [(16, (0, 1), 100), (8, (0, 4), 60)] {
+            let link = [
+                FaultKind::LinkDown { a, b },
+                FaultKind::LinkUp { a, b },
+                FaultKind::LinkDegrade { a, b },
+                FaultKind::FlitCorrupt { from: a, to: b },
+            ];
+            let machine = Gs1280::builder().cpus(cpus).build();
+            let catalog = crate::chaos::catalog_for(cpus);
+            let cfg = |plan| FaultCampaignConfig {
+                requests_per_cpu: 16,
+                plan,
+                ..Default::default()
+            };
+            // The strikes land on live traffic: a healthy run outlasts the
+            // last of them.
+            let healthy = gs1280_fault_campaign(&machine).run(&cfg(FaultPlan::new()));
+            assert!(healthy.elapsed > SimDuration::from_ns(800.0), "{cpus}P");
+            let mut legal = 0;
+            let mut plans = strike_sequences(&link, 4);
+            if cpus == 16 {
+                plans.extend(strike_sequences(&site, 3));
+            }
+            for plan in plans
+                .into_iter()
+                .filter(|plan| validate_plan(&catalog, plan).is_ok())
+            {
+                let struck: Vec<FaultKind> = plan.events().iter().map(|e| e.kind).collect();
+                let r = gs1280_fault_campaign(&machine).run(&cfg(plan));
+                assert_eq!(r.faults_applied, struck);
+                legal += 1;
+            }
+            assert!(legal > at_least, "{cpus}P: only {legal} legal plans");
         }
-        assert!(legal > 100, "only {legal} legal plans");
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl<T: Topology> LoadTest<T> {
             sample_every: cfg.sample_interval_ns.map(SimDuration::from_ns),
             ..Drive::default()
         };
-        let (worker, guide, ..) = self.campaign.launch(&loop_cfg, drive);
+        let (worker, ..) = self.campaign.launch(&loop_cfg, drive);
         // The run ends at its last event or its last link release,
         // whichever is later.
         let last = worker
@@ -159,7 +159,7 @@ impl<T: Topology> LoadTest<T> {
             elapsed,
             zbox_busy: zbox_grid(&worker, |z| z.busy_time().as_ps()),
             link_busy: link_busy_grid(&worker),
-            samples: guide.sampler.map(|s| s.samples).unwrap_or_default(),
+            samples: worker.sampler.map(|s| s.samples).unwrap_or_default(),
         }
     }
 }

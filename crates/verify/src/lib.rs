@@ -31,7 +31,7 @@
 //!   exceptions; an allow comment whose rule no longer fires anywhere on
 //!   its line is itself flagged as stale. `cargo run -p verify --bin lint`
 //!   exits non-zero on any unexplained finding. Its shared-mutable-state
-//!   rule is the one part of the epoch engine's state partition the
+//!   rule is the one part of the epoch engine's outbox hand-off the
 //!   compiler cannot prove; `compile_fail` doctests in
 //!   `alphasim_kernel::shard` prove the rest.
 //!

@@ -49,7 +49,8 @@ fn gups_and_summary_are_deterministic() {
 }
 
 /// A load test reruns to the same result, Xmesh samples and the per-node
-/// Zbox and IP-link busy grids included.
+/// Zbox and IP-link busy grids included, and sampling changes nothing but
+/// the samples.
 #[test]
 fn load_test_reruns_byte_identically() {
     let cfg = LoadTestConfig {
@@ -60,17 +61,25 @@ fn load_test_reruns_byte_identically() {
     };
     let g = Gs1280::builder().cpus(16).build();
     let q = Gs320::new(16);
-    let run = || -> [LoadTestResult; 2] {
-        [
-            gs1280_load_test(&g).run(&cfg),
-            gs320_load_test(&q).run(&cfg),
-        ]
+    let run = |cfg: &LoadTestConfig| -> [LoadTestResult; 2] {
+        [gs1280_load_test(&g).run(cfg), gs320_load_test(&q).run(cfg)]
     };
-    let reference = run();
+    let reference = run(&cfg);
     assert!(reference.iter().all(|r| !r.samples.is_empty()));
     // Both grids hold traffic, so comparing them is not vacuous.
     assert!(reference
         .iter()
         .all(|r| r.zbox_busy.total() > 0 && r.link_busy.total() > 0));
-    assert_eq!(run(), reference);
+    assert_eq!(run(&cfg), reference);
+    // The sampler's barriers are invisible to the run: without them every
+    // other field reads the same.
+    let unsampled = run(&LoadTestConfig {
+        sample_interval_ns: None,
+        ..cfg
+    });
+    for (mut sampled, plain) in reference.into_iter().zip(unsampled) {
+        assert!(plain.samples.is_empty());
+        sampled.samples.clear();
+        assert_eq!(sampled, plain);
+    }
 }
